@@ -185,6 +185,8 @@ def _apply_key(cfg, key, value):
         cfg.scalar = float(value)
     elif key == "grid.points":
         cfg.grid_points = int(value)
+        if cfg.grid_points < 1:
+            raise ValueError("grid.points must be at least 1")
     elif key == "grid.start":
         cfg.grid_start = float(value)
     elif key == "grid.end":
@@ -505,6 +507,8 @@ def main(argv=None):
                 cfg.tolerance = args.tolerance
                 cfg.raw["tolerance"] = repr(args.tolerance)
             if args.grid is not None:
+                if args.grid < 1:
+                    raise ConfigParseError(f"--grid must be at least 1, got {args.grid}")
                 cfg.grid_points = args.grid
                 cfg.raw["grid.points"] = str(args.grid)
             report = run_scenario(cfg)

@@ -316,6 +316,16 @@ class ProductManifoldSpec:
             names.extend(fn)
         self.coord_names = tuple(names)
 
+        # The block layout is fixed once the spec is built.
+        self.fiber_dims = tuple(f.dim for f in self.fibers)
+        self.n_bar = self.n + sum(self.fiber_dims)
+        self._base_slice = slice(0, self.n)
+        self._fiber_slices = []
+        start = self.n
+        for d in self.fiber_dims:
+            self._fiber_slices.append(slice(start, start + d))
+            start += d
+
         allowed_base = set(base.coord_names)
         for i, w in enumerate(self.warpings):
             used = w.variables()
@@ -333,23 +343,14 @@ class ProductManifoldSpec:
         return self.base.dim
 
     @property
-    def fiber_dims(self):
-        return [f.dim for f in self.fibers]
-
-    @property
-    def n_bar(self):
-        return self.n + sum(self.fiber_dims)
-
-    @property
     def m(self):
         return len(self.fibers)
 
     def block_slice(self, block):
         """Index slice for 'base' or a fiber index."""
         if block == "base":
-            return slice(0, self.n)
-        start = self.n + sum(self.fiber_dims[:block])
-        return slice(start, start + self.fiber_dims[block])
+            return self._base_slice
+        return self._fiber_slices[block]
 
     def block_of_index(self, idx):
         if idx < self.n:

@@ -12,6 +12,7 @@ chart, understood as coordinate vector fields with constant components.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,21 @@ class StructuredGeometryCache:
                 dvals[:, c] = jet.grad
             self.Pc = vals
             self.dPc = dvals
+        self._p_free = None
+
+    def without_p(self):
+        """This point's data with the torsion field cleared, made at most once.
+
+        Equal to `StructuredGeometryCache(spec, None, p)`: nothing but the
+        P fields depends on P, so the view shares every other array.
+        """
+        if self.P_loc is None:
+            return self
+        if self._p_free is None:
+            view = copy.copy(self)
+            view.P = view.P_loc = view.Pc = view.dPc = None
+            self._p_free = view
+        return self._p_free
 
     # -- basic block helpers -------------------------------------------------
 
@@ -446,8 +462,7 @@ def structured_curvature(spec, P, kind, X: BlockVector, Y: BlockVector,
     c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
     _check_blocks(spec, X, Y, Z)
     if kind == ConnectionKind.LEVI_CIVITA or c.P_loc is None:
-        null = StructuredGeometryCache(spec, None, p) if c.P_loc is not None else c
-        return _curv_p_base(null, X, Y, Z)
+        return _curv_p_base(c.without_p(), X, Y, Z)
     if kind == ConnectionKind.SEMI_SYMMETRIC_NON_METRIC:
         if c.P_loc == "base":
             return _curv_p_base(c, X, Y, Z)
@@ -657,8 +672,7 @@ def structured_ricci(spec, P, kind, X: BlockVector, Y: BlockVector, p, cache=Non
     c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
     _check_blocks(spec, X, Y)
     if kind == ConnectionKind.LEVI_CIVITA or c.P_loc is None:
-        null = StructuredGeometryCache(spec, None, p) if c.P_loc is not None else c
-        return _ricci_p_base(null, X, Y)
+        return _ricci_p_base(c.without_p(), X, Y)
     if c.P_loc == "base":
         val = _ricci_p_base(c, X, Y)
     else:
@@ -794,8 +808,8 @@ def structured_scalar(spec, P, kind, p, cache=None):
     to the Ricci tensor is antisymmetric).
     """
     c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
-    if kind == ConnectionKind.LEVI_CIVITA and c.P_loc is not None:
-        c = StructuredGeometryCache(spec, None, p)
+    if kind == ConnectionKind.LEVI_CIVITA:
+        c = c.without_p()
 
     total = 0.0
     for i in range(c.m):

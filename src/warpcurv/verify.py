@@ -37,28 +37,28 @@ class ClauseReport:
 
 
 def _pattern_vectors(spec, block, limit=None):
+    """Pattern vectors of `block`, each paired with its ambient components."""
     sl = spec.block_slice(block)
     d = sl.stop - sl.start
-    vecs = []
+    comps = []
     for a in range(d):
         e = np.zeros(d)
         e[a] = 1.0
-        vecs.append(BlockVector(block, e))
+        comps.append(e)
     if d >= 2:
         mix = np.zeros(d)
         mix[0], mix[1] = 1.0, 0.37
-        vecs.append(BlockVector(block, mix))
-    return vecs[:limit] if limit else vecs
+        comps.append(mix)
+    out = []
+    for c in comps[:limit] if limit else comps:
+        ambient = np.zeros(spec.n_bar)
+        ambient[sl] = c
+        out.append((BlockVector(block, c), ambient))
+    return out
 
 
 def _block_label(block):
     return "base" if block == "base" else f"f{block}"
-
-
-def _embed(spec, v: BlockVector):
-    out = np.zeros(spec.n_bar)
-    out[spec.block_slice(v.block)] = v.components
-    return out
 
 
 def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE,
@@ -69,6 +69,8 @@ def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE,
     scalar reports, with deviations maximized over the supplied points.
     """
     blocks = ["base"] + list(range(spec.m))
+    cov_vecs = {b: _pattern_vectors(spec, b) for b in blocks}
+    curv_vecs = {b: _pattern_vectors(spec, b, curvature_vector_limit) for b in blocks}
     worst_cov = {}
     worst_curv = {}
     worst_ric = 0.0
@@ -82,23 +84,23 @@ def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE,
         for bx, by in itertools.product(blocks, repeat=2):
             key = f"cov[{_block_label(bx)},{_block_label(by)}]"
             dev = worst_cov.get(key, 0.0)
-            for X in _pattern_vectors(spec, bx):
-                for Y in _pattern_vectors(spec, by):
+            for X, xe in cov_vecs[bx]:
+                for Y, ye in cov_vecs[by]:
                     sv = structured_covariant_derivative(spec, P, kind, X, Y, p,
                                                          cache=cache)
-                    ov = np.einsum("kij,i,j->k", G, _embed(spec, X), _embed(spec, Y))
+                    ov = np.einsum("kij,i,j->k", G, xe, ye)
                     dev = max(dev, float(np.max(np.abs(sv - ov))))
             worst_cov[key] = dev
 
         for bx, by, bz in itertools.product(blocks, repeat=3):
             key = f"curv[{_block_label(bx)},{_block_label(by)},{_block_label(bz)}]"
             dev = worst_curv.get(key, 0.0)
-            for X in _pattern_vectors(spec, bx, curvature_vector_limit):
-                for Y in _pattern_vectors(spec, by, curvature_vector_limit):
-                    for Z in _pattern_vectors(spec, bz, curvature_vector_limit):
+            for X, xe in curv_vecs[bx]:
+                for Y, ye in curv_vecs[by]:
+                    for Z, ze in curv_vecs[bz]:
                         sv = structured_curvature(spec, P, kind, X, Y, Z, p,
                                                   cache=cache)
-                        ov = cur.apply(_embed(spec, X), _embed(spec, Y), _embed(spec, Z))
+                        ov = cur.apply(xe, ye, ze)
                         dev = max(dev, float(np.max(np.abs(sv - ov))))
             worst_curv[key] = dev
 

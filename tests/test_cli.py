@@ -99,6 +99,25 @@ def test_cli_config_error_exit_code(tmp_path, capsysbinary):
     assert code == 2
 
 
+@pytest.mark.parametrize("scenario", ["oracle-sphere.txt", "einstein-quadratic-fail.txt"])
+@pytest.mark.parametrize("points", [0, -3])
+def test_grid_without_points_is_a_config_error(scenario, points, tmp_path, capsysbinary):
+    # with no grid points there is no residual, so a failing check would pass
+    path = tmp_path / scenario
+    path.write_text((SCENARIOS / scenario).read_text() + f"grid.points = {points}\n")
+    with pytest.raises(ConfigParseError, match="grid.points"):
+        parse_scenario(path.read_text())
+    assert main(["verify", str(path)]) == 2
+    assert b"grid.points must be at least 1" in capsysbinary.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["oracle-sphere.txt", "einstein-quadratic-fail.txt"])
+def test_grid_override_without_points_is_a_config_error(scenario, capsysbinary):
+    assert main(["verify", str(SCENARIOS / scenario), "--grid", "0"]) == 2
+    captured = capsysbinary.readouterr()
+    assert b"--grid must be at least 1" in captured.err and not captured.out
+
+
 def test_cli_format_override(capsysbinary):
     code, out = run_main(capsysbinary, "verify",
                          str(SCENARIOS / "einstein-exponential.txt"),

@@ -90,3 +90,17 @@ def test_sample_points_stay_in_chart():
     for p in spec.sample_points(6):
         spec.check_point(p)
         assert p.shape == (spec.n_bar,)
+
+
+def test_block_layout_of_every_zoo_spec(spec_zoo):
+    for name, spec, _ in spec_zoo:
+        dims = [f.dim for f in spec.fibers]
+        assert list(spec.fiber_dims) == dims, name
+        assert spec.n_bar == spec.n + sum(dims), name
+        blocks = ["base"] + list(range(spec.m))
+        covered = []
+        for block in blocks:
+            sl = spec.block_slice(block)
+            covered.extend(range(sl.start, sl.stop))
+            assert all(spec.block_of_index(i) == block for i in range(sl.start, sl.stop)), name
+        assert covered == list(range(spec.n_bar)), name

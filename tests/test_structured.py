@@ -284,3 +284,48 @@ def test_mixed_ricci_flat_predicates():
     pts = [knotted.make_point([0.3], [[0.8, 0.4]])]
     rep2 = mixed_ricci_flat_check(knotted, p_dt(), SSNM, pts)
     assert not rep2.is_mixed_flat and rep2.twisted
+
+
+def _unit_vectors(spec, block):
+    sl = spec.block_slice(block)
+    return [BlockVector(block, e) for e in np.eye(sl.stop - sl.start)]
+
+
+def test_levi_civita_clauses_ignore_p_exactly(spec_zoo):
+    # the P-bearing cache must give the Levi-Civita values of a P-free cache
+    for name, spec, P in spec_zoo:
+        if P is None:
+            continue
+        p = spec.sample_points(2)[1]
+        with_p = StructuredGeometryCache(spec, P, p)
+        free = StructuredGeometryCache(spec, None, p)
+        vecs = [v for b in ["base"] + list(range(spec.m)) for v in _unit_vectors(spec, b)]
+        for X in vecs:
+            for Y in vecs:
+                assert (structured_ricci(spec, P, LC, X, Y, p, cache=with_p)
+                        == structured_ricci(spec, None, LC, X, Y, p, cache=free)), name
+                for Z in vecs:
+                    a = structured_curvature(spec, P, LC, X, Y, Z, p, cache=with_p)
+                    b = structured_curvature(spec, None, LC, X, Y, Z, p, cache=free)
+                    assert np.array_equal(a, b), name
+        assert (structured_scalar(spec, P, LC, p, cache=with_p)
+                == structured_scalar(spec, None, LC, p, cache=free)), name
+        # the P data itself stays on the P-bearing cache
+        assert with_p.P_loc == P.location and with_p.without_p().P_loc is None
+
+
+def test_oracle_comparison_builds_one_cache_per_point(monkeypatch, spec_zoo):
+    builds = []
+    original = StructuredGeometryCache.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(StructuredGeometryCache, "__init__", counting_init)
+    spec, P = next((s, P) for name, s, P in spec_zoo if name == "p-on-circle")
+    points = spec.sample_points(2)
+    for kind in (LC, SSNM, SYM):
+        builds.clear()
+        oracle_comparison(spec, P, kind, points)
+        assert len(builds) == len(points), kind
