@@ -108,39 +108,6 @@ def levi_civita_coefficients(spec: ProductManifoldSpec, p) -> np.ndarray:
 
 
 @dataclass
-class FrameField:
-    """Orthonormal frame at a point: rows of `vectors` are the E_a."""
-
-    vectors: np.ndarray  # (nbar, nbar), vectors[a] = components of E_a
-    signs: np.ndarray  # (nbar,), eps_a
-
-    def check(self, g, tol=1e-10):
-        gram = self.vectors @ g @ self.vectors.T
-        return np.max(np.abs(gram - np.diag(self.signs))) <= tol
-
-
-def orthonormal_frame(spec: ProductManifoldSpec, p) -> FrameField:
-    """Block-aligned frame diagonalizing g with signature signs."""
-    g = assemble_metric(spec, p)
-    nbar = spec.n_bar
-    vectors = np.zeros((nbar, nbar))
-    signs = np.zeros(nbar)
-    blocks = ["base"] + list(range(spec.m))
-    row = 0
-    for blk in blocks:
-        sl = spec.block_slice(blk)
-        gb = g[sl, sl]
-        w, V = np.linalg.eigh(gb)
-        if np.any(np.abs(w) < 1e-12):
-            raise SingularMetric(f"degenerate metric block {blk!r}")
-        for a in range(sl.stop - sl.start):
-            vectors[row, sl] = V[:, a] / np.sqrt(abs(w[a]))
-            signs[row] = np.sign(w[a])
-            row += 1
-    return FrameField(vectors=vectors, signs=signs)
-
-
-@dataclass
 class CurvatureAtPoint:
     """Full curvature data of one connection at one chart point.
 

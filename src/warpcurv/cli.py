@@ -10,8 +10,10 @@ fixed scenario.  Exit codes: 0 all checks passed, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -89,6 +91,49 @@ def _floats(text):
 
 def _ints(text):
     return tuple(int(x) for x in str(text).split(","))
+
+
+def _finite(text):
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not a finite number")
+    return x
+
+
+def _positive(text, name):
+    """A tolerance or threshold; inf, nan or zero would decide every check alike."""
+    x = float(text)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {text!r}")
+    return x
+
+
+def _count(text):
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"{text!r} is not an integer of at least 1")
+    return n
+
+
+def _finite_list(text):
+    return tuple(_finite(x) for x in str(text).split(","))
+
+
+def _finite_pair(text):
+    pair = _finite_list(text)
+    if len(pair) != 2:
+        raise ValueError(f"{text!r} is not two comma-separated numbers")
+    return pair
+
+
+# Parsers of the scan.* values; keys not listed take one finite number.
+_SCAN_VALUE_TYPES = {
+    "n_c": _count,
+    "t_points": _count,
+    "p": _finite_list,
+    "c_range": _finite_pair,
+    "threshold": lambda text: _positive(text, "scan.threshold"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +237,7 @@ def _apply_key(cfg, key, value):
     elif key == "grid.end":
         cfg.grid_end = float(value)
     elif key == "tolerance":
-        cfg.tolerance = float(value)
+        cfg.tolerance = _positive(value, "tolerance")
     elif key == "format":
         cfg.out_format = value
     elif key == "seed":
@@ -411,8 +456,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         case = cfg.scan.get("case")
         if case not in SCANS:
             raise ConfigParseError(f"scan.case must be one of {', '.join(sorted(SCANS))}")
-        kwargs = {k: float(v) for k, v in cfg.scan.items() if k != "case"}
-        report = SCANS[case](**kwargs)
+        report = SCANS[case](**_scan_kwargs(case, cfg.scan))
         checks.append(CheckRow(report.case_id, report.min_max_residual,
                                report.threshold, _verdict(report.passed)))
         logger.info("scan detail: %s", report.detail)
@@ -428,6 +472,25 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         wall_clock_seconds=time.perf_counter() - start,
     )
     return report
+
+
+def _scan_kwargs(case, values):
+    """Typed keyword arguments of the scan `case` from its scan.* values."""
+    accepted = inspect.signature(SCANS[case]).parameters
+    kwargs = {}
+    for key, text in values.items():
+        if key == "case":
+            continue
+        if key not in accepted:
+            raise ConfigParseError(
+                f"unknown key 'scan.{key}' for {case}; "
+                f"expected one of {', '.join(f'scan.{k}' for k in accepted)}"
+            )
+        try:
+            kwargs[key] = _SCAN_VALUE_TYPES.get(key, _finite)(text)
+        except ValueError as exc:
+            raise ConfigParseError(f"bad value for 'scan.{key}': {exc}") from exc
+    return kwargs
 
 
 def _family_checks(cfg):
@@ -504,7 +567,10 @@ def main(argv=None):
                 cfg.out_format = args.format
                 cfg.raw["format"] = args.format
             if args.tolerance is not None:
-                cfg.tolerance = args.tolerance
+                try:
+                    cfg.tolerance = _positive(args.tolerance, "--tolerance")
+                except ValueError as exc:
+                    raise ConfigParseError(str(exc)) from exc
                 cfg.raw["tolerance"] = repr(args.tolerance)
             if args.grid is not None:
                 if args.grid < 1:

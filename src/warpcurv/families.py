@@ -59,6 +59,25 @@ def _sum_exp(c1, r1, c2, r2):
     return Const(c1) * _exp_t(r1) + Const(c2) * _exp_t(r2)
 
 
+def _characteristic_roots(disc, half_trace):
+    """Root case of u'' - 2 h u' + c u = 0 from its discriminant 4 h^2 - 4 c.
+
+    Returns the case name, the root parameters it adds to a family and a
+    builder of the general solution with coefficients p["c1"], p["c2"].
+    """
+    if disc > _EQ_TOL:
+        rp = (2.0 * half_trace + math.sqrt(disc)) / 2.0
+        rm = (2.0 * half_trace - math.sqrt(disc)) / 2.0
+        return ("distinct-roots", {"r_plus": rp, "r_minus": rm},
+                lambda p: _sum_exp(p["c1"], p["r_plus"], p["c2"], p["r_minus"]))
+    if abs(disc) <= _EQ_TOL:
+        return ("double-root", {},
+                lambda p: (Const(p["c1"]) + Const(p["c2"]) * _T) * _exp_t(half_trace))
+    return ("complex-roots", {"omega": math.sqrt(-disc) / 2.0},
+            lambda p: _exp_t(half_trace) * (Const(p["c1"]) * _cos_t(p["omega"])
+                                            + Const(p["c2"]) * _sin_t(p["omega"])))
+
+
 def profile_derivatives(expr, ts):
     """u, u', u'' of a single-variable expression over a grid."""
     ts = np.asarray(ts, dtype=float)
@@ -313,87 +332,41 @@ def grw_scalar_family(l, scalar, s_fiber):
     """
     if l < 1:
         raise InvalidDimension("fiber dimension must be at least 1")
-    families = []
+    if l == 3 and _close(scalar, 3.0):
+        return [_v_family(
+            "grw-scalar-l3-degenerate", "degenerate-trace",
+            {"c1": 1.0, "c2": 0.3, "scalar": 3.0, "s_fiber": s_fiber, "l": 3},
+            lambda p: (Const(p["c1"]) + Const(-2.0 * p["s_fiber"] / 9.0) * _T
+                       + Const(p["c2"]) * _exp_t(1.5)),
+            3.0, s_fiber,
+            ranges={"c1": (0.6, 2.0), "c2": (0.05, 0.8)},
+        )]
     if l == 3:
-        if _close(scalar, 3.0):
-            families.append(_v_family(
-                "grw-scalar-l3-degenerate", "degenerate-trace",
-                {"c1": 1.0, "c2": 0.3, "scalar": 3.0, "s_fiber": s_fiber, "l": 3},
-                lambda p: (Const(p["c1"]) + Const(-2.0 * p["s_fiber"] / 9.0) * _T
-                           + Const(p["c2"]) * _exp_t(1.5)),
-                3.0, s_fiber,
-                ranges={"c1": (0.6, 2.0), "c2": (0.05, 0.8)},
-            ))
-            return families
-        disc = grw_scalar_discriminant(3, scalar)
-        shift = s_fiber / (scalar - 3.0)
-        if disc > _EQ_TOL:
-            rp = (1.5 + math.sqrt(disc)) / 2.0
-            rm = (1.5 - math.sqrt(disc)) / 2.0
-            families.append(_v_family(
-                "grw-scalar-l3-distinct-roots", "distinct-roots",
-                {"c1": 1.0, "c2": 0.5, "scalar": scalar, "s_fiber": s_fiber,
-                 "l": 3, "shift": shift, "r_plus": rp, "r_minus": rm},
-                lambda p: _sum_exp(p["c1"], p["r_plus"], p["c2"], p["r_minus"])
-                + Const(p["shift"]),
-                scalar, s_fiber,
-            ))
-        elif abs(disc) <= _EQ_TOL:
-            families.append(_v_family(
-                "grw-scalar-l3-double-root", "double-root",
-                {"c1": 1.0, "c2": 0.4, "scalar": scalar, "s_fiber": s_fiber,
-                 "l": 3, "shift": shift},
-                lambda p: (Const(p["c1"]) + Const(p["c2"]) * _T) * _exp_t(0.75)
-                + Const(p["shift"]),
-                scalar, s_fiber,
-            ))
-        else:
-            omega = math.sqrt(-disc) / 2.0
-            families.append(_v_family(
-                "grw-scalar-l3-complex-roots", "complex-roots",
-                {"c1": 1.0, "c2": 0.4, "scalar": scalar, "s_fiber": s_fiber,
-                 "l": 3, "shift": shift, "omega": omega},
-                lambda p: _exp_t(0.75) * (Const(p["c1"]) * _cos_t(p["omega"])
-                                          + Const(p["c2"]) * _sin_t(p["omega"]))
-                + Const(p["shift"]),
-                scalar, s_fiber,
-                ranges={"c1": (0.8, 1.8), "c2": (0.05, 0.5)},
-            ))
-        return families
-
+        case, roots, homogeneous = _characteristic_roots(
+            grw_scalar_discriminant(3, scalar), 0.75)
+        return [_v_family(
+            f"grw-scalar-l3-{case}", case,
+            {"c1": 1.0, "c2": 0.5 if case == "distinct-roots" else 0.4,
+             "scalar": scalar, "s_fiber": s_fiber, "l": 3,
+             "shift": s_fiber / (scalar - 3.0), **roots},
+            lambda p: homogeneous(p) + Const(p["shift"]),
+            scalar, s_fiber,
+            ranges=({"c1": (0.8, 1.8), "c2": (0.05, 0.5)}
+                    if case == "complex-roots" else None),
+        )]
     if abs(s_fiber) <= _EQ_TOL:
-        disc = grw_scalar_discriminant(l, scalar)
-        common = {"scalar": scalar, "s_fiber": 0.0, "l": l}
-        if disc > _EQ_TOL:
-            rp = (l / 2.0 + math.sqrt(disc)) / 2.0
-            rm = (l / 2.0 - math.sqrt(disc)) / 2.0
-            families.append(_w_family(
-                "grw-scalar-power-distinct-roots", "distinct-roots",
-                {"c1": 1.0, "c2": 0.5, "r_plus": rp, "r_minus": rm, **common},
-                lambda p: _sum_exp(p["c1"], p["r_plus"], p["c2"], p["r_minus"]),
-                l, scalar,
-            ))
-        elif abs(disc) <= _EQ_TOL:
-            families.append(_w_family(
-                "grw-scalar-power-double-root", "double-root",
-                {"c1": 1.0, "c2": 0.4, **common},
-                lambda p: (Const(p["c1"]) + Const(p["c2"]) * _T) * _exp_t(l / 4.0),
-                l, scalar,
-            ))
-        else:
-            omega = math.sqrt(-disc) / 2.0
-            families.append(_w_family(
-                "grw-scalar-power-complex-roots", "complex-roots",
-                {"c1": 1.0, "c2": 0.3, "omega": omega, **common},
-                lambda p: _exp_t(l / 4.0) * (Const(p["c1"]) * _cos_t(p["omega"])
-                                             + Const(p["c2"]) * _sin_t(p["omega"])),
-                l, scalar,
-            ))
-        return families
+        case, roots, homogeneous = _characteristic_roots(
+            grw_scalar_discriminant(l, scalar), l / 4.0)
+        c2 = {"distinct-roots": 0.5, "double-root": 0.4, "complex-roots": 0.3}[case]
+        return [_w_family(
+            f"grw-scalar-power-{case}", case,
+            {"c1": 1.0, "c2": c2, **roots, "scalar": scalar, "s_fiber": 0.0, "l": l},
+            homogeneous, l, scalar,
+        )]
 
     # fiber scalar present and l != 3: nonlinear equation, integrator only
     expo = 4.0 / (l + 1.0)
-    families.append(SolutionFamily(
+    return [SolutionFamily(
         family_id="grw-scalar-power-forced",
         case="forced-nonlinear",
         profile_name="w",
@@ -408,8 +381,7 @@ def grw_scalar_family(l, scalar, s_fiber):
             - ((p["l"] + 1.0) / 4.0) * ((p["scalar"] - p["l"]) / p["l"]) * u
             + ((p["l"] + 1.0) / 4.0) * (p["s_fiber"] / p["l"]) * u ** (1.0 - p["exponent"])
         )),
-    ))
-    return families
+    )]
 
 
 # ---------------------------------------------------------------------------
@@ -651,34 +623,6 @@ def _psi_family(fid, case, params, psi_builder, exponents, dims, scalar,
     )
 
 
-def _psi_root_families(fid_prefix, exponents, dims, scalar, s_fibers,
-                       coeff0, disc, inhom=0.0):
-    if disc > _EQ_TOL:
-        rp = (1.5 + math.sqrt(disc)) / 2.0
-        rm = (1.5 - math.sqrt(disc)) / 2.0
-        return [_psi_family(
-            f"{fid_prefix}-distinct-roots", "distinct-roots",
-            {"c1": 1.0, "c2": 0.4, "r_plus": rp, "r_minus": rm, "scalar": scalar},
-            lambda p: _sum_exp(p["c1"], p["r_plus"], p["c2"], p["r_minus"]),
-            exponents, dims, scalar, s_fibers, coeff0, inhom,
-        )]
-    if abs(disc) <= _EQ_TOL:
-        return [_psi_family(
-            f"{fid_prefix}-double-root", "double-root",
-            {"c1": 1.0, "c2": 0.3, "scalar": scalar},
-            lambda p: (Const(p["c1"]) + Const(p["c2"]) * _T) * _exp_t(0.75),
-            exponents, dims, scalar, s_fibers, coeff0, inhom,
-        )]
-    omega = math.sqrt(-disc) / 2.0
-    return [_psi_family(
-        f"{fid_prefix}-complex-roots", "complex-roots",
-        {"c1": 1.0, "c2": 0.25, "omega": omega, "scalar": scalar},
-        lambda p: _exp_t(0.75) * (Const(p["c1"]) * _cos_t(p["omega"])
-                                  + Const(p["c2"]) * _sin_t(p["omega"])),
-        exponents, dims, scalar, s_fibers, coeff0, inhom,
-    )]
-
-
 def _constant_phi_family(fid, p, dims, scalar, s_fibers):
     return SolutionFamily(
         family_id=fid,
@@ -708,28 +652,36 @@ def kasner_scalar_families(kind, p, dims, scalar, s_fibers):
     zeta, eta = kasner_invariants(p, dims)
     if len(s_fibers) != len(dims):
         raise LengthMismatch("need one fiber scalar per fiber")
-    out = []
+
+    def trace_free_family(fid_prefix):
+        # zeta = 0 and no fiber term: phi is constant at scalar 3, exponential below
+        if _close(scalar, 3.0):
+            return [_constant_phi_family(f"{fid_prefix}-static", p, dims, scalar,
+                                         s_fibers)]
+        if eta > _EQ_TOL and scalar < 3.0:
+            return [_phi_exp_family(
+                f"{fid_prefix}-exponential", "exponential", (3.0 - scalar) / eta,
+                {"p": tuple(p), "dims": tuple(dims), "scalar": scalar,
+                 "zeta": zeta, "eta": eta},
+                _kasner_scalar_residual_fn(p, dims, scalar, s_fibers),
+            )]
+        return []
+
+    def psi_family(fid_prefix, coeff, disc, inhom=0.0):
+        case, roots, homogeneous = _characteristic_roots(disc, 0.75)
+        c2 = {"distinct-roots": 0.4, "double-root": 0.3, "complex-roots": 0.25}[case]
+        return [_psi_family(f"{fid_prefix}-{case}", case,
+                            {"c1": 1.0, "c2": c2, **roots, "scalar": scalar},
+                            homogeneous, p, dims, scalar, s_fibers, coeff, inhom)]
+
     if kind == "III":
         if any(abs(s) > _EQ_TOL for s in s_fibers):
             raise WarpcurvError("one-dimensional fibers have zero scalar curvature")
         if abs(zeta) <= _EQ_TOL:
-            if _close(scalar, 3.0):
-                out.append(_constant_phi_family("kasner3-scalar-static", p, dims,
-                                                scalar, s_fibers))
-            elif eta > _EQ_TOL and scalar < 3.0:
-                out.append(_phi_exp_family(
-                    "kasner3-scalar-exponential", "exponential",
-                    (3.0 - scalar) / eta,
-                    {"p": tuple(p), "dims": tuple(dims), "scalar": scalar,
-                     "zeta": zeta, "eta": eta},
-                    _kasner_scalar_residual_fn(p, dims, scalar, s_fibers),
-                ))
-            return out
+            return trace_free_family("kasner3-scalar")
         disc = kasner_scalar_discriminant(zeta, eta, scalar)
         coeff0 = (scalar - 3.0) * (eta + zeta**2) / (4.0 * zeta**2)
-        out.extend(_psi_root_families("kasner3-scalar", p, dims, scalar, s_fibers,
-                                      coeff0, disc))
-        return out
+        return psi_family("kasner3-scalar", coeff0, disc)
 
     # type II
     if abs(s_fibers[0]) > _EQ_TOL:
@@ -738,48 +690,29 @@ def kasner_scalar_families(kind, p, dims, scalar, s_fibers):
     if abs(zeta) <= _EQ_TOL:
         if abs(eta) <= _EQ_TOL:
             if _close(scalar, s2 + 3.0):
-                out.append(_constant_phi_family("kasner2-scalar-static", p, dims,
-                                                scalar, s_fibers))
-            return out
+                return [_constant_phi_family("kasner2-scalar-static", p, dims,
+                                             scalar, s_fibers)]
+            return []
         if abs(s2) <= _EQ_TOL:
-            if _close(scalar, 3.0):
-                out.append(_constant_phi_family("kasner2-scalar-static", p, dims,
-                                                scalar, s_fibers))
-            elif scalar < 3.0:
-                out.append(_phi_exp_family(
-                    "kasner2-scalar-exponential", "exponential",
-                    (3.0 - scalar) / eta,
-                    {"p": tuple(p), "dims": tuple(dims), "scalar": scalar,
-                     "zeta": zeta, "eta": eta},
-                    _kasner_scalar_residual_fn(p, dims, scalar, s_fibers),
-                ))
-            return out
-        out.append(_kasner2_first_order_numeric(p, dims, scalar, s2, eta))
-        return out
+            return trace_free_family("kasner2-scalar")
+        return [_kasner2_first_order_numeric(p, dims, scalar, s2, eta)]
     mu_expo = 1.0 - 4.0 * p[1] * zeta / (eta + zeta**2)
     coeff0 = (scalar - 3.0) * (eta + zeta**2) / (4.0 * zeta**2)
     if abs(s2) <= _EQ_TOL:
         disc = kasner_scalar_discriminant(zeta, eta, scalar)
-        out.extend(_psi_root_families("kasner2-scalar", p, dims, scalar, s_fibers,
-                                      coeff0, disc))
-        return out
+        return psi_family("kasner2-scalar", coeff0, disc)
     if abs(p[1]) <= _EQ_TOL:
         # fiber term proportional to the profile: fold into the coefficient
         eff = scalar - 3.0 - s2
         disc = 9.0 / 4.0 - eff * (eta + zeta**2) / zeta**2
         coeff = eff * (eta + zeta**2) / (4.0 * zeta**2)
-        out.extend(_psi_root_families("kasner2-scalar-merged", p, dims, scalar,
-                                      s_fibers, coeff, disc))
-        return out
+        return psi_family("kasner2-scalar-merged", coeff, disc)
     if abs(mu_expo) <= _EQ_TOL and not _close(scalar, 3.0):
         # fiber term constant: inhomogeneous linear equation
         disc = kasner_scalar_discriminant(zeta, eta, scalar)
         inhom = -s2 * (eta + zeta**2) / (4.0 * zeta**2)
-        out.extend(_psi_root_families("kasner2-scalar-offset", p, dims, scalar,
-                                      s_fibers, coeff0, disc, inhom=inhom))
-        return out
-    out.append(_kasner2_second_order_numeric(p, dims, scalar, s2, zeta, eta, mu_expo))
-    return out
+        return psi_family("kasner2-scalar-offset", coeff0, disc, inhom=inhom)
+    return [_kasner2_second_order_numeric(p, dims, scalar, s2, zeta, eta, mu_expo)]
 
 
 def _kasner2_first_order_numeric(p, dims, scalar, s2, eta):
@@ -923,6 +856,41 @@ class ScanReport:
     detail: str = ""
 
 
+def _lattice_min_max(c1_axis, c2_axis, rows_for, admissible):
+    """Smallest worst-case residual over the admissible (c1, c2) lattice cells.
+
+    The lattice is walked one c1 at a time, with c2 the column
+    `c2_axis[:, None]`: `rows_for(c1, c2)` gives the residual rows of all
+    cells (c1, c2) at once, each of shape (len(c2_axis), t_points), and
+    `admissible(c1, c2)` the (len(c2_axis), 1) mask of the cells that count.
+    A cell's residual is its largest |row| value; non-finite values count
+    as 1e6.
+    """
+    big = 1e6
+    best = np.inf
+    c2 = c2_axis[:, None]
+    for c1 in c1_axis:
+        keep = admissible(c1, c2)
+        if not keep.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = rows_for(c1, c2)
+        worst = np.zeros(c2.shape)
+        for r in rows:
+            r = np.where(np.isfinite(r), np.abs(r), big)
+            worst = np.maximum(worst, np.max(r, axis=1, keepdims=True))
+        best = min(best, float(np.min(worst[keep])))
+    if best == np.inf:
+        raise WarpcurvError(
+            f"no admissible cell on the {len(c1_axis)} x {len(c2_axis)} lattice"
+        )
+    return best
+
+
+def _off_origin(c1, c2):
+    return (c1 != 0.0) | (c2 != 0.0)
+
+
 def scan_grw_einstein_oscillatory(l=2, lam=5.0, lam_fiber=1.0, c_range=(-2.0, 2.0),
                                   n_c=41, t_points=33, threshold=0.01):
     """Scan the oscillatory-warping branch for Einstein solutions.
@@ -937,23 +905,15 @@ def scan_grw_einstein_oscillatory(l=2, lam=5.0, lam_fiber=1.0, c_range=(-2.0, 2.
     ts = np.linspace(0.0, 1.0, t_points)
     cos_t, sin_t = np.cos(b * ts), np.sin(b * ts)
     axis = np.linspace(c_range[0], c_range[1], n_c)
-    best = np.inf
-    for c1 in axis:
-        for c2 in axis:
-            if c1 == 0.0 and c2 == 0.0:
-                continue
-            f = c1 * cos_t + c2 * sin_t
-            df = b * (-c1 * sin_t + c2 * cos_t)
-            res = lam_fiber + (1 - l) * df**2 + (lam / l - 1 - lam) * f**2 + l * df * f
-            best = min(best, float(np.max(np.abs(res))))
-    return ScanReport(
-        case_id="grw-einstein-oscillatory",
-        grid_shape=(n_c, n_c),
-        min_max_residual=best,
-        threshold=threshold,
-        passed=best >= threshold,
-        detail=f"l={l}, lam={lam}, lam_fiber={lam_fiber}",
-    )
+
+    def rows_for(c1, c2):
+        f = c1 * cos_t + c2 * sin_t
+        df = b * (-c1 * sin_t + c2 * cos_t)
+        return [lam_fiber + (1 - l) * df**2 + (lam / l - 1 - lam) * f**2 + l * df * f]
+
+    best = _lattice_min_max(axis, axis, rows_for, _off_origin)
+    return ScanReport("grw-einstein-oscillatory", (n_c, n_c), best, threshold,
+                      best >= threshold, f"l={l}, lam={lam}, lam_fiber={lam_fiber}")
 
 
 def scan_kasner2_einstein_oscillatory(lam=5.0, lam2=1.0, p1=1.0, c_range=(-2.0, 2.0),
@@ -973,31 +933,16 @@ def scan_kasner2_einstein_oscillatory(lam=5.0, lam2=1.0, p1=1.0, c_range=(-2.0, 
     ts = np.linspace(0.0, 1.0, t_points)
     cos_t, sin_t = np.cos(a * ts), np.sin(a * ts)
     axis = np.linspace(c_range[0], c_range[1], n_c)
-    big = 1e6
-    best = np.inf
-    for c1 in axis:
-        for c2 in axis:
-            if c1 == 0.0 and c2 == 0.0:
-                continue
-            psi = c1 * cos_t + c2 * sin_t
-            dpsi = a * (-c1 * sin_t + c2 * cos_t)
-            ddpsi = -a * a * psi
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rows = _kasner_system_values(p, dims, lam, (0.0, lam2),
-                                             psi, dpsi, ddpsi)
-            worst = 0.0
-            for r in rows:
-                r = np.where(np.isfinite(r), np.abs(r), big)
-                worst = max(worst, float(np.max(r)))
-            best = min(best, worst)
-    return ScanReport(
-        case_id="kasner2-einstein-oscillatory",
-        grid_shape=(n_c, n_c),
-        min_max_residual=best,
-        threshold=threshold,
-        passed=best >= threshold,
-        detail=f"lam={lam}, lam2={lam2}, p=({p1}, 0)",
-    )
+
+    def rows_for(c1, c2):
+        psi = c1 * cos_t + c2 * sin_t
+        dpsi = a * (-c1 * sin_t + c2 * cos_t)
+        ddpsi = -a * a * psi
+        return _kasner_system_values(p, dims, lam, (0.0, lam2), psi, dpsi, ddpsi)
+
+    best = _lattice_min_max(axis, axis, rows_for, _off_origin)
+    return ScanReport("kasner2-einstein-oscillatory", (n_c, n_c), best, threshold,
+                      best >= threshold, f"lam={lam}, lam2={lam2}, p=({p1}, 0)")
 
 
 def scan_kasner3_einstein_linear(p=(1.0, 2.0, 3.0), lam=5.0, c_range=(0.1, 2.0),
@@ -1015,29 +960,20 @@ def scan_kasner3_einstein_linear(p=(1.0, 2.0, 3.0), lam=5.0, c_range=(0.1, 2.0),
     ts = np.linspace(0.0, 1.0, t_points)
     c1_axis = np.linspace(c_range[0], c_range[1], n_c)
     c2_axis = np.linspace(-0.9 * c_range[0], c_range[1], n_c)
-    big = 1e6
-    best = np.inf
-    for c1 in c1_axis:
-        for c2 in c2_axis:
-            base = c1 + c2 * ts
-            if np.min(base) <= 1e-6:
-                continue
-            ratio = (c2 / zeta) / base  # phi'/phi
-            ddphi_over = -(c2**2 / zeta) / base**2 + ratio**2  # phi''/phi
-            rows = [(eta - zeta) * ratio**2 + zeta * ddphi_over + lam - 3.0]
-            for pi in p:
-                rows.append(-pi * (ddphi_over + (zeta - 1.0) * ratio**2)
-                            + zeta * ratio - lam)
-            worst = 0.0
-            for r in rows:
-                r = np.where(np.isfinite(r), np.abs(r), big)
-                worst = max(worst, float(np.max(r)))
-            best = min(best, worst)
-    return ScanReport(
-        case_id="kasner3-einstein-linear",
-        grid_shape=(n_c, n_c),
-        min_max_residual=best,
-        threshold=threshold,
-        passed=best >= threshold,
-        detail=f"p={tuple(p)}, lam={lam}",
-    )
+
+    def rows_for(c1, c2):
+        base = c1 + c2 * ts
+        ratio = (c2 / zeta) / base  # phi'/phi
+        ddphi_over = -(c2**2 / zeta) / base**2 + ratio**2  # phi''/phi
+        rows = [(eta - zeta) * ratio**2 + zeta * ddphi_over + lam - 3.0]
+        for pi in p:
+            rows.append(-pi * (ddphi_over + (zeta - 1.0) * ratio**2)
+                        + zeta * ratio - lam)
+        return rows
+
+    def positive(c1, c2):
+        return np.min(c1 + c2 * ts, axis=1, keepdims=True) > 1e-6
+
+    best = _lattice_min_max(c1_axis, c2_axis, rows_for, positive)
+    return ScanReport("kasner3-einstein-linear", (n_c, n_c), best, threshold,
+                      best >= threshold, f"p={tuple(p)}, lam={lam}")

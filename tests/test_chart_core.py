@@ -11,7 +11,6 @@ from warpcurv.chart_core import (
     levi_civita_coefficients,
     levi_civita_curvature,
     metric_derivatives,
-    orthonormal_frame,
 )
 from warpcurv.errors import NonPositiveWarping, OutOfChart, SingularMetric
 from warpcurv.exprs import Const, parse_expr
@@ -133,29 +132,6 @@ def test_levi_civita_symmetries(spec_zoo):
         bianchi = R + np.transpose(R, (0, 3, 1, 2)) + np.transpose(R, (0, 2, 3, 1))
         assert np.max(np.abs(bianchi)) < 1e-7, name
         assert np.max(np.abs(cur.ricci - cur.ricci.T)) < 1e-8, name
-
-
-def test_orthonormal_frame(spec_zoo):
-    for name, spec, _ in spec_zoo:
-        p = spec.sample_points(1)[0]
-        frame = orthonormal_frame(spec, p)
-        g = assemble_metric(spec, p)
-        assert frame.check(g, tol=1e-10), name
-        # block alignment: each frame vector supported on a single block
-        for a in range(spec.n_bar):
-            nonzero_blocks = set()
-            for idx in np.nonzero(np.abs(frame.vectors[a]) > 1e-12)[0]:
-                nonzero_blocks.add(spec.block_of_index(idx))
-            assert len(nonzero_blocks) == 1, name
-
-
-def test_frame_signs_and_scaling():
-    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
-                               [Const(2.0)])
-    frame = orthonormal_frame(spec, spec.make_point([0.0]))
-    assert sorted(frame.signs) == [-1.0, 1.0, 1.0]
-    fiber_rows = frame.vectors[frame.signs > 0]
-    assert np.allclose(np.abs(fiber_rows[np.abs(fiber_rows) > 1e-12]), 0.5)
 
 
 def test_scalar_invariant_under_fiber_permutation():

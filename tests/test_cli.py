@@ -118,6 +118,70 @@ def test_grid_override_without_points_is_a_config_error(scenario, capsysbinary):
     assert b"--grid must be at least 1" in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("scenario,line", [
+    ("einstein-quadratic-fail.txt", "tolerance = inf"),
+    ("einstein-quadratic-fail.txt", "tolerance = nan"),
+    ("einstein-quadratic-fail.txt", "tolerance = 0"),
+    ("einstein-quadratic-fail.txt", "tolerance = -1e-8"),
+    ("scan-grw-oscillatory.txt", "scan.threshold = 0"),
+    ("scan-grw-oscillatory.txt", "scan.threshold = inf"),
+])
+def test_tolerance_must_be_finite_and_positive(scenario, line, tmp_path, capsysbinary):
+    # an infinite tolerance passes a failing check, a zero threshold every scan
+    path = tmp_path / scenario
+    path.write_text((SCENARIOS / scenario).read_text() + line + "\n")
+    assert main(["verify", str(path)]) == 2
+    captured = capsysbinary.readouterr()
+    assert b"must be finite and positive" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-0.5"])
+def test_tolerance_override_must_be_finite_and_positive(value, capsysbinary):
+    path = str(SCENARIOS / "einstein-quadratic-fail.txt")
+    assert main(["verify", path, "--tolerance", value]) == 2
+    captured = capsysbinary.readouterr()
+    assert b"--tolerance must be finite and positive" in captured.err
+    assert not captured.out
+
+
+@pytest.mark.parametrize("line,message", [
+    ("scan.n_c = 5.5", "bad value for 'scan.n_c'"),
+    ("scan.n_c = 0", "bad value for 'scan.n_c'"),
+    ("scan.t_points = 9.0", "bad value for 'scan.t_points'"),
+    ("scan.t_points = -1", "bad value for 'scan.t_points'"),
+    ("scan.lam = abc", "bad value for 'scan.lam'"),
+    ("scan.lam = nan", "bad value for 'scan.lam'"),
+    ("scan.c_range = 1", "bad value for 'scan.c_range'"),
+    ("scan.c_range = -1,inf", "bad value for 'scan.c_range'"),
+    ("scan.p = 1,2,3", "unknown key 'scan.p'"),  # not a parameter of this scan
+    ("scan.bogus = 1", "unknown key 'scan.bogus'"),
+])
+def test_bad_scan_value_is_a_config_error(line, message, tmp_path, capsysbinary):
+    path = tmp_path / "scan.txt"
+    path.write_text((SCENARIOS / "scan-grw-oscillatory.txt").read_text() + line + "\n")
+    assert main(["verify", str(path)]) == 2
+    captured = capsysbinary.readouterr()
+    assert message.encode() in captured.err and not captured.out
+
+
+def test_scan_list_and_count_values_are_typed(tmp_path, capsysbinary):
+    from warpcurv.families import scan_kasner3_einstein_linear
+
+    text = ("task = nonexistence-scan\nscan.case = kasner3-einstein-linear\n"
+            "scan.p = 1,2,4\nscan.c_range = 0.2,1.5\nscan.n_c = 9\nscan.t_points = 5\n")
+    report = run_scenario(parse_scenario(text))
+    expected = scan_kasner3_einstein_linear(p=(1.0, 2.0, 4.0), c_range=(0.2, 1.5),
+                                            n_c=9, t_points=5)
+    assert report.checks == [CheckRow("kasner3-einstein-linear",
+                                      expected.min_max_residual, 0.01, "pass")]
+    # a lattice of nonpositive profiles has no admissible cell
+    path = tmp_path / "empty.txt"
+    path.write_text(text + "scan.c_range = -2,-1\n")
+    assert main(["verify", str(path)]) == 2
+    captured = capsysbinary.readouterr()
+    assert b"no admissible cell" in captured.err and not captured.out
+
+
 def test_cli_format_override(capsysbinary):
     code, out = run_main(capsysbinary, "verify",
                          str(SCENARIOS / "einstein-exponential.txt"),
@@ -150,7 +214,7 @@ def test_scenario_determinism(name, capsysbinary):
     code2, out2 = run_main(capsysbinary, "verify", path)
     assert code1 == code2
     assert out1 == out2
-    assert out1  # nonempty report
+    assert out1 == (SCENARIOS / "expected" / name).with_suffix(".out").read_bytes()
 
 
 def test_numerical_instability_exit_code(monkeypatch, capsysbinary):

@@ -369,3 +369,176 @@ def test_scan_guards():
         scan_grw_einstein_oscillatory(l=2, lam=1.0)
     with pytest.raises(WarpcurvError):
         scan_kasner2_einstein_oscillatory(lam=2.0)
+
+
+@pytest.mark.parametrize("scan,kwargs", [
+    (scan_grw_einstein_oscillatory, {"n_c": 0}),
+    (scan_kasner2_einstein_oscillatory, {"n_c": 0}),
+    (scan_kasner3_einstein_linear, {"n_c": 0}),
+    (scan_kasner3_einstein_linear, {"c_range": (-2.0, -1.0)}),  # no positive profile
+])
+def test_scan_without_admissible_cell_raises(scan, kwargs):
+    # an empty lattice has no residual, so a scan over it must not pass
+    with pytest.raises(WarpcurvError, match="no admissible cell"):
+        scan(**kwargs)
+
+
+# -- reference values ----------------------------------------------------------
+# Recorded from the scans' per-cell loops and the per-branch root constructors;
+# the shared lattice kernel and root builder must reproduce them exactly.
+
+
+@pytest.mark.parametrize("scan,kwargs,expected", [
+    (scan_grw_einstein_oscillatory, {}, 0.23247448713915883),
+    (scan_grw_einstein_oscillatory,
+     {"l": 2.0, "lam": 4.2731, "lam_fiber": 0.6518}, 0.22387377923905105),
+    (scan_grw_einstein_oscillatory,
+     {"l": 3.0, "lam": 5.8874, "lam_fiber": 1.9402}, 0.3245643605901791),
+    (scan_grw_einstein_oscillatory,
+     {"l": 2.0, "lam": 5.9606, "lam_fiber": 1.2275, "n_c": 17, "t_points": 9},
+     0.46046408106690506),
+    (scan_kasner2_einstein_oscillatory, {}, 4.07106781186547),
+    (scan_kasner2_einstein_oscillatory,
+     {"lam": 4.4102, "lam2": 0.5391, "p1": 0.6237}, 3.7875496992426267),
+    (scan_kasner2_einstein_oscillatory,
+     {"lam": 6.1833, "lam2": 1.4418, "p1": 1.0754}, 5.600369048401478),
+    (scan_kasner2_einstein_oscillatory,
+     {"lam": 7.8265, "lam2": 1.9047, "p1": 1.4861, "n_c": 17, "t_points": 9},
+     16.636606191687218),
+    (scan_kasner3_einstein_linear, {}, 4.238835676079114),
+    (scan_kasner3_einstein_linear, {"lam": 4.1196}, 3.3888055154300725),
+    (scan_kasner3_einstein_linear, {"lam": 6.7352}, 5.936270635853244),
+    (scan_kasner3_einstein_linear,
+     {"lam": 7.9581, "p": (0.5, 1.5, 2.5), "n_c": 17, "t_points": 9},
+     7.143850636132315),
+])
+def test_scan_reference_values(scan, kwargs, expected):
+    assert scan(**kwargs).min_max_residual == expected
+
+
+_V = {"c1": (0.5, 1.8), "c2": (0.1, 1.0)}
+_W = {"c1": (0.4, 1.5), "c2": (0.05, 0.8)}
+_PSI = {"c1": (0.5, 1.6), "c2": (0.05, 0.7)}
+
+
+@pytest.mark.parametrize("generate,family_id,case,params,ranges,value", [
+    (lambda: grw_scalar_family(3, 2.0, 9.0),
+     "grw-scalar-l3-distinct-roots", "distinct-roots",
+     {"c1": 1.0, "c2": 0.5, "scalar": 2.0, "s_fiber": 9.0, "l": 3, "shift": -9.0,
+      "r_plus": 1.6964847243000456, "r_minus": -0.1964847243000456},
+     {"c1": (10.85, 13.500000000000002), "c2": (0.1, 1.0)}, -6.661764004798789),
+    (lambda: grw_scalar_family(3, 75.0 / 16.0, 2.0),
+     "grw-scalar-l3-double-root", "double-root",
+     {"c1": 1.0, "c2": 0.4, "scalar": 4.6875, "s_fiber": 2.0, "l": 3,
+      "shift": 1.1851851851851851}, _V, 2.70034556996222),
+    (lambda: grw_scalar_family(3, 6.0, 1.0),
+     "grw-scalar-l3-complex-roots", "complex-roots",
+     {"c1": 1.0, "c2": 0.4, "scalar": 6.0, "s_fiber": 1.0, "l": 3,
+      "shift": 0.3333333333333333, "omega": 0.6614378277661477},
+     {"c1": (0.8, 1.8), "c2": (0.05, 0.5)}, 1.7417472670127165),
+    (lambda: grw_scalar_family(4, 6.2, 0.0),
+     "grw-scalar-power-distinct-roots", "distinct-roots",
+     {"c1": 1.0, "c2": 0.5, "r_plus": 1.5590169943749475,
+      "r_minus": 0.44098300562505255, "scalar": 6.2, "s_fiber": 0.0, "l": 4,
+      "exponent": 0.8}, _W, 2.369011548560407),
+    (lambda: grw_scalar_family(4, 7.2, 0.0),
+     "grw-scalar-power-double-root", "double-root",
+     {"c1": 1.0, "c2": 0.4, "scalar": 7.2, "s_fiber": 0.0, "l": 4, "exponent": 0.8},
+     _W, 1.6619993376334965),
+    (lambda: grw_scalar_family(4, 8.2, 0.0),
+     "grw-scalar-power-complex-roots", "complex-roots",
+     {"c1": 1.0, "c2": 0.3, "omega": 0.5590169943749472, "scalar": 8.2,
+      "s_fiber": 0.0, "l": 4, "exponent": 0.8}, _W, 1.5060709683310103),
+    (lambda: kasner_scalar_families("III", (1.0, 2.0, 3.0), (1, 1, 1), 3.62,
+                                    (0.0, 0.0, 0.0)),
+     "kasner3-scalar-distinct-roots", "distinct-roots",
+     {"c1": 1.0, "c2": 0.4, "r_plus": 1.3392556509887896,
+      "r_minus": 0.16074434901121037, "scalar": 3.62, "mu": 0.24, "shift": 0.0},
+     _PSI, 2.0658709203662378),
+    (lambda: kasner_scalar_families("III", (1.0, 2.0, 3.0), (1, 1, 1), 4.62,
+                                    (0.0, 0.0, 0.0)),
+     "kasner3-scalar-double-root", "double-root",
+     {"c1": 1.0, "c2": 0.3, "scalar": 4.62, "mu": 0.24, "shift": 0.0},
+     _PSI, 1.466326818368716),
+    (lambda: kasner_scalar_families("III", (1.0, 2.0, 3.0), (1, 1, 1), 5.62,
+                                    (0.0, 0.0, 0.0)),
+     "kasner3-scalar-complex-roots", "complex-roots",
+     {"c1": 1.0, "c2": 0.25, "omega": 0.5892556509887896, "scalar": 5.62,
+      "mu": 0.24, "shift": 0.0}, _PSI, 1.3599514572437006),
+    (lambda: kasner_scalar_families("II", (1.0, 0.5), (1, 2), 3.6363636363636367,
+                                    (0.0, 0.0)),
+     "kasner2-scalar-distinct-roots", "distinct-roots",
+     {"c1": 1.0, "c2": 0.4, "r_plus": 1.3363019699779286,
+      "r_minus": 0.1636980300220714, "scalar": 3.6363636363636367,
+      "mu": 0.7272727272727273, "shift": 0.0}, _PSI, 2.0645423077630998),
+    (lambda: kasner_scalar_families("II", (1.0, 0.5), (1, 2), 4.636363636363637,
+                                    (0.0, 0.0)),
+     "kasner2-scalar-double-root", "double-root",
+     {"c1": 1.0, "c2": 0.3, "scalar": 4.636363636363637, "mu": 0.7272727272727273,
+      "shift": 0.0}, _PSI, 1.466326818368716),
+    (lambda: kasner_scalar_families("II", (1.0, 0.5), (1, 2), 5.636363636363637,
+                                    (0.0, 0.0)),
+     "kasner2-scalar-complex-roots", "complex-roots",
+     {"c1": 1.0, "c2": 0.25, "omega": 0.5863019699779288, "scalar": 5.636363636363637,
+      "mu": 0.7272727272727273, "shift": 0.0}, _PSI, 1.3599105752205127),
+    (lambda: kasner_scalar_families("II", (1.0, 0.0), (1, 2), 5.125, (0.0, 1.0)),
+     "kasner2-scalar-merged-double-root", "double-root",
+     {"c1": 1.0, "c2": 0.3, "scalar": 5.125, "mu": 1.0, "shift": 0.0},
+     _PSI, 1.466326818368716),
+    (lambda: kasner_scalar_families("II", (1.0, 0.0), (1, 2), 6.125, (0.0, 1.0)),
+     "kasner2-scalar-merged-complex-roots", "complex-roots",
+     {"c1": 1.0, "c2": 0.25, "omega": 0.7071067811865476, "scalar": 6.125,
+      "mu": 1.0, "shift": 0.0}, _PSI, 1.3602570362968045),
+    (lambda: kasner_scalar_families("II", (1.0, 0.0), (1, 2), 4.125, (0.0, 1.0)),
+     "kasner2-scalar-merged-distinct-roots", "distinct-roots",
+     {"c1": 1.0, "c2": 0.4, "r_plus": 1.4571067811865475,
+      "r_minus": 0.04289321881345243, "scalar": 4.125, "mu": 1.0, "shift": 0.0},
+     _PSI, 2.120912582120798),
+    (lambda: kasner_scalar_families("II", (1.0, 1.0), (1, 2), 3.6875, (0.0, 1.0)),
+     "kasner2-scalar-offset-distinct-roots", "distinct-roots",
+     {"c1": 1.0, "c2": 0.4, "r_plus": 1.3273502691896257,
+      "r_minus": 0.17264973081037416, "scalar": 3.6875, "mu": 0.5,
+      "shift": 1.4545454545454546}, _PSI, 3.51507619939132),
+    (lambda: kasner_scalar_families("II", (1.0, 1.0), (1, 2), 4.6875, (0.0, 1.0)),
+     "kasner2-scalar-offset-double-root", "double-root",
+     {"c1": 1.0, "c2": 0.3, "scalar": 4.6875, "mu": 0.5,
+      "shift": 0.5925925925925926}, _PSI, 2.0589194109613085),
+    (lambda: kasner_scalar_families("II", (1.0, 1.0), (1, 2), 5.6875, (0.0, 1.0)),
+     "kasner2-scalar-offset-complex-roots", "complex-roots",
+     {"c1": 1.0, "c2": 0.25, "omega": 0.5773502691896258, "scalar": 5.6875,
+      "mu": 0.5, "shift": 0.3720930232558139}, _PSI, 1.7318697773418388),
+])
+def test_root_case_reference_families(generate, family_id, case, params, ranges,
+                                      value):
+    from warpcurv.exprs import eval_value
+
+    (fam,) = generate()
+    assert (fam.family_id, fam.case) == (family_id, case)
+    assert fam.params == params
+    assert list(fam.params) == list(params)  # key order as well
+    assert fam.param_ranges == ranges
+    assert eval_value(fam.profile(), ("t",), [0.37]) == value
+
+
+@pytest.mark.parametrize("kind,p,scalar,expected", [
+    ("II", (1.0, -0.5), 3.0,
+     [("kasner2-scalar-static", "constant",
+       {"c0": 1.0, "p": (1.0, -0.5), "dims": (1, 2), "scalar": 3.0})]),
+    ("II", (1.0, -0.5), 1.5,
+     [("kasner2-scalar-exponential", "exponential",
+       {"p": (1.0, -0.5), "dims": (1, 2), "scalar": 1.5, "zeta": 0.0, "eta": 1.5,
+        "c0": 1.0, "sign": 1.0, "rate": 1.0})]),
+    ("II", (1.0, -0.5), 4.0, []),
+    ("III", (1.0, 1.0, -2.0), 3.0,
+     [("kasner3-scalar-static", "constant",
+       {"c0": 1.0, "p": (1.0, 1.0, -2.0), "dims": (1, 1, 1), "scalar": 3.0})]),
+    ("III", (1.0, 1.0, -2.0), 0.0,
+     [("kasner3-scalar-exponential", "exponential",
+       {"p": (1.0, 1.0, -2.0), "dims": (1, 1, 1), "scalar": 0.0, "zeta": 0.0,
+        "eta": 6.0, "c0": 1.0, "sign": 1.0, "rate": 0.7071067811865476})]),
+    ("III", (1.0, 1.0, -2.0), 4.0, []),
+])
+def test_trace_free_reference_families(kind, p, scalar, expected):
+    dims = (1, 2) if kind == "II" else (1, 1, 1)
+    fams = kasner_scalar_families(kind, p, dims, scalar, (0.0,) * len(dims))
+    assert [(f.family_id, f.case, f.params) for f in fams] == expected
