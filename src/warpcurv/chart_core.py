@@ -19,6 +19,7 @@ from .exprs import Const, Pow, Prod, jet_env
 from .geometry import ProductManifoldSpec
 
 FD_STEP = 1e-5
+FD_INSTABILITY_TOL = 1e-4
 
 
 def metric_exprs(spec: ProductManifoldSpec):
@@ -82,12 +83,6 @@ def metric_derivatives(spec: ProductManifoldSpec, p) -> np.ndarray:
     return dg
 
 
-def metric_and_derivatives(spec, p):
-    g = assemble_metric(spec, p)
-    dg = metric_derivatives(spec, p)
-    return g, dg
-
-
 def inverse_metric(g):
     try:
         ginv = np.linalg.inv(g)
@@ -100,7 +95,8 @@ def inverse_metric(g):
 
 def levi_civita_coefficients(spec: ProductManifoldSpec, p) -> np.ndarray:
     """Christoffel symbols G[k, i, j] = G^k_ij of the Levi-Civita connection."""
-    g, dg = metric_and_derivatives(spec, p)
+    g = assemble_metric(spec, p)
+    dg = metric_derivatives(spec, p)
     ginv = inverse_metric(g)
     # T[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
     T = np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg
@@ -121,21 +117,13 @@ class CurvatureAtPoint:
     scalar: float
     metric: np.ndarray
 
-    def apply(self, x, y, z):
-        """Vector R(X, Y)Z for constant-component coordinate vectors."""
-        return np.einsum("lijk,i,j,k->l", self.riemann, x, y, z)
 
-    def ricci_pair(self, x, y):
-        return float(np.einsum("ik,i,k->", self.ricci, x, y))
-
-
-def curvature_from_coefficients(spec, coeff_field, p, step=FD_STEP,
-                                instability_tol=1e-4) -> CurvatureAtPoint:
+def curvature_from_coefficients(spec, coeff_field, p) -> CurvatureAtPoint:
     """Curvature of an arbitrary coefficient field by central differences.
 
-    The field is differentiated with step `step` and once-Richardson
+    The field is differentiated with step FD_STEP and once-Richardson
     extrapolation; disagreement between the two stencils beyond
-    `instability_tol` (relative to the field scale) raises
+    FD_INSTABILITY_TOL (relative to the field scale) raises
     NumericalInstability.
     """
     p = np.asarray(p, dtype=float)
@@ -145,10 +133,10 @@ def curvature_from_coefficients(spec, coeff_field, p, step=FD_STEP,
     scale = max(1.0, float(np.max(np.abs(G))))
     for i in range(nbar):
         e = np.zeros(nbar)
-        e[i] = step
-        d_h = (coeff_field(p + e) - coeff_field(p - e)) / (2 * step)
-        d_h2 = (coeff_field(p + e / 2) - coeff_field(p - e / 2)) / step
-        if np.max(np.abs(d_h2 - d_h)) > instability_tol * scale:
+        e[i] = FD_STEP
+        d_h = (coeff_field(p + e) - coeff_field(p - e)) / (2 * FD_STEP)
+        d_h2 = (coeff_field(p + e / 2) - coeff_field(p - e / 2)) / FD_STEP
+        if np.max(np.abs(d_h2 - d_h)) > FD_INSTABILITY_TOL * scale:
             raise NumericalInstability(
                 f"coefficient-field derivative unstable along coordinate {i}"
             )
@@ -168,7 +156,7 @@ def curvature_from_coefficients(spec, coeff_field, p, step=FD_STEP,
     return CurvatureAtPoint(riemann=R, ricci=ricci, scalar=scalar, metric=g)
 
 
-def levi_civita_curvature(spec, p, step=FD_STEP) -> CurvatureAtPoint:
+def levi_civita_curvature(spec, p) -> CurvatureAtPoint:
     return curvature_from_coefficients(
-        spec, lambda q: levi_civita_coefficients(spec, q), p, step
+        spec, lambda q: levi_civita_coefficients(spec, q), p
     )

@@ -67,15 +67,15 @@ FORMATS = ("text", "csv", "json")
 
 FAMILY_GENERATORS = {
     "grw-einstein": lambda a: grw_einstein_family(
-        int(a["l"]), float(a["lam"]), float(a["lam_fiber"])),
+        _count(a["l"]), _finite(a["lam"]), _finite(a["lam_fiber"])),
     "grw-scalar": lambda a: grw_scalar_family(
-        int(a["l"]), float(a["scalar"]), float(a["s_fiber"])),
+        _count(a["l"]), _finite(a["scalar"]), _finite(a["s_fiber"])),
     "kasner-einstein": lambda a: kasner_einstein_families(
-        a["type"], _floats(a["p"]), _ints(a["dims"]), float(a["lam"]),
-        _floats(a["lam_fibers"])),
+        a["type"], _finite_list(a["p"]), _count_list(a["dims"]), _finite(a["lam"]),
+        _finite_list(a["lam_fibers"])),
     "kasner-scalar": lambda a: kasner_scalar_families(
-        a["type"], _floats(a["p"]), _ints(a["dims"]), float(a["scalar"]),
-        _floats(a["s_fibers"])),
+        a["type"], _finite_list(a["p"]), _count_list(a["dims"]), _finite(a["scalar"]),
+        _finite_list(a["s_fibers"])),
 }
 
 SCANS = {
@@ -83,14 +83,6 @@ SCANS = {
     "kasner2-einstein-oscillatory": scan_kasner2_einstein_oscillatory,
     "kasner3-einstein-linear": scan_kasner3_einstein_linear,
 }
-
-
-def _floats(text):
-    return tuple(float(x) for x in str(text).split(","))
-
-
-def _ints(text):
-    return tuple(int(x) for x in str(text).split(","))
 
 
 def _finite(text):
@@ -117,6 +109,10 @@ def _count(text):
 
 def _finite_list(text):
     return tuple(_finite(x) for x in str(text).split(","))
+
+
+def _count_list(text):
+    return tuple(_count(x) for x in str(text).split(","))
 
 
 def _finite_pair(text):
@@ -169,11 +165,6 @@ class ScenarioConfig:
         return out
 
 
-_TOP_KEYS = {
-    "task", "base", "twisted", "p.location", "p.components", "connection",
-    "lambda", "scalar", "grid.points", "grid.start", "grid.end", "tolerance",
-    "format", "seed",
-}
 _FIBER_KEYS = {"fiber.geometry", "fiber.dim", "fiber.warping", "fiber.radius"}
 
 
@@ -503,6 +494,8 @@ def _family_checks(cfg):
         families = FAMILY_GENERATORS[kind](cfg.family)
     except KeyError as exc:
         raise ConfigParseError(f"family parameter missing: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigParseError(f"bad family value: {exc}") from exc
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-10
     ts = np.linspace(0.0, 1.0, 33)
     rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)

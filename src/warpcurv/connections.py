@@ -55,15 +55,6 @@ def pi_and_dpi(spec, P, p):
     return pi, dpi
 
 
-def covariant_derivative_of_p(spec, P, p):
-    """Levi-Civita derivative components nablaP[i, m] = (nabla_{d_i} P)^m."""
-    G = levi_civita_coefficients(spec, p)
-    jets = ambient_components(spec, P, p, order=1)
-    Pvec = np.array([j.val for j in jets])
-    dP = np.stack([j.grad for j in jets], axis=1)
-    return dP + np.einsum("min,n->im", G, Pvec)
-
-
 def modified_coefficients(kind, spec, P, p):
     """Coefficients of the requested connection at p, layout G[k, i, j]."""
     G = levi_civita_coefficients(spec, p)
@@ -116,7 +107,12 @@ def curvature_via_relation(kind, spec, P, p, check=True, check_tol=1e-4):
     nbar = spec.n_bar
     eye = np.eye(nbar)
     pi, dpi = pi_and_dpi(spec, P, p)
-    nablaP = covariant_derivative_of_p(spec, P, p)
+    # nablaP[i, m] = (nabla_{d_i} P)^m for the Levi-Civita connection
+    G = levi_civita_coefficients(spec, p)
+    jets = ambient_components(spec, P, p, order=1)
+    Pvec = np.array([j.val for j in jets])
+    dP = np.stack([j.grad for j in jets], axis=1)
+    nablaP = dP + np.einsum("min,n->im", G, Pvec)
     A = np.einsum("km,im->ik", g, nablaP)  # A[i, k] = g(d_k, nabla_{d_i} P)
 
     R = (
@@ -147,11 +143,10 @@ def curvature_via_relation(kind, spec, P, p, check=True, check_tol=1e-4):
     return result
 
 
-def connection_curvature(kind, spec, P, p, step=None):
+def connection_curvature(kind, spec, P, p):
     """Coefficient-path curvature of the requested connection."""
     if kind == ConnectionKind.LEVI_CIVITA:
         return levi_civita_curvature(spec, p)
-    kwargs = {} if step is None else {"step": step}
     return curvature_from_coefficients(
-        spec, lambda q: modified_coefficients(kind, spec, P, q), p, **kwargs
+        spec, lambda q: modified_coefficients(kind, spec, P, q), p
     )

@@ -65,20 +65,19 @@ def _require_interval_warped(spec: ProductManifoldSpec):
 
 
 def warping_samples(spec, grid):
-    """b_i, b_i', b_i'' for every fiber over the t-grid, shape (m, 3, len)."""
+    """b_i, b_i', b_i'' for every fiber over the t-grid, shape (m, 3, len).
+
+    Untwisted warpings on an interval base depend on t alone.
+    """
     _require_interval_warped(spec)
     out = np.zeros((spec.m, 3, len(grid)))
     for i, w in enumerate(spec.warpings):
         for j, t in enumerate(grid):
-            jet = eval_jet(w, spec.coord_names, _pad_point(spec, t), order=2)
+            jet = eval_jet(w, ("t",), [t], order=2)
             out[i, 0, j] = jet.val
             out[i, 1, j] = jet.grad[0]
             out[i, 2, j] = jet.hess[0, 0]
     return out
-
-
-def _pad_point(spec, t):
-    return spec.make_point([t])
 
 
 def grw_einstein_residuals(spec, lam, grid=None, tolerance=CLOSED_FORM_TOL):

@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedType,
     WarpcurvError,
 )
-from .exprs import Const, Cos, Exp, Prod, ScalarExpr, Sin, Sqrt, Var, eval_jet
+from .exprs import Const, Cos, Exp, Prod, ScalarExpr, Sin, Var, eval_jet
 
 _T = Var("t")
 _EQ_TOL = 1e-9
@@ -106,7 +106,6 @@ class SolutionFamily:
     _profile_builder: object = None
     _residuals: object = None
     _ode_rhs: object = None
-    _warpings: object = None
 
     def merged(self, overrides=None):
         p = dict(self.params)
@@ -141,18 +140,6 @@ class SolutionFamily:
     def max_residual(self, ts, overrides=None):
         res = self.residuals(ts, overrides)
         return max(float(np.max(np.abs(v))) for v in res.values())
-
-    def ode_rhs(self, overrides=None):
-        """Right-hand side of u'' = f(t, u, u') (or u' = f(t, u) if first order)."""
-        return self._ode_rhs(self.merged(overrides))
-
-    def warpings(self, overrides=None):
-        """Warping expressions for instantiating a full product spec."""
-        if self._warpings is None:
-            raise WarpcurvError(f"{self.family_id} does not map back to warpings")
-        p = self.merged(overrides)
-        expr = None if self.numeric_only else self._profile_builder(p)
-        return self._warpings(expr, p)
 
     def sample_params(self, rng, interval=(0.0, 1.0), max_tries=80):
         """Admissible random parameter draw keeping the profile positive."""
@@ -212,7 +199,6 @@ def grw_einstein_family(l, lam, lam_fiber):
             _profile_builder=lambda p: Const(p["c1"]) * _exp_t(1.0),
             _residuals=_grw_einstein_residual_fn(l, 0.0, 0.0),
             _ode_rhs=lambda p: (lambda t, u, v: u),
-            _warpings=lambda expr, p: [expr],
         ))
     if _close(lam, float(l)) and lam_fiber > _EQ_TOL:
         c = math.sqrt(lam_fiber / l)
@@ -227,7 +213,6 @@ def grw_einstein_family(l, lam, lam_fiber):
             _profile_builder=lambda p: Const(p["c"]),
             _residuals=_grw_einstein_residual_fn(l, float(l), lam_fiber),
             _ode_rhs=lambda p: (lambda t, u, v: 0.0 * u),
-            _warpings=lambda expr, p: [expr],
         ))
     return out
 
@@ -290,7 +275,6 @@ def _v_family(fid, case, params, builder, scalar, s_fiber,
         _ode_rhs=lambda p: (
             lambda t, u, w: 1.5 * w - (scalar / 3.0 - 1.0) * u + s_fiber / 3.0
         ),
-        _warpings=lambda expr, p: [Sqrt(expr)],
     )
 
 
@@ -319,7 +303,6 @@ def _w_family(fid, case, params, builder, l, scalar):
         _ode_rhs=lambda p: (
             lambda t, u, w: (l / 2.0) * w - ((l + 1.0) / 4.0) * ((scalar - l) / l) * u
         ),
-        _warpings=lambda expr, p: [expr ** (p["exponent"] / 2.0)],
     )
 
 
@@ -520,7 +503,6 @@ def _phi_exp_family(fid, case, rate_sq, params, residual_builder):
         _profile_builder=builder,
         _residuals=residual_builder,
         _ode_rhs=lambda p: (lambda t, u, v: rate_sq * u),
-        _warpings=lambda expr, p: [expr ** pi for pi in p["p"]],
     )
 
 
@@ -563,7 +545,6 @@ def kasner_einstein_families(kind, p, dims, lam, lam_fibers):
                 _profile_builder=lambda q: Const(q["c1"]) * _exp_t(q["rate"]),
                 _residuals=_kasner_einstein_residual_fn(p, dims, -6.0, lam_fibers),
                 _ode_rhs=lambda q: (lambda t, u, v: q["rate"] ** 2 * u),
-                _warpings=lambda expr, q: [expr ** pi for pi in q["p"]],
             ))
         return out
     if any(abs(x) > _EQ_TOL for x in lam_fibers):
@@ -619,7 +600,6 @@ def _psi_family(fid, case, params, psi_builder, exponents, dims, scalar,
         _profile_builder=psi_full,
         _residuals=residuals,
         _ode_rhs=lambda p: (lambda t, u, v: 1.5 * v - coeff0 * u - inhom),
-        _warpings=lambda expr, p: [(expr ** p["mu"]) ** pi for pi in exponents],
     )
 
 
@@ -635,7 +615,6 @@ def _constant_phi_family(fid, p, dims, scalar, s_fibers):
         _profile_builder=lambda q: Const(q["c0"]),
         _residuals=_kasner_scalar_residual_fn(p, dims, scalar, s_fibers),
         _ode_rhs=lambda q: (lambda t, u, v: 0.0 * u),
-        _warpings=lambda expr, q: [expr ** pi for pi in q["p"]],
     )
 
 

@@ -448,10 +448,6 @@ class TorsionVectorFieldSpec:
                 )
         return names
 
-    @staticmethod
-    def zero():
-        return None
-
 
 def p_dt():
     """The field P = d/dt on an interval (or flat) base."""

@@ -36,7 +36,7 @@ class ClauseReport:
     passed: bool
 
 
-def _pattern_vectors(spec, block, limit=None):
+def _pattern_vectors(spec, block):
     """Pattern vectors of `block`, each paired with its ambient components."""
     sl = spec.block_slice(block)
     d = sl.stop - sl.start
@@ -50,7 +50,7 @@ def _pattern_vectors(spec, block, limit=None):
         mix[0], mix[1] = 1.0, 0.37
         comps.append(mix)
     out = []
-    for c in comps[:limit] if limit else comps:
+    for c in comps:
         ambient = np.zeros(spec.n_bar)
         ambient[sl] = c
         out.append((BlockVector(block, c), ambient))
@@ -61,16 +61,19 @@ def _block_label(block):
     return "base" if block == "base" else f"f{block}"
 
 
-def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE,
-                      curvature_vector_limit=2):
+def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE):
     """Compare every structured clause against the coordinate oracle.
 
     Returns one ClauseReport per block pattern, plus Ricci-matrix and
     scalar reports, with deviations maximized over the supplied points.
+    Curvature triples run over each block's first two coordinate vectors,
+    so the oracle value R(d_i, d_j)d_k is read off its tensor by index.
     """
     blocks = ["base"] + list(range(spec.m))
     cov_vecs = {b: _pattern_vectors(spec, b) for b in blocks}
-    curv_vecs = {b: _pattern_vectors(spec, b, curvature_vector_limit) for b in blocks}
+    # A block's first two patterns (one, in a 1-d block) are unit vectors.
+    curv_vecs = {b: [(X, int(np.argmax(xe))) for X, xe in cov_vecs[b][:2]]
+                 for b in blocks}
     worst_cov = {}
     worst_curv = {}
     worst_ric = 0.0
@@ -95,12 +98,12 @@ def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE,
         for bx, by, bz in itertools.product(blocks, repeat=3):
             key = f"curv[{_block_label(bx)},{_block_label(by)},{_block_label(bz)}]"
             dev = worst_curv.get(key, 0.0)
-            for X, xe in curv_vecs[bx]:
-                for Y, ye in curv_vecs[by]:
-                    for Z, ze in curv_vecs[bz]:
+            for X, i in curv_vecs[bx]:
+                for Y, j in curv_vecs[by]:
+                    for Z, k in curv_vecs[bz]:
                         sv = structured_curvature(spec, P, kind, X, Y, Z, p,
                                                   cache=cache)
-                        ov = cur.apply(xe, ye, ze)
+                        ov = cur.riemann[:, i, j, k]
                         dev = max(dev, float(np.max(np.abs(sv - ov))))
             worst_curv[key] = dev
 

@@ -207,6 +207,24 @@ def test_cli_family_bad_params(capsysbinary):
     assert code == 2
 
 
+@pytest.mark.parametrize("source,entry", [
+    ("--params", "l=abc;scalar=2;s_fiber=9"),
+    ("family-kasner3-scalar.txt", "family.p = 1,2,x"),
+    ("family-kasner3-scalar.txt", "family.scalar = inf"),
+    ("family-grw-einstein.txt", "family.lam = nan"),
+])
+def test_bad_family_value_is_a_config_error(source, entry, tmp_path, capsysbinary):
+    if source == "--params":
+        argv = ["family", "grw-scalar", "--params", entry]
+    else:
+        path = tmp_path / source
+        path.write_text((SCENARIOS / source).read_text() + entry + "\n")
+        argv = ["verify", str(path)]
+    assert main(argv) == 2
+    captured = capsysbinary.readouterr()
+    assert b"bad family value" in captured.err and not captured.out
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.txt")))
 def test_scenario_determinism(name, capsysbinary):
     path = str(SCENARIOS / name)

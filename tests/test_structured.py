@@ -98,9 +98,24 @@ def test_curvature_base_pattern_with_fiber_torsion():
     V = fiber_vec(0, 1.0)
     X, Y = base_vec(1.0), base_vec(1.0)
     sv = structured_curvature(spec, P, SSNM, X, Y, V, p)
-    ov = cur.apply(np.array([1.0, 0, 0, 0]), np.array([1.0, 0, 0, 0]),
-                   np.array([0, 1.0, 0, 0]))
+    ov = cur.riemann[:, 0, 0, 1]
     assert np.max(np.abs(sv - ov)) < 1e-8
+
+
+@pytest.mark.parametrize("kind", [LC, SSNM, SYM], ids=lambda k: k.value)
+def test_riemann_index_read_equals_unit_contraction(kind, spec_zoo):
+    # oracle_comparison reads R(d_i, d_j)d_k off the tensor by index; for unit
+    # vectors the contraction is one exact product plus zeros, so both agree
+    # bit for bit
+    import itertools
+
+    for name, spec, P in spec_zoo:
+        p = spec.sample_points(1)[0]
+        R = connection_curvature(kind, spec, P, p).riemann
+        e = np.eye(spec.n_bar)
+        for i, j, k in itertools.product(range(spec.n_bar), repeat=3):
+            ov = np.einsum("lijk,i,j,k->l", R, e[i], e[j], e[k])
+            assert np.array_equal(R[:, i, j, k], ov), (name, i, j, k)
 
 
 def test_case_dispatch_is_total(spec_zoo):
