@@ -7,8 +7,8 @@ pi = g(., P):
 * symmetrized affine:         nabla~_X Y = nabla_X Y + pi(X) Y + pi(Y) X
 
 The curvature of either connection is computed two independent ways: from
-the modified coefficients (finite differences, `chart_core`) and from the
-closed-form relation to the Levi-Civita curvature; the two must agree.
+the modified coefficients and their exact partials (`chart_core`) and from
+the closed-form relation to the Levi-Civita curvature; the two must agree.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .chart_core import (
     CurvatureAtPoint,
     assemble_metric,
     curvature_from_coefficients,
+    finite_difference_field,
     inverse_metric,
     levi_civita_coefficients,
     levi_civita_curvature,
@@ -28,6 +29,8 @@ from .chart_core import (
 )
 from .errors import NumericalInstability
 from .geometry import ambient_components
+
+RELATION_CHECK_TOL = 1e-4
 
 
 class ConnectionKind(Enum):
@@ -43,42 +46,55 @@ def pi_covector(spec, P, p):
     return g @ Pvec
 
 
-def pi_and_dpi(spec, P, p):
-    """pi_j and the exact partials dpi[i, j] = d_i pi_j."""
-    g = assemble_metric(spec, p)
-    dg = metric_derivatives(spec, p)
+def pi_and_dpi(spec, P, p, g, G):
+    """pi_j and its exact partials dpi[i, j] = d_i pi_j at p, from the metric
+    g at p and its Levi-Civita coefficients G.
+
+    That connection is metric, so d_i pi_j = g_jm (nabla_i P)^m + G^l_ij pi_l.
+    """
     jets = ambient_components(spec, P, p, order=1)
     Pvec = np.array([j.val for j in jets])
     dP = np.stack([j.grad for j in jets], axis=1)  # dP[i, m] = d_i P^m
     pi = g @ Pvec
-    dpi = np.einsum("ijm,m->ij", dg, Pvec) + np.einsum("im,jm->ij", dP, g)
+    nablaP = dP + np.einsum("min,n->im", G, Pvec)  # (nabla_{d_i} P)^m
+    dpi = np.einsum("jm,im->ij", g, nablaP) + np.einsum("lij,l->ij", G, pi)
     return pi, dpi
 
 
-def modified_coefficients(kind, spec, P, p):
-    """Coefficients of the requested connection at p, layout G[k, i, j]."""
-    G = levi_civita_coefficients(spec, p)
-    if kind == ConnectionKind.LEVI_CIVITA:
-        return G
-    pi = pi_covector(spec, P, p)
-    eye = np.eye(spec.n_bar)
-    G = G + np.einsum("ki,j->kij", eye, pi)
+def _with_pi(kind, G, pi):
+    """G^k_ij + pi_j delta^k_i, plus pi_i delta^k_j for the symmetrized kind.
+
+    A leading derivative axis on G and pi rides along, so the same call
+    turns the partials of the Levi-Civita coefficients into those of the
+    connection.
+    """
+    eye = np.eye(pi.shape[-1])
+    G = G + np.einsum("ki,...j->...kij", eye, pi)
     if kind == ConnectionKind.SYMMETRIZED_AFFINE:
-        G = G + np.einsum("kj,i->kij", eye, pi)
+        G = G + np.einsum("kj,...i->...kij", eye, pi)
     return G
+
+
+def modified_coefficients(kind, spec, P, p):
+    """Coefficients G[k, i, j] = G^k_ij of the requested connection at p and
+    their exact partials dG[m, k, i, j] = d_m G^k_ij."""
+    G, dG = levi_civita_coefficients(spec, p)
+    if kind == ConnectionKind.LEVI_CIVITA:
+        return G, dG
+    pi, dpi = pi_and_dpi(spec, P, p, assemble_metric(spec, p), G)
+    return _with_pi(kind, G, pi), _with_pi(kind, dG, dpi)
 
 
 def torsion_tensor(kind, spec, P, p):
     """T^k_ij = G^k_ij - G^k_ji; vanishes except for the semi-symmetric case."""
-    G = modified_coefficients(kind, spec, P, p)
+    G, _ = modified_coefficients(kind, spec, P, p)
     return G - np.transpose(G, (0, 2, 1))
 
 
 def nonmetricity(kind, spec, P, p):
     """Components NM[i, j, k] = (nabla_{d_i} g)(d_j, d_k)."""
-    g = assemble_metric(spec, p)
-    dg = metric_derivatives(spec, p)
-    G = modified_coefficients(kind, spec, P, p)
+    g, dg, _ = metric_derivatives(spec, p)
+    G, _ = modified_coefficients(kind, spec, P, p)
     return (
         dg
         - np.einsum("mij,mk->ijk", G, g)
@@ -86,7 +102,7 @@ def nonmetricity(kind, spec, P, p):
     )
 
 
-def curvature_via_relation(kind, spec, P, p, check=True, check_tol=1e-4):
+def curvature_via_relation(kind, spec, P, p, check=True):
     """Curvature through the closed-form relation to Levi-Civita curvature.
 
     For the semi-symmetric connection the correction is
@@ -95,25 +111,20 @@ def curvature_via_relation(kind, spec, P, p, check=True, check_tol=1e-4):
     coordinate frames is the exterior derivative of pi (the pi([X,Y]) term
     drops since coordinate fields commute).
 
-    When `check` is set the result is compared against the coefficient-path
-    curvature of `modified_coefficients`; disagreement beyond `check_tol`
-    raises NumericalInstability.
+    When `check` is set the result is compared against the curvature of
+    `modified_coefficients` differentiated by `finite_difference_field`;
+    disagreement beyond RELATION_CHECK_TOL raises NumericalInstability.
     """
     base = levi_civita_curvature(spec, p)
     if kind == ConnectionKind.LEVI_CIVITA:
         return base
 
     g = base.metric
-    nbar = spec.n_bar
-    eye = np.eye(nbar)
-    pi, dpi = pi_and_dpi(spec, P, p)
-    # nablaP[i, m] = (nabla_{d_i} P)^m for the Levi-Civita connection
-    G = levi_civita_coefficients(spec, p)
-    jets = ambient_components(spec, P, p, order=1)
-    Pvec = np.array([j.val for j in jets])
-    dP = np.stack([j.grad for j in jets], axis=1)
-    nablaP = dP + np.einsum("min,n->im", G, Pvec)
-    A = np.einsum("km,im->ik", g, nablaP)  # A[i, k] = g(d_k, nabla_{d_i} P)
+    G = base.coefficients
+    eye = np.eye(spec.n_bar)
+    pi, dpi = pi_and_dpi(spec, P, p, g, G)
+    # A[i, k] = g(d_k, nabla_{d_i} P) = d_i pi_k - G^l_ik pi_l
+    A = dpi - np.einsum("lik,l->ik", G, pi)
 
     R = (
         base.riemann
@@ -129,14 +140,17 @@ def curvature_via_relation(kind, spec, P, p, check=True, check_tol=1e-4):
     ginv = inverse_metric(g)
     ricci = np.einsum("jijk->ik", R)
     scalar = float(np.einsum("ik,ik->", ginv, ricci))
-    result = CurvatureAtPoint(riemann=R, ricci=ricci, scalar=scalar, metric=g)
+    result = CurvatureAtPoint(riemann=R, ricci=ricci, scalar=scalar, metric=g,
+                              coefficients=_with_pi(kind, G, pi))
 
     if check:
         direct = curvature_from_coefficients(
-            spec, lambda q: modified_coefficients(kind, spec, P, q), p
+            spec,
+            finite_difference_field(lambda q: modified_coefficients(kind, spec, P, q)[0]),
+            p,
         )
         dev = float(np.max(np.abs(direct.riemann - R)))
-        if dev > check_tol:
+        if dev > RELATION_CHECK_TOL:
             raise NumericalInstability(
                 f"relation-path and coefficient-path curvature differ by {dev:.3e}"
             )
@@ -144,9 +158,7 @@ def curvature_via_relation(kind, spec, P, p, check=True, check_tol=1e-4):
 
 
 def connection_curvature(kind, spec, P, p):
-    """Coefficient-path curvature of the requested connection."""
-    if kind == ConnectionKind.LEVI_CIVITA:
-        return levi_civita_curvature(spec, p)
+    """Curvature of the requested connection from its exact coefficients."""
     return curvature_from_coefficients(
         spec, lambda q: modified_coefficients(kind, spec, P, q), p
     )

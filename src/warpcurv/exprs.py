@@ -100,13 +100,13 @@ class Jet:
             raise ExprError(f"fractional power of non-positive base {self.val!r}")
         if self.val == 0.0 and r < 0:
             raise ExprError("negative power of zero")
-        f = self.val ** r
-        fp = r * self.val ** (r - 1.0)
-        fpp = r * (r - 1.0) * self.val ** (r - 2.0) if self.val != 0.0 else 0.0
+        f = _pow(self.val, r)
+        fp = r * _pow(self.val, r - 1.0)
+        fpp = r * (r - 1.0) * _pow(self.val, r - 2.0) if self.val != 0.0 else 0.0
         return self._chain(f, fp, fpp)
 
     def exp(self):
-        e = math.exp(self.val)
+        e = _exp(self.val)
         return self._chain(e, e, e)
 
     def sin(self):
@@ -136,6 +136,20 @@ class Jet:
 def _zh(j):
     n = j.grad.shape[0]
     return j.hess if j.hess is not None else np.zeros((n, n))
+
+
+def _exp(u):
+    try:
+        return math.exp(u)
+    except OverflowError:
+        raise ExprError(f"exp({u!r}) overflows") from None
+
+
+def _pow(b, r):
+    try:
+        return b ** r
+    except (OverflowError, ZeroDivisionError):
+        raise ExprError(f"{b!r} ** {r!r} is out of range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +282,7 @@ class Pow(ScalarExpr):
         r = self.exponent
         if b <= 0.0 and r != round(r):
             raise ExprError(f"fractional power of non-positive base {b!r}")
-        return b ** r
+        return _pow(b, r)
 
     def _collect(self, out):
         self.base._collect(out)
@@ -285,7 +299,7 @@ class _Unary(ScalarExpr):
 class Exp(_Unary):
     def eval(self, env):
         u = self.arg.eval(env)
-        return u.exp() if isinstance(u, Jet) else math.exp(u)
+        return u.exp() if isinstance(u, Jet) else _exp(u)
 
 
 class Sin(_Unary):

@@ -98,7 +98,7 @@ def test_acceptance_1_oracle_equivalence():
     for name, spec, P in zoo:
         points = spec.sample_points(5)
         for kind, reports in oracle_comparison_all_kinds(spec, P, points,
-                                                         tolerance=1e-6).items():
+                                                         tolerance=1e-10).items():
             for rep in reports:
                 if rep.max_deviation > worst:
                     worst = rep.max_deviation
@@ -106,7 +106,7 @@ def test_acceptance_1_oracle_equivalence():
                 assert rep.passed, (name, kind, rep.clause, rep.max_deviation)
     elapsed = time.perf_counter() - start
     verdict(1, "oracle equivalence over the spec zoo",
-            worst < 1e-6 and elapsed < 30.0,
+            worst < 1e-10 and elapsed < 30.0,
             f"max dev {worst:.2e} at {worst_where}, {elapsed:.1f}s")
 
 
@@ -134,7 +134,7 @@ def test_acceptance_2_einstein_families_end_to_end():
                           float(np.max(np.abs(cur.ricci - 2.0 * cur.metric))))
     elapsed = time.perf_counter() - start
     verdict(2, "Einstein families end-to-end",
-            worst_flat < 1e-6 and worst_const < 1e-6 and elapsed < 5.0,
+            worst_flat < 1e-12 and worst_const < 1e-12 and elapsed < 5.0,
             f"max|Ric| {worst_flat:.2e}, max|Ric-2g| {worst_const:.2e}, {elapsed:.1f}s")
 
 
@@ -215,7 +215,7 @@ def test_acceptance_6_torsion_free_ricci_identities():
                                 BlockVector(b1, e1), BlockVector(b2, e2))
             worst_fiber = max(worst_fiber, float(np.max(np.abs(corrected - oracle))))
     verdict(6, "torsion-free Ricci identities",
-            worst_base < 1e-9 and worst_fiber < 1e-6,
+            worst_base < 1e-9 and worst_fiber < 1e-10,
             f"base-field dev {worst_base:.2e}, fiber-field dev {worst_fiber:.2e}")
 
 
@@ -264,7 +264,7 @@ def test_acceptance_8_scalar_formula_consistency():
             trace_form = structured_scalar(spec, p_dt(), SSNM, p)
             oracle = connection_curvature(SSNM, spec, p_dt(), p).scalar
             worst = max(worst, abs(trace_form - expected), abs(oracle - expected))
-    verdict(8, "scalar formula consistency", ok and worst < 1e-8,
+    verdict(8, "scalar formula consistency", ok and worst < 1e-12,
             f"max deviation from fiber scalar + dimension: {worst:.2e}")
 
 

@@ -8,6 +8,7 @@ import pytest
 from warpcurv.chart_core import (
     assemble_metric,
     curvature_from_coefficients,
+    finite_difference_field,
     levi_civita_coefficients,
     levi_civita_curvature,
     metric_derivatives,
@@ -58,7 +59,8 @@ def test_sphere_pole_out_of_chart():
 def test_metric_derivatives_match_finite_differences(spec_zoo):
     for name, spec, _ in spec_zoo[:6]:
         p = spec.sample_points(1)[0]
-        dg = metric_derivatives(spec, p)
+        g, dg, d2g = metric_derivatives(spec, p)
+        assert np.array_equal(g, assemble_metric(spec, p)), name
         h = 1e-5
         for k in range(spec.n_bar):
             up = p.copy()
@@ -68,34 +70,39 @@ def test_metric_derivatives_match_finite_differences(spec_zoo):
             fd = (assemble_metric(spec, up) - assemble_metric(spec, dn)) / (2 * h)
             scale = max(1.0, float(np.max(np.abs(fd))))
             assert np.max(np.abs(dg[k] - fd)) / scale < 1e-6, name
+            fd2 = (metric_derivatives(spec, up)[1] - metric_derivatives(spec, dn)[1]) / (2 * h)
+            scale = max(1.0, float(np.max(np.abs(fd2))))
+            assert np.max(np.abs(d2g[k] - fd2)) / scale < 1e-6, name
 
 
 def test_metric_derivative_values():
     spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
                                [parse_expr("exp(t)")])
     p = spec.make_point([0.0])
-    dg = metric_derivatives(spec, p)
+    _, dg, d2g = metric_derivatives(spec, p)
     assert dg[0, 1, 1] == pytest.approx(2.0)  # d_t e^{2t} at t = 0
+    assert d2g[0, 0, 1, 1] == pytest.approx(4.0)  # d_t^2 e^{2t} at t = 0
 
     quad = ProductManifoldSpec(IntervalBase(), [FiberSpec(Circle())],
                                [parse_expr("t^2+1")])
-    dg = metric_derivatives(quad, quad.make_point([1.0]))
+    _, dg, d2g = metric_derivatives(quad, quad.make_point([1.0]))
     assert dg[0, 1, 1] == pytest.approx(8.0)  # 2 (t^2+1)(2t) at t = 1
+    assert d2g[0, 0, 1, 1] == pytest.approx(16.0)  # 12 t^2 + 4 at t = 1
 
 
 def test_flat_chart_all_zero():
     spec = ProductManifoldSpec(FlatBase((1.0, 1.0)), [FiberSpec(FlatTorus(2))],
                                [Const(1.0)])
     p = spec.make_point([0.1, 0.2])
-    assert np.allclose(metric_derivatives(spec, p), 0.0)
-    assert np.allclose(levi_civita_coefficients(spec, p), 0.0)
+    assert all(np.allclose(d, 0.0) for d in metric_derivatives(spec, p)[1:])
+    assert all(np.allclose(c, 0.0) for c in levi_civita_coefficients(spec, p))
     cur = levi_civita_curvature(spec, p)
     assert np.allclose(cur.riemann, 0.0, atol=1e-9)
     assert cur.scalar == pytest.approx(0.0, abs=1e-9)
 
 
 def test_christoffel_exponential_values(grw_exp_spec):
-    G = levi_civita_coefficients(grw_exp_spec, grw_exp_spec.make_point([0.0]))
+    G, _ = levi_civita_coefficients(grw_exp_spec, grw_exp_spec.make_point([0.0]))
     # order (t, x, y): G^t_xx = f f' = e^{2t}, G^x_tx = f'/f = 1
     assert G[0, 1, 1] == pytest.approx(1.0)
     assert G[1, 0, 1] == pytest.approx(1.0)
@@ -107,7 +114,7 @@ def test_sphere_christoffel_against_geometry():
     spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(Sphere(1.0))], [Const(1.0)])
     th = 1.1
     p = spec.make_point([0.0], [[th, 0.5]])
-    G = levi_civita_coefficients(spec, p)
+    G, _ = levi_civita_coefficients(spec, p)
     assert G[1, 2, 2] == pytest.approx(-math.sin(th) * math.cos(th), rel=1e-9)
     assert G[2, 1, 2] == pytest.approx(math.cos(th) / math.sin(th), rel=1e-9)
 
@@ -117,10 +124,10 @@ def test_unit_sphere_block_curvature():
     p = spec.make_point([0.0], [[math.pi / 2, 0.5]])
     cur = levi_civita_curvature(spec, p)
     # product of a line with a unit sphere: engine-convention scalar is -2
-    assert cur.scalar == pytest.approx(-2.0, abs=1e-8)
+    assert cur.scalar == pytest.approx(-2.0, abs=1e-12)
     g = cur.metric
     sec = cur.riemann[1, 1, 2, 2]  # R^theta_{theta phi phi} = K g_{phi phi}
-    assert sec == pytest.approx(g[2, 2], rel=1e-6)
+    assert sec == pytest.approx(g[2, 2], rel=1e-12)
 
 
 def test_levi_civita_symmetries(spec_zoo):
@@ -128,10 +135,10 @@ def test_levi_civita_symmetries(spec_zoo):
         p = spec.sample_points(1)[0]
         cur = levi_civita_curvature(spec, p)
         R = cur.riemann
-        assert np.max(np.abs(R + np.transpose(R, (0, 2, 1, 3)))) < 1e-8, name
+        assert np.max(np.abs(R + np.transpose(R, (0, 2, 1, 3)))) < 1e-12, name
         bianchi = R + np.transpose(R, (0, 3, 1, 2)) + np.transpose(R, (0, 2, 3, 1))
-        assert np.max(np.abs(bianchi)) < 1e-7, name
-        assert np.max(np.abs(cur.ricci - cur.ricci.T)) < 1e-8, name
+        assert np.max(np.abs(bianchi)) < 1e-12, name
+        assert np.max(np.abs(cur.ricci - cur.ricci.T)) < 1e-12, name
 
 
 def test_scalar_invariant_under_fiber_permutation():
@@ -145,7 +152,7 @@ def test_scalar_invariant_under_fiber_permutation():
     for t in (0.2, 0.6):
         sa = levi_civita_curvature(spec_a, spec_a.make_point([t])).scalar
         sb = levi_civita_curvature(spec_b, spec_b.make_point([t])).scalar
-        assert sa == pytest.approx(sb, abs=1e-8)
+        assert sa == pytest.approx(sb, abs=1e-12)
 
 
 def test_singular_metric_raises():
@@ -165,4 +172,22 @@ def test_unstable_coefficient_field_detected():
         return np.full((3, 3, 3), math.sin(q[0] / 1e-7))
 
     with pytest.raises(NumericalInstability):
-        curvature_from_coefficients(spec, jittery, spec.make_point([0.3]))
+        curvature_from_coefficients(spec, finite_difference_field(jittery),
+                                    spec.make_point([0.3]))
+
+
+def test_non_finite_curvature_detected():
+    from warpcurv.errors import NumericalInstability
+
+    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
+                               [Const(1.0)])
+
+    def overflowing(q):  # finite coefficients whose products overflow
+        return np.full((3, 3, 3), 1e200), np.zeros((3, 3, 3, 3))
+
+    def undefined(q):
+        return np.zeros((3, 3, 3)), np.full((3, 3, 3, 3), np.nan)
+
+    for field in (overflowing, undefined):
+        with pytest.raises(NumericalInstability):
+            curvature_from_coefficients(spec, field, spec.make_point([0.3]))

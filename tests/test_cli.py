@@ -235,6 +235,27 @@ def test_scenario_determinism(name, capsysbinary):
     assert out1 == (SCENARIOS / "expected" / name).with_suffix(".out").read_bytes()
 
 
+@pytest.mark.parametrize("components", ["1e300*t^2", "exp(700*t)"])
+def test_non_finite_oracle_curvature_exits_3(components, tmp_path, capsysbinary):
+    # on the warped sphere a huge P makes both paths' curvature overflow;
+    # that is a numerical instability, never a pass
+    text = (SCENARIOS / "oracle-sphere.txt").read_text()
+    path = tmp_path / "huge-p.txt"
+    path.write_text(text.replace("p.components = 1\n", f"p.components = {components}\n"))
+    assert main(["verify", str(path)]) == 3
+    captured = capsysbinary.readouterr()
+    assert b"not finite" in captured.err and not captured.out
+
+
+def test_overflowing_expression_is_a_domain_error(tmp_path, capsysbinary):
+    text = (SCENARIOS / "scalar-static.txt").read_text()
+    path = tmp_path / "overflow.txt"
+    path.write_text(text.replace("fiber.warping = 1\n", "fiber.warping = exp(1000*t)\n"))
+    assert main(["verify", str(path)]) == 2
+    captured = capsysbinary.readouterr()
+    assert b"overflows" in captured.err and not captured.out
+
+
 def test_numerical_instability_exit_code(monkeypatch, capsysbinary):
     from warpcurv import cli
     from warpcurv.errors import NumericalInstability

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpcurv.chart_core import assemble_metric, levi_civita_coefficients
+from warpcurv.chart_core import (
+    assemble_metric,
+    finite_difference_field,
+    levi_civita_coefficients,
+)
 from warpcurv.connections import (
     ConnectionKind,
     connection_curvature,
@@ -33,10 +37,11 @@ SYM = ConnectionKind.SYMMETRIZED_AFFINE
 
 def test_zero_field_reduces_to_levi_civita(grw_exp_spec):
     p = grw_exp_spec.make_point([0.4])
-    G = levi_civita_coefficients(grw_exp_spec, p)
+    G, dG = levi_civita_coefficients(grw_exp_spec, p)
     zero = TorsionVectorFieldSpec("base", [Const(0.0)])
     for kind in (SSNM, SYM):
-        assert np.allclose(modified_coefficients(kind, grw_exp_spec, zero, p), G)
+        Gm, dGm = modified_coefficients(kind, grw_exp_spec, zero, p)
+        assert np.allclose(Gm, G) and np.allclose(dGm, dG)
         assert np.allclose(torsion_tensor(kind, grw_exp_spec, zero, p), 0.0)
         assert np.allclose(nonmetricity(kind, grw_exp_spec, zero, p), 0.0, atol=1e-12)
 
@@ -44,10 +49,10 @@ def test_zero_field_reduces_to_levi_civita(grw_exp_spec):
 def test_modified_coefficient_values(grw_exp_spec):
     # coordinates (t, x, y); pi_t = -1 for P = d/dt
     p = grw_exp_spec.make_point([0.0])
-    G = modified_coefficients(SSNM, grw_exp_spec, p_dt(), p)
+    G, _ = modified_coefficients(SSNM, grw_exp_spec, p_dt(), p)
     assert G[1, 1, 0] == pytest.approx(0.0)  # 1 + (-1)
     assert G[1, 0, 1] == pytest.approx(1.0)
-    Gs = modified_coefficients(SYM, grw_exp_spec, p_dt(), p)
+    Gs, _ = modified_coefficients(SYM, grw_exp_spec, p_dt(), p)
     assert Gs[1, 0, 1] == pytest.approx(0.0)  # 1 - 1 + 0
 
 
@@ -110,22 +115,35 @@ def test_relation_vs_coefficient_paths(spec_zoo):
             for kind in (LC, SSNM, SYM):
                 rel = curvature_via_relation(kind, spec, P, p, check=False)
                 direct = connection_curvature(kind, spec, P, p)
-                assert np.max(np.abs(rel.riemann - direct.riemann)) < 1e-6, name
-                assert np.max(np.abs(rel.ricci - direct.ricci)) < 1e-6, name
-                assert abs(rel.scalar - direct.scalar) < 1e-6, name
+                assert np.max(np.abs(rel.riemann - direct.riemann)) < 1e-11, name
+                assert np.max(np.abs(rel.ricci - direct.ricci)) < 1e-11, name
+                assert abs(rel.scalar - direct.scalar) < 1e-11, name
+
+
+@pytest.mark.parametrize("kind", [LC, SSNM, SYM], ids=lambda k: k.value)
+def test_exact_partials_match_finite_differences(kind, spec_zoo):
+    # the jet path's exact dG against the Richardson cross-check of G alone
+    for name, spec, P in spec_zoo:
+        p = spec.sample_points(1)[0]
+        G, dG = modified_coefficients(kind, spec, P, p)
+        fd_G, fd_dG = finite_difference_field(
+            lambda q: modified_coefficients(kind, spec, P, q)[0])(p)
+        assert np.array_equal(G, fd_G), name
+        scale = max(1.0, float(np.max(np.abs(G))))
+        assert np.max(np.abs(dG - fd_dG)) / scale < 1e-6, name
 
 
 def test_relation_internal_check_runs(grw_exp_spec):
     cur = curvature_via_relation(SSNM, grw_exp_spec, p_dt(),
                                  grw_exp_spec.make_point([0.3]), check=True)
-    assert np.max(np.abs(cur.ricci)) < 1e-8
+    assert np.max(np.abs(cur.ricci)) < 1e-12
 
 
 def test_exponential_family_ricci_flat(grw_exp_spec):
     for t in (0.0, 0.5, 0.9):
         cur = connection_curvature(SSNM, grw_exp_spec, p_dt(),
                                    grw_exp_spec.make_point([t]))
-        assert np.max(np.abs(cur.ricci)) < 1e-8
+        assert np.max(np.abs(cur.ricci)) < 1e-12
 
 
 def test_constant_family_einstein():
@@ -136,7 +154,7 @@ def test_constant_family_einstein():
     for t in (0.0, 0.7):
         p = spec.make_point([t])
         cur = connection_curvature(SSNM, spec, p_dt(), p)
-        assert np.max(np.abs(cur.ricci - 2.0 * cur.metric)) < 1e-8
+        assert np.max(np.abs(cur.ricci - 2.0 * cur.metric)) < 1e-12
 
 
 def test_mixed_block_p_rejected():

@@ -97,7 +97,7 @@ def test_pseudo_einstein_passing_case():
     for t in (0.2, 0.7):
         cur = connection_curvature(SSNM, spec, P, spec.make_point([t]))
         sym = 0.5 * (cur.ricci + cur.ricci.T)
-        assert np.max(np.abs(sym + 2.0 * cur.metric)) < 1e-7
+        assert np.max(np.abs(sym + 2.0 * cur.metric)) < 1e-12
 
 
 def test_pseudo_einstein_residual_matches_oracle():
@@ -118,7 +118,7 @@ def test_pseudo_einstein_residual_matches_oracle():
         sym = 0.5 * (cur.ricci + cur.ricci.T)
         sl = spec.block_slice(1)
         worst = max(worst, float(np.max(np.abs(sym[sl, sl] - lam * cur.metric[sl, sl]))))
-    assert formula.max_abs_residual == pytest.approx(worst, rel=1e-6)
+    assert formula.max_abs_residual == pytest.approx(worst, rel=1e-12)
 
 
 def test_pseudo_einstein_requires_fiber_p(grw_exp_spec):
@@ -150,7 +150,7 @@ def test_pseudo_einstein_invariant_under_torus_shift():
         cb = connection_curvature(SSNM, spec, shifted, pb)
         da = 0.5 * (ca.ricci + ca.ricci.T) - lam * ca.metric
         db = 0.5 * (cb.ricci + cb.ricci.T) - lam * cb.metric
-        assert np.max(np.abs(da - db)) < 1e-9
+        assert np.max(np.abs(da - db)) < 1e-12
 
 
 def test_scalar_formula_matches_oracle(spec_zoo):

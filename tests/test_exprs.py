@@ -87,6 +87,23 @@ def test_domain_errors():
         eval_value(var("t"), ("x",), [1.0])
 
 
+@pytest.mark.parametrize("text,t", [
+    ("exp(1000*t)", 1.0),
+    ("t^400", 10.0),
+    ("t^-2", 1e-200),
+    ("t^-2", 0.0),
+])
+def test_out_of_range_values_are_domain_errors(text, t):
+    # float overflow (and a negative power of zero) on either path is an
+    # ExprError, not an OverflowError or ZeroDivisionError
+    e = parse_expr(text)
+    with pytest.raises(ExprError):
+        eval_value(e, ("t",), [t])
+    for order in (1, 2):
+        with pytest.raises(ExprError):
+            eval_jet(e, ("t",), [t], order=order)
+
+
 @pytest.mark.parametrize("text,t,value", [
     ("exp(t)", 0.0, 1.0),
     ("2 + 0.5*sin(t)", 0.0, 2.0),

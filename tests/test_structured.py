@@ -1,5 +1,7 @@
 """Component formulas against the coordinate oracle, clause by clause."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -226,7 +228,7 @@ def test_torsion_free_ricci_correction_p_fiber():
                         e2[j] = 1.0
                         want = cache.dpi(BlockVector(b1, e1), BlockVector(b2, e2))
                         assert diff[s1.start + i, s2.start + j] == pytest.approx(
-                            want, abs=1e-6)
+                            want, abs=1e-11)
 
 
 def test_scalar_formula_values():
@@ -243,7 +245,7 @@ def test_scalar_no_field_reduces_to_levi_civita(spec_zoo):
     for name, spec, P in spec_zoo[:5]:
         p = spec.sample_points(1)[0]
         lc = connection_curvature(LC, spec, None, p).scalar
-        assert structured_scalar(spec, None, SSNM, p) == pytest.approx(lc, abs=1e-8), name
+        assert structured_scalar(spec, None, SSNM, p) == pytest.approx(lc, abs=1e-12), name
 
 
 def test_fiber_rescaling_leaves_outputs_unchanged():
@@ -327,6 +329,30 @@ def test_levi_civita_clauses_ignore_p_exactly(spec_zoo):
                 == structured_scalar(spec, None, LC, p, cache=free)), name
         # the P data itself stays on the P-bearing cache
         assert with_p.P_loc == P.location and with_p.without_p().P_loc is None
+
+
+def test_non_finite_deviation_fails_its_row(monkeypatch, spec_zoo):
+    # a NaN at a later point must fail the row, not drop out of the maximum
+    from warpcurv import verify
+
+    spec, P = next((s, P) for name, s, P in spec_zoo if name == "grw-sphere")
+    calls = []
+
+    def nan_after_first(original):
+        def wrapped(*args, **kwargs):
+            calls.append(original)
+            out = original(*args, **kwargs)
+            return out * np.nan if calls.count(original) > 1 else out
+        return wrapped
+
+    for fn in ("structured_ricci_matrix", "structured_scalar"):
+        monkeypatch.setattr(verify, fn, nan_after_first(getattr(verify, fn)))
+    reports = {r.clause: r for r in oracle_comparison(spec, P, SSNM,
+                                                      spec.sample_points(2))}
+    for clause in ("ricci-matrix", "scalar"):
+        assert math.isnan(reports[clause].max_deviation), clause
+        assert not reports[clause].passed, clause
+    assert reports["cov[base,base]"].passed
 
 
 def test_oracle_comparison_builds_one_cache_per_point(monkeypatch, spec_zoo):
