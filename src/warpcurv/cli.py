@@ -115,6 +115,16 @@ def _count_list(text):
     return tuple(_count(x) for x in str(text).split(","))
 
 
+def _p_location(text):
+    """p.location = none | base | fiber:<i>, as "none", "base" or the index i."""
+    if text in ("none", "base"):
+        return text
+    head, _, index = text.partition(":")
+    if head == "fiber" and index.isdigit():
+        return int(index)
+    raise ValueError(f"p.location must be none, base or fiber:<i>, got {text!r}")
+
+
 def _finite_pair(text):
     pair = _finite_list(text)
     if len(pair) != 2:
@@ -142,7 +152,7 @@ class ScenarioConfig:
     base: str = "interval"
     fibers: list = field(default_factory=list)  # list of dicts
     twisted: bool = False
-    p_location: str = "none"
+    p_location: object = "none"  # "none", "base" or a fiber index
     p_components: str = ""
     connection: str = "semi-symmetric"
     lam: float = 0.0
@@ -208,15 +218,16 @@ def _apply_key(cfg, key, value):
     elif key in _FIBER_KEYS:
         if not cfg.fibers:
             raise ConfigParseError(f"{key} before any fiber.geometry line")
-        cfg.fibers[-1][key.split(".", 1)[1]] = value
+        name = key.split(".", 1)[1]
+        cfg.fibers[-1][name] = _count(value) if name == "dim" else value
     elif key == "p.location":
-        cfg.p_location = value
+        cfg.p_location = _p_location(value)
     elif key == "p.components":
         cfg.p_components = value
     elif key == "connection":
         cfg.connection = value
     elif key == "lambda":
-        cfg.lam = float(value)
+        cfg.lam = _finite(value)
     elif key == "scalar":
         cfg.scalar = float(value)
     elif key == "grid.points":
@@ -256,7 +267,7 @@ def build_spec(cfg: ScenarioConfig) -> ProductManifoldSpec:
     for fb in cfg.fibers:
         geo = make_geometry(
             fb["geometry"],
-            dim=int(fb.get("dim", 2)),
+            dim=fb.get("dim", 2),
             radius=float(fb.get("radius", 1.0)),
         )
         fibers.append(FiberSpec(geo))
@@ -265,17 +276,10 @@ def build_spec(cfg: ScenarioConfig) -> ProductManifoldSpec:
 
 
 def build_torsion_field(cfg: ScenarioConfig, spec):
-    loc = cfg.p_location
-    if loc in ("none", ""):
+    if cfg.p_location == "none":
         return None
-    if loc == "base":
-        location = "base"
-    elif loc.startswith("fiber:"):
-        location = int(loc.split(":", 1)[1])
-    else:
-        raise ConfigParseError(f"p.location must be none, base or fiber:<i>, got {loc!r}")
     comps = [parse_expr(c) for c in cfg.p_components.split(",")] if cfg.p_components else []
-    P = TorsionVectorFieldSpec(location, comps)
+    P = TorsionVectorFieldSpec(cfg.p_location, comps)
     P.validate(spec)
     return P
 

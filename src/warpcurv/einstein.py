@@ -15,7 +15,7 @@ import numpy as np
 
 from .connections import ConnectionKind, connection_curvature
 from .errors import DimensionTooSmall, FiberNotEinstein, UnsupportedP, WarpcurvError
-from .exprs import eval_jet
+from .exprs import eval_grid
 from .geometry import IntervalBase, ProductManifoldSpec, TorsionVectorFieldSpec
 from .structured import BlockVector, StructuredGeometryCache
 
@@ -72,11 +72,7 @@ def warping_samples(spec, grid):
     _require_interval_warped(spec)
     out = np.zeros((spec.m, 3, len(grid)))
     for i, w in enumerate(spec.warpings):
-        for j, t in enumerate(grid):
-            jet = eval_jet(w, ("t",), [t], order=2)
-            out[i, 0, j] = jet.val
-            out[i, 1, j] = jet.grad[0]
-            out[i, 2, j] = jet.hess[0, 0]
+        out[i] = eval_grid(w, grid)
     return out
 
 
@@ -209,10 +205,9 @@ def multiwarped_scalar_formula(spec, P, grid):
         comps = [c for c in P.components]
         if len(comps) != 1:
             raise UnsupportedP("interval base expects a single P component")
-        for j, t in enumerate(grid):
-            h = eval_jet(comps[0], ("t",), [t], order=1)
-            if abs(h.val - 1.0) > 1e-12 or abs(h.grad[0]) > 1e-12:
-                raise UnsupportedP("closed-form scalar expression assumes P = d/dt")
+        h, dh, _ = eval_grid(comps[0], grid)
+        if np.any(np.abs(h - 1.0) > 1e-12) or np.any(np.abs(dh) > 1e-12):
+            raise UnsupportedP("closed-form scalar expression assumes P = d/dt")
         # P = d/dt contributes sum_i l_i + sum_{i,j} l_i l_j b_j'/b_j
         total = total + np.sum(dims)
         total = total + np.sum(dims) * (dims @ ratio)

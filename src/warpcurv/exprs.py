@@ -6,6 +6,8 @@ as explicit trees (node kinds: constant, variable, sum, product, power with
 a real exponent, exp, sin, cos, sqrt, reciprocal) and evaluated either on
 plain floats or on `Jet` numbers, which propagate the value together with
 the exact gradient and Hessian with respect to a chosen coordinate list.
+Expressions in t alone can also be evaluated over a whole t-grid at once
+(`eval_grid`), with the same bits as one `Jet` per grid value.
 """
 
 from __future__ import annotations
@@ -96,13 +98,15 @@ class Jet:
         if r == 0.0:
             n = self.grad.shape[0]
             return Jet(1.0, np.zeros(n), None if self.hess is None else np.zeros((n, n)))
-        if self.val <= 0.0 and r != round(r):
+        if self.val <= 0.0 and not r.is_integer():
             raise ExprError(f"fractional power of non-positive base {self.val!r}")
         if self.val == 0.0 and r < 0:
             raise ExprError("negative power of zero")
         f = _pow(self.val, r)
         fp = r * _pow(self.val, r - 1.0)
-        fpp = r * (r - 1.0) * _pow(self.val, r - 2.0) if self.val != 0.0 else 0.0
+        # at a zero base b^(r-2) exists from r = 2 on; below that only r = 1
+        # is left, whose second derivative is 0
+        fpp = r * (r - 1.0) * _pow(self.val, r - 2.0) if self.val != 0.0 or r >= 2.0 else 0.0
         return self._chain(f, fp, fpp)
 
     def exp(self):
@@ -110,18 +114,21 @@ class Jet:
         return self._chain(e, e, e)
 
     def sin(self):
-        s, c = math.sin(self.val), math.cos(self.val)
+        s, c = _sin(self.val), _cos(self.val)
         return self._chain(s, c, -s)
 
     def cos(self):
-        s, c = math.sin(self.val), math.cos(self.val)
+        s, c = _sin(self.val), _cos(self.val)
         return self._chain(c, -s, -c)
 
     def sqrt(self):
         if self.val <= 0.0:
             raise ExprError(f"sqrt of non-positive value {self.val!r}")
         s = math.sqrt(self.val)
-        return self._chain(s, 0.5 / s, -0.25 / (s * self.val))
+        sv = s * self.val
+        if sv == 0.0:
+            raise ExprError(f"second derivative of sqrt overflows at {self.val!r}")
+        return self._chain(s, 0.5 / s, -0.25 / sv)
 
     def reciprocal(self):
         if self.val == 0.0:
@@ -150,6 +157,120 @@ def _pow(b, r):
         return b ** r
     except (OverflowError, ZeroDivisionError):
         raise ExprError(f"{b!r} ** {r!r} is out of range") from None
+
+
+def _sin(u):
+    if math.isinf(u):
+        raise ExprError(f"sin of {u!r}")
+    return math.sin(u)
+
+
+def _cos(u):
+    if math.isinf(u):
+        raise ExprError(f"cos of {u!r}")
+    return math.cos(u)
+
+
+class GridJet:
+    """Value, first and second t-derivative of a node over a whole t-grid.
+
+    The counterpart of an order-2 Jet in the single coordinate t, carried as
+    three (N,) arrays with one entry per grid value (univariate Taylor
+    propagation; Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+    ch. 13).  Each rule repeats Jet's arithmetic in Jet's operation order, so
+    every entry is bit-identical to the Jet at that grid value.  Only the
+    correctly rounded operations (+, -, *, /, sqrt) run in numpy; exp, sin,
+    cos and powers run element by element on Python floats, because numpy's
+    exp and power round differently from math's and **.
+    """
+
+    __slots__ = ("ts", "u", "du", "ddu")
+
+    def __init__(self, ts, u, du, ddu):
+        self.ts, self.u, self.du, self.ddu = ts, u, du, ddu
+
+    def _lift(self, other):
+        if isinstance(other, GridJet):
+            return other
+        return GridJet(self.ts, other, 0.0, 0.0)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return GridJet(self.ts, self.u + o.u, self.du + o.du, self.ddu + o.ddu)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        c = self.du * o.du
+        return GridJet(self.ts, self.u * o.u, self.u * o.du + o.u * self.du,
+                       self.u * o.ddu + o.u * self.ddu + c + c)
+
+    __rmul__ = __mul__
+
+    def _chain(self, f, fp, fpp):
+        return GridJet(self.ts, f, fp * self.du, fp * self.ddu + fpp * (self.du * self.du))
+
+    def _check(self, bad, message):
+        """ExprError naming the first grid value flagged in `bad`."""
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ExprError(f"{message} {float(self.u[j])!r} at t={float(self.ts[j])!r}")
+
+    def _map(self, fn):
+        """fn of each grid value as a Python float; an ExprError names its t."""
+        us = self.u.tolist()
+        try:
+            return np.fromiter(map(fn, us), float, len(us))
+        except ExprError:
+            for u, t in zip(us, self.ts.tolist()):
+                try:
+                    fn(u)
+                except ExprError as exc:
+                    raise ExprError(f"{exc} at t={t!r}") from None
+            raise
+
+    def pow_const(self, r):
+        r = float(r)
+        if r == 0.0:
+            zero = np.zeros(len(self.ts))
+            return GridJet(self.ts, zero + 1.0, zero, zero)
+        if not r.is_integer():
+            self._check(self.u <= 0.0, "fractional power of non-positive base")
+        if r < 0:
+            self._check(self.u == 0.0, "negative power of")
+        f = self._map(lambda b: _pow(b, r))
+        fp = r * self._map(lambda b: _pow(b, r - 1.0))
+        fpp = r * (r - 1.0) * self._map(
+            lambda b: _pow(b, r - 2.0) if b != 0.0 or r >= 2.0 else 0.0)
+        return self._chain(f, fp, fpp)
+
+    def exp(self):
+        e = self._map(_exp)
+        return self._chain(e, e, e)
+
+    def sin(self):
+        s, c = self._map(_sin), self._map(_cos)
+        return self._chain(s, c, -s)
+
+    def cos(self):
+        s, c = self._map(_sin), self._map(_cos)
+        return self._chain(c, -s, -c)
+
+    def sqrt(self):
+        self._check(self.u <= 0.0, "sqrt of non-positive value")
+        s = np.sqrt(self.u)
+        su = s * self.u
+        self._check(su == 0.0, "second derivative of sqrt overflows at")
+        return self._chain(s, 0.5 / s, -0.25 / su)
+
+    def reciprocal(self):
+        self._check(self.u == 0.0, "reciprocal of")
+        v = 1.0 / self.u
+        return self._chain(v, -v * v, 2.0 * v * v * v)
+
+
+_JETS = (Jet, GridJet)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +398,10 @@ class Pow(ScalarExpr):
 
     def eval(self, env):
         b = self.base.eval(env)
-        if isinstance(b, Jet):
+        if isinstance(b, _JETS):
             return b.pow_const(self.exponent)
         r = self.exponent
-        if b <= 0.0 and r != round(r):
+        if b <= 0.0 and not r.is_integer():
             raise ExprError(f"fractional power of non-positive base {b!r}")
         return _pow(b, r)
 
@@ -299,25 +420,25 @@ class _Unary(ScalarExpr):
 class Exp(_Unary):
     def eval(self, env):
         u = self.arg.eval(env)
-        return u.exp() if isinstance(u, Jet) else _exp(u)
+        return u.exp() if isinstance(u, _JETS) else _exp(u)
 
 
 class Sin(_Unary):
     def eval(self, env):
         u = self.arg.eval(env)
-        return u.sin() if isinstance(u, Jet) else math.sin(u)
+        return u.sin() if isinstance(u, _JETS) else _sin(u)
 
 
 class Cos(_Unary):
     def eval(self, env):
         u = self.arg.eval(env)
-        return u.cos() if isinstance(u, Jet) else math.cos(u)
+        return u.cos() if isinstance(u, _JETS) else _cos(u)
 
 
 class Sqrt(_Unary):
     def eval(self, env):
         u = self.arg.eval(env)
-        if isinstance(u, Jet):
+        if isinstance(u, _JETS):
             return u.sqrt()
         if u <= 0.0:
             raise ExprError(f"sqrt of non-positive value {u!r}")
@@ -327,7 +448,7 @@ class Sqrt(_Unary):
 class Recip(_Unary):
     def eval(self, env):
         u = self.arg.eval(env)
-        if isinstance(u, Jet):
+        if isinstance(u, _JETS):
             return u.reciprocal()
         if u == 0.0:
             raise ExprError("reciprocal of zero")
@@ -391,6 +512,34 @@ def eval_jet(expr, names, values, order=2):
         out = Jet.constant(out, n, order)
     if not math.isfinite(out.val):
         raise ExprError(f"expression not finite at {dict(zip(names, values))!r}")
+    return out
+
+
+def eval_grid(expr, ts):
+    """Rows u, u', u'' of an expression in the single variable t over a grid.
+
+    One walk of the tree with GridJet numbers, shape (3, len(ts)).  Column j
+    equals, bit for bit, the value, gradient and Hessian of
+    eval_jet(expr, ("t",), [ts[j]]); where that call would raise ExprError
+    this raises it too, naming the first grid value at which the failing
+    rule fails.
+    """
+    ts = np.asarray(ts, dtype=float)
+    out = np.zeros((3, len(ts)))
+    if not len(ts):
+        return out
+    unbound = sorted(expr.variables() - {"t"})
+    if unbound:
+        raise ExprError(f"unbound variable {unbound[0]!r} at t={float(ts[0])!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        jet = expr.eval({"t": GridJet(ts, ts, np.ones(len(ts)), np.zeros(len(ts)))})
+    if isinstance(jet, GridJet):
+        out[0], out[1], out[2] = jet.u, jet.du, jet.ddu
+    else:
+        out[0] = jet
+    bad = ~np.isfinite(out[0])
+    if bad.any():
+        raise ExprError(f"expression not finite at t={float(ts[np.argmax(bad)])!r}")
     return out
 
 

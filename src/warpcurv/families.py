@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedType,
     WarpcurvError,
 )
-from .exprs import Const, Cos, Exp, Prod, ScalarExpr, Sin, Var, eval_jet
+from .exprs import Const, Cos, Exp, Prod, ScalarExpr, Sin, Var, eval_grid, eval_jet
 
 _T = Var("t")
 _EQ_TOL = 1e-9
@@ -80,14 +80,7 @@ def _characteristic_roots(disc, half_trace):
 
 def profile_derivatives(expr, ts):
     """u, u', u'' of a single-variable expression over a grid."""
-    ts = np.asarray(ts, dtype=float)
-    vals = np.zeros((3, len(ts)))
-    for j, t in enumerate(ts):
-        jet = eval_jet(expr, ("t",), [t], order=2)
-        vals[0, j] = jet.val
-        vals[1, j] = jet.grad[0]
-        vals[2, j] = jet.hess[0, 0]
-    return vals
+    return eval_grid(expr, ts)
 
 
 @dataclass

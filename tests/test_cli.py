@@ -225,6 +225,21 @@ def test_bad_family_value_is_a_config_error(source, entry, tmp_path, capsysbinar
     assert b"bad family value" in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("scenario,line,key", [
+    ("pseudo-einstein-circle.txt", "fiber.dim = 2.5", "fiber.dim"),
+    ("einstein-exponential.txt", "p.location = fiber:x", "p.location"),
+    ("einstein-quadratic-fail.txt", "lambda = nan", "lambda"),
+    ("einstein-quadratic-fail.txt", "lambda = inf", "lambda"),
+])
+def test_bad_scenario_value_is_a_config_error(scenario, line, key, tmp_path, capsysbinary):
+    # typed when the file is parsed: no traceback and no nan/inf report rows
+    path = tmp_path / scenario
+    path.write_text((SCENARIOS / scenario).read_text() + line + "\n")
+    assert main(["verify", str(path)]) == 2
+    captured = capsysbinary.readouterr()
+    assert f"bad value for {key!r}".encode() in captured.err and not captured.out
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.txt")))
 def test_scenario_determinism(name, capsysbinary):
     path = str(SCENARIOS / name)

@@ -11,6 +11,7 @@ from warpcurv.errors import ExprError, ExprParseError
 from warpcurv.exprs import (
     Const,
     cos,
+    eval_grid,
     eval_jet,
     eval_value,
     exp,
@@ -102,6 +103,90 @@ def test_out_of_range_values_are_domain_errors(text, t):
     for order in (1, 2):
         with pytest.raises(ExprError):
             eval_jet(e, ("t",), [t], order=order)
+
+
+def test_power_rule_at_a_zero_base():
+    # r (r - 1) b^(r - 2) is 2 at b = 0 for r = 2, and 0 for r = 1 and 3
+    for text, hess in [("t^2", 2.0), ("t^3", 0.0), ("t^1", 0.0), ("(1+t^2)^0.5", 1.0)]:
+        jet = eval_jet(parse_expr(text), ("t",), [0.0], order=2)
+        assert jet.hess.tolist() == [[hess]], text
+        assert eval_grid(parse_expr(text), [0.0])[2].tolist() == [hess], text
+
+
+def per_point(expr, ts):
+    """eval_jet at each grid value, stacked like eval_grid's rows."""
+    jets = [eval_jet(expr, ("t",), [t], order=2) for t in ts]
+    return np.array([[j.val, j.grad[0], j.hess[0, 0]] for j in jets]).T
+
+
+@pytest.mark.parametrize("text,ts", [
+    ("sqrt(t)", [1.0, 0.0]),
+    ("1/t", [1.0, 0.0]),
+    ("t^0.5", [1.0, 0.0]),
+    ("t^-1", [1.0, 0.0]),
+    ("exp(1000*t)", [0.0, 0.5, 1.0]),
+    ("(t-0.5)^0.5", [0.0, 0.5, 1.0]),
+    ("1/(t-0.5)", [0.0, 0.5, 1.0]),
+    ("sqrt(t-1)", [0.0, 0.5, 1.0]),
+    ("sqrt(t)", [5e-324]),  # the second derivative's denominator underflows
+    ("sin(exp(700*t)*exp(700*t))", [1.0]),  # sin of inf
+    ("t + x", [1.0]),
+])
+def test_domain_errors_on_both_paths(text, ts):
+    e = parse_expr(text)
+    with pytest.raises(ExprError):
+        per_point(e, ts)
+    with pytest.raises(ExprError) as err:
+        eval_grid(e, ts)
+    assert "at t=" in str(err.value)
+
+
+def test_grid_error_names_the_first_offending_t():
+    with pytest.raises(ExprError, match=r"reciprocal of 0\.0 at t=0\.5"):
+        eval_grid(parse_expr("1/(t-0.5)"), [0.0, 0.25, 0.5, 0.75])
+    with pytest.raises(ExprError, match=r"overflows at t=0\.75"):
+        eval_grid(parse_expr("exp(1000*t)"), [0.0, 0.75, 1.0])
+
+
+def test_grid_of_a_constant_and_an_empty_grid():
+    assert eval_grid(parse_expr("2*3"), [0.0, 1.0]).tolist() == [[6.0, 6.0], [0.0, 0.0], [0.0, 0.0]]
+    assert eval_grid(parse_expr("t"), []).shape == (3, 0)
+
+
+_LEAVES = st.one_of(
+    st.just(var("t")),
+    st.integers(-2, 3).map(lambda k: var("t") - k),  # exactly 0 at a grid value
+    st.integers(-3, 3).map(Const),
+    st.floats(-3.0, 3.0, allow_nan=False).map(Const),
+)
+_BINARY = (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b)
+_EXPONENTS = (2, 0, 1, 3, 4, 0.5, 1.5, 2.5, -0.5, -1, -2)
+
+
+def _nodes(children):
+    return st.one_of(
+        st.tuples(st.sampled_from(_BINARY), children, children).map(lambda p: p[0](p[1], p[2])),
+        st.tuples(st.sampled_from((exp, sin, cos, sqrt)), children).map(lambda p: p[0](p[1])),
+        st.tuples(children, st.sampled_from(_EXPONENTS)).map(lambda p: p[0] ** p[1]),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    expr=st.recursive(_LEAVES, _nodes, max_leaves=10),
+    extra=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+)
+def test_grid_matches_per_point_jets(expr, extra):
+    # the grid evaluator is bit-identical to one Jet per grid value, or both
+    # raise ExprError; exact zeros and integers are where power rules branch
+    ts = [0.0, -2.0, -1.0, 1.0, 2.0, 3.0] + extra
+    try:
+        expected = per_point(expr, ts)
+    except ExprError:
+        with pytest.raises(ExprError):
+            eval_grid(expr, ts)
+        return
+    assert np.array_equal(eval_grid(expr, ts), expected, equal_nan=True)
 
 
 @pytest.mark.parametrize("text,t,value", [

@@ -19,7 +19,7 @@ from perfbench.worker import Runner  # noqa: E402
 from warpcurv import cli, errors  # noqa: E402
 
 
-@pytest.mark.parametrize("workload", ["oracle-sweep", "grid-residuals"])
+@pytest.mark.parametrize("workload", ["oracle-sweep", "grid-residuals", "families-scan"])
 def test_round_zero_exercises_every_layer(workload):
     scenarios = generate_round(workload, 11, 0, ROOT)
     runner = Runner(cli, errors)
@@ -34,5 +34,10 @@ def test_round_zero_exercises_every_layer(workload):
     assert runner.failed == 0, runner.problems
     meta = {k: (sc.n_bar, sc.points) for k, sc in enumerate(scenarios)}
     values = layers.derive(rec, workload, meta)  # raises LayerCheckError
-    # the oracle builds each point's coefficient field exactly once
-    assert values["chart_core.coeff_rebuilds_per_curvature"] == 1.0
+    if workload == "families-scan":
+        # t-grid derivatives come from one batched walk per expression; the
+        # only scalar jets left are the RK4 cross-checks' initial data
+        assert values["exprs.eval_jet.calls"] == values["families.rk4_integrate.calls"]
+    else:
+        # the oracle builds each point's coefficient field exactly once
+        assert values["chart_core.coeff_rebuilds_per_curvature"] == 1.0
