@@ -125,6 +125,21 @@ def _p_location(text):
     raise ValueError(f"p.location must be none, base or fiber:<i>, got {text!r}")
 
 
+_FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+CONNECTIONS = {
+    "levi-civita": ConnectionKind.LEVI_CIVITA,
+    "semi-symmetric": ConnectionKind.SEMI_SYMMETRIC_NON_METRIC,
+    "symmetrized": ConnectionKind.SYMMETRIZED_AFFINE,
+}
+
+
+def _choice(table, text):
+    if text not in table:
+        raise ValueError(f"expected one of {', '.join(table)}, got {text!r}")
+    return table[text]
+
+
 def _finite_pair(text):
     pair = _finite_list(text)
     if len(pair) != 2:
@@ -154,9 +169,8 @@ class ScenarioConfig:
     twisted: bool = False
     p_location: object = "none"  # "none", "base" or a fiber index
     p_components: str = ""
-    connection: str = "semi-symmetric"
+    connection: ConnectionKind = ConnectionKind.SEMI_SYMMETRIC_NON_METRIC
     lam: float = 0.0
-    scalar: float = 0.0
     grid_points: int = 17
     grid_start: float = 0.05
     grid_end: float = 0.95
@@ -212,7 +226,7 @@ def _apply_key(cfg, key, value):
     elif key == "base":
         cfg.base = value
     elif key == "twisted":
-        cfg.twisted = value.lower() in ("true", "yes", "1")
+        cfg.twisted = _choice(_FLAGS, value.lower())
     elif key == "fiber.geometry":
         cfg.fibers.append({"geometry": value})
     elif key in _FIBER_KEYS:
@@ -225,19 +239,17 @@ def _apply_key(cfg, key, value):
     elif key == "p.components":
         cfg.p_components = value
     elif key == "connection":
-        cfg.connection = value
+        cfg.connection = _choice(CONNECTIONS, value)
     elif key == "lambda":
         cfg.lam = _finite(value)
-    elif key == "scalar":
-        cfg.scalar = float(value)
     elif key == "grid.points":
         cfg.grid_points = int(value)
         if cfg.grid_points < 1:
             raise ValueError("grid.points must be at least 1")
     elif key == "grid.start":
-        cfg.grid_start = float(value)
+        cfg.grid_start = _finite(value)
     elif key == "grid.end":
-        cfg.grid_end = float(value)
+        cfg.grid_end = _finite(value)
     elif key == "tolerance":
         cfg.tolerance = _positive(value, "tolerance")
     elif key == "format":
@@ -282,17 +294,6 @@ def build_torsion_field(cfg: ScenarioConfig, spec):
     P = TorsionVectorFieldSpec(cfg.p_location, comps)
     P.validate(spec)
     return P
-
-
-def build_connection(cfg: ScenarioConfig) -> ConnectionKind:
-    table = {
-        "levi-civita": ConnectionKind.LEVI_CIVITA,
-        "semi-symmetric": ConnectionKind.SEMI_SYMMETRIC_NON_METRIC,
-        "symmetrized": ConnectionKind.SYMMETRIZED_AFFINE,
-    }
-    if cfg.connection not in table:
-        raise ConfigParseError(f"unknown connection {cfg.connection!r}")
-    return table[cfg.connection]
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +417,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     if cfg.task == "oracle-verify":
         spec = build_spec(cfg)
         P = build_torsion_field(cfg, spec)
-        kind = build_connection(cfg)
         tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
         points = spec.sample_points(min(cfg.grid_points, 5),
                                     t_range=(cfg.grid_start, cfg.grid_end))
-        for rep in oracle_comparison(spec, P, kind, points, tol):
+        for rep in oracle_comparison(spec, P, cfg.connection, points, tol):
             checks.append(CheckRow(rep.clause, rep.max_deviation, rep.tolerance,
                                    _verdict(rep.passed)))
     elif cfg.task == "einstein-check":

@@ -17,7 +17,7 @@ from .connections import ConnectionKind, connection_curvature
 from .errors import DimensionTooSmall, FiberNotEinstein, UnsupportedP, WarpcurvError
 from .exprs import eval_grid
 from .geometry import IntervalBase, ProductManifoldSpec, TorsionVectorFieldSpec
-from .structured import BlockVector, StructuredGeometryCache
+from .structured import StructuredGeometryCache
 
 DEFAULT_GRID_POINTS = 17
 CLOSED_FORM_TOL = 1e-8
@@ -74,6 +74,23 @@ def warping_samples(spec, grid):
     for i, w in enumerate(spec.warpings):
         out[i] = eval_grid(w, grid)
     return out
+
+
+def _check_grid(spec, grid, b, fiber_coords=None):
+    """`spec.check_point` along the grid, given the warpings b (m, N): one array
+    test finds the first failing point, where the per-point check raises."""
+    grid = np.asarray(grid, dtype=float)
+    if not len(grid):
+        raise WarpcurvError("grid has no points")
+    lo, hi = spec.base.domain
+    bad = ~((lo < grid) & (grid < hi)) | (b <= 0.0).any(axis=0)
+    if bad.any():
+        spec.check_point(spec.make_point([grid[np.argmax(bad)]], fiber_coords))
+
+
+def _squares(x):
+    """x**2 per element through libm pow, which rounds unlike x*x on ~0.1 % of x."""
+    return np.array([v ** 2 for v in x.tolist()])
 
 
 def grw_einstein_residuals(spec, lam, grid=None, tolerance=CLOSED_FORM_TOL):
@@ -151,33 +168,34 @@ def pseudo_einstein_residuals(spec, P: TorsionVectorFieldSpec, lam, grid=None,
         )
         result.add(ResidualReport.from_values(f"pseudo-fiber-{i}", grid, res, tolerance))
 
-    # fiber r carries the torsion field: tensor identity sampled on frame pairs
+    # Fiber r carries the torsion field: the tensor identity on frame pairs
+    # (e_a, e_b) at three points of F_r, one cache per point, each entry a
+    # t-row.  Entries keep the per-point bits: dot products keep their shapes
+    # (a matrix product sums in another order), squares go through `_squares`.
+    samples = spec.fibers[r].geometry.sample_coords(3)
+    on_r = [[fc if k == r else None for k in range(spec.m)] for fc in samples]
+    _check_grid(spec, grid, b[:, 0], on_r[0])
     lr = spec.fiber_dims[r]
+    br, dbr, ddbr = b[r]
+    br2 = _squares(br)
+    cross = np.array([dims @ ratio[:, j] for j in range(len(grid))]) - dims[r] * ratio[r]
+    bracket = br * ddbr + (lr - 1) * _squares(dbr) + br * dbr * cross + lam * br2
     worst = []
-    for j, t in enumerate(grid):
-        for fc in spec.fibers[r].geometry.sample_coords(3):
-            p = spec.make_point([t], [fc if k == r else None for k in range(spec.m)])
-            c = StructuredGeometryCache(spec, P, p)
-            br, dbr, ddbr = b[r, :, j]
-            cross = (dims @ ratio[:, j]) - dims[r] * ratio[r, j]
-            bracket = br * ddbr + (lr - 1) * dbr**2 + br * dbr * cross + lam * br**2
-            gF = c.gF[r]
-            ricF = c.RicF[r]
-            for a in range(lr):
-                ea = np.zeros(lr)
-                ea[a] = 1.0
-                for bb in range(a, lr):
-                    eb = np.zeros(lr)
-                    eb[bb] = 1.0
-                    V = BlockVector(r, ea)
-                    W = BlockVector(r, eb)
-                    lhs = float(ea @ ricF @ eb) - float(ea @ gF @ eb) * bracket
-                    rhs = (nbar - 1) * (
-                        c.pi(V) * c.pi(W)
-                        - 0.5 * (c.g_W_nabla_V_P(W, V) + c.g_W_nabla_V_P(V, W))
-                    )
-                    worst.append(lhs - rhs)
-    result.add(ResidualReport.from_values(f"pseudo-torsion-fiber-{r}", grid, worst, tolerance))
+    for fiber_coords in on_r:
+        c = StructuredGeometryCache(spec, P, spec.make_point([grid[0]], fiber_coords))
+        gF, ricF = c.gF[r], c.RicF[r]
+        # pi(e_a) = b_r^2 gP[a] and g(e_w, nabla_{e_v} P) = b_r^2 gnP[w][v]
+        gP = [gF[a] @ c.Pc for a in range(lr)]
+        nP = [c.nablaF_V_P(e) for e in np.eye(lr)]
+        gnP = [[gF[w] @ nP[v] for v in range(lr)] for w in range(lr)]
+        for a in range(lr):
+            for bb in range(a, lr):
+                lhs = ricF[a, bb] - gF[a, bb] * bracket
+                rhs = (nbar - 1) * (br2 * gP[a] * (br2 * gP[bb])
+                                    - 0.5 * (br2 * gnP[bb][a] + br2 * gnP[a][bb]))
+                worst.append(lhs - rhs)
+    result.add(ResidualReport.from_values(f"pseudo-torsion-fiber-{r}", grid,
+                                          np.concatenate(worst), tolerance))
     return result
 
 
@@ -213,9 +231,12 @@ def multiwarped_scalar_formula(spec, P, grid):
         total = total + np.sum(dims) * (dims @ ratio)
         return total
     r = P.location
-    for j, t in enumerate(grid):
-        p = spec.make_point([t])
-        c = StructuredGeometryCache(spec, P, p)
+    _check_grid(spec, grid, b[:, 0])
+    c = StructuredGeometryCache(spec, P, spec.make_point([grid[0]]))
+    for j, br in enumerate(b[r, 0].tolist()):
+        # these two read t only through b_r(t), and through the base part of
+        # nabla_E P, which meets the zero base part of the fiber frame E
+        c.b[r] = br
         total[j] += (1 - nbar) * c.pi_P() + (nbar - 1) * c.frame_sum_nabla_P()
     return total
 

@@ -1,6 +1,7 @@
 """Scenario parsing, report emission, determinism, exit codes."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -230,6 +231,10 @@ def test_bad_family_value_is_a_config_error(source, entry, tmp_path, capsysbinar
     ("einstein-exponential.txt", "p.location = fiber:x", "p.location"),
     ("einstein-quadratic-fail.txt", "lambda = nan", "lambda"),
     ("einstein-quadratic-fail.txt", "lambda = inf", "lambda"),
+    ("oracle-fiber-torsion.txt", "twisted = maybe", "twisted"),
+    ("oracle-sphere.txt", "connection = bogus", "connection"),
+    ("einstein-exponential.txt", "connection = bogus", "connection"),
+    ("scalar-static.txt", "connection = bogus", "connection"),
 ])
 def test_bad_scenario_value_is_a_config_error(scenario, line, key, tmp_path, capsysbinary):
     # typed when the file is parsed: no traceback and no nan/inf report rows
@@ -238,6 +243,41 @@ def test_bad_scenario_value_is_a_config_error(scenario, line, key, tmp_path, cap
     assert main(["verify", str(path)]) == 2
     captured = capsysbinary.readouterr()
     assert f"bad value for {key!r}".encode() in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("line,key", [
+    ("grid.end = inf", "grid.end"),
+    ("grid.start = -inf", "grid.start"),
+    ("grid.end = nan", "grid.end"),
+])
+def test_non_finite_grid_bound_is_a_config_error(line, key, tmp_path, capsysbinary):
+    # typed when parsed, before the grid is built: no numpy warning on stderr
+    path = tmp_path / "bound.txt"
+    path.write_text((SCENARIOS / "einstein-exponential.txt").read_text() + line + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", str(path)]) == 2
+    assert [str(w.message) for w in caught] == []
+    captured = capsysbinary.readouterr()
+    assert f"bad value for {key!r}".encode() in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("value,flag", [
+    ("true", True), ("Yes", True), ("1", True), ("FALSE", False), ("no", False), ("0", False),
+])
+def test_twisted_takes_true_false_yes_no_or_one_zero(value, flag):
+    assert parse_scenario(f"task = oracle-verify\ntwisted = {value}\n").twisted is flag
+
+
+def test_top_level_scalar_key_is_unknown(tmp_path, capsysbinary):
+    # no task reads a top-level scalar; family.scalar is the family target
+    path = tmp_path / "scalar.txt"
+    path.write_text((SCENARIOS / "scalar-static.txt").read_text() + "scalar = 1\n")
+    assert main(["verify", str(path)]) == 2
+    captured = capsysbinary.readouterr()
+    assert b"unknown key 'scalar'" in captured.err and not captured.out
+    family = parse_scenario((SCENARIOS / "family-kasner3-scalar.txt").read_text()).family
+    assert family["scalar"] == "4.62"
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.txt")))

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from warpcurv import einstein
 from warpcurv.connections import ConnectionKind, connection_curvature
 from warpcurv.einstein import (
+    ResidualReport,
     chebyshev_grid,
     constant_scalar_separation_check,
     grw_einstein_residuals,
@@ -14,7 +16,14 @@ from warpcurv.einstein import (
     multiwarped_scalar_formula,
     pseudo_einstein_residuals,
 )
-from warpcurv.errors import DimensionTooSmall, FiberNotEinstein, UnsupportedP
+from warpcurv.errors import (
+    DimensionTooSmall,
+    FiberNotEinstein,
+    NonPositiveWarping,
+    OutOfChart,
+    UnsupportedP,
+    WarpcurvError,
+)
 from warpcurv.exprs import Const, parse_expr
 from warpcurv.geometry import (
     Circle,
@@ -27,6 +36,8 @@ from warpcurv.geometry import (
     TorsionVectorFieldSpec,
     p_dt,
 )
+from warpcurv.structured import BlockVector, StructuredGeometryCache
+
 SSNM = ConnectionKind.SEMI_SYMMETRIC_NON_METRIC
 
 
@@ -119,6 +130,153 @@ def test_pseudo_einstein_residual_matches_oracle():
         sl = spec.block_slice(1)
         worst = max(worst, float(np.max(np.abs(sym[sl, sl] - lam * cur.metric[sl, sl]))))
     assert formula.max_abs_residual == pytest.approx(worst, rel=1e-12)
+
+
+def _torsion_fiber_case(geometry, other, r):
+    """P with non-constant components on fiber r, next to one other fiber;
+    both warpings vary with t, so every term of the torsion-fiber row is live."""
+    fibers = [FiberSpec(other), FiberSpec(other)]
+    fibers[r] = FiberSpec(geometry)
+    spec = spec_of([parse_expr("exp(0.4*t + 0.1)"), parse_expr("1.5 + 0.3*sin(t)")], fibers)
+    names = spec.fiber_coord_names(r)
+    comps = [parse_expr(f"0.3 + 0.2*{names[0]}*{names[-1]}")]
+    comps += [parse_expr(f"0.5*cos({x}) + 0.1*{x}^2") for x in names[1:]]
+    return spec, TorsionVectorFieldSpec(r, comps)
+
+
+TORSION_FIBER_CASES = {
+    "sphere": (Sphere(1.3), FlatTorus(2), 0),
+    "hyperbolic": (HyperbolicPlane(), Circle(), 1),
+    "flat-T3": (FlatTorus(3), Circle(), 0),
+}
+
+
+def _per_point_torsion_rows(spec, P, lam, grid):
+    """Reference: the per-(t, fiber sample) loop the grid-wide rows replaced."""
+    r = P.location
+    b = einstein.warping_samples(spec, grid)
+    dims = np.array(spec.fiber_dims, dtype=float)
+    nbar = spec.n_bar
+    ratio = b[:, 1] / b[:, 0]
+    lr = spec.fiber_dims[r]
+    worst = []
+    for j, t in enumerate(grid):
+        for fc in spec.fibers[r].geometry.sample_coords(3):
+            p = spec.make_point([t], [fc if k == r else None for k in range(spec.m)])
+            c = StructuredGeometryCache(spec, P, p)
+            br, dbr, ddbr = b[r, :, j]
+            cross = (dims @ ratio[:, j]) - dims[r] * ratio[r, j]
+            bracket = br * ddbr + (lr - 1) * dbr**2 + br * dbr * cross + lam * br**2
+            gF = c.gF[r]
+            ricF = c.RicF[r]
+            for a in range(lr):
+                ea = np.zeros(lr)
+                ea[a] = 1.0
+                for bb in range(a, lr):
+                    eb = np.zeros(lr)
+                    eb[bb] = 1.0
+                    V = BlockVector(r, ea)
+                    W = BlockVector(r, eb)
+                    lhs = float(ea @ ricF @ eb) - float(ea @ gF @ eb) * bracket
+                    rhs = (nbar - 1) * (
+                        c.pi(V) * c.pi(W)
+                        - 0.5 * (c.g_W_nabla_V_P(W, V) + c.g_W_nabla_V_P(V, W))
+                    )
+                    worst.append(lhs - rhs)
+    return np.array(worst)
+
+
+def _per_point_fiber_p_scalar(spec, P, grid):
+    """Reference: the per-t loop, one cache per t, of the P-on-a-fiber scalar."""
+    total = multiwarped_scalar_formula(spec, None, grid)
+    for j, t in enumerate(grid):
+        c = StructuredGeometryCache(spec, P, spec.make_point([t]))
+        total[j] += (1 - spec.n_bar) * c.pi_P() + (spec.n_bar - 1) * c.frame_sum_nabla_P()
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(TORSION_FIBER_CASES))
+def test_torsion_fiber_row_matches_oracle_on_curved_fibers(name):
+    spec, P = _torsion_fiber_case(*TORSION_FIBER_CASES[name])
+    r, lam = P.location, 0.7
+    grid = chebyshev_grid(0.1, 0.9, 3)
+    result = pseudo_einstein_residuals(spec, P, lam, grid)
+    formula = next(x for x in result.reports if x.equation == f"pseudo-torsion-fiber-{r}")
+
+    sl = spec.block_slice(r)
+    worst = 0.0
+    for t in grid:
+        for fc in spec.fibers[r].geometry.sample_coords(3):
+            p = spec.make_point([t], [fc if k == r else None for k in range(spec.m)])
+            cur = connection_curvature(SSNM, spec, P, p)
+            sym = 0.5 * (cur.ricci + cur.ricci.T)
+            worst = max(worst, float(np.max(np.abs(sym[sl, sl] - lam * cur.metric[sl, sl]))))
+    assert worst > 1e-3  # not pseudo-Einstein: the comparison has something to see
+    assert formula.max_abs_residual == pytest.approx(worst, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(TORSION_FIBER_CASES))
+def test_grid_wide_fiber_checks_keep_the_per_point_bits(name, monkeypatch):
+    spec, P = _torsion_fiber_case(*TORSION_FIBER_CASES[name])
+    grid = chebyshev_grid(0.1, 0.9, 7)
+    rows = {}
+    from_values = ResidualReport.from_values
+
+    def keep(equation, grid, values, tolerance):
+        rows[equation] = np.asarray(values, dtype=float).ravel()
+        return from_values(equation, grid, values, tolerance)
+
+    monkeypatch.setattr(ResidualReport, "from_values", staticmethod(keep))
+    pseudo_einstein_residuals(spec, P, 0.7, grid)
+    new = rows[f"pseudo-torsion-fiber-{P.location}"]
+    old = _per_point_torsion_rows(spec, P, 0.7, grid)
+    assert np.array_equal(np.sort(new), np.sort(old))
+    assert np.array_equal(multiwarped_scalar_formula(spec, P, grid),
+                          _per_point_fiber_p_scalar(spec, P, grid))
+
+
+def test_fiber_checks_build_one_cache_per_fiber_sample(monkeypatch):
+    built = []
+
+    class CountingCache(StructuredGeometryCache):
+        def __init__(self, spec, P, p):
+            built.append(p)
+            super().__init__(spec, P, p)
+
+    monkeypatch.setattr(einstein, "StructuredGeometryCache", CountingCache)
+    spec, P = _torsion_fiber_case(*TORSION_FIBER_CASES["sphere"])
+    grid = chebyshev_grid(0.1, 0.9, 9)
+    pseudo_einstein_residuals(spec, P, 0.7, grid)
+    assert len(built) == 3
+    built.clear()
+    multiwarped_scalar_formula(spec, P, grid)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("grid,error,match", [
+    ([0.5, 10.5, 0.1], OutOfChart, "t=10.5"),
+    ([0.5, 0.1, 10.5], NonPositiveWarping, "warping 0 = -0.1"),
+    ([0.5, 0.25, 0.1], NonPositiveWarping, "warping 0 = 0.0 "),
+])
+def test_fiber_checks_raise_at_the_first_bad_grid_point(grid, error, match):
+    # checked over the whole grid at once, in the order of a walk along t
+    spec = spec_of([parse_expr("t - 0.25"), Const(1.0)],
+                   [FiberSpec(FlatTorus(2)), FiberSpec(Sphere(1.0))])
+    P = TorsionVectorFieldSpec(1, [Const(0.5), Const(0.2)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(error, match=match):
+            pseudo_einstein_residuals(spec, P, 0.0, np.array(grid))
+        with pytest.raises(error, match=match):
+            multiwarped_scalar_formula(spec, P, np.array(grid))
+
+
+def test_fiber_checks_reject_an_empty_grid():
+    # their fiber data are read at the first grid point
+    spec, P = _torsion_fiber_case(*TORSION_FIBER_CASES["sphere"])
+    with pytest.raises(WarpcurvError, match="no points"):
+        pseudo_einstein_residuals(spec, P, 0.0, np.array([]))
+    with pytest.raises(WarpcurvError, match="no points"):
+        multiwarped_scalar_formula(spec, P, np.array([]))
 
 
 def test_pseudo_einstein_requires_fiber_p(grw_exp_spec):
