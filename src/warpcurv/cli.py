@@ -434,6 +434,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
             result = pseudo_einstein_residuals(spec, P, cfg.lam, grid, tol)
         checks.extend(_residual_rows(result.reports))
     elif cfg.task == "scalar-check":
+        if cfg.connection == ConnectionKind.LEVI_CIVITA:
+            raise ConfigParseError("scalar-check checks the torsion-bearing scalar formula: "
+                                   "'connection' must be semi-symmetric or symmetrized")
         spec = build_spec(cfg)
         P = build_torsion_field(cfg, spec)
         tol = cfg.tolerance if cfg.tolerance is not None else 1e-6

@@ -67,9 +67,13 @@ def _require_interval_warped(spec: ProductManifoldSpec):
 def warping_samples(spec, grid):
     """b_i, b_i', b_i'' for every fiber over the t-grid, shape (m, 3, len).
 
-    Untwisted warpings on an interval base depend on t alone.
+    Untwisted warpings on an interval base depend on t alone.  A grid with
+    no points is an error: every check samples through here, and a check
+    over no points would pass vacuously.
     """
     _require_interval_warped(spec)
+    if not len(grid):
+        raise WarpcurvError("grid has no points")
     out = np.zeros((spec.m, 3, len(grid)))
     for i, w in enumerate(spec.warpings):
         out[i] = eval_grid(w, grid)
@@ -80,8 +84,6 @@ def _check_grid(spec, grid, b, fiber_coords=None):
     """`spec.check_point` along the grid, given the warpings b (m, N): one array
     test finds the first failing point, where the per-point check raises."""
     grid = np.asarray(grid, dtype=float)
-    if not len(grid):
-        raise WarpcurvError("grid has no points")
     lo, hi = spec.base.domain
     bad = ~((lo < grid) & (grid < hi)) | (b <= 0.0).any(axis=0)
     if bad.any():
@@ -241,16 +243,17 @@ def multiwarped_scalar_formula(spec, P, grid):
     return total
 
 
-def multiwarped_scalar(spec, P, grid=None, tolerance=ORACLE_TOL,
-                       kind=ConnectionKind.SEMI_SYMMETRIC_NON_METRIC):
-    """Compare the closed-form scalar expression with the generic oracle."""
+def multiwarped_scalar(spec, P, grid=None, tolerance=ORACLE_TOL):
+    """Compare the closed-form scalar expression with the semi-symmetric
+    oracle; the symmetrized connection has the same scalar curvature."""
     if grid is None:
         grid = chebyshev_grid()
     formula = multiwarped_scalar_formula(spec, P, grid)
     devs = []
     for j, t in enumerate(grid):
         p = spec.make_point([t])
-        oracle = connection_curvature(kind, spec, P, p).scalar
+        oracle = connection_curvature(ConnectionKind.SEMI_SYMMETRIC_NON_METRIC,
+                                      spec, P, p).scalar
         devs.append(formula[j] - oracle)
     return ResidualReport.from_values("scalar-closed-form-vs-oracle", grid, devs, tolerance)
 
@@ -277,7 +280,7 @@ def constant_scalar_separation_check(spec, P, grid=None, tolerance=1e-8):
         grid = chebyshev_grid()
     grid = np.asarray(grid, dtype=float)
     values = multiwarped_scalar_formula(spec, P, grid)
-    spread = float(np.max(values) - np.min(values)) if len(values) else 0.0
+    spread = float(np.max(values) - np.min(values))
     grid_adequate = len(grid) >= 2
     constant = spread < tolerance
 

@@ -372,69 +372,46 @@ class StructuredGeometryCache:
 
 def structured_covariant_derivative(spec, P, kind, X: BlockVector, Y: BlockVector,
                                     p, cache=None):
-    """Block-pattern covariant derivative nabla_X Y, ambient components."""
+    """Block-pattern covariant derivative nabla_X Y, ambient components: the
+    Levi-Civita clause plus pi(Y) X, and pi(X) Y for the symmetrized kind."""
     c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
     _check_blocks(spec, X, Y)
-    semi = kind == ConnectionKind.SEMI_SYMMETRIC_NON_METRIC
-    symm = kind == ConnectionKind.SYMMETRIZED_AFFINE
+    out = _levi_civita_derivative(c, X, Y)
+    if kind in (ConnectionKind.SEMI_SYMMETRIC_NON_METRIC, ConnectionKind.SYMMETRIZED_AFFINE):
+        out += c.pi(Y) * c.ambient(X.block, X.components)
+    if kind == ConnectionKind.SYMMETRIZED_AFFINE:
+        out += c.pi(X) * c.ambient(Y.block, Y.components)
+    return out
 
+
+def _levi_civita_derivative(c, X, Y):
+    """Levi-Civita nabla_X Y for constant-component X, Y."""
     if X.block == "base" and Y.block == "base":
-        # flat base: nabla^B_X Y = 0 for constant components
-        out = np.zeros(c.nbar)
-        if semi:
-            out += c.pi(Y) * c.ambient("base", X.components)
-        if symm:
-            out += c.pi(X) * c.ambient("base", Y.components)
-            out += c.pi(Y) * c.ambient("base", X.components)
-        return out
+        return np.zeros(c.nbar)  # flat base
 
     if X.block == "base":
         i = Y.block
-        out = (c.X_b(i, X.components) / c.b[i]) * c.ambient(i, Y.components)
-        if semi:
-            out += c.pi(Y) * c.ambient("base", X.components)
-        if symm:
-            out += c.pi(X) * c.ambient(i, Y.components)
-            out += c.pi(Y) * c.ambient("base", X.components)
-        return out
+        return (c.X_b(i, X.components) / c.b[i]) * c.ambient(i, Y.components)
 
     if Y.block == "base":
         i = X.block
-        out = (c.X_b(i, Y.components) / c.b[i]) * c.ambient(i, X.components)
-        if semi:
-            out += c.pi(Y) * c.ambient(i, X.components)
-        if symm:
-            out += c.pi(X) * c.ambient("base", Y.components)
-            out += c.pi(Y) * c.ambient(i, X.components)
-        return out
+        return (c.X_b(i, Y.components) / c.b[i]) * c.ambient(i, X.components)
 
     i, j = X.block, Y.block
     if i != j:
-        out = np.zeros(c.nbar)
-        if semi:
-            out += c.pi(Y) * c.ambient(i, X.components)
-        if symm:
-            out += c.pi(Y) * c.ambient(i, X.components)
-            out += c.pi(X) * c.ambient(j, Y.components)
-        return out
+        return np.zeros(c.nbar)
 
-    # same fiber: twisted-product Levi-Civita formula plus pi terms
+    # same fiber: twisted-product formula
     b = c.b[i]
     gf = c.gF[i]
     gUW = float(X.components @ gf @ Y.components)
     U_ln = c.V_b(i, i, X.components) / b
     W_ln = c.V_b(i, i, Y.components) / b
+    sl = c.spec.block_slice(i)
     out = c.ambient(i, U_ln * Y.components + W_ln * X.components)
-    out[spec.block_slice(i)] += np.einsum(
-        "cab,a,b->c", c.GF[i], X.components, Y.components
-    )
-    out[spec.block_slice(i)] -= (gUW / b) * c.grad_F(i)
+    out[sl] += np.einsum("cab,a,b->c", c.GF[i], X.components, Y.components)
+    out[sl] -= (gUW / b) * c.grad_F(i)
     out[: c.n] -= b * gUW * c.grad_B(i)
-    if semi:
-        out += c.pi(Y) * c.ambient(i, X.components)
-    if symm:
-        out += c.pi(Y) * c.ambient(i, X.components)
-        out += c.pi(X) * c.ambient(i, Y.components)
     return out
 
 
@@ -478,7 +455,8 @@ def structured_curvature(spec, P, kind, X: BlockVector, Y: BlockVector,
 
 
 def _curv_p_base(c, X, Y, Z):
-    """Clauses for P on the base (or P = 0), semi-symmetric connection."""
+    """Clauses for P on the base, semi-symmetric connection; on the P-free view
+    they are the Levi-Civita clauses, which `_curv_p_fiber` builds on."""
     bX, bY, bZ = X.block, Y.block, Z.block
 
     if bX == "base" and bY == "base" and bZ == "base":
@@ -531,7 +509,7 @@ def _curv_p_base(c, X, Y, Z):
 
     i, j, k = bX, bY, bZ  # all fibers
     if i == j == k:
-        return _curv_same_fiber(c, X, Y, Z, p_terms="base")
+        return _curv_same_fiber(c, X, Y, Z)
     if j == k and i != j:
         # R(U, V)W with V, W in one fiber, U in another
         coef = c.grad_inner_B(j, i) / (c.b[i] * c.b[j]) + c.P_b(j) / c.b[j]
@@ -541,8 +519,8 @@ def _curv_p_base(c, X, Y, Z):
     return np.zeros(c.nbar)  # i == j != k, or all distinct
 
 
-def _curv_same_fiber(c, X, Y, Z, p_terms):
-    """R(U, V)W for U, V, W on one fiber; p_terms selects the extra clauses."""
+def _curv_same_fiber(c, X, Y, Z):
+    """R(U, V)W for U, V, W on one fiber, with the P(b_i)/b_i term of P on the base."""
     i = X.block
     gUW = c.g_inner_block(i, X.components, Z.components)
     gVW = c.g_inner_block(i, Y.components, Z.components)
@@ -552,9 +530,7 @@ def _curv_same_fiber(c, X, Y, Z, p_terms):
     out[c.spec.block_slice(i)] += np.einsum(
         "abcd,b,c,d->a", c.RF[i], X.components, Y.components, Z.components
     )
-    coef = c.grad_inner_B(i, i) / c.b[i] ** 2
-    if p_terms == "base":
-        coef += c.P_b(i) / c.b[i]
+    coef = c.grad_inner_B(i, i) / c.b[i] ** 2 + c.P_b(i) / c.b[i]
     if c.fiber_twisted(i):
         # fiber-direction second derivatives of ln b_i, absent for warpings
         b2 = c.b[i] ** 2
@@ -573,94 +549,55 @@ def _curv_same_fiber(c, X, Y, Z, p_terms):
                     - gUW * (c.gFinv[i] @ (Hk @ Y.components))) / b2
         coef += c.gradF_k_norm2(i) / b2
     out -= coef * (gVW * c.ambient(i, X.components) - gUW * c.ambient(i, Y.components))
-    if p_terms == "fiber_same":
-        out += c.g_W_nabla_V_P(Z, X) * c.ambient(i, Y.components)
-        out -= c.g_W_nabla_V_P(Z, Y) * c.ambient(i, X.components)
-        out += c.pi(Z) * (c.pi(Y) * c.ambient(i, X.components)
-                          - c.pi(X) * c.ambient(i, Y.components))
     return out
 
 
 def _curv_p_fiber(c, X, Y, Z):
-    """Clauses for P on fiber r, semi-symmetric connection."""
+    """Clauses for P on fiber r, semi-symmetric connection: the P-free clause
+    of the pattern plus its P terms."""
     r = c.P_loc
     bX, bY, bZ = X.block, Y.block, Z.block
-
-    if bX == "base" and bY == "base" and bZ == "base":
-        return np.zeros(c.nbar)  # flat base Levi-Civita curvature
-
-    if bX != "base" and bY == "base" and bZ == "base":
-        i = bX
-        out = -(c.hess_B(i, Y.components, Z.components) / c.b[i]) * c.ambient(i, X.components)
-        if i == r:
-            out -= c.pi(X) * (c.X_b(i, Z.components) / c.b[i]) * c.ambient("base", Y.components)
-        return out
-
-    if bX == "base" and bY != "base" and bZ == "base":
+    if (bX == "base" and bY != "base" and bZ == "base"
+            or bX != "base" and bY == "base" and bZ != "base"
+            or "base" not in (bX, bY, bZ) and bX == bZ != bY):
         return -_curv_p_fiber(c, Y, X, Z)
 
-    if bX == "base" and bY == "base" and bZ != "base":
-        i = bZ
-        if i != r:
-            return np.zeros(c.nbar)
-        piV = c.pi(Z)
-        return piV * (
-            (c.X_b(r, X.components) / c.b[r]) * c.ambient("base", Y.components)
-            - (c.X_b(r, Y.components) / c.b[r]) * c.ambient("base", X.components)
-        )
-
-    if bX != "base" and bY != "base" and bZ == "base":
-        i, j = bX, bY
-        if i != j:
-            out = np.zeros(c.nbar)
-            if i == r:
-                out -= (c.pi(X) / c.b[i]) * c.X_b(i, Z.components) * c.ambient(j, Y.components)
-            if j == r:
-                out += (c.pi(Y) / c.b[j]) * c.X_b(j, Z.components) * c.ambient(i, X.components)
-            return out
-        VX = c.VX_ln_b(i, X.components, Z.components)
-        WX = c.VX_ln_b(i, Y.components, Z.components)
-        out = VX * c.ambient(i, Y.components) - WX * c.ambient(i, X.components)
-        if i == r:
-            out -= (c.X_b(i, Z.components) / c.b[i]) * (
-                c.pi(X) * c.ambient(i, Y.components) - c.pi(Y) * c.ambient(i, X.components)
+    out = _curv_p_base(c.without_p(), X, Y, Z)
+    if bX == "base" and bY == "base":
+        if bZ == r:
+            out += c.pi(Z) * (
+                (c.X_b(r, X.components) / c.b[r]) * c.ambient("base", Y.components)
+                - (c.X_b(r, Y.components) / c.b[r]) * c.ambient("base", X.components)
             )
-        return out
-
-    if bX == "base" and bY != "base" and bZ != "base":
-        i, j = bY, bZ
-        if i != j:
-            return (c.X_b(r, X.components) / c.b[r]) * c.pi(Z) * c.ambient(i, Y.components)
-        # same fiber: R(X, V)W
-        WX = c.VX_ln_b(i, Z.components, X.components)
-        out = WX * c.ambient(i, Y.components)
-        gWV = c.g_inner_block(i, Z.components, Y.components)
-        gfWV = float(Z.components @ c.gF[i] @ Y.components)
-        out[: c.n] -= gWV * c.nablaB_grad_B(i, X.components) / c.b[i]
-        out[c.spec.block_slice(i)] -= gfWV * c.grad_F_of_X_ln(i, X.components)
-        out += (c.X_b(r, X.components) / c.b[r]) * c.pi(Z) * c.ambient(i, Y.components)
-        out -= c.g_W_nabla_V_P(Z, Y) * c.ambient("base", X.components)
-        out += c.pi(Y) * c.pi(Z) * c.ambient("base", X.components)
-        return out
-
-    if bX != "base" and bY == "base" and bZ != "base":
-        return -_curv_p_fiber(c, Y, X, Z)
-
-    i, j, k = bX, bY, bZ
-    if i == j == k:
-        return _curv_same_fiber(c, X, Y, Z,
-                                p_terms="fiber_same" if i == r else "none")
-    if j == k and i != j:
-        # R(U, V)W: V, W in fiber j, U in fiber i
-        coef = c.grad_inner_B(j, i) / (c.b[i] * c.b[j])
-        out = -c.g_inner_block(j, Y.components, Z.components) * coef * c.ambient(i, X.components)
-        out -= c.g_W_nabla_V_P(Z, Y) * c.ambient(i, X.components)
-        out += c.pi(Z) * (c.pi(Y) * c.ambient(i, X.components)
-                          - c.pi(X) * c.ambient(j, Y.components))
-        return out
-    if i == k and i != j:
-        return -_curv_p_fiber(c, Y, X, Z)
-    return np.zeros(c.nbar)
+    elif bY == "base":  # R(V, X)Y
+        if bX == r:
+            out -= c.pi(X) * (c.X_b(r, Z.components) / c.b[r]) * c.ambient("base", Y.components)
+    elif bZ == "base":  # R(U, V)X
+        if bX != bY:
+            if bX == r:
+                out -= (c.pi(X) / c.b[r]) * c.X_b(r, Z.components) * c.ambient(bY, Y.components)
+            if bY == r:
+                out += (c.pi(Y) / c.b[r]) * c.X_b(r, Z.components) * c.ambient(bX, X.components)
+        elif bX == r:
+            out -= (c.X_b(r, Z.components) / c.b[r]) * (
+                c.pi(X) * c.ambient(r, Y.components) - c.pi(Y) * c.ambient(r, X.components)
+            )
+    elif bX == "base":  # R(X, V)W
+        out += (c.X_b(r, X.components) / c.b[r]) * c.pi(Z) * c.ambient(bY, Y.components)
+        if bY == bZ:
+            out -= c.g_W_nabla_V_P(Z, Y) * c.ambient("base", X.components)
+            out += c.pi(Y) * c.pi(Z) * c.ambient("base", X.components)
+    elif bX == bY == bZ:  # R(U, V)W on one fiber
+        if bX == r:
+            out += c.g_W_nabla_V_P(Z, X) * c.ambient(r, Y.components)
+            out -= c.g_W_nabla_V_P(Z, Y) * c.ambient(r, X.components)
+            out += c.pi(Z) * (c.pi(Y) * c.ambient(r, X.components)
+                              - c.pi(X) * c.ambient(r, Y.components))
+    elif bY == bZ:  # R(U, V)W: V, W in fiber j, U in fiber i
+        out -= c.g_W_nabla_V_P(Z, Y) * c.ambient(bX, X.components)
+        out += c.pi(Z) * (c.pi(Y) * c.ambient(bX, X.components)
+                          - c.pi(X) * c.ambient(bY, Y.components))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -719,39 +656,18 @@ def _ricci_p_base(c, X, Y):
 
 
 def _ricci_p_fiber(c, X, Y):
+    """Ric(X, Y) for P on fiber r: the P-free clause plus the P terms."""
     r = c.P_loc
     nbar = c.nbar
     bX, bY = X.block, Y.block
-    if bX == "base" and bY == "base":
-        total = 0.0
-        for i in range(c.m):
-            total += c.dims[i] * c.hess_B(i, X.components, Y.components) / c.b[i]
-        return total
-    if bY == "base":  # Ric(V, X)
-        V, Xb = X, Y
-        i = V.block
-        val = (c.dims[i] - 1) * c.VX_ln_b(i, V.components, Xb.components)
-        val += (1 - nbar) * (c.X_b(r, Xb.components) / c.b[r]) * c.pi(V)
-        return val
-    if bX == "base":  # Ric(X, V)
-        V, Xb = Y, X
-        i = V.block
-        val = (c.dims[i] - 1) * c.VX_ln_b(i, V.components, Xb.components)
-        val += (nbar - 1) * (c.X_b(r, Xb.components) / c.b[r]) * c.pi(V)
-        return val
-    i, j = bX, bY
-    if i != j:
-        return 0.0
-    ric_f = float(X.components @ c.RicF[i] @ Y.components)
-    bracket = c.lap_B(i) / c.b[i]
-    bracket += (c.dims[i] - 1) * c.grad_inner_B(i, i) / c.b[i] ** 2
-    for j2 in range(c.m):
-        if j2 != i:
-            bracket += c.dims[j2] * c.grad_inner_B(i, j2) / (c.b[i] * c.b[j2])
-    val = ric_f + bracket * c.g_inner_block(i, X.components, Y.components)
-    val += _ricci_twist_extra(c, i, X, Y)
-    val += (nbar - 1) * c.g_W_nabla_V_P(Y, X)
-    val += (1 - nbar) * c.pi(X) * c.pi(Y)
+    val = _ricci_p_base(c.without_p(), X, Y)
+    if bX != "base" and bY == "base":  # Ric(V, X)
+        val += (1 - nbar) * (c.X_b(r, Y.components) / c.b[r]) * c.pi(X)
+    elif bX == "base" and bY != "base":  # Ric(X, V)
+        val += (nbar - 1) * (c.X_b(r, X.components) / c.b[r]) * c.pi(Y)
+    elif bX == bY != "base":
+        val += (nbar - 1) * c.g_W_nabla_V_P(Y, X)
+        val += (1 - nbar) * c.pi(X) * c.pi(Y)
     return val
 
 

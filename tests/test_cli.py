@@ -245,6 +245,23 @@ def test_bad_scenario_value_is_a_config_error(scenario, line, key, tmp_path, cap
     assert f"bad value for {key!r}".encode() in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("connection,code", [
+    ("levi-civita", 2), ("semi-symmetric", 0), ("symmetrized", 0),
+])
+def test_scalar_check_reads_the_connection(connection, code, tmp_path, capsysbinary):
+    # the closed form is the torsion-bearing scalar, which both torsion kinds
+    # share; the Levi-Civita scalar of the static torus is 0, not 2
+    path = tmp_path / "scalar.txt"
+    path.write_text((SCENARIOS / "scalar-static.txt").read_text()
+                    + f"connection = {connection}\n")
+    assert main(["verify", str(path)]) == code
+    captured = capsysbinary.readouterr()
+    if code:
+        assert b"'connection'" in captured.err and not captured.out
+    else:
+        assert b"all checks passed" in captured.out
+
+
 @pytest.mark.parametrize("line,key", [
     ("grid.end = inf", "grid.end"),
     ("grid.start = -inf", "grid.start"),

@@ -279,6 +279,18 @@ def test_fiber_checks_reject_an_empty_grid():
         multiwarped_scalar_formula(spec, P, np.array([]))
 
 
+def test_grid_checks_reject_an_empty_grid():
+    # the t^2+1 torus fails on the default grid; no grid at all must not pass
+    spec = spec_of([parse_expr("t^2+1")], [FiberSpec(FlatTorus(2))])
+    assert not grw_einstein_residuals(spec, 5.0).passed
+    with pytest.raises(WarpcurvError, match="no points"):
+        grw_einstein_residuals(spec, 5.0, np.array([]))
+    with pytest.raises(WarpcurvError, match="no points"):
+        multiwarped_scalar(spec, p_dt(), np.array([]))
+    with pytest.raises(WarpcurvError, match="no points"):
+        constant_scalar_separation_check(spec, None, np.array([]))
+
+
 def test_pseudo_einstein_requires_fiber_p(grw_exp_spec):
     with pytest.raises(UnsupportedP):
         pseudo_einstein_residuals(grw_exp_spec, p_dt(), 0.0)

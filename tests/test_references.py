@@ -1,0 +1,56 @@
+"""Every public function and method of the package has a caller.
+
+A public top-level function, or a public method of a top-level class, under
+src/warpcurv/ must be referenced in src/, tests/ or perfbench/ somewhere
+outside its own definition: as a name, an attribute, or a string that is a
+dotted name (monkeypatch targets, tracer span names).  Imports, comments
+and prose do not count.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "warpcurv"
+_DOTTED = re.compile(r"[A-Za-z_][\w.]*")
+
+
+def _public_defs():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for d in members:
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not d.name.startswith("_"):
+                    yield d.name, path, d.lineno, d.end_lineno
+
+
+def _references():
+    refs = {}
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                        and _DOTTED.fullmatch(node.value):
+                    names = node.value.split(".")
+                else:
+                    continue
+                for name in names:
+                    refs.setdefault(name, []).append((path, node.lineno))
+    return refs
+
+
+def test_every_public_function_is_referenced():
+    refs = _references()
+    unreferenced = [
+        f"{path.relative_to(ROOT)}:{lo} {name}"
+        for name, path, lo, hi in _public_defs()
+        if all(p == path and lo <= line <= hi for p, line in refs.get(name, []))
+    ]
+    assert not unreferenced, "no caller in src/, tests/ or perfbench/: " + ", ".join(unreferenced)
