@@ -245,7 +245,11 @@ def multiwarped_scalar_formula(spec, P, grid):
 
 def multiwarped_scalar(spec, P, grid=None, tolerance=ORACLE_TOL):
     """Compare the closed-form scalar expression with the semi-symmetric
-    oracle; the symmetrized connection has the same scalar curvature."""
+    oracle; the symmetrized connection has the same scalar curvature.
+
+    Returns the report and the closed-form values over the grid, which
+    `constant_scalar_separation_check` takes instead of computing them again.
+    """
     if grid is None:
         grid = chebyshev_grid()
     formula = multiwarped_scalar_formula(spec, P, grid)
@@ -255,7 +259,8 @@ def multiwarped_scalar(spec, P, grid=None, tolerance=ORACLE_TOL):
         oracle = connection_curvature(ConnectionKind.SEMI_SYMMETRIC_NON_METRIC,
                                       spec, P, p).scalar
         devs.append(formula[j] - oracle)
-    return ResidualReport.from_values("scalar-closed-form-vs-oracle", grid, devs, tolerance)
+    return (ResidualReport.from_values("scalar-closed-form-vs-oracle", grid, devs, tolerance),
+            formula)
 
 
 @dataclass
@@ -268,18 +273,21 @@ class ScalarConstancyReport:
     message: str
 
 
-def constant_scalar_separation_check(spec, P, grid=None, tolerance=1e-8):
+def constant_scalar_separation_check(spec, P, grid=None, tolerance=1e-8, values=None):
     """Constancy of the total scalar curvature and of the per-factor data.
 
     If the scalar curvature is constant over the grid, every built-in fiber
     has constant scalar curvature by construction; for P on a fiber the
     check additionally samples g(P, P) and div P over the fiber, which must
     be constant for the remaining factor to have constant scalar curvature.
+    `values` are the closed-form scalar over the grid when the caller has
+    them from `multiwarped_scalar`; otherwise they are computed here.
     """
     if grid is None:
         grid = chebyshev_grid()
     grid = np.asarray(grid, dtype=float)
-    values = multiwarped_scalar_formula(spec, P, grid)
+    if values is None:
+        values = multiwarped_scalar_formula(spec, P, grid)
     spread = float(np.max(values) - np.min(values))
     grid_adequate = len(grid) >= 2
     constant = spread < tolerance

@@ -408,6 +408,15 @@ def _kasner_system_values(exponents, dims, lam, lam_fibers, phi, dphi, ddphi):
     return rows
 
 
+def _nonempty_grid(grid):
+    """The grid as a float array.  A grid with no points is an error: a
+    residual check over no points would pass vacuously."""
+    ts = np.asarray(grid, dtype=float)
+    if ts.size == 0:
+        raise WarpcurvError("grid has no points")
+    return ts
+
+
 def kasner_einstein_residuals(kspec: KasnerSpec, lam, lam_fibers, grid,
                               tolerance=1e-10):
     """Residuals of the Kasner Einstein classification system.
@@ -422,7 +431,7 @@ def kasner_einstein_residuals(kspec: KasnerSpec, lam, lam_fibers, grid,
     """
     if len(lam_fibers) != len(kspec.exponents):
         raise LengthMismatch("need one fiber constant per fiber")
-    ts = np.asarray(grid, dtype=float)
+    ts = _nonempty_grid(grid)
     phi, dphi, ddphi = profile_derivatives(kspec.phi, ts)
     if np.min(phi) <= 0.0:
         raise NonPositiveWarping("profile must stay positive on the grid")
@@ -436,7 +445,7 @@ def kasner_einstein_residuals(kspec: KasnerSpec, lam, lam_fibers, grid,
 
 def kasner_scalar_identity(kspec: KasnerSpec, scalar, s_fibers, grid):
     """Residual of the closed-form scalar curvature for a Kasner profile."""
-    ts = np.asarray(grid, dtype=float)
+    ts = _nonempty_grid(grid)
     phi, dphi, ddphi = profile_derivatives(kspec.phi, ts)
     zeta, eta = kspec.zeta, kspec.eta
     nbar1 = float(sum(kspec.dims))  # total dimension minus one

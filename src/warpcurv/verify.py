@@ -4,7 +4,8 @@ generic coordinate oracle.
 For a given spec, torsion field and connection kind this enumerates every
 argument block pattern the spec supports (covariant derivative pairs,
 curvature triples, Ricci pairs, scalar) and compares the closed-form
-component value with the coordinate computation at a set of sample points.
+values with the coordinate computation at a set of sample points: one
+clause call per block pattern, over every coordinate vector of each block.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .connections import ConnectionKind, connection_curvature
 from .structured import (
     BlockVector,
     StructuredGeometryCache,
+    coordinate_stack,
     structured_covariant_derivative,
     structured_curvature,
     structured_ricci_matrix,
@@ -35,25 +37,14 @@ class ClauseReport:
     passed: bool
 
 
-def _pattern_vectors(spec, block):
-    """Pattern vectors of `block`, each paired with its ambient components."""
-    sl = spec.block_slice(block)
-    d = sl.stop - sl.start
-    comps = []
-    for a in range(d):
-        e = np.zeros(d)
-        e[a] = 1.0
-        comps.append(e)
-    if d >= 2:
-        mix = np.zeros(d)
+def _cov_stack(spec, block):
+    """The coordinate vectors of `block`, then e0 + 0.37 e1 if it has two."""
+    V = coordinate_stack(spec, block)
+    if len(V.components) >= 2:
+        mix = np.zeros(len(V.components))
         mix[0], mix[1] = 1.0, 0.37
-        comps.append(mix)
-    out = []
-    for c in comps:
-        ambient = np.zeros(spec.n_bar)
-        ambient[sl] = c
-        out.append((BlockVector(block, c), ambient))
-    return out
+        V = BlockVector(block, np.vstack([V.components, mix]))
+    return V
 
 
 def _worst(dev, diff):
@@ -72,14 +63,16 @@ def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE):
 
     Returns one ClauseReport per block pattern, plus Ricci-matrix and
     scalar reports, with deviations maximized over the supplied points.
-    Curvature triples run over each block's first two coordinate vectors,
-    so the oracle value R(d_i, d_j)d_k is read off its tensor by index.
+    Each pattern is one clause call on whole stacks: curvature triples run
+    over every coordinate vector of each block and compare with the
+    oracle's Riemann block `riemann[:, sX, sY, sZ]`; covariant derivative
+    pairs add the mixed vector e0 + 0.37 e1 of each block of dimension >= 2,
+    against the oracle's coefficients contracted with the same stacks.
     """
     blocks = ["base"] + list(range(spec.m))
-    cov_vecs = {b: _pattern_vectors(spec, b) for b in blocks}
-    # A block's first two patterns (one, in a 1-d block) are unit vectors.
-    curv_vecs = {b: [(X, int(np.argmax(xe))) for X, xe in cov_vecs[b][:2]]
-                 for b in blocks}
+    sl = {b: spec.block_slice(b) for b in blocks}
+    frames = {b: coordinate_stack(spec, b) for b in blocks}
+    cov_stacks = {b: _cov_stack(spec, b) for b in blocks}
     worst_cov = {}
     worst_curv = {}
     worst_ric = 0.0
@@ -88,30 +81,21 @@ def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE):
     for p in points:
         cache = StructuredGeometryCache(spec, P, p)
         cur = connection_curvature(kind, spec, P, p)
-        G = cur.coefficients
 
         for bx, by in itertools.product(blocks, repeat=2):
             key = f"cov[{_block_label(bx)},{_block_label(by)}]"
-            dev = worst_cov.get(key, 0.0)
-            for X, xe in cov_vecs[bx]:
-                for Y, ye in cov_vecs[by]:
-                    sv = structured_covariant_derivative(spec, P, kind, X, Y, p,
-                                                         cache=cache)
-                    ov = np.einsum("kij,i,j->k", G, xe, ye)
-                    dev = _worst(dev, sv - ov)
-            worst_cov[key] = dev
+            X, Y = cov_stacks[bx], cov_stacks[by]
+            sv = structured_covariant_derivative(spec, P, kind, X, Y, p, cache=cache)
+            ov = np.einsum("kij,xi,yj->kxy", cur.coefficients[:, sl[bx], sl[by]],
+                           X.components, Y.components)
+            worst_cov[key] = _worst(worst_cov.get(key, 0.0), sv - ov)
 
         for bx, by, bz in itertools.product(blocks, repeat=3):
             key = f"curv[{_block_label(bx)},{_block_label(by)},{_block_label(bz)}]"
-            dev = worst_curv.get(key, 0.0)
-            for X, i in curv_vecs[bx]:
-                for Y, j in curv_vecs[by]:
-                    for Z, k in curv_vecs[bz]:
-                        sv = structured_curvature(spec, P, kind, X, Y, Z, p,
-                                                  cache=cache)
-                        ov = cur.riemann[:, i, j, k]
-                        dev = _worst(dev, sv - ov)
-            worst_curv[key] = dev
+            sv = structured_curvature(spec, P, kind, frames[bx], frames[by], frames[bz], p,
+                                      cache=cache)
+            ov = cur.riemann[:, sl[bx], sl[by], sl[bz]]
+            worst_curv[key] = _worst(worst_curv.get(key, 0.0), sv - ov)
 
         sric = structured_ricci_matrix(spec, P, kind, p, cache=cache)
         worst_ric = _worst(worst_ric, sric - cur.ricci)

@@ -39,8 +39,8 @@ from warpcurv.geometry import (
     p_dt,
 )
 from warpcurv.structured import (
-    BlockVector,
     StructuredGeometryCache,
+    coordinate_stack,
     mixed_ricci_flat_check,
     structured_ricci_matrix,
     structured_scalar,
@@ -200,19 +200,11 @@ def test_acceptance_6_torsion_free_ricci_identities():
             oracle = connection_curvature(SYM, spec, P, p).ricci
             cache = StructuredGeometryCache(spec, P, p)
             corrected = structured_ricci_matrix(spec, P, SSNM, p, cache=cache).copy()
-            blocks = ["base"] + list(range(spec.m))
-            for b1 in blocks:
-                s1 = spec.block_slice(b1)
-                for b2 in blocks:
-                    s2 = spec.block_slice(b2)
-                    for i in range(s1.stop - s1.start):
-                        for j in range(s2.stop - s2.start):
-                            e1 = np.zeros(s1.stop - s1.start)
-                            e1[i] = 1.0
-                            e2 = np.zeros(s2.stop - s2.start)
-                            e2[j] = 1.0
-                            corrected[s1.start + i, s2.start + j] += cache.dpi(
-                                BlockVector(b1, e1), BlockVector(b2, e2))
+            frames = [coordinate_stack(spec, b) for b in ["base"] + list(range(spec.m))]
+            for U in frames:
+                for V in frames:
+                    corrected[spec.block_slice(U.block), spec.block_slice(V.block)] += \
+                        cache.dpi(U, V)
             worst_fiber = max(worst_fiber, float(np.max(np.abs(corrected - oracle))))
     verdict(6, "torsion-free Ricci identities",
             worst_base < 1e-9 and worst_fiber < 1e-10,

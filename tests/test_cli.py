@@ -348,3 +348,20 @@ def test_run_scenario_reports_all_requested_checks():
     assert names == ["scalar-closed-form-vs-oracle", "scalar-constancy"]
     assert report.all_passed
     assert report.wall_clock_seconds is not None
+
+
+def test_scalar_check_evaluates_the_closed_form_once(monkeypatch, capsysbinary):
+    from warpcurv import einstein
+
+    calls = []
+    formula = einstein.multiwarped_scalar_formula
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return formula(*args, **kwargs)
+
+    monkeypatch.setattr(einstein, "multiwarped_scalar_formula", counting)
+    code, out = run_main(capsysbinary, "verify", str(SCENARIOS / "scalar-static.txt"))
+    assert code == 0
+    assert out == (SCENARIOS / "expected" / "scalar-static.out").read_bytes()
+    assert len(calls) == 1

@@ -336,8 +336,9 @@ def test_scalar_formula_matches_oracle(spec_zoo):
         (spec_of([parse_expr("exp(t)")], [FiberSpec(FlatTorus(2))]), None),
     ]
     for spec, P in cases:
-        rep = multiwarped_scalar(spec, P, grid)
+        rep, values = multiwarped_scalar(spec, P, grid)
         assert rep.passed, rep
+        assert np.array_equal(values, multiwarped_scalar_formula(spec, P, grid))
 
 
 def test_scalar_static_value():

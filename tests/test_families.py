@@ -25,6 +25,7 @@ from warpcurv.families import (
     kasner_einstein_residuals,
     kasner_invariants,
     kasner_scalar_discriminant,
+    kasner_scalar_identity,
     kasner_scalar_families,
     kasner_scalar_threshold,
     ode_cross_check,
@@ -188,6 +189,18 @@ def test_kasner_einstein_positive_profile_required():
     kspec = KasnerSpec((1.0, 0.0), (1, 2), parse_expr("t - 0.5"))
     with pytest.raises(NonPositiveWarping):
         kasner_einstein_residuals(kspec, 0.0, (0.0, 0.0), TS)
+
+
+def test_kasner_einstein_residuals_reject_an_empty_grid():
+    kspec = KasnerSpec((1.0, 2.0), (1, 1), parse_expr("exp(t)"))
+    with pytest.raises(WarpcurvError, match="no points"):
+        kasner_einstein_residuals(kspec, 0.0, (0.0, 0.0), np.array([]))
+
+
+def test_kasner_scalar_identity_rejects_an_empty_grid():
+    kspec = KasnerSpec((1.0, 2.0), (1, 1), parse_expr("exp(t)"))
+    with pytest.raises(WarpcurvError, match="no points"):
+        kasner_scalar_identity(kspec, 0.0, (0.0, 0.0), np.array([]))
 
 
 def test_kasner_einstein_families(rng):

@@ -23,7 +23,7 @@ from warpcurv.geometry import (
     Sphere,
     TorsionVectorFieldSpec,
 )
-from warpcurv.structured import StructuredGeometryCache
+from warpcurv.structured import BlockVector, StructuredGeometryCache, structured_curvature
 from warpcurv.verify import oracle_comparison
 
 GEOMETRIES = {"circle": Circle, "T2": lambda: FlatTorus(2), "T3": lambda: FlatTorus(3),
@@ -76,14 +76,20 @@ def recipes(draw):
             tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=N_COEFS, max_size=N_COEFS))))
 
 
-def scaled_deviations(spec, P, kind):
-    """Each oracle_comparison row's deviation over the oracle's scale."""
-    points = spec.sample_points(2)
+def oracle_scale(spec, P, kind, points):
+    """The oracle's largest |Gamma|, |R|, |Ric| or |scalar| (at least 1)."""
     scale = 1.0
     for p in points:
         cur = connection_curvature(kind, spec, P, p)
         for a in (cur.coefficients, cur.riemann, cur.ricci, cur.scalar):
             scale = max(scale, float(np.max(np.abs(a))))
+    return scale
+
+
+def scaled_deviations(spec, P, kind):
+    """Each oracle_comparison row's deviation over the oracle's scale."""
+    points = spec.sample_points(2)
+    scale = oracle_scale(spec, P, kind, points)
     return {r.clause: r.max_deviation / scale
             for r in oracle_comparison(spec, P, kind, points)}
 
@@ -99,14 +105,50 @@ def test_structured_matches_oracle_on_random_specs(recipe):
         assert dev <= BOUND, (clause, dev, recipe)
 
 
+def _failed_rows(spec, P, kind):
+    return {clause for clause, dev in scaled_deviations(spec, P, kind).items()
+            if dev > BOUND}
+
+
+def _nabla_p_rows(r):
+    """The curvature rows whose clauses read nabla P, for P on fiber r > 0."""
+    fr = f"f{r}"
+    return {f"curv[{fr},{fr},{fr}]", f"curv[base,{fr},{fr}]", f"curv[{fr},base,{fr}]",
+            f"curv[f0,{fr},{fr}]"}
+
+
 def test_planted_nabla_p_error_fails_the_fiber_curvature_rows(monkeypatch):
     base, geometries, twisted, r, kind, coefs = P_ON_3D_FIBER
     spec, P = build_case(base, geometries, twisted, r, coefs)
-    original = StructuredGeometryCache.g_W_nabla_V_P
-    monkeypatch.setattr(StructuredGeometryCache, "g_W_nabla_V_P",
-                        lambda self, W, V: (1 + 1e-6) * original(self, W, V))
-    failed = {clause for clause, dev in scaled_deviations(spec, P, kind).items()
-              if dev > BOUND}
-    fr = f"f{r}"
-    assert {f"curv[{fr},{fr},{fr}]", f"curv[base,{fr},{fr}]", f"curv[{fr},base,{fr}]",
-            f"curv[f0,{fr},{fr}]"} <= failed
+    original = StructuredGeometryCache.nabla_P
+    monkeypatch.setattr(StructuredGeometryCache, "nabla_P",
+                        lambda self: (1 + 1e-6) * original(self))
+    assert _nabla_p_rows(r) <= _failed_rows(spec, P, kind)
+
+
+def test_an_error_only_the_third_coordinate_vector_reaches_fails_its_rows(monkeypatch):
+    # nabla_{d_2} P on the T3 fiber, the block's third coordinate vector
+    base, geometries, twisted, r, kind, coefs = P_ON_3D_FIBER
+    spec, P = build_case(base, geometries, twisted, r, coefs)
+    original = StructuredGeometryCache.nabla_P
+    monkeypatch.setattr(StructuredGeometryCache, "nabla_P",
+                        lambda self: original(self) * np.array([1.0, 1.0, 1 + 1e-6]))
+    rows = _nabla_p_rows(r)
+    assert rows <= _failed_rows(spec, P, kind)
+
+    # over the first two coordinate vectors of each block the same rows
+    # see nothing
+    points = spec.sample_points(2)
+    scale = oracle_scale(spec, P, kind, points)
+    blocks = {"base": "base", **{f"f{i}": i for i in range(spec.m)}}
+    for p in points:
+        riemann = connection_curvature(kind, spec, P, p).riemann
+        for row in rows:
+            stacks, index = [], [np.arange(spec.n_bar)]
+            for label in row[len("curv["):-1].split(","):
+                sl = spec.block_slice(blocks[label])
+                d = min(2, sl.stop - sl.start)
+                stacks.append(BlockVector(blocks[label], np.eye(sl.stop - sl.start)[:d]))
+                index.append(sl.start + np.arange(d))
+            sv = structured_curvature(spec, P, kind, *stacks, p)
+            assert np.max(np.abs(sv - riemann[np.ix_(*index)])) / scale <= BOUND, row
