@@ -10,6 +10,7 @@ fixed scenario.  Exit codes: 0 all checks passed, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import logging
@@ -32,7 +33,6 @@ from .einstein import (
 )
 from .errors import (
     ConfigParseError,
-    ExprParseError,
     NumericalInstability,
     StepTooCoarse,
     UnsupportedFormat,
@@ -64,18 +64,13 @@ logger = logging.getLogger("warpcurv")
 TASKS = ("oracle-verify", "einstein-check", "scalar-check",
          "family-generate", "family-verify", "nonexistence-scan")
 FORMATS = ("text", "csv", "json")
+FIBER_GEOMETRIES = ("flat_torus", "circle", "sphere", "hyperbolic")
 
 FAMILY_GENERATORS = {
-    "grw-einstein": lambda a: grw_einstein_family(
-        _count(a["l"]), _finite(a["lam"]), _finite(a["lam_fiber"])),
-    "grw-scalar": lambda a: grw_scalar_family(
-        _count(a["l"]), _finite(a["scalar"]), _finite(a["s_fiber"])),
-    "kasner-einstein": lambda a: kasner_einstein_families(
-        a["type"], _finite_list(a["p"]), _count_list(a["dims"]), _finite(a["lam"]),
-        _finite_list(a["lam_fibers"])),
-    "kasner-scalar": lambda a: kasner_scalar_families(
-        a["type"], _finite_list(a["p"]), _count_list(a["dims"]), _finite(a["scalar"]),
-        _finite_list(a["s_fibers"])),
+    "grw-einstein": grw_einstein_family,
+    "grw-scalar": grw_scalar_family,
+    "kasner-einstein": kasner_einstein_families,
+    "kasner-scalar": kasner_scalar_families,
 }
 
 SCANS = {
@@ -85,76 +80,132 @@ SCANS = {
 }
 
 
-def _finite(text):
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError(f"{text!r} is not a finite number")
-    return x
+# ---------------------------------------------------------------------------
+# Scenario keys
 
 
-def _positive(text, name):
-    """A tolerance or threshold; inf, nan or zero would decide every check alike."""
-    x = float(text)
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {text!r}")
-    return x
+def _value(convert, must, ok=None):
+    """A parser: the converted text if `ok` holds for it, else a ValueError
+    saying what the value must be."""
+    def parse(text):
+        try:
+            x = convert(text)
+        except (KeyError, ValueError):
+            raise ValueError(must) from None
+        if ok is not None and not ok(x):
+            raise ValueError(must)
+        return x
+    return parse
 
 
-def _count(text):
-    n = int(text)
-    if n < 1:
-        raise ValueError(f"{text!r} is not an integer of at least 1")
-    return n
+def _one_of(names):
+    return _value(str, f"one of {', '.join(names)}", names.__contains__)
 
 
-def _finite_list(text):
-    return tuple(_finite(x) for x in str(text).split(","))
+def _tuple_of(parse):
+    return lambda text: tuple(map(parse, text.split(",")))
 
 
-def _count_list(text):
-    return tuple(_count(x) for x in str(text).split(","))
+def _format(text):
+    if text not in FORMATS:
+        raise UnsupportedFormat(f"format must be one of {', '.join(FORMATS)}, got {text!r}")
+    return text
+
+
+def _base(text):
+    if text == "interval":
+        return IntervalBase()
+    head, _, signs = text.partition(":")
+    if head != "flat" or not 1 <= len(signs) <= 3 or set(signs) - {"+", "-"}:
+        raise ValueError
+    return FlatBase(tuple(-1.0 if s == "-" else 1.0 for s in signs))
 
 
 def _p_location(text):
-    """p.location = none | base | fiber:<i>, as "none", "base" or the index i."""
+    """none, base or fiber:<i>, as "none", "base" or the index i."""
     if text in ("none", "base"):
         return text
     head, _, index = text.partition(":")
-    if head == "fiber" and index.isdigit():
-        return int(index)
-    raise ValueError(f"p.location must be none, base or fiber:<i>, got {text!r}")
+    if head != "fiber" or not index.isdigit():
+        raise ValueError
+    return int(index)
 
 
 _FLAGS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_finite = _value(float, "a finite number", math.isfinite)
+# a tolerance or threshold: inf, nan or zero would decide every check alike
+_positive = _value(float, "finite and positive", lambda x: math.isfinite(x) and x > 0.0)
+_count = _value(int, "at least 1 and an integer", lambda n: n >= 1)
+_finite_list = _value(_tuple_of(_finite), "comma-separated finite numbers")
 
-CONNECTIONS = {
-    "levi-civita": ConnectionKind.LEVI_CIVITA,
-    "semi-symmetric": ConnectionKind.SEMI_SYMMETRIC_NON_METRIC,
-    "symmetrized": ConnectionKind.SYMMETRIZED_AFFINE,
-}
-
-
-def _choice(table, text):
-    if text not in table:
-        raise ValueError(f"expected one of {', '.join(table)}, got {text!r}")
-    return table[text]
-
-
-def _finite_pair(text):
-    pair = _finite_list(text)
-    if len(pair) != 2:
-        raise ValueError(f"{text!r} is not two comma-separated numbers")
-    return pair
-
-
-# Parsers of the scan.* values; keys not listed take one finite number.
-_SCAN_VALUE_TYPES = {
+# Parsers of the family.* and scan.* values by name; names not listed take
+# one finite number.
+_PARAMETER_TYPES = {
+    "l": _count,
     "n_c": _count,
     "t_points": _count,
+    "threshold": _positive,
+    "type": _one_of(("II", "III")),
     "p": _finite_list,
-    "c_range": _finite_pair,
-    "threshold": lambda text: _positive(text, "scan.threshold"),
+    "lam_fibers": _finite_list,
+    "s_fibers": _finite_list,
+    "dims": _value(_tuple_of(_count), "comma-separated integers of at least 1"),
+    "c_range": _value(_tuple_of(_finite), "two comma-separated finite numbers",
+                      lambda pair: len(pair) == 2),
 }
+# The Kasner builders' `kind` argument is the key family.type.
+_NAME_OF = {"kind": "type"}
+_GEOMETRIC = ("oracle-verify", "einstein-check", "scalar-check")
+_FAMILY = ("family-generate", "family-verify")
+_SCAN = ("nonexistence-scan",)
+
+
+@functools.cache
+def _parameters(fn):
+    """The arguments of `fn` by the name of their key."""
+    return {_NAME_OF.get(a, a): p for a, p in inspect.signature(fn).parameters.items()}
+
+
+def _parameter_keys(group, table, tasks):
+    """The group.* key of every argument of the functions in `table`."""
+    names = {name for fn in table.values() for name in _parameters(fn)}
+    return {f"{group}.{name}": (_PARAMETER_TYPES.get(name, _finite), tasks)
+            for name in sorted(names)}
+
+
+# Every scenario key: the parser of its value and the tasks that take it.
+# einstein-check takes `connection` without reading it (perfbench's Einstein
+# scenarios send it every kind); scalar-check rejects levi-civita.
+KEYS = {
+    "task": (_one_of(TASKS), TASKS),
+    "format": (_format, TASKS),
+    "base": (_value(_base, "interval or flat: with one to three of + and -"), _GEOMETRIC),
+    "twisted": (_value(lambda text: _FLAGS[text.lower()], "true/false, yes/no or 1/0"),
+                _GEOMETRIC),
+    "fiber.geometry": (_one_of(FIBER_GEOMETRIES), _GEOMETRIC),
+    "fiber.dim": (_count, _GEOMETRIC),
+    "fiber.radius": (_positive, _GEOMETRIC),
+    "fiber.warping": (str, _GEOMETRIC),
+    "p.location": (_value(_p_location, "none, base or fiber:<i>"), _GEOMETRIC),
+    "p.components": (str, _GEOMETRIC),
+    "connection": (_value(ConnectionKind, f"one of {', '.join(k.value for k in ConnectionKind)}"),
+                   _GEOMETRIC),
+    "lambda": (_finite, ("einstein-check",)),
+    "grid.points": (_count, _GEOMETRIC),
+    "grid.start": (_finite, _GEOMETRIC),
+    "grid.end": (_finite, _GEOMETRIC),
+    "tolerance": (_positive, _GEOMETRIC + _FAMILY),
+    "seed": (_value(int, "an integer of at least 0", lambda n: n >= 0), _FAMILY),
+    "family.kind": (_one_of(FAMILY_GENERATORS), _FAMILY),
+    **_parameter_keys("family", FAMILY_GENERATORS, _FAMILY),
+    "scan.case": (_one_of(SCANS), _SCAN),
+    **_parameter_keys("scan", SCANS, _SCAN),
+}
+
+# Fiber keys that one geometry alone reads.
+_FIBER_ONLY = {"fiber.dim": "flat_torus", "fiber.radius": "sphere"}
+# ScenarioConfig fields not named after their key.
+_FIELDS = {"lambda": "lam", "format": "out_format"}
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +214,11 @@ _SCAN_VALUE_TYPES = {
 
 @dataclass
 class ScenarioConfig:
+    """Typed scenario values; `raw` keeps each key's text for the report."""
+
     task: str
-    base: str = "interval"
-    fibers: list = field(default_factory=list)  # list of dicts
+    base: object = IntervalBase()
+    fibers: list = field(default_factory=list)  # one dict per fiber block
     twisted: bool = False
     p_location: object = "none"  # "none", "base" or a fiber index
     p_components: str = ""
@@ -176,8 +229,8 @@ class ScenarioConfig:
     grid_end: float = 0.95
     tolerance: float = None
     out_format: str = "text"
-    family: dict = field(default_factory=dict)
-    scan: dict = field(default_factory=dict)
+    family: dict = field(default_factory=dict)  # family.* values by name
+    scan: dict = field(default_factory=dict)  # scan.* values by name
     seed: int = None
     raw: dict = field(default_factory=dict)
 
@@ -187,9 +240,6 @@ class ScenarioConfig:
             if key != "task":
                 out.append((key, self.raw[key]))
         return out
-
-
-_FIBER_KEYS = {"fiber.geometry", "fiber.dim", "fiber.warping", "fiber.radius"}
 
 
 def parse_scenario(text) -> ScenarioConfig:
@@ -206,85 +256,101 @@ def parse_scenario(text) -> ScenarioConfig:
         value = value.strip()
         if not value:
             raise ConfigParseError(f"empty value for {key!r}", line_no, rawline)
-        cfg.raw[key] = value
         try:
-            _apply_key(cfg, key, value)
-        except ConfigParseError:
-            raise
-        except (ValueError, ExprParseError) as exc:
-            raise ConfigParseError(f"bad value for {key!r}: {exc}", line_no, rawline)
-    if cfg.task not in TASKS:
-        raise ConfigParseError(f"task must be one of {', '.join(TASKS)}")
-    if cfg.out_format not in FORMATS:
-        raise UnsupportedFormat(f"format must be one of {', '.join(FORMATS)}")
+            _set(cfg, key, value)
+        except ConfigParseError as exc:
+            raise ConfigParseError(str(exc), line_no, rawline) from None
+        cfg.raw[key] = value
+    _check_scenario(cfg)
     return cfg
 
 
-def _apply_key(cfg, key, value):
-    if key == "task":
-        cfg.task = value
-    elif key == "base":
-        cfg.base = value
-    elif key == "twisted":
-        cfg.twisted = _choice(_FLAGS, value.lower())
-    elif key == "fiber.geometry":
-        cfg.fibers.append({"geometry": value})
-    elif key in _FIBER_KEYS:
-        if not cfg.fibers:
+def _set(cfg, key, text, label=None):
+    """Store the value of `key`, typed by its KEYS entry; `label` names it in
+    errors (an option such as --grid)."""
+    entry = KEYS.get(key)
+    if entry is None:
+        raise ConfigParseError(f"unknown key {label or key!r}")
+    try:
+        value = entry[0](text)
+    except ValueError as exc:
+        label = label or key
+        raise ConfigParseError(
+            f"bad value for {label!r}: {label} must be {exc}, got {text!r}") from None
+    group, _, name = key.partition(".")
+    if group == "fiber":
+        if key == "fiber.geometry":
+            cfg.fibers.append({})
+        elif not cfg.fibers:
             raise ConfigParseError(f"{key} before any fiber.geometry line")
-        name = key.split(".", 1)[1]
-        cfg.fibers[-1][name] = _count(value) if name == "dim" else value
-    elif key == "p.location":
-        cfg.p_location = _p_location(value)
-    elif key == "p.components":
-        cfg.p_components = value
-    elif key == "connection":
-        cfg.connection = _choice(CONNECTIONS, value)
-    elif key == "lambda":
-        cfg.lam = _finite(value)
-    elif key == "grid.points":
-        cfg.grid_points = int(value)
-        if cfg.grid_points < 1:
-            raise ValueError("grid.points must be at least 1")
-    elif key == "grid.start":
-        cfg.grid_start = _finite(value)
-    elif key == "grid.end":
-        cfg.grid_end = _finite(value)
-    elif key == "tolerance":
-        cfg.tolerance = _positive(value, "tolerance")
-    elif key == "format":
-        cfg.out_format = value
-    elif key == "seed":
-        cfg.seed = int(value)
-    elif key.startswith("family."):
-        cfg.family[key.split(".", 1)[1]] = value
-    elif key.startswith("scan."):
-        cfg.scan[key.split(".", 1)[1]] = value
+        elif key in _FIBER_ONLY and cfg.fibers[-1]["geometry"] != _FIBER_ONLY[key]:
+            raise ConfigParseError(f"{key!r} is read only by {_FIBER_ONLY[key]} fibers, "
+                                   f"not {cfg.fibers[-1]['geometry']}")
+        cfg.fibers[-1][name] = value
+    elif group in ("family", "scan"):
+        getattr(cfg, group)[name] = value
     else:
-        raise ConfigParseError(f"unknown key {key!r}")
+        setattr(cfg, _FIELDS.get(key, key.replace(".", "_")), value)
+    return value
+
+
+def _check_read(task, key, label=None):
+    tasks = KEYS[key][1]
+    if task not in tasks:
+        raise ConfigParseError(f"{label or key!r} is not read by task {task!r}; "
+                               f"it is read by {', '.join(tasks)}")
+
+
+def _check_scenario(cfg):
+    """The rules that need the whole scenario, after its last line."""
+    if not cfg.task:
+        raise ConfigParseError(f"task must be one of {', '.join(TASKS)}")
+    for key in cfg.raw:
+        _check_read(cfg.task, key)
+    if cfg.p_components and cfg.p_location == "none":
+        raise ConfigParseError("'p.components' is read only with p.location base or fiber:<i>")
+    if cfg.task == "scalar-check" and cfg.connection == ConnectionKind.LEVI_CIVITA:
+        raise ConfigParseError("scalar-check checks the torsion-bearing scalar formula: "
+                               "'connection' must be semi-symmetric or symmetrized")
+    if cfg.grid_start >= cfg.grid_end:
+        raise ConfigParseError(f"grid.start must be below grid.end, got "
+                               f"{cfg.grid_start!r} and {cfg.grid_end!r}")
+    if cfg.task in _FAMILY:
+        _arguments("family", FAMILY_GENERATORS, cfg.family)
+    elif cfg.task in _SCAN:
+        _arguments("scan", SCANS, cfg.scan)
+
+
+def _arguments(group, table, values):
+    """The function of `table` that the group's kind or case names, and its
+    keyword arguments from the other group.* values: a name that it does
+    not take, or an argument without default left out, is an error."""
+    select = "kind" if group == "family" else "case"
+    if select not in values:
+        raise ConfigParseError(f"{group}.{select} must be one of {', '.join(sorted(table))}")
+    fn = table[values[select]]
+    accepted = _parameters(fn)
+    names = [name for name in values if name != select]
+    for name in names:
+        if name not in accepted:
+            raise ConfigParseError(
+                f"unknown key '{group}.{name}' for {values[select]}; "
+                f"expected one of {', '.join(f'{group}.{n}' for n in accepted)}")
+    missing = [f"{group}.{n}" for n, p in accepted.items()
+               if p.default is p.empty and n not in values]
+    if missing:
+        raise ConfigParseError(f"{values[select]} needs {', '.join(missing)}")
+    return fn, {accepted[name].name: values[name] for name in names}
 
 
 def build_spec(cfg: ScenarioConfig) -> ProductManifoldSpec:
-    if cfg.base == "interval":
-        base = IntervalBase()
-    elif cfg.base.startswith("flat:"):
-        signs = tuple(-1.0 if ch == "-" else 1.0 for ch in cfg.base[5:])
-        base = FlatBase(signs)
-    else:
-        raise ConfigParseError(f"unknown base {cfg.base!r}")
     if not cfg.fibers:
         raise ConfigParseError("scenario declares no fibers")
-    fibers = []
-    warpings = []
-    for fb in cfg.fibers:
-        geo = make_geometry(
-            fb["geometry"],
-            dim=fb.get("dim", 2),
-            radius=float(fb.get("radius", 1.0)),
-        )
-        fibers.append(FiberSpec(geo))
-        warpings.append(parse_expr(fb.get("warping", "1")))
-    return ProductManifoldSpec(base, fibers, warpings, twisted=cfg.twisted)
+    fibers = [FiberSpec(make_geometry(fb["geometry"], dim=fb.get("dim", 2),
+                                      radius=fb.get("radius", 1.0)))
+              for fb in cfg.fibers]
+    warpings = [parse_expr(fb.get("warping", "1")) for fb in cfg.fibers]
+    return ProductManifoldSpec(cfg.base, fibers, warpings, twisted=cfg.twisted)
 
 
 def build_torsion_field(cfg: ScenarioConfig, spec):
@@ -315,22 +381,10 @@ class RunReport:
     checks: list
     version: str = ""
     seed: int = None
-    wall_clock_seconds: float = None
 
     @property
     def all_passed(self):
         return all(c.verdict == "pass" for c in self.checks)
-
-    def __eq__(self, other):
-        if not isinstance(other, RunReport):
-            return NotImplemented
-        return (
-            self.task == other.task
-            and list(self.scenario) == list(other.scenario)
-            and self.checks == other.checks
-            and self.version == other.version
-            and self.seed == other.seed
-        )
 
 
 def _fmt(x):
@@ -348,15 +402,7 @@ def emit_report(report: RunReport, out_format) -> bytes:
         payload = {
             "task": report.task,
             "scenario": [[k, v] for k, v in report.scenario],
-            "checks": [
-                {
-                    "check": c.check,
-                    "grid_max_residual": c.grid_max_residual,
-                    "tolerance": c.tolerance,
-                    "verdict": c.verdict,
-                }
-                for c in report.checks
-            ],
+            "checks": [vars(c) for c in report.checks],
             "version": report.version,
             "seed": report.seed,
         }
@@ -381,15 +427,12 @@ def emit_report(report: RunReport, out_format) -> bytes:
 
 
 def parse_report(blob: bytes) -> RunReport:
-    """Inverse of the json emission (round-trips modulo wall clock)."""
+    """Inverse of the json emission."""
     payload = json.loads(blob.decode())
     return RunReport(
         task=payload["task"],
         scenario=[(k, v) for k, v in payload["scenario"]],
-        checks=[
-            CheckRow(c["check"], c["grid_max_residual"], c["tolerance"], c["verdict"])
-            for c in payload["checks"]
-        ],
+        checks=[CheckRow(**c) for c in payload["checks"]],
         version=payload.get("version", ""),
         seed=payload.get("seed"),
     )
@@ -403,20 +446,13 @@ def _verdict(ok):
     return "pass" if ok else "fail"
 
 
-def _residual_rows(reports):
-    return [
-        CheckRow(r.equation, r.max_abs_residual, r.tolerance, _verdict(r.passed))
-        for r in reports
-    ]
-
-
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Execute the scenario's task; deterministic for a fixed config."""
-    start = time.perf_counter()
     checks = []
-    if cfg.task == "oracle-verify":
+    if cfg.task in _GEOMETRIC:
         spec = build_spec(cfg)
         P = build_torsion_field(cfg, spec)
+    if cfg.task == "oracle-verify":
         tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
         points = spec.sample_points(min(cfg.grid_points, 5),
                                     t_range=(cfg.grid_start, cfg.grid_end))
@@ -424,21 +460,15 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
             checks.append(CheckRow(rep.clause, rep.max_deviation, rep.tolerance,
                                    _verdict(rep.passed)))
     elif cfg.task == "einstein-check":
-        spec = build_spec(cfg)
-        P = build_torsion_field(cfg, spec)
         tol = cfg.tolerance if cfg.tolerance is not None else 1e-8
         grid = chebyshev_grid(cfg.grid_start, cfg.grid_end, cfg.grid_points)
         if P is None or P.location == "base":
             result = grw_einstein_residuals(spec, cfg.lam, grid, tol)
         else:
             result = pseudo_einstein_residuals(spec, P, cfg.lam, grid, tol)
-        checks.extend(_residual_rows(result.reports))
+        checks.extend(CheckRow(r.equation, r.max_abs_residual, r.tolerance,
+                               _verdict(r.passed)) for r in result.reports)
     elif cfg.task == "scalar-check":
-        if cfg.connection == ConnectionKind.LEVI_CIVITA:
-            raise ConfigParseError("scalar-check checks the torsion-bearing scalar formula: "
-                                   "'connection' must be semi-symmetric or symmetrized")
-        spec = build_spec(cfg)
-        P = build_torsion_field(cfg, spec)
         tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
         grid = chebyshev_grid(cfg.grid_start, cfg.grid_end, cfg.grid_points)
         rep, scalar = multiwarped_scalar(spec, P, grid, tol)
@@ -448,61 +478,24 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         checks.append(CheckRow("scalar-constancy", cons.scalar_spread, 1e-8,
                                _verdict(cons.scalar_constant and cons.grid_adequate)))
         logger.info("scalar constancy: %s", cons.message)
-    elif cfg.task in ("family-generate", "family-verify"):
+    elif cfg.task in _FAMILY:
         checks.extend(_family_checks(cfg))
     elif cfg.task == "nonexistence-scan":
-        case = cfg.scan.get("case")
-        if case not in SCANS:
-            raise ConfigParseError(f"scan.case must be one of {', '.join(sorted(SCANS))}")
-        report = SCANS[case](**_scan_kwargs(case, cfg.scan))
+        scan, kwargs = _arguments("scan", SCANS, cfg.scan)
+        report = scan(**kwargs)
         checks.append(CheckRow(report.case_id, report.min_max_residual,
                                report.threshold, _verdict(report.passed)))
         logger.info("scan detail: %s", report.detail)
     else:
         raise ConfigParseError(f"unhandled task {cfg.task!r}")
 
-    report = RunReport(
-        task=cfg.task,
-        scenario=cfg.echo_lines(),
-        checks=checks,
-        version=__version__,
-        seed=cfg.seed,
-        wall_clock_seconds=time.perf_counter() - start,
-    )
-    return report
-
-
-def _scan_kwargs(case, values):
-    """Typed keyword arguments of the scan `case` from its scan.* values."""
-    accepted = inspect.signature(SCANS[case]).parameters
-    kwargs = {}
-    for key, text in values.items():
-        if key == "case":
-            continue
-        if key not in accepted:
-            raise ConfigParseError(
-                f"unknown key 'scan.{key}' for {case}; "
-                f"expected one of {', '.join(f'scan.{k}' for k in accepted)}"
-            )
-        try:
-            kwargs[key] = _SCAN_VALUE_TYPES.get(key, _finite)(text)
-        except ValueError as exc:
-            raise ConfigParseError(f"bad value for 'scan.{key}': {exc}") from exc
-    return kwargs
+    return RunReport(task=cfg.task, scenario=cfg.echo_lines(), checks=checks,
+                     version=__version__, seed=cfg.seed)
 
 
 def _family_checks(cfg):
-    kind = cfg.family.get("kind")
-    if kind not in FAMILY_GENERATORS:
-        raise ConfigParseError(
-            f"family.kind must be one of {', '.join(sorted(FAMILY_GENERATORS))}"
-        )
-    try:
-        families = FAMILY_GENERATORS[kind](cfg.family)
-    except KeyError as exc:
-        raise ConfigParseError(f"family parameter missing: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigParseError(f"bad family value: {exc}") from exc
+    generate, kwargs = _arguments("family", FAMILY_GENERATORS, cfg.family)
+    families = generate(**kwargs)
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-10
     ts = np.linspace(0.0, 1.0, 33)
     rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
@@ -535,6 +528,25 @@ def _setup_logging():
                         format="warpcurv: %(levelname)s: %(message)s")
 
 
+def _family_config(args):
+    """The scenario of `warpcurv family`: its kind, --params, --format and --seed."""
+    cfg = ScenarioConfig(task="family-verify", raw={"task": "family-verify"})
+    pairs = []
+    for item in args.params.split(";") if args.params else []:
+        if "=" not in item:
+            raise ConfigParseError(f"bad --params entry {item!r}")
+        name, _, text = item.partition("=")
+        pairs.append((f"family.{name.strip()}", text.strip()))
+    for key, text in pairs + [("family.kind", args.kind)]:
+        _set(cfg, key, text)
+        cfg.raw[key] = text
+    _set(cfg, "format", args.format, "--format")
+    if args.seed is not None:
+        _set(cfg, "seed", args.seed, "--seed")
+    _check_scenario(cfg)
+    return cfg
+
+
 def main(argv=None):
     _setup_logging()
     parser = argparse.ArgumentParser(
@@ -546,57 +558,34 @@ def main(argv=None):
 
     p_verify = sub.add_parser("verify", help="run a scenario file")
     p_verify.add_argument("scenario", help="path to the scenario file")
-    p_verify.add_argument("--format", choices=FORMATS, default=None)
-    p_verify.add_argument("--tolerance", type=float, default=None)
-    p_verify.add_argument("--grid", type=int, default=None)
+    p_verify.add_argument("--format", help="text, csv or json")
+    p_verify.add_argument("--tolerance")
+    p_verify.add_argument("--grid")
 
     p_family = sub.add_parser("family", help="generate and verify a solution family")
-    p_family.add_argument("kind", choices=sorted(FAMILY_GENERATORS))
+    p_family.add_argument("kind", help=", ".join(sorted(FAMILY_GENERATORS)))
     p_family.add_argument("--params", default="",
                           help="semicolon-separated key=value family parameters, "
                                "e.g. 'l=2;lam=0;lam_fiber=0'")
-    p_family.add_argument("--format", choices=FORMATS, default="text")
-    p_family.add_argument("--seed", type=int, default=None)
+    p_family.add_argument("--format", default="text", help="text, csv or json")
+    p_family.add_argument("--seed")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
             with open(args.scenario, "r", encoding="utf-8") as fh:
                 cfg = parse_scenario(fh.read())
-            if args.format:
-                cfg.out_format = args.format
-                cfg.raw["format"] = args.format
-            if args.tolerance is not None:
-                try:
-                    cfg.tolerance = _positive(args.tolerance, "--tolerance")
-                except ValueError as exc:
-                    raise ConfigParseError(str(exc)) from exc
-                cfg.raw["tolerance"] = repr(args.tolerance)
-            if args.grid is not None:
-                if args.grid < 1:
-                    raise ConfigParseError(f"--grid must be at least 1, got {args.grid}")
-                cfg.grid_points = args.grid
-                cfg.raw["grid.points"] = str(args.grid)
-            report = run_scenario(cfg)
-            out_format = cfg.out_format
+            for key, label, text in (("format", "--format", args.format),
+                                     ("tolerance", "--tolerance", args.tolerance),
+                                     ("grid.points", "--grid", args.grid)):
+                if text is not None:
+                    cfg.raw[key] = str(_set(cfg, key, text, label))
+                    _check_read(cfg.task, key, label)
         else:
-            family_args = {}
-            if args.params:
-                for item in args.params.split(";"):
-                    if "=" not in item:
-                        raise ConfigParseError(f"bad --params entry {item!r}")
-                    k, _, v = item.partition("=")
-                    family_args[k.strip()] = v.strip()
-            family_args["kind"] = args.kind
-            cfg = ScenarioConfig(task="family-verify", family=family_args,
-                                 seed=args.seed, out_format=args.format)
-            cfg.raw = {"task": "family-verify",
-                       **{f"family.{k}": v for k, v in family_args.items()}}
-            report = run_scenario(cfg)
-            out_format = args.format
-    except (ConfigParseError, UnsupportedFormat, ExprParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            cfg = _family_config(args)
+        start = time.perf_counter()
+        report = run_scenario(cfg)
+        elapsed = time.perf_counter() - start
     except (NumericalInstability, StepTooCoarse) as exc:
         print(f"numerical instability: {exc}", file=sys.stderr)
         return 3
@@ -604,9 +593,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    sys.stdout.buffer.write(emit_report(report, out_format))
-    if report.wall_clock_seconds is not None:
-        logger.info("wall clock: %.3fs", report.wall_clock_seconds)
+    sys.stdout.buffer.write(emit_report(report, cfg.out_format))
+    logger.info("wall clock: %.3fs", elapsed)
     return 0 if report.all_passed else 1
 
 

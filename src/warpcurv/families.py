@@ -518,6 +518,8 @@ def kasner_einstein_families(kind, p, dims, lam, lam_fibers):
     """
     _check_type(kind, dims)
     zeta, eta = kasner_invariants(p, dims)
+    if len(lam_fibers) != len(dims):
+        raise LengthMismatch("need one fiber Einstein constant per fiber")
     out = []
     if kind == "II":
         p1, p2 = p

@@ -333,6 +333,11 @@ def _unstack(out, *vecs):
     return out.reshape(out.shape[:lead] + keep)[()]
 
 
+def _check_kind(kind):
+    if not isinstance(kind, ConnectionKind):
+        raise CaseMismatch(f"unknown connection kind {kind!r}")
+
+
 def _check_blocks(spec, *vecs):
     for v in vecs:
         if v.block == "base":
@@ -362,6 +367,7 @@ def structured_covariant_derivative(spec, P, kind, X: BlockVector, Y: BlockVecto
 
     Shape (n_bar,), with one more axis per argument given as a (k, d) stack.
     """
+    _check_kind(kind)
     c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
     _check_blocks(spec, X, Y)
     Xs, Ys = _stacks(X, Y)
@@ -417,20 +423,19 @@ def structured_curvature(spec, P, kind, X: BlockVector, Y: BlockVector,
 
     Shape (n_bar,), with one more axis per argument given as a (k, d) stack.
     """
+    _check_kind(kind)
     c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
     _check_blocks(spec, X, Y, Z)
     args = _stacks(X, Y, Z)
     if kind == ConnectionKind.LEVI_CIVITA or c.P_loc is None:
         out = _curv_p_base(c.without_p(), *args)
-    elif kind in (ConnectionKind.SEMI_SYMMETRIC_NON_METRIC, ConnectionKind.SYMMETRIZED_AFFINE):
+    else:
         out = (_curv_p_base if c.P_loc == "base" else _curv_p_fiber)(c, *args)
         if kind == ConnectionKind.SYMMETRIZED_AFFINE:
             # torsion-free variant: extra [X(pi(Y)) - Y(pi(X)) - pi([X,Y])] Z
             Xs, Ys, Zs = args
             out[spec.block_slice(Z.block)] += np.einsum("xy,zl->lxyz", c.dpi(Xs, Ys),
                                                         Zs.components)
-    else:
-        raise CaseMismatch(f"unknown connection kind {kind!r}")
     return _unstack(out, X, Y, Z)
 
 
@@ -602,6 +607,7 @@ def _curv_p_fiber(c, X, Y, Z):
 def structured_ricci(spec, P, kind, X: BlockVector, Y: BlockVector, p, cache=None):
     """Block-pattern Ricci component Ric(X, Y): a number, with one axis per
     argument given as a (k, d) stack."""
+    _check_kind(kind)
     c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
     _check_blocks(spec, X, Y)
     args = _stacks(X, Y)
@@ -696,6 +702,7 @@ def structured_scalar(spec, P, kind, p, cache=None):
     The torsion-free variant has the same scalar curvature (the correction
     to the Ricci tensor is antisymmetric).
     """
+    _check_kind(kind)
     c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
     if kind == ConnectionKind.LEVI_CIVITA:
         c = c.without_p()

@@ -1,12 +1,14 @@
 """Scenario parsing, report emission, determinism, exit codes."""
 
 import json
+import re
 import warnings
 from pathlib import Path
 
 import pytest
 
 from warpcurv.cli import (
+    KEYS,
     CheckRow,
     RunReport,
     emit_report,
@@ -72,10 +74,9 @@ def test_json_round_trip():
                 CheckRow("b", 2.0, 1e-8, "fail")],
         version="0.1.0",
         seed=7,
-        wall_clock_seconds=1.23,
     )
     again = parse_report(emit_report(report, "json"))
-    assert again == report  # wall clock intentionally excluded from equality
+    assert again == report
 
 
 def test_cli_pass_and_fail_exit_codes(capsysbinary):
@@ -223,7 +224,7 @@ def test_bad_family_value_is_a_config_error(source, entry, tmp_path, capsysbinar
         argv = ["verify", str(path)]
     assert main(argv) == 2
     captured = capsysbinary.readouterr()
-    assert b"bad family value" in captured.err and not captured.out
+    assert b"bad value for 'family." in captured.err and not captured.out
 
 
 @pytest.mark.parametrize("scenario,line,key", [
@@ -294,7 +295,77 @@ def test_top_level_scalar_key_is_unknown(tmp_path, capsysbinary):
     captured = capsysbinary.readouterr()
     assert b"unknown key 'scalar'" in captured.err and not captured.out
     family = parse_scenario((SCENARIOS / "family-kasner3-scalar.txt").read_text()).family
-    assert family["scalar"] == "4.62"
+    assert family["scalar"] == 4.62
+
+
+@pytest.mark.parametrize("scenario,edit,message", [
+    ("oracle-sphere.txt", "+fiber.radius = abc", "bad value for 'fiber.radius'"),
+    ("oracle-sphere.txt", "+fiber.radius = nan", "bad value for 'fiber.radius'"),
+    ("oracle-sphere.txt", "+base = flat:xyz", "bad value for 'base'"),
+    ("oracle-sphere.txt", "+lambda = 1", "'lambda' is not read by task 'oracle-verify'"),
+    ("scalar-static.txt", "+scan.case = grw-einstein-oscillatory",
+     "'scan.case' is not read by task 'scalar-check'"),
+    ("oracle-sphere.txt", "+fiber.dim = 2", "'fiber.dim' is read only by flat_torus fibers"),
+    ("oracle-fiber-torsion.txt", "+fiber.radius = 2", "'fiber.radius' is read only by sphere"),
+    ("einstein-exponential.txt", "-p.location = base",
+     "'p.components' is read only with p.location"),
+    ("family-grw-einstein.txt", "+family.scalar = 1", "unknown key 'family.scalar' for grw-einstein"),
+    ("family-grw-einstein.txt", "+seed = -1", "bad value for 'seed'"),
+    ("scan-grw-oscillatory.txt", "--tolerance=1e-3",
+     "'--tolerance' is not read by task 'nonexistence-scan'"),
+    ("family-grw-einstein.txt", "--grid=5", "'--grid' is not read by task 'family-verify'"),
+    ("--params", "l=3;scalar=2;s_fiber=9;bogus=1", "unknown key 'family.bogus'"),
+])
+def test_untyped_or_unread_key_is_a_config_error(scenario, edit, message, tmp_path,
+                                                 capsysbinary):
+    # edit: "+line" appends a line, "-line" drops one, "--option=value" is passed
+    if scenario == "--params":
+        argv = ["family", "grw-scalar", "--params", edit]
+    else:
+        lines = (SCENARIOS / scenario).read_text().splitlines()
+        if edit.startswith("+"):
+            lines.append(edit[1:])
+        elif not edit.startswith("--"):
+            lines.remove(edit[1:])
+        path = tmp_path / scenario
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["verify", str(path)] + ([edit] if edit.startswith("--") else [])
+    assert main(argv) == 2
+    captured = capsysbinary.readouterr()
+    assert message.encode() in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("start,end", [("0.9", "0.1"), ("0.5", "0.5")])
+@pytest.mark.parametrize("scenario", ["einstein-exponential.txt", "oracle-sphere.txt"])
+def test_reversed_or_empty_grid_range_is_a_config_error(scenario, start, end, tmp_path,
+                                                        capsysbinary):
+    # a t-range must run forward: grid.start at or above grid.end is no grid
+    text = (SCENARIOS / scenario).read_text() + f"grid.start = {start}\ngrid.end = {end}\n"
+    with pytest.raises(ConfigParseError, match="grid.start must be below grid.end"):
+        parse_scenario(text)
+    path = tmp_path / scenario
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert not capsysbinary.readouterr().out
+
+
+def test_task_line_may_come_last():
+    lines = (SCENARIOS / "oracle-sphere.txt").read_text().splitlines()
+    task = next(line for line in lines if line.startswith("task"))
+    lines.remove(task)
+    # the key is checked against the task only once the last line is read
+    with pytest.raises(ConfigParseError, match="'lambda' is not read by task 'oracle-verify'"):
+        parse_scenario("\n".join(lines + ["lambda = 1", task]) + "\n")
+    cfg = parse_scenario("\n".join(lines + [task]) + "\n")
+    assert cfg.task == "oracle-verify" and cfg.echo_lines()[0] == ("task", "oracle-verify")
+
+
+def test_readme_scenario_block_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Scenario files are flat", 1)[1]
+    block = section.split("```", 2)[1]
+    keys = {m.group(1) for m in re.finditer(r"^([a-z_0-9.]+) = ", block, re.MULTILINE)}
+    assert keys == set(KEYS)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.txt")))
@@ -347,7 +418,6 @@ def test_run_scenario_reports_all_requested_checks():
     names = [c.check for c in report.checks]
     assert names == ["scalar-closed-form-vs-oracle", "scalar-constancy"]
     assert report.all_passed
-    assert report.wall_clock_seconds is not None
 
 
 def test_scalar_check_evaluates_the_closed_form_once(monkeypatch, capsysbinary):

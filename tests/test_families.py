@@ -148,6 +148,14 @@ def test_kasner_invariants_values():
         kasner_invariants((1.0,), (1, 2))
 
 
+@pytest.mark.parametrize("kind,p,dims", [("II", (1.0, -0.5), (1, 2)),
+                                         ("III", (1.0, -0.5, -0.5), (1, 1, 1))])
+def test_kasner_einstein_needs_one_constant_per_fiber(kind, p, dims):
+    # a short list used to end in an IndexError (type II) or pass unread (type III)
+    with pytest.raises(LengthMismatch):
+        kasner_einstein_families(kind, p, dims, 0.0, (0.0,))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.permutations([(1.0, 1), (-0.5, 2), (2.0, 1)]))
 def test_kasner_invariants_permutation_invariant(pairs):

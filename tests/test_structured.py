@@ -151,6 +151,23 @@ def test_case_mismatch_rejected(grw_exp_spec):
             BlockVector(3, np.ones(2)), base_vec(1.0), p)
 
 
+@pytest.mark.parametrize("kind", ["bogus", "semi-symmetric", None])
+def test_unknown_connection_kind_rejected_by_every_clause(grw_exp_spec, kind):
+    # a kind that is no ConnectionKind, even its value string, must not fall
+    # through to one connection's formula
+    p = grw_exp_spec.make_point([0.1])
+    X, V = base_vec(1.0), fiber_vec(0, 1.0, 0.0)
+    clauses = [
+        lambda: structured_covariant_derivative(grw_exp_spec, p_dt(), kind, V, X, p),
+        lambda: structured_curvature(grw_exp_spec, p_dt(), kind, X, V, V, p),
+        lambda: structured_ricci(grw_exp_spec, p_dt(), kind, X, X, p),
+        lambda: structured_scalar(grw_exp_spec, p_dt(), kind, p),
+    ]
+    for clause in clauses:
+        with pytest.raises(CaseMismatch, match="unknown connection kind"):
+            clause()
+
+
 def test_oracle_equivalence_sample(spec_zoo):
     # the full zoo runs in the acceptance suite; spot-check three here
     for name, spec, P in (spec_zoo[1], spec_zoo[5], spec_zoo[9]):
