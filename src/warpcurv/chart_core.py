@@ -8,6 +8,13 @@ full curvature tensor follows at the point itself.  This is the
 independent oracle that the component formulas elsewhere in the package
 are tested against.
 
+The oracle works on a stack of points, an (N, n_bar) array: the jet walk
+runs once over the whole stack (`exprs.eval_stack`) and every tensor
+carries a leading point axis, so a grid costs one call.  The point axis is
+only a list of points; each row's result has the bits a call at that point
+alone gives.  A single point is a one-row stack whose result has no point
+axis.
+
 `finite_difference_field` gives any coefficient field partials by
 Richardson-extrapolated central differences, an explicit cross-check for
 fields that carry no exact ones; it raises NumericalInstability when its
@@ -16,114 +23,120 @@ two stencils disagree.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalInstability, SingularMetric
-from .exprs import Const, Pow, Prod, jet_env
-from .geometry import ProductManifoldSpec
+from .exprs import Const, GridJet, Pow, Prod, eval_stack
+from .geometry import ProductManifoldSpec, as_given
 
 FD_STEP = 1e-5
 FD_INSTABILITY_TOL = 1e-4
 
 
 def metric_exprs(spec: ProductManifoldSpec):
-    """Block-diagonal matrix of ScalarExpr entries for the full metric."""
+    """(i, j, ScalarExpr) for every entry of the block-diagonal metric that
+    is not identically zero."""
     cached = getattr(spec, "_metric_expr_cache", None)
     if cached is not None:
         return cached
-    nbar = spec.n_bar
-    entries = [[Const(0.0) for _ in range(nbar)] for _ in range(nbar)]
-    for a, s in enumerate(spec.base.signs):
-        entries[a][a] = Const(float(s))
+    entries = [(a, a, Const(float(s))) for a, s in enumerate(spec.base.signs)]
     for i, fiber in enumerate(spec.fibers):
-        sl = spec.block_slice(i)
-        names = spec.fiber_coord_names(i)
-        gf = fiber.geometry.metric_exprs(names)
+        start = spec.block_slice(i).start
+        gf = fiber.geometry.metric_exprs(spec.fiber_coord_names(i))
         b2 = Pow(spec.warpings[i], 2.0)
-        for a in range(fiber.dim):
-            for b in range(fiber.dim):
-                if isinstance(gf[a][b], Const) and gf[a][b].value == 0.0:
-                    continue
-                entries[sl.start + a][sl.start + b] = Prod(b2, gf[a][b])
+        for a, b in itertools.product(range(fiber.dim), repeat=2):
+            if not (isinstance(gf[a][b], Const) and gf[a][b].value == 0.0):
+                entries.append((start + a, start + b, Prod(b2, gf[a][b])))
     spec._metric_expr_cache = entries
     return entries
 
 
-def assemble_metric(spec: ProductManifoldSpec, p) -> np.ndarray:
-    """Metric matrix at p; validates chart membership and warping positivity."""
-    p = np.asarray(p, dtype=float)
-    spec.check_point(p)
+def _metric_entries(spec, pts, order):
+    """((i, j), value) for every metric entry that is not identically zero,
+    over a checked stack of points, from one eval_stack walk."""
+    spec.check_point(pts)
     entries = metric_exprs(spec)
-    env = dict(zip(spec.coord_names, map(float, p)))
-    nbar = spec.n_bar
-    g = np.zeros((nbar, nbar))
-    for i in range(nbar):
-        for j in range(nbar):
-            e = entries[i][j]
-            if isinstance(e, Const):
-                g[i, j] = e.value
-            else:
-                g[i, j] = float(e.eval(env))
-    return g
+    vals = eval_stack([e for _, _, e in entries], spec.coord_names, pts, order)
+    return zip([(i, j) for i, j, _ in entries], vals)
+
+
+def assemble_metric(spec: ProductManifoldSpec, p) -> np.ndarray:
+    """Metric matrix at p, or one per row of an (N, n_bar) stack; validates
+    chart membership and warping positivity."""
+    pts = spec.point_stack(p)
+    g = np.zeros((len(pts), spec.n_bar, spec.n_bar))
+    for (i, j), val in _metric_entries(spec, pts, order=0):
+        g[:, i, j] = val.val if isinstance(val, GridJet) else val
+    return as_given(p, g)
 
 
 def metric_derivatives(spec: ProductManifoldSpec, p):
     """Metric at p with its exact first and second partials, from one
     order-2 jet walk over the entries: g[i, j], dg[k, i, j] = d_k g_ij and
-    d2g[k, l, i, j] = d_k d_l g_ij."""
-    p = np.asarray(p, dtype=float)
-    spec.check_point(p)
-    entries = metric_exprs(spec)
-    env = jet_env(spec.coord_names, p, order=2)
-    nbar = spec.n_bar
-    g = np.zeros((nbar, nbar))
-    dg = np.zeros((nbar, nbar, nbar))
-    d2g = np.zeros((nbar, nbar, nbar, nbar))
-    for i in range(nbar):
-        for j in range(nbar):
-            e = entries[i][j]
-            val = e.value if isinstance(e, Const) else e.eval(env)
-            if isinstance(val, float):
-                g[i, j] = val
-                continue
-            g[i, j] = val.val
-            dg[:, i, j] = val.grad
-            d2g[:, :, i, j] = val.hess
-    return g, dg, d2g
+    d2g[k, l, i, j] = d_k d_l g_ij; a leading point axis for a stack."""
+    pts = spec.point_stack(p)
+    N, n = len(pts), spec.n_bar
+    g = np.zeros((N, n, n))
+    dg = np.zeros((N, n, n, n))
+    d2g = np.zeros((N, n, n, n, n))
+    for (i, j), val in _metric_entries(spec, pts, order=2):
+        if not isinstance(val, GridJet):
+            g[:, i, j] = val
+            continue
+        g[:, i, j] = val.val
+        dg[:, :, i, j] = val.grad
+        d2g[:, :, :, i, j] = val.hess
+    return as_given(p, g), as_given(p, dg), as_given(p, d2g)
 
 
-def inverse_metric(g):
+def inverse_metric(g, points=None):
+    """Inverse of a metric, or of each metric of a stack.  A singular or
+    non-finite inverse raises SingularMetric for the first such metric,
+    naming its row of `points` when they are given."""
     try:
         ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric(str(exc)) from exc
-    if not np.all(np.isfinite(ginv)):
-        raise SingularMetric("metric inverse is not finite")
-    return ginv
+        if np.isfinite(ginv).all():
+            return ginv
+    except np.linalg.LinAlgError:
+        pass
+    # the first metric that fails, as one metric at a time finds it
+    for k, gk in enumerate(np.reshape(g, (-1,) + np.shape(g)[-2:])):
+        try:
+            if np.isfinite(np.linalg.inv(gk)).all():
+                continue
+            why = "metric inverse is not finite"
+        except np.linalg.LinAlgError as exc:
+            why = str(exc)
+        raise SingularMetric(why if points is None else f"{why} at {points[k].tolist()}")
 
 
 def levi_civita_coefficients(spec: ProductManifoldSpec, p):
     """Christoffel symbols G[k, i, j] = G^k_ij of the Levi-Civita connection
-    and their exact partials dG[m, k, i, j] = d_m G^k_ij."""
-    g, dg, d2g = metric_derivatives(spec, p)
-    ginv = inverse_metric(g)
-    n = spec.n_bar
+    and their exact partials dG[m, k, i, j] = d_m G^k_ij; a leading point
+    axis for a stack."""
+    pts = spec.point_stack(p)
+    g, dg, d2g = metric_derivatives(spec, pts)
+    ginv = inverse_metric(g, pts)
+    N, n = len(pts), spec.n_bar
     # T[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, and dT[m] = d_m T
-    T = np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg
-    dT = np.einsum("mijl->mlij", d2g) + np.einsum("mjil->mlij", d2g) - d2g
-    G = 0.5 * np.einsum("kl,lij->kij", ginv, T)
+    T = np.einsum("zijl->zlij", dg) + np.einsum("zjil->zlij", dg) - dg
+    dT = np.einsum("zmijl->zmlij", d2g) + np.einsum("zmjil->zmlij", d2g) - d2g
+    G = 0.5 * np.einsum("zkl,zlij->zkij", ginv, T)
     # d_m G^k_ij = 1/2 (d_m g^kl) T_lij + 1/2 g^kl d_m T_lij,
     # with d_m g^kl = -g^ka (d_m g_ab) g^bl
+    ginv = ginv[:, None]
     dginv = -(ginv @ dg @ ginv)
-    dG = 0.5 * (dginv @ T.reshape(n, n * n) + ginv @ dT.reshape(n, n, n * n))
-    return G, dG.reshape(n, n, n, n)
+    dG = 0.5 * (dginv @ T.reshape(N, 1, n, n * n) + ginv @ dT.reshape(N, n, n, n * n))
+    return as_given(p, G), as_given(p, dG.reshape(N, n, n, n, n))
 
 
 @dataclass
 class CurvatureAtPoint:
-    """Full curvature data of one connection at one chart point.
+    """Full curvature data of one connection at one chart point, or at each
+    point of a stack (a leading point axis on every field).
 
     riemann[l, i, j, k] are the components of R(d_i, d_j)d_k along d_l;
     ricci[i, k] = riemann[j, i, j, k] summed over j (orthonormal-frame trace
@@ -139,31 +152,38 @@ class CurvatureAtPoint:
 
 
 def curvature_from_coefficients(spec, coeff_field, p) -> CurvatureAtPoint:
-    """Curvature of a coefficient field at p.
+    """Curvature of a coefficient field at p, or at each row of a stack.
 
-    `coeff_field(q)` returns the coefficients G[k, i, j] = G^k_ij at q and
-    their partials dG[m, k, i, j] = d_m G^k_ij.  A non-finite coefficient,
-    partial or curvature component raises NumericalInstability.
+    `coeff_field(p)` returns the coefficients G[k, i, j] = G^k_ij at p and
+    their partials dG[m, k, i, j] = d_m G^k_ij, with p's point axis.  A
+    non-finite coefficient, partial or curvature component raises
+    NumericalInstability, naming the first point where it occurs.
     """
-    p = np.asarray(p, dtype=float)
+    pts = spec.point_stack(p)
+    N, n = len(pts), spec.n_bar
     G, dG = coeff_field(p)
+    G, dG = np.reshape(G, (N, n, n, n)), np.reshape(dG, (N, n, n, n, n))
     # R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik;
     # an overflow is reported by the finiteness check, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         R = (
-            np.einsum("iljk->lijk", dG)
-            - np.einsum("jlik->lijk", dG)
-            + np.einsum("lim,mjk->lijk", G, G)
-            - np.einsum("ljm,mik->lijk", G, G)
+            np.einsum("ziljk->zlijk", dG)
+            - np.einsum("zjlik->zlijk", dG)
+            + np.einsum("zlim,zmjk->zlijk", G, G)
+            - np.einsum("zljm,zmik->zlijk", G, G)
         )
-    if not (np.isfinite(G).all() and np.isfinite(dG).all() and np.isfinite(R).all()):
-        raise NumericalInstability(f"connection or curvature not finite at {p.tolist()}")
-    g = assemble_metric(spec, p)
-    ginv = inverse_metric(g)
-    ricci = np.einsum("jijk->ik", R)
-    scalar = float(np.einsum("ik,ik->", ginv, ricci))
-    return CurvatureAtPoint(riemann=R, ricci=ricci, scalar=scalar, metric=g,
-                            coefficients=G)
+    bad = ~np.logical_and.reduce([np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+                                  for a in (G, dG, R)])
+    if bad.any():
+        where = pts[np.argmax(bad)].tolist()
+        raise NumericalInstability(f"connection or curvature not finite at {where}")
+    g = assemble_metric(spec, pts)
+    ginv = inverse_metric(g, pts)
+    ricci = np.einsum("zjijk->zik", R)
+    scalar = np.einsum("zik,zik->z", ginv, ricci)
+    return CurvatureAtPoint(riemann=as_given(p, R), ricci=as_given(p, ricci),
+                            scalar=float(scalar[0]) if np.ndim(p) == 1 else scalar,
+                            metric=as_given(p, g), coefficients=as_given(p, G))
 
 
 def finite_difference_field(coeff_field):

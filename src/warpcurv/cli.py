@@ -353,10 +353,22 @@ def build_spec(cfg: ScenarioConfig) -> ProductManifoldSpec:
     return ProductManifoldSpec(cfg.base, fibers, warpings, twisted=cfg.twisted)
 
 
+def _top_level_split(text):
+    """`text` split at the commas outside parentheses, so that a component
+    may call pow(expr, const)."""
+    parts, depth, start = [], 0, 0
+    for k, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            parts.append(text[start:k])
+            start = k + 1
+    return parts + [text[start:]]
+
+
 def build_torsion_field(cfg: ScenarioConfig, spec):
     if cfg.p_location == "none":
         return None
-    comps = [parse_expr(c) for c in cfg.p_components.split(",")] if cfg.p_components else []
+    comps = [parse_expr(c) for c in _top_level_split(cfg.p_components)] if cfg.p_components else []
     P = TorsionVectorFieldSpec(cfg.p_location, comps)
     P.validate(spec)
     return P

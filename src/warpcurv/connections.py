@@ -28,7 +28,7 @@ from .chart_core import (
     metric_derivatives,
 )
 from .errors import NumericalInstability
-from .geometry import ambient_components
+from .geometry import ambient_components, as_given
 
 RELATION_CHECK_TOL = 1e-4
 
@@ -48,17 +48,19 @@ def pi_covector(spec, P, p):
 
 def pi_and_dpi(spec, P, p, g, G):
     """pi_j and its exact partials dpi[i, j] = d_i pi_j at p, from the metric
-    g at p and its Levi-Civita coefficients G.
+    g at p and its Levi-Civita coefficients G; a leading point axis on all
+    four for a stack.
 
     That connection is metric, so d_i pi_j = g_jm (nabla_i P)^m + G^l_ij pi_l.
     """
-    jets = ambient_components(spec, P, p, order=1)
-    Pvec = np.array([j.val for j in jets])
-    dP = np.stack([j.grad for j in jets], axis=1)  # dP[i, m] = d_i P^m
-    pi = g @ Pvec
-    nablaP = dP + np.einsum("min,n->im", G, Pvec)  # (nabla_{d_i} P)^m
-    dpi = np.einsum("jm,im->ij", g, nablaP) + np.einsum("lij,l->ij", G, pi)
-    return pi, dpi
+    pts = spec.point_stack(p)
+    N, n = len(pts), spec.n_bar
+    g, G = np.reshape(g, (N, n, n)), np.reshape(G, (N, n, n, n))
+    Pvec, dP = ambient_components(spec, P, pts, order=1)  # dP[i, m] = d_i P^m
+    pi = (g @ Pvec[:, :, None])[:, :, 0]
+    nablaP = dP + np.einsum("zmin,zn->zim", G, Pvec)  # (nabla_{d_i} P)^m
+    dpi = np.einsum("zjm,zim->zij", g, nablaP) + np.einsum("zlij,zl->zij", G, pi)
+    return as_given(p, pi), as_given(p, dpi)
 
 
 def _with_pi(kind, G, pi):
@@ -77,7 +79,8 @@ def _with_pi(kind, G, pi):
 
 def modified_coefficients(kind, spec, P, p):
     """Coefficients G[k, i, j] = G^k_ij of the requested connection at p and
-    their exact partials dG[m, k, i, j] = d_m G^k_ij."""
+    their exact partials dG[m, k, i, j] = d_m G^k_ij; a leading point axis
+    for a stack."""
     G, dG = levi_civita_coefficients(spec, p)
     if kind == ConnectionKind.LEVI_CIVITA:
         return G, dG
@@ -158,7 +161,8 @@ def curvature_via_relation(kind, spec, P, p, check=True):
 
 
 def connection_curvature(kind, spec, P, p):
-    """Curvature of the requested connection from its exact coefficients."""
+    """Curvature of the requested connection from its exact coefficients, at
+    a point or at every row of an (N, n_bar) stack in one pass."""
     return curvature_from_coefficients(
         spec, lambda q: modified_coefficients(kind, spec, P, q), p
     )

@@ -80,14 +80,17 @@ def warping_samples(spec, grid):
     return out
 
 
-def _check_grid(spec, grid, b, fiber_coords=None):
-    """`spec.check_point` along the grid, given the warpings b (m, N): one array
-    test finds the first failing point, where the per-point check raises."""
-    grid = np.asarray(grid, dtype=float)
-    lo, hi = spec.base.domain
-    bad = ~((lo < grid) & (grid < hi)) | (b <= 0.0).any(axis=0)
-    if bad.any():
-        spec.check_point(spec.make_point([grid[np.argmax(bad)]], fiber_coords))
+def _grid_points(spec, grid, fiber_coords=None, then=None):
+    """The checked (len(grid), n_bar) stack of points at the grid values;
+    the rows of `then` are checked after them, in the same call."""
+    pts = spec.make_point(np.asarray(grid, dtype=float)[:, None], fiber_coords)
+    spec.check_point(pts if then is None else np.vstack([pts, then]))
+    return pts
+
+
+def _on_fiber(spec, r, coords):
+    """make_point's fiber coordinates: `coords` on fiber r, defaults elsewhere."""
+    return [coords if k == r else None for k in range(spec.m)]
 
 
 def _squares(x):
@@ -175,16 +178,16 @@ def pseudo_einstein_residuals(spec, P: TorsionVectorFieldSpec, lam, grid=None,
     # t-row.  Entries keep the per-point bits: dot products keep their shapes
     # (a matrix product sums in another order), squares go through `_squares`.
     samples = spec.fibers[r].geometry.sample_coords(3)
-    on_r = [[fc if k == r else None for k in range(spec.m)] for fc in samples]
-    _check_grid(spec, grid, b[:, 0], on_r[0])
+    on_r = spec.make_point([grid[0]], _on_fiber(spec, r, samples))
+    _grid_points(spec, grid, _on_fiber(spec, r, samples[0]), then=on_r)
     lr = spec.fiber_dims[r]
     br, dbr, ddbr = b[r]
     br2 = _squares(br)
     cross = np.array([dims @ ratio[:, j] for j in range(len(grid))]) - dims[r] * ratio[r]
     bracket = br * ddbr + (lr - 1) * _squares(dbr) + br * dbr * cross + lam * br2
     worst = []
-    for fiber_coords in on_r:
-        c = StructuredGeometryCache(spec, P, spec.make_point([grid[0]], fiber_coords))
+    for p in on_r:
+        c = StructuredGeometryCache(spec, P, p)
         gF, ricF = c.gF[r], c.RicF[r]
         # pi(e_a) = b_r^2 gP[a] and g(e_w, nabla_{e_v} P) = b_r^2 gnP[w][v]
         gP = [gF[a] @ c.Pc for a in range(lr)]
@@ -233,8 +236,7 @@ def multiwarped_scalar_formula(spec, P, grid):
         total = total + np.sum(dims) * (dims @ ratio)
         return total
     r = P.location
-    _check_grid(spec, grid, b[:, 0])
-    c = StructuredGeometryCache(spec, P, spec.make_point([grid[0]]))
+    c = StructuredGeometryCache(spec, P, _grid_points(spec, grid)[0])
     for j, br in enumerate(b[r, 0].tolist()):
         # these two read t only through b_r(t), and through the base part of
         # nabla_E P, which meets the zero base part of the fiber frame E
@@ -253,12 +255,9 @@ def multiwarped_scalar(spec, P, grid=None, tolerance=ORACLE_TOL):
     if grid is None:
         grid = chebyshev_grid()
     formula = multiwarped_scalar_formula(spec, P, grid)
-    devs = []
-    for j, t in enumerate(grid):
-        p = spec.make_point([t])
-        oracle = connection_curvature(ConnectionKind.SEMI_SYMMETRIC_NON_METRIC,
-                                      spec, P, p).scalar
-        devs.append(formula[j] - oracle)
+    oracle = connection_curvature(ConnectionKind.SEMI_SYMMETRIC_NON_METRIC, spec, P,
+                                  _grid_points(spec, grid)).scalar
+    devs = formula - oracle
     return (ResidualReport.from_values("scalar-closed-form-vs-oracle", grid, devs, tolerance),
             formula)
 
@@ -296,8 +295,10 @@ def constant_scalar_separation_check(spec, P, grid=None, tolerance=1e-8, values=
     if P is not None and P.location != "base":
         r = P.location
         samples = []
-        for fc in spec.fibers[r].geometry.sample_coords(5):
-            p = spec.make_point([float(grid[0])], [fc if k == r else None for k in range(spec.m)])
+        on_r = spec.fibers[r].geometry.sample_coords(5)
+        pts = spec.make_point([grid[0]], _on_fiber(spec, r, on_r))
+        spec.check_point(pts)
+        for p in pts:
             c = StructuredGeometryCache(spec, P, p)
             samples.append((float(c.Pc @ c.gF[r] @ c.Pc), c.div_F_P()))
         arr = np.asarray(samples)

@@ -6,8 +6,9 @@ as explicit trees (node kinds: constant, variable, sum, product, power with
 a real exponent, exp, sin, cos, sqrt, reciprocal) and evaluated either on
 plain floats or on `Jet` numbers, which propagate the value together with
 the exact gradient and Hessian with respect to a chosen coordinate list.
-Expressions in t alone can also be evaluated over a whole t-grid at once
-(`eval_grid`), with the same bits as one `Jet` per grid value.
+A tree can also be walked once over a whole stack of points with `GridJet`
+numbers (`eval_stack`; `eval_grid` for a t-grid), with the same bits as one
+`Jet` per point.
 """
 
 from __future__ import annotations
@@ -172,74 +173,110 @@ def _cos(u):
 
 
 class GridJet:
-    """Value, first and second t-derivative of a node over a whole t-grid.
+    """Value, gradient and Hessian of a node at every point of a stack.
 
-    The counterpart of an order-2 Jet in the single coordinate t, carried as
-    three (N,) arrays with one entry per grid value (univariate Taylor
-    propagation; Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
-    ch. 13).  Each rule repeats Jet's arithmetic in Jet's operation order, so
-    every entry is bit-identical to the Jet at that grid value.  Only the
-    correctly rounded operations (+, -, *, /, sqrt) run in numpy; exp, sin,
-    cos and powers run element by element on Python floats, because numpy's
-    exp and power round differently from math's and **.
+    The batched counterpart of an order-2 Jet: val (N,), grad (N, n) and
+    hess (N, n, n), one row per point of an (N, n) stack of coordinate
+    values (vector-mode Taylor propagation; Griewank & Walther, *Evaluating
+    Derivatives*, 2nd ed., ch. 13).  A t-grid is the stack with n = 1; a
+    jet made with order 0 carries values only.  Each rule repeats Jet's
+    arithmetic in Jet's operation order, so every row is bit-identical to
+    the Jet at that point.  Only the correctly rounded operations (+, -, *,
+    /, sqrt) run in numpy; exp, sin, cos and powers run element by element
+    on Python floats, because numpy's exp and power round differently from
+    math's and **.  Constants are lifted as scalars.
+
+    The parts are held in shapes that broadcast against each other without
+    copies: u (N, 1, 1), du (N, 1, n) and ddu (N, n, n), with du and ddu
+    None for values only.  `at` is the pair (names, points) that error
+    messages read.
     """
 
-    __slots__ = ("ts", "u", "du", "ddu")
+    __slots__ = ("at", "u", "du", "ddu")
 
-    def __init__(self, ts, u, du, ddu):
-        self.ts, self.u, self.du, self.ddu = ts, u, du, ddu
+    def __init__(self, at, u, du, ddu):
+        self.at, self.u, self.du, self.ddu = at, u, du, ddu
+
+    @property
+    def val(self):
+        return self.u[:, 0, 0]
+
+    @property
+    def grad(self):
+        return self.du[:, 0]
+
+    @property
+    def hess(self):
+        return self.ddu
 
     def _lift(self, other):
         if isinstance(other, GridJet):
             return other
-        return GridJet(self.ts, other, 0.0, 0.0)
+        return GridJet(self.at, other, 0.0, 0.0)
 
     def __add__(self, other):
+        if self.du is None:
+            return GridJet(self.at, self.u + getattr(other, "u", other), None, None)
         o = self._lift(other)
-        return GridJet(self.ts, self.u + o.u, self.du + o.du, self.ddu + o.ddu)
+        return GridJet(self.at, self.u + o.u, self.du + o.du, self.ddu + o.ddu)
 
     __radd__ = __add__
 
     def __mul__(self, other):
+        if self.du is None:
+            return GridJet(self.at, self.u * getattr(other, "u", other), None, None)
         o = self._lift(other)
-        c = self.du * o.du
-        return GridJet(self.ts, self.u * o.u, self.u * o.du + o.u * self.du,
-                       self.u * o.ddu + o.u * self.ddu + c + c)
+        u, v = self.u, o.u
+        # Jet's u dv + v du and u Hv + v Hu + c + c^T with c = du dv^T, per point
+        c = self.du.transpose(0, 2, 1) * o.du
+        return GridJet(self.at, u * v, u * o.du + v * self.du,
+                       u * o.ddu + v * self.ddu + c + c.transpose(0, 2, 1))
 
     __rmul__ = __mul__
 
     def _chain(self, f, fp, fpp):
-        return GridJet(self.ts, f, fp * self.du, fp * self.ddu + fpp * (self.du * self.du))
+        if self.du is None:
+            return GridJet(self.at, f, None, None)
+        outer = self.du.transpose(0, 2, 1) * self.du
+        return GridJet(self.at, f, fp * self.du, fp * self.ddu + fpp * outer)
+
+    def _where(self, j):
+        names, pts = self.at
+        return ", ".join(f"{nm}={x!r}" for nm, x in zip(names, pts[j].tolist()))
 
     def _check(self, bad, message):
-        """ExprError naming the first grid value flagged in `bad`."""
+        """ExprError naming the first point flagged in `bad`."""
         if bad.any():
             j = int(np.argmax(bad))
-            raise ExprError(f"{message} {float(self.u[j])!r} at t={float(self.ts[j])!r}")
+            raise ExprError(f"{message} {float(self.u[j, 0, 0])!r} at {self._where(j)}")
 
     def _map(self, fn):
-        """fn of each grid value as a Python float; an ExprError names its t."""
-        us = self.u.tolist()
+        """fn of each value as a Python float; an ExprError names its point."""
+        us = self.u.ravel().tolist()
         try:
-            return np.fromiter(map(fn, us), float, len(us))
+            return np.fromiter(map(fn, us), float, len(us)).reshape(self.u.shape)
         except ExprError:
-            for u, t in zip(us, self.ts.tolist()):
+            for j, u in enumerate(us):
                 try:
                     fn(u)
                 except ExprError as exc:
-                    raise ExprError(f"{exc} at t={t!r}") from None
+                    raise ExprError(f"{exc} at {self._where(j)}") from None
             raise
 
     def pow_const(self, r):
         r = float(r)
         if r == 0.0:
-            zero = np.zeros(len(self.ts))
-            return GridJet(self.ts, zero + 1.0, zero, zero)
+            one = np.ones_like(self.u)
+            if self.du is None:
+                return GridJet(self.at, one, None, None)
+            return GridJet(self.at, one, np.zeros_like(self.du), np.zeros_like(self.ddu))
         if not r.is_integer():
             self._check(self.u <= 0.0, "fractional power of non-positive base")
         if r < 0:
             self._check(self.u == 0.0, "negative power of")
         f = self._map(lambda b: _pow(b, r))
+        if self.du is None:
+            return GridJet(self.at, f, None, None)
         fp = r * self._map(lambda b: _pow(b, r - 1.0))
         fpp = r * (r - 1.0) * self._map(
             lambda b: _pow(b, r - 2.0) if b != 0.0 or r >= 2.0 else 0.0)
@@ -250,10 +287,15 @@ class GridJet:
         return self._chain(e, e, e)
 
     def sin(self):
-        s, c = self._map(_sin), self._map(_cos)
+        s = self._map(_sin)
+        if self.du is None:
+            return GridJet(self.at, s, None, None)
+        c = self._map(_cos)
         return self._chain(s, c, -s)
 
     def cos(self):
+        if self.du is None:
+            return GridJet(self.at, self._map(_cos), None, None)
         s, c = self._map(_sin), self._map(_cos)
         return self._chain(c, -s, -c)
 
@@ -397,13 +439,21 @@ class Pow(ScalarExpr):
         self.exponent = float(exponent)
 
     def eval(self, env):
+        # a stack walk evaluates a power that several trees share (the
+        # metric's b^2 in every entry of its fiber block) once
+        memo = env.memo if isinstance(env, _Stack) else {}
+        if id(self) in memo:
+            return memo[id(self)]
         b = self.base.eval(env)
-        if isinstance(b, _JETS):
-            return b.pow_const(self.exponent)
         r = self.exponent
-        if b <= 0.0 and not r.is_integer():
+        if isinstance(b, _JETS):
+            out = b.pow_const(r)
+        elif b <= 0.0 and not r.is_integer():
             raise ExprError(f"fractional power of non-positive base {b!r}")
-        return _pow(b, r)
+        else:
+            out = _pow(b, r)
+        memo[id(self)] = out
+        return out
 
     def _collect(self, out):
         self.base._collect(out)
@@ -515,14 +565,44 @@ def eval_jet(expr, names, values, order=2):
     return out
 
 
+class _Stack(dict):
+    """eval_stack's environment: each coordinate name's GridJet over the
+    stack, with du = e_i and ddu = 0 (order 2) or values only (order 0),
+    and the walk's memo of the powers that several trees share."""
+
+    def __init__(self, names, pts, order):
+        count, n = pts.shape
+        du, ddu = np.zeros((n, count, 1, n)), np.zeros((count, n, n))
+        for i in range(n):
+            du[i, :, 0, i] = 1.0
+        super().__init__({name: GridJet((names, pts), pts[:, i, None, None],
+                                        du[i] if order else None, ddu if order else None)
+                          for i, name in enumerate(names)})
+        self.memo = {}
+
+
+def eval_stack(exprs, names, pts, order=2):
+    """Each expression over the rows of an (N, len(names)) stack of points.
+
+    One walk per tree with GridJet numbers seeded on one slot per name
+    (order 2), or carrying values only (order 0); a constant tree gives its
+    float.  Row j equals, bit for bit, eval_jet(expr, names, pts[j]) (for
+    order 0 its value, as eval_value gives it); where that call would raise
+    ExprError this raises it too, naming the first point at which the
+    failing rule fails.  Overflow and invalid operations give inf and nan,
+    as on floats.
+    """
+    env = _Stack(names, np.asarray(pts, dtype=float), order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [e.eval(env) for e in exprs]
+
+
 def eval_grid(expr, ts):
     """Rows u, u', u'' of an expression in the single variable t over a grid.
 
-    One walk of the tree with GridJet numbers, shape (3, len(ts)).  Column j
-    equals, bit for bit, the value, gradient and Hessian of
-    eval_jet(expr, ("t",), [ts[j]]); where that call would raise ExprError
-    this raises it too, naming the first grid value at which the failing
-    rule fails.
+    The stack of eval_stack with n = 1, shape (3, len(ts)): column j equals,
+    bit for bit, the value, gradient and Hessian of
+    eval_jet(expr, ("t",), [ts[j]]), and an ExprError names the grid value.
     """
     ts = np.asarray(ts, dtype=float)
     out = np.zeros((3, len(ts)))
@@ -531,10 +611,9 @@ def eval_grid(expr, ts):
     unbound = sorted(expr.variables() - {"t"})
     if unbound:
         raise ExprError(f"unbound variable {unbound[0]!r} at t={float(ts[0])!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        jet = expr.eval({"t": GridJet(ts, ts, np.ones(len(ts)), np.zeros(len(ts)))})
+    jet, = eval_stack([expr], ("t",), ts[:, None])
     if isinstance(jet, GridJet):
-        out[0], out[1], out[2] = jet.u, jet.du, jet.ddu
+        out[0], out[1], out[2] = jet.val, jet.grad[:, 0], jet.hess[:, 0, 0]
     else:
         out[0] = jet
     bad = ~np.isfinite(out[0])

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonPositiveWarping, OutOfChart, UnsupportedP, WarpcurvError
-from .exprs import Const, Pow, Prod, Recip, ScalarExpr, Sin, Var, eval_value
+from .exprs import Const, GridJet, Pow, Prod, Recip, ScalarExpr, Sin, Var, eval_stack, eval_value
 
 _BASE_COORD_NAMES = ("t", "u", "v")
 _FIBER_COORD_PAIRS = (("x", "y"), ("z", "w"), ("p", "q"), ("r", "s"))
@@ -52,9 +52,10 @@ class IntervalBase:
     def coord_names(self):
         return ("t",)
 
-    def check_point(self, coords):
-        if not (self.domain[0] < coords[0] < self.domain[1]):
-            raise OutOfChart(f"t={coords[0]} outside interval {self.domain}")
+    def chart_faults(self, coords):
+        t = coords[:, 0]
+        bad = ~((self.domain[0] < t) & (t < self.domain[1]))
+        return bad, lambda j: OutOfChart(f"t={t[j]} outside interval {self.domain}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,8 @@ class FlatBase:
     def coord_names(self):
         return _BASE_COORD_NAMES[: self.dim]
 
-    def check_point(self, coords):
-        pass
+    def chart_faults(self, coords):
+        return np.zeros(len(coords), dtype=bool), None
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +118,10 @@ class FiberGeometry:
         """Fiber Ricci matrix in the package trace convention."""
         return np.zeros((self.dim,) * 2)
 
-    def check_chart(self, coords):
-        pass
+    def chart_faults(self, coords):
+        """Rows of an (N, dim) stack of chart points outside the chart, and
+        the error a row raises."""
+        return np.zeros(len(coords), dtype=bool), None
 
     def sample_coords(self, k):
         """k deterministic interior sample points, shape (k, dim)."""
@@ -196,10 +199,10 @@ class Sphere(_ConstantCurvatureSurface):
         G[1, 0, 1] = G[1, 1, 0] = math.cos(th) / math.sin(th)
         return G
 
-    def check_chart(self, coords):
-        th = coords[0]
-        if not (self.polar_margin <= th <= math.pi - self.polar_margin):
-            raise OutOfChart(f"polar angle {th} too close to a pole")
+    def chart_faults(self, coords):
+        th = coords[:, 0]
+        bad = ~((self.polar_margin <= th) & (th <= math.pi - self.polar_margin))
+        return bad, lambda j: OutOfChart(f"polar angle {th[j]} too close to a pole")
 
     def sample_coords(self, k):
         th = np.linspace(0.8, 2.2, k)
@@ -225,9 +228,9 @@ class HyperbolicPlane(_ConstantCurvatureSurface):
         G[1, 1, 1] = -1.0 / y
         return G
 
-    def check_chart(self, coords):
-        if coords[1] <= 1e-9:
-            raise OutOfChart(f"half-plane coordinate y={coords[1]} must be positive")
+    def chart_faults(self, coords):
+        y = coords[:, 1]
+        return y <= 1e-9, lambda j: OutOfChart(f"half-plane coordinate y={y[j]} must be positive")
 
     def sample_coords(self, k):
         x = np.linspace(-0.7, 0.9, k)
@@ -321,6 +324,7 @@ class ProductManifoldSpec:
         self.n_bar = self.n + sum(self.fiber_dims)
         self._base_slice = slice(0, self.n)
         self._fiber_slices = []
+        self._passed_points = frozenset()
         start = self.n
         for d in self.fiber_dims:
             self._fiber_slices.append(slice(start, start + d))
@@ -368,47 +372,73 @@ class ProductManifoldSpec:
     # -- points --------------------------------------------------------------
 
     def make_point(self, base_coords, fiber_coords=None):
-        """Assemble a full coordinate vector from per-block pieces."""
-        base_coords = np.atleast_1d(np.asarray(base_coords, dtype=float))
-        parts = [base_coords]
+        """Assemble a full coordinate vector from per-block pieces.
+
+        Pieces with leading axes broadcast: base coordinates of shape (N, n),
+        or a fiber's (N, d) stack, give an (N, n_bar) stack of points.  A
+        fiber block not given takes the fiber's first sample point.
+        """
+        parts = [np.atleast_1d(np.asarray(base_coords, dtype=float))]
         for i, f in enumerate(self.fibers):
             if fiber_coords is not None and fiber_coords[i] is not None:
-                fc = np.asarray(fiber_coords[i], dtype=float)
+                parts.append(np.asarray(fiber_coords[i], dtype=float))
             else:
-                fc = f.geometry.sample_coords(1)[0]
-            parts.append(fc)
-        p = np.concatenate(parts)
-        if p.shape != (self.n_bar,):
+                parts.append(f.geometry.sample_coords(1)[0])
+        if [q.shape[-1] for q in parts] != [self.n, *self.fiber_dims]:
             raise WarpcurvError("point has wrong dimension")
+        p = np.empty(np.broadcast_shapes(*(q.shape[:-1] for q in parts)) + (self.n_bar,))
+        for q, sl in zip(parts, [self._base_slice, *self._fiber_slices]):
+            p[..., sl] = q
         return p
 
-    def check_point(self, p):
-        p = np.asarray(p, dtype=float)
-        if p.shape != (self.n_bar,):
+    def point_stack(self, p):
+        """p as an (N, n_bar) stack of points; a single point is one row."""
+        pts = np.asarray(p, dtype=float)
+        if pts.ndim not in (1, 2) or pts.shape[-1] != self.n_bar:
             raise WarpcurvError(f"point must have length {self.n_bar}")
-        self.base.check_point(p[: self.n])
-        for i, f in enumerate(self.fibers):
-            f.geometry.check_chart(p[self.block_slice(i)])
-        for i in range(self.m):
-            self.warping_value(i, p)
+        return pts.reshape(-1, self.n_bar)
 
-    def warping_value(self, i, p):
-        b = eval_value(self.warpings[i], self.coord_names, np.asarray(p, dtype=float))
-        if not (b > 0.0) or not math.isfinite(b):
-            raise NonPositiveWarping(f"warping {i} = {b} at point {list(p)}")
-        return b
+    def check_point(self, p):
+        """Chart membership and finite positive warpings at a point, or at
+        every row of an (N, n_bar) stack, by one array test per condition.
+
+        The first failing point raises what a check of that point alone
+        raises: the base chart, then each fiber chart, then each warping.
+        Warpings are evaluated only at the points before the first one
+        outside a chart, as a point-by-point check would; the points after
+        it count as passing the warping test.  The oracle and the clause
+        caches check the same points again and again, so the last stack
+        that passed is kept, and points among its rows pass at once.
+        """
+        pts = self.point_stack(p)
+        if all(row.tobytes() in self._passed_points for row in pts):
+            return
+        charts = [self.base.chart_faults(pts[:, self._base_slice])]
+        charts += [f.geometry.chart_faults(pts[:, sl])
+                   for f, sl in zip(self.fibers, self._fiber_slices)]
+        bad = np.array([rows for rows, _ in charts])
+        inside = int(np.argmax(bad.any(axis=0))) if bad.any() else len(pts)
+        b = np.ones((self.m, len(pts)))
+        for i, w in enumerate(eval_stack(self.warpings, self.coord_names, pts[:inside], order=0)):
+            b[i, :inside] = w.val if isinstance(w, GridJet) else w
+        bad = np.vstack([bad, ~((b > 0.0) & np.isfinite(b))])
+        if bad.any():
+            j = int(np.argmax(bad.any(axis=0)))
+            k = int(np.argmax(bad[:, j]))
+            if k < len(charts):
+                raise charts[k][1](j)
+            i = k - len(charts)
+            raise NonPositiveWarping(f"warping {i} = {float(b[i, j])} at point {list(pts[j])}")
+        self._passed_points = frozenset(row.tobytes() for row in pts)
 
     def sample_points(self, k, t_range=(0.1, 0.9)):
         """Deterministic in-chart sample points for tests and reports."""
-        ts = np.linspace(t_range[0], t_range[1], k)
-        pts = []
-        fiber_samples = [f.geometry.sample_coords(k) for f in self.fibers]
-        for j in range(k):
-            base = [ts[j]] + [0.2 + 0.15 * b for b in range(self.n - 1)]
-            p = self.make_point(base, [fs[j] for fs in fiber_samples])
-            self.check_point(p)
-            pts.append(p)
-        return pts
+        base = np.empty((k, self.n))
+        base[:, 0] = np.linspace(t_range[0], t_range[1], k)
+        base[:, 1:] = 0.2 + 0.15 * np.arange(self.n - 1)
+        pts = self.make_point(base, [f.geometry.sample_coords(k) for f in self.fibers])
+        self.check_point(pts)
+        return list(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -455,27 +485,28 @@ def p_dt():
 
 
 def ambient_components(spec, P, p, order=0):
-    """Full-length component vector of P at p (floats or Jets)."""
-    from .exprs import Jet, jet_env
-
+    """Full-length component vector of P at a point, or (N, n_bar) at each
+    row of a stack; with order 1 also its partials dP[..., i, m] = d_i P^m."""
+    pts = spec.point_stack(p)
     nbar = spec.n_bar
-    if P is None:
-        if order == 0:
-            return np.zeros(nbar)
-        return [Jet.constant(0.0, nbar, order) for _ in range(nbar)]
-    names = P.validate(spec)
-    sl = spec.block_slice(P.location)
-    if order == 0:
-        out = np.zeros(nbar)
-        env = dict(zip(spec.coord_names, map(float, p)))
-        for k, c in enumerate(P.components):
-            out[sl.start + k] = float(c.eval(env))
-        return out
-    env = jet_env(spec.coord_names, p, order)
-    out = [Jet.constant(0.0, nbar, order) for _ in range(nbar)]
-    for k, c in enumerate(P.components):
-        val = c.eval(env)
-        if not isinstance(val, Jet):
-            val = Jet.constant(val, nbar, order)
-        out[sl.start + k] = val
-    return out
+    vals = np.zeros((len(pts), nbar))
+    partials = np.zeros((len(pts), nbar, nbar))
+    if P is not None:
+        P.validate(spec)
+        start = spec.block_slice(P.location).start
+        jets = eval_stack(P.components, spec.coord_names, pts, order=2 if order else 0)
+        for k, jet in enumerate(jets):
+            if isinstance(jet, GridJet):
+                vals[:, start + k] = jet.val
+                if order:
+                    partials[:, :, start + k] = jet.grad
+            else:
+                vals[:, start + k] = jet
+    vals, partials = as_given(p, vals), as_given(p, partials)
+    return (vals, partials) if order else vals
+
+
+def as_given(p, a):
+    """`a`, computed over the stack of p, without its point axis when p is a
+    single point."""
+    return a[0] if np.ndim(p) == 1 else a

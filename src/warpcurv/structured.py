@@ -753,19 +753,18 @@ class MixedRicciReport:
 def mixed_ricci_flat_check(spec, P, kind, points, tolerance=1e-8):
     """Check vanishing of the base-fiber Ricci block on a point sample.
 
-    Uses the generic coordinate pipeline, so the verdict is independent of
-    the component formulas.
+    Uses the generic coordinate pipeline, one call for all the points, so
+    the verdict is independent of the component formulas.
     """
     from .connections import connection_curvature
 
+    ricci = connection_curvature(kind, spec, P, np.reshape(points, (-1, spec.n_bar))).ricci
+    base = spec.block_slice("base")
     worst = 0.0
-    for p in points:
-        cur = connection_curvature(kind, spec, P, p)
-        base = spec.block_slice("base")
-        for i in range(spec.m):
-            sl = spec.block_slice(i)
-            worst = max(worst, float(np.max(np.abs(cur.ricci[base, sl]))))
-            worst = max(worst, float(np.max(np.abs(cur.ricci[sl, base]))))
+    for i in range(spec.m):
+        sl = spec.block_slice(i)
+        for block in (ricci[:, base, sl], ricci[:, sl, base]):
+            worst = max(worst, float(np.max(np.abs(block), initial=0.0)))
     return MixedRicciReport(
         is_mixed_flat=worst <= tolerance,
         max_mixed_component=worst,

@@ -5,7 +5,8 @@ For a given spec, torsion field and connection kind this enumerates every
 argument block pattern the spec supports (covariant derivative pairs,
 curvature triples, Ricci pairs, scalar) and compares the closed-form
 values with the coordinate computation at a set of sample points: one
-clause call per block pattern, over every coordinate vector of each block.
+oracle call for all the points, and one clause call per block pattern and
+point, over every coordinate vector of each block.
 """
 
 from __future__ import annotations
@@ -78,15 +79,16 @@ def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE):
     worst_ric = 0.0
     worst_scal = 0.0
 
-    for p in points:
+    stack = np.reshape(points, (-1, spec.n_bar))
+    cur = connection_curvature(kind, spec, P, stack)
+    for j, p in enumerate(stack):
         cache = StructuredGeometryCache(spec, P, p)
-        cur = connection_curvature(kind, spec, P, p)
 
         for bx, by in itertools.product(blocks, repeat=2):
             key = f"cov[{_block_label(bx)},{_block_label(by)}]"
             X, Y = cov_stacks[bx], cov_stacks[by]
             sv = structured_covariant_derivative(spec, P, kind, X, Y, p, cache=cache)
-            ov = np.einsum("kij,xi,yj->kxy", cur.coefficients[:, sl[bx], sl[by]],
+            ov = np.einsum("kij,xi,yj->kxy", cur.coefficients[j, :, sl[bx], sl[by]],
                            X.components, Y.components)
             worst_cov[key] = _worst(worst_cov.get(key, 0.0), sv - ov)
 
@@ -94,13 +96,13 @@ def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE):
             key = f"curv[{_block_label(bx)},{_block_label(by)},{_block_label(bz)}]"
             sv = structured_curvature(spec, P, kind, frames[bx], frames[by], frames[bz], p,
                                       cache=cache)
-            ov = cur.riemann[:, sl[bx], sl[by], sl[bz]]
+            ov = cur.riemann[j, :, sl[bx], sl[by], sl[bz]]
             worst_curv[key] = _worst(worst_curv.get(key, 0.0), sv - ov)
 
         sric = structured_ricci_matrix(spec, P, kind, p, cache=cache)
-        worst_ric = _worst(worst_ric, sric - cur.ricci)
+        worst_ric = _worst(worst_ric, sric - cur.ricci[j])
         sscal = structured_scalar(spec, P, kind, p, cache=cache)
-        worst_scal = _worst(worst_scal, sscal - cur.scalar)
+        worst_scal = _worst(worst_scal, sscal - cur.scalar[j])
 
     reports = []
     for key in sorted(worst_cov):

@@ -191,3 +191,76 @@ def test_non_finite_curvature_detected():
     for field in (overflowing, undefined):
         with pytest.raises(NumericalInstability):
             curvature_from_coefficients(spec, field, spec.make_point([0.3]))
+
+
+def _bad_row_error(spec, rows, bad, call):
+    """The error of `call` on a stack whose row `bad` is bad, and that of the
+    same call on that point alone: same type, and the stack's names it."""
+    from warpcurv.errors import WarpcurvError
+
+    stack = np.array(rows, dtype=float)
+    with pytest.raises(WarpcurvError) as at_stack:
+        call(spec, stack)
+    with pytest.raises(WarpcurvError) as at_point:
+        call(spec, stack[bad])
+    assert type(at_stack.value) is type(at_point.value)
+    return at_stack.value, at_point.value
+
+
+def _curvature(spec, p):
+    from warpcurv.connections import ConnectionKind, connection_curvature
+
+    return connection_curvature(ConnectionKind.SEMI_SYMMETRIC_NON_METRIC, spec, None, p)
+
+
+def test_a_stack_raises_the_typed_error_of_its_bad_point():
+    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
+                               [parse_expr("exp(-400*t)")])
+    good = [[0.1, 0.3, 0.4], [0.5, 0.3, 0.4]]
+
+    # a point outside the interval
+    err, alone = _bad_row_error(spec, good + [[12.0, 0.3, 0.4]] + good, 2, _curvature)
+    assert isinstance(err, OutOfChart) and str(err) == str(alone)
+    assert "t=12.0 outside interval" in str(err)
+
+    # exp(-400)^2 underflows to 0: a singular metric, not a bare LinAlgError
+    err, _ = _bad_row_error(spec, good + [[1.0, 0.3, 0.4]] + good, 2, _curvature)
+    assert isinstance(err, SingularMetric)
+    assert str(err) == "Singular matrix at [1.0, 0.3, 0.4]"
+
+
+def test_a_stack_names_its_first_non_finite_point():
+    from warpcurv.errors import NumericalInstability
+
+    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
+                               [Const(1.0)])
+
+    def field(q):  # finite coefficients except at t = 0.7
+        G = np.zeros((len(q), 3, 3, 3))
+        G[q[:, 0] == 0.7] = np.nan
+        return G, np.zeros((len(q), 3, 3, 3, 3))
+
+    def call(spec, q):
+        return curvature_from_coefficients(spec, field, np.reshape(q, (-1, 3)))
+
+    rows = [[0.1, 0.3, 0.4], [0.7, 0.3, 0.4], [0.9, 0.3, 0.4]]
+    err, alone = _bad_row_error(spec, rows, 1, call)
+    assert isinstance(err, NumericalInstability) and str(err) == str(alone)
+    assert str(err) == "connection or curvature not finite at [0.7, 0.3, 0.4]"
+
+
+def test_check_point_raises_for_the_first_failing_point_in_check_order():
+    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(Sphere(1.0))],
+                               [parse_expr("0.6 - t")])
+    # row 1 has a non-positive warping, row 2 is off the interval and near a
+    # pole: the first failing point wins, and at it the chart comes first
+    stack = np.array([[0.1, 1.0, 0.5], [0.8, 1.0, 0.5], [11.0, 0.05, 0.5]])
+    with pytest.raises(NonPositiveWarping, match=r"warping 0 = -0\.2"):
+        spec.check_point(stack)
+    with pytest.raises(OutOfChart, match="t=11.0 outside interval"):
+        spec.check_point(stack[[0, 2]])
+    # a point that passed before passes again; a new one is still checked
+    spec.check_point(stack[:1])
+    spec.check_point(stack[0])
+    with pytest.raises(NonPositiveWarping):
+        spec.check_point(stack[:2])

@@ -5,6 +5,7 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from warpcurv.cli import (
@@ -435,3 +436,31 @@ def test_scalar_check_evaluates_the_closed_form_once(monkeypatch, capsysbinary):
     assert code == 0
     assert out == (SCENARIOS / "expected" / "scalar-static.out").read_bytes()
     assert len(calls) == 1
+
+
+def test_p_component_may_call_pow(tmp_path, capsysbinary):
+    # the comma inside pow(...) does not split P into two components
+    text = (SCENARIOS / "oracle-sphere.txt").read_text()
+    reports = []
+    for component in ("pow(2 + t, 1)", "2 + t"):
+        path = tmp_path / "pow-p.txt"
+        path.write_text(text.replace("p.components = 1\n", f"p.components = {component}\n"))
+        code, out = run_main(capsysbinary, "verify", str(path))
+        assert code == 0
+        report = json.loads(out)
+        report["scenario"].remove(["p.components", component])
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_non_positive_warping_inside_the_scalar_check_grid(tmp_path, capsysbinary):
+    # 0.6 - t turns negative inside the default grid; the oracle's stack of
+    # grid points names the first such point, as one point at a time did
+    text = (SCENARIOS / "scalar-static.txt").read_text()
+    path = tmp_path / "negative-warping.txt"
+    path.write_text(text.replace("fiber.warping = 1\n", "fiber.warping = 0.6 - t\n"))
+    assert main(["verify", str(path)]) == 2
+    captured = capsysbinary.readouterr()
+    point = list(np.array([0.6625587497842188, 0.25, 0.35]))
+    line = f"error: warping 0 = -0.06255874978421883 at point {point}\n"
+    assert line.encode() in captured.err and not captured.out

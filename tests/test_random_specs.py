@@ -152,3 +152,22 @@ def test_an_error_only_the_third_coordinate_vector_reaches_fails_its_rows(monkey
                 index.append(sl.start + np.arange(d))
             sv = structured_curvature(spec, P, kind, *stacks, p)
             assert np.max(np.abs(sv - riemann[np.ix_(*index)])) / scale <= BOUND, row
+
+
+@settings(max_examples=30, deadline=None)
+@given(recipe=recipes(), count=st.integers(1, 17))
+@example(recipe=P_ON_3D_FIBER, count=17)
+def test_a_stack_of_points_matches_one_row_stacks(recipe, count):
+    # the oracle at N points at once is bit-identical to each point as a
+    # one-row stack, and to the point itself without a point axis
+    base, geometries, twisted, p_location, kind, coefs = recipe
+    spec, P = build_case(base, geometries, twisted, p_location, coefs)
+    points = np.array(spec.sample_points(count, t_range=(-0.4, 1.1)))
+    stack = connection_curvature(kind, spec, P, points)
+    for j, p in enumerate(points):
+        row = connection_curvature(kind, spec, P, points[j:j + 1])
+        single = connection_curvature(kind, spec, P, p)
+        for field in ("riemann", "ricci", "scalar", "coefficients"):
+            want = getattr(row, field)
+            assert np.array_equal(getattr(stack, field)[j], want[0]), (field, j, recipe)
+            assert np.array_equal(getattr(single, field), want[0]), (field, j, recipe)
