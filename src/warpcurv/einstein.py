@@ -22,6 +22,10 @@ from .structured import StructuredGeometryCache
 DEFAULT_GRID_POINTS = 17
 CLOSED_FORM_TOL = 1e-8
 ORACLE_TOL = 1e-6
+# Points times n_bar**4 in one oracle call of the scalar check, whose
+# (N, n_bar, n_bar, n_bar, n_bar) tensors grow with the grid: a grid of up
+# to 17 points at n_bar 9 stays one call, and larger grids go in blocks.
+_ORACLE_BLOCK_ELEMENTS = 1 << 17
 
 
 def chebyshev_grid(a=0.0, b=1.0, n=DEFAULT_GRID_POINTS):
@@ -249,14 +253,21 @@ def multiwarped_scalar(spec, P, grid=None, tolerance=ORACLE_TOL):
     """Compare the closed-form scalar expression with the semi-symmetric
     oracle; the symmetrized connection has the same scalar curvature.
 
-    Returns the report and the closed-form values over the grid, which
+    The oracle walks the grid in blocks of at most `_ORACLE_BLOCK_ELEMENTS`
+    points times n_bar**4, so memory stays bounded on large grids.  Returns
+    the report and the closed-form values over the grid, which
     `constant_scalar_separation_check` takes instead of computing them again.
     """
     if grid is None:
         grid = chebyshev_grid()
     formula = multiwarped_scalar_formula(spec, P, grid)
-    oracle = connection_curvature(ConnectionKind.SEMI_SYMMETRIC_NON_METRIC, spec, P,
-                                  _grid_points(spec, grid)).scalar
+    pts = _grid_points(spec, grid)
+    step = max(1, _ORACLE_BLOCK_ELEMENTS // spec.n_bar**4)
+    oracle = np.concatenate([
+        connection_curvature(ConnectionKind.SEMI_SYMMETRIC_NON_METRIC, spec, P,
+                             pts[i:i + step]).scalar
+        for i in range(0, len(pts), step)
+    ])
     devs = formula - oracle
     return (ResidualReport.from_values("scalar-closed-form-vs-oracle", grid, devs, tolerance),
             formula)

@@ -245,9 +245,12 @@ def _grw_scalar_identity(l, scalar, s_fiber, v, dv, ddv):
 
 def _v_family(fid, case, params, builder, scalar, s_fiber,
               ranges=None):
+    # v'' = 1.5 v' - a v + b
+    a, b = scalar / 3.0 - 1.0, s_fiber / 3.0
+
     def residuals(expr, p, ts):
         v, dv, ddv = profile_derivatives(expr, ts)
-        ode = ddv - 1.5 * dv + (scalar / 3.0 - 1.0) * v - s_fiber / 3.0
+        ode = ddv - 1.5 * dv + a * v - b
         scal = _grw_scalar_identity(3, scalar, s_fiber, v, dv, ddv)
         return {"profile-ode": ode, "scalar-identity": scal}
 
@@ -265,18 +268,18 @@ def _v_family(fid, case, params, builder, scalar, s_fiber,
         constraints=("v > 0 on the interval",),
         _profile_builder=builder,
         _residuals=residuals,
-        _ode_rhs=lambda p: (
-            lambda t, u, w: 1.5 * w - (scalar / 3.0 - 1.0) * u + s_fiber / 3.0
-        ),
+        _ode_rhs=lambda p: (lambda t, u, w: 1.5 * w - a * u + b),
     )
 
 
 def _w_family(fid, case, params, builder, l, scalar):
     expo = 4.0 / (l + 1.0)
+    # w'' = half w' - coef w
+    half, coef = l / 2.0, ((l + 1.0) / 4.0) * ((scalar - l) / l)
 
     def residuals(expr, p, ts):
         w, dw, ddw = profile_derivatives(expr, ts)
-        ode = ddw - (l / 2.0) * dw + ((l + 1.0) / 4.0) * ((scalar - l) / l) * w
+        ode = ddw - half * dw + coef * w
         v = w**expo
         dv = expo * w ** (expo - 1) * dw
         ddv = expo * (expo - 1) * w ** (expo - 2) * dw**2 + expo * w ** (expo - 1) * ddw
@@ -293,9 +296,7 @@ def _w_family(fid, case, params, builder, l, scalar):
         constraints=("w > 0 on the interval",),
         _profile_builder=builder,
         _residuals=residuals,
-        _ode_rhs=lambda p: (
-            lambda t, u, w: (l / 2.0) * w - ((l + 1.0) / 4.0) * ((scalar - l) / l) * u
-        ),
+        _ode_rhs=lambda p: (lambda t, u, w: half * w - coef * u),
     )
 
 
@@ -396,13 +397,15 @@ class KasnerSpec:
 def _kasner_system_values(exponents, dims, lam, lam_fibers, phi, dphi, ddphi):
     zeta, eta = kasner_invariants(exponents, dims)
     ltot = float(sum(dims))
-    rows = [(eta - zeta) * (dphi / phi) ** 2 + zeta * ddphi / phi + lam - ltot]
+    ratio_sq = (dphi / phi) ** 2
+    zeta_ratio = zeta * dphi / phi
+    rows = [(eta - zeta) * ratio_sq + zeta * ddphi / phi + lam - ltot]
     for pi, lam_i in zip(exponents, lam_fibers):
         rows.append(
             lam_i * phi ** (-2.0 * pi)
             - pi * ddphi / phi
-            - (zeta - 1.0) * pi * (dphi / phi) ** 2
-            + zeta * dphi / phi
+            - (zeta - 1.0) * pi * ratio_sq
+            + zeta_ratio
             - lam
         )
     return rows
@@ -504,7 +507,7 @@ def _phi_exp_family(fid, case, rate_sq, params, residual_builder):
         constraints=("c0 > 0",),
         _profile_builder=builder,
         _residuals=residual_builder,
-        _ode_rhs=lambda p: (lambda t, u, v: rate_sq * u),
+        _ode_rhs=lambda p: _scaled_rhs(rate_sq),
     )
 
 
@@ -548,7 +551,7 @@ def kasner_einstein_families(kind, p, dims, lam, lam_fibers):
                 constraints=("c1 > 0",),
                 _profile_builder=lambda q: Const(q["c1"]) * _exp_t(q["rate"]),
                 _residuals=_kasner_einstein_residual_fn(p, dims, -6.0, lam_fibers),
-                _ode_rhs=lambda q: (lambda t, u, v: q["rate"] ** 2 * u),
+                _ode_rhs=lambda q: _scaled_rhs(q["rate"] ** 2),
             ))
         return out
     if any(abs(x) > _EQ_TOL for x in lam_fibers):
@@ -753,41 +756,48 @@ def _kasner2_second_order_numeric(p, dims, scalar, s2, zeta, eta, mu_expo):
 # Runge-Kutta machinery
 
 
+def _scaled_rhs(c):
+    """The right-hand side c u of u'' = c u."""
+    return lambda t, u, v: c * u
+
+
 def rk4_integrate(rhs, t0, u0, v0, t1, n_steps):
     """Classical fourth-order integration of u'' = rhs(t, u, u')."""
     h = (t1 - t0) / n_steps
-    ts = np.empty(n_steps + 1)
-    us = np.empty(n_steps + 1)
+    h2, h6 = h / 2, h / 6
     t, u, v = t0, float(u0), float(v0)
-    ts[0], us[0] = t, u
+    us = [u]
     for k in range(n_steps):
-        k1u, k1v = v, rhs(t, u, v)
-        k2u, k2v = v + h / 2 * k1v, rhs(t + h / 2, u + h / 2 * k1u, v + h / 2 * k1v)
-        k3u, k3v = v + h / 2 * k2v, rhs(t + h / 2, u + h / 2 * k2u, v + h / 2 * k2v)
-        k4u, k4v = v + h * k3v, rhs(t + h, u + h * k3u, v + h * k3v)
-        u += h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        v += h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        k1v = rhs(t, u, v)
+        k2u = v + h2 * k1v
+        k2v = rhs(t + h2, u + h2 * v, k2u)
+        k3u = v + h2 * k2v
+        k3v = rhs(t + h2, u + h2 * k2u, k3u)
+        k4u = v + h * k3v
+        k4v = rhs(t + h, u + h * k3u, k4u)
+        u += h6 * (v + 2 * k2u + 2 * k3u + k4u)
+        v += h6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         t = t0 + (k + 1) * h
-        ts[k + 1], us[k + 1] = t, u
-    return ts, us
+        us.append(u)
+    # t0 + k h per element: the bits of the stepped t above
+    return t0 + np.arange(n_steps + 1) * h, np.array(us)
 
 
 def rk4_integrate_first_order(rhs, t0, u0, t1, n_steps):
     """Classical fourth-order integration of u' = rhs(t, u)."""
     h = (t1 - t0) / n_steps
-    ts = np.empty(n_steps + 1)
-    us = np.empty(n_steps + 1)
+    h2, h6 = h / 2, h / 6
     t, u = t0, float(u0)
-    ts[0], us[0] = t, u
+    us = [u]
     for k in range(n_steps):
         k1 = rhs(t, u)
-        k2 = rhs(t + h / 2, u + h / 2 * k1)
-        k3 = rhs(t + h / 2, u + h / 2 * k2)
+        k2 = rhs(t + h2, u + h2 * k1)
+        k3 = rhs(t + h2, u + h2 * k2)
         k4 = rhs(t + h, u + h * k3)
-        u += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        u += h6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t = t0 + (k + 1) * h
-        ts[k + 1], us[k + 1] = t, u
-    return ts, us
+        us.append(u)
+    return t0 + np.arange(n_steps + 1) * h, np.array(us)
 
 
 def ode_cross_check(family: SolutionFamily, overrides=None, interval=(0.0, 1.0),
@@ -839,35 +849,61 @@ class ScanReport:
     detail: str = ""
 
 
-def _lattice_min_max(c1_axis, c2_axis, rows_for, admissible):
+# Cells x t values in one block of a lattice scan: the default 41 x 41 box
+# at 33 t values takes seven blocks of up to six c1 values, and each array
+# of a block stays under 64 KiB.  Larger blocks ran no faster and raised the
+# peak memory of a run.
+_SCAN_BLOCK_ELEMENTS = 1 << 13
+
+
+def _lattice_min_max(c1_axis, c2_axis, t_points, rows_for, admissible):
     """Smallest worst-case residual over the admissible (c1, c2) lattice cells.
 
-    The lattice is walked one c1 at a time, with c2 the column
-    `c2_axis[:, None]`: `rows_for(c1, c2)` gives the residual rows of all
-    cells (c1, c2) at once, each of shape (len(c2_axis), t_points), and
-    `admissible(c1, c2)` the (len(c2_axis), 1) mask of the cells that count.
-    A cell's residual is its largest |row| value; non-finite values count
-    as 1e6.
+    The lattice is walked in blocks of consecutive c1 values, as many as
+    keep a block's cells times `t_points` within `_SCAN_BLOCK_ELEMENTS`
+    (at least one).  A block passes c1 as the (B, 1, 1) array of its values
+    and c2 as the (1, len(c2_axis), 1) array of the whole axis:
+    `rows_for(c1, c2)` gives the residual rows of all its cells at once,
+    each of shape (B, len(c2_axis), t_points) with t last, and
+    `admissible(c1, c2)` the (B, len(c2_axis), 1) mask of the cells that
+    count.  A cell's residual is its largest |row| value; non-finite values
+    count as 1e6.
     """
     big = 1e6
     best = np.inf
-    c2 = c2_axis[:, None]
-    for c1 in c1_axis:
+    c2 = c2_axis[None, :, None]
+    step = max(1, _SCAN_BLOCK_ELEMENTS // max(1, len(c2_axis) * t_points))
+    for start in range(0, len(c1_axis), step):
+        c1 = c1_axis[start:start + step, None, None]
         keep = admissible(c1, c2)
         if not keep.any():
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
             rows = rows_for(c1, c2)
-        worst = np.zeros(c2.shape)
+        worst = np.zeros(keep.shape)
         for r in rows:
-            r = np.where(np.isfinite(r), np.abs(r), big)
-            worst = np.maximum(worst, np.max(r, axis=1, keepdims=True))
+            m = np.max(np.abs(r), axis=-1, keepdims=True)
+            bad = ~np.isfinite(m)
+            if bad.any():
+                # the 1e6 rule, applied only where a value is not finite
+                rb = r[bad[..., 0]]
+                m[bad] = np.max(np.where(np.isfinite(rb), np.abs(rb), big), axis=-1)
+            worst = np.maximum(worst, m)
         best = min(best, float(np.min(worst[keep])))
     if best == np.inf:
         raise WarpcurvError(
             f"no admissible cell on the {len(c1_axis)} x {len(c2_axis)} lattice"
         )
     return best
+
+
+def _scan_ts(n_c, t_points):
+    """The scans' t-grid on [0, 1], once both lattice counts are checked."""
+    if n_c < 0:
+        raise WarpcurvError(f"n_c must be at least 0, got {n_c}")
+    if t_points < 1:
+        raise WarpcurvError(f"t_points must be at least 1, got {t_points}")
+    return np.linspace(0.0, 1.0, t_points)
 
 
 def _off_origin(c1, c2):
@@ -885,7 +921,7 @@ def scan_grw_einstein_oscillatory(l=2, lam=5.0, lam_fiber=1.0, c_range=(-2.0, 2.
     if lam <= l:
         raise WarpcurvError("scan applies to the oscillatory branch lam > l")
     b = math.sqrt(lam / l - 1.0)
-    ts = np.linspace(0.0, 1.0, t_points)
+    ts = _scan_ts(n_c, t_points)
     cos_t, sin_t = np.cos(b * ts), np.sin(b * ts)
     axis = np.linspace(c_range[0], c_range[1], n_c)
 
@@ -894,7 +930,7 @@ def scan_grw_einstein_oscillatory(l=2, lam=5.0, lam_fiber=1.0, c_range=(-2.0, 2.
         df = b * (-c1 * sin_t + c2 * cos_t)
         return [lam_fiber + (1 - l) * df**2 + (lam / l - 1 - lam) * f**2 + l * df * f]
 
-    best = _lattice_min_max(axis, axis, rows_for, _off_origin)
+    best = _lattice_min_max(axis, axis, t_points, rows_for, _off_origin)
     return ScanReport("grw-einstein-oscillatory", (n_c, n_c), best, threshold,
                       best >= threshold, f"l={l}, lam={lam}, lam_fiber={lam_fiber}")
 
@@ -913,7 +949,7 @@ def scan_kasner2_einstein_oscillatory(lam=5.0, lam2=1.0, p1=1.0, c_range=(-2.0, 
     dims = (1, 2)
     zeta, eta = kasner_invariants(p, dims)
     a = math.sqrt((lam - 3.0) * eta / zeta**2)
-    ts = np.linspace(0.0, 1.0, t_points)
+    ts = _scan_ts(n_c, t_points)
     cos_t, sin_t = np.cos(a * ts), np.sin(a * ts)
     axis = np.linspace(c_range[0], c_range[1], n_c)
 
@@ -923,7 +959,7 @@ def scan_kasner2_einstein_oscillatory(lam=5.0, lam2=1.0, p1=1.0, c_range=(-2.0, 
         ddpsi = -a * a * psi
         return _kasner_system_values(p, dims, lam, (0.0, lam2), psi, dpsi, ddpsi)
 
-    best = _lattice_min_max(axis, axis, rows_for, _off_origin)
+    best = _lattice_min_max(axis, axis, t_points, rows_for, _off_origin)
     return ScanReport("kasner2-einstein-oscillatory", (n_c, n_c), best, threshold,
                       best >= threshold, f"lam={lam}, lam2={lam2}, p=({p1}, 0)")
 
@@ -940,23 +976,25 @@ def scan_kasner3_einstein_linear(p=(1.0, 2.0, 3.0), lam=5.0, c_range=(0.1, 2.0),
     zeta, eta = kasner_invariants(p, dims)
     if abs(zeta) <= _EQ_TOL:
         raise WarpcurvError("scan applies to the nonzero-trace branch")
-    ts = np.linspace(0.0, 1.0, t_points)
+    ts = _scan_ts(n_c, t_points)
     c1_axis = np.linspace(c_range[0], c_range[1], n_c)
     c2_axis = np.linspace(-0.9 * c_range[0], c_range[1], n_c)
 
     def rows_for(c1, c2):
         base = c1 + c2 * ts
         ratio = (c2 / zeta) / base  # phi'/phi
-        ddphi_over = -(c2**2 / zeta) / base**2 + ratio**2  # phi''/phi
-        rows = [(eta - zeta) * ratio**2 + zeta * ddphi_over + lam - 3.0]
+        ratio_sq = ratio**2
+        ddphi_over = -(c2**2 / zeta) / base**2 + ratio_sq  # phi''/phi
+        rows = [(eta - zeta) * ratio_sq + zeta * ddphi_over + lam - 3.0]
+        fiber_part = ddphi_over + (zeta - 1.0) * ratio_sq
+        zeta_ratio = zeta * ratio
         for pi in p:
-            rows.append(-pi * (ddphi_over + (zeta - 1.0) * ratio**2)
-                        + zeta * ratio - lam)
+            rows.append(-pi * fiber_part + zeta_ratio - lam)
         return rows
 
     def positive(c1, c2):
-        return np.min(c1 + c2 * ts, axis=1, keepdims=True) > 1e-6
+        return np.min(c1 + c2 * ts, axis=-1, keepdims=True) > 1e-6
 
-    best = _lattice_min_max(c1_axis, c2_axis, rows_for, positive)
+    best = _lattice_min_max(c1_axis, c2_axis, t_points, rows_for, positive)
     return ScanReport("kasner3-einstein-linear", (n_c, n_c), best, threshold,
                       best >= threshold, f"p={tuple(p)}, lam={lam}")

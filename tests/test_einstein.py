@@ -1,6 +1,7 @@
 """Einstein / pseudo-Einstein / constant-scalar residual checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,6 +340,47 @@ def test_scalar_formula_matches_oracle(spec_zoo):
         rep, values = multiwarped_scalar(spec, P, grid)
         assert rep.passed, rep
         assert np.array_equal(values, multiwarped_scalar_formula(spec, P, grid))
+
+
+def _four_torus_spec():
+    warpings = ["exp(t)", "2 + 0.5*sin(t)", "1 + t^2", "2 + cos(t)"]
+    return spec_of([parse_expr(w) for w in warpings],
+                   [FiberSpec(FlatTorus(2)) for _ in warpings])
+
+
+def test_scalar_check_walks_a_large_grid_in_blocks(monkeypatch):
+    spec = _four_torus_spec()  # n_bar 9
+    grid = chebyshev_grid(n=200)
+    tracemalloc.start()
+    try:
+        multiwarped_scalar(spec, p_dt(), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+    rows, blocks = {}, []
+    from_values = ResidualReport.from_values
+
+    def keep(equation, grid, values, tolerance):
+        rows[equation] = np.asarray(values, dtype=float)
+        return from_values(equation, grid, values, tolerance)
+
+    def counted(kind, spec, P, p):
+        blocks.append(len(p))
+        return connection_curvature(kind, spec, P, p)
+
+    monkeypatch.setattr(ResidualReport, "from_values", staticmethod(keep))
+    monkeypatch.setattr(einstein, "connection_curvature", counted)
+    _, formula = multiwarped_scalar(spec, p_dt(), grid)
+    assert len(blocks) > 1 and sum(blocks) == len(grid)
+    whole = connection_curvature(SSNM, spec, p_dt(), spec.make_point(grid[:, None]))
+    devs = rows["scalar-closed-form-vs-oracle"]
+    assert devs.tobytes() == (formula - whole.scalar).tobytes()
+
+    blocks.clear()
+    multiwarped_scalar(spec, p_dt(), chebyshev_grid(n=17))
+    assert blocks == [17]  # the grids of the scenario files stay one oracle call
 
 
 def test_scalar_static_value():

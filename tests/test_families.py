@@ -1,12 +1,15 @@
 """Solution-family generators, residuals, integrator cross-checks, scans."""
 
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from warpcurv import families
 from warpcurv.errors import (
     InvalidDimension,
     LengthMismatch,
@@ -30,6 +33,7 @@ from warpcurv.families import (
     kasner_scalar_threshold,
     ode_cross_check,
     rk4_integrate,
+    rk4_integrate_first_order,
     scan_grw_einstein_oscillatory,
     scan_kasner2_einstein_oscillatory,
     scan_kasner3_einstein_linear,
@@ -38,6 +42,8 @@ from warpcurv.families import (
 from warpcurv.exprs import parse_expr
 
 TS = np.linspace(0.0, 1.0, 33)
+SCANS = (scan_grw_einstein_oscillatory, scan_kasner2_einstein_oscillatory,
+         scan_kasner3_einstein_linear)
 
 
 def draws(fam, rng, n=3):
@@ -336,6 +342,42 @@ def test_rk4_convergence():
     assert np.max(np.abs(us - np.sin(ts))) < 1e-12
 
 
+# Recorded from the step loop that stored t and u into numpy arrays at every
+# step: (ts[k], us[k]) at steps 0, 1, 500 and 1000, and sha256 digests of
+# us.tobytes() and ts.tobytes().  The integrators must keep every bit.
+def _forced_rhs(order):
+    fam = kasner_scalar_families("II", (1.0, 0.25 if order == 2 else -0.5), (1, 2),
+                                 2.0, (0.0, 1.5))[0]
+    assert fam.ode_order == order
+    return fam._ode_rhs(fam.merged())
+
+
+_LINEAR_TS = "0e4827766f6303d6d64392343ff6cdeb164c10d96421fe889d4bb93f04239a69"
+_UNIT_TS = "be069d7d0c6719743ada6aed42916e2798ddc937afaa56bd63d766dcca764331"
+
+
+@pytest.mark.parametrize("integrate,steps,us_sha,ts_sha", [
+    (lambda: rk4_integrate(lambda t, u, v: 0.3 * v - 2.0 * u + math.cos(t),
+                           0.3, 1.0, -0.5, 1.7, 1000),
+     [(0.3, 1.0), (0.3014, 0.9992988293882797), (1.0, 0.3922108903644037),
+      (1.7, -0.486399766731151)],
+     "d39d47868cd5c93acaa2358cdca36ce2e12b87672ecaaf34e79c4522a2f6e4ff", _LINEAR_TS),
+    (lambda: rk4_integrate(_forced_rhs(2), 0.0, 1.0, 0.2, 1.0, 1000),  # kasner2-scalar-forced
+     [(0.0, 1.0), (0.001, 1.0002006190824515), (0.5, 1.3083458625507327),
+      (1.0, 2.3916980861369495)],
+     "49c9f3b2e7fd2e42b9dd470303ff8656625f86da7c264a6d0527406620d6dc47", _UNIT_TS),
+    (lambda: rk4_integrate_first_order(_forced_rhs(1), 0.0, 1.0, 1.0, 1000),  # -gradient
+     [(0.0, 1.0), (0.001, 1.0012920785715498), (0.5, 2.0648683998222648),
+      (1.0, 5.644194429210094)],
+     "0c43d1a1b8dbb64dcc0745d26aafaba3b60035e4241d0f16d4b0ecd4e62b47c0", _UNIT_TS),
+], ids=["linear", "kasner2-scalar-forced", "kasner2-scalar-forced-gradient"])
+def test_rk4_keeps_its_recorded_bits(integrate, steps, us_sha, ts_sha):
+    ts, us = integrate()
+    assert [(ts[k], us[k]) for k in (0, 1, 500, 1000)] == steps
+    assert hashlib.sha256(us.tobytes()).hexdigest() == us_sha
+    assert hashlib.sha256(ts.tobytes()).hexdigest() == ts_sha
+
+
 def test_ode_cross_check_families(rng):
     fams = []
     fams += grw_einstein_family(2, 0.0, 0.0)
@@ -402,6 +444,102 @@ def test_scan_without_admissible_cell_raises(scan, kwargs):
     # an empty lattice has no residual, so a scan over it must not pass
     with pytest.raises(WarpcurvError, match="no admissible cell"):
         scan(**kwargs)
+
+
+@pytest.mark.parametrize("scan", SCANS)
+@pytest.mark.parametrize("kwargs,match", [
+    ({"t_points": 0}, "t_points must be at least 1"),
+    ({"t_points": -2}, "t_points must be at least 1"),
+    ({"n_c": -3}, "n_c must be at least 0"),
+])
+def test_scan_rejects_bad_lattice_counts(scan, kwargs, match):
+    with pytest.raises(WarpcurvError, match=match):
+        scan(**kwargs)
+
+
+def _per_row_min_max(c1_axis, c2_axis, t_points, rows_for, admissible):
+    """The lattice kernel as it walked one c1 at a time, with c2 the column
+    c2_axis[:, None] and the 1e6 rule applied to every value: the reference
+    the block walk must reproduce bit for bit."""
+    big = 1e6
+    best = np.inf
+    c2 = c2_axis[:, None]
+    for c1 in c1_axis:
+        keep = admissible(c1, c2)
+        if not keep.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = rows_for(c1, c2)
+        worst = np.zeros(c2.shape)
+        for r in rows:
+            r = np.where(np.isfinite(r), np.abs(r), big)
+            worst = np.maximum(worst, np.max(r, axis=1, keepdims=True))
+        best = min(best, float(np.min(worst[keep])))
+    if best == np.inf:
+        raise WarpcurvError(
+            f"no admissible cell on the {len(c1_axis)} x {len(c2_axis)} lattice"
+        )
+    return best
+
+
+def _scan_outcome(scan, kwargs):
+    try:
+        with np.errstate(over="ignore"):
+            rep = scan(**kwargs)
+    except WarpcurvError as exc:
+        return str(exc)
+    return rep.min_max_residual, rep.passed
+
+
+@st.composite
+def _scan_cases(draw):
+    """A scan, its keyword arguments and a block budget.  Budgets below the
+    module's own make a c2 row exceed the budget (one c1 per block); a range
+    of 1e155 overflows squares to inf, and a fractional Kasner exponent of
+    a sign-changing profile gives NaN cells."""
+    scan = draw(st.sampled_from(SCANS))
+    kwargs = {"n_c": draw(st.integers(1, 61)), "t_points": draw(st.integers(1, 50))}
+    scale = draw(st.sampled_from([1.0, 1e155]))
+    if scan is scan_kasner3_einstein_linear:
+        kwargs["p"] = tuple(draw(st.floats(0.1, 3.0)) for _ in range(3))
+        kwargs["lam"] = draw(st.floats(-2.0, 8.0))
+        kwargs["c_range"] = (draw(st.floats(-1.0, 0.5)), scale * draw(st.floats(0.6, 3.0)))
+    else:
+        kwargs["lam"] = draw(st.floats(3.1, 8.0))
+        kwargs["c_range"] = (-scale * draw(st.floats(0.0, 3.0)), scale * draw(st.floats(0.0, 3.0)))
+        if scan is scan_grw_einstein_oscillatory:
+            kwargs["lam_fiber"] = draw(st.floats(-2.0, 2.0))
+        else:
+            kwargs["lam2"] = draw(st.floats(-2.0, 2.0))
+            kwargs["p1"] = draw(st.floats(0.1, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    budget = draw(st.sampled_from([1, 97, 1000, families._SCAN_BLOCK_ELEMENTS]))
+    return scan, kwargs, budget
+
+
+@settings(max_examples=80, deadline=None)
+@given(_scan_cases())
+@example((scan_grw_einstein_oscillatory, {"n_c": 41, "t_points": 33},
+          families._SCAN_BLOCK_ELEMENTS))  # 41 c1 values in blocks of 6
+@example((scan_kasner2_einstein_oscillatory,
+          {"lam": 4.4102, "lam2": 0.5391, "p1": 0.6237, "n_c": 29, "t_points": 17}, 1))
+@example((scan_grw_einstein_oscillatory, {"c_range": (-1e155, 2e155), "n_c": 7}, 97))
+@example((scan_grw_einstein_oscillatory,  # every cell mixes inf and finite values > 1e6
+          {"c_range": (-5.5e153, 5.5e153), "n_c": 2, "t_points": 9}, 97))
+def test_block_kernel_matches_the_per_row_walk(case):
+    scan, kwargs, budget = case
+    with mock.patch.object(families, "_SCAN_BLOCK_ELEMENTS", budget):
+        got = _scan_outcome(scan, kwargs)
+    with mock.patch.object(families, "_lattice_min_max", _per_row_min_max):
+        assert got == _scan_outcome(scan, kwargs)
+
+
+def test_block_kernel_takes_one_c1_per_block_past_its_budget():
+    # a c2 row of 250 cells at 33 t values exceeds the module's budget
+    kwargs = {"l": 3.0, "lam": 5.8874, "lam_fiber": 1.9402, "n_c": 250, "t_points": 33}
+    assert 250 * 33 > families._SCAN_BLOCK_ELEMENTS
+    got = scan_grw_einstein_oscillatory(**kwargs).min_max_residual
+    with mock.patch.object(families, "_lattice_min_max", _per_row_min_max):
+        assert got == scan_grw_einstein_oscillatory(**kwargs).min_max_residual
 
 
 # -- reference values ----------------------------------------------------------
