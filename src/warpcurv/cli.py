@@ -233,13 +233,16 @@ class ScenarioConfig:
     scan: dict = field(default_factory=dict)  # scan.* values by name
     seed: int = None
     raw: dict = field(default_factory=dict)
+    fiber_raw: list = field(default_factory=list)  # each fiber block's key texts
 
     def echo_lines(self):
-        out = [("task", self.task)]
-        for key in sorted(self.raw):
-            if key != "task":
-                out.append((key, self.raw[key]))
-        return out
+        """(key, text) pairs: the task, then the other keys sorted, where the
+        fiber.* keys of every fiber block stay together, block by block."""
+        lines = [(key, 0, key, text) for key, text in self.raw.items()
+                 if key != "task" and not key.startswith("fiber.")]
+        lines += [("fiber.", i, key, text)
+                  for i, block in enumerate(self.fiber_raw) for key, text in block.items()]
+        return [("task", self.task)] + [(key, text) for _, _, key, text in sorted(lines)]
 
 
 def parse_scenario(text) -> ScenarioConfig:
@@ -260,6 +263,10 @@ def parse_scenario(text) -> ScenarioConfig:
             _set(cfg, key, value)
         except ConfigParseError as exc:
             raise ConfigParseError(str(exc), line_no, rawline) from None
+        if key == "fiber.geometry":
+            cfg.fiber_raw.append({})
+        if key.startswith("fiber."):
+            cfg.fiber_raw[-1][key] = value
         cfg.raw[key] = value
     _check_scenario(cfg)
     return cfg

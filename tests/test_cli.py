@@ -361,6 +361,20 @@ def test_task_line_may_come_last():
     assert cfg.task == "oracle-verify" and cfg.echo_lines()[0] == ("task", "oracle-verify")
 
 
+def test_echo_shows_every_fiber_block():
+    # two scenarios that differ only in their first fiber echo differently,
+    # and each fiber's lines stay together in declaration order
+    text = (SCENARIOS / "pseudo-einstein-circle.txt").read_text()
+    other = text.replace("fiber.warping = 1\n", "fiber.warping = 2\n", 1)
+    assert other != text
+    echo = parse_scenario(text).echo_lines()
+    assert echo != parse_scenario(other).echo_lines()
+    fibers = [(k, v) for k, v in echo if k.startswith("fiber.")]
+    assert fibers == [("fiber.geometry", "circle"), ("fiber.warping", "1"),
+                      ("fiber.dim", "2"), ("fiber.geometry", "flat_torus"),
+                      ("fiber.warping", "exp(t)")]
+
+
 def test_readme_scenario_block_lists_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("Scenario files are flat", 1)[1]
