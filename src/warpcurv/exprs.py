@@ -4,11 +4,12 @@ Warping functions, fiber metric entries and torsion-field components are
 all small closed-form expressions in the chart coordinates.  They are kept
 as explicit trees (node kinds: constant, variable, sum, product, power with
 a real exponent, exp, sin, cos, sqrt, reciprocal) and evaluated either on
-plain floats or on `Jet` numbers, which propagate the value together with
-the exact gradient and Hessian with respect to a chosen coordinate list.
-A tree can also be walked once over a whole stack of points with `GridJet`
-numbers (`eval_stack`; `eval_grid` for a t-grid), with the same bits as one
-`Jet` per point.
+plain floats (`eval_value`) or on `GridJet` numbers, which carry the value
+together with the exact gradient and Hessian with respect to a chosen
+coordinate list at every point of a stack (`eval_stack`).  One point is a
+one-row stack (`eval_jet`), a t-grid a one-column one (`eval_grid`).  A
+node branches on `float` and hands every other number to its method, so
+any jet type with the same methods walks the same trees.
 """
 
 from __future__ import annotations
@@ -18,132 +19,6 @@ import math
 import numpy as np
 
 from .errors import ExprError, ExprParseError
-
-
-class Jet:
-    """Truncated second-order number: value, gradient and optional Hessian.
-
-    Arithmetic follows the usual forward-mode rules; when `hess` is None the
-    second-order part is skipped, giving a cheap first-order dual number.
-    """
-
-    __slots__ = ("val", "grad", "hess")
-
-    def __init__(self, val, grad, hess=None):
-        self.val = float(val)
-        self.grad = np.asarray(grad, dtype=float)
-        self.hess = None if hess is None else np.asarray(hess, dtype=float)
-
-    @staticmethod
-    def seed(values, index, order=2):
-        n = len(values)
-        g = np.zeros(n)
-        g[index] = 1.0
-        h = np.zeros((n, n)) if order == 2 else None
-        return Jet(values[index], g, h)
-
-    @staticmethod
-    def constant(value, n, order=2):
-        h = np.zeros((n, n)) if order == 2 else None
-        return Jet(value, np.zeros(n), h)
-
-    def _lift(self, other):
-        if isinstance(other, Jet):
-            return other
-        n = self.grad.shape[0]
-        return Jet(other, np.zeros(n), None if self.hess is None else np.zeros((n, n)))
-
-    def __add__(self, other):
-        o = self._lift(other)
-        h = None
-        if self.hess is not None or o.hess is not None:
-            h = _zh(self) + _zh(o)
-        return Jet(self.val + o.val, self.grad + o.grad, h)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(-self.val, -self.grad, None if self.hess is None else -self.hess)
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        h = None
-        if self.hess is not None or o.hess is not None:
-            cross = np.outer(self.grad, o.grad)
-            h = self.val * _zh(o) + o.val * _zh(self) + cross + cross.T
-        return Jet(self.val * o.val, self.val * o.grad + o.val * self.grad, h)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        return self * o.reciprocal()
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
-    def _chain(self, f, fp, fpp):
-        h = None
-        if self.hess is not None:
-            h = fp * self.hess + fpp * np.outer(self.grad, self.grad)
-        return Jet(f, fp * self.grad, h)
-
-    def pow_const(self, r):
-        r = float(r)
-        if r == 0.0:
-            n = self.grad.shape[0]
-            return Jet(1.0, np.zeros(n), None if self.hess is None else np.zeros((n, n)))
-        if self.val <= 0.0 and not r.is_integer():
-            raise ExprError(f"fractional power of non-positive base {self.val!r}")
-        if self.val == 0.0 and r < 0:
-            raise ExprError("negative power of zero")
-        f = _pow(self.val, r)
-        fp = r * _pow(self.val, r - 1.0)
-        # at a zero base b^(r-2) exists from r = 2 on; below that only r = 1
-        # is left, whose second derivative is 0
-        fpp = r * (r - 1.0) * _pow(self.val, r - 2.0) if self.val != 0.0 or r >= 2.0 else 0.0
-        return self._chain(f, fp, fpp)
-
-    def exp(self):
-        e = _exp(self.val)
-        return self._chain(e, e, e)
-
-    def sin(self):
-        s, c = _sin(self.val), _cos(self.val)
-        return self._chain(s, c, -s)
-
-    def cos(self):
-        s, c = _sin(self.val), _cos(self.val)
-        return self._chain(c, -s, -c)
-
-    def sqrt(self):
-        if self.val <= 0.0:
-            raise ExprError(f"sqrt of non-positive value {self.val!r}")
-        s = math.sqrt(self.val)
-        sv = s * self.val
-        if sv == 0.0:
-            raise ExprError(f"second derivative of sqrt overflows at {self.val!r}")
-        return self._chain(s, 0.5 / s, -0.25 / sv)
-
-    def reciprocal(self):
-        if self.val == 0.0:
-            raise ExprError("reciprocal of zero")
-        v = 1.0 / self.val
-        return self._chain(v, -v * v, 2.0 * v * v * v)
-
-    def __repr__(self):
-        return f"Jet({self.val!r}, grad={self.grad!r})"
-
-
-def _zh(j):
-    n = j.grad.shape[0]
-    return j.hess if j.hess is not None else np.zeros((n, n))
 
 
 def _exp(u):
@@ -175,16 +50,17 @@ def _cos(u):
 class GridJet:
     """Value, gradient and Hessian of a node at every point of a stack.
 
-    The batched counterpart of an order-2 Jet: val (N,), grad (N, n) and
-    hess (N, n, n), one row per point of an (N, n) stack of coordinate
-    values (vector-mode Taylor propagation; Griewank & Walther, *Evaluating
-    Derivatives*, 2nd ed., ch. 13).  A t-grid is the stack with n = 1; a
-    jet made with order 0 carries values only.  Each rule repeats Jet's
-    arithmetic in Jet's operation order, so every row is bit-identical to
-    the Jet at that point.  Only the correctly rounded operations (+, -, *,
-    /, sqrt) run in numpy; exp, sin, cos and powers run element by element
-    on Python floats, because numpy's exp and power round differently from
-    math's and **.  Constants are lifted as scalars.
+    val (N,), grad (N, n) and hess (N, n, n), one row per point of an
+    (N, n) stack of coordinate values (vector-mode Taylor propagation;
+    Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  A
+    t-grid is the stack with n = 1, a single point the stack with N = 1; a
+    jet made with order 0 carries values only.  Each rule applies the
+    scalar second-order chain rule in a fixed operation order, so every row
+    has the bits that a scalar jet with the same rules gives at that point.
+    Only the correctly rounded operations (+, -, *, /, sqrt) run in numpy;
+    exp, sin, cos and powers run element by element on Python floats,
+    because numpy's exp and power round differently from math's and **.
+    Constants are lifted as scalars.
 
     The parts are held in shapes that broadcast against each other without
     copies: u (N, 1, 1), du (N, 1, n) and ddu (N, n, n), with du and ddu
@@ -227,7 +103,7 @@ class GridJet:
             return GridJet(self.at, self.u * getattr(other, "u", other), None, None)
         o = self._lift(other)
         u, v = self.u, o.u
-        # Jet's u dv + v du and u Hv + v Hu + c + c^T with c = du dv^T, per point
+        # u dv + v du and u Hv + v Hu + c + c^T with c = du dv^T, per point
         c = self.du.transpose(0, 2, 1) * o.du
         return GridJet(self.at, u * v, u * o.du + v * self.du,
                        u * o.ddu + v * self.ddu + c + c.transpose(0, 2, 1))
@@ -310,9 +186,6 @@ class GridJet:
         self._check(self.u == 0.0, "reciprocal of")
         v = 1.0 / self.u
         return self._chain(v, -v * v, 2.0 * v * v * v)
-
-
-_JETS = (Jet, GridJet)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +319,7 @@ class Pow(ScalarExpr):
             return memo[id(self)]
         b = self.base.eval(env)
         r = self.exponent
-        if isinstance(b, _JETS):
+        if not isinstance(b, float):
             out = b.pow_const(r)
         elif b <= 0.0 and not r.is_integer():
             raise ExprError(f"fractional power of non-positive base {b!r}")
@@ -470,25 +343,25 @@ class _Unary(ScalarExpr):
 class Exp(_Unary):
     def eval(self, env):
         u = self.arg.eval(env)
-        return u.exp() if isinstance(u, _JETS) else _exp(u)
+        return _exp(u) if isinstance(u, float) else u.exp()
 
 
 class Sin(_Unary):
     def eval(self, env):
         u = self.arg.eval(env)
-        return u.sin() if isinstance(u, _JETS) else _sin(u)
+        return _sin(u) if isinstance(u, float) else u.sin()
 
 
 class Cos(_Unary):
     def eval(self, env):
         u = self.arg.eval(env)
-        return u.cos() if isinstance(u, _JETS) else _cos(u)
+        return _cos(u) if isinstance(u, float) else u.cos()
 
 
 class Sqrt(_Unary):
     def eval(self, env):
         u = self.arg.eval(env)
-        if isinstance(u, _JETS):
+        if not isinstance(u, float):
             return u.sqrt()
         if u <= 0.0:
             raise ExprError(f"sqrt of non-positive value {u!r}")
@@ -498,7 +371,7 @@ class Sqrt(_Unary):
 class Recip(_Unary):
     def eval(self, env):
         u = self.arg.eval(env)
-        if isinstance(u, _JETS):
+        if not isinstance(u, float):
             return u.reciprocal()
         if u == 0.0:
             raise ExprError("reciprocal of zero")
@@ -540,13 +413,7 @@ def _as_expr(e):
 
 
 # ---------------------------------------------------------------------------
-# Jet-based evaluation helpers
-
-
-def jet_env(names, values, order=2):
-    """Environment mapping each name to a Jet seeded on its own slot."""
-    values = [float(v) for v in values]
-    return {nm: Jet.seed(values, i, order) for i, nm in enumerate(names)}
+# Evaluation helpers
 
 
 def eval_value(expr, names, values):
@@ -554,31 +421,26 @@ def eval_value(expr, names, values):
     return float(expr.eval(env))
 
 
-def eval_jet(expr, names, values, order=2):
-    """Evaluate returning a Jet over the given coordinate ordering."""
-    out = expr.eval(jet_env(names, values, order))
-    if not isinstance(out, Jet):
-        n = len(names)
-        out = Jet.constant(out, n, order)
-    if not math.isfinite(out.val):
-        raise ExprError(f"expression not finite at {dict(zip(names, values))!r}")
-    return out
-
-
 class _Stack(dict):
-    """eval_stack's environment: each coordinate name's GridJet over the
-    stack, with du = e_i and ddu = 0 (order 2) or values only (order 0),
-    and the walk's memo of the powers that several trees share."""
+    """eval_stack's environment: a GridJet per coordinate name, and the
+    walk's memo of the powers that several trees share."""
 
-    def __init__(self, names, pts, order):
-        count, n = pts.shape
-        du, ddu = np.zeros((n, count, 1, n)), np.zeros((count, n, n))
-        for i in range(n):
-            du[i, :, 0, i] = 1.0
-        super().__init__({name: GridJet((names, pts), pts[:, i, None, None],
-                                        du[i] if order else None, ddu if order else None)
-                          for i, name in enumerate(names)})
+    def __init__(self, jets):
+        super().__init__(jets)
         self.memo = {}
+
+
+def jet_env(names, pts, order):
+    """eval_stack's environment over an (N, len(names)) stack of points:
+    each name's GridJet, with du = e_i and ddu = 0 (order 2) or values only
+    (order 0)."""
+    count, n = pts.shape
+    du, ddu = np.zeros((n, count, 1, n)), np.zeros((count, n, n))
+    for i in range(n):
+        du[i, :, 0, i] = 1.0
+    return _Stack({name: GridJet((names, pts), pts[:, i, None, None],
+                                 du[i] if order else None, ddu if order else None)
+                   for i, name in enumerate(names)})
 
 
 def eval_stack(exprs, names, pts, order=2):
@@ -586,23 +448,38 @@ def eval_stack(exprs, names, pts, order=2):
 
     One walk per tree with GridJet numbers seeded on one slot per name
     (order 2), or carrying values only (order 0); a constant tree gives its
-    float.  Row j equals, bit for bit, eval_jet(expr, names, pts[j]) (for
-    order 0 its value, as eval_value gives it); where that call would raise
-    ExprError this raises it too, naming the first point at which the
-    failing rule fails.  Overflow and invalid operations give inf and nan,
-    as on floats.
+    float.  Row j has the bits of the walk at pts[j] alone (for order 0 its
+    value, as eval_value gives it); where that walk would raise ExprError
+    this raises it too, naming the first point at which the failing rule
+    fails.  Overflow and invalid operations give inf and nan, as on floats.
     """
-    env = _Stack(names, np.asarray(pts, dtype=float), order)
+    env = jet_env(names, np.asarray(pts, dtype=float), order)
     with np.errstate(over="ignore", invalid="ignore"):
         return [e.eval(env) for e in exprs]
+
+
+def eval_jet(exprs, names, point):
+    """Values (k,), gradients (k, n) and Hessians (k, n, n) of k expressions
+    at one point, from eval_stack on a one-row stack; a constant gets zero
+    derivative rows.  A value that is not finite raises ExprError."""
+    k, n = len(exprs), len(names)
+    val, grad, hess = np.zeros(k), np.zeros((k, n)), np.zeros((k, n, n))
+    for i, jet in enumerate(eval_stack(exprs, names, np.asarray(point, dtype=float)[None])):
+        if isinstance(jet, GridJet):
+            val[i], grad[i], hess[i] = jet.val[0], jet.grad[0], jet.hess[0]
+        else:
+            val[i] = jet
+    if not np.isfinite(val).all():
+        raise ExprError(f"expression not finite at {dict(zip(names, point))!r}")
+    return val, grad, hess
 
 
 def eval_grid(expr, ts):
     """Rows u, u', u'' of an expression in the single variable t over a grid.
 
-    The stack of eval_stack with n = 1, shape (3, len(ts)): column j equals,
-    bit for bit, the value, gradient and Hessian of
-    eval_jet(expr, ("t",), [ts[j]]), and an ExprError names the grid value.
+    The stack of eval_stack with n = 1, shape (3, len(ts)): column j holds
+    the value, first and second derivative at ts[j], with the bits of
+    eval_jet([expr], ("t",), [ts[j]]), and an ExprError names the grid value.
     """
     ts = np.asarray(ts, dtype=float)
     out = np.zeros((3, len(ts)))

@@ -29,6 +29,7 @@ from .errors import (
     InvalidDimension,
     LengthMismatch,
     NonPositiveWarping,
+    NumericalInstability,
     StepTooCoarse,
     UnsupportedType,
     WarpcurvError,
@@ -813,9 +814,9 @@ def ode_cross_check(family: SolutionFamily, overrides=None, interval=(0.0, 1.0),
     p = family.merged(overrides)
     expr = family._profile_builder(p)
     t0, t1 = interval
-    jet = eval_jet(expr, ("t",), [t0], order=1)
+    val, grad, _ = eval_jet([expr], ("t",), [t0])
     rhs = family._ode_rhs(p)
-    ts, us = rk4_integrate(rhs, t0, jet.val, jet.grad[0], t1, n_steps)
+    ts, us = rk4_integrate(rhs, t0, val[0], grad[0, 0], t1, n_steps)
     exact = profile_derivatives(expr, ts)[0]
     dev = float(np.max(np.abs(us - exact)))
     if dev > hard_limit:
@@ -867,10 +868,12 @@ def _lattice_min_max(c1_axis, c2_axis, t_points, rows_for, admissible):
     each of shape (B, len(c2_axis), t_points) with t last, and
     `admissible(c1, c2)` the (B, len(c2_axis), 1) mask of the cells that
     count.  A cell's residual is its largest |row| value; non-finite values
-    count as 1e6.
+    count as 1e6.  A lattice on which no admissible cell has a finite
+    residual shows nothing, and raises NumericalInstability.
     """
     big = 1e6
     best = np.inf
+    finite = False  # some admissible cell has only finite values
     c2 = c2_axis[None, :, None]
     step = max(1, _SCAN_BLOCK_ELEMENTS // max(1, len(c2_axis) * t_points))
     for start in range(0, len(c1_axis), step):
@@ -878,22 +881,29 @@ def _lattice_min_max(c1_axis, c2_axis, t_points, rows_for, admissible):
         keep = admissible(c1, c2)
         if not keep.any():
             continue
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             rows = rows_for(c1, c2)
         worst = np.zeros(keep.shape)
+        fin = keep.copy()
         for r in rows:
             m = np.max(np.abs(r), axis=-1, keepdims=True)
             bad = ~np.isfinite(m)
             if bad.any():
                 # the 1e6 rule, applied only where a value is not finite
+                fin &= ~bad
                 rb = r[bad[..., 0]]
                 m[bad] = np.max(np.where(np.isfinite(rb), np.abs(rb), big), axis=-1)
             worst = np.maximum(worst, m)
         best = min(best, float(np.min(worst[keep])))
+        finite = finite or bool(fin.any())
+    lattice = f"{len(c1_axis)} x {len(c2_axis)} lattice"
     if best == np.inf:
-        raise WarpcurvError(
-            f"no admissible cell on the {len(c1_axis)} x {len(c2_axis)} lattice"
-        )
+        raise WarpcurvError(f"no admissible cell on the {lattice}")
+    if not finite:
+        raise NumericalInstability(
+            f"no admissible cell of the {lattice} (c1 from {c1_axis[0]:g} to "
+            f"{c1_axis[-1]:g}, c2 from {c2_axis[0]:g} to {c2_axis[-1]:g}) "
+            f"has a finite residual")
     return best
 
 

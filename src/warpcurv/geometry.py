@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonPositiveWarping, OutOfChart, UnsupportedP, WarpcurvError
-from .exprs import Const, GridJet, Pow, Prod, Recip, ScalarExpr, Sin, Var, eval_stack, eval_value
+from .exprs import Const, GridJet, Pow, Prod, Recip, ScalarExpr, Sin, Var, eval_stack
 
 _BASE_COORD_NAMES = ("t", "u", "v")
 _FIBER_COORD_PAIRS = (("x", "y"), ("z", "w"), ("p", "q"), ("r", "s"))
@@ -99,23 +99,16 @@ class FiberGeometry:
     def metric_exprs(self, names):
         raise NotImplementedError
 
-    def metric(self, coords):
-        l = self.dim
-        names = [f"c{i}" for i in range(l)]
-        exprs = self.metric_exprs(names)
-        return np.array(
-            [[eval_value(exprs[a][b], names, coords) for b in range(l)] for a in range(l)]
-        )
-
     def christoffels(self, coords):
         return np.zeros((self.dim,) * 3)
 
-    def curvature(self, coords):
-        """R^a_bcd of g_F with R(e_b, e_c)e_d = R^a_bcd e_a."""
+    def curvature(self, g):
+        """R^a_bcd of g_F with R(e_b, e_c)e_d = R^a_bcd e_a, from the matrix
+        g of g_F at the point."""
         return np.zeros((self.dim,) * 4)
 
-    def ricci(self, coords):
-        """Fiber Ricci matrix in the package trace convention."""
+    def ricci(self, g):
+        """Fiber Ricci matrix in the package trace convention, from g_F."""
         return np.zeros((self.dim,) * 2)
 
     def chart_faults(self, coords):
@@ -156,15 +149,14 @@ class _ConstantCurvatureSurface(FiberGeometry):
     dim = 2
     sectional = 0.0
 
-    def curvature(self, coords):
-        g = self.metric(coords)
+    def curvature(self, g):
         K = self.sectional
         eye = np.eye(2)
         # R^a_bcd = K (g_cd delta^a_b - g_bd delta^a_c)
         return K * (np.einsum("cd,ab->abcd", g, eye) - np.einsum("bd,ac->abcd", g, eye))
 
-    def ricci(self, coords):
-        return -self.sectional * (self.dim - 1) * self.metric(coords)
+    def ricci(self, g):
+        return -self.sectional * (self.dim - 1) * g
 
     @property
     def einstein_constant(self):

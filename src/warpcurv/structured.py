@@ -4,7 +4,10 @@ pattern of the arguments and the location of the torsion field P.
 
 Each operation evaluates the closed-form clause matching its argument
 pattern; nothing here touches finite differences, so agreement with the
-`chart_core` oracle is a genuine two-path check.
+`chart_core` oracle is a genuine two-path check.  The data the clauses read
+at a point (`StructuredGeometryCache`) comes from one jet walk there: the
+warpings, every fiber metric entry and the components of P with their
+exact partials, read back by slicing.
 
 Arguments are `BlockVector`s: constant components over one block of the
 chart, understood as coordinate vector fields with constant components.  A
@@ -22,7 +25,7 @@ import numpy as np
 
 from .connections import ConnectionKind
 from .errors import CaseMismatch
-from .exprs import eval_jet, jet_env
+from .exprs import eval_jet
 from .geometry import ProductManifoldSpec
 
 # outer product that keeps the axes of its arguments: a single vector's 0-d
@@ -54,8 +57,9 @@ class StructuredGeometryCache:
     """Per-point geometric data feeding the component formulas.
 
     Holds the warping values with their exact first and second partials,
-    the fiber metrics with their analytic Christoffel symbols and
-    curvature, and the torsion-field data (components, partials, pi).
+    the fiber metrics with their partials, analytic Christoffel symbols and
+    curvature, and the torsion-field data (components, partials, pi).  One
+    eval_jet call at the chart point gives every value and partial.
     """
 
     def __init__(self, spec: ProductManifoldSpec, P, p):
@@ -72,72 +76,47 @@ class StructuredGeometryCache:
         self.gB = np.diag([float(s) for s in spec.base.signs])
         self.gBinv = np.linalg.inv(self.gB)
 
-        names = spec.coord_names
-        nb = self.n
-        self.b = []
-        self.db_base = []
-        self.db_fiber = []
-        self.H_bb = []
-        self.H_bf = []
-        self.H_ff = []
-        for i, w in enumerate(spec.warpings):
-            jet = eval_jet(w, names, p, order=2)
-            sl = spec.block_slice(i)
-            self.b.append(jet.val)
-            self.db_base.append(jet.grad[:nb])
-            self.db_fiber.append(jet.grad[sl])
-            self.H_bb.append(jet.hess[:nb, :nb])
-            self.H_bf.append(jet.hess[:nb, sl])
-            self.H_ff.append(jet.hess[sl, sl])
+        m = self.m
+        base = spec.block_slice("base")
+        fibers = [spec.block_slice(i) for i in range(m)]
+        entries = [e for i, f in enumerate(spec.fibers)
+                   for row in f.geometry.metric_exprs(spec.fiber_coord_names(i)) for e in row]
+        comps = []
+        if P is not None:
+            P.validate(spec)
+            comps = P.components
+        val, grad, hess = eval_jet([*spec.warpings, *entries, *comps], spec.coord_names, p)
 
-        self.gF = []
-        self.gFinv = []
-        self.GF = []
-        self.RF = []
-        self.RicF = []
-        self.dgF = []
-        for i, f in enumerate(spec.fibers):
-            fc = p[spec.block_slice(i)]
-            geo = f.geometry
-            l = geo.dim
-            fnames = spec.fiber_coord_names(i)
-            exprs = geo.metric_exprs(fnames)
-            env = jet_env(fnames, fc, order=1)
-            g = np.zeros((l, l))
-            dg = np.zeros((l, l, l))
-            for a in range(l):
-                for bb in range(l):
-                    val = exprs[a][bb].eval(env)
-                    if isinstance(val, float):
-                        g[a, bb] = val
-                    else:
-                        g[a, bb] = val.val
-                        dg[:, a, bb] = val.grad
+        self.b = val[:m].tolist()
+        self.db_base = [grad[i, base] for i in range(m)]
+        self.db_fiber = [grad[i, sl] for i, sl in enumerate(fibers)]
+        self.H_bb = [hess[i, base, base] for i in range(m)]
+        self.H_bf = [hess[i, base, sl] for i, sl in enumerate(fibers)]
+        self.H_ff = [hess[i, sl, sl] for i, sl in enumerate(fibers)]
+
+        self.gF, self.dgF, self.GF, self.RF, self.RicF = [], [], [], [], []
+        row = m
+        for f, sl in zip(spec.fibers, fibers):
+            geo, l = f.geometry, f.dim
+            rows = slice(row, row + l * l)
+            row += l * l
+            g = val[rows].reshape(l, l)
             self.gF.append(g)
-            self.gFinv.append(np.linalg.inv(g))
-            self.GF.append(geo.christoffels(fc))
-            self.RF.append(geo.curvature(fc))
-            self.RicF.append(geo.ricci(fc))
-            self.dgF.append(dg)
+            # dgF[i][c, a, b] = d_c g_ab in the fiber's own coordinates
+            self.dgF.append(np.ascontiguousarray(grad[rows, sl].T.reshape(l, l, l)))
+            self.GF.append(geo.christoffels(p[sl]))
+            self.RF.append(geo.curvature(g))
+            self.RicF.append(geo.ricci(g))
+        self.gFinv = [np.linalg.inv(g) for g in self.gF]
 
         # torsion field data within its hosting block
         if P is None:
-            self.P_loc = None
-            self.Pc = None
-            self.dPc = None
+            self.P_loc = self.Pc = self.dPc = None
         else:
-            block_names = P.validate(spec)
             self.P_loc = P.location
-            sl = spec.block_slice(P.location)
-            k = sl.stop - sl.start
-            vals = np.zeros(k)
-            dvals = np.zeros((k, k))  # dvals[a, c] = d_a P^c
-            for c, comp in enumerate(P.components):
-                jet = eval_jet(comp, block_names, p[sl], order=1)
-                vals[c] = jet.val
-                dvals[:, c] = jet.grad
-            self.Pc = vals
-            self.dPc = dvals
+            self.Pc = val[row:]
+            # dPc[a, c] = d_a P^c
+            self.dPc = np.ascontiguousarray(grad[row:, spec.block_slice(P.location)].T)
         self._p_free = None
 
     def without_p(self):

@@ -167,6 +167,17 @@ def test_bad_scan_value_is_a_config_error(line, message, tmp_path, capsysbinary)
     assert message.encode() in captured.err and not captured.out
 
 
+def test_scan_without_a_finite_cell_exits_3(tmp_path, capsysbinary):
+    # finite c_range ends whose squares overflow leave no finite cell
+    path = tmp_path / "scan.txt"
+    path.write_text((SCENARIOS / "scan-grw-oscillatory.txt").read_text()
+                    + "scan.c_range = -1e200,1e200\nscan.n_c = 2\n")
+    assert main(["verify", str(path)]) == 3
+    captured = capsysbinary.readouterr()
+    assert b"2 x 2 lattice" in captured.err and b"finite residual" in captured.err
+    assert not captured.out
+
+
 def test_scan_list_and_count_values_are_typed(tmp_path, capsysbinary):
     from warpcurv.families import scan_kasner3_einstein_linear
 

@@ -14,6 +14,7 @@ from warpcurv.errors import (
     InvalidDimension,
     LengthMismatch,
     NonPositiveWarping,
+    NumericalInstability,
     StepTooCoarse,
     UnsupportedType,
     WarpcurvError,
@@ -460,9 +461,11 @@ def test_scan_rejects_bad_lattice_counts(scan, kwargs, match):
 def _per_row_min_max(c1_axis, c2_axis, t_points, rows_for, admissible):
     """The lattice kernel as it walked one c1 at a time, with c2 the column
     c2_axis[:, None] and the 1e6 rule applied to every value: the reference
-    the block walk must reproduce bit for bit."""
+    the block walk must reproduce bit for bit.  A lattice without an
+    admissible cell whose values are all finite raises, as the kernel does."""
     big = 1e6
     best = np.inf
+    finite = False
     c2 = c2_axis[:, None]
     for c1 in c1_axis:
         keep = admissible(c1, c2)
@@ -471,14 +474,21 @@ def _per_row_min_max(c1_axis, c2_axis, t_points, rows_for, admissible):
         with np.errstate(divide="ignore", invalid="ignore"):
             rows = rows_for(c1, c2)
         worst = np.zeros(c2.shape)
+        fin = keep.copy()
         for r in rows:
+            fin &= np.isfinite(r).all(axis=1, keepdims=True)
             r = np.where(np.isfinite(r), np.abs(r), big)
             worst = np.maximum(worst, np.max(r, axis=1, keepdims=True))
         best = min(best, float(np.min(worst[keep])))
+        finite = finite or bool(fin.any())
+    lattice = f"{len(c1_axis)} x {len(c2_axis)} lattice"
     if best == np.inf:
-        raise WarpcurvError(
-            f"no admissible cell on the {len(c1_axis)} x {len(c2_axis)} lattice"
-        )
+        raise WarpcurvError(f"no admissible cell on the {lattice}")
+    if not finite:
+        raise NumericalInstability(
+            f"no admissible cell of the {lattice} (c1 from {c1_axis[0]:g} to "
+            f"{c1_axis[-1]:g}, c2 from {c2_axis[0]:g} to {c2_axis[-1]:g}) "
+            f"has a finite residual")
     return best
 
 
@@ -531,6 +541,27 @@ def test_block_kernel_matches_the_per_row_walk(case):
         got = _scan_outcome(scan, kwargs)
     with mock.patch.object(families, "_lattice_min_max", _per_row_min_max):
         assert got == _scan_outcome(scan, kwargs)
+
+
+@pytest.mark.parametrize("scan,kwargs", [
+    (scan_grw_einstein_oscillatory, {"c_range": (0.0, math.nan)}),
+    (scan_grw_einstein_oscillatory, {"c_range": (-1e200, 1e200), "n_c": 2}),
+    (scan_kasner2_einstein_oscillatory, {"c_range": (0.0, math.nan), "n_c": 5}),
+    (scan_grw_einstein_oscillatory,  # every cell mixes inf and finite values > 1e6
+     {"c_range": (-5.5e153, 5.5e153), "n_c": 2, "t_points": 9}),
+])
+def test_scan_without_a_finite_cell_raises(scan, kwargs):
+    # a lattice whose admissible cells all overflow or are NaN evaluated no
+    # residual, so the scan must not pass on the 1e6 stand-in; overflow is
+    # part of that rule, not a RuntimeWarning
+    with pytest.raises(NumericalInstability, match=r"lattice \(c1 from .* has a finite residual"):
+        scan(**kwargs)
+
+
+def test_scan_keeps_the_1e6_rule_beside_a_finite_cell():
+    # one finite cell is enough: the others count as 1e6 as before
+    rep = scan_grw_einstein_oscillatory(c_range=(-1e200, 1.0), n_c=2)
+    assert rep.min_max_residual < 1e6 and rep.passed
 
 
 def test_block_kernel_takes_one_c1_per_block_past_its_budget():

@@ -4,14 +4,21 @@ A recipe fixes the base, one to three fibers, twisting, where P lives, the
 connection kind and the coefficients of the warpings and of P.  Warpings
 are (1.5 + 0.4 sin(a t + c)) exp(linear), positive everywhere; P has
 affine-plus-quadratic components in its block's coordinates.
+
+The same recipes, and every zoo spec with P, pin the structured caches: each
+array equals, byte for byte, what the scalar reference jet gives for each
+expression on its own block's coordinates.
 """
 
 import numpy as np
+import pytest
+from conftest import make_zoo
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from jet_reference import reference_jet
 
 from warpcurv.connections import ConnectionKind, connection_curvature
-from warpcurv.exprs import parse_expr
+from warpcurv.exprs import eval_value, parse_expr
 from warpcurv.geometry import (
     Circle,
     FiberSpec,
@@ -171,3 +178,80 @@ def test_a_stack_of_points_matches_one_row_stacks(recipe, count):
             want = getattr(row, field)
             assert np.array_equal(getattr(stack, field)[j], want[0]), (field, j, recipe)
             assert np.array_equal(getattr(single, field), want[0]), (field, j, recipe)
+
+
+CACHE_FIELDS = ("b", "db_base", "db_fiber", "H_bb", "H_bf", "H_ff", "gF", "dgF", "RF", "RicF",
+                "Pc", "dPc")
+
+
+def _bytes(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+def reference_cache(spec, P, p):
+    """Each cache array from one reference Jet per expression: a warping
+    over the whole chart, a fiber metric entry over its fiber's coordinates
+    and a P component over its block's."""
+    names, base = spec.coord_names, spec.block_slice("base")
+    ref = {field: [] for field in CACHE_FIELDS}
+    for i, w in enumerate(spec.warpings):
+        sl = spec.block_slice(i)
+        jet = reference_jet(w, names, p)
+        ref["b"].append(jet.val)
+        ref["db_base"].append(jet.grad[base])
+        ref["db_fiber"].append(jet.grad[sl])
+        ref["H_bb"].append(jet.hess[base, base])
+        ref["H_bf"].append(jet.hess[base, sl])
+        ref["H_ff"].append(jet.hess[sl, sl])
+    for i, f in enumerate(spec.fibers):
+        fnames, fc, geo = spec.fiber_coord_names(i), p[spec.block_slice(i)], f.geometry
+        entries = geo.metric_exprs(fnames)
+        jets = [[reference_jet(e, fnames, fc) for e in row] for row in entries]
+        g = np.array([[j.val for j in row] for row in jets])
+        # the float walk of the metric gives the same bits
+        assert _bytes(g) == _bytes([[eval_value(e, fnames, fc) for e in row] for row in entries])
+        ref["gF"].append(g)
+        ref["dgF"].append(np.array([[j.grad for j in row] for row in jets]).transpose(2, 0, 1))
+        ref["RF"].append(geo.curvature(g))
+        ref["RicF"].append(geo.ricci(g))
+    if P is None:
+        ref["Pc"] = ref["dPc"] = None
+    else:
+        sl = spec.block_slice(P.location)
+        jets = [reference_jet(c, P.validate(spec), p[sl]) for c in P.components]
+        ref["Pc"] = [j.val for j in jets]
+        ref["dPc"] = np.array([j.grad for j in jets]).T  # dPc[a, c] = d_a P^c
+    return ref
+
+
+def assert_cache_matches_reference(spec, P, p):
+    cache, ref = StructuredGeometryCache(spec, P, p), reference_cache(spec, P, p)
+    for field in CACHE_FIELDS:
+        got, want = getattr(cache, field), ref[field]
+        if field in ("Pc", "dPc"):
+            assert (got is None) == (want is None), field
+            assert want is None or _bytes(got) == _bytes(want), field
+        else:
+            assert [_bytes(a) for a in got] == [_bytes(a) for a in want], field
+
+
+@settings(max_examples=40, deadline=None)
+@given(recipe=recipes())
+@example(recipe=P_ON_3D_FIBER)
+@example(recipe=P_ON_LAST_OF_THREE)
+def test_cache_arrays_match_the_reference_jets_on_random_specs(recipe):
+    base, geometries, twisted, p_location, _, coefs = recipe
+    spec, P = build_case(base, geometries, twisted, p_location, coefs)
+    for p in spec.sample_points(2, t_range=(-0.4, 1.1)):
+        assert_cache_matches_reference(spec, P, p)
+
+
+ZOO_WITH_P = [case for case in make_zoo() if case[2] is not None]
+
+
+@pytest.mark.parametrize("case", ZOO_WITH_P, ids=[name for name, _, _ in ZOO_WITH_P])
+def test_cache_arrays_match_the_reference_jets_on_the_zoo(case):
+    _, spec, P = case
+    for p in spec.sample_points(3):
+        assert_cache_matches_reference(spec, P, p)

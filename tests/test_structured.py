@@ -1,10 +1,12 @@
 """Component formulas against the coordinate oracle, clause by clause."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from warpcurv import exprs, structured
 from warpcurv.connections import ConnectionKind, connection_curvature
 from warpcurv.errors import CaseMismatch
 from warpcurv.exprs import Const, parse_expr
@@ -37,6 +39,14 @@ from warpcurv.verify import oracle_comparison
 LC = ConnectionKind.LEVI_CIVITA
 SSNM = ConnectionKind.SEMI_SYMMETRIC_NON_METRIC
 SYM = ConnectionKind.SYMMETRIZED_AFFINE
+
+
+def test_one_cache_build_is_one_jet_walk(spec_zoo):
+    # the warpings, the fiber metric entries and P come from one eval_jet call
+    for name, spec, P in spec_zoo:
+        with mock.patch.object(structured, "eval_jet", wraps=exprs.eval_jet) as walk:
+            StructuredGeometryCache(spec, P, spec.sample_points(1)[0])
+        assert walk.call_count == 1, name
 
 
 def test_covariant_derivative_base_fiber_rule(grw_exp_spec):
