@@ -546,6 +546,8 @@ def test_block_kernel_matches_the_per_row_walk(case):
 @pytest.mark.parametrize("scan,kwargs", [
     (scan_grw_einstein_oscillatory, {"c_range": (0.0, math.nan)}),
     (scan_grw_einstein_oscillatory, {"c_range": (-1e200, 1e200), "n_c": 2}),
+    # the origin is the one finite cell, and it is not admissible
+    (scan_grw_einstein_oscillatory, {"c_range": (-1e200, 1e200), "n_c": 3}),
     (scan_kasner2_einstein_oscillatory, {"c_range": (0.0, math.nan), "n_c": 5}),
     (scan_grw_einstein_oscillatory,  # every cell mixes inf and finite values > 1e6
      {"c_range": (-5.5e153, 5.5e153), "n_c": 2, "t_points": 9}),
