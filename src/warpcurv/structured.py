@@ -103,7 +103,7 @@ class StructuredGeometryCache:
             g = val[rows].reshape(l, l)
             self.gF.append(g)
             # dgF[i][c, a, b] = d_c g_ab in the fiber's own coordinates
-            self.dgF.append(np.ascontiguousarray(grad[rows, sl].T.reshape(l, l, l)))
+            self.dgF.append(grad[rows, sl].T.reshape(l, l, l))
             self.GF.append(geo.christoffels(p[sl]))
             self.RF.append(geo.curvature(g))
             self.RicF.append(geo.ricci(g))
@@ -116,7 +116,7 @@ class StructuredGeometryCache:
             self.P_loc = P.location
             self.Pc = val[row:]
             # dPc[a, c] = d_a P^c
-            self.dPc = np.ascontiguousarray(grad[row:, spec.block_slice(P.location)].T)
+            self.dPc = grad[row:, spec.block_slice(P.location)].T
         self._p_free = None
 
     def without_p(self):
