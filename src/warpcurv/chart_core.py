@@ -13,12 +13,8 @@ runs once over the whole stack (`exprs.eval_stack`) and every tensor
 carries a leading point axis, so a grid costs one call.  The point axis is
 only a list of points; each row's result has the bits a call at that point
 alone gives.  A single point is a one-row stack whose result has no point
-axis.
-
-`finite_difference_field` gives any coefficient field partials by
-Richardson-extrapolated central differences, an explicit cross-check for
-fields that carry no exact ones; it raises NumericalInstability when its
-two stencils disagree.
+axis.  The test suite holds the exact partials against central differences
+and the curvature against its closed-form relation to the Levi-Civita one.
 """
 
 from __future__ import annotations
@@ -31,9 +27,6 @@ import numpy as np
 from .errors import NumericalInstability, SingularMetric
 from .exprs import Const, GridJet, Pow, Prod, eval_stack
 from .geometry import ProductManifoldSpec, as_given
-
-FD_STEP = 1e-5
-FD_INSTABILITY_TOL = 1e-4
 
 
 def metric_exprs(spec: ProductManifoldSpec):
@@ -184,38 +177,3 @@ def curvature_from_coefficients(spec, coeff_field, p) -> CurvatureAtPoint:
     return CurvatureAtPoint(riemann=as_given(p, R), ricci=as_given(p, ricci),
                             scalar=float(scalar[0]) if np.ndim(p) == 1 else scalar,
                             metric=as_given(p, g), coefficients=as_given(p, G))
-
-
-def finite_difference_field(coeff_field):
-    """The field q -> (G, dG) of a field q -> G, by central differences.
-
-    Each partial takes step FD_STEP and one Richardson extrapolation;
-    disagreement between the two stencils beyond FD_INSTABILITY_TOL
-    (relative to the field scale) raises NumericalInstability.  It is the
-    cross-check for fields without exact partials.
-    """
-
-    def field(p):
-        G = coeff_field(p)
-        n = p.shape[0]
-        dG = np.zeros((n,) + G.shape)
-        scale = max(1.0, float(np.max(np.abs(G))))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = FD_STEP
-            d_h = (coeff_field(p + e) - coeff_field(p - e)) / (2 * FD_STEP)
-            d_h2 = (coeff_field(p + e / 2) - coeff_field(p - e / 2)) / FD_STEP
-            if np.max(np.abs(d_h2 - d_h)) > FD_INSTABILITY_TOL * scale:
-                raise NumericalInstability(
-                    f"coefficient-field derivative unstable along coordinate {i}"
-                )
-            dG[i] = (4.0 * d_h2 - d_h) / 3.0
-        return G, dG
-
-    return field
-
-
-def levi_civita_curvature(spec, p) -> CurvatureAtPoint:
-    return curvature_from_coefficients(
-        spec, lambda q: levi_civita_coefficients(spec, q), p
-    )

@@ -445,18 +445,6 @@ def emit_report(report: RunReport, out_format) -> bytes:
     raise UnsupportedFormat(f"unsupported output format {out_format!r}")
 
 
-def parse_report(blob: bytes) -> RunReport:
-    """Inverse of the json emission."""
-    payload = json.loads(blob.decode())
-    return RunReport(
-        task=payload["task"],
-        scenario=[(k, v) for k, v in payload["scenario"]],
-        checks=[CheckRow(**c) for c in payload["checks"]],
-        version=payload.get("version", ""),
-        seed=payload.get("seed"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Task execution
 

@@ -6,9 +6,9 @@ pi = g(., P):
 * semi-symmetric non-metric:  nabla'_X Y = nabla_X Y + pi(Y) X
 * symmetrized affine:         nabla~_X Y = nabla_X Y + pi(X) Y + pi(Y) X
 
-The curvature of either connection is computed two independent ways: from
-the modified coefficients and their exact partials (`chart_core`) and from
-the closed-form relation to the Levi-Civita curvature; the two must agree.
+The curvature of either connection comes from the modified coefficients
+and their exact partials (`chart_core`): the structure-blind oracle that
+the closed-form clauses of `structured` are checked against.
 """
 
 from __future__ import annotations
@@ -17,33 +17,14 @@ from enum import Enum
 
 import numpy as np
 
-from .chart_core import (
-    CurvatureAtPoint,
-    assemble_metric,
-    curvature_from_coefficients,
-    finite_difference_field,
-    inverse_metric,
-    levi_civita_coefficients,
-    levi_civita_curvature,
-    metric_derivatives,
-)
-from .errors import NumericalInstability
+from .chart_core import assemble_metric, curvature_from_coefficients, levi_civita_coefficients
 from .geometry import ambient_components, as_given
-
-RELATION_CHECK_TOL = 1e-4
 
 
 class ConnectionKind(Enum):
     LEVI_CIVITA = "levi-civita"
     SEMI_SYMMETRIC_NON_METRIC = "semi-symmetric"
     SYMMETRIZED_AFFINE = "symmetrized"
-
-
-def pi_covector(spec, P, p):
-    """Covariant components pi_j = g_jm P^m at p."""
-    g = assemble_metric(spec, p)
-    Pvec = ambient_components(spec, P, p)
-    return g @ Pvec
 
 
 def pi_and_dpi(spec, P, p, g, G):
@@ -86,78 +67,6 @@ def modified_coefficients(kind, spec, P, p):
         return G, dG
     pi, dpi = pi_and_dpi(spec, P, p, assemble_metric(spec, p), G)
     return _with_pi(kind, G, pi), _with_pi(kind, dG, dpi)
-
-
-def torsion_tensor(kind, spec, P, p):
-    """T^k_ij = G^k_ij - G^k_ji; vanishes except for the semi-symmetric case."""
-    G, _ = modified_coefficients(kind, spec, P, p)
-    return G - np.transpose(G, (0, 2, 1))
-
-
-def nonmetricity(kind, spec, P, p):
-    """Components NM[i, j, k] = (nabla_{d_i} g)(d_j, d_k)."""
-    g, dg, _ = metric_derivatives(spec, p)
-    G, _ = modified_coefficients(kind, spec, P, p)
-    return (
-        dg
-        - np.einsum("mij,mk->ijk", G, g)
-        - np.einsum("mik,jm->ijk", G, g)
-    )
-
-
-def curvature_via_relation(kind, spec, P, p, check=True):
-    """Curvature through the closed-form relation to Levi-Civita curvature.
-
-    For the semi-symmetric connection the correction is
-        g(Z, nabla_X P) Y - g(Z, nabla_Y P) X + pi(Z)[pi(Y) X - pi(X) Y],
-    and the torsion-free variant adds [X(pi(Y)) - Y(pi(X))] Z, which on
-    coordinate frames is the exterior derivative of pi (the pi([X,Y]) term
-    drops since coordinate fields commute).
-
-    When `check` is set the result is compared against the curvature of
-    `modified_coefficients` differentiated by `finite_difference_field`;
-    disagreement beyond RELATION_CHECK_TOL raises NumericalInstability.
-    """
-    base = levi_civita_curvature(spec, p)
-    if kind == ConnectionKind.LEVI_CIVITA:
-        return base
-
-    g = base.metric
-    G = base.coefficients
-    eye = np.eye(spec.n_bar)
-    pi, dpi = pi_and_dpi(spec, P, p, g, G)
-    # A[i, k] = g(d_k, nabla_{d_i} P) = d_i pi_k - G^l_ik pi_l
-    A = dpi - np.einsum("lik,l->ik", G, pi)
-
-    R = (
-        base.riemann
-        + np.einsum("ik,lj->lijk", A, eye)
-        - np.einsum("jk,li->lijk", A, eye)
-        + np.einsum("k,j,li->lijk", pi, pi, eye)
-        - np.einsum("k,i,lj->lijk", pi, pi, eye)
-    )
-    if kind == ConnectionKind.SYMMETRIZED_AFFINE:
-        dpi_anti = dpi - dpi.T
-        R = R + np.einsum("ij,lk->lijk", dpi_anti, eye)
-
-    ginv = inverse_metric(g)
-    ricci = np.einsum("jijk->ik", R)
-    scalar = float(np.einsum("ik,ik->", ginv, ricci))
-    result = CurvatureAtPoint(riemann=R, ricci=ricci, scalar=scalar, metric=g,
-                              coefficients=_with_pi(kind, G, pi))
-
-    if check:
-        direct = curvature_from_coefficients(
-            spec,
-            finite_difference_field(lambda q: modified_coefficients(kind, spec, P, q)[0]),
-            p,
-        )
-        dev = float(np.max(np.abs(direct.riemann - R)))
-        if dev > RELATION_CHECK_TOL:
-            raise NumericalInstability(
-                f"relation-path and coefficient-path curvature differ by {dev:.3e}"
-            )
-    return result
 
 
 def connection_curvature(kind, spec, P, p):

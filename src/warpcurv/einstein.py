@@ -208,12 +208,12 @@ def pseudo_einstein_residuals(spec, P: TorsionVectorFieldSpec, lam, grid=None,
     return result
 
 
-def multiwarped_scalar_formula(spec, P, grid):
-    """Closed-form scalar curvature over the grid for P = d/dt, on a fiber, or absent."""
+def _closed_form_scalar(spec, P, grid):
+    """The warping samples over the grid, and the closed-form scalar there
+    for P = d/dt or absent, or without its P terms for P on a fiber."""
     b = warping_samples(spec, grid)
     dims = np.array(spec.fiber_dims, dtype=float)
     svals = np.array([f.scalar_curvature for f in spec.fibers])
-    nbar = spec.n_bar
     ratio = b[:, 1] / b[:, 0]
 
     total = -2.0 * dims @ (b[:, 2] / b[:, 0])
@@ -226,27 +226,45 @@ def multiwarped_scalar_formula(spec, P, grid):
                 cross += dims[i] * dims[j] * ratio[i] * ratio[j]
     total = total - cross
 
-    if P is None:
+    if P is None or P.location != "base":
+        return b, total
+    comps = [c for c in P.components]
+    if len(comps) != 1:
+        raise UnsupportedP("interval base expects a single P component")
+    h, dh, _ = eval_grid(comps[0], grid)
+    if np.any(np.abs(h - 1.0) > 1e-12) or np.any(np.abs(dh) > 1e-12):
+        raise UnsupportedP("closed-form scalar expression assumes P = d/dt")
+    # P = d/dt contributes sum_i l_i + sum_{i,j} l_i l_j b_j'/b_j
+    total = total + np.sum(dims)
+    total = total + np.sum(dims) * (dims @ ratio)
+    return b, total
+
+
+def _fiber_p_scalar(spec, P, br, pts):
+    """The P terms of the scalar curvature for P on fiber r, over the grid
+    whose b_r values are `br`: one row per point of `pts`, which differ only
+    on F_r, with g_F(P, P) and div_F P at each point.
+
+    The terms are (1 - nbar) pi(P) + (nbar - 1) (l_r P(b_r)/b_r + div_F P),
+    with pi(P) = b_r^2 g_F(P, P) and P(b_r) = 0 for warpings of t alone.
+    """
+    r, nbar = P.location, spec.n_bar
+    invariants = np.zeros((len(pts), 2))
+    for k, p in enumerate(pts):
+        c = StructuredGeometryCache(spec, P, p)
+        invariants[k] = c.Pc @ c.gF[r] @ c.Pc, c.div_F_P()
+    gPP, divP = invariants[:, :1], invariants[:, 1:]
+    return (1 - nbar) * (_squares(br) * gPP) + (nbar - 1) * divP, invariants
+
+
+def multiwarped_scalar_formula(spec, P, grid):
+    """Closed-form scalar curvature over the grid for P = d/dt, on a fiber
+    (at the fiber's first sample point), or absent."""
+    b, total = _closed_form_scalar(spec, P, grid)
+    if P is None or P.location == "base":
         return total
-    if P.location == "base":
-        comps = [c for c in P.components]
-        if len(comps) != 1:
-            raise UnsupportedP("interval base expects a single P component")
-        h, dh, _ = eval_grid(comps[0], grid)
-        if np.any(np.abs(h - 1.0) > 1e-12) or np.any(np.abs(dh) > 1e-12):
-            raise UnsupportedP("closed-form scalar expression assumes P = d/dt")
-        # P = d/dt contributes sum_i l_i + sum_{i,j} l_i l_j b_j'/b_j
-        total = total + np.sum(dims)
-        total = total + np.sum(dims) * (dims @ ratio)
-        return total
-    r = P.location
-    c = StructuredGeometryCache(spec, P, _grid_points(spec, grid)[0])
-    for j, br in enumerate(b[r, 0].tolist()):
-        # these two read t only through b_r(t), and through the base part of
-        # nabla_E P, which meets the zero base part of the fiber frame E
-        c.b[r] = br
-        total[j] += (1 - nbar) * c.pi_P() + (nbar - 1) * c.frame_sum_nabla_P()
-    return total
+    terms, _ = _fiber_p_scalar(spec, P, b[P.location, 0], _grid_points(spec, grid)[:1])
+    return total + terms[0]
 
 
 def multiwarped_scalar(spec, P, grid=None, tolerance=ORACLE_TOL):
@@ -278,42 +296,39 @@ class ScalarConstancyReport:
     scalar_constant: bool
     scalar_spread: float
     grid_adequate: bool
-    fibers_constant_scalar: bool
     p_invariants_constant: object  # True/False or None when P not on a fiber
     message: str
 
 
 def constant_scalar_separation_check(spec, P, grid=None, tolerance=1e-8, values=None):
-    """Constancy of the total scalar curvature and of the per-factor data.
+    """Constancy of the closed-form scalar curvature.
 
-    If the scalar curvature is constant over the grid, every built-in fiber
-    has constant scalar curvature by construction; for P on a fiber the
-    check additionally samples g(P, P) and div P over the fiber, which must
-    be constant for the remaining factor to have constant scalar curvature.
-    `values` are the closed-form scalar over the grid when the caller has
-    them from `multiwarped_scalar`; otherwise they are computed here.
+    Every built-in fiber has constant scalar curvature, so with P absent or
+    on the base the scalar depends on t alone: its spread over the grid
+    decides, from `values` when the caller has them from
+    `multiwarped_scalar`.  With P on fiber r it also depends on the point of
+    F_r, through g(P, P) and div P: the spread is taken over the grid times
+    five sample points of F_r, and `p_invariants_constant` says whether
+    those two invariants are constant over the samples.
     """
     if grid is None:
         grid = chebyshev_grid()
     grid = np.asarray(grid, dtype=float)
-    if values is None:
+    p_const = None
+    if P is not None and P.location != "base":
+        r = P.location
+        samples = spec.fibers[r].geometry.sample_coords(5)
+        on_r = spec.make_point([grid[0]], _on_fiber(spec, r, samples))
+        _grid_points(spec, grid, then=on_r)
+        b, total = _closed_form_scalar(spec, P, grid)
+        terms, invariants = _fiber_p_scalar(spec, P, b[r, 0], on_r)
+        values = total + terms
+        p_const = bool(np.max(np.ptp(invariants, axis=0)) < tolerance)
+    elif values is None:
         values = multiwarped_scalar_formula(spec, P, grid)
     spread = float(np.max(values) - np.min(values))
     grid_adequate = len(grid) >= 2
     constant = spread < tolerance
-
-    p_const = None
-    if P is not None and P.location != "base":
-        r = P.location
-        samples = []
-        on_r = spec.fibers[r].geometry.sample_coords(5)
-        pts = spec.make_point([grid[0]], _on_fiber(spec, r, on_r))
-        spec.check_point(pts)
-        for p in pts:
-            c = StructuredGeometryCache(spec, P, p)
-            samples.append((float(c.Pc @ c.gF[r] @ c.Pc), c.div_F_P()))
-        arr = np.asarray(samples)
-        p_const = bool(np.max(np.ptp(arr, axis=0)) < tolerance)
 
     if not grid_adequate:
         msg = "grid too small to assess constancy"
@@ -327,7 +342,6 @@ def constant_scalar_separation_check(spec, P, grid=None, tolerance=1e-8, values=
         scalar_constant=constant,
         scalar_spread=spread,
         grid_adequate=grid_adequate,
-        fibers_constant_scalar=True,
         p_invariants_constant=p_const,
         message=msg,
     )

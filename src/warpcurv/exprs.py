@@ -3,13 +3,13 @@
 Warping functions, fiber metric entries and torsion-field components are
 all small closed-form expressions in the chart coordinates.  They are kept
 as explicit trees (node kinds: constant, variable, sum, product, power with
-a real exponent, exp, sin, cos, sqrt, reciprocal) and evaluated either on
-plain floats (`eval_value`) or on `GridJet` numbers, which carry the value
-together with the exact gradient and Hessian with respect to a chosen
-coordinate list at every point of a stack (`eval_stack`).  One point is a
-one-row stack (`eval_jet`), a t-grid a one-column one (`eval_grid`).  A
-node branches on `float` and hands every other number to its method, so
-any jet type with the same methods walks the same trees.
+a real exponent, exp, sin, cos, sqrt, reciprocal) and evaluated on
+`GridJet` numbers, which carry the value together with the exact gradient
+and Hessian with respect to a chosen coordinate list at every point of a
+stack (`eval_stack`).  One point is a one-row stack (`eval_jet`), a t-grid
+a one-column one (`eval_grid`).  A node computes on a `float` itself and
+hands every other number to its method, so plain floats and any jet type
+with the same methods walk the same trees.
 """
 
 from __future__ import annotations
@@ -402,10 +402,6 @@ def sqrt(e):
     return Sqrt(_as_expr(e))
 
 
-def recip(e):
-    return Recip(_as_expr(e))
-
-
 def _as_expr(e):
     if isinstance(e, ScalarExpr):
         return e
@@ -414,11 +410,6 @@ def _as_expr(e):
 
 # ---------------------------------------------------------------------------
 # Evaluation helpers
-
-
-def eval_value(expr, names, values):
-    env = dict(zip(names, map(float, values)))
-    return float(expr.eval(env))
 
 
 class _Stack(dict):
@@ -449,9 +440,9 @@ def eval_stack(exprs, names, pts, order=2):
     One walk per tree with GridJet numbers seeded on one slot per name
     (order 2), or carrying values only (order 0); a constant tree gives its
     float.  Row j has the bits of the walk at pts[j] alone (for order 0 its
-    value, as eval_value gives it); where that walk would raise ExprError
-    this raises it too, naming the first point at which the failing rule
-    fails.  Overflow and invalid operations give inf and nan, as on floats.
+    value, as a walk on plain floats gives it); where that walk would raise
+    ExprError this raises it too, naming the first point at which the
+    failing rule fails.  Overflow and invalid operations give inf and nan, as on floats.
     """
     env = jet_env(names, np.asarray(pts, dtype=float), order)
     with np.errstate(over="ignore", invalid="ignore"):

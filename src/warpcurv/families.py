@@ -129,7 +129,7 @@ class SolutionFamily:
         if self.numeric_only:
             raise WarpcurvError(f"{self.family_id} is integrator-backed only")
         p = self.merged(overrides)
-        return self._residuals(self._profile_builder(p), p, np.asarray(ts, dtype=float))
+        return self._residuals(self._profile_builder(p), p, _nonempty_grid(ts))
 
     def max_residual(self, ts, overrides=None):
         res = self.residuals(ts, overrides)
@@ -213,13 +213,6 @@ def grw_einstein_family(l, lam, lam_fiber):
 
 # ---------------------------------------------------------------------------
 # Robertson-Walker constant-scalar families
-
-
-def grw_scalar_threshold(l):
-    """Target scalar value separating real from complex characteristic roots."""
-    if l == 3:
-        return 75.0 / 16.0
-    return l**3 / (4.0 * (l + 1.0)) + l
 
 
 def grw_scalar_discriminant(l, scalar):
@@ -421,32 +414,6 @@ def _nonempty_grid(grid):
     return ts
 
 
-def kasner_einstein_residuals(kspec: KasnerSpec, lam, lam_fibers, grid,
-                              tolerance=1e-10):
-    """Residuals of the Kasner Einstein classification system.
-
-    One trace equation plus one equation per fiber:
-        (eta - zeta) phi'^2/phi^2 + zeta phi''/phi + lam - sum l_i = 0
-        lam_i phi^{-2 p_i} - p_i phi''/phi - (zeta - 1) p_i phi'^2/phi^2
-            + zeta phi'/phi - lam = 0
-    This is the classification system the closed-form families satisfy; for
-    exponent vectors that are not all equal it is weaker than the pointwise
-    Einstein property of the generic connection (see the oracle tests).
-    """
-    if len(lam_fibers) != len(kspec.exponents):
-        raise LengthMismatch("need one fiber constant per fiber")
-    ts = _nonempty_grid(grid)
-    phi, dphi, ddphi = profile_derivatives(kspec.phi, ts)
-    if np.min(phi) <= 0.0:
-        raise NonPositiveWarping("profile must stay positive on the grid")
-    rows = _kasner_system_values(kspec.exponents, kspec.dims, lam, lam_fibers,
-                                 phi, dphi, ddphi)
-    reports = [ResidualReport.from_values("kasner-trace", ts, rows[0], tolerance)]
-    for i, row in enumerate(rows[1:]):
-        reports.append(ResidualReport.from_values(f"kasner-fiber-{i}", ts, row, tolerance))
-    return reports
-
-
 def kasner_scalar_identity(kspec: KasnerSpec, scalar, s_fibers, grid):
     """Residual of the closed-form scalar curvature for a Kasner profile."""
     ts = _nonempty_grid(grid)
@@ -567,10 +534,6 @@ def kasner_einstein_families(kind, p, dims, lam, lam_fibers):
             _kasner_einstein_residual_fn(p, dims, 0.0, (0.0, 0.0, 0.0)),
         ))
     return out
-
-
-def kasner_scalar_threshold(zeta, eta):
-    return 9.0 * zeta**2 / (4.0 * (eta + zeta**2)) + 3.0
 
 
 def kasner_scalar_discriminant(zeta, eta, scalar):

@@ -348,16 +348,6 @@ class ProductManifoldSpec:
             return self._base_slice
         return self._fiber_slices[block]
 
-    def block_of_index(self, idx):
-        if idx < self.n:
-            return "base"
-        off = idx - self.n
-        for i, d in enumerate(self.fiber_dims):
-            if off < d:
-                return i
-            off -= d
-        raise IndexError(idx)
-
     def fiber_coord_names(self, i):
         return self._fiber_names[i]
 

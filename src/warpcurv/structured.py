@@ -45,14 +45,6 @@ class BlockVector:
         self.components = np.asarray(self.components, dtype=float)
 
 
-def base_vec(*components):
-    return BlockVector("base", np.array(components, dtype=float))
-
-
-def fiber_vec(i, *components):
-    return BlockVector(i, np.array(components, dtype=float))
-
-
 class StructuredGeometryCache:
     """Per-point geometric data feeding the component formulas.
 
@@ -253,17 +245,6 @@ class StructuredGeometryCache:
         if V.block != self.P_loc:
             return np.zeros(W.components.shape[:-1] + V.components.shape[:-1])
         return self.g_inner_block(V.block, W.components, V.components @ self.nabla_P().T)
-
-    def frame_sum_nabla_P(self):
-        """sum_j eps_j g(nabla_{E_j} P, E_j) over the fiber-r frame in (M, g)."""
-        r = self.P_loc
-        w, Vecs = np.linalg.eigh(self.gF[r])
-        total = 0.0
-        for a in range(self.dims[r]):
-            E = Vecs[:, a] / np.sqrt(abs(w[a])) / self.b[r]  # orthonormal for g
-            # E has no base part to meet the base part of nabla_E P
-            total += self.g_inner_block(r, self._fiber_nabla_P(E), E)
-        return total
 
     def dpi(self, A: BlockVector, B: BlockVector):
         """Exterior derivative dpi(A, B) = A(pi(B)) - B(pi(A)) - pi([A, B]);
@@ -676,10 +657,11 @@ def structured_ricci_matrix(spec, P, kind, p, cache=None):
 def structured_scalar(spec, P, kind, p, cache=None):
     """Scalar curvature from the closed-form trace expressions.
 
-    P on the base uses the div_B P - pi(P) form; P on a fiber uses the
-    (1 - nbar) pi(P) + (nbar - 1) sum_j eps_j g(nabla_{E_j} P, E_j) form.
-    The torsion-free variant has the same scalar curvature (the correction
-    to the Ricci tensor is antisymmetric).
+    P on the base uses the div_B P - pi(P) form; P on fiber r uses the
+    (1 - nbar) pi(P) + (nbar - 1) sum_j eps_j g(nabla_{E_j} P, E_j) form,
+    whose frame sum is the trace of the fiber block of nabla P,
+    l_r P(b_r)/b_r + div_F P.  The torsion-free variant has the same scalar
+    curvature (the correction to the Ricci tensor is antisymmetric).
     """
     _check_kind(kind)
     c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
@@ -711,43 +693,7 @@ def structured_scalar(spec, P, kind, p, cache=None):
                 total += c.dims[i] * c.dims[j] * c.P_b(j) / c.b[j]
             total += c.dims[i] * div_term
         return total
+    r = c.P_loc
     total += (1 - c.nbar) * c.pi_P()
-    total += (c.nbar - 1) * c.frame_sum_nabla_P()
+    total += (c.nbar - 1) * (c.dims[r] * c.P_b(r) / c.b[r] + c.div_F_P())
     return total
-
-
-# ---------------------------------------------------------------------------
-# Mixed Ricci flatness
-
-
-@dataclass
-class MixedRicciReport:
-    is_mixed_flat: bool
-    max_mixed_component: float
-    twisted: bool
-    points_checked: int
-    tolerance: float
-
-
-def mixed_ricci_flat_check(spec, P, kind, points, tolerance=1e-8):
-    """Check vanishing of the base-fiber Ricci block on a point sample.
-
-    Uses the generic coordinate pipeline, one call for all the points, so
-    the verdict is independent of the component formulas.
-    """
-    from .connections import connection_curvature
-
-    ricci = connection_curvature(kind, spec, P, np.reshape(points, (-1, spec.n_bar))).ricci
-    base = spec.block_slice("base")
-    worst = 0.0
-    for i in range(spec.m):
-        sl = spec.block_slice(i)
-        for block in (ricci[:, base, sl], ricci[:, sl, base]):
-            worst = max(worst, float(np.max(np.abs(block), initial=0.0)))
-    return MixedRicciReport(
-        is_mixed_flat=worst <= tolerance,
-        max_mixed_component=worst,
-        twisted=spec.twisted,
-        points_checked=len(points),
-        tolerance=tolerance,
-    )

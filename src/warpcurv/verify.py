@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import ConnectionKind, connection_curvature
+from .connections import connection_curvature
 from .structured import (
     BlockVector,
     StructuredGeometryCache,
@@ -116,13 +116,3 @@ def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE):
     reports.append(ClauseReport("scalar", worst_scal, tolerance,
                                 worst_scal < tolerance))
     return reports
-
-
-def oracle_comparison_all_kinds(spec, P, points, tolerance=DEFAULT_TOLERANCE):
-    """Run the comparison for all three connection kinds."""
-    out = {}
-    for kind in (ConnectionKind.LEVI_CIVITA,
-                 ConnectionKind.SEMI_SYMMETRIC_NON_METRIC,
-                 ConnectionKind.SYMMETRIZED_AFFINE):
-        out[kind] = oracle_comparison(spec, P, kind, points, tolerance)
-    return out

@@ -1,4 +1,5 @@
-"""Shared fixtures: a zoo of product specs covering every block pattern."""
+"""Shared fixtures: a zoo of product specs covering every block pattern,
+and the paper's scalar thresholds of the constant-scalar families."""
 
 import numpy as np
 import pytest
@@ -131,6 +132,18 @@ def make_zoo():
         None,
     ))
     return zoo
+
+
+def grw_scalar_threshold(l):
+    """Target scalar value separating real from complex characteristic roots."""
+    if l == 3:
+        return 75.0 / 16.0
+    return l**3 / (4.0 * (l + 1.0)) + l
+
+
+def kasner_scalar_threshold(zeta, eta):
+    """The same threshold for the Kasner profile equation."""
+    return 9.0 * zeta**2 / (4.0 * (eta + zeta**2)) + 3.0
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """A scalar second-order jet: the reference that the batched jets of
-`warpcurv.exprs` are compared against bit for bit.
+`warpcurv.exprs` are compared against bit for bit, and the walk of an
+expression on plain floats (`eval_value`).
 
 `Jet` carries one point's value, gradient and Hessian and applies the
 forward-mode rules one point at a time, in the operation order that
@@ -115,3 +116,9 @@ def reference_jet(expr, names, values):
     if not math.isfinite(out.val):
         raise ExprError(f"expression not finite at {dict(zip(names, values))!r}")
     return out
+
+
+def eval_value(expr, names, values):
+    """The value of one expression at one point, walked on plain floats."""
+    env = dict(zip(names, map(float, values)))
+    return float(expr.eval(env))

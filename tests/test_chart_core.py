@@ -4,15 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from connection_reference import finite_difference_field
 
 from warpcurv.chart_core import (
     assemble_metric,
     curvature_from_coefficients,
-    finite_difference_field,
     levi_civita_coefficients,
-    levi_civita_curvature,
     metric_derivatives,
 )
+from warpcurv.connections import ConnectionKind, connection_curvature
 from warpcurv.errors import NonPositiveWarping, OutOfChart, SingularMetric
 from warpcurv.exprs import Const, parse_expr
 from warpcurv.geometry import (
@@ -24,6 +24,8 @@ from warpcurv.geometry import (
     ProductManifoldSpec,
     Sphere,
 )
+
+LC = ConnectionKind.LEVI_CIVITA
 
 
 def test_metric_exponential_warping(grw_exp_spec):
@@ -96,7 +98,7 @@ def test_flat_chart_all_zero():
     p = spec.make_point([0.1, 0.2])
     assert all(np.allclose(d, 0.0) for d in metric_derivatives(spec, p)[1:])
     assert all(np.allclose(c, 0.0) for c in levi_civita_coefficients(spec, p))
-    cur = levi_civita_curvature(spec, p)
+    cur = connection_curvature(LC, spec, None, p)
     assert np.allclose(cur.riemann, 0.0, atol=1e-9)
     assert cur.scalar == pytest.approx(0.0, abs=1e-9)
 
@@ -122,7 +124,7 @@ def test_sphere_christoffel_against_geometry():
 def test_unit_sphere_block_curvature():
     spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(Sphere(1.0))], [Const(1.0)])
     p = spec.make_point([0.0], [[math.pi / 2, 0.5]])
-    cur = levi_civita_curvature(spec, p)
+    cur = connection_curvature(LC, spec, None, p)
     # product of a line with a unit sphere: engine-convention scalar is -2
     assert cur.scalar == pytest.approx(-2.0, abs=1e-12)
     g = cur.metric
@@ -133,7 +135,7 @@ def test_unit_sphere_block_curvature():
 def test_levi_civita_symmetries(spec_zoo):
     for name, spec, _ in spec_zoo[:8]:
         p = spec.sample_points(1)[0]
-        cur = levi_civita_curvature(spec, p)
+        cur = connection_curvature(LC, spec, None, p)
         R = cur.riemann
         assert np.max(np.abs(R + np.transpose(R, (0, 2, 1, 3)))) < 1e-12, name
         bianchi = R + np.transpose(R, (0, 3, 1, 2)) + np.transpose(R, (0, 2, 3, 1))
@@ -150,8 +152,8 @@ def test_scalar_invariant_under_fiber_permutation():
                                  [FiberSpec(FlatTorus(2)), FiberSpec(Circle())],
                                  [w2, w1])
     for t in (0.2, 0.6):
-        sa = levi_civita_curvature(spec_a, spec_a.make_point([t])).scalar
-        sb = levi_civita_curvature(spec_b, spec_b.make_point([t])).scalar
+        sa = connection_curvature(LC, spec_a, None, spec_a.make_point([t])).scalar
+        sb = connection_curvature(LC, spec_b, None, spec_b.make_point([t])).scalar
         assert sa == pytest.approx(sb, abs=1e-12)
 
 
@@ -208,8 +210,6 @@ def _bad_row_error(spec, rows, bad, call):
 
 
 def _curvature(spec, p):
-    from warpcurv.connections import ConnectionKind, connection_curvature
-
     return connection_curvature(ConnectionKind.SEMI_SYMMETRIC_NON_METRIC, spec, None, p)
 
 

@@ -14,7 +14,6 @@ from warpcurv.cli import (
     RunReport,
     emit_report,
     main,
-    parse_report,
     parse_scenario,
     run_scenario,
 )
@@ -76,8 +75,13 @@ def test_json_round_trip():
         version="0.1.0",
         seed=7,
     )
-    again = parse_report(emit_report(report, "json"))
-    assert again == report
+    assert json.loads(emit_report(report, "json")) == {
+        "task": "einstein-check",
+        "scenario": [["task", "einstein-check"], ["lambda", "0"]],
+        "checks": [vars(c) for c in report.checks],
+        "version": "0.1.0",
+        "seed": 7,
+    }
 
 
 def test_cli_pass_and_fail_exit_codes(capsysbinary):
@@ -88,6 +92,20 @@ def test_cli_pass_and_fail_exit_codes(capsysbinary):
     code, _ = run_main(capsysbinary, "verify",
                        str(SCENARIOS / "einstein-quadratic-fail.txt"))
     assert code == 1
+
+
+def test_scalar_check_fails_when_the_scalar_varies_over_the_fiber(tmp_path, capsysbinary):
+    # P = cos(x) d_x on a sphere fiber: g(P, P) and div P change with the
+    # polar angle, so at each t the scalar differs between fiber points
+    path = tmp_path / "sphere-p.txt"
+    path.write_text("task = scalar-check\nbase = interval\nfiber.geometry = sphere\n"
+                    "fiber.warping = 1.3\np.location = fiber:0\np.components = cos(x), 0\n")
+    code, out = run_main(capsysbinary, "verify", str(path), "--format", "csv")
+    assert code == 1
+    rows = {line.split(",")[0]: line.split(",")[1:] for line in out.decode().splitlines()[1:]}
+    assert rows["scalar-closed-form-vs-oracle"][2] == "pass"
+    assert rows["scalar-constancy"][2] == "fail"
+    assert float(rows["scalar-constancy"][0]) > 0.3
 
 
 def test_cli_config_error_exit_code(tmp_path, capsysbinary):

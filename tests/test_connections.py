@@ -3,23 +3,19 @@ curvature relation."""
 
 import numpy as np
 import pytest
+from connection_reference import (
+    curvature_via_relation,
+    finite_difference_field,
+    nonmetricity,
+    pi_covector,
+    relation_check,
+    torsion_tensor,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpcurv.chart_core import (
-    assemble_metric,
-    finite_difference_field,
-    levi_civita_coefficients,
-)
-from warpcurv.connections import (
-    ConnectionKind,
-    connection_curvature,
-    curvature_via_relation,
-    modified_coefficients,
-    nonmetricity,
-    pi_covector,
-    torsion_tensor,
-)
+from warpcurv.chart_core import assemble_metric, levi_civita_coefficients
+from warpcurv.connections import ConnectionKind, connection_curvature, modified_coefficients
 from warpcurv.exprs import Const, parse_expr
 from warpcurv.geometry import (
     FiberSpec,
@@ -113,7 +109,7 @@ def test_relation_vs_coefficient_paths(spec_zoo):
     for name, spec, P in spec_zoo:
         for p in spec.sample_points(2):
             for kind in (LC, SSNM, SYM):
-                rel = curvature_via_relation(kind, spec, P, p, check=False)
+                rel = curvature_via_relation(kind, spec, P, p)
                 direct = connection_curvature(kind, spec, P, p)
                 assert np.max(np.abs(rel.riemann - direct.riemann)) < 1e-11, name
                 assert np.max(np.abs(rel.ricci - direct.ricci)) < 1e-11, name
@@ -134,8 +130,7 @@ def test_exact_partials_match_finite_differences(kind, spec_zoo):
 
 
 def test_relation_internal_check_runs(grw_exp_spec):
-    cur = curvature_via_relation(SSNM, grw_exp_spec, p_dt(),
-                                 grw_exp_spec.make_point([0.3]), check=True)
+    cur = relation_check(SSNM, grw_exp_spec, p_dt(), grw_exp_spec.make_point([0.3]))
     assert np.max(np.abs(cur.ricci)) < 1e-12
 
 

@@ -188,11 +188,14 @@ def _per_point_torsion_rows(spec, P, lam, grid):
 
 
 def _per_point_fiber_p_scalar(spec, P, grid):
-    """Reference: the per-t loop, one cache per t, of the P-on-a-fiber scalar."""
+    """Reference: the per-t loop, one cache per t, of the P-on-a-fiber scalar,
+    whose frame sum is the trace l_r P(b_r)/b_r + div_F P of nabla P."""
     total = multiwarped_scalar_formula(spec, None, grid)
+    r = P.location
     for j, t in enumerate(grid):
         c = StructuredGeometryCache(spec, P, spec.make_point([t]))
-        total[j] += (1 - spec.n_bar) * c.pi_P() + (spec.n_bar - 1) * c.frame_sum_nabla_P()
+        trace = c.dims[r] * c.P_b(r) / c.b[r] + c.div_F_P()
+        total[j] += (1 - spec.n_bar) * c.pi_P() + (spec.n_bar - 1) * trace
     return total
 
 
@@ -421,8 +424,24 @@ def test_constancy_p_invariants():
                    [FiberSpec(Circle()), FiberSpec(FlatTorus(2))])
     const_P = TorsionVectorFieldSpec(1, [Const(0.4), Const(0.1)])
     rep = constant_scalar_separation_check(spec, const_P)
-    assert rep.p_invariants_constant is True
+    assert rep.p_invariants_constant is True and rep.scalar_constant
 
     rot_P = TorsionVectorFieldSpec(1, [parse_expr("0-w"), parse_expr("z")])
     rep = constant_scalar_separation_check(spec, rot_P)
-    assert rep.p_invariants_constant is False
+    assert rep.p_invariants_constant is False and not rep.scalar_constant
+
+
+def test_constancy_spread_runs_over_the_fiber_samples():
+    # P = cos(x) d_x on a sphere fiber: the scalar at each t varies with the
+    # polar angle, though the t-grid alone at one fiber point sees no change
+    spec = spec_of([Const(1.3)], [FiberSpec(Sphere(1.0))])
+    P = TorsionVectorFieldSpec(0, [parse_expr("cos(x)"), Const(0.0)])
+    grid = chebyshev_grid(0.05, 0.95, 5)
+    assert np.ptp(multiwarped_scalar_formula(spec, P, grid)) == 0.0
+    rep = constant_scalar_separation_check(spec, P, grid)
+    assert not rep.scalar_constant and rep.p_invariants_constant is False
+    samples = spec.fibers[0].geometry.sample_coords(5)
+    pts = spec.make_point(np.repeat(grid, 5)[:, None], [np.tile(samples, (len(grid), 1))])
+    oracle = connection_curvature(SSNM, spec, P, pts).scalar
+    assert rep.scalar_spread > 0.3
+    assert rep.scalar_spread == pytest.approx(np.ptp(oracle), rel=1e-12)

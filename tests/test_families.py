@@ -6,8 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import grw_scalar_threshold, kasner_scalar_threshold
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from jet_reference import eval_value
 
 from warpcurv import families
 from warpcurv.errors import (
@@ -24,14 +26,11 @@ from warpcurv.families import (
     grw_einstein_family,
     grw_scalar_discriminant,
     grw_scalar_family,
-    grw_scalar_threshold,
     kasner_einstein_families,
-    kasner_einstein_residuals,
     kasner_invariants,
     kasner_scalar_discriminant,
     kasner_scalar_identity,
     kasner_scalar_families,
-    kasner_scalar_threshold,
     ode_cross_check,
     rk4_integrate,
     rk4_integrate_first_order,
@@ -98,7 +97,6 @@ def test_scalar_l3_degenerate_profile():
     fam = grw_scalar_family(3, 3.0, 9.0)[0]
     expr = fam.profile({"c1": 1.0, "c2": 1.0})
     # v = c1 - 2 t + c2 e^{1.5 t} for fiber scalar 9
-    from warpcurv.exprs import eval_value
     got = eval_value(expr, ("t",), [0.5])
     assert got == pytest.approx(1.0 - 2.0 * 0.5 + math.exp(0.75))
 
@@ -182,34 +180,44 @@ def test_kasner_spec_invariants():
         KasnerSpec((1.0, 0.5), (0, 0), parse_expr("exp(t)"))  # eta = 0, p != 0
 
 
+def _kasner_eq_rows(family, overrides, ts=TS):
+    """The family's kasner-eq-* rows, which evaluate the Kasner Einstein
+    classification system, at the profile the overrides select."""
+    rows = family.residuals(ts, overrides)
+    assert sorted(rows) == [f"kasner-eq-{k}" for k in range(len(family.params["p"]) + 1)]
+    return rows
+
+
 def test_kasner_einstein_residual_examples():
     # degenerate second exponent: phi = c1 e^{3t}, lam = -6, lam_2 = -9
-    kspec = KasnerSpec((1.0, 0.0), (1, 2), parse_expr("1.2*exp(3*t)"))
-    reports = kasner_einstein_residuals(kspec, -6.0, (0.0, -9.0), TS)
-    assert all(r.passed for r in reports)
+    (fam,) = kasner_einstein_families("II", (1.0, 0.0), (1, 2), -6.0, (0.0, -9.0))
+    assert fam.params["rate"] == 3.0
+    rows = _kasner_eq_rows(fam, {"c1": 1.2})
+    assert all(np.max(np.abs(row)) < 1e-10 for row in rows.values())
     # trace-free exponents: zeta = 0, phi = c0 e^{sqrt(3/eta) t}, lam = 0
     eta = 1.5
-    rate = math.sqrt(3.0 / eta)
-    kspec = KasnerSpec((1.0, -0.5), (1, 2), parse_expr(f"0.8*exp({rate}*t)"))
-    reports = kasner_einstein_residuals(kspec, 0.0, (0.0, 0.0), TS)
-    assert all(r.passed for r in reports)
+    (fam,) = kasner_einstein_families("II", (1.0, -0.5), (1, 2), 0.0, (0.0, 0.0))
+    assert fam.params["rate"] == math.sqrt(3.0 / eta)
+    rows = _kasner_eq_rows(fam, {"c0": 0.8})
+    assert all(np.max(np.abs(row)) < 1e-10 for row in rows.values())
     # three circles, zeta = 0, eta = 6: phi = c0 e^{sqrt(1/2) t}
-    kspec = KasnerSpec((1.0, 1.0, -2.0), (1, 1, 1),
-                       parse_expr(f"exp({math.sqrt(0.5)}*t)"))
-    reports = kasner_einstein_residuals(kspec, 0.0, (0.0, 0.0, 0.0), TS)
-    assert all(r.passed for r in reports)
+    (fam,) = kasner_einstein_families("III", (1.0, 1.0, -2.0), (1, 1, 1), 0.0,
+                                      (0.0, 0.0, 0.0))
+    assert fam.params["rate"] == math.sqrt(0.5)
+    rows = _kasner_eq_rows(fam, {"c0": 1.0})
+    assert all(np.max(np.abs(row)) < 1e-10 for row in rows.values())
 
 
 def test_kasner_einstein_positive_profile_required():
-    kspec = KasnerSpec((1.0, 0.0), (1, 2), parse_expr("t - 0.5"))
+    (fam,) = kasner_einstein_families("II", (1.0, 0.0), (1, 2), -6.0, (0.0, -9.0))
     with pytest.raises(NonPositiveWarping):
-        kasner_einstein_residuals(kspec, 0.0, (0.0, 0.0), TS)
+        fam.check_positive({"c1": -0.5})
 
 
 def test_kasner_einstein_residuals_reject_an_empty_grid():
-    kspec = KasnerSpec((1.0, 2.0), (1, 1), parse_expr("exp(t)"))
+    (fam,) = kasner_einstein_families("II", (1.0, -0.5), (1, 2), 0.0, (0.0, 0.0))
     with pytest.raises(WarpcurvError, match="no points"):
-        kasner_einstein_residuals(kspec, 0.0, (0.0, 0.0), np.array([]))
+        fam.residuals(np.array([]))
 
 
 def test_kasner_scalar_identity_rejects_an_empty_grid():
@@ -702,8 +710,6 @@ _PSI = {"c1": (0.5, 1.6), "c2": (0.05, 0.7)}
 ])
 def test_root_case_reference_families(generate, family_id, case, params, ranges,
                                       value):
-    from warpcurv.exprs import eval_value
-
     (fam,) = generate()
     assert (fam.family_id, fam.case) == (family_id, case)
     assert fam.params == params

@@ -15,10 +15,10 @@ import pytest
 from conftest import make_zoo
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from jet_reference import reference_jet
+from jet_reference import eval_value, reference_jet
 
 from warpcurv.connections import ConnectionKind, connection_curvature
-from warpcurv.exprs import eval_value, parse_expr
+from warpcurv.exprs import parse_expr
 from warpcurv.geometry import (
     Circle,
     FiberSpec,
@@ -131,6 +131,20 @@ def test_planted_nabla_p_error_fails_the_fiber_curvature_rows(monkeypatch):
     monkeypatch.setattr(StructuredGeometryCache, "nabla_P",
                         lambda self: (1 + 1e-6) * original(self))
     assert _nabla_p_rows(r) <= _failed_rows(spec, P, kind)
+
+
+def test_planted_trace_error_fails_the_scalar_row(monkeypatch):
+    # P's frame trace l_r P(b_r)/b_r + div_F P in the scalar clause; the
+    # warpings are twisted, so P(b_r) != 0 and both parts carry weight
+    base, geometries, twisted, r, kind, coefs = P_ON_LAST_OF_THREE
+    spec, P = build_case(base, geometries, twisted, r, coefs)
+    for p in spec.sample_points(2):
+        assert StructuredGeometryCache(spec, P, p).P_b(r) != 0.0
+    for name in ("P_b", "div_F_P"):
+        original = getattr(StructuredGeometryCache, name)
+        monkeypatch.setattr(StructuredGeometryCache, name,
+                            lambda self, *args, f=original: (1 + 1e-6) * f(self, *args))
+    assert "scalar" in _failed_rows(spec, P, kind)
 
 
 def test_an_error_only_the_third_coordinate_vector_reaches_fails_its_rows(monkeypatch):
