@@ -228,10 +228,9 @@ def _closed_form_scalar(spec, P, grid):
 
     if P is None or P.location != "base":
         return b, total
-    comps = [c for c in P.components]
-    if len(comps) != 1:
+    if len(P.components) != 1:
         raise UnsupportedP("interval base expects a single P component")
-    h, dh, _ = eval_grid(comps[0], grid)
+    h, dh, _ = eval_grid(P.components[0], grid)
     if np.any(np.abs(h - 1.0) > 1e-12) or np.any(np.abs(dh) > 1e-12):
         raise UnsupportedP("closed-form scalar expression assumes P = d/dt")
     # P = d/dt contributes sum_i l_i + sum_{i,j} l_i l_j b_j'/b_j
