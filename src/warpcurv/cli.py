@@ -478,10 +478,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     elif cfg.task == "scalar-check":
         tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
         grid = chebyshev_grid(cfg.grid_start, cfg.grid_end, cfg.grid_points)
-        rep, scalar = multiwarped_scalar(spec, P, grid, tol)
+        rep, closed = multiwarped_scalar(spec, P, grid, tol)
         checks.append(CheckRow(rep.equation, rep.max_abs_residual, rep.tolerance,
                                _verdict(rep.passed)))
-        cons = constant_scalar_separation_check(spec, P, grid, values=scalar)
+        cons = constant_scalar_separation_check(spec, P, grid, closed=closed)
         checks.append(CheckRow("scalar-constancy", cons.scalar_spread, 1e-8,
                                _verdict(cons.scalar_constant and cons.grid_adequate)))
         logger.info("scalar constancy: %s", cons.message)

@@ -10,6 +10,7 @@ lives in `families`; here we only verify.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,14 +257,29 @@ def _fiber_p_scalar(spec, P, br, pts):
     return (1 - nbar) * (_squares(br) * gPP) + (nbar - 1) * divP, invariants
 
 
+class ClosedFormScalar(NamedTuple):
+    """The closed-form scalar curvature over a grid: its `values` (for P on
+    a fiber at the fiber's first sample point), the warping samples `b` of
+    `warping_samples`, and the `total` without the terms of P on a fiber."""
+
+    values: np.ndarray
+    b: np.ndarray
+    total: np.ndarray
+
+
+def _closed_form(spec, P, grid):
+    """The ClosedFormScalar over the grid."""
+    b, total = _closed_form_scalar(spec, P, grid)
+    if P is None or P.location == "base":
+        return ClosedFormScalar(total, b, total)
+    terms, _ = _fiber_p_scalar(spec, P, b[P.location, 0], _grid_points(spec, grid)[:1])
+    return ClosedFormScalar(total + terms[0], b, total)
+
+
 def multiwarped_scalar_formula(spec, P, grid):
     """Closed-form scalar curvature over the grid for P = d/dt, on a fiber
     (at the fiber's first sample point), or absent."""
-    b, total = _closed_form_scalar(spec, P, grid)
-    if P is None or P.location == "base":
-        return total
-    terms, _ = _fiber_p_scalar(spec, P, b[P.location, 0], _grid_points(spec, grid)[:1])
-    return total + terms[0]
+    return _closed_form(spec, P, grid).values
 
 
 def multiwarped_scalar(spec, P, grid=None, tolerance=ORACLE_TOL):
@@ -272,12 +288,12 @@ def multiwarped_scalar(spec, P, grid=None, tolerance=ORACLE_TOL):
 
     The oracle walks the grid in blocks of at most `_ORACLE_BLOCK_ELEMENTS`
     points times n_bar**4, so memory stays bounded on large grids.  Returns
-    the report and the closed-form values over the grid, which
-    `constant_scalar_separation_check` takes instead of computing them again.
+    the report and the closed form over the grid, a ClosedFormScalar, which
+    `constant_scalar_separation_check` takes instead of computing it again.
     """
     if grid is None:
         grid = chebyshev_grid()
-    formula = multiwarped_scalar_formula(spec, P, grid)
+    closed = _closed_form(spec, P, grid)
     pts = _grid_points(spec, grid)
     step = max(1, _ORACLE_BLOCK_ELEMENTS // spec.n_bar**4)
     oracle = np.concatenate([
@@ -285,9 +301,9 @@ def multiwarped_scalar(spec, P, grid=None, tolerance=ORACLE_TOL):
                              pts[i:i + step]).scalar
         for i in range(0, len(pts), step)
     ])
-    devs = formula - oracle
+    devs = closed.values - oracle
     return (ResidualReport.from_values("scalar-closed-form-vs-oracle", grid, devs, tolerance),
-            formula)
+            closed)
 
 
 @dataclass
@@ -299,16 +315,17 @@ class ScalarConstancyReport:
     message: str
 
 
-def constant_scalar_separation_check(spec, P, grid=None, tolerance=1e-8, values=None):
+def constant_scalar_separation_check(spec, P, grid=None, tolerance=1e-8, closed=None):
     """Constancy of the closed-form scalar curvature.
 
     Every built-in fiber has constant scalar curvature, so with P absent or
     on the base the scalar depends on t alone: its spread over the grid
-    decides, from `values` when the caller has them from
-    `multiwarped_scalar`.  With P on fiber r it also depends on the point of
-    F_r, through g(P, P) and div P: the spread is taken over the grid times
-    five sample points of F_r, and `p_invariants_constant` says whether
-    those two invariants are constant over the samples.
+    decides.  With P on fiber r it also depends on the point of F_r,
+    through g(P, P) and div P: the spread is taken over the grid times five
+    sample points of F_r, from the warping samples and the P-free total,
+    and `p_invariants_constant` says whether those two invariants are
+    constant over the samples.  `closed` is the ClosedFormScalar of
+    `multiwarped_scalar` over the same grid, when the caller has it.
     """
     if grid is None:
         grid = chebyshev_grid()
@@ -319,12 +336,17 @@ def constant_scalar_separation_check(spec, P, grid=None, tolerance=1e-8, values=
         samples = spec.fibers[r].geometry.sample_coords(5)
         on_r = spec.make_point([grid[0]], _on_fiber(spec, r, samples))
         _grid_points(spec, grid, then=on_r)
-        b, total = _closed_form_scalar(spec, P, grid)
+        if closed is None:
+            b, total = _closed_form_scalar(spec, P, grid)
+        else:
+            b, total = closed.b, closed.total
         terms, invariants = _fiber_p_scalar(spec, P, b[r, 0], on_r)
         values = total + terms
         p_const = bool(np.max(np.ptp(invariants, axis=0)) < tolerance)
-    elif values is None:
+    elif closed is None:
         values = multiwarped_scalar_formula(spec, P, grid)
+    else:
+        values = closed.values
     spread = float(np.max(values) - np.min(values))
     grid_adequate = len(grid) >= 2
     constant = spread < tolerance

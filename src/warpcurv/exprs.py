@@ -15,6 +15,7 @@ with the same methods walk the same trees.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -60,7 +61,10 @@ class GridJet:
     Only the correctly rounded operations (+, -, *, /, sqrt) run in numpy;
     exp, sin, cos and powers run element by element on Python floats,
     because numpy's exp and power round differently from math's and **.
-    Constants are lifted as scalars.
+    Each maps the raw math.exp, math.sin, math.cos or pow first, and the
+    checking wrapper (_exp, _sin, _cos, _pow), which gives the same values,
+    only if that raises, so that the ExprError names its point.  Constants
+    are lifted as scalars.
 
     The parts are held in shapes that broadcast against each other without
     copies: u (N, 1, 1), du (N, 1, n) and ddu (N, n, n), with du and ddu
@@ -126,18 +130,21 @@ class GridJet:
             j = int(np.argmax(bad))
             raise ExprError(f"{message} {float(self.u[j, 0, 0])!r} at {self._where(j)}")
 
-    def _map(self, fn):
-        """fn of each value as a Python float; an ExprError names its point."""
+    def _map(self, raw, checked):
+        """raw of each value as a Python float, or checked of each if raw
+        raises; an ExprError from checked names its point.  checked gives
+        raw's value wherever raw returns one."""
         us = self.u.ravel().tolist()
         try:
-            return np.fromiter(map(fn, us), float, len(us)).reshape(self.u.shape)
-        except ExprError:
+            out = np.fromiter(map(raw, us), float, len(us))
+        except (OverflowError, ValueError, ZeroDivisionError):
+            out = np.empty(len(us))
             for j, u in enumerate(us):
                 try:
-                    fn(u)
+                    out[j] = checked(u)
                 except ExprError as exc:
                     raise ExprError(f"{exc} at {self._where(j)}") from None
-            raise
+        return out.reshape(self.u.shape)
 
     def pow_const(self, r):
         r = float(r)
@@ -150,29 +157,32 @@ class GridJet:
             self._check(self.u <= 0.0, "fractional power of non-positive base")
         if r < 0:
             self._check(self.u == 0.0, "negative power of")
-        f = self._map(lambda b: _pow(b, r))
+        f = self._map(partial(pow, exp=r), lambda b: _pow(b, r))
         if self.du is None:
             return GridJet(self.at, f, None, None)
-        fp = r * self._map(lambda b: _pow(b, r - 1.0))
+        fp = r * self._map(partial(pow, exp=r - 1.0), lambda b: _pow(b, r - 1.0))
+        # b^(r - 2) at b = 0 (r = 1 only: other r reject a zero base above)
+        # raises in pow, and the checked form gives the 0 there
         fpp = r * (r - 1.0) * self._map(
+            partial(pow, exp=r - 2.0),
             lambda b: _pow(b, r - 2.0) if b != 0.0 or r >= 2.0 else 0.0)
         return self._chain(f, fp, fpp)
 
     def exp(self):
-        e = self._map(_exp)
+        e = self._map(math.exp, _exp)
         return self._chain(e, e, e)
 
     def sin(self):
-        s = self._map(_sin)
+        s = self._map(math.sin, _sin)
         if self.du is None:
             return GridJet(self.at, s, None, None)
-        c = self._map(_cos)
+        c = self._map(math.cos, _cos)
         return self._chain(s, c, -s)
 
     def cos(self):
         if self.du is None:
-            return GridJet(self.at, self._map(_cos), None, None)
-        s, c = self._map(_sin), self._map(_cos)
+            return GridJet(self.at, self._map(math.cos, _cos), None, None)
+        s, c = self._map(math.sin, _sin), self._map(math.cos, _cos)
         return self._chain(c, -s, -c)
 
     def sqrt(self):
@@ -465,25 +475,30 @@ def eval_jet(exprs, names, point):
     return val, grad, hess
 
 
-def eval_grid(expr, ts):
+def eval_grid(expr, ts, order=2):
     """Rows u, u', u'' of an expression in the single variable t over a grid.
 
     The stack of eval_stack with n = 1, shape (3, len(ts)): column j holds
     the value, first and second derivative at ts[j], with the bits of
     eval_jet([expr], ("t",), [ts[j]]), and an ExprError names the grid value.
+    With order 0 the walk carries values only and gives the row u alone,
+    shape (1, len(ts)); an unbound variable or a value that is not finite
+    raises the same ExprError as at order 2.
     """
     ts = np.asarray(ts, dtype=float)
-    out = np.zeros((3, len(ts)))
+    out = np.zeros((3 if order else 1, len(ts)))
     if not len(ts):
         return out
     unbound = sorted(expr.variables() - {"t"})
     if unbound:
         raise ExprError(f"unbound variable {unbound[0]!r} at t={float(ts[0])!r}")
-    jet, = eval_stack([expr], ("t",), ts[:, None])
-    if isinstance(jet, GridJet):
+    jet, = eval_stack([expr], ("t",), ts[:, None], order)
+    if not isinstance(jet, GridJet):
+        out[0] = jet
+    elif order:
         out[0], out[1], out[2] = jet.val, jet.grad[:, 0], jet.hess[:, 0, 0]
     else:
-        out[0] = jet
+        out[0] = jet.val
     bad = ~np.isfinite(out[0])
     if bad.any():
         raise ExprError(f"expression not finite at t={float(ts[np.argmax(bad)])!r}")

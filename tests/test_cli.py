@@ -464,21 +464,30 @@ def test_run_scenario_reports_all_requested_checks():
     assert report.all_passed
 
 
-def test_scalar_check_evaluates_the_closed_form_once(monkeypatch, capsysbinary):
+def test_scalar_check_evaluates_the_closed_form_once(tmp_path, monkeypatch, capsysbinary):
+    # the constancy row reuses the warping samples and the closed form of the
+    # oracle row, also for P on a fiber, where it spreads them over the fiber
     from warpcurv import einstein
 
     calls = []
-    formula = einstein.multiwarped_scalar_formula
+    samples = einstein.warping_samples
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return formula(*args, **kwargs)
+        return samples(*args, **kwargs)
 
-    monkeypatch.setattr(einstein, "multiwarped_scalar_formula", counting)
+    monkeypatch.setattr(einstein, "warping_samples", counting)
     code, out = run_main(capsysbinary, "verify", str(SCENARIOS / "scalar-static.txt"))
     assert code == 0
     assert out == (SCENARIOS / "expected" / "scalar-static.out").read_bytes()
     assert len(calls) == 1
+
+    path = tmp_path / "scalar-fiber-p.txt"
+    path.write_text((SCENARIOS / "scalar-static.txt").read_text().replace(
+        "p.location = base\np.components = 1\n", "p.location = fiber:0\np.components = 0.4, 0.1\n"))
+    code, out = run_main(capsysbinary, "verify", str(path))
+    assert code == 0 and b"fiber:0" in out
+    assert len(calls) == 2
 
 
 def test_p_component_may_call_pow(tmp_path, capsysbinary):

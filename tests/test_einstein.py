@@ -340,9 +340,9 @@ def test_scalar_formula_matches_oracle(spec_zoo):
         (spec_of([parse_expr("exp(t)")], [FiberSpec(FlatTorus(2))]), None),
     ]
     for spec, P in cases:
-        rep, values = multiwarped_scalar(spec, P, grid)
+        rep, closed = multiwarped_scalar(spec, P, grid)
         assert rep.passed, rep
-        assert np.array_equal(values, multiwarped_scalar_formula(spec, P, grid))
+        assert np.array_equal(closed.values, multiwarped_scalar_formula(spec, P, grid))
 
 
 def _four_torus_spec():
@@ -375,11 +375,11 @@ def test_scalar_check_walks_a_large_grid_in_blocks(monkeypatch):
 
     monkeypatch.setattr(ResidualReport, "from_values", staticmethod(keep))
     monkeypatch.setattr(einstein, "connection_curvature", counted)
-    _, formula = multiwarped_scalar(spec, p_dt(), grid)
+    _, closed = multiwarped_scalar(spec, p_dt(), grid)
     assert len(blocks) > 1 and sum(blocks) == len(grid)
     whole = connection_curvature(SSNM, spec, p_dt(), spec.make_point(grid[:, None]))
     devs = rows["scalar-closed-form-vs-oracle"]
-    assert devs.tobytes() == (formula - whole.scalar).tobytes()
+    assert devs.tobytes() == (closed.values - whole.scalar).tobytes()
 
     blocks.clear()
     multiwarped_scalar(spec, p_dt(), chebyshev_grid(n=17))

@@ -145,6 +145,22 @@ def test_grid_error_names_the_first_offending_t():
         eval_grid(parse_expr("1/(t-0.5)"), [0.0, 0.25, 0.5, 0.75])
     with pytest.raises(ExprError, match=r"overflows at t=0\.75"):
         eval_grid(parse_expr("exp(1000*t)"), [0.0, 0.75, 1.0])
+    # math.sin, math.cos and pow raise first; the checking wrapper that runs
+    # after them gives the message.  An order-2 cos maps sin before cos.
+    square = "exp(700*t)*exp(700*t)"  # inf from t = 0.75 on
+    for text, message in [(f"sin({square})", "sin of inf"), (f"sin(0-{square})", "sin of -inf")]:
+        with pytest.raises(ExprError, match=rf"^{message} at t=0\.75$"):
+            eval_grid(parse_expr(text), [0.0, 0.5, 0.75, 1.0])
+    for order, message in [(2, "sin of inf"), (0, "cos of inf")]:
+        with pytest.raises(ExprError, match=rf"^{message} at t=0\.75$"):
+            eval_grid(parse_expr(f"cos({square})"), [0.0, 0.5, 0.75, 1.0], order)
+    with pytest.raises(ExprError, match=r"^10\.0 \*\* 400\.0 is out of range at t=10\.0$"):
+        eval_grid(parse_expr("t^400"), [1.0, 2.0, 10.0, 20.0])
+    # the value overflows first, or only the derivative's power does
+    for ts, message in [([1.0, 1e-110, 1e-200], r"1e-200 \*\* -2\.0 is out of range at t=1e-200"),
+                        ([1.0, 1e-110, 0.5], r"1e-110 \*\* -3\.0 is out of range at t=1e-110")]:
+        with pytest.raises(ExprError, match=rf"^{message}$"):
+            eval_grid(parse_expr("t^-2"), ts)
 
 
 def test_grid_of_a_constant_and_an_empty_grid():

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from jet_reference import eval_value
 
 from warpcurv import families
+from warpcurv.cli import FAMILY_GENERATORS
 from warpcurv.errors import (
+    ExprError,
     InvalidDimension,
     LengthMismatch,
     NonPositiveWarping,
@@ -39,7 +41,7 @@ from warpcurv.families import (
     scan_kasner3_einstein_linear,
     solve_numeric_profile,
 )
-from warpcurv.exprs import parse_expr
+from warpcurv.exprs import Pow, Recip, Sqrt, eval_grid, parse_expr
 
 TS = np.linspace(0.0, 1.0, 33)
 SCANS = (scan_grw_einstein_oscillatory, scan_kasner2_einstein_oscillatory,
@@ -212,6 +214,41 @@ def test_kasner_einstein_positive_profile_required():
     (fam,) = kasner_einstein_families("II", (1.0, 0.0), (1, 2), -6.0, (0.0, -9.0))
     with pytest.raises(NonPositiveWarping):
         fam.check_positive({"c1": -0.5})
+
+
+@pytest.mark.parametrize("p", [(1.5, 1.0), (1.2474, 0.0), (0.5, -0.5)])
+def test_kasner_power_keeps_numpys_power(p):
+    # phi ** (-2 p_i) at e = -3, -2, -2.4948, -0.0, -1 and 1, the last two
+    # through numpy's own fast paths of **: the rows of numpy's power
+    # (the reference) bit for bit on positive phi, and on mixed-sign phi the
+    # same NaN and infinite cells, with powers at most an ulp apart (numpy's
+    # power on a negative base is not |base| ** e to the bit)
+    rng = np.random.default_rng(17)
+    shape = (6, 41, 33)
+    positive = rng.uniform(0.02, 3.0, shape)
+    positive[0, 0, :3] = [np.inf, 1e-300, 5e-324]
+    mixed = rng.uniform(-2.0, 2.0, shape)
+    mixed[0, 0, :4] = [0.0, -0.0, np.nan, -5e-324]
+    dphi, ddphi = rng.uniform(-2.0, 2.0, shape), rng.uniform(-2.0, 2.0, shape)
+    args = (p, (1, 2), 4.4, (0.6, 1.3))
+    for phi in (positive, mixed):
+        with np.errstate(all="ignore"):
+            got = families._kasner_system_values(*args, phi, dphi, ddphi)
+            with mock.patch.object(families, "_real_power", lambda base, e: base ** e):
+                ref = families._kasner_system_values(*args, phi, dphi, ddphi)
+        for g, r in zip(got, ref):
+            if phi is positive:
+                assert g.tobytes() == r.tobytes()
+            else:
+                assert np.array_equal(np.isnan(g), np.isnan(r))
+                assert np.array_equal(np.isinf(g), np.isinf(r))
+    for e in {-2.0 * pi for pi in p}:
+        with np.errstate(all="ignore"):
+            got, ref = families._real_power(mixed, e), mixed ** e
+        finite, inf = np.isfinite(ref), np.isinf(ref)
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        assert np.array_equal(got[inf], ref[inf])
+        assert np.all(np.abs(got[finite] - ref[finite]) <= np.spacing(np.abs(ref[finite])))
 
 
 def test_kasner_einstein_residuals_reject_an_empty_grid():
@@ -417,6 +454,115 @@ def test_positivity_guard():
         fam.check_positive({"c1": 0.1, "c2": 0.1})
 
 
+# -- values-only profile walks -------------------------------------------------
+
+
+def _subtrees(expr):
+    yield expr
+    kids = getattr(expr, "terms", ()) or getattr(expr, "factors", ())
+    for attr in ("arg", "base"):
+        if hasattr(expr, attr):
+            kids = (getattr(expr, attr),)
+    for kid in kids:
+        yield from _subtrees(kid)
+
+
+def _row_zero(expr, ts, order):
+    """Row 0 of eval_grid as bytes, or the message of its ExprError."""
+    try:
+        return eval_grid(expr, ts, order)[0].tobytes()
+    except ExprError as exc:
+        return f"ExprError: {exc}"
+
+
+@st.composite
+def _family_cases(draw):
+    """A family kind and its generator's arguments, drawn near the constants
+    at which the generators return closed-form families."""
+    kind = draw(st.sampled_from(sorted(FAMILY_GENERATORS)))
+    real = st.floats
+    if kind == "grw-einstein":
+        l = draw(st.integers(2, 6))
+        lam_fiber = draw(st.one_of(st.just(0.0), real(0.05, 5.0)))
+        lam = draw(st.sampled_from([0.0, float(l)]))
+        return kind, {"l": l, "lam": lam, "lam_fiber": lam_fiber}
+    if kind == "grw-scalar":
+        return kind, {"l": draw(st.integers(1, 6)),
+                      "scalar": draw(st.one_of(st.just(3.0), real(-4.0, 12.0))),
+                      "s_fiber": draw(st.one_of(st.just(0.0), real(-3.0, 9.0)))}
+    p1 = draw(real(0.3, 2.0)) * draw(st.sampled_from([1.0, -1.0]))
+    if kind == "kasner-einstein":
+        if draw(st.booleans()):
+            a, b = p1, draw(real(-2.0, 2.0))
+            return kind, {"kind": "III", "p": (a, b, -(a + b)), "dims": (1, 1, 1),
+                          "lam": 0.0, "lam_fibers": (0.0, 0.0, 0.0)}
+        if draw(st.booleans()):
+            return kind, {"kind": "II", "p": (p1, -p1 / 2), "dims": (1, 2), "lam": 0.0,
+                          "lam_fibers": (0.0, 0.0)}
+        return kind, {"kind": "II", "p": (p1, 0.0), "dims": (1, 2), "lam": -6.0,
+                      "lam_fibers": (0.0, -9.0)}
+    scalar = draw(st.one_of(st.just(3.0), real(-2.0, 9.0)))
+    if draw(st.booleans()):
+        p = (p1, draw(real(-2.0, 2.0)), draw(real(-2.0, 2.0)))
+        return kind, {"kind": "III", "p": p, "dims": (1, 1, 1), "scalar": scalar,
+                      "s_fibers": (0.0, 0.0, 0.0)}
+    p2 = draw(st.one_of(st.just(0.0), st.just(-p1 / 2), real(-2.0, 2.0)))
+    s2 = draw(st.one_of(st.just(0.0), real(-2.0, 2.0)))
+    return kind, {"kind": "II", "p": (p1, p2), "dims": (1, 2), "scalar": scalar,
+                  "s_fibers": (0.0, s2)}
+
+
+_PERFBENCH_KINDS = [  # one draw of each family scenario of the families-scan workload
+    ("grw-einstein", {"l": 3, "lam": 0.0, "lam_fiber": 0.0}),
+    ("grw-einstein", {"l": 4, "lam": 4.0, "lam_fiber": 1.7361}),
+    ("grw-scalar", {"l": 3, "scalar": 2.4817, "s_fiber": 3.1094}),
+    ("grw-scalar", {"l": 4, "scalar": 8.0318, "s_fiber": 0.0}),
+    ("kasner-einstein", {"kind": "II", "p": (1.137, -0.5685), "dims": (1, 2), "lam": 0.0,
+                         "lam_fibers": (0.0, 0.0)}),
+    ("kasner-einstein", {"kind": "II", "p": (1.4127, 0.0), "dims": (1, 2), "lam": -6.0,
+                         "lam_fibers": (0.0, -9.0)}),
+    ("kasner-einstein", {"kind": "III", "p": (0.7342, -0.4405, -0.2937), "dims": (1, 1, 1),
+                         "lam": 0.0, "lam_fibers": (0.0, 0.0, 0.0)}),
+    ("kasner-scalar", {"kind": "III", "p": (0.5113, 1.2201, 1.9032), "dims": (1, 1, 1),
+                       "scalar": 5.3377, "s_fibers": (0.0, 0.0, 0.0)}),
+    ("kasner-scalar", {"kind": "II", "p": (0.8125, 1.6093), "dims": (1, 2),
+                       "scalar": 4.4046, "s_fibers": (0.0, 0.0)}),
+]
+
+
+def _with_examples(test):
+    for case in _PERFBENCH_KINDS:
+        test = example(case, [0.5, 0.5], 1.0)(test)
+    return example(_PERFBENCH_KINDS[5], [1.0, 0.5], 1000.0)(test)  # exp overflows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_family_cases(), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+       st.sampled_from([1.0, 1000.0]))
+@_with_examples
+def test_values_only_walk_is_row_zero_of_the_grid(case, fractions, end):
+    # check_positive (33 points) and ode_cross_check (the RK4 grid of 1001
+    # points) walk profiles at order 0: the values, or the ExprError, must be
+    # those of the order-2 walk, which holds because a profile tree has only
+    # nodes whose derivative rules raise where their value rules do
+    kind, kwargs = case
+    try:
+        fams = FAMILY_GENERATORS[kind](**kwargs)
+    except WarpcurvError:
+        return
+    for fam in fams:
+        if fam.numeric_only:
+            continue
+        params = dict(fam.params)
+        for name, u in zip(fam.free_params, fractions):
+            lo, hi = fam.param_ranges.get(name, (0.25, 1.75))
+            params[name] = (1.0 if u < 0.5 else -1.0) if name == "sign" else lo + u * (hi - lo)
+        expr = fam.profile(params)
+        assert not [n for n in _subtrees(expr) if isinstance(n, (Pow, Sqrt, Recip))]
+        for ts in (np.linspace(0.0, end, 33), np.arange(1001) * (end / 1000)):
+            assert _row_zero(expr, ts, 0) == _row_zero(expr, ts, 2), fam.family_id
+
+
 # -- nonexistence scans --------------------------------------------------------
 
 
@@ -611,6 +757,9 @@ def test_block_kernel_takes_one_c1_per_block_past_its_budget():
     (scan_kasner3_einstein_linear,
      {"lam": 7.9581, "p": (0.5, 1.5, 2.5), "n_c": 17, "t_points": 9},
      7.143850636132315),
+    # odd integer exponents -3 and -1 of the sign-changing kasner2 profile
+    (scan_kasner2_einstein_oscillatory, {"p1": 1.5}, 4.721619674372684),
+    (scan_kasner2_einstein_oscillatory, {"p1": 0.5}, 4.106359695089482),
 ])
 def test_scan_reference_values(scan, kwargs, expected):
     assert scan(**kwargs).min_max_residual == expected
