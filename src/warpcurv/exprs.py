@@ -180,9 +180,10 @@ class GridJet:
         return self._chain(s, c, -s)
 
     def cos(self):
+        c = self._map(math.cos, _cos)
         if self.du is None:
-            return GridJet(self.at, self._map(math.cos, _cos), None, None)
-        s, c = self._map(math.sin, _sin), self._map(math.cos, _cos)
+            return GridJet(self.at, c, None, None)
+        s = self._map(math.sin, _sin)
         return self._chain(c, -s, -c)
 
     def sqrt(self):

@@ -18,6 +18,7 @@ the residual system stays bounded away from zero over the whole lattice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,6 +85,15 @@ def profile_derivatives(expr, ts):
     return eval_grid(expr, ts)
 
 
+@functools.lru_cache(maxsize=8)
+def _positivity_grid(interval, samples):
+    """The read-only sample grid of `check_positive`, built once per
+    (interval, samples): `sample_params` checks every draw on it."""
+    ts = np.linspace(*interval, samples)
+    ts.flags.writeable = False
+    return ts
+
+
 @dataclass
 class SolutionFamily:
     """One classified closed-form (or integrator-backed) solution family."""
@@ -114,9 +124,8 @@ class SolutionFamily:
 
     def check_positive(self, overrides=None, interval=(0.0, 1.0), samples=33):
         expr = self.profile(overrides)
-        ts = np.linspace(*interval, samples)
         try:
-            vals = eval_grid(expr, ts, order=0)[0]
+            vals = eval_grid(expr, _positivity_grid(tuple(interval), samples), order=0)[0]
         except ExprError as exc:
             raise NonPositiveWarping(str(exc)) from exc
         if np.min(vals) <= 0.0:

@@ -9,11 +9,14 @@ at a point (`StructuredGeometryCache`) comes from one jet walk there: the
 warpings, every fiber metric entry and the components of P with their
 exact partials, read back by slicing.
 
-Arguments are `BlockVector`s: constant components over one block of the
-chart, understood as coordinate vector fields with constant components.  A
-`BlockVector` may also hold a (k, d) stack of such vectors, and every clause
-is multilinear in its arguments, so one call with the block's coordinate
-vectors returns the whole block of the tensor.
+Clause arguments are `BlockVector`s: constant components over one block of
+the chart, understood as coordinate vector fields with constant components.
+A `BlockVector` may also hold a (k, d) stack of such vectors, and every
+clause is multilinear in its arguments, so one call with the block's
+coordinate vectors returns the whole block of the tensor.  The covariant
+derivative takes such arguments; the curvature tensor, the Ricci matrix and
+the scalar are whole at a point, built from one clause call per block
+triple or pair.
 """
 
 from __future__ import annotations
@@ -312,6 +315,16 @@ def _check_blocks(spec, *vecs):
             )
 
 
+def _dispatch(c, kind, p_base_clause, p_fiber_clause):
+    """The cache view, the clause family and whether the dpi term applies
+    for `kind`: the P-free view and the P-on-base clauses, which are the
+    Levi-Civita ones there, for the Levi-Civita kind or no P."""
+    if kind == ConnectionKind.LEVI_CIVITA or c.P_loc is None:
+        return c.without_p(), p_base_clause, False
+    clause = p_base_clause if c.P_loc == "base" else p_fiber_clause
+    return c, clause, kind == ConnectionKind.SYMMETRIZED_AFFINE
+
+
 # ---------------------------------------------------------------------------
 # Covariant derivative clauses
 #
@@ -377,26 +390,50 @@ def _levi_civita_derivative(c, X, Y):
 # Curvature clauses: out[l, x, y, z] for R(X, Y)Z
 
 
-def structured_curvature(spec, P, kind, X: BlockVector, Y: BlockVector,
-                         Z: BlockVector, p, cache=None):
-    """Block-pattern curvature R(X, Y)Z, ambient components.
+def _add_dpi_term(out, c, dpi, Z):
+    """The torsion-free variant's extra [X(pi(Y)) - Y(pi(X)) - pi([X,Y])] Z,
+    with dpi = dpi(X, Y)."""
+    out[c.spec.block_slice(Z.block)] += np.einsum("xy,zl->lxyz", dpi, Z.components)
 
-    Shape (n_bar,), with one more axis per argument given as a (k, d) stack.
-    """
+
+def _curvature_block(c, kind, X, Y, Z):
+    """R(X, Y)Z for (k, d) stacks X, Y, Z: the clause of their block
+    pattern, with no argument checks."""
+    c, clause, sym = _dispatch(c, kind, _curv_p_base, _curv_p_fiber)
+    out = clause(c, X, Y, Z)
+    if sym:
+        _add_dpi_term(out, c, c.dpi(X, Y), Z)
+    return out
+
+
+def _distinct_fibers(bX, bY, bZ):
+    """R(U, V)W with U, V, W on three distinct fibers is zero: no clause
+    has a term there, and dpi vanishes across two distinct fibers."""
+    return "base" not in (bX, bY, bZ) and len({bX, bY, bZ}) == 3
+
+
+def structured_curvature(spec, P, kind, p, cache=None):
+    """Whole curvature tensor out[l, a, b, d] = R(e_a, e_b)e_d, shape
+    (n_bar,) * 4, one clause call per block triple over the coordinate
+    vectors of each block.  Triples on three distinct fibers stay zero."""
     _check_kind(kind)
     c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
-    _check_blocks(spec, X, Y, Z)
-    args = _stacks(X, Y, Z)
-    if kind == ConnectionKind.LEVI_CIVITA or c.P_loc is None:
-        out = _curv_p_base(c.without_p(), *args)
-    else:
-        out = (_curv_p_base if c.P_loc == "base" else _curv_p_fiber)(c, *args)
-        if kind == ConnectionKind.SYMMETRIZED_AFFINE:
-            # torsion-free variant: extra [X(pi(Y)) - Y(pi(X)) - pi([X,Y])] Z
-            Xs, Ys, Zs = args
-            out[spec.block_slice(Z.block)] += np.einsum("xy,zl->lxyz", c.dpi(Xs, Ys),
-                                                        Zs.components)
-    return _unstack(out, X, Y, Z)
+    c, clause, sym = _dispatch(c, kind, _curv_p_base, _curv_p_fiber)
+    frames = [coordinate_stack(spec, b) for b in ["base"] + list(range(spec.m))]
+    out = np.zeros((spec.n_bar,) * 4)
+    for X in frames:
+        sx = spec.block_slice(X.block)
+        for Y in frames:
+            sy = spec.block_slice(Y.block)
+            dpi = c.dpi(X, Y) if sym else None
+            for Z in frames:
+                if _distinct_fibers(X.block, Y.block, Z.block):
+                    continue
+                block = clause(c, X, Y, Z)
+                if sym:
+                    _add_dpi_term(block, c, dpi, Z)
+                out[:, sx, sy, spec.block_slice(Z.block)] = block
+    return out
 
 
 def _antisym(clause, c, X, Y, Z):
@@ -564,20 +601,12 @@ def _curv_p_fiber(c, X, Y, Z):
 # Ricci clauses: out[x, y] for Ric(X, Y)
 
 
-def structured_ricci(spec, P, kind, X: BlockVector, Y: BlockVector, p, cache=None):
-    """Block-pattern Ricci component Ric(X, Y): a number, with one axis per
-    argument given as a (k, d) stack."""
-    _check_kind(kind)
-    c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
-    _check_blocks(spec, X, Y)
-    args = _stacks(X, Y)
-    if kind == ConnectionKind.LEVI_CIVITA or c.P_loc is None:
-        val = _ricci_p_base(c.without_p(), *args)
-    else:
-        val = (_ricci_p_base if c.P_loc == "base" else _ricci_p_fiber)(c, *args)
-        if kind == ConnectionKind.SYMMETRIZED_AFFINE:
-            val = val + c.dpi(*args)
-    return _unstack(val, X, Y)
+def _ricci_block(c, kind, X, Y):
+    """Ric(X, Y) for (k, d) stacks X, Y: the clause of their block pattern,
+    with no argument checks."""
+    c, clause, sym = _dispatch(c, kind, _ricci_p_base, _ricci_p_fiber)
+    val = clause(c, X, Y)
+    return val + c.dpi(X, Y) if sym else val
 
 
 def _ricci_p_base(c, X, Y):
@@ -640,13 +669,14 @@ def _ricci_twist_extra(c, i, x, y):
 
 def structured_ricci_matrix(spec, P, kind, p, cache=None):
     """Full Ricci matrix, one block clause call per block pair."""
+    _check_kind(kind)
     c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
     out = np.zeros((spec.n_bar, spec.n_bar))
     frames = [coordinate_stack(spec, b) for b in ["base"] + list(range(spec.m))]
     for U in frames:
         for V in frames:
-            out[spec.block_slice(U.block), spec.block_slice(V.block)] = structured_ricci(
-                spec, P, kind, U, V, p, cache=c)
+            out[spec.block_slice(U.block), spec.block_slice(V.block)] = _ricci_block(
+                c, kind, U, V)
     return out
 
 

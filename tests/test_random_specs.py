@@ -10,6 +10,8 @@ array equals, byte for byte, what the scalar reference jet gives for each
 expression on its own block's coordinates.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from conftest import make_zoo
@@ -30,7 +32,13 @@ from warpcurv.geometry import (
     Sphere,
     TorsionVectorFieldSpec,
 )
-from warpcurv.structured import BlockVector, StructuredGeometryCache, structured_curvature
+from warpcurv import structured
+from warpcurv.structured import (
+    BlockVector,
+    StructuredGeometryCache,
+    coordinate_stack,
+    structured_curvature,
+)
 from warpcurv.verify import oracle_comparison
 
 GEOMETRIES = {"circle": Circle, "T2": lambda: FlatTorus(2), "T3": lambda: FlatTorus(3),
@@ -74,9 +82,9 @@ def build_case(base, geometries, twisted, p_location, coefs):
 
 
 @st.composite
-def recipes(draw):
+def recipes(draw, min_fibers=1):
     geometries = tuple(draw(st.lists(st.sampled_from(sorted(GEOMETRIES)),
-                                     min_size=1, max_size=3)))
+                                     min_size=min_fibers, max_size=3)))
     return (draw(st.sampled_from(sorted(BASES))), geometries, draw(st.booleans()),
             draw(st.sampled_from([None, "base", *range(len(geometries))])),
             draw(st.sampled_from(list(ConnectionKind))),
@@ -164,6 +172,7 @@ def test_an_error_only_the_third_coordinate_vector_reaches_fails_its_rows(monkey
     blocks = {"base": "base", **{f"f{i}": i for i in range(spec.m)}}
     for p in points:
         riemann = connection_curvature(kind, spec, P, p).riemann
+        cache = StructuredGeometryCache(spec, P, p)
         for row in rows:
             stacks, index = [], [np.arange(spec.n_bar)]
             for label in row[len("curv["):-1].split(","):
@@ -171,8 +180,49 @@ def test_an_error_only_the_third_coordinate_vector_reaches_fails_its_rows(monkey
                 d = min(2, sl.stop - sl.start)
                 stacks.append(BlockVector(blocks[label], np.eye(sl.stop - sl.start)[:d]))
                 index.append(sl.start + np.arange(d))
-            sv = structured_curvature(spec, P, kind, *stacks, p)
+            sv = structured._curvature_block(cache, kind, *stacks)
             assert np.max(np.abs(sv - riemann[np.ix_(*index)])) / scale <= BOUND, row
+
+
+@settings(max_examples=30, deadline=None)
+@given(recipe=recipes())
+@example(recipe=P_ON_3D_FIBER)
+@example(recipe=P_ON_LAST_OF_THREE)
+def test_whole_curvature_tensor_is_its_block_clauses_on_random_specs(recipe):
+    # under every connection kind, not only the recipe's, each block
+    # triple's slice holds the bits of its clause on the coordinate stacks
+    base, geometries, twisted, p_location, _, coefs = recipe
+    spec, P = build_case(base, geometries, twisted, p_location, coefs)
+    blocks = ["base", *range(spec.m)]
+    frames = {b: coordinate_stack(spec, b) for b in blocks}
+    for p in spec.sample_points(2, t_range=(-0.4, 1.1)):
+        cache = StructuredGeometryCache(spec, P, p)
+        for kind in ConnectionKind:
+            R = structured_curvature(spec, P, kind, p, cache=cache)
+            for bx, by, bz in itertools.product(blocks, repeat=3):
+                want = structured._curvature_block(cache, kind, frames[bx], frames[by],
+                                                   frames[bz])
+                got = R[:, spec.block_slice(bx), spec.block_slice(by), spec.block_slice(bz)]
+                assert _bytes(got) == _bytes(want), (kind, bx, by, bz, recipe)
+
+
+@settings(max_examples=30, deadline=None)
+@given(recipe=recipes(min_fibers=3))
+@example(recipe=P_ON_LAST_OF_THREE)
+def test_three_distinct_fibers_give_exact_zeros(recipe):
+    # the whole tensor skips R(U, V)W with U, V, W on three distinct fibers;
+    # every clause, the dpi term of the symmetrized kind with P on a fiber
+    # included, gives exact zeros there
+    base, geometries, twisted, p_location, _, coefs = recipe
+    spec, P = build_case(base, geometries, twisted, p_location, coefs)
+    for p in spec.sample_points(2, t_range=(-0.4, 1.1)):
+        cache = StructuredGeometryCache(spec, P, p)
+        for kind in ConnectionKind:
+            for triple in itertools.permutations(range(spec.m), 3):
+                assert structured._distinct_fibers(*triple)
+                out = structured._curvature_block(
+                    cache, kind, *(coordinate_stack(spec, i) for i in triple))
+                assert not np.any(out), (kind, triple, recipe)
 
 
 @settings(max_examples=30, deadline=None)

@@ -28,7 +28,6 @@ from warpcurv.structured import (
     coordinate_stack,
     structured_covariant_derivative,
     structured_curvature,
-    structured_ricci,
     structured_ricci_matrix,
     structured_scalar,
 )
@@ -45,6 +44,12 @@ def base_vec(*components):
 
 def fiber_vec(i, *components):
     return BlockVector(i, np.array(components, dtype=float))
+
+
+def curvature_block(cache, kind, *vecs):
+    """R(X, Y)Z from the block clause, each single vector as a (1, d) stack."""
+    return structured._curvature_block(
+        cache, kind, *(BlockVector(v.block, v.components[None]) for v in vecs))
 
 
 def test_one_cache_build_is_one_jet_walk(spec_zoo):
@@ -91,7 +96,7 @@ def test_curvature_clause_zero_cases(grw_exp_spec):
     p = grw_exp_spec.make_point([0.3])
     X, Y = base_vec(1.0), base_vec(1.0)
     V = fiber_vec(0, 1.0, 0.3)
-    out = structured_curvature(grw_exp_spec, p_dt(), SSNM, X, Y, V, p)
+    out = curvature_block(StructuredGeometryCache(grw_exp_spec, p_dt(), p), SSNM, X, Y, V)
     assert np.max(np.abs(out)) < 1e-14  # R(X, Y)V = 0 for P on the base
 
 
@@ -100,7 +105,7 @@ def test_curvature_fiber_base_base(grw_exp_spec):
     p = grw_exp_spec.make_point([0.5])
     V = fiber_vec(0, 1.0, 0.0)
     X = base_vec(1.0)
-    out = structured_curvature(grw_exp_spec, p_dt(), SSNM, V, X, X, p)
+    out = curvature_block(StructuredGeometryCache(grw_exp_spec, p_dt(), p), SSNM, V, X, X)
     assert np.max(np.abs(out)) < 1e-12
 
 
@@ -114,9 +119,8 @@ def test_curvature_base_pattern_with_fiber_torsion():
     P = TorsionVectorFieldSpec(0, [Const(0.7)])
     p = spec.make_point([0.4])
     cur = connection_curvature(SSNM, spec, P, p)
-    V = fiber_vec(0, 1.0)
-    X, Y = base_vec(1.0), base_vec(1.0)
-    sv = structured_curvature(spec, P, SSNM, X, Y, V, p)
+    # X = Y = d_t (index 0), V = the circle's coordinate vector (index 1)
+    sv = structured_curvature(spec, P, SSNM, p)[:, 0, 0, 1]
     ov = cur.riemann[:, 0, 0, 1]
     assert np.max(np.abs(sv - ov)) < 1e-8
 
@@ -137,6 +141,26 @@ def test_riemann_index_read_equals_unit_contraction(kind, spec_zoo):
             assert np.array_equal(R[:, i, j, k], ov), (name, i, j, k)
 
 
+@pytest.mark.parametrize("kind", [LC, SSNM, SYM], ids=lambda k: k.value)
+def test_whole_curvature_tensor_is_its_block_clauses(kind, spec_zoo):
+    # every block triple's slice of the tensor holds the bits of its clause
+    # on the blocks' coordinate stacks, the skipped distinct-fiber triples too
+    import itertools
+
+    for name, spec, P in spec_zoo:
+        blocks = ["base"] + list(range(spec.m))
+        frames = {b: coordinate_stack(spec, b) for b in blocks}
+        for p in spec.sample_points(2):
+            cache = StructuredGeometryCache(spec, P, p)
+            R = structured_curvature(spec, P, kind, p, cache=cache)
+            for bx, by, bz in itertools.product(blocks, repeat=3):
+                want = structured._curvature_block(cache, kind, frames[bx], frames[by],
+                                                   frames[bz])
+                got = R[:, spec.block_slice(bx), spec.block_slice(by), spec.block_slice(bz)]
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), \
+                    (name, bx, by, bz)
+
+
 def test_case_dispatch_is_total(spec_zoo):
     import itertools
 
@@ -150,9 +174,10 @@ def test_case_dispatch_is_total(spec_zoo):
                 for b in (bx, by, bz):
                     d = spec.fiber_dims[b] if b != "base" else spec.n
                     vecs[b] = BlockVector(b, np.ones(d))
-                out = structured_curvature(spec, P, kind, vecs[bx], vecs[by],
-                                           vecs[bz], p, cache=cache)
-                assert out.shape == (spec.n_bar,), name
+                out = curvature_block(cache, kind, vecs[bx], vecs[by], vecs[bz])
+                assert out.shape == (spec.n_bar, 1, 1, 1), name
+            assert structured_curvature(spec, P, kind, p, cache=cache).shape == \
+                (spec.n_bar,) * 4, name
 
 
 def test_case_mismatch_rejected(grw_exp_spec):
@@ -175,8 +200,8 @@ def test_unknown_connection_kind_rejected_by_every_clause(grw_exp_spec, kind):
     X, V = base_vec(1.0), fiber_vec(0, 1.0, 0.0)
     clauses = [
         lambda: structured_covariant_derivative(grw_exp_spec, p_dt(), kind, V, X, p),
-        lambda: structured_curvature(grw_exp_spec, p_dt(), kind, X, V, V, p),
-        lambda: structured_ricci(grw_exp_spec, p_dt(), kind, X, X, p),
+        lambda: structured_curvature(grw_exp_spec, p_dt(), kind, p),
+        lambda: structured_ricci_matrix(grw_exp_spec, p_dt(), kind, p),
         lambda: structured_scalar(grw_exp_spec, p_dt(), kind, p),
     ]
     for clause in clauses:
@@ -219,8 +244,9 @@ def test_mixed_ricci_antisymmetric_part_p_fiber():
     cache = StructuredGeometryCache(spec, P, p)
     X = base_vec(1.0)
     V = fiber_vec(0, 1.0)
-    forward = structured_ricci(spec, P, SSNM, X, V, p, cache=cache)
-    backward = structured_ricci(spec, P, SSNM, V, X, p, cache=cache)
+    # X = d_t (index 0), V = the circle's coordinate vector (index 1)
+    ric = structured_ricci_matrix(spec, P, SSNM, p, cache=cache)
+    forward, backward = ric[0, 1], ric[1, 0]
     expected = 2.0 * (spec.n_bar - 1) * (X.components @ cache.db_base[0] / cache.b[0]) \
         * cache.pi(V)
     assert forward - backward == pytest.approx(expected, abs=1e-10)
@@ -329,11 +355,6 @@ def test_mixed_ricci_flat_predicates():
     assert not flat2 and knotted.twisted
 
 
-def _unit_vectors(spec, block):
-    sl = spec.block_slice(block)
-    return [BlockVector(block, e) for e in np.eye(sl.stop - sl.start)]
-
-
 def test_levi_civita_clauses_ignore_p_exactly(spec_zoo):
     # the P-bearing cache must give the Levi-Civita values of a P-free cache
     for name, spec, P in spec_zoo:
@@ -342,15 +363,10 @@ def test_levi_civita_clauses_ignore_p_exactly(spec_zoo):
         p = spec.sample_points(2)[1]
         with_p = StructuredGeometryCache(spec, P, p)
         free = StructuredGeometryCache(spec, None, p)
-        vecs = [v for b in ["base"] + list(range(spec.m)) for v in _unit_vectors(spec, b)]
-        for X in vecs:
-            for Y in vecs:
-                assert (structured_ricci(spec, P, LC, X, Y, p, cache=with_p)
-                        == structured_ricci(spec, None, LC, X, Y, p, cache=free)), name
-                for Z in vecs:
-                    a = structured_curvature(spec, P, LC, X, Y, Z, p, cache=with_p)
-                    b = structured_curvature(spec, None, LC, X, Y, Z, p, cache=free)
-                    assert np.array_equal(a, b), name
+        for whole in (structured_ricci_matrix, structured_curvature):
+            a = whole(spec, P, LC, p, cache=with_p)
+            b = whole(spec, None, LC, p, cache=free)
+            assert np.array_equal(a, b), (name, whole.__name__)
         assert (structured_scalar(spec, P, LC, p, cache=with_p)
                 == structured_scalar(spec, None, LC, p, cache=free)), name
         # the P data itself stays on the P-bearing cache
@@ -364,21 +380,30 @@ def test_non_finite_deviation_fails_its_row(monkeypatch, spec_zoo):
     spec, P = next((s, P) for name, s, P in spec_zoo if name == "grw-sphere")
     calls = []
 
-    def nan_after_first(original):
+    def nan_after_first(original, poison=lambda out: out * np.nan):
         def wrapped(*args, **kwargs):
             calls.append(original)
             out = original(*args, **kwargs)
-            return out * np.nan if calls.count(original) > 1 else out
+            return poison(out) if calls.count(original) > 1 else out
         return wrapped
+
+    def nan_in_f0_base_f0(riemann):
+        riemann[0, 1, 0, 2] = np.nan  # the d_t component of R(d_1, d_t)d_2
+        return riemann
 
     for fn in ("structured_ricci_matrix", "structured_scalar"):
         monkeypatch.setattr(verify, fn, nan_after_first(getattr(verify, fn)))
+    monkeypatch.setattr(verify, "structured_curvature",
+                        nan_after_first(verify.structured_curvature, nan_in_f0_base_f0))
     reports = {r.clause: r for r in oracle_comparison(spec, P, SSNM,
                                                       spec.sample_points(2))}
-    for clause in ("ricci-matrix", "scalar"):
+    for clause in ("ricci-matrix", "scalar", "curv[f0,base,f0]"):
         assert math.isnan(reports[clause].max_deviation), clause
         assert not reports[clause].passed, clause
     assert reports["cov[base,base]"].passed
+    # the NaN fails its own curvature row only
+    assert all(r.passed for key, r in reports.items()
+               if key.startswith("curv[") and key != "curv[f0,base,f0]")
 
 
 def test_oracle_comparison_builds_one_cache_per_point(monkeypatch, spec_zoo):
@@ -396,3 +421,22 @@ def test_oracle_comparison_builds_one_cache_per_point(monkeypatch, spec_zoo):
         builds.clear()
         oracle_comparison(spec, P, kind, points)
         assert len(builds) == len(points), kind
+
+
+def test_oracle_comparison_makes_one_curvature_call_per_point(monkeypatch, spec_zoo):
+    from warpcurv import verify
+
+    calls = []
+    original = verify.structured_curvature
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "structured_curvature", counting)
+    spec, P = next((s, P) for name, s, P in spec_zoo if name == "p-on-hyperbolic")
+    points = spec.sample_points(3)
+    for kind in (LC, SSNM, SYM):
+        calls.clear()
+        oracle_comparison(spec, P, kind, points)
+        assert len(calls) == len(points), kind
