@@ -18,7 +18,6 @@ the residual system stays bounded away from zero over the whole lattice.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -85,13 +84,10 @@ def profile_derivatives(expr, ts):
     return eval_grid(expr, ts)
 
 
-@functools.lru_cache(maxsize=8)
-def _positivity_grid(interval, samples):
-    """The read-only sample grid of `check_positive`, built once per
-    (interval, samples): `sample_params` checks every draw on it."""
-    ts = np.linspace(*interval, samples)
-    ts.flags.writeable = False
-    return ts
+# check_positive's grid on [0, 1], built once: sample_params checks every
+# draw on it
+_POSITIVITY_GRID = np.linspace(0.0, 1.0, 33)
+_POSITIVITY_GRID.flags.writeable = False
 
 
 @dataclass
@@ -122,15 +118,15 @@ class SolutionFamily:
             raise WarpcurvError(f"{self.family_id} has no closed-form profile")
         return self._profile_builder(self.merged(overrides))
 
-    def check_positive(self, overrides=None, interval=(0.0, 1.0), samples=33):
+    def check_positive(self, overrides=None):
         expr = self.profile(overrides)
         try:
-            vals = eval_grid(expr, _positivity_grid(tuple(interval), samples), order=0)[0]
+            vals = eval_grid(expr, _POSITIVITY_GRID, order=0)[0]
         except ExprError as exc:
             raise NonPositiveWarping(str(exc)) from exc
         if np.min(vals) <= 0.0:
             raise NonPositiveWarping(
-                f"{self.family_id} profile not positive on {interval}"
+                f"{self.family_id} profile not positive on (0.0, 1.0)"
             )
 
     def residuals(self, ts, overrides=None):
@@ -144,7 +140,7 @@ class SolutionFamily:
         res = self.residuals(ts, overrides)
         return max(float(np.max(np.abs(v))) for v in res.values())
 
-    def sample_params(self, rng, interval=(0.0, 1.0), max_tries=80):
+    def sample_params(self, rng, max_tries=80):
         """Admissible random parameter draw keeping the profile positive."""
         for _ in range(max_tries):
             out = dict(self.params)
@@ -157,7 +153,7 @@ class SolutionFamily:
             if self.numeric_only:
                 return out
             try:
-                self.check_positive(out, interval)
+                self.check_positive(out)
             except NonPositiveWarping:
                 continue
             return out

@@ -22,6 +22,7 @@ triple or pair.
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -390,19 +391,15 @@ def _levi_civita_derivative(c, X, Y):
 # Curvature clauses: out[l, x, y, z] for R(X, Y)Z
 
 
-def _add_dpi_term(out, c, dpi, Z):
-    """The torsion-free variant's extra [X(pi(Y)) - Y(pi(X)) - pi([X,Y])] Z,
-    with dpi = dpi(X, Y)."""
-    out[c.spec.block_slice(Z.block)] += np.einsum("xy,zl->lxyz", dpi, Z.components)
-
-
 def _curvature_block(c, kind, X, Y, Z):
     """R(X, Y)Z for (k, d) stacks X, Y, Z: the clause of their block
-    pattern, with no argument checks."""
+    pattern, with no argument checks.  The symmetrized kind adds
+    [X(pi(Y)) - Y(pi(X)) - pi([X,Y])] Z = dpi(X, Y) Z."""
     c, clause, sym = _dispatch(c, kind, _curv_p_base, _curv_p_fiber)
     out = clause(c, X, Y, Z)
     if sym:
-        _add_dpi_term(out, c, c.dpi(X, Y), Z)
+        out[c.spec.block_slice(Z.block)] += np.einsum("xy,zl->lxyz", c.dpi(X, Y),
+                                                      Z.components)
     return out
 
 
@@ -414,25 +411,17 @@ def _distinct_fibers(bX, bY, bZ):
 
 def structured_curvature(spec, P, kind, p, cache=None):
     """Whole curvature tensor out[l, a, b, d] = R(e_a, e_b)e_d, shape
-    (n_bar,) * 4, one clause call per block triple over the coordinate
-    vectors of each block.  Triples on three distinct fibers stay zero."""
+    (n_bar,) * 4, one block clause call per block triple over the
+    coordinate vectors of each block.  Triples on three distinct fibers
+    stay zero."""
     _check_kind(kind)
     c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
-    c, clause, sym = _dispatch(c, kind, _curv_p_base, _curv_p_fiber)
     frames = [coordinate_stack(spec, b) for b in ["base"] + list(range(spec.m))]
     out = np.zeros((spec.n_bar,) * 4)
-    for X in frames:
-        sx = spec.block_slice(X.block)
-        for Y in frames:
-            sy = spec.block_slice(Y.block)
-            dpi = c.dpi(X, Y) if sym else None
-            for Z in frames:
-                if _distinct_fibers(X.block, Y.block, Z.block):
-                    continue
-                block = clause(c, X, Y, Z)
-                if sym:
-                    _add_dpi_term(block, c, dpi, Z)
-                out[:, sx, sy, spec.block_slice(Z.block)] = block
+    for X, Y, Z in itertools.product(frames, repeat=3):
+        if not _distinct_fibers(X.block, Y.block, Z.block):
+            out[:, spec.block_slice(X.block), spec.block_slice(Y.block),
+                spec.block_slice(Z.block)] = _curvature_block(c, kind, X, Y, Z)
     return out
 
 

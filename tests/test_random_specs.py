@@ -184,26 +184,38 @@ def test_an_error_only_the_third_coordinate_vector_reaches_fails_its_rows(monkey
             assert np.max(np.abs(sv - riemann[np.ix_(*index)])) / scale <= BOUND, row
 
 
+def assert_tensor_is_its_block_clauses(spec, P, p):
+    """Under every connection kind, each block triple's slice of the whole
+    tensor holds the bits of its clause on the coordinate stacks, the
+    skipped distinct-fiber triples and the per-pair dpi term included."""
+    blocks = ["base", *range(spec.m)]
+    frames = {b: coordinate_stack(spec, b) for b in blocks}
+    cache = StructuredGeometryCache(spec, P, p)
+    for kind in ConnectionKind:
+        R = structured_curvature(spec, P, kind, p, cache=cache)
+        for bx, by, bz in itertools.product(blocks, repeat=3):
+            want = structured._curvature_block(cache, kind, frames[bx], frames[by],
+                                               frames[bz])
+            got = R[:, spec.block_slice(bx), spec.block_slice(by), spec.block_slice(bz)]
+            assert _bytes(got) == _bytes(want), (kind, bx, by, bz)
+
+
 @settings(max_examples=30, deadline=None)
 @given(recipe=recipes())
 @example(recipe=P_ON_3D_FIBER)
 @example(recipe=P_ON_LAST_OF_THREE)
 def test_whole_curvature_tensor_is_its_block_clauses_on_random_specs(recipe):
-    # under every connection kind, not only the recipe's, each block
-    # triple's slice holds the bits of its clause on the coordinate stacks
     base, geometries, twisted, p_location, _, coefs = recipe
     spec, P = build_case(base, geometries, twisted, p_location, coefs)
-    blocks = ["base", *range(spec.m)]
-    frames = {b: coordinate_stack(spec, b) for b in blocks}
     for p in spec.sample_points(2, t_range=(-0.4, 1.1)):
-        cache = StructuredGeometryCache(spec, P, p)
-        for kind in ConnectionKind:
-            R = structured_curvature(spec, P, kind, p, cache=cache)
-            for bx, by, bz in itertools.product(blocks, repeat=3):
-                want = structured._curvature_block(cache, kind, frames[bx], frames[by],
-                                                   frames[bz])
-                got = R[:, spec.block_slice(bx), spec.block_slice(by), spec.block_slice(bz)]
-                assert _bytes(got) == _bytes(want), (kind, bx, by, bz, recipe)
+        assert_tensor_is_its_block_clauses(spec, P, p)
+
+
+@pytest.mark.parametrize("case", make_zoo(), ids=[name for name, _, _ in make_zoo()])
+def test_whole_curvature_tensor_is_its_block_clauses_on_the_zoo(case):
+    _, spec, P = case
+    for p in spec.sample_points(2):
+        assert_tensor_is_its_block_clauses(spec, P, p)
 
 
 @settings(max_examples=30, deadline=None)

@@ -141,26 +141,6 @@ def test_riemann_index_read_equals_unit_contraction(kind, spec_zoo):
             assert np.array_equal(R[:, i, j, k], ov), (name, i, j, k)
 
 
-@pytest.mark.parametrize("kind", [LC, SSNM, SYM], ids=lambda k: k.value)
-def test_whole_curvature_tensor_is_its_block_clauses(kind, spec_zoo):
-    # every block triple's slice of the tensor holds the bits of its clause
-    # on the blocks' coordinate stacks, the skipped distinct-fiber triples too
-    import itertools
-
-    for name, spec, P in spec_zoo:
-        blocks = ["base"] + list(range(spec.m))
-        frames = {b: coordinate_stack(spec, b) for b in blocks}
-        for p in spec.sample_points(2):
-            cache = StructuredGeometryCache(spec, P, p)
-            R = structured_curvature(spec, P, kind, p, cache=cache)
-            for bx, by, bz in itertools.product(blocks, repeat=3):
-                want = structured._curvature_block(cache, kind, frames[bx], frames[by],
-                                                   frames[bz])
-                got = R[:, spec.block_slice(bx), spec.block_slice(by), spec.block_slice(bz)]
-                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), \
-                    (name, bx, by, bz)
-
-
 def test_case_dispatch_is_total(spec_zoo):
     import itertools
 
