@@ -13,10 +13,13 @@ Clause arguments are `BlockVector`s: constant components over one block of
 the chart, understood as coordinate vector fields with constant components.
 A `BlockVector` may also hold a (k, d) stack of such vectors, and every
 clause is multilinear in its arguments, so one call with the block's
-coordinate vectors returns the whole block of the tensor.  The covariant
-derivative takes such arguments; the curvature tensor, the Ricci matrix and
-the scalar are whole at a point, built from one clause call per block
-triple or pair.
+coordinate vectors returns the whole block of the tensor.  Each operation
+is one call at a point.  The covariant derivative takes one stack per
+block and returns nabla over every pair of stacked vectors, one clause call
+per block pair.  The curvature tensor, the Ricci matrix and the scalar are
+whole at a point.  The curvature runs one clause call per block triple and
+fills each mirrored triple, one whose clause is R(X, Y)Z = -R(Y, X)Z of
+another, from that triple's slice.
 """
 
 from __future__ import annotations
@@ -284,36 +287,22 @@ def coordinate_stack(spec, block):
     return BlockVector(block, np.eye(sl.stop - sl.start))
 
 
-def _stacks(*vecs):
-    """The arguments as (k, d) stacks; a single vector is a stack of one."""
-    return [v if v.components.ndim == 2 else BlockVector(v.block, v.components[None])
-            for v in vecs]
-
-
-def _unstack(out, *vecs):
-    """Drop the stack axis of each argument given as a single vector."""
-    lead = out.ndim - len(vecs)
-    keep = tuple(k for v, k in zip(vecs, out.shape[lead:]) if v.components.ndim == 2)
-    return out.reshape(out.shape[:lead] + keep)[()]
-
-
 def _check_kind(kind):
     if not isinstance(kind, ConnectionKind):
         raise CaseMismatch(f"unknown connection kind {kind!r}")
 
 
-def _check_blocks(spec, *vecs):
-    for v in vecs:
-        if v.block == "base":
-            want = spec.n
-        elif isinstance(v.block, int) and 0 <= v.block < spec.m:
-            want = spec.fiber_dims[v.block]
-        else:
-            raise CaseMismatch(f"unknown block {v.block!r}")
-        if v.components.ndim not in (1, 2) or v.components.shape[-1] != want:
-            raise CaseMismatch(
-                f"vector on block {v.block!r} needs {want} components"
-            )
+def _check_blocks(spec, frames):
+    """One (k, d) stack per block, base first, each as wide as its block."""
+    blocks = ["base", *range(spec.m)]
+    if [F.block for F in frames] != blocks:
+        raise CaseMismatch(f"need one stack per block {blocks}, "
+                           f"got {[F.block for F in frames]!r}")
+    for F in frames:
+        sl = spec.block_slice(F.block)
+        want = sl.stop - sl.start
+        if F.components.ndim != 2 or F.components.shape[1] != want:
+            raise CaseMismatch(f"vector on block {F.block!r} needs {want} components")
 
 
 def _dispatch(c, kind, p_base_clause, p_fiber_clause):
@@ -334,23 +323,30 @@ def _dispatch(c, kind, p_base_clause, p_fiber_clause):
 # out[l, x, y] for nabla_X Y.
 
 
-def structured_covariant_derivative(spec, P, kind, X: BlockVector, Y: BlockVector,
-                                    p, cache=None):
-    """Block-pattern covariant derivative nabla_X Y, ambient components: the
-    Levi-Civita clause plus pi(Y) X, and pi(X) Y for the symmetrized kind.
-
-    Shape (n_bar,), with one more axis per argument given as a (k, d) stack.
-    """
+def structured_covariant_derivative(spec, P, kind, frames, p, cache=None):
+    """Covariant derivative over per-block stacks: `frames` holds one (k, d)
+    `BlockVector` stack per block, base first, and out[l, A, B] is the
+    ambient component l of nabla_{V_A} V_B for the stacked vectors V, one
+    block clause call per block pair."""
     _check_kind(kind)
+    _check_blocks(spec, frames)
     c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
-    _check_blocks(spec, X, Y)
-    Xs, Ys = _stacks(X, Y)
-    out = _levi_civita_derivative(c, Xs, Ys)
+    rows = np.cumsum([0] + [len(F.components) for F in frames])
+    out = np.empty((spec.n_bar, rows[-1], rows[-1]))
+    for (i, X), (j, Y) in itertools.product(enumerate(frames), repeat=2):
+        out[:, rows[i]:rows[i + 1], rows[j]:rows[j + 1]] = _covariant_block(c, kind, X, Y)
+    return out
+
+
+def _covariant_block(c, kind, X, Y):
+    """nabla_X Y for (k, d) stacks X, Y, with no argument checks: the
+    Levi-Civita clause plus pi(Y) X, and pi(X) Y for the symmetrized kind."""
+    out = _levi_civita_derivative(c, X, Y)
     if kind in (ConnectionKind.SEMI_SYMMETRIC_NON_METRIC, ConnectionKind.SYMMETRIZED_AFFINE):
-        out[spec.block_slice(X.block)] += np.einsum("y,xl->lxy", c.pi(Ys), Xs.components)
+        out[c.spec.block_slice(X.block)] += np.einsum("y,xl->lxy", c.pi(Y), X.components)
     if kind == ConnectionKind.SYMMETRIZED_AFFINE:
-        out[spec.block_slice(Y.block)] += np.einsum("x,yl->lxy", c.pi(Xs), Ys.components)
-    return _unstack(out, X, Y)
+        out[c.spec.block_slice(Y.block)] += np.einsum("x,yl->lxy", c.pi(X), Y.components)
+    return out
 
 
 def _levi_civita_derivative(c, X, Y):
@@ -393,14 +389,19 @@ def _levi_civita_derivative(c, X, Y):
 
 def _curvature_block(c, kind, X, Y, Z):
     """R(X, Y)Z for (k, d) stacks X, Y, Z: the clause of their block
-    pattern, with no argument checks.  The symmetrized kind adds
-    [X(pi(Y)) - Y(pi(X)) - pi([X,Y])] Z = dpi(X, Y) Z."""
+    pattern, with no argument checks, and the per-pattern form of
+    `structured_curvature`.  The symmetrized kind adds `_dpi_term`."""
     c, clause, sym = _dispatch(c, kind, _curv_p_base, _curv_p_fiber)
     out = clause(c, X, Y, Z)
     if sym:
-        out[c.spec.block_slice(Z.block)] += np.einsum("xy,zl->lxyz", c.dpi(X, Y),
-                                                      Z.components)
+        _dpi_term(c, out, X, Y, Z)
     return out
+
+
+def _dpi_term(c, out, X, Y, Z):
+    """Add [X(pi(Y)) - Y(pi(X)) - pi([X,Y])] Z = dpi(X, Y) Z, the
+    symmetrized kind's term, to the block `out` of R(X, Y)Z."""
+    out[c.spec.block_slice(Z.block)] += np.einsum("xy,zl->lxyz", c.dpi(X, Y), Z.components)
 
 
 def _distinct_fibers(bX, bY, bZ):
@@ -409,19 +410,42 @@ def _distinct_fibers(bX, bY, bZ):
     return "base" not in (bX, bY, bZ) and len({bX, bY, bZ}) == 3
 
 
+def _mirrored(bX, bY, bZ):
+    """The patterns whose clause is R(X, Y)Z = -R(Y, X)Z, the clause of the
+    pattern with X and Y swapped: (base, f, base), (f, base, f') and
+    (f_i, f_j, f_i) for i != j.  Their mirrors are not mirrored."""
+    if bY == "base":
+        return bX != "base" and bZ != "base"
+    if bX == "base":
+        return bZ == "base"
+    return bZ == bX != bY
+
+
 def structured_curvature(spec, P, kind, p, cache=None):
     """Whole curvature tensor out[l, a, b, d] = R(e_a, e_b)e_d, shape
     (n_bar,) * 4, one block clause call per block triple over the
     coordinate vectors of each block.  Triples on three distinct fibers
-    stay zero."""
+    stay zero.  Each mirrored triple runs no clause: its slice is its
+    mirror's clause value with the X and Y axes swapped and the sign
+    flipped, taken before the per-triple dpi term of the symmetrized kind,
+    so it holds the bits of its own clause."""
     _check_kind(kind)
     c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
-    frames = [coordinate_stack(spec, b) for b in ["base"] + list(range(spec.m))]
+    c, clause, sym = _dispatch(c, kind, _curv_p_base, _curv_p_fiber)
+    blocks = ["base", *range(spec.m)]
+    frames = {b: coordinate_stack(spec, b) for b in blocks}
+    sl = {b: spec.block_slice(b) for b in blocks}
+    triples = [t for t in itertools.product(blocks, repeat=3) if not _distinct_fibers(*t)]
     out = np.zeros((spec.n_bar,) * 4)
-    for X, Y, Z in itertools.product(frames, repeat=3):
-        if not _distinct_fibers(X.block, Y.block, Z.block):
-            out[:, spec.block_slice(X.block), spec.block_slice(Y.block),
-                spec.block_slice(Z.block)] = _curvature_block(c, kind, X, Y, Z)
+    for bx, by, bz in triples:
+        if not _mirrored(bx, by, bz):
+            out[:, sl[bx], sl[by], sl[bz]] = clause(c, frames[bx], frames[by], frames[bz])
+    for bx, by, bz in triples:
+        if _mirrored(bx, by, bz):
+            out[:, sl[bx], sl[by], sl[bz]] = -np.swapaxes(out[:, sl[by], sl[bx], sl[bz]], 1, 2)
+    if sym:
+        for bx, by, bz in triples:
+            _dpi_term(c, out[:, sl[bx], sl[by], sl[bz]], frames[bx], frames[by], frames[bz])
     return out
 
 
@@ -442,6 +466,8 @@ def _curv_p_base(c, X, Y, Z):
     """Clauses for P on the base, semi-symmetric connection; on the P-free view
     they are the Levi-Civita clauses, which `_curv_p_fiber` builds on."""
     bX, bY, bZ = X.block, Y.block, Z.block
+    if _mirrored(bX, bY, bZ):
+        return _antisym(_curv_p_base, c, X, Y, Z)
     x, y, z = X.components, Y.components, Z.components
     out = np.zeros((c.nbar, len(x), len(y), len(z)))
 
@@ -457,9 +483,6 @@ def _curv_p_base(c, X, Y, Z):
                 - _outer(c.pi(Y), c.pi(Z)))
         out[c.spec.block_slice(i)] = -np.einsum("yz,xl->lxyz", coef, x)
         return out
-
-    if bX == "base" and bY != "base" and bZ == "base":
-        return _antisym(_curv_p_base, c, X, Y, Z)
 
     if bX == "base" and bY == "base" and bZ != "base":
         return out
@@ -487,9 +510,6 @@ def _curv_p_base(c, X, Y, Z):
         out -= np.einsum("lx,zy->lxyz", bracket, c.g_inner_block(i, z, y))
         return out
 
-    if bX != "base" and bY == "base" and bZ != "base":
-        return _antisym(_curv_p_base, c, X, Y, Z)
-
     i, j, k = bX, bY, bZ  # all fibers
     if i == j == k:
         return _curv_same_fiber(c, X, Y, Z)
@@ -499,8 +519,6 @@ def _curv_p_base(c, X, Y, Z):
         out[c.spec.block_slice(i)] = -coef * np.einsum("yz,xl->lxyz",
                                                        c.g_inner_block(j, y, z), x)
         return out
-    if i == k and i != j:
-        return _antisym(_curv_p_base, c, X, Y, Z)
     return out  # i == j != k, or all distinct
 
 
@@ -545,9 +563,7 @@ def _curv_p_fiber(c, X, Y, Z):
     of the pattern plus its P terms."""
     r = c.P_loc
     bX, bY, bZ = X.block, Y.block, Z.block
-    if (bX == "base" and bY != "base" and bZ == "base"
-            or bX != "base" and bY == "base" and bZ != "base"
-            or "base" not in (bX, bY, bZ) and bX == bZ != bY):
+    if _mirrored(bX, bY, bZ):
         return _antisym(_curv_p_fiber, c, X, Y, Z)
 
     out = _curv_p_base(c.without_p(), X, Y, Z)

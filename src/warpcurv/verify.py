@@ -6,8 +6,8 @@ argument block pattern the spec supports (covariant derivative pairs,
 curvature triples, Ricci pairs, scalar) and compares the closed-form
 values with the coordinate computation at a set of sample points: one
 oracle call for all the points, then at each point one whole-tensor call
-each for the curvature, the Ricci matrix and the scalar, and one clause
-call per covariant derivative block pair.
+each for the covariant derivative, the curvature, the Ricci matrix and the
+scalar, and one |S - O| per tensor whose block maxima are the rows.
 """
 
 from __future__ import annotations
@@ -49,6 +49,19 @@ def _cov_stack(spec, block):
     return V
 
 
+def _cov_frames(spec, blocks):
+    """One `_cov_stack` per block, the index of each stack's first vector
+    among all the stacked vectors, and the block-diagonal matrix whose row
+    A holds the ambient components of stacked vector A."""
+    frames = [_cov_stack(spec, b) for b in blocks]
+    ends = np.cumsum([len(F.components) for F in frames])
+    rows = [0, *ends[:-1]]
+    matrix = np.zeros((ends[-1], spec.n_bar))
+    for F, r in zip(frames, rows):
+        matrix[r:r + len(F.components), spec.block_slice(F.block)] = F.components
+    return frames, rows, matrix
+
+
 def _worst(dev, diff):
     """max(dev, max|diff|), where a NaN on either side wins, so that a
     non-finite deviation fails its row instead of vanishing from the max."""
@@ -57,11 +70,12 @@ def _worst(dev, diff):
 
 
 def _block_max(dev, starts):
-    """max of dev[:, sX, sY, sZ] for each block triple, a (B, B, B) array;
-    `starts` holds each block's first index.  A maximum is exact, and
-    np.maximum lets a NaN win as `_worst` does."""
+    """max of dev[:, s_1, ..., s_k] for each tuple of blocks, a (B,) * k
+    array; `starts` holds each block's first index along every argument
+    axis.  A maximum is exact, and np.maximum lets a NaN win as `_worst`
+    does."""
     m = dev.max(axis=0)
-    for axis in range(3):
+    for axis in range(m.ndim):
         m = np.maximum.reduceat(m, starts, axis=axis)
     return m
 
@@ -77,16 +91,19 @@ def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE):
     scalar reports, with deviations maximized over the supplied points.
     At each point the structured curvature tensor is one call, and each
     curvature triple's row is the largest |S - R| over the oracle's Riemann
-    block `riemann[:, sX, sY, sZ]`.  Each covariant derivative pair is one
-    clause call on the coordinate vectors of its blocks plus the mixed
-    vector e0 + 0.37 e1 of each block of dimension >= 2, against the
-    oracle's coefficients contracted with the same stacks.
+    block `riemann[:, sX, sY, sZ]`.  The covariant derivative is one call
+    over each block's coordinate vectors plus the mixed vector e0 + 0.37 e1
+    of each block of dimension >= 2, and each pair's row is the largest
+    |S - O| over its block, against the oracle's coefficients contracted
+    with the same vectors.
     """
     blocks = ["base"] + list(range(spec.m))
-    sl = {b: spec.block_slice(b) for b in blocks}
-    starts = [sl[b].start for b in blocks]
-    cov_stacks = {b: _cov_stack(spec, b) for b in blocks}
-    worst_cov = {}
+    starts = [spec.block_slice(b).start for b in blocks]
+    # one contraction with the frame matrix gives every block pair; the
+    # oracle raises on a non-finite coefficient, so the zeros off each
+    # block add only zeros
+    frames, rows, frame = _cov_frames(spec, blocks)
+    worst_cov = np.zeros((len(blocks),) * 2)
     worst_curv = np.zeros((len(blocks),) * 3)
     worst_ric = 0.0
     worst_scal = 0.0
@@ -96,13 +113,9 @@ def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE):
     for j, p in enumerate(stack):
         cache = StructuredGeometryCache(spec, P, p)
 
-        for bx, by in itertools.product(blocks, repeat=2):
-            key = f"cov[{_block_label(bx)},{_block_label(by)}]"
-            X, Y = cov_stacks[bx], cov_stacks[by]
-            sv = structured_covariant_derivative(spec, P, kind, X, Y, p, cache=cache)
-            ov = np.einsum("kij,xi,yj->kxy", cur.coefficients[j, :, sl[bx], sl[by]],
-                           X.components, Y.components)
-            worst_cov[key] = _worst(worst_cov.get(key, 0.0), sv - ov)
+        sv = structured_covariant_derivative(spec, P, kind, frames, p, cache=cache)
+        ov = np.einsum("kij,xi,yj->kxy", cur.coefficients[j], frame, frame)
+        worst_cov = np.maximum(worst_cov, _block_max(np.abs(sv - ov), rows))
 
         dev = np.abs(structured_curvature(spec, P, kind, p, cache=cache) - cur.riemann[j])
         worst_curv = np.maximum(worst_curv, _block_max(dev, starts))
@@ -113,11 +126,13 @@ def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE):
         worst_scal = _worst(worst_scal, sscal - cur.scalar[j])
 
     labels = [_block_label(b) for b in blocks]
+    cov = {f"cov[{labels[ix]},{labels[iy]}]": float(worst_cov[ix, iy])
+           for ix, iy in itertools.product(range(len(blocks)), repeat=2)}
     curv = {f"curv[{labels[ix]},{labels[iy]},{labels[iz]}]": float(worst_curv[ix, iy, iz])
             for ix, iy, iz in itertools.product(range(len(blocks)), repeat=3)}
 
     reports = []
-    for worst in (worst_cov, curv):
+    for worst in (cov, curv):
         for key in sorted(worst):
             reports.append(ClauseReport(key, worst[key], tolerance, worst[key] < tolerance))
     reports.append(ClauseReport("ricci-matrix", worst_ric, tolerance,

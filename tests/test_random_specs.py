@@ -32,11 +32,12 @@ from warpcurv.geometry import (
     Sphere,
     TorsionVectorFieldSpec,
 )
-from warpcurv import structured
+from warpcurv import structured, verify
 from warpcurv.structured import (
     BlockVector,
     StructuredGeometryCache,
     coordinate_stack,
+    structured_covariant_derivative,
     structured_curvature,
 )
 from warpcurv.verify import oracle_comparison
@@ -216,6 +217,87 @@ def test_whole_curvature_tensor_is_its_block_clauses_on_the_zoo(case):
     _, spec, P = case
     for p in spec.sample_points(2):
         assert_tensor_is_its_block_clauses(spec, P, p)
+
+
+@pytest.mark.parametrize("p_location", [None, "base", 1])
+def test_mirrored_patterns_are_the_ones_their_clauses_swap(monkeypatch, p_location):
+    # _mirrored names exactly the patterns whose clause is the swapped
+    # pattern's through _antisym, and the whole tensor runs no clause on them
+    base, geometries, twisted, _, _, coefs = P_ON_LAST_OF_THREE
+    spec, P = build_case(base, geometries, twisted, p_location, coefs)
+    routed, clauses = [], []
+
+    def recording(original, log):
+        def wrapped(*args):
+            log.append(tuple(v.block for v in args[-3:]))
+            return original(*args)
+        return wrapped
+
+    monkeypatch.setattr(structured, "_antisym", recording(structured._antisym, routed))
+    blocks = ["base", *range(spec.m)]
+    frames = {b: coordinate_stack(spec, b) for b in blocks}
+    p = spec.sample_points(1)[0]
+    cache = StructuredGeometryCache(spec, P, p)
+    for kind in ConnectionKind:
+        for triple in itertools.product(blocks, repeat=3):
+            routed.clear()
+            structured._curvature_block(cache, kind, *(frames[b] for b in triple))
+            assert routed == ([triple] if structured._mirrored(*triple) else []), (kind, triple)
+
+    for name in ("_curv_p_base", "_curv_p_fiber"):
+        monkeypatch.setattr(structured, name, recording(getattr(structured, name), clauses))
+    run = {t for t in itertools.product(blocks, repeat=3)
+           if not structured._mirrored(*t) and not structured._distinct_fibers(*t)}
+    for kind in ConnectionKind:
+        routed.clear()
+        clauses.clear()
+        structured_curvature(spec, P, kind, p, cache=cache)
+        assert routed == [] and set(clauses) == run, kind
+
+
+def assert_nabla_is_its_block_clauses(spec, P, p):
+    """Under every connection kind, each block pair's slice of the covariant
+    derivative over oracle_comparison's frames, the mixed vectors included,
+    holds the bits of its clause on those stacks, and its |S - O| against
+    the oracle contracted with the frame matrix holds the bits of |S - O|
+    against the oracle's block contracted with the pair's stacks."""
+    blocks = ["base", *range(spec.m)]
+    frames, rows, matrix = verify._cov_frames(spec, blocks)
+    cache = StructuredGeometryCache(spec, P, p)
+    span = {F.block: slice(r, r + len(F.components)) for F, r in zip(frames, rows)}
+    for F in frames:
+        d = F.components.shape[1]
+        assert len(F.components) == d + (d >= 2), F.block  # e0 + 0.37 e1 last
+    for kind in ConnectionKind:
+        nabla = structured_covariant_derivative(spec, P, kind, frames, p, cache=cache)
+        gamma = connection_curvature(kind, spec, P, p).coefficients
+        dev = np.abs(nabla - np.einsum("kij,xi,yj->kxy", gamma, matrix, matrix))
+        for X, Y in itertools.product(frames, repeat=2):
+            want = structured._covariant_block(cache, kind, X, Y)
+            got = nabla[:, span[X.block], span[Y.block]]
+            assert _bytes(got) == _bytes(want), (kind, X.block, Y.block)
+            block = gamma[:, spec.block_slice(X.block), spec.block_slice(Y.block)]
+            ov = np.einsum("kij,xi,yj->kxy", block, X.components, Y.components)
+            assert _bytes(dev[:, span[X.block], span[Y.block]]) == _bytes(np.abs(want - ov)), \
+                (kind, X.block, Y.block)
+
+
+@settings(max_examples=30, deadline=None)
+@given(recipe=recipes())
+@example(recipe=P_ON_3D_FIBER)
+@example(recipe=P_ON_LAST_OF_THREE)
+def test_covariant_derivative_is_its_block_clauses_on_random_specs(recipe):
+    base, geometries, twisted, p_location, _, coefs = recipe
+    spec, P = build_case(base, geometries, twisted, p_location, coefs)
+    for p in spec.sample_points(2, t_range=(-0.4, 1.1)):
+        assert_nabla_is_its_block_clauses(spec, P, p)
+
+
+@pytest.mark.parametrize("case", make_zoo(), ids=[name for name, _, _ in make_zoo()])
+def test_covariant_derivative_is_its_block_clauses_on_the_zoo(case):
+    _, spec, P = case
+    for p in spec.sample_points(2):
+        assert_nabla_is_its_block_clauses(spec, P, p)
 
 
 @settings(max_examples=30, deadline=None)

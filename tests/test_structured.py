@@ -46,6 +46,12 @@ def fiber_vec(i, *components):
     return BlockVector(i, np.array(components, dtype=float))
 
 
+def coordinate_frames(spec):
+    """One coordinate stack per block, base first: row A of the covariant
+    derivative tensor is the A-th coordinate vector of the chart."""
+    return [coordinate_stack(spec, b) for b in ["base", *range(spec.m)]]
+
+
 def curvature_block(cache, kind, *vecs):
     """R(X, Y)Z from the block clause, each single vector as a (1, d) stack."""
     return structured._curvature_block(
@@ -62,13 +68,13 @@ def test_one_cache_build_is_one_jet_walk(spec_zoo):
 
 def test_covariant_derivative_base_fiber_rule(grw_exp_spec):
     # nabla_U X = [X(b)/b + pi(X)] U: vanishes for the exponential warping
+    # X = d_t (row 0), U = the fiber's first coordinate vector (row 1)
     p = grw_exp_spec.make_point([0.4])
-    U = fiber_vec(0, 1.0, 0.0)
-    X = base_vec(1.0)
-    out = structured_covariant_derivative(grw_exp_spec, p_dt(), SSNM, U, X, p)
+    frames = coordinate_frames(grw_exp_spec)
+    out = structured_covariant_derivative(grw_exp_spec, p_dt(), SSNM, frames, p)[:, 1, 0]
     assert np.max(np.abs(out)) < 1e-12
     # and the symmetrized variant adds pi(X) once more on the other slot
-    out_sym = structured_covariant_derivative(grw_exp_spec, p_dt(), SYM, X, U, p)
+    out_sym = structured_covariant_derivative(grw_exp_spec, p_dt(), SYM, frames, p)[:, 0, 1]
     expect = np.zeros(3)
     expect[1] = 1.0 - 1.0  # X(b)/b + pi(X)
     assert np.allclose(out_sym[1:], expect[1:])
@@ -83,11 +89,11 @@ def test_cross_fiber_rule_with_fiber_torsion():
     P = TorsionVectorFieldSpec(1, [Const(0.3), Const(0.5)])
     p = spec.make_point([0.2])
     cache = StructuredGeometryCache(spec, P, p)
-    U = fiber_vec(0, 1.0)
-    W = fiber_vec(1, 1.0, 0.0)
-    # nabla_U W = g(W, P) U across distinct fibers
-    out = structured_covariant_derivative(spec, P, SSNM, U, W, p, cache=cache)
-    gWP = cache.g_inner_block(1, W.components, cache.Pc)
+    # nabla_U W = g(W, P) U across distinct fibers: U = the circle's
+    # coordinate vector (row 1), W = the torus's first one (row 2)
+    out = structured_covariant_derivative(spec, P, SSNM, coordinate_frames(spec), p,
+                                          cache=cache)[:, 1, 2]
+    gWP = cache.g_inner_block(1, np.array([1.0, 0.0]), cache.Pc)
     assert out[1] == pytest.approx(gWP)
     assert np.max(np.abs(out[[0, 2, 3]])) < 1e-14
 
@@ -162,14 +168,18 @@ def test_case_dispatch_is_total(spec_zoo):
 
 def test_case_mismatch_rejected(grw_exp_spec):
     p = grw_exp_spec.make_point([0.1])
+    base, fiber = coordinate_frames(grw_exp_spec)
     with pytest.raises(CaseMismatch):
         structured_covariant_derivative(
-            grw_exp_spec, p_dt(), SSNM,
-            BlockVector("base", np.ones(2)), base_vec(1.0), p)
+            grw_exp_spec, p_dt(), SSNM, [BlockVector("base", np.ones((1, 2))), fiber], p)
     with pytest.raises(CaseMismatch):
         structured_covariant_derivative(
-            grw_exp_spec, p_dt(), SSNM,
-            BlockVector(3, np.ones(2)), base_vec(1.0), p)
+            grw_exp_spec, p_dt(), SSNM, [base, BlockVector(3, np.ones((1, 2)))], p)
+    # one stack per block, base first: no block left out or out of order,
+    # and no single vector in place of a stack
+    for frames in ([fiber], [fiber, base], [base_vec(1.0), fiber]):
+        with pytest.raises(CaseMismatch):
+            structured_covariant_derivative(grw_exp_spec, p_dt(), SSNM, frames, p)
 
 
 @pytest.mark.parametrize("kind", ["bogus", "semi-symmetric", None])
@@ -177,9 +187,9 @@ def test_unknown_connection_kind_rejected_by_every_clause(grw_exp_spec, kind):
     # a kind that is no ConnectionKind, even its value string, must not fall
     # through to one connection's formula
     p = grw_exp_spec.make_point([0.1])
-    X, V = base_vec(1.0), fiber_vec(0, 1.0, 0.0)
+    frames = coordinate_frames(grw_exp_spec)
     clauses = [
-        lambda: structured_covariant_derivative(grw_exp_spec, p_dt(), kind, V, X, p),
+        lambda: structured_covariant_derivative(grw_exp_spec, p_dt(), kind, frames, p),
         lambda: structured_curvature(grw_exp_spec, p_dt(), kind, p),
         lambda: structured_ricci_matrix(grw_exp_spec, p_dt(), kind, p),
         lambda: structured_scalar(grw_exp_spec, p_dt(), kind, p),
@@ -371,19 +381,28 @@ def test_non_finite_deviation_fails_its_row(monkeypatch, spec_zoo):
         riemann[0, 1, 0, 2] = np.nan  # the d_t component of R(d_1, d_t)d_2
         return riemann
 
+    def nan_in_base_f0(nabla):
+        # rows: d_t, then the sphere's d_1, d_2 and d_1 + 0.37 d_2; this is
+        # the d_2 component of nabla_{d_t}(d_1 + 0.37 d_2)
+        nabla[2, 0, 3] = np.nan
+        return nabla
+
     for fn in ("structured_ricci_matrix", "structured_scalar"):
         monkeypatch.setattr(verify, fn, nan_after_first(getattr(verify, fn)))
     monkeypatch.setattr(verify, "structured_curvature",
                         nan_after_first(verify.structured_curvature, nan_in_f0_base_f0))
+    monkeypatch.setattr(verify, "structured_covariant_derivative",
+                        nan_after_first(verify.structured_covariant_derivative, nan_in_base_f0))
     reports = {r.clause: r for r in oracle_comparison(spec, P, SSNM,
                                                       spec.sample_points(2))}
-    for clause in ("ricci-matrix", "scalar", "curv[f0,base,f0]"):
+    for clause in ("ricci-matrix", "scalar", "curv[f0,base,f0]", "cov[base,f0]"):
         assert math.isnan(reports[clause].max_deviation), clause
         assert not reports[clause].passed, clause
     assert reports["cov[base,base]"].passed
-    # the NaN fails its own curvature row only
+    # each NaN fails its own curvature or covariant derivative row only
     assert all(r.passed for key, r in reports.items()
-               if key.startswith("curv[") and key != "curv[f0,base,f0]")
+               if key.startswith(("curv[", "cov["))
+               and key not in ("curv[f0,base,f0]", "cov[base,f0]"))
 
 
 def test_oracle_comparison_builds_one_cache_per_point(monkeypatch, spec_zoo):
@@ -414,6 +433,25 @@ def test_oracle_comparison_makes_one_curvature_call_per_point(monkeypatch, spec_
         return original(*args, **kwargs)
 
     monkeypatch.setattr(verify, "structured_curvature", counting)
+    spec, P = next((s, P) for name, s, P in spec_zoo if name == "p-on-hyperbolic")
+    points = spec.sample_points(3)
+    for kind in (LC, SSNM, SYM):
+        calls.clear()
+        oracle_comparison(spec, P, kind, points)
+        assert len(calls) == len(points), kind
+
+
+def test_oracle_comparison_makes_one_covariant_call_per_point(monkeypatch, spec_zoo):
+    from warpcurv import verify
+
+    calls = []
+    original = verify.structured_covariant_derivative
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "structured_covariant_derivative", counting)
     spec, P = next((s, P) for name, s, P in spec_zoo if name == "p-on-hyperbolic")
     points = spec.sample_points(3)
     for kind in (LC, SSNM, SYM):
