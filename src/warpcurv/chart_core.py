@@ -85,10 +85,10 @@ def metric_derivatives(spec: ProductManifoldSpec, p):
     return as_given(p, g), as_given(p, dg), as_given(p, d2g)
 
 
-def inverse_metric(g, points=None):
-    """Inverse of a metric, or of each metric of a stack.  A singular or
-    non-finite inverse raises SingularMetric for the first such metric,
-    naming its row of `points` when they are given."""
+def inverse_metric(g, points):
+    """Inverse of a metric, or of each metric of a stack, at the rows of the
+    (N, n_bar) `points`.  A singular or non-finite inverse raises
+    SingularMetric for the first such metric, naming its point."""
     try:
         ginv = np.linalg.inv(g)
         if np.isfinite(ginv).all():
@@ -103,7 +103,7 @@ def inverse_metric(g, points=None):
             why = "metric inverse is not finite"
         except np.linalg.LinAlgError as exc:
             why = str(exc)
-        raise SingularMetric(why if points is None else f"{why} at {points[k].tolist()}")
+        raise SingularMetric(f"{why} at {points[k].tolist()}")
 
 
 def levi_civita_coefficients(spec: ProductManifoldSpec, p):

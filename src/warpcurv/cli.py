@@ -25,6 +25,8 @@ import numpy as np
 from . import __version__
 from .connections import ConnectionKind
 from .einstein import (
+    CLOSED_FORM_TOL,
+    ORACLE_TOL,
     chebyshev_grid,
     constant_scalar_separation_check,
     grw_einstein_residuals,
@@ -57,7 +59,7 @@ from .geometry import (
     TorsionVectorFieldSpec,
     make_geometry,
 )
-from .verify import oracle_comparison
+from .verify import DEFAULT_TOLERANCE, oracle_comparison
 
 logger = logging.getLogger("warpcurv")
 
@@ -460,14 +462,14 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         spec = build_spec(cfg)
         P = build_torsion_field(cfg, spec)
     if cfg.task == "oracle-verify":
-        tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
+        tol = cfg.tolerance if cfg.tolerance is not None else DEFAULT_TOLERANCE
         points = spec.sample_points(min(cfg.grid_points, 5),
                                     t_range=(cfg.grid_start, cfg.grid_end))
         for rep in oracle_comparison(spec, P, cfg.connection, points, tol):
             checks.append(CheckRow(rep.clause, rep.max_deviation, rep.tolerance,
                                    _verdict(rep.passed)))
     elif cfg.task == "einstein-check":
-        tol = cfg.tolerance if cfg.tolerance is not None else 1e-8
+        tol = cfg.tolerance if cfg.tolerance is not None else CLOSED_FORM_TOL
         grid = chebyshev_grid(cfg.grid_start, cfg.grid_end, cfg.grid_points)
         if P is None or P.location == "base":
             result = grw_einstein_residuals(spec, cfg.lam, grid, tol)
@@ -476,13 +478,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         checks.extend(CheckRow(r.equation, r.max_abs_residual, r.tolerance,
                                _verdict(r.passed)) for r in result.reports)
     elif cfg.task == "scalar-check":
-        tol = cfg.tolerance if cfg.tolerance is not None else 1e-6
+        tol = cfg.tolerance if cfg.tolerance is not None else ORACLE_TOL
         grid = chebyshev_grid(cfg.grid_start, cfg.grid_end, cfg.grid_points)
         rep, closed = multiwarped_scalar(spec, P, grid, tol)
         checks.append(CheckRow(rep.equation, rep.max_abs_residual, rep.tolerance,
                                _verdict(rep.passed)))
         cons = constant_scalar_separation_check(spec, P, grid, closed=closed)
-        checks.append(CheckRow("scalar-constancy", cons.scalar_spread, 1e-8,
+        checks.append(CheckRow("scalar-constancy", cons.scalar_spread, cons.tolerance,
                                _verdict(cons.scalar_constant and cons.grid_adequate)))
         logger.info("scalar constancy: %s", cons.message)
     elif cfg.task in _FAMILY:

@@ -37,7 +37,7 @@ def pi_and_dpi(spec, P, p, g, G):
     pts = spec.point_stack(p)
     N, n = len(pts), spec.n_bar
     g, G = np.reshape(g, (N, n, n)), np.reshape(G, (N, n, n, n))
-    Pvec, dP = ambient_components(spec, P, pts, order=1)  # dP[i, m] = d_i P^m
+    Pvec, dP = ambient_components(spec, P, pts)  # dP[i, m] = d_i P^m
     pi = (g @ Pvec[:, :, None])[:, :, 0]
     nablaP = dP + np.einsum("zmin,zn->zim", G, Pvec)  # (nabla_{d_i} P)^m
     dpi = np.einsum("zjm,zim->zij", g, nablaP) + np.einsum("zlij,zl->zij", G, pi)

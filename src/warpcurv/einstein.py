@@ -23,6 +23,8 @@ from .structured import StructuredGeometryCache
 DEFAULT_GRID_POINTS = 17
 CLOSED_FORM_TOL = 1e-8
 ORACLE_TOL = 1e-6
+# largest spread of the closed-form scalar that still counts as constant
+CONSTANCY_TOL = 1e-8
 # Points times n_bar**4 in one oracle call of the scalar check, whose
 # (N, n_bar, n_bar, n_bar, n_bar) tensors grow with the grid: a grid of up
 # to 17 points at n_bar 9 stays one call, and larger grids go in blocks.
@@ -39,21 +41,18 @@ def chebyshev_grid(a=0.0, b=1.0, n=DEFAULT_GRID_POINTS):
 @dataclass
 class ResidualReport:
     equation: str
-    grid: np.ndarray
     max_abs_residual: float
     tolerance: float
     passed: bool
 
     @staticmethod
-    def from_values(equation, grid, values, tolerance):
+    def from_values(equation, values, tolerance):
         worst = float(np.max(np.abs(np.asarray(values)))) if len(values) else 0.0
-        return ResidualReport(equation, np.asarray(grid, dtype=float), worst,
-                              tolerance, worst < tolerance)
+        return ResidualReport(equation, worst, tolerance, worst < tolerance)
 
 
 @dataclass
 class EinsteinCheckResult:
-    lambda_: float
     reports: list = field(default_factory=list)
     passed: bool = True
 
@@ -124,9 +123,9 @@ def grw_einstein_residuals(spec, lam, grid=None, tolerance=CLOSED_FORM_TOL):
     dims = np.array(spec.fiber_dims, dtype=float)
     nbar = spec.n_bar
 
-    result = EinsteinCheckResult(lambda_=float(lam))
+    result = EinsteinCheckResult()
     cond_a = dims @ (1.0 - b[:, 2] / b[:, 0]) - lam
-    result.add(ResidualReport.from_values("einstein-trace", grid, cond_a, tolerance))
+    result.add(ResidualReport.from_values("einstein-trace", cond_a, tolerance))
     ratio = b[:, 1] / b[:, 0]
     for i, f in enumerate(spec.fibers):
         bi, dbi, ddbi = b[i]
@@ -139,7 +138,7 @@ def grw_einstein_residuals(spec, lam, grid=None, tolerance=CLOSED_FORM_TOL):
             + (nbar - 1) * bi * dbi
             - lam * bi**2
         )
-        result.add(ResidualReport.from_values(f"einstein-fiber-{i}", grid, res, tolerance))
+        result.add(ResidualReport.from_values(f"einstein-fiber-{i}", res, tolerance))
     return result
 
 
@@ -158,9 +157,9 @@ def pseudo_einstein_residuals(spec, P: TorsionVectorFieldSpec, lam, grid=None,
     nbar = spec.n_bar
     ratio = b[:, 1] / b[:, 0]
 
-    result = EinsteinCheckResult(lambda_=float(lam))
+    result = EinsteinCheckResult()
     cond_a = -(dims @ (b[:, 2] / b[:, 0])) - lam
-    result.add(ResidualReport.from_values("pseudo-trace", grid, cond_a, tolerance))
+    result.add(ResidualReport.from_values("pseudo-trace", cond_a, tolerance))
 
     for i, f in enumerate(spec.fibers):
         if i == r:
@@ -176,7 +175,7 @@ def pseudo_einstein_residuals(spec, P: TorsionVectorFieldSpec, lam, grid=None,
             - bi * dbi * cross
             - lam * bi**2
         )
-        result.add(ResidualReport.from_values(f"pseudo-fiber-{i}", grid, res, tolerance))
+        result.add(ResidualReport.from_values(f"pseudo-fiber-{i}", res, tolerance))
 
     # Fiber r carries the torsion field: the tensor identity on frame pairs
     # (e_a, e_b) at three points of F_r, one cache per point, each entry a
@@ -204,7 +203,7 @@ def pseudo_einstein_residuals(spec, P: TorsionVectorFieldSpec, lam, grid=None,
                 rhs = (nbar - 1) * (br2 * gP[a] * (br2 * gP[bb])
                                     - 0.5 * (br2 * gnP[bb][a] + br2 * gnP[a][bb]))
                 worst.append(lhs - rhs)
-    result.add(ResidualReport.from_values(f"pseudo-torsion-fiber-{r}", grid,
+    result.add(ResidualReport.from_values(f"pseudo-torsion-fiber-{r}",
                                           np.concatenate(worst), tolerance))
     return result
 
@@ -302,7 +301,7 @@ def multiwarped_scalar(spec, P, grid=None, tolerance=ORACLE_TOL):
         for i in range(0, len(pts), step)
     ])
     devs = closed.values - oracle
-    return (ResidualReport.from_values("scalar-closed-form-vs-oracle", grid, devs, tolerance),
+    return (ResidualReport.from_values("scalar-closed-form-vs-oracle", devs, tolerance),
             closed)
 
 
@@ -310,12 +309,13 @@ def multiwarped_scalar(spec, P, grid=None, tolerance=ORACLE_TOL):
 class ScalarConstancyReport:
     scalar_constant: bool
     scalar_spread: float
+    tolerance: float
     grid_adequate: bool
     p_invariants_constant: object  # True/False or None when P not on a fiber
     message: str
 
 
-def constant_scalar_separation_check(spec, P, grid=None, tolerance=1e-8, closed=None):
+def constant_scalar_separation_check(spec, P, grid=None, closed=None):
     """Constancy of the closed-form scalar curvature.
 
     Every built-in fiber has constant scalar curvature, so with P absent or
@@ -324,7 +324,8 @@ def constant_scalar_separation_check(spec, P, grid=None, tolerance=1e-8, closed=
     through g(P, P) and div P: the spread is taken over the grid times five
     sample points of F_r, from the warping samples and the P-free total,
     and `p_invariants_constant` says whether those two invariants are
-    constant over the samples.  `closed` is the ClosedFormScalar of
+    constant over the samples.  Both are judged against CONSTANCY_TOL, which
+    the report carries.  `closed` is the ClosedFormScalar of
     `multiwarped_scalar` over the same grid, when the caller has it.
     """
     if grid is None:
@@ -342,14 +343,14 @@ def constant_scalar_separation_check(spec, P, grid=None, tolerance=1e-8, closed=
             b, total = closed.b, closed.total
         terms, invariants = _fiber_p_scalar(spec, P, b[r, 0], on_r)
         values = total + terms
-        p_const = bool(np.max(np.ptp(invariants, axis=0)) < tolerance)
+        p_const = bool(np.max(np.ptp(invariants, axis=0)) < CONSTANCY_TOL)
     elif closed is None:
         values = multiwarped_scalar_formula(spec, P, grid)
     else:
         values = closed.values
     spread = float(np.max(values) - np.min(values))
     grid_adequate = len(grid) >= 2
-    constant = spread < tolerance
+    constant = spread < CONSTANCY_TOL
 
     if not grid_adequate:
         msg = "grid too small to assess constancy"
@@ -362,6 +363,7 @@ def constant_scalar_separation_check(spec, P, grid=None, tolerance=1e-8, closed=
     return ScalarConstancyReport(
         scalar_constant=constant,
         scalar_spread=spread,
+        tolerance=CONSTANCY_TOL,
         grid_adequate=grid_adequate,
         p_invariants_constant=p_const,
         message=msg,

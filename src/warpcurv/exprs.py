@@ -389,14 +389,6 @@ class Recip(_Unary):
         return 1.0 / u
 
 
-def const(v):
-    return Const(v)
-
-
-def var(name):
-    return Var(name)
-
-
 def exp(e):
     return Exp(_as_expr(e))
 

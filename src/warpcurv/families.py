@@ -88,6 +88,8 @@ def profile_derivatives(expr, ts):
 # draw on it
 _POSITIVITY_GRID = np.linspace(0.0, 1.0, 33)
 _POSITIVITY_GRID.flags.writeable = False
+# draws sample_params makes before it gives up on a family
+_SAMPLE_TRIES = 80
 
 
 @dataclass
@@ -96,11 +98,9 @@ class SolutionFamily:
 
     family_id: str
     case: str
-    profile_name: str
     params: dict
     free_params: tuple
     param_ranges: dict
-    constraints: tuple = ()
     numeric_only: bool = False
     ode_order: int = 2
     _profile_builder: object = None
@@ -140,9 +140,9 @@ class SolutionFamily:
         res = self.residuals(ts, overrides)
         return max(float(np.max(np.abs(v))) for v in res.values())
 
-    def sample_params(self, rng, max_tries=80):
+    def sample_params(self, rng):
         """Admissible random parameter draw keeping the profile positive."""
-        for _ in range(max_tries):
+        for _ in range(_SAMPLE_TRIES):
             out = dict(self.params)
             for name in self.free_params:
                 if name == "sign":
@@ -190,11 +190,9 @@ def grw_einstein_family(l, lam, lam_fiber):
         out.append(SolutionFamily(
             family_id="grw-einstein-exponential",
             case="exponential",
-            profile_name="f",
             params={"c1": 1.0, "l": l, "lam": 0.0, "lam_fiber": 0.0},
             free_params=("c1",),
             param_ranges={"c1": (0.2, 2.0)},
-            constraints=("c1 > 0",),
             _profile_builder=lambda p: Const(p["c1"]) * _exp_t(1.0),
             _residuals=_grw_einstein_residual_fn(l, 0.0, 0.0),
             _ode_rhs=lambda p: (lambda t, u, v: u),
@@ -204,11 +202,9 @@ def grw_einstein_family(l, lam, lam_fiber):
         out.append(SolutionFamily(
             family_id="grw-einstein-constant",
             case="constant",
-            profile_name="f",
             params={"l": l, "lam": float(l), "lam_fiber": lam_fiber, "c": c},
             free_params=(),
             param_ranges={},
-            constraints=("lam_fiber > 0",),
             _profile_builder=lambda p: Const(p["c"]),
             _residuals=_grw_einstein_residual_fn(l, float(l), lam_fiber),
             _ode_rhs=lambda p: (lambda t, u, v: 0.0 * u),
@@ -260,11 +256,9 @@ def _v_family(fid, case, params, builder, scalar, s_fiber,
     return SolutionFamily(
         family_id=fid,
         case=case,
-        profile_name="v",
         params=params,
         free_params=("c1", "c2"),
         param_ranges=ranges,
-        constraints=("v > 0 on the interval",),
         _profile_builder=builder,
         _residuals=residuals,
         _ode_rhs=lambda p: (lambda t, u, w: 1.5 * w - a * u + b),
@@ -288,11 +282,9 @@ def _w_family(fid, case, params, builder, l, scalar):
     return SolutionFamily(
         family_id=fid,
         case=case,
-        profile_name="w",
         params={**params, "exponent": expo},
         free_params=("c1", "c2"),
         param_ranges={"c1": (0.4, 1.5), "c2": (0.05, 0.8)},
-        constraints=("w > 0 on the interval",),
         _profile_builder=builder,
         _residuals=residuals,
         _ode_rhs=lambda p: (lambda t, u, w: half * w - coef * u),
@@ -345,12 +337,10 @@ def grw_scalar_family(l, scalar, s_fiber):
     return [SolutionFamily(
         family_id="grw-scalar-power-forced",
         case="forced-nonlinear",
-        profile_name="w",
         params={"scalar": scalar, "s_fiber": s_fiber, "l": l, "exponent": expo,
                 "w0": 1.0, "dw0": 0.2},
         free_params=("w0", "dw0"),
         param_ranges={"w0": (0.6, 1.6), "dw0": (-0.3, 0.6)},
-        constraints=("w > 0 along the integration",),
         numeric_only=True,
         _ode_rhs=lambda p: (lambda t, u, v: (
             (p["l"] / 2.0) * v
@@ -485,11 +475,9 @@ def _phi_exp_family(fid, case, rate_sq, params, residual_builder):
     return SolutionFamily(
         family_id=fid,
         case=case,
-        profile_name="phi",
         params={**params, "c0": 1.0, "sign": 1.0, "rate": rate},
         free_params=("c0", "sign"),
         param_ranges={"c0": (0.3, 1.8)},
-        constraints=("c0 > 0",),
         _profile_builder=builder,
         _residuals=residual_builder,
         _ode_rhs=lambda p: _scaled_rhs(rate_sq),
@@ -527,13 +515,11 @@ def kasner_einstein_families(kind, p, dims, lam, lam_fibers):
             out.append(SolutionFamily(
                 family_id="kasner2-einstein-exponential",
                 case="degenerate-second-exponent",
-                profile_name="phi",
                 params={"c1": 1.0, "p": tuple(p), "dims": tuple(dims), "lam": -6.0,
                         "lam_fibers": tuple(lam_fibers), "zeta": zeta, "eta": eta,
                         "rate": rate},
                 free_params=("c1",),
                 param_ranges={"c1": (0.3, 1.8)},
-                constraints=("c1 > 0",),
                 _profile_builder=lambda q: Const(q["c1"]) * _exp_t(q["rate"]),
                 _residuals=_kasner_einstein_residual_fn(p, dims, -6.0, lam_fibers),
                 _ode_rhs=lambda q: _scaled_rhs(q["rate"] ** 2),
@@ -580,11 +566,9 @@ def _psi_family(fid, case, params, psi_builder, exponents, dims, scalar,
     return SolutionFamily(
         family_id=fid,
         case=case,
-        profile_name="psi",
         params={**params, "mu": mu, "shift": shift},
         free_params=("c1", "c2"),
         param_ranges={"c1": (0.5 + 1.15 * lift, 1.6 + 1.3 * lift), "c2": (0.05, 0.7)},
-        constraints=("psi > 0 on the interval",),
         _profile_builder=psi_full,
         _residuals=residuals,
         _ode_rhs=lambda p: (lambda t, u, v: 1.5 * v - coeff0 * u - inhom),
@@ -595,11 +579,9 @@ def _constant_phi_family(fid, p, dims, scalar, s_fibers):
     return SolutionFamily(
         family_id=fid,
         case="constant",
-        profile_name="phi",
         params={"c0": 1.0, "p": tuple(p), "dims": tuple(dims), "scalar": scalar},
         free_params=("c0",),
         param_ranges={"c0": (0.3, 2.0)},
-        constraints=("c0 > 0",),
         _profile_builder=lambda q: Const(q["c0"]),
         _residuals=_kasner_scalar_residual_fn(p, dims, scalar, s_fibers),
         _ode_rhs=lambda q: (lambda t, u, v: 0.0 * u),
@@ -697,12 +679,10 @@ def _kasner2_first_order_numeric(p, dims, scalar, s2, eta):
     return SolutionFamily(
         family_id="kasner2-scalar-forced-gradient",
         case="forced-first-order",
-        profile_name="phi",
         params={"p": tuple(p), "dims": tuple(dims), "scalar": scalar, "s2": s2,
                 "eta": eta, "phi0": 1.0, "sign": 1.0},
         free_params=("phi0", "sign"),
         param_ranges={"phi0": (0.6, 1.5)},
-        constraints=("radicand nonnegative along the flow",),
         numeric_only=True,
         ode_order=1,
         _ode_rhs=rhs,
@@ -721,13 +701,11 @@ def _kasner2_second_order_numeric(p, dims, scalar, s2, zeta, eta, mu_expo):
     return SolutionFamily(
         family_id="kasner2-scalar-forced",
         case="forced-nonlinear",
-        profile_name="psi",
         params={"p": tuple(p), "dims": tuple(dims), "scalar": scalar, "s2": s2,
                 "zeta": zeta, "eta": eta, "mu_expo": mu_expo,
                 "psi0": 1.0, "dpsi0": 0.2},
         free_params=("psi0", "dpsi0"),
         param_ranges={"psi0": (0.6, 1.5), "dpsi0": (-0.2, 0.5)},
-        constraints=("psi > 0 along the integration",),
         numeric_only=True,
         _ode_rhs=rhs,
     )
@@ -801,7 +779,7 @@ def ode_cross_check(family: SolutionFamily, overrides=None, interval=(0.0, 1.0),
     dev = float(np.max(np.abs(us - exact)))
     if dev > hard_limit:
         raise StepTooCoarse(f"{family.family_id}: integration deviates by {dev:.3e}")
-    return ResidualReport("rk4-cross-check", ts, dev, tolerance, dev < tolerance)
+    return ResidualReport("rk4-cross-check", dev, tolerance, dev < tolerance)
 
 
 def solve_numeric_profile(family: SolutionFamily, overrides=None,

@@ -466,9 +466,9 @@ def p_dt():
     return TorsionVectorFieldSpec("base", [Const(1.0)])
 
 
-def ambient_components(spec, P, p, order=0):
+def ambient_components(spec, P, p):
     """Full-length component vector of P at a point, or (N, n_bar) at each
-    row of a stack; with order 1 also its partials dP[..., i, m] = d_i P^m."""
+    row of a stack, and its partials dP[..., i, m] = d_i P^m."""
     pts = spec.point_stack(p)
     nbar = spec.n_bar
     vals = np.zeros((len(pts), nbar))
@@ -476,16 +476,13 @@ def ambient_components(spec, P, p, order=0):
     if P is not None:
         P.validate(spec)
         start = spec.block_slice(P.location).start
-        jets = eval_stack(P.components, spec.coord_names, pts, order=2 if order else 0)
-        for k, jet in enumerate(jets):
+        for k, jet in enumerate(eval_stack(P.components, spec.coord_names, pts)):
             if isinstance(jet, GridJet):
                 vals[:, start + k] = jet.val
-                if order:
-                    partials[:, :, start + k] = jet.grad
+                partials[:, :, start + k] = jet.grad
             else:
                 vals[:, start + k] = jet
-    vals, partials = as_given(p, vals), as_given(p, partials)
-    return (vals, partials) if order else vals
+    return as_given(p, vals), as_given(p, partials)
 
 
 def as_given(p, a):

@@ -14,9 +14,10 @@ the chart, understood as coordinate vector fields with constant components.
 A `BlockVector` may also hold a (k, d) stack of such vectors, and every
 clause is multilinear in its arguments, so one call with the block's
 coordinate vectors returns the whole block of the tensor.  Each operation
-is one call at a point.  The covariant derivative takes one stack per
-block and returns nabla over every pair of stacked vectors, one clause call
-per block pair.  The curvature tensor, the Ricci matrix and the scalar are
+is one call at a point and takes that point's cache, which carries the
+spec and P.  The covariant derivative takes one stack per block and
+returns nabla over every pair of stacked vectors, one clause call per
+block pair.  The curvature tensor, the Ricci matrix and the scalar are
 whole at a point.  The curvature runs one clause call per block triple and
 fills each mirrored triple, one whose clause is R(X, Y)Z = -R(Y, X)Z of
 another, from that triple's slice.
@@ -323,16 +324,15 @@ def _dispatch(c, kind, p_base_clause, p_fiber_clause):
 # out[l, x, y] for nabla_X Y.
 
 
-def structured_covariant_derivative(spec, P, kind, frames, p, cache=None):
-    """Covariant derivative over per-block stacks: `frames` holds one (k, d)
-    `BlockVector` stack per block, base first, and out[l, A, B] is the
-    ambient component l of nabla_{V_A} V_B for the stacked vectors V, one
-    block clause call per block pair."""
+def structured_covariant_derivative(c, kind, frames):
+    """Covariant derivative at the cache's point over per-block stacks:
+    `frames` holds one (k, d) `BlockVector` stack per block, base first,
+    and out[l, A, B] is the ambient component l of nabla_{V_A} V_B for the
+    stacked vectors V, one block clause call per block pair."""
     _check_kind(kind)
-    _check_blocks(spec, frames)
-    c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
+    _check_blocks(c.spec, frames)
     rows = np.cumsum([0] + [len(F.components) for F in frames])
-    out = np.empty((spec.n_bar, rows[-1], rows[-1]))
+    out = np.empty((c.nbar, rows[-1], rows[-1]))
     for (i, X), (j, Y) in itertools.product(enumerate(frames), repeat=2):
         out[:, rows[i]:rows[i + 1], rows[j]:rows[j + 1]] = _covariant_block(c, kind, X, Y)
     return out
@@ -421,22 +421,22 @@ def _mirrored(bX, bY, bZ):
     return bZ == bX != bY
 
 
-def structured_curvature(spec, P, kind, p, cache=None):
-    """Whole curvature tensor out[l, a, b, d] = R(e_a, e_b)e_d, shape
-    (n_bar,) * 4, one block clause call per block triple over the
-    coordinate vectors of each block.  Triples on three distinct fibers
-    stay zero.  Each mirrored triple runs no clause: its slice is its
-    mirror's clause value with the X and Y axes swapped and the sign
-    flipped, taken before the per-triple dpi term of the symmetrized kind,
-    so it holds the bits of its own clause."""
+def structured_curvature(c, kind):
+    """Whole curvature tensor out[l, a, b, d] = R(e_a, e_b)e_d at the
+    cache's point, shape (n_bar,) * 4, one block clause call per block
+    triple over the coordinate vectors of each block.  Triples on three
+    distinct fibers stay zero.  Each mirrored triple runs no clause: its
+    slice is its mirror's clause value with the X and Y axes swapped and
+    the sign flipped, taken before the per-triple dpi term of the
+    symmetrized kind, so it holds the bits of its own clause."""
     _check_kind(kind)
-    c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
     c, clause, sym = _dispatch(c, kind, _curv_p_base, _curv_p_fiber)
-    blocks = ["base", *range(spec.m)]
+    spec = c.spec
+    blocks = ["base", *range(c.m)]
     frames = {b: coordinate_stack(spec, b) for b in blocks}
     sl = {b: spec.block_slice(b) for b in blocks}
     triples = [t for t in itertools.product(blocks, repeat=3) if not _distinct_fibers(*t)]
-    out = np.zeros((spec.n_bar,) * 4)
+    out = np.zeros((c.nbar,) * 4)
     for bx, by, bz in triples:
         if not _mirrored(bx, by, bz):
             out[:, sl[bx], sl[by], sl[bz]] = clause(c, frames[bx], frames[by], frames[bz])
@@ -672,12 +672,13 @@ def _ricci_twist_extra(c, i, x, y):
     return val
 
 
-def structured_ricci_matrix(spec, P, kind, p, cache=None):
-    """Full Ricci matrix, one block clause call per block pair."""
+def structured_ricci_matrix(c, kind):
+    """Full Ricci matrix at the cache's point, one block clause call per
+    block pair."""
     _check_kind(kind)
-    c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
-    out = np.zeros((spec.n_bar, spec.n_bar))
-    frames = [coordinate_stack(spec, b) for b in ["base"] + list(range(spec.m))]
+    spec = c.spec
+    out = np.zeros((c.nbar, c.nbar))
+    frames = [coordinate_stack(spec, b) for b in ["base", *range(c.m)]]
     for U in frames:
         for V in frames:
             out[spec.block_slice(U.block), spec.block_slice(V.block)] = _ricci_block(
@@ -689,8 +690,9 @@ def structured_ricci_matrix(spec, P, kind, p, cache=None):
 # Scalar curvature
 
 
-def structured_scalar(spec, P, kind, p, cache=None):
-    """Scalar curvature from the closed-form trace expressions.
+def structured_scalar(c, kind):
+    """Scalar curvature at the cache's point from the closed-form trace
+    expressions.
 
     P on the base uses the div_B P - pi(P) form; P on fiber r uses the
     (1 - nbar) pi(P) + (nbar - 1) sum_j eps_j g(nabla_{E_j} P, E_j) form,
@@ -699,7 +701,6 @@ def structured_scalar(spec, P, kind, p, cache=None):
     curvature (the correction to the Ricci tensor is antisymmetric).
     """
     _check_kind(kind)
-    c = cache if cache is not None else StructuredGeometryCache(spec, P, p)
     if kind == ConnectionKind.LEVI_CIVITA:
         c = c.without_p()
 

@@ -62,18 +62,11 @@ def _cov_frames(spec, blocks):
     return frames, rows, matrix
 
 
-def _worst(dev, diff):
-    """max(dev, max|diff|), where a NaN on either side wins, so that a
-    non-finite deviation fails its row instead of vanishing from the max."""
-    x = float(np.max(np.abs(diff)))
-    return x if x > dev or x != x else dev
-
-
 def _block_max(dev, starts):
     """max of dev[:, s_1, ..., s_k] for each tuple of blocks, a (B,) * k
     array; `starts` holds each block's first index along every argument
-    axis.  A maximum is exact, and np.maximum lets a NaN win as `_worst`
-    does."""
+    axis.  A maximum is exact, and np.maximum lets a NaN win, so that a
+    non-finite deviation fails its row instead of vanishing from the max."""
     m = dev.max(axis=0)
     for axis in range(m.ndim):
         m = np.maximum.reduceat(m, starts, axis=axis)
@@ -113,17 +106,17 @@ def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE):
     for j, p in enumerate(stack):
         cache = StructuredGeometryCache(spec, P, p)
 
-        sv = structured_covariant_derivative(spec, P, kind, frames, p, cache=cache)
+        sv = structured_covariant_derivative(cache, kind, frames)
         ov = np.einsum("kij,xi,yj->kxy", cur.coefficients[j], frame, frame)
         worst_cov = np.maximum(worst_cov, _block_max(np.abs(sv - ov), rows))
 
-        dev = np.abs(structured_curvature(spec, P, kind, p, cache=cache) - cur.riemann[j])
+        dev = np.abs(structured_curvature(cache, kind) - cur.riemann[j])
         worst_curv = np.maximum(worst_curv, _block_max(dev, starts))
 
-        sric = structured_ricci_matrix(spec, P, kind, p, cache=cache)
-        worst_ric = _worst(worst_ric, sric - cur.ricci[j])
-        sscal = structured_scalar(spec, P, kind, p, cache=cache)
-        worst_scal = _worst(worst_scal, sscal - cur.scalar[j])
+        sric = structured_ricci_matrix(cache, kind)
+        worst_ric = np.maximum(worst_ric, np.max(np.abs(sric - cur.ricci[j])))
+        sscal = structured_scalar(cache, kind)
+        worst_scal = np.maximum(worst_scal, abs(sscal - cur.scalar[j]))
 
     labels = [_block_label(b) for b in blocks]
     cov = {f"cov[{labels[ix]},{labels[iy]}]": float(worst_cov[ix, iy])
@@ -131,12 +124,7 @@ def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE):
     curv = {f"curv[{labels[ix]},{labels[iy]},{labels[iz]}]": float(worst_curv[ix, iy, iz])
             for ix, iy, iz in itertools.product(range(len(blocks)), repeat=3)}
 
-    reports = []
-    for worst in (cov, curv):
-        for key in sorted(worst):
-            reports.append(ClauseReport(key, worst[key], tolerance, worst[key] < tolerance))
-    reports.append(ClauseReport("ricci-matrix", worst_ric, tolerance,
-                                worst_ric < tolerance))
-    reports.append(ClauseReport("scalar", worst_scal, tolerance,
-                                worst_scal < tolerance))
-    return reports
+    devs = {key: worst[key] for worst in (cov, curv) for key in sorted(worst)}
+    devs["ricci-matrix"] = float(worst_ric)
+    devs["scalar"] = float(worst_scal)
+    return [ClauseReport(key, dev, tolerance, dev < tolerance) for key, dev in devs.items()]

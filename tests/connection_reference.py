@@ -36,7 +36,7 @@ RELATION_CHECK_TOL = 1e-4
 def pi_covector(spec, P, p):
     """Covariant components pi_j = g_jm P^m at p."""
     g = assemble_metric(spec, p)
-    Pvec = ambient_components(spec, P, p)
+    Pvec, _ = ambient_components(spec, P, p)
     return g @ Pvec
 
 
@@ -116,7 +116,7 @@ def curvature_via_relation(kind, spec, P, p):
         dpi_anti = dpi - dpi.T
         R = R + np.einsum("ij,lk->lijk", dpi_anti, eye)
 
-    ginv = inverse_metric(g)
+    ginv = inverse_metric(g, spec.point_stack(p))
     ricci = np.einsum("jijk->ik", R)
     scalar = float(np.einsum("ik,ik->", ginv, ricci))
     return CurvatureAtPoint(riemann=R, ricci=ricci, scalar=scalar, metric=g,

@@ -185,9 +185,9 @@ def test_acceptance_6_torsion_free_ricci_identities():
     assert len(base_cases) == 5
     worst_base = 0.0
     for name, spec, P in base_cases:
-        p = spec.sample_points(1)[0]
-        a = structured_ricci_matrix(spec, P, SSNM, p)
-        b = structured_ricci_matrix(spec, P, SYM, p)
+        cache = StructuredGeometryCache(spec, P, spec.sample_points(1)[0])
+        a = structured_ricci_matrix(cache, SSNM)
+        b = structured_ricci_matrix(cache, SYM)
         worst_base = max(worst_base, float(np.max(np.abs(a - b))))
 
     fiber_cases = [z for z in zoo if z[2] is not None and z[2].location != "base"]
@@ -196,7 +196,7 @@ def test_acceptance_6_torsion_free_ricci_identities():
         for p in spec.sample_points(2):
             oracle = connection_curvature(SYM, spec, P, p).ricci
             cache = StructuredGeometryCache(spec, P, p)
-            corrected = structured_ricci_matrix(spec, P, SSNM, p, cache=cache).copy()
+            corrected = structured_ricci_matrix(cache, SSNM).copy()
             frames = [coordinate_stack(spec, b) for b in ["base"] + list(range(spec.m))]
             for U in frames:
                 for V in frames:
@@ -250,7 +250,7 @@ def test_acceptance_8_scalar_formula_consistency():
         ok = ok and np.allclose(closed, expected, atol=1e-14)
         for t in grid:
             p = spec.make_point([t])
-            trace_form = structured_scalar(spec, p_dt(), SSNM, p)
+            trace_form = structured_scalar(StructuredGeometryCache(spec, p_dt(), p), SSNM)
             oracle = connection_curvature(SSNM, spec, p_dt(), p).scalar
             worst = max(worst, abs(trace_form - expected), abs(oracle - expected))
     verdict(8, "scalar formula consistency", ok and worst < 1e-12,

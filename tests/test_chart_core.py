@@ -160,8 +160,8 @@ def test_scalar_invariant_under_fiber_permutation():
 def test_singular_metric_raises():
     from warpcurv.chart_core import inverse_metric
 
-    with pytest.raises(SingularMetric):
-        inverse_metric(np.zeros((2, 2)))
+    with pytest.raises(SingularMetric, match=r"at \[0\.5, 1\.0\]"):
+        inverse_metric(np.zeros((2, 2)), np.array([[0.5, 1.0]]))
 
 
 def test_unstable_coefficient_field_detected():

@@ -516,3 +516,22 @@ def test_non_positive_warping_inside_the_scalar_check_grid(tmp_path, capsysbinar
     point = list(np.array([0.6625587497842188, 0.25, 0.35]))
     line = f"error: warping 0 = -0.06255874978421883 at point {point}\n"
     assert line.encode() in captured.err and not captured.out
+
+
+def test_constancy_row_reports_the_tolerance_its_check_used(monkeypatch):
+    # the row prints the tolerance the check judged with, so the two cannot
+    # drift apart: moving the constant moves both, and the verdict with them
+    from warpcurv import einstein
+
+    text = ("task = scalar-check\nbase = interval\nfiber.geometry = sphere\n"
+            "fiber.warping = 1.3\np.location = fiber:0\np.components = cos(x), 0\n")
+
+    def constancy_row():
+        rows = {c.check: c for c in run_scenario(parse_scenario(text)).checks}
+        return rows["scalar-constancy"]
+
+    row = constancy_row()
+    assert row.tolerance == einstein.CONSTANCY_TOL and row.verdict == "fail"
+    monkeypatch.setattr(einstein, "CONSTANCY_TOL", 2.0 * row.grid_max_residual)
+    row = constancy_row()
+    assert row.tolerance == einstein.CONSTANCY_TOL and row.verdict == "pass"

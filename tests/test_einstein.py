@@ -226,9 +226,9 @@ def test_grid_wide_fiber_checks_keep_the_per_point_bits(name, monkeypatch):
     rows = {}
     from_values = ResidualReport.from_values
 
-    def keep(equation, grid, values, tolerance):
+    def keep(equation, values, tolerance):
         rows[equation] = np.asarray(values, dtype=float).ravel()
-        return from_values(equation, grid, values, tolerance)
+        return from_values(equation, values, tolerance)
 
     monkeypatch.setattr(ResidualReport, "from_values", staticmethod(keep))
     pseudo_einstein_residuals(spec, P, 0.7, grid)
@@ -365,9 +365,9 @@ def test_scalar_check_walks_a_large_grid_in_blocks(monkeypatch):
     rows, blocks = {}, []
     from_values = ResidualReport.from_values
 
-    def keep(equation, grid, values, tolerance):
+    def keep(equation, values, tolerance):
         rows[equation] = np.asarray(values, dtype=float)
-        return from_values(equation, grid, values, tolerance)
+        return from_values(equation, values, tolerance)
 
     def counted(kind, spec, P, p):
         blocks.append(len(p))

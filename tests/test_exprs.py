@@ -12,6 +12,7 @@ from warpcurv.errors import ExprError, ExprParseError
 from warpcurv.exprs import (
     Const,
     Recip,
+    Var,
     cos,
     eval_grid,
     eval_jet,
@@ -19,7 +20,6 @@ from warpcurv.exprs import (
     parse_expr,
     sin,
     sqrt,
-    var,
 )
 
 
@@ -46,13 +46,13 @@ def fd_hess_diag(expr, names, values, i, h=1e-4):
 
 
 def test_basic_evaluation():
-    e = exp(var("t")) * 2 + var("t") ** 2
+    e = exp(Var("t")) * 2 + Var("t") ** 2
     assert eval_value(e, ("t",), [0.0]) == pytest.approx(2.0)
     assert eval_value(e, ("t",), [1.0]) == pytest.approx(2 * math.e + 1)
 
 
 def test_jet_first_and_second_derivatives():
-    e = exp(var("t") * 0.5) * sin(var("x")) + sqrt(var("x") + 2)
+    e = exp(Var("t") * 0.5) * sin(Var("x")) + sqrt(Var("x") + 2)
     names = ("t", "x")
     pt = [0.3, 0.8]
     _, (jet_grad,), (jet_hess,) = eval_jet([e], names, pt)
@@ -69,7 +69,7 @@ def test_jet_first_and_second_derivatives():
     a=st.floats(min_value=-1.0, max_value=1.0),
 )
 def test_jet_matches_finite_differences(t, x, a):
-    e = exp(Const(a) * var("t")) * (var("x") ** 1.5) + cos(var("t")) * Recip(var("x"))
+    e = exp(Const(a) * Var("t")) * (Var("x") ** 1.5) + cos(Var("t")) * Recip(Var("x"))
     names = ("t", "x")
     _, (jet_grad,), _ = eval_jet([e], names, [t, x])
     grad = fd_grad(e, names, [t, x])
@@ -79,13 +79,13 @@ def test_jet_matches_finite_differences(t, x, a):
 
 def test_domain_errors():
     with pytest.raises(ExprError):
-        eval_value(sqrt(var("t")), ("t",), [-1.0])
+        eval_value(sqrt(Var("t")), ("t",), [-1.0])
     with pytest.raises(ExprError):
-        eval_value(Recip(var("t")), ("t",), [0.0])
+        eval_value(Recip(Var("t")), ("t",), [0.0])
     with pytest.raises(ExprError):
-        eval_value(var("t") ** 0.5, ("t",), [-2.0])
+        eval_value(Var("t") ** 0.5, ("t",), [-2.0])
     with pytest.raises(ExprError):
-        eval_value(var("t"), ("x",), [1.0])
+        eval_value(Var("t"), ("x",), [1.0])
 
 
 @pytest.mark.parametrize("text,t", [
@@ -170,8 +170,8 @@ def test_grid_of_a_constant_and_an_empty_grid():
 
 
 _LEAVES = st.one_of(
-    st.just(var("t")),
-    st.integers(-2, 3).map(lambda k: var("t") - k),  # exactly 0 at a grid value
+    st.just(Var("t")),
+    st.integers(-2, 3).map(lambda k: Var("t") - k),  # exactly 0 at a grid value
     st.integers(-3, 3).map(Const),
     st.floats(-3.0, 3.0, allow_nan=False).map(Const),
 )

@@ -193,7 +193,7 @@ def assert_tensor_is_its_block_clauses(spec, P, p):
     frames = {b: coordinate_stack(spec, b) for b in blocks}
     cache = StructuredGeometryCache(spec, P, p)
     for kind in ConnectionKind:
-        R = structured_curvature(spec, P, kind, p, cache=cache)
+        R = structured_curvature(cache, kind)
         for bx, by, bz in itertools.product(blocks, repeat=3):
             want = structured._curvature_block(cache, kind, frames[bx], frames[by],
                                                frames[bz])
@@ -251,7 +251,7 @@ def test_mirrored_patterns_are_the_ones_their_clauses_swap(monkeypatch, p_locati
     for kind in ConnectionKind:
         routed.clear()
         clauses.clear()
-        structured_curvature(spec, P, kind, p, cache=cache)
+        structured_curvature(cache, kind)
         assert routed == [] and set(clauses) == run, kind
 
 
@@ -269,7 +269,7 @@ def assert_nabla_is_its_block_clauses(spec, P, p):
         d = F.components.shape[1]
         assert len(F.components) == d + (d >= 2), F.block  # e0 + 0.37 e1 last
     for kind in ConnectionKind:
-        nabla = structured_covariant_derivative(spec, P, kind, frames, p, cache=cache)
+        nabla = structured_covariant_derivative(cache, kind, frames)
         gamma = connection_curvature(kind, spec, P, p).coefficients
         dev = np.abs(nabla - np.einsum("kij,xi,yj->kxy", gamma, matrix, matrix))
         for X, Y in itertools.product(frames, repeat=2):

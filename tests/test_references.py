@@ -2,8 +2,10 @@
 
 A public top-level function, or a public method of a top-level class, under
 src/warpcurv/ must be referenced in src/ or perfbench/ somewhere outside its
-own definition: as a name, an attribute, or a string that is a dotted name
-(tracer span names, dispatch tables).  Imports, comments and prose do not
+own definition: as a name, an attribute, a string that is a dotted span name
+such as "families.rk4_integrate_first_order", or a string listed in
+`__all__`.  A bare string that merely looks like a name (an op tag, a
+dictionary key) is not a reference.  Imports, comments and prose do not
 count, and neither do tests: code that only tests call belongs in tests/.
 """
 
@@ -13,7 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "warpcurv"
-_DOTTED = re.compile(r"[A-Za-z_][\w.]*")
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 # Public functions allowed without a caller, each with its reason.
 EXCEPTIONS = {
@@ -33,17 +35,26 @@ def _public_defs():
                     yield d.name, path, d.lineno, d.end_lineno
 
 
+def _exported(tree):
+    """The string nodes listed in the module's `__all__`."""
+    return {id(elt) for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in getattr(node.value, "elts", ())}
+
+
 def _references():
     refs = {}
     for top in ("src", "perfbench"):
         for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            exported = _exported(tree)
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     names = [node.id]
                 elif isinstance(node, ast.Attribute):
                     names = [node.attr]
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                        and _DOTTED.fullmatch(node.value):
+                        and (id(node) in exported or _DOTTED.fullmatch(node.value)):
                     names = node.value.split(".")
                 else:
                     continue

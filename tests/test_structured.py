@@ -69,12 +69,12 @@ def test_one_cache_build_is_one_jet_walk(spec_zoo):
 def test_covariant_derivative_base_fiber_rule(grw_exp_spec):
     # nabla_U X = [X(b)/b + pi(X)] U: vanishes for the exponential warping
     # X = d_t (row 0), U = the fiber's first coordinate vector (row 1)
-    p = grw_exp_spec.make_point([0.4])
+    cache = StructuredGeometryCache(grw_exp_spec, p_dt(), grw_exp_spec.make_point([0.4]))
     frames = coordinate_frames(grw_exp_spec)
-    out = structured_covariant_derivative(grw_exp_spec, p_dt(), SSNM, frames, p)[:, 1, 0]
+    out = structured_covariant_derivative(cache, SSNM, frames)[:, 1, 0]
     assert np.max(np.abs(out)) < 1e-12
     # and the symmetrized variant adds pi(X) once more on the other slot
-    out_sym = structured_covariant_derivative(grw_exp_spec, p_dt(), SYM, frames, p)[:, 0, 1]
+    out_sym = structured_covariant_derivative(cache, SYM, frames)[:, 0, 1]
     expect = np.zeros(3)
     expect[1] = 1.0 - 1.0  # X(b)/b + pi(X)
     assert np.allclose(out_sym[1:], expect[1:])
@@ -91,8 +91,7 @@ def test_cross_fiber_rule_with_fiber_torsion():
     cache = StructuredGeometryCache(spec, P, p)
     # nabla_U W = g(W, P) U across distinct fibers: U = the circle's
     # coordinate vector (row 1), W = the torus's first one (row 2)
-    out = structured_covariant_derivative(spec, P, SSNM, coordinate_frames(spec), p,
-                                          cache=cache)[:, 1, 2]
+    out = structured_covariant_derivative(cache, SSNM, coordinate_frames(spec))[:, 1, 2]
     gWP = cache.g_inner_block(1, np.array([1.0, 0.0]), cache.Pc)
     assert out[1] == pytest.approx(gWP)
     assert np.max(np.abs(out[[0, 2, 3]])) < 1e-14
@@ -126,7 +125,7 @@ def test_curvature_base_pattern_with_fiber_torsion():
     p = spec.make_point([0.4])
     cur = connection_curvature(SSNM, spec, P, p)
     # X = Y = d_t (index 0), V = the circle's coordinate vector (index 1)
-    sv = structured_curvature(spec, P, SSNM, p)[:, 0, 0, 1]
+    sv = structured_curvature(StructuredGeometryCache(spec, P, p), SSNM)[:, 0, 0, 1]
     ov = cur.riemann[:, 0, 0, 1]
     assert np.max(np.abs(sv - ov)) < 1e-8
 
@@ -162,37 +161,36 @@ def test_case_dispatch_is_total(spec_zoo):
                     vecs[b] = BlockVector(b, np.ones(d))
                 out = curvature_block(cache, kind, vecs[bx], vecs[by], vecs[bz])
                 assert out.shape == (spec.n_bar, 1, 1, 1), name
-            assert structured_curvature(spec, P, kind, p, cache=cache).shape == \
+            assert structured_curvature(cache, kind).shape == \
                 (spec.n_bar,) * 4, name
 
 
 def test_case_mismatch_rejected(grw_exp_spec):
-    p = grw_exp_spec.make_point([0.1])
+    cache = StructuredGeometryCache(grw_exp_spec, p_dt(), grw_exp_spec.make_point([0.1]))
     base, fiber = coordinate_frames(grw_exp_spec)
     with pytest.raises(CaseMismatch):
         structured_covariant_derivative(
-            grw_exp_spec, p_dt(), SSNM, [BlockVector("base", np.ones((1, 2))), fiber], p)
+            cache, SSNM, [BlockVector("base", np.ones((1, 2))), fiber])
     with pytest.raises(CaseMismatch):
-        structured_covariant_derivative(
-            grw_exp_spec, p_dt(), SSNM, [base, BlockVector(3, np.ones((1, 2)))], p)
+        structured_covariant_derivative(cache, SSNM, [base, BlockVector(3, np.ones((1, 2)))])
     # one stack per block, base first: no block left out or out of order,
     # and no single vector in place of a stack
     for frames in ([fiber], [fiber, base], [base_vec(1.0), fiber]):
         with pytest.raises(CaseMismatch):
-            structured_covariant_derivative(grw_exp_spec, p_dt(), SSNM, frames, p)
+            structured_covariant_derivative(cache, SSNM, frames)
 
 
 @pytest.mark.parametrize("kind", ["bogus", "semi-symmetric", None])
 def test_unknown_connection_kind_rejected_by_every_clause(grw_exp_spec, kind):
     # a kind that is no ConnectionKind, even its value string, must not fall
     # through to one connection's formula
-    p = grw_exp_spec.make_point([0.1])
+    cache = StructuredGeometryCache(grw_exp_spec, p_dt(), grw_exp_spec.make_point([0.1]))
     frames = coordinate_frames(grw_exp_spec)
     clauses = [
-        lambda: structured_covariant_derivative(grw_exp_spec, p_dt(), kind, frames, p),
-        lambda: structured_curvature(grw_exp_spec, p_dt(), kind, p),
-        lambda: structured_ricci_matrix(grw_exp_spec, p_dt(), kind, p),
-        lambda: structured_scalar(grw_exp_spec, p_dt(), kind, p),
+        lambda: structured_covariant_derivative(cache, kind, frames),
+        lambda: structured_curvature(cache, kind),
+        lambda: structured_ricci_matrix(cache, kind),
+        lambda: structured_scalar(cache, kind),
     ]
     for clause in clauses:
         with pytest.raises(CaseMismatch, match="unknown connection kind"):
@@ -215,7 +213,7 @@ def test_mixed_ricci_symmetry_p_base(spec_zoo):
         if P is not None and P.location != "base":
             continue
         p = spec.sample_points(1)[0]
-        ric = structured_ricci_matrix(spec, P, SSNM, p)
+        ric = structured_ricci_matrix(StructuredGeometryCache(spec, P, p), SSNM)
         base = spec.block_slice("base")
         for i in range(spec.m):
             sl = spec.block_slice(i)
@@ -235,7 +233,7 @@ def test_mixed_ricci_antisymmetric_part_p_fiber():
     X = base_vec(1.0)
     V = fiber_vec(0, 1.0)
     # X = d_t (index 0), V = the circle's coordinate vector (index 1)
-    ric = structured_ricci_matrix(spec, P, SSNM, p, cache=cache)
+    ric = structured_ricci_matrix(cache, SSNM)
     forward, backward = ric[0, 1], ric[1, 0]
     expected = 2.0 * (spec.n_bar - 1) * (X.components @ cache.db_base[0] / cache.b[0]) \
         * cache.pi(V)
@@ -246,9 +244,9 @@ def test_torsion_free_ricci_matches_semi_symmetric_for_base_p(spec_zoo):
     for name, spec, P in spec_zoo:
         if P is not None and P.location != "base":
             continue
-        p = spec.sample_points(1)[0]
-        a = structured_ricci_matrix(spec, P, SSNM, p)
-        b = structured_ricci_matrix(spec, P, SYM, p)
+        cache = StructuredGeometryCache(spec, P, spec.sample_points(1)[0])
+        a = structured_ricci_matrix(cache, SSNM)
+        b = structured_ricci_matrix(cache, SYM)
         assert np.max(np.abs(a - b)) < 1e-9, name
 
 
@@ -278,7 +276,8 @@ def test_scalar_formula_values():
     spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
                                [Const(1.0)])
     p = spec.make_point([0.3])
-    assert structured_scalar(spec, p_dt(), SSNM, p) == pytest.approx(2.0)
+    cache = StructuredGeometryCache(spec, p_dt(), p)
+    assert structured_scalar(cache, SSNM) == pytest.approx(2.0)
     cur = connection_curvature(SSNM, spec, p_dt(), p)
     assert cur.scalar == pytest.approx(2.0, abs=1e-9)
 
@@ -287,7 +286,8 @@ def test_scalar_no_field_reduces_to_levi_civita(spec_zoo):
     for name, spec, P in spec_zoo[:5]:
         p = spec.sample_points(1)[0]
         lc = connection_curvature(LC, spec, None, p).scalar
-        assert structured_scalar(spec, None, SSNM, p) == pytest.approx(lc, abs=1e-12), name
+        cache = StructuredGeometryCache(spec, None, p)
+        assert structured_scalar(cache, SSNM) == pytest.approx(lc, abs=1e-12), name
 
 
 def test_fiber_rescaling_leaves_outputs_unchanged():
@@ -302,11 +302,11 @@ def test_fiber_rescaling_leaves_outputs_unchanged():
     for t in (0.2, 0.8):
         pa = spec_a.make_point([t], [[1.1, 0.6]])
         pb = spec_b.make_point([t], [[1.1, 0.6]])
-        sa = structured_scalar(spec_a, p_dt(), SSNM, pa)
-        sb = structured_scalar(spec_b, p_dt(), SSNM, pb)
-        assert sa == pytest.approx(sb, abs=1e-8)
-        ra = structured_ricci_matrix(spec_a, p_dt(), SSNM, pa)
-        rb = structured_ricci_matrix(spec_b, p_dt(), SSNM, pb)
+        ca = StructuredGeometryCache(spec_a, p_dt(), pa)
+        cb = StructuredGeometryCache(spec_b, p_dt(), pb)
+        assert structured_scalar(ca, SSNM) == pytest.approx(structured_scalar(cb, SSNM), abs=1e-8)
+        ra = structured_ricci_matrix(ca, SSNM)
+        rb = structured_ricci_matrix(cb, SSNM)
         assert np.max(np.abs(ra - rb)) < 1e-8
 
 
@@ -354,11 +354,8 @@ def test_levi_civita_clauses_ignore_p_exactly(spec_zoo):
         with_p = StructuredGeometryCache(spec, P, p)
         free = StructuredGeometryCache(spec, None, p)
         for whole in (structured_ricci_matrix, structured_curvature):
-            a = whole(spec, P, LC, p, cache=with_p)
-            b = whole(spec, None, LC, p, cache=free)
-            assert np.array_equal(a, b), (name, whole.__name__)
-        assert (structured_scalar(spec, P, LC, p, cache=with_p)
-                == structured_scalar(spec, None, LC, p, cache=free)), name
+            assert np.array_equal(whole(with_p, LC), whole(free, LC)), (name, whole.__name__)
+        assert structured_scalar(with_p, LC) == structured_scalar(free, LC), name
         # the P data itself stays on the P-bearing cache
         assert with_p.P_loc == P.location and with_p.without_p().P_loc is None
 
