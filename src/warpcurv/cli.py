@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
-import json
 import logging
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -412,6 +412,39 @@ def _fmt(x):
     return repr(float(x))
 
 
+# The json layout of a report is json.dumps(payload, indent=2), written
+# here directly: with indent set, the json module runs its pure-Python
+# encoder, which is slower than this fixed layout.
+
+
+def _json_leaf(v):
+    """A report's JSON scalar as json.dumps writes it: ASCII-escaped
+    strings, repr of floats with NaN, Infinity and -Infinity, null, and
+    repr of ints."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if math.isinf(v):
+            return "Infinity" if v > 0 else "-Infinity"
+        return float.__repr__(v)
+    if v is None:
+        return "null"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _json_block(items, pad, brackets):
+    """Encoded items inside brackets, one a line, indented two spaces
+    past `pad`; no items give the bare brackets."""
+    if not items:
+        return brackets
+    sep = ",\n" + pad + "  "
+    return f"{brackets[0]}\n{pad}  {sep.join(items)}\n{pad}{brackets[1]}"
+
+
 def emit_report(report: RunReport, out_format) -> bytes:
     """Serialize a report; byte-deterministic for identical inputs."""
     if out_format == "csv":
@@ -420,14 +453,17 @@ def emit_report(report: RunReport, out_format) -> bytes:
             lines.append(f"{c.check},{_fmt(c.grid_max_residual)},{_fmt(c.tolerance)},{c.verdict}")
         return ("\n".join(lines) + "\n").encode()
     if out_format == "json":
-        payload = {
-            "task": report.task,
-            "scenario": [[k, v] for k, v in report.scenario],
-            "checks": [vars(c) for c in report.checks],
-            "version": report.version,
-            "seed": report.seed,
-        }
-        return (json.dumps(payload, indent=2, sort_keys=False) + "\n").encode()
+        scenario = [f"[\n      {_json_leaf(k)},\n      {_json_leaf(v)}\n    ]"
+                    for k, v in report.scenario]
+        checks = [_json_block([f"{encode_basestring_ascii(k)}: {_json_leaf(v)}"
+                               for k, v in vars(c).items()], "    ", "{}")
+                  for c in report.checks]
+        fields = [f'"task": {_json_leaf(report.task)}',
+                  f'"scenario": {_json_block(scenario, "  ", "[]")}',
+                  f'"checks": {_json_block(checks, "  ", "[]")}',
+                  f'"version": {_json_leaf(report.version)}',
+                  f'"seed": {_json_leaf(report.seed)}']
+        return (_json_block(fields, "", "{}") + "\n").encode()
     if out_format == "text":
         lines = [f"warpcurv {report.version} :: task {report.task}"]
         for k, v in report.scenario:

@@ -102,7 +102,7 @@ def _squares(x):
     return np.array([v ** 2 for v in x.tolist()])
 
 
-def grw_einstein_residuals(spec, lam, grid=None, tolerance=CLOSED_FORM_TOL):
+def grw_einstein_residuals(spec, lam, grid, tolerance=CLOSED_FORM_TOL):
     """Residuals of the Einstein conditions for P = d/dt.
 
     Condition A: sum_i l_i (1 - b_i''/b_i) = lambda.
@@ -114,8 +114,6 @@ def grw_einstein_residuals(spec, lam, grid=None, tolerance=CLOSED_FORM_TOL):
     l_i-weighted form.  Passing here is equivalent (to tolerance) to the
     generic-oracle Einstein property Ric = lambda g.
     """
-    if grid is None:
-        grid = chebyshev_grid()
     for i, f in enumerate(spec.fibers):
         if not f.is_einstein:
             raise FiberNotEinstein(f"fiber {i} is not declared Einstein")
@@ -142,11 +140,9 @@ def grw_einstein_residuals(spec, lam, grid=None, tolerance=CLOSED_FORM_TOL):
     return result
 
 
-def pseudo_einstein_residuals(spec, P: TorsionVectorFieldSpec, lam, grid=None,
+def pseudo_einstein_residuals(spec, P: TorsionVectorFieldSpec, lam, grid,
                               tolerance=CLOSED_FORM_TOL):
     """Residuals of the symmetrized-Ricci Einstein conditions for P on a fiber."""
-    if grid is None:
-        grid = chebyshev_grid()
     if spec.n_bar <= 2:
         raise DimensionTooSmall("pseudo-Einstein check needs total dimension > 2")
     if P is None or P.location == "base":
@@ -178,9 +174,10 @@ def pseudo_einstein_residuals(spec, P: TorsionVectorFieldSpec, lam, grid=None,
         result.add(ResidualReport.from_values(f"pseudo-fiber-{i}", res, tolerance))
 
     # Fiber r carries the torsion field: the tensor identity on frame pairs
-    # (e_a, e_b) at three points of F_r, one cache per point, each entry a
-    # t-row.  Entries keep the per-point bits: dot products keep their shapes
-    # (a matrix product sums in another order), squares go through `_squares`.
+    # (e_a, e_b) at three points of F_r, their caches from one jet walk, each
+    # entry a t-row.  Entries keep the per-point bits: dot products keep their
+    # shapes (a matrix product sums in another order), squares go through
+    # `_squares`.
     samples = spec.fibers[r].geometry.sample_coords(3)
     on_r = spec.make_point([grid[0]], _on_fiber(spec, r, samples))
     _grid_points(spec, grid, _on_fiber(spec, r, samples[0]), then=on_r)
@@ -190,8 +187,7 @@ def pseudo_einstein_residuals(spec, P: TorsionVectorFieldSpec, lam, grid=None,
     cross = np.array([dims @ ratio[:, j] for j in range(len(grid))]) - dims[r] * ratio[r]
     bracket = br * ddbr + (lr - 1) * _squares(dbr) + br * dbr * cross + lam * br2
     worst = []
-    for p in on_r:
-        c = StructuredGeometryCache(spec, P, p)
+    for c in StructuredGeometryCache.at_points(spec, P, on_r):
         gF, ricF = c.gF[r], c.RicF[r]
         # pi(e_a) = b_r^2 gP[a] and g(e_w, nabla_{e_v} P) = b_r^2 gnP[w][v]
         gP = [gF[a] @ c.Pc for a in range(lr)]
@@ -249,8 +245,7 @@ def _fiber_p_scalar(spec, P, br, pts):
     """
     r, nbar = P.location, spec.n_bar
     invariants = np.zeros((len(pts), 2))
-    for k, p in enumerate(pts):
-        c = StructuredGeometryCache(spec, P, p)
+    for k, c in enumerate(StructuredGeometryCache.at_points(spec, P, pts)):
         invariants[k] = c.Pc @ c.gF[r] @ c.Pc, c.div_F_P()
     gPP, divP = invariants[:, :1], invariants[:, 1:]
     return (1 - nbar) * (_squares(br) * gPP) + (nbar - 1) * divP, invariants
@@ -275,13 +270,7 @@ def _closed_form(spec, P, grid):
     return ClosedFormScalar(total + terms[0], b, total)
 
 
-def multiwarped_scalar_formula(spec, P, grid):
-    """Closed-form scalar curvature over the grid for P = d/dt, on a fiber
-    (at the fiber's first sample point), or absent."""
-    return _closed_form(spec, P, grid).values
-
-
-def multiwarped_scalar(spec, P, grid=None, tolerance=ORACLE_TOL):
+def multiwarped_scalar(spec, P, grid, tolerance=ORACLE_TOL):
     """Compare the closed-form scalar expression with the semi-symmetric
     oracle; the symmetrized connection has the same scalar curvature.
 
@@ -290,8 +279,6 @@ def multiwarped_scalar(spec, P, grid=None, tolerance=ORACLE_TOL):
     the report and the closed form over the grid, a ClosedFormScalar, which
     `constant_scalar_separation_check` takes instead of computing it again.
     """
-    if grid is None:
-        grid = chebyshev_grid()
     closed = _closed_form(spec, P, grid)
     pts = _grid_points(spec, grid)
     step = max(1, _ORACLE_BLOCK_ELEMENTS // spec.n_bar**4)
@@ -315,7 +302,7 @@ class ScalarConstancyReport:
     message: str
 
 
-def constant_scalar_separation_check(spec, P, grid=None, closed=None):
+def constant_scalar_separation_check(spec, P, grid, closed):
     """Constancy of the closed-form scalar curvature.
 
     Every built-in fiber has constant scalar curvature, so with P absent or
@@ -326,26 +313,21 @@ def constant_scalar_separation_check(spec, P, grid=None, closed=None):
     and `p_invariants_constant` says whether those two invariants are
     constant over the samples.  Both are judged against CONSTANCY_TOL, which
     the report carries.  `closed` is the ClosedFormScalar of
-    `multiwarped_scalar` over the same grid, when the caller has it.
+    `multiwarped_scalar` over the same grid.  A grid with no points is an
+    error, as in every other check.
     """
-    if grid is None:
-        grid = chebyshev_grid()
     grid = np.asarray(grid, dtype=float)
+    if not len(grid):
+        raise WarpcurvError("grid has no points")
     p_const = None
     if P is not None and P.location != "base":
         r = P.location
         samples = spec.fibers[r].geometry.sample_coords(5)
         on_r = spec.make_point([grid[0]], _on_fiber(spec, r, samples))
         _grid_points(spec, grid, then=on_r)
-        if closed is None:
-            b, total = _closed_form_scalar(spec, P, grid)
-        else:
-            b, total = closed.b, closed.total
-        terms, invariants = _fiber_p_scalar(spec, P, b[r, 0], on_r)
-        values = total + terms
+        terms, invariants = _fiber_p_scalar(spec, P, closed.b[r, 0], on_r)
+        values = closed.total + terms
         p_const = bool(np.max(np.ptp(invariants, axis=0)) < CONSTANCY_TOL)
-    elif closed is None:
-        values = multiwarped_scalar_formula(spec, P, grid)
     else:
         values = closed.values
     spread = float(np.max(values) - np.min(values))

@@ -452,19 +452,28 @@ def eval_stack(exprs, names, pts, order=2):
         return [e.eval(env) for e in exprs]
 
 
-def eval_jet(exprs, names, point):
-    """Values (k,), gradients (k, n) and Hessians (k, n, n) of k expressions
-    at one point, from eval_stack on a one-row stack; a constant gets zero
-    derivative rows.  A value that is not finite raises ExprError."""
-    k, n = len(exprs), len(names)
-    val, grad, hess = np.zeros(k), np.zeros((k, n)), np.zeros((k, n, n))
-    for i, jet in enumerate(eval_stack(exprs, names, np.asarray(point, dtype=float)[None])):
+def eval_jet(exprs, names, points):
+    """Values (N, k), gradients (N, k, n) and Hessians (N, k, n, n) of k
+    expressions at each row of an (N, n) stack of points, from one
+    eval_stack walk; a single point of length n gives (k,), (k, n) and
+    (k, n, n), as a one-row stack does.  A constant gets zero derivative
+    rows.  A value that is not finite raises ExprError naming the first
+    point that has one, with the text a walk of that point alone raises."""
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    pts = pts.reshape(-1, len(names))
+    count, k, n = len(pts), len(exprs), len(names)
+    val, grad, hess = np.zeros((count, k)), np.zeros((count, k, n)), np.zeros((count, k, n, n))
+    for i, jet in enumerate(eval_stack(exprs, names, pts)):
         if isinstance(jet, GridJet):
-            val[i], grad[i], hess[i] = jet.val[0], jet.grad[0], jet.hess[0]
+            val[:, i], grad[:, i], hess[:, i] = jet.val, jet.grad, jet.hess
         else:
-            val[i] = jet
+            val[:, i] = jet
     if not np.isfinite(val).all():
-        raise ExprError(f"expression not finite at {dict(zip(names, point))!r}")
+        at = points if single else pts[int(np.argmax(~np.isfinite(val).all(axis=1)))]
+        raise ExprError(f"expression not finite at {dict(zip(names, at))!r}")
+    if single:
+        return val[0], grad[0], hess[0]
     return val, grad, hess
 
 

@@ -5,9 +5,11 @@ pattern of the arguments and the location of the torsion field P.
 Each operation evaluates the closed-form clause matching its argument
 pattern; nothing here touches finite differences, so agreement with the
 `chart_core` oracle is a genuine two-path check.  The data the clauses read
-at a point (`StructuredGeometryCache`) comes from one jet walk there: the
-warpings, every fiber metric entry and the components of P with their
-exact partials, read back by slicing.
+at a point (`StructuredGeometryCache`) is that point's row of one jet walk:
+the warpings, every fiber metric entry and the components of P with their
+exact partials, read back by slicing.  `StructuredGeometryCache.at_points`
+walks a whole stack of points at once, so the caches of every sample point
+of a scenario cost one walk.
 
 Clause arguments are `BlockVector`s: constant components over one block of
 the chart, understood as coordinate vector fields with constant components.
@@ -18,16 +20,23 @@ is one call at a point and takes that point's cache, which carries the
 spec and P.  The covariant derivative takes one stack per block and
 returns nabla over every pair of stacked vectors, one clause call per
 block pair.  The curvature tensor, the Ricci matrix and the scalar are
-whole at a point.  The curvature runs one clause call per block triple and
-fills each mirrored triple, one whose clause is R(X, Y)Z = -R(Y, X)Z of
-another, from that triple's slice.
+whole at a point.  The curvature fills each mirrored triple, one whose
+clause is R(X, Y)Z = -R(Y, X)Z of another, from that triple's slice.
+
+Which clauses a whole-tensor operation runs is a sweep plan, made once per
+block layout, P block and kind (`_sweep_plan`): it leaves out the block
+patterns whose clauses give exact zeros, each class stated with the clause
+formulas it is read from, and the symmetrized kind's dpi term where dpi
+vanishes.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +44,8 @@ from .connections import ConnectionKind
 from .errors import CaseMismatch
 from .exprs import eval_jet
 from .geometry import ProductManifoldSpec
+
+_ALL = slice(None)
 
 # outer product that keeps the axes of its arguments: a single vector's 0-d
 # value gives no axis, a stack's (k,) values give one
@@ -58,13 +69,19 @@ class StructuredGeometryCache:
 
     Holds the warping values with their exact first and second partials,
     the fiber metrics with their partials, analytic Christoffel symbols and
-    curvature, and the torsion-field data (components, partials, pi).  One
-    eval_jet call at the chart point gives every value and partial.
+    curvature, and the torsion-field data (components, partials, pi).  Every
+    value and partial is the point's row of one eval_jet walk: `at_points`
+    walks a whole stack of points once and makes a cache from each row, and
+    a cache made alone is the one-row case of that walk.
     """
 
-    def __init__(self, spec: ProductManifoldSpec, P, p):
-        p = np.asarray(p, dtype=float)
-        spec.check_point(p)
+    def __init__(self, spec: ProductManifoldSpec, P, p, jets=None):
+        """The cache at p; `jets` is p's row (values, gradients, Hessians)
+        of an `at_points` walk, and without it the cache walks [p]."""
+        if jets is None:
+            (p,), (val,), (grad,), (hess,) = _cache_jets(spec, P, [p])
+        else:
+            val, grad, hess = jets
         self.spec = spec
         self.p = p
         self.P = P
@@ -79,13 +96,6 @@ class StructuredGeometryCache:
         m = self.m
         base = spec.block_slice("base")
         fibers = [spec.block_slice(i) for i in range(m)]
-        entries = [e for i, f in enumerate(spec.fibers)
-                   for row in f.geometry.metric_exprs(spec.fiber_coord_names(i)) for e in row]
-        comps = []
-        if P is not None:
-            P.validate(spec)
-            comps = P.components
-        val, grad, hess = eval_jet([*spec.warpings, *entries, *comps], spec.coord_names, p)
 
         self.b = val[:m].tolist()
         self.db_base = [grad[i, base] for i in range(m)]
@@ -118,6 +128,15 @@ class StructuredGeometryCache:
             # dPc[a, c] = d_a P^c
             self.dPc = grad[row:, spec.block_slice(P.location)].T
         self._p_free = None
+
+    @classmethod
+    def at_points(cls, spec, P, points):
+        """One cache per row of an (N, n_bar) stack of points, all from one
+        jet walk over the stack; each has the bits of the cache made at its
+        point alone.  The first failing point raises what a cache made
+        there alone raises."""
+        pts, *jets = _cache_jets(spec, P, points)
+        return [cls(spec, P, p, row) for p, *row in zip(pts, *jets)]
 
     def without_p(self):
         """This point's data with the torsion field cleared, made at most once.
@@ -278,6 +297,22 @@ class StructuredGeometryCache:
         return np.zeros(a.shape[:-1] + bv.shape[:-1])
 
 
+def _cache_jets(spec, P, points):
+    """The checked (N, n_bar) stack of points, then the values (N, k),
+    gradients (N, k, n_bar) and Hessians (N, k, n_bar, n_bar) of the
+    warpings, every fiber metric entry and P's components at its rows, from
+    one eval_jet walk."""
+    pts = spec.point_stack(points)
+    spec.check_point(pts)
+    entries = [e for i, f in enumerate(spec.fibers)
+               for row in f.geometry.metric_exprs(spec.fiber_coord_names(i)) for e in row]
+    comps = []
+    if P is not None:
+        P.validate(spec)
+        comps = P.components
+    return (pts, *eval_jet([*spec.warpings, *entries, *comps], spec.coord_names, pts))
+
+
 # ---------------------------------------------------------------------------
 # Argument stacks
 
@@ -317,6 +352,105 @@ def _dispatch(c, kind, p_base_clause, p_fiber_clause):
 
 
 # ---------------------------------------------------------------------------
+# Sweep plans
+#
+# Which block clauses a whole-tensor sweep runs depends only on the block
+# layout and on r, P's block on the dispatched view (None for the
+# Levi-Civita kind or no P).  Each zero class below is read off the clauses.
+
+
+def _zero_triple(bx, by, bz, r):
+    """Non-mirrored triples whose curvature clause gives exact zeros:
+    (base, base, Z) unless Z = r (a flat base, and the P terms of
+    `_curv_p_base` and `_curv_p_fiber` there need Z on P's block);
+    (f_i, f_i, f_j); (f_i, f_j, base) unless r is i or j; and
+    (base, f_i, f_j) unless r = j, for i != j."""
+    if bx == by == "base":
+        return bz != r
+    if "base" not in (bx, by):
+        if bx == by:
+            return bz not in ("base", bx)
+        return bz == "base" and r not in (bx, by)
+    return bx == "base" and bz not in ("base", by, r)
+
+
+def _zero_nabla(bx, by, r, sym):
+    """Block pairs whose nabla_X Y is zero: the Levi-Civita clause is zero
+    on (base, base) and (f_i, f_j), i != j, and the pi(Y) X term needs Y on
+    r, the symmetrized kind's pi(X) Y term X on r."""
+    lc_zero = bx == by == "base" or "base" not in (bx, by) and bx != by
+    return lc_zero and by != r and not (sym and bx == r)
+
+
+def _dpi_pair(bx, by, r):
+    """Whether dpi(X, Y) can be non-zero: on (base, base) with P on the
+    base, and on the pairs inside {base, r} that touch r for P on fiber r."""
+    if r == "base":
+        return bx == by == "base"
+    return r is not None and r in (bx, by) and {bx, by} <= {"base", r}
+
+
+def _zero_ricci(bx, by):
+    """Block pairs whose Ricci clause gives exact zeros: (f_i, f_j), i != j,
+    where no clause has a term and dpi vanishes."""
+    return "base" not in (bx, by) and bx != by
+
+
+class _SweepPlan(NamedTuple):
+    """What the whole-tensor sweep of one layout runs, made once."""
+
+    clauses: list  # (X, Y, Z, slice of out) of each triple whose clause runs
+    mirrored: np.ndarray  # (n_bar,) * 3 mask of the entries (a, b, d) of mirrored triples
+    dpi: list  # (X, Y, [(Z, slice)...]) of each pair whose dpi term runs (symmetrized kind)
+    dpi_zero: np.ndarray | None  # the entries in the rows of Z's block of the other triples
+    nabla_pairs: list  # (i, j) of each block pair whose nabla can be non-zero
+    ricci: list  # (X, Y, slice) of each block pair whose Ricci value can be non-zero
+
+
+@functools.lru_cache(maxsize=64)
+def _sweep_plan(n, dims, r, sym):
+    """The sweep plan of base dimension n, fiber dimensions dims and P's
+    block r on the dispatched view, for the symmetrized kind if sym."""
+    blocks = ["base", *range(len(dims))]
+    bounds = np.cumsum([0, n, *dims])
+    sl = {b: slice(int(bounds[k]), int(bounds[k + 1])) for k, b in enumerate(blocks)}
+    frames = {b: BlockVector(b, np.eye(sl[b].stop - sl[b].start)) for b in blocks}
+    block_of = np.repeat(np.arange(len(blocks)), np.diff(bounds))
+    mirrored = np.array([[[_mirrored(bx, by, bz) for bz in blocks] for by in blocks]
+                         for bx in blocks])
+    triples = [t for t in itertools.product(blocks, repeat=3) if not _distinct_fibers(*t)]
+
+    def where(t):
+        return (_ALL, *(sl[b] for b in t))
+
+    dpi_zero = None
+    if sym:
+        live = np.array([[_dpi_pair(bx, by, r) for by in blocks] for bx in blocks])
+        same = block_of[:, None] == block_of
+        dpi_zero = same[:, None, None, :] & ~live[np.ix_(block_of, block_of)][None, :, :, None]
+    return _SweepPlan(
+        clauses=[(*(frames[b] for b in t), where(t)) for t in triples
+                 if not _mirrored(*t) and not _zero_triple(*t, r)],
+        mirrored=mirrored[np.ix_(block_of, block_of, block_of)],
+        dpi=[(frames[bx], frames[by],
+              [(frames[t[2]], where(t)) for t in triples if t[:2] == (bx, by)])
+             for bx, by in itertools.product(blocks, repeat=2) if sym and _dpi_pair(bx, by, r)],
+        dpi_zero=dpi_zero,
+        nabla_pairs=[(i, j) for (i, bx), (j, by) in itertools.product(enumerate(blocks), repeat=2)
+                     if not _zero_nabla(bx, by, r, sym)],
+        ricci=[(frames[bx], frames[by], (sl[bx], sl[by]))
+               for bx, by in itertools.product(blocks, repeat=2) if not _zero_ricci(bx, by)],
+    )
+
+
+def _plan(c, kind):
+    """The sweep plan of the cache's layout for `kind`, keyed as
+    `_dispatch` views the cache."""
+    view, _, sym = _dispatch(c, kind, None, None)
+    return _sweep_plan(c.n, c.dims, view.P_loc, sym)
+
+
+# ---------------------------------------------------------------------------
 # Covariant derivative clauses
 #
 # Each clause takes (k, d) stacks and returns the ambient components of its
@@ -328,13 +462,15 @@ def structured_covariant_derivative(c, kind, frames):
     """Covariant derivative at the cache's point over per-block stacks:
     `frames` holds one (k, d) `BlockVector` stack per block, base first,
     and out[l, A, B] is the ambient component l of nabla_{V_A} V_B for the
-    stacked vectors V, one block clause call per block pair."""
+    stacked vectors V, one block clause call per block pair that the
+    layout's sweep plan does not know to be zero."""
     _check_kind(kind)
     _check_blocks(c.spec, frames)
     rows = np.cumsum([0] + [len(F.components) for F in frames])
-    out = np.empty((c.nbar, rows[-1], rows[-1]))
-    for (i, X), (j, Y) in itertools.product(enumerate(frames), repeat=2):
-        out[:, rows[i]:rows[i + 1], rows[j]:rows[j + 1]] = _covariant_block(c, kind, X, Y)
+    out = np.zeros((c.nbar, rows[-1], rows[-1]))
+    for i, j in _plan(c, kind).nabla_pairs:
+        out[:, rows[i]:rows[i + 1], rows[j]:rows[j + 1]] = _covariant_block(
+            c, kind, frames[i], frames[j])
     return out
 
 
@@ -394,14 +530,15 @@ def _curvature_block(c, kind, X, Y, Z):
     c, clause, sym = _dispatch(c, kind, _curv_p_base, _curv_p_fiber)
     out = clause(c, X, Y, Z)
     if sym:
-        _dpi_term(c, out, X, Y, Z)
+        _dpi_term(c, out, c.dpi(X, Y), Z)
     return out
 
 
-def _dpi_term(c, out, X, Y, Z):
+def _dpi_term(c, out, dpi, Z):
     """Add [X(pi(Y)) - Y(pi(X)) - pi([X,Y])] Z = dpi(X, Y) Z, the
-    symmetrized kind's term, to the block `out` of R(X, Y)Z."""
-    out[c.spec.block_slice(Z.block)] += np.einsum("xy,zl->lxyz", c.dpi(X, Y), Z.components)
+    symmetrized kind's term, to the block `out` of R(X, Y)Z, given
+    dpi = dpi(X, Y)."""
+    out[c.spec.block_slice(Z.block)] += np.einsum("xy,zl->lxyz", dpi, Z.components)
 
 
 def _distinct_fibers(bX, bY, bZ):
@@ -423,29 +560,28 @@ def _mirrored(bX, bY, bZ):
 
 def structured_curvature(c, kind):
     """Whole curvature tensor out[l, a, b, d] = R(e_a, e_b)e_d at the
-    cache's point, shape (n_bar,) * 4, one block clause call per block
-    triple over the coordinate vectors of each block.  Triples on three
-    distinct fibers stay zero.  Each mirrored triple runs no clause: its
-    slice is its mirror's clause value with the X and Y axes swapped and
-    the sign flipped, taken before the per-triple dpi term of the
-    symmetrized kind, so it holds the bits of its own clause."""
+    cache's point, shape (n_bar,) * 4, from the layout's sweep plan: one
+    block clause call per block triple over the coordinate vectors of each
+    block, except the triples the plan knows to be zero, which stay zero.
+    Each mirrored triple runs no clause: its slice is its mirror's clause
+    value with the X and Y axes swapped and the sign flipped, taken before
+    the dpi term of the symmetrized kind, so it holds the bits of its own
+    clause.  The dpi term runs where dpi(X, Y) can be non-zero; elsewhere
+    the rows of Z's block get the +0.0 that the zero term adds."""
     _check_kind(kind)
     c, clause, sym = _dispatch(c, kind, _curv_p_base, _curv_p_fiber)
-    spec = c.spec
-    blocks = ["base", *range(c.m)]
-    frames = {b: coordinate_stack(spec, b) for b in blocks}
-    sl = {b: spec.block_slice(b) for b in blocks}
-    triples = [t for t in itertools.product(blocks, repeat=3) if not _distinct_fibers(*t)]
+    plan = _sweep_plan(c.n, c.dims, c.P_loc, sym)
     out = np.zeros((c.nbar,) * 4)
-    for bx, by, bz in triples:
-        if not _mirrored(bx, by, bz):
-            out[:, sl[bx], sl[by], sl[bz]] = clause(c, frames[bx], frames[by], frames[bz])
-    for bx, by, bz in triples:
-        if _mirrored(bx, by, bz):
-            out[:, sl[bx], sl[by], sl[bz]] = -np.swapaxes(out[:, sl[by], sl[bx], sl[bz]], 1, 2)
+    for X, Y, Z, where in plan.clauses:
+        out[where] = clause(c, X, Y, Z)
+    # a mirror is never mirrored, so no entry read here is written here
+    np.negative(out.swapaxes(1, 2), out=out, where=plan.mirrored)
     if sym:
-        for bx, by, bz in triples:
-            _dpi_term(c, out[:, sl[bx], sl[by], sl[bz]], frames[bx], frames[by], frames[bz])
+        np.add(out, 0.0, out=out, where=plan.dpi_zero)
+        for X, Y, targets in plan.dpi:
+            dpi = c.dpi(X, Y)
+            for Z, where in targets:
+                _dpi_term(c, out[where], dpi, Z)
     return out
 
 
@@ -674,15 +810,11 @@ def _ricci_twist_extra(c, i, x, y):
 
 def structured_ricci_matrix(c, kind):
     """Full Ricci matrix at the cache's point, one block clause call per
-    block pair."""
+    block pair that the layout's sweep plan does not know to be zero."""
     _check_kind(kind)
-    spec = c.spec
     out = np.zeros((c.nbar, c.nbar))
-    frames = [coordinate_stack(spec, b) for b in ["base", *range(c.m)]]
-    for U in frames:
-        for V in frames:
-            out[spec.block_slice(U.block), spec.block_slice(V.block)] = _ricci_block(
-                c, kind, U, V)
+    for X, Y, where in _plan(c, kind).ricci:
+        out[where] = _ricci_block(c, kind, X, Y)
     return out
 
 

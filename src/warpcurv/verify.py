@@ -4,10 +4,14 @@ generic coordinate oracle.
 For a given spec, torsion field and connection kind this enumerates every
 argument block pattern the spec supports (covariant derivative pairs,
 curvature triples, Ricci pairs, scalar) and compares the closed-form
-values with the coordinate computation at a set of sample points: one
-oracle call for all the points, then at each point one whole-tensor call
-each for the covariant derivative, the curvature, the Ricci matrix and the
-scalar, and one |S - O| per tensor whose block maxima are the rows.
+values with the coordinate computation at a set of sample points.  Both
+sides walk the stack of points once per call: one oracle call for all the
+points, and one jet walk that gives every point's structured cache.  At
+each point there is then one whole-tensor call each for the covariant
+derivative, the curvature, the Ricci matrix and the scalar, each running
+only the clauses of its layout's sweep plan, and over all the points one
+|S - O| per tensor whose block maxima are the rows.  A pattern the plan
+skips is zero on the structured side and still compared with the oracle.
 """
 
 from __future__ import annotations
@@ -62,12 +66,25 @@ def _cov_frames(spec, blocks):
     return frames, rows, matrix
 
 
+def _frame_contraction(spec, gamma, frames, rows, matrix):
+    """sum_ij gamma[k, i, j] E[x, i] E[y, j] for the frame matrix E of
+    `_cov_frames`, one stack of rows at a time with i on the stack's block:
+    E is zero there off the block, and leaving out those products keeps the
+    bits of the contraction with the whole of E."""
+    out = np.empty((len(gamma), len(matrix), len(matrix)))
+    for F, r in zip(frames, rows):
+        out[:, r:r + len(F.components)] = np.einsum(
+            "kij,xi,yj->kxy", gamma[:, spec.block_slice(F.block)], F.components, matrix)
+    return out
+
+
 def _block_max(dev, starts):
-    """max of dev[:, s_1, ..., s_k] for each tuple of blocks, a (B,) * k
-    array; `starts` holds each block's first index along every argument
-    axis.  A maximum is exact, and np.maximum lets a NaN win, so that a
-    non-finite deviation fails its row instead of vanishing from the max."""
-    m = dev.max(axis=0)
+    """max of dev[:, :, s_1, ..., s_k] for each tuple of blocks, a (B,) * k
+    array, over the points and components on the first two axes; `starts`
+    holds each block's first index along every argument axis.  A maximum is
+    exact, and max lets a NaN win, so that a non-finite deviation fails its
+    row instead of vanishing from the max."""
+    m = dev.max(axis=(0, 1))
     for axis in range(m.ndim):
         m = np.maximum.reduceat(m, starts, axis=axis)
     return m
@@ -83,8 +100,8 @@ def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE):
     Returns one ClauseReport per block pattern, plus Ricci-matrix and
     scalar reports, with deviations maximized over the supplied points.
     At each point the structured curvature tensor is one call, and each
-    curvature triple's row is the largest |S - R| over the oracle's Riemann
-    block `riemann[:, sX, sY, sZ]`.  The covariant derivative is one call
+    curvature triple's row is the largest |S - R| over the points and the
+    oracle's Riemann blocks `riemann[:, :, sX, sY, sZ]`.  The covariant derivative is one call
     over each block's coordinate vectors plus the mixed vector e0 + 0.37 e1
     of each block of dimension >= 2, and each pair's row is the largest
     |S - O| over its block, against the oracle's coefficients contracted
@@ -92,31 +109,20 @@ def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE):
     """
     blocks = ["base"] + list(range(spec.m))
     starts = [spec.block_slice(b).start for b in blocks]
-    # one contraction with the frame matrix gives every block pair; the
-    # oracle raises on a non-finite coefficient, so the zeros off each
-    # block add only zeros
     frames, rows, frame = _cov_frames(spec, blocks)
-    worst_cov = np.zeros((len(blocks),) * 2)
-    worst_curv = np.zeros((len(blocks),) * 3)
-    worst_ric = 0.0
-    worst_scal = 0.0
 
     stack = np.reshape(points, (-1, spec.n_bar))
     cur = connection_curvature(kind, spec, P, stack)
-    for j, p in enumerate(stack):
-        cache = StructuredGeometryCache(spec, P, p)
-
-        sv = structured_covariant_derivative(cache, kind, frames)
-        ov = np.einsum("kij,xi,yj->kxy", cur.coefficients[j], frame, frame)
-        worst_cov = np.maximum(worst_cov, _block_max(np.abs(sv - ov), rows))
-
-        dev = np.abs(structured_curvature(cache, kind) - cur.riemann[j])
-        worst_curv = np.maximum(worst_curv, _block_max(dev, starts))
-
-        sric = structured_ricci_matrix(cache, kind)
-        worst_ric = np.maximum(worst_ric, np.max(np.abs(sric - cur.ricci[j])))
-        sscal = structured_scalar(cache, kind)
-        worst_scal = np.maximum(worst_scal, abs(sscal - cur.scalar[j]))
+    caches = StructuredGeometryCache.at_points(spec, P, stack)
+    sv = np.array([structured_covariant_derivative(c, kind, frames) for c in caches])
+    ov = np.array([_frame_contraction(spec, g, frames, rows, frame) for g in cur.coefficients])
+    worst_cov = _block_max(np.abs(sv - ov), rows)
+    sr = np.array([structured_curvature(c, kind) for c in caches])
+    worst_curv = _block_max(np.abs(sr - cur.riemann), starts)
+    sric = np.array([structured_ricci_matrix(c, kind) for c in caches])
+    worst_ric = np.max(np.abs(sric - cur.ricci))
+    sscal = np.array([structured_scalar(c, kind) for c in caches])
+    worst_scal = np.max(np.abs(sscal - cur.scalar))
 
     labels = [_block_label(b) for b in blocks]
     cov = {f"cov[{labels[ix]},{labels[iy]}]": float(worst_cov[ix, iy])

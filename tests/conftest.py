@@ -4,6 +4,7 @@ and the paper's scalar thresholds of the constant-scalar families."""
 import numpy as np
 import pytest
 
+from warpcurv import einstein
 from warpcurv.exprs import Const, parse_expr
 from warpcurv.geometry import (
     Circle,
@@ -160,3 +161,10 @@ def rng():
 def grw_exp_spec():
     return ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
                                [parse_expr("exp(t)")])
+
+
+def multiwarped_scalar_formula(spec, P, grid):
+    """Closed-form scalar curvature over the grid for P = d/dt, on a fiber
+    (at the fiber's first sample point), or absent: the closed form that
+    `multiwarped_scalar` compares with the oracle."""
+    return einstein._closed_form(spec, P, grid).values

@@ -13,10 +13,15 @@ from pathlib import Path
 import numpy as np
 
 from connection_reference import mixed_ricci_flat_check
-from conftest import grw_scalar_threshold, kasner_scalar_threshold, make_zoo
+from conftest import (
+    grw_scalar_threshold,
+    kasner_scalar_threshold,
+    make_zoo,
+    multiwarped_scalar_formula,
+)
 from warpcurv.cli import main
 from warpcurv.connections import ConnectionKind, connection_curvature
-from warpcurv.einstein import chebyshev_grid, multiwarped_scalar_formula
+from warpcurv.einstein import chebyshev_grid
 from warpcurv.exprs import Const, parse_expr
 from warpcurv.families import (
     grw_einstein_family,

@@ -50,6 +50,60 @@ def test_parse_errors_carry_line_numbers():
         parse_scenario("task = einstein-check\nformat = yaml\n")
 
 
+def _json_payload(report):
+    return {
+        "task": report.task,
+        "scenario": [[k, v] for k, v in report.scenario],
+        "checks": [vars(c) for c in report.checks],
+        "version": report.version,
+        "seed": report.seed,
+    }
+
+
+def assert_json_is_the_json_module_layout(report):
+    want = json.dumps(_json_payload(report), indent=2) + "\n"
+    assert emit_report(report, "json") == want.encode(), report
+
+
+def _workload_round_0_reports():
+    import sys
+
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root))
+    try:
+        from perfbench.scenarios import WORKLOADS, generate_round
+    finally:
+        sys.path.remove(str(root))
+    for workload in WORKLOADS:
+        for sc in generate_round(workload, 11, 0, root):
+            yield run_scenario(parse_scenario(sc.text))
+
+
+def test_json_reports_match_the_json_module_on_goldens_and_workloads():
+    # the json layout is written by hand; its bytes are json.dumps(indent=2)'s
+    goldens = sorted(SCENARIOS.glob("*.txt"))
+    assert goldens
+    reports = [run_scenario(parse_scenario(path.read_text())) for path in goldens]
+    reports += list(_workload_round_0_reports())
+    assert len(reports) > 3 * len(goldens)
+    for report in reports:
+        assert_json_is_the_json_module_layout(report)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -0.0,
+                                   1e-300, 5e-324, 1.5e308, np.float64(0.1), 7])
+@pytest.mark.parametrize("seed", [None, 0, 12345])
+def test_json_leaves_match_the_json_module(value, seed):
+    report = RunReport(task="scalar-check", scenario=[("task", "scalar-check"),
+                                                      ("fiber.warping", "exp(t) \u00b7 \u03c0\u00e9 \"q\" \\")],
+                       checks=[CheckRow("row\u2013one", value, value, "fail"),
+                               CheckRow("row", 1.0, 1e-6, "pass")],
+                       version="0.1.0", seed=seed)
+    assert_json_is_the_json_module_layout(report)
+    assert_json_is_the_json_module_layout(RunReport(task="t", scenario=[], checks=[], seed=seed))
+    assert_json_is_the_json_module_layout(RunReport(task="t", scenario=[("a", "b")], checks=[]))
+
+
 def test_emit_csv_shapes():
     report = RunReport(task="t", scenario=[("task", "t")], checks=[], version="x")
     blob = emit_report(report, "csv")

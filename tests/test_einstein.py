@@ -5,8 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import multiwarped_scalar_formula
 
-from warpcurv import einstein
+from warpcurv import einstein, structured
 from warpcurv.connections import ConnectionKind, connection_curvature
 from warpcurv.einstein import (
     ResidualReport,
@@ -14,7 +15,6 @@ from warpcurv.einstein import (
     constant_scalar_separation_check,
     grw_einstein_residuals,
     multiwarped_scalar,
-    multiwarped_scalar_formula,
     pseudo_einstein_residuals,
 )
 from warpcurv.errors import (
@@ -25,7 +25,7 @@ from warpcurv.errors import (
     UnsupportedP,
     WarpcurvError,
 )
-from warpcurv.exprs import Const, parse_expr
+from warpcurv.exprs import Const, eval_jet, parse_expr
 from warpcurv.geometry import (
     Circle,
     FiberSpec,
@@ -46,20 +46,31 @@ def spec_of(warpings, fibers):
     return ProductManifoldSpec(IntervalBase(), fibers, warpings)
 
 
+def _closed(spec, P, grid):
+    """The ClosedFormScalar that `multiwarped_scalar` returns over the grid."""
+    return einstein._closed_form(spec, P, np.asarray(grid, dtype=float))
+
+
+def _constancy(spec, P, grid):
+    """The constancy check as `cli.run_scenario` calls it: with the closed
+    form of `multiwarped_scalar` over the same grid."""
+    return constant_scalar_separation_check(spec, P, grid, _closed(spec, P, grid))
+
+
 def test_exponential_family_passes(grw_exp_spec):
-    result = grw_einstein_residuals(grw_exp_spec, 0.0)
+    result = grw_einstein_residuals(grw_exp_spec, 0.0, chebyshev_grid())
     assert result.passed
     assert {r.equation for r in result.reports} == {"einstein-trace", "einstein-fiber-0"}
 
 
 def test_constant_family_passes():
     spec = spec_of([Const(2 ** -0.5)], [FiberSpec(HyperbolicPlane())])
-    assert grw_einstein_residuals(spec, 2.0).passed
+    assert grw_einstein_residuals(spec, 2.0, chebyshev_grid()).passed
 
 
 def test_quadratic_warping_fails():
     spec = spec_of([parse_expr("t^2+1")], [FiberSpec(FlatTorus(2))])
-    result = grw_einstein_residuals(spec, 0.0)
+    result = grw_einstein_residuals(spec, 0.0, chebyshev_grid())
     assert not result.passed
     trace = next(r for r in result.reports if r.equation == "einstein-trace")
     # residual of 2 (1 - 2/(t^2+1)) reaches 2 (1 - 2/(1+1)) = 1 near t = 1
@@ -73,7 +84,7 @@ def test_fiber_not_einstein_rejected():
         [parse_expr("exp(t)")],
     )
     with pytest.raises(FiberNotEinstein):
-        grw_einstein_residuals(broken, 0.0)
+        grw_einstein_residuals(broken, 0.0, chebyshev_grid())
 
 
 def test_residuals_iff_oracle_einstein(spec_zoo):
@@ -103,7 +114,7 @@ def test_pseudo_einstein_passing_case():
     spec = spec_of([Const(1.0), parse_expr("exp(t)")],
                    [FiberSpec(Circle()), FiberSpec(FlatTorus(2))])
     P = TorsionVectorFieldSpec(0, [Const(c)])
-    result = pseudo_einstein_residuals(spec, P, -2.0)
+    result = pseudo_einstein_residuals(spec, P, -2.0, chebyshev_grid())
     assert result.passed, [(r.equation, r.max_abs_residual) for r in result.reports]
     # and the oracle agrees: symmetrized Ricci equals lambda g
     for t in (0.2, 0.7):
@@ -243,18 +254,31 @@ def test_fiber_checks_build_one_cache_per_fiber_sample(monkeypatch):
     built = []
 
     class CountingCache(StructuredGeometryCache):
-        def __init__(self, spec, P, p):
+        def __init__(self, spec, P, p, *jets):
             built.append(p)
-            super().__init__(spec, P, p)
+            super().__init__(spec, P, p, *jets)
+
+    # the caches of one loop come from one jet walk over their points
+    walks = []
+
+    def walk(exprs_, names, pts):
+        walks.append(len(pts))
+        return eval_jet(exprs_, names, pts)
 
     monkeypatch.setattr(einstein, "StructuredGeometryCache", CountingCache)
+    monkeypatch.setattr(structured, "eval_jet", walk)
     spec, P = _torsion_fiber_case(*TORSION_FIBER_CASES["sphere"])
     grid = chebyshev_grid(0.1, 0.9, 9)
     pseudo_einstein_residuals(spec, P, 0.7, grid)
-    assert len(built) == 3
+    assert len(built) == 3 and walks == [3]
     built.clear()
+    walks.clear()
     multiwarped_scalar_formula(spec, P, grid)
-    assert len(built) == 1
+    assert len(built) == 1 and walks == [1]
+    built.clear()
+    walks.clear()
+    _constancy(spec, P, grid)
+    assert len(built) == 1 + 5 and walks == [1, 5]
 
 
 @pytest.mark.parametrize("grid,error,match", [
@@ -286,25 +310,25 @@ def test_fiber_checks_reject_an_empty_grid():
 def test_grid_checks_reject_an_empty_grid():
     # the t^2+1 torus fails on the default grid; no grid at all must not pass
     spec = spec_of([parse_expr("t^2+1")], [FiberSpec(FlatTorus(2))])
-    assert not grw_einstein_residuals(spec, 5.0).passed
+    assert not grw_einstein_residuals(spec, 5.0, chebyshev_grid()).passed
     with pytest.raises(WarpcurvError, match="no points"):
         grw_einstein_residuals(spec, 5.0, np.array([]))
     with pytest.raises(WarpcurvError, match="no points"):
         multiwarped_scalar(spec, p_dt(), np.array([]))
     with pytest.raises(WarpcurvError, match="no points"):
-        constant_scalar_separation_check(spec, None, np.array([]))
+        constant_scalar_separation_check(spec, None, np.array([]), _closed(spec, None, [0.5]))
 
 
 def test_pseudo_einstein_requires_fiber_p(grw_exp_spec):
     with pytest.raises(UnsupportedP):
-        pseudo_einstein_residuals(grw_exp_spec, p_dt(), 0.0)
+        pseudo_einstein_residuals(grw_exp_spec, p_dt(), 0.0, chebyshev_grid())
 
 
 def test_pseudo_einstein_dimension_guard():
     spec = spec_of([Const(1.0)], [FiberSpec(Circle())])
     P = TorsionVectorFieldSpec(0, [Const(1.0)])
     with pytest.raises(DimensionTooSmall):
-        pseudo_einstein_residuals(spec, P, 0.0)
+        pseudo_einstein_residuals(spec, P, 0.0, chebyshev_grid())
 
 
 def test_pseudo_einstein_invariant_under_torus_shift():
@@ -406,15 +430,15 @@ def test_scalar_requires_unit_time_field(grw_exp_spec):
 
 
 def test_constancy_check_reports(grw_exp_spec):
-    rep = constant_scalar_separation_check(grw_exp_spec, p_dt())
+    rep = _constancy(grw_exp_spec, p_dt(), chebyshev_grid())
     assert rep.scalar_constant and rep.grid_adequate
 
     bad = spec_of([parse_expr("t^2+1")], [FiberSpec(FlatTorus(2))])
-    rep = constant_scalar_separation_check(bad, p_dt())
+    rep = _constancy(bad, p_dt(), chebyshev_grid())
     assert not rep.scalar_constant
     assert "not constant" in rep.message
 
-    tiny = constant_scalar_separation_check(grw_exp_spec, p_dt(), grid=[0.5])
+    tiny = _constancy(grw_exp_spec, p_dt(), [0.5])
     assert not tiny.grid_adequate
     assert "too small" in tiny.message
 
@@ -423,11 +447,11 @@ def test_constancy_p_invariants():
     spec = spec_of([Const(1.0), Const(1.0)],
                    [FiberSpec(Circle()), FiberSpec(FlatTorus(2))])
     const_P = TorsionVectorFieldSpec(1, [Const(0.4), Const(0.1)])
-    rep = constant_scalar_separation_check(spec, const_P)
+    rep = _constancy(spec, const_P, chebyshev_grid())
     assert rep.p_invariants_constant is True and rep.scalar_constant
 
     rot_P = TorsionVectorFieldSpec(1, [parse_expr("0-w"), parse_expr("z")])
-    rep = constant_scalar_separation_check(spec, rot_P)
+    rep = _constancy(spec, rot_P, chebyshev_grid())
     assert rep.p_invariants_constant is False and not rep.scalar_constant
 
 
@@ -438,7 +462,7 @@ def test_constancy_spread_runs_over_the_fiber_samples():
     P = TorsionVectorFieldSpec(0, [parse_expr("cos(x)"), Const(0.0)])
     grid = chebyshev_grid(0.05, 0.95, 5)
     assert np.ptp(multiwarped_scalar_formula(spec, P, grid)) == 0.0
-    rep = constant_scalar_separation_check(spec, P, grid)
+    rep = _constancy(spec, P, grid)
     assert not rep.scalar_constant and rep.p_invariants_constant is False
     samples = spec.fibers[0].geometry.sample_coords(5)
     pts = spec.make_point(np.repeat(grid, 5)[:, None], [np.tile(samples, (len(grid), 1))])

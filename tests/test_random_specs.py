@@ -244,15 +244,39 @@ def test_mirrored_patterns_are_the_ones_their_clauses_swap(monkeypatch, p_locati
             structured._curvature_block(cache, kind, *(frames[b] for b in triple))
             assert routed == ([triple] if structured._mirrored(*triple) else []), (kind, triple)
 
+    # the whole tensor runs the clauses of its layout's sweep plan, and those
+    # are the non-mirrored triples not on three distinct fibers, less
+    # exactly the zero classes stated here from the clause formulas
     for name in ("_curv_p_base", "_curv_p_fiber"):
         monkeypatch.setattr(structured, name, recording(getattr(structured, name), clauses))
-    run = {t for t in itertools.product(blocks, repeat=3)
-           if not structured._mirrored(*t) and not structured._distinct_fibers(*t)}
     for kind in ConnectionKind:
+        r = None if kind == ConnectionKind.LEVI_CIVITA else p_location
+        plan = structured._plan(cache, kind)
+        planned = {tuple(v.block for v in run[:3]) for run in plan.clauses}
+        assert len(planned) == len(plan.clauses), kind
+        stated = {t for t in itertools.product(blocks, repeat=3)
+                  if not structured._mirrored(*t) and not structured._distinct_fibers(*t)
+                  and not stated_zero_triple(*t, r)}
+        assert planned == stated, kind
         routed.clear()
         clauses.clear()
         structured_curvature(cache, kind)
-        assert routed == [] and set(clauses) == run, kind
+        assert routed == [] and set(clauses) == planned, kind
+
+
+def stated_zero_triple(bx, by, bz, r):
+    """The curvature triples the sweep plans skip, for P's block r on the
+    dispatched view (None for the Levi-Civita kind or no P)."""
+    fibers = [b for b in (bx, by, bz) if b != "base"]
+    if len(fibers) == 3:  # two on one fiber, the third on another
+        return bx == by != bz  # (f_i, f_i, f_j)
+    if (bx, by) == ("base", "base"):
+        return bz != r  # (base, base, base) unless r is the base, (base, base, f) unless f = r
+    if bz == "base" and len(fibers) == 2 and bx != by:
+        return r not in (bx, by)  # (f_i, f_j, base)
+    if bx == "base" and len(fibers) == 2 and by != bz:
+        return r != bz  # (base, f_i, f_j)
+    return False
 
 
 def assert_nabla_is_its_block_clauses(spec, P, p):
@@ -319,6 +343,67 @@ def test_three_distinct_fibers_give_exact_zeros(recipe):
                 assert not np.any(out), (kind, triple, recipe)
 
 
+def assert_skipped_classes_are_zero(spec, P, p):
+    """Under every kind, each block pattern that the sweep plan skips gives
+    +0.0 in every entry, byte for byte: the curvature clause of each
+    skipped triple, and its block with the dpi term where dpi is not live;
+    dpi off its live pairs; nabla over verify's frames on each skipped
+    pair; and the Ricci clause on each skipped pair."""
+    blocks = ["base", *range(spec.m)]
+    frames = {b: coordinate_stack(spec, b) for b in blocks}
+    cov = dict(zip(blocks, verify._cov_frames(spec, blocks)[0]))
+    cache = StructuredGeometryCache(spec, P, p)
+    zero = {}
+
+    def assert_zero(out, what):
+        assert _bytes(out) == _bytes(zero.setdefault(np.shape(out), np.zeros(np.shape(out)))), what
+
+    for kind in ConnectionKind:
+        plan = structured._plan(cache, kind)
+        view, clause, sym = structured._dispatch(cache, kind, structured._curv_p_base,
+                                                 structured._curv_p_fiber)
+        planned = {tuple(v.block for v in run[:3]) for run in plan.clauses}
+        live = {(X, Y) for X, Y in itertools.product(blocks, repeat=2)
+                if structured._dpi_pair(X, Y, view.P_loc)}
+        assert {(X.block, Y.block) for X, Y, _ in plan.dpi} == (live if sym else set())
+        for t in itertools.product(blocks, repeat=3):
+            if t in planned or structured._mirrored(*t):
+                continue
+            args = [frames[b] for b in t]
+            assert_zero(clause(view, *args), (kind, "clause", t))
+            if not sym or t[:2] not in live:
+                assert_zero(structured._curvature_block(cache, kind, *args), (kind, "block", t))
+        for X, Y in itertools.product(blocks, repeat=2):
+            if (X, Y) not in live:
+                assert_zero(view.dpi(frames[X], frames[Y]), (kind, "dpi", X, Y))
+            if (blocks.index(X), blocks.index(Y)) not in plan.nabla_pairs:
+                assert_zero(structured._covariant_block(cache, kind, cov[X], cov[Y]),
+                            (kind, "nabla", X, Y))
+            if not any((U.block, V.block) == (X, Y) for U, V, _ in plan.ricci):
+                assert_zero(structured._ricci_block(cache, kind, frames[X], frames[Y]),
+                            (kind, "ricci", X, Y))
+
+
+@settings(max_examples=30, deadline=None)
+@given(recipe=recipes(min_fibers=3))
+@example(recipe=P_ON_LAST_OF_THREE)
+@example(recipe=("flat3", ("T2", "circle", "sphere"), True, "base",
+                 ConnectionKind.SYMMETRIZED_AFFINE, COEFS))
+@example(recipe=("interval", ("T3", "hyperbolic", "circle"), False, 0, SSNM, COEFS[::-1]))
+def test_the_classes_a_sweep_plan_skips_give_exact_zeros_on_random_specs(recipe):
+    base, geometries, twisted, p_location, _, coefs = recipe
+    spec, P = build_case(base, geometries, twisted, p_location, coefs)
+    for p in spec.sample_points(2, t_range=(-0.4, 1.1)):
+        assert_skipped_classes_are_zero(spec, P, p)
+
+
+@pytest.mark.parametrize("case", make_zoo(), ids=[name for name, _, _ in make_zoo()])
+def test_the_classes_a_sweep_plan_skips_give_exact_zeros_on_the_zoo(case):
+    _, spec, P = case
+    for p in spec.sample_points(2):
+        assert_skipped_classes_are_zero(spec, P, p)
+
+
 @settings(max_examples=30, deadline=None)
 @given(recipe=recipes(), count=st.integers(1, 17))
 @example(recipe=P_ON_3D_FIBER, count=17)
@@ -383,15 +468,19 @@ def reference_cache(spec, P, p):
     return ref
 
 
-def assert_cache_matches_reference(spec, P, p):
-    cache, ref = StructuredGeometryCache(spec, P, p), reference_cache(spec, P, p)
+def assert_same_cache_arrays(cache, want):
+    """Each of the cache's CACHE_FIELDS holds the bits of want[field]."""
     for field in CACHE_FIELDS:
-        got, want = getattr(cache, field), ref[field]
+        got = getattr(cache, field)
         if field in ("Pc", "dPc"):
-            assert (got is None) == (want is None), field
-            assert want is None or _bytes(got) == _bytes(want), field
+            assert (got is None) == (want[field] is None), field
+            assert got is None or _bytes(got) == _bytes(want[field]), field
         else:
-            assert [_bytes(a) for a in got] == [_bytes(a) for a in want], field
+            assert [_bytes(a) for a in got] == [_bytes(a) for a in want[field]], field
+
+
+def assert_cache_matches_reference(spec, P, p):
+    assert_same_cache_arrays(StructuredGeometryCache(spec, P, p), reference_cache(spec, P, p))
 
 
 @settings(max_examples=40, deadline=None)
@@ -413,3 +502,64 @@ def test_cache_arrays_match_the_reference_jets_on_the_zoo(case):
     _, spec, P = case
     for p in spec.sample_points(3):
         assert_cache_matches_reference(spec, P, p)
+
+
+def assert_batched_caches_match_one_point_caches(spec, P, points):
+    """Every cache array of `at_points`, made from one jet walk over the
+    stack, holds the bits of the cache made at its point alone."""
+    caches = StructuredGeometryCache.at_points(spec, P, points)
+    assert len(caches) == len(points)
+    for cache, p in zip(caches, points):
+        alone = StructuredGeometryCache(spec, P, p)
+        assert _bytes(cache.p) == _bytes(alone.p)
+        assert_same_cache_arrays(cache, vars(alone))
+
+
+@settings(max_examples=40, deadline=None)
+@given(recipe=recipes(), count=st.integers(1, 6))
+@example(recipe=P_ON_3D_FIBER, count=5)
+@example(recipe=P_ON_LAST_OF_THREE, count=3)
+def test_batched_caches_match_one_point_caches_on_random_specs(recipe, count):
+    base, geometries, twisted, p_location, _, coefs = recipe
+    spec, P = build_case(base, geometries, twisted, p_location, coefs)
+    assert_batched_caches_match_one_point_caches(
+        spec, P, np.array(spec.sample_points(count, t_range=(-0.4, 1.1))))
+
+
+@pytest.mark.parametrize("case", make_zoo(), ids=[name for name, _, _ in make_zoo()])
+def test_batched_caches_match_one_point_caches_on_the_zoo(case):
+    _, spec, P = case
+    assert_batched_caches_match_one_point_caches(spec, P, np.array(spec.sample_points(3)))
+
+
+def _raised(make):
+    with pytest.raises(Exception) as err:
+        make()
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("warping,component,error", [
+    # a warping that overflows fails the stack's chart check, as it fails a
+    # one-point cache's; a P component that overflows fails the jet walk
+    ("exp(t)*1e300*t^4*1e12", "1", "NonPositiveWarping"),
+    ("exp(t)", "1e300*t^4*1e12", "ExprError"),
+])
+def test_a_batched_cache_raises_the_one_point_error_of_the_first_failing_point(
+        warping, component, error):
+    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))], [parse_expr(warping)])
+    points = spec.make_point(np.array([[0.1], [0.5], [0.9]]))
+    P = TorsionVectorFieldSpec("base", [parse_expr(component)])
+    StructuredGeometryCache(spec, P, points[0])  # 1e308 at t = 0.1 is finite
+    want = _raised(lambda: StructuredGeometryCache(spec, P, points[1]))
+    assert want[0].__name__ == error and "0.5" in want[1]
+    assert _raised(lambda: StructuredGeometryCache.at_points(spec, P, points)) == want
+    assert _raised(lambda: StructuredGeometryCache.at_points(spec, P, points[1:])) == want
+
+
+def test_a_batched_cache_raises_the_chart_error_of_the_first_point_outside():
+    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(Sphere(1.0))], [parse_expr("2 + t")])
+    points = spec.make_point(np.array([[0.2], [0.4], [0.6]]),
+                             [np.array([[1.0, 0.3], [0.01, 0.3], [3.1, 0.3]])])
+    want = _raised(lambda: StructuredGeometryCache(spec, None, points[1]))
+    assert want[0].__name__ == "OutOfChart" and "0.01" in want[1]
+    assert _raised(lambda: StructuredGeometryCache.at_points(spec, None, points)) == want

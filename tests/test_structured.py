@@ -419,6 +419,35 @@ def test_oracle_comparison_builds_one_cache_per_point(monkeypatch, spec_zoo):
         assert len(builds) == len(points), kind
 
 
+def test_oracle_comparison_makes_one_cache_jet_walk_per_call(monkeypatch, spec_zoo):
+    # every point's cache comes from one order-2 walk over the stack of
+    # points; the oracle's own walks are not counted
+    from warpcurv import verify
+
+    walks, inside = [], []
+    stack_walk = exprs.eval_stack
+
+    def counting(exprs_, names, pts, order=2):
+        if order and not inside:
+            walks.append(len(pts))
+        return stack_walk(exprs_, names, pts, order)
+
+    def oracle(*args):
+        inside.append(1)
+        try:
+            return connection_curvature(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(exprs, "eval_stack", counting)
+    monkeypatch.setattr(verify, "connection_curvature", oracle)
+    for name, spec, P in spec_zoo:
+        for kind in (LC, SSNM, SYM):
+            walks.clear()
+            oracle_comparison(spec, P, kind, spec.sample_points(3))
+            assert walks == [3], (name, kind)
+
+
 def test_oracle_comparison_makes_one_curvature_call_per_point(monkeypatch, spec_zoo):
     from warpcurv import verify
 
