@@ -174,10 +174,10 @@ def pseudo_einstein_residuals(spec, P: TorsionVectorFieldSpec, lam, grid,
         result.add(ResidualReport.from_values(f"pseudo-fiber-{i}", res, tolerance))
 
     # Fiber r carries the torsion field: the tensor identity on frame pairs
-    # (e_a, e_b) at three points of F_r, their caches from one jet walk, each
-    # entry a t-row.  Entries keep the per-point bits: dot products keep their
-    # shapes (a matrix product sums in another order), squares go through
-    # `_squares`.
+    # (e_a, e_b) at three points of F_r, from one cache over the three, each
+    # entry a (point, t) array.  Entries keep the per-point bits: dot
+    # products are (1, l) @ (l, 1) products at each point (a matrix product
+    # sums in another order), squares go through `_squares`.
     samples = spec.fibers[r].geometry.sample_coords(3)
     on_r = spec.make_point([grid[0]], _on_fiber(spec, r, samples))
     _grid_points(spec, grid, _on_fiber(spec, r, samples[0]), then=on_r)
@@ -186,22 +186,28 @@ def pseudo_einstein_residuals(spec, P: TorsionVectorFieldSpec, lam, grid,
     br2 = _squares(br)
     cross = np.array([dims @ ratio[:, j] for j in range(len(grid))]) - dims[r] * ratio[r]
     bracket = br * ddbr + (lr - 1) * _squares(dbr) + br * dbr * cross + lam * br2
+    c = StructuredGeometryCache(spec, P, on_r)
+    gF, ricF = c.gF[r], c.RicF[r]
+    # pi(e_a) = b_r^2 gP[a] and g(e_w, nabla_{e_v} P) = b_r^2 gnP[w][v]
+    gP = [_row_dot(gF[:, a], c.Pc) for a in range(lr)]
+    nP = [c.nablaF_V_P(e) for e in np.eye(lr)]
+    gnP = [[_row_dot(gF[:, w], nP[v]) for v in range(lr)] for w in range(lr)]
     worst = []
-    for c in StructuredGeometryCache.at_points(spec, P, on_r):
-        gF, ricF = c.gF[r], c.RicF[r]
-        # pi(e_a) = b_r^2 gP[a] and g(e_w, nabla_{e_v} P) = b_r^2 gnP[w][v]
-        gP = [gF[a] @ c.Pc for a in range(lr)]
-        nP = [c.nablaF_V_P(e) for e in np.eye(lr)]
-        gnP = [[gF[w] @ nP[v] for v in range(lr)] for w in range(lr)]
-        for a in range(lr):
-            for bb in range(a, lr):
-                lhs = ricF[a, bb] - gF[a, bb] * bracket
-                rhs = (nbar - 1) * (br2 * gP[a] * (br2 * gP[bb])
-                                    - 0.5 * (br2 * gnP[bb][a] + br2 * gnP[a][bb]))
-                worst.append(lhs - rhs)
+    for a in range(lr):
+        for bb in range(a, lr):
+            lhs = ricF[:, a, bb, None] - gF[:, a, bb, None] * bracket
+            rhs = (nbar - 1) * (br2 * gP[a] * (br2 * gP[bb])
+                                - 0.5 * (br2 * gnP[bb][a] + br2 * gnP[a][bb]))
+            worst.append(lhs - rhs)
     result.add(ResidualReport.from_values(f"pseudo-torsion-fiber-{r}",
                                           np.concatenate(worst), tolerance))
     return result
+
+
+def _row_dot(u, v):
+    """u . v at each row of two (N, l) stacks as an (N, 1) column, each
+    with the bits of numpy's vector dot."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0]
 
 
 def _closed_form_scalar(spec, P, grid):
@@ -244,10 +250,11 @@ def _fiber_p_scalar(spec, P, br, pts):
     with pi(P) = b_r^2 g_F(P, P) and P(b_r) = 0 for warpings of t alone.
     """
     r, nbar = P.location, spec.n_bar
-    invariants = np.zeros((len(pts), 2))
-    for k, c in enumerate(StructuredGeometryCache.at_points(spec, P, pts)):
-        invariants[k] = c.Pc @ c.gF[r] @ c.Pc, c.div_F_P()
-    gPP, divP = invariants[:, :1], invariants[:, 1:]
+    c = StructuredGeometryCache(spec, P, pts)
+    # g_F(P, P) at each point with the bits of numpy's Pc @ gF @ Pc
+    gPP = (c.Pc[:, None, :] @ c.gF[r] @ c.Pc[:, :, None])[:, 0]
+    divP = c.div_F_P()[:, None]
+    invariants = np.hstack([gPP, divP])
     return (1 - nbar) * (_squares(br) * gPP) + (nbar - 1) * divP, invariants
 
 

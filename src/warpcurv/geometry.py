@@ -104,12 +104,13 @@ class FiberGeometry:
 
     def curvature(self, g):
         """R^a_bcd of g_F with R(e_b, e_c)e_d = R^a_bcd e_a, from the matrix
-        g of g_F at the point."""
-        return np.zeros((self.dim,) * 4)
+        g of g_F at the point, or from a stack of them."""
+        return np.zeros(np.shape(g)[:-2] + (self.dim,) * 4)
 
     def ricci(self, g):
-        """Fiber Ricci matrix in the package trace convention, from g_F."""
-        return np.zeros((self.dim,) * 2)
+        """Fiber Ricci matrix in the package trace convention, from g_F or a
+        stack of them."""
+        return np.zeros(np.shape(g)[:-2] + (self.dim,) * 2)
 
     def chart_faults(self, coords):
         """Rows of an (N, dim) stack of chart points outside the chart, and
@@ -153,7 +154,7 @@ class _ConstantCurvatureSurface(FiberGeometry):
         K = self.sectional
         eye = np.eye(2)
         # R^a_bcd = K (g_cd delta^a_b - g_bd delta^a_c)
-        return K * (np.einsum("cd,ab->abcd", g, eye) - np.einsum("bd,ac->abcd", g, eye))
+        return K * (np.einsum("...cd,ab->...abcd", g, eye) - np.einsum("...bd,ac->...abcd", g, eye))
 
     def ricci(self, g):
         return -self.sectional * (self.dim - 1) * g

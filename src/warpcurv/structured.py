@@ -5,29 +5,35 @@ pattern of the arguments and the location of the torsion field P.
 Each operation evaluates the closed-form clause matching its argument
 pattern; nothing here touches finite differences, so agreement with the
 `chart_core` oracle is a genuine two-path check.  The data the clauses read
-at a point (`StructuredGeometryCache`) is that point's row of one jet walk:
-the warpings, every fiber metric entry and the components of P with their
-exact partials, read back by slicing.  `StructuredGeometryCache.at_points`
-walks a whole stack of points at once, so the caches of every sample point
-of a scenario cost one walk.
+(`StructuredGeometryCache`) is one jet walk over a stack of points: the
+warpings, every fiber metric entry and the components of P with their
+exact partials, each with a leading point axis, read back by slicing.
 
 Clause arguments are `BlockVector`s: constant components over one block of
 the chart, understood as coordinate vector fields with constant components.
 A `BlockVector` may also hold a (k, d) stack of such vectors, and every
 clause is multilinear in its arguments, so one call with the block's
-coordinate vectors returns the whole block of the tensor.  Each operation
-is one call at a point and takes that point's cache, which carries the
-spec and P.  The covariant derivative takes one stack per block and
-returns nabla over every pair of stacked vectors, one clause call per
-block pair.  The curvature tensor, the Ricci matrix and the scalar are
-whole at a point.  The curvature fills each mirrored triple, one whose
-clause is R(X, Y)Z = -R(Y, X)Z of another, from that triple's slice.
+coordinate vectors returns the whole block of the tensor at every point of
+the stack.  Each operation is one call per stack of points and takes the
+stack's cache, which carries the spec and P; its value has a leading point
+axis, and a cache made at a single point gives it without one, as
+`geometry.as_given` does.  Row k of a value holds the bits of the same call
+on a cache made at point k alone.  The covariant derivative takes one stack
+per block and returns nabla over every pair of stacked vectors, one clause
+call per block pair.  The curvature tensor, the Ricci matrix and the scalar
+are whole.  The curvature fills each mirrored triple, one whose clause is
+R(X, Y)Z = -R(Y, X)Z of another, from that triple's slice.
 
 Which clauses a whole-tensor operation runs is a sweep plan, made once per
 block layout, P block and kind (`_sweep_plan`): it leaves out the block
 patterns whose clauses give exact zeros, each class stated with the clause
 formulas it is read from, and the symmetrized kind's dpi term where dpi
 vanishes.
+
+Every product over a point axis is written in a form whose rows keep the
+bits of the one-point product: matrix products with a stacked operand,
+vector dots as (1, d) @ (d, 1) products, einsums with a leading point index
+and squares through libm pow (`np.float_power`), as Python's `b ** 2` is.
 """
 
 from __future__ import annotations
@@ -41,15 +47,50 @@ from typing import NamedTuple
 import numpy as np
 
 from .connections import ConnectionKind
-from .errors import CaseMismatch
+from .errors import CaseMismatch, WarpcurvError
 from .exprs import eval_jet
 from .geometry import ProductManifoldSpec
 
 _ALL = slice(None)
 
-# outer product that keeps the axes of its arguments: a single vector's 0-d
-# value gives no axis, a stack's (k,) values give one
-_outer = np.multiply.outer
+
+def _outer(u, v):
+    """Outer product at each point: out[p, i, j...] = u[p, i] v[p, j...]."""
+    return u[(...,) + (None,) * (v.ndim - 1)] * v[:, None]
+
+
+def _mv(A, v):
+    """A v at each point for the (N, d) rows v, A a (k, d) matrix or one per point."""
+    return (A @ v[..., :, None])[..., 0]
+
+
+def _dot(u, v):
+    """u . v at each point, each row with the bits of numpy's vector dot."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _quad(u, A, v):
+    """u A v at each point, each row with the bits of numpy's u @ A @ v."""
+    return (u[..., None, :] @ A @ v[..., :, None])[..., 0, 0]
+
+
+def _once(method):
+    """A cache method computed once per cache and argument tuple; an array
+    value is read-only, as every caller shares it."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def once(self, *args):
+        key = name, args
+        try:
+            return self._memo[key]
+        except KeyError:
+            val = self._memo[key] = method(self, *args)
+            if isinstance(val, np.ndarray):
+                val.flags.writeable = False
+            return val
+
+    return once
 
 
 @dataclass
@@ -65,30 +106,34 @@ class BlockVector:
 
 
 class StructuredGeometryCache:
-    """Per-point geometric data feeding the component formulas.
+    """Geometric data feeding the component formulas at a stack of points.
 
     Holds the warping values with their exact first and second partials,
     the fiber metrics with their partials, analytic Christoffel symbols and
-    curvature, and the torsion-field data (components, partials, pi).  Every
-    value and partial is the point's row of one eval_jet walk: `at_points`
-    walks a whole stack of points once and makes a cache from each row, and
-    a cache made alone is the one-row case of that walk.
+    curvature, and the torsion-field data (components, partials, pi), each
+    with a leading axis over the points.  Every value and partial is a row
+    of one eval_jet walk over the stack, and row k holds the bits of a cache
+    made at point k alone.  The quantities the clauses derive from them
+    (warping gradients, d_beta d_a ln b_i, nabla P, ...) are computed once
+    per cache.
     """
 
-    def __init__(self, spec: ProductManifoldSpec, P, p, jets=None):
-        """The cache at p; `jets` is p's row (values, gradients, Hessians)
-        of an `at_points` walk, and without it the cache walks [p]."""
-        if jets is None:
-            (p,), (val,), (grad,), (hess,) = _cache_jets(spec, P, [p])
-        else:
-            val, grad, hess = jets
+    def __init__(self, spec: ProductManifoldSpec, P, points):
+        """The cache at a point or at every row of an (N, n_bar) stack; the
+        first failing point raises what a cache made there alone raises,
+        and a stack without rows raises WarpcurvError."""
+        pts, val, grad, hess = _cache_jets(spec, P, points)
+        N = len(pts)
         self.spec = spec
-        self.p = p
+        self.p = pts
+        self.single = np.ndim(points) == 1
         self.P = P
         self.n = spec.n
         self.m = spec.m
         self.nbar = spec.n_bar
         self.dims = spec.fiber_dims
+        self.zeros = np.zeros(N)
+        self.zeros.flags.writeable = False
 
         self.gB = np.diag([float(s) for s in spec.base.signs])
         self.gBinv = np.linalg.inv(self.gB)
@@ -97,12 +142,16 @@ class StructuredGeometryCache:
         base = spec.block_slice("base")
         fibers = [spec.block_slice(i) for i in range(m)]
 
-        self.b = val[:m].tolist()
-        self.db_base = [grad[i, base] for i in range(m)]
-        self.db_fiber = [grad[i, sl] for i, sl in enumerate(fibers)]
-        self.H_bb = [hess[i, base, base] for i in range(m)]
-        self.H_bf = [hess[i, base, sl] for i, sl in enumerate(fibers)]
-        self.H_ff = [hess[i, sl, sl] for i, sl in enumerate(fibers)]
+        self.b = val[:, :m].T
+        self.db_base = [grad[:, i, base] for i in range(m)]
+        self.db_fiber = [grad[:, i, sl] for i, sl in enumerate(fibers)]
+        self._d_base = grad[:, :m, base]
+        # whether b_i has a non-zero fiber gradient at some point of the
+        # stack; a warping of the base alone has none anywhere
+        self.twisted = [bool(np.any(d)) for d in self.db_fiber]
+        self.H_bb = [hess[:, i, base, base] for i in range(m)]
+        self.H_bf = [hess[:, i, base, sl] for i, sl in enumerate(fibers)]
+        self.H_ff = [hess[:, i, sl, sl] for i, sl in enumerate(fibers)]
 
         self.gF, self.dgF, self.GF, self.RF, self.RicF = [], [], [], [], []
         row = m
@@ -110,11 +159,12 @@ class StructuredGeometryCache:
             geo, l = f.geometry, f.dim
             rows = slice(row, row + l * l)
             row += l * l
-            g = val[rows].reshape(l, l)
+            g = val[:, rows].reshape(N, l, l)
             self.gF.append(g)
-            # dgF[i][c, a, b] = d_c g_ab in the fiber's own coordinates
-            self.dgF.append(grad[rows, sl].T.reshape(l, l, l))
-            self.GF.append(geo.christoffels(p[sl]))
+            # dgF[i][p, c, a, b] = d_c g_ab in the fiber's own coordinates
+            self.dgF.append(grad[:, rows, sl].transpose(0, 2, 1).reshape(N, l, l, l))
+            # sin and cos of the sphere chart stay libm's, one point at a time
+            self.GF.append(np.array([geo.christoffels(q) for q in pts[:, sl]]))
             self.RF.append(geo.curvature(g))
             self.RicF.append(geo.ricci(g))
         self.gFinv = [np.linalg.inv(g) for g in self.gF]
@@ -124,177 +174,205 @@ class StructuredGeometryCache:
             self.P_loc = self.Pc = self.dPc = None
         else:
             self.P_loc = P.location
-            self.Pc = val[row:]
-            # dPc[a, c] = d_a P^c
-            self.dPc = grad[row:, spec.block_slice(P.location)].T
+            self.Pc = val[:, row:]
+            # dPc[p, a, c] = d_a P^c
+            self.dPc = grad[:, row:, spec.block_slice(P.location)].transpose(0, 2, 1)
         self._p_free = None
+        self._memo = {}
 
-    @classmethod
-    def at_points(cls, spec, P, points):
-        """One cache per row of an (N, n_bar) stack of points, all from one
-        jet walk over the stack; each has the bits of the cache made at its
-        point alone.  The first failing point raises what a cache made
-        there alone raises."""
-        pts, *jets = _cache_jets(spec, P, points)
-        return [cls(spec, P, p, row) for p, *row in zip(pts, *jets)]
+    def as_given(self, a):
+        """`a`, computed over the stack, without its point axis when the
+        cache was made at a single point."""
+        return a[0] if self.single else a
 
     def without_p(self):
-        """This point's data with the torsion field cleared, made at most once.
+        """This stack's data with the torsion field cleared, made at most once.
 
-        Equal to `StructuredGeometryCache(spec, None, p)`: nothing but the
-        P fields depends on P, so the view shares every other array.
+        Equal to `StructuredGeometryCache(spec, None, points)`: nothing but
+        the P fields depends on P, so the view shares every other array.
         """
         if self.P_loc is None:
             return self
         if self._p_free is None:
             view = copy.copy(self)
             view.P = view.P_loc = view.Pc = view.dPc = None
+            view._memo = {}
             self._p_free = view
         return self._p_free
 
     # -- basic block helpers -------------------------------------------------
 
     def g_inner_block(self, block, A, B):
-        """g(A, B) for components on `block`; (k, d) stacks give one value
-        per pair."""
+        """g(A, B) at each point, out[p, a, b], for (k, d) stacks A and B on
+        `block`; B may hold one stack per point.  On the base, whose metric
+        is constant, two plain stacks give out[a, b]."""
+        BT = np.swapaxes(B, -1, -2)
         if block == "base":
-            return A @ self.gB @ B.T
-        return self.b[block] ** 2 * (A @ self.gF[block] @ B.T)
+            return A @ self.gB @ BT
+        return self.b2[block][:, None, None] * (A @ self.gF[block] @ BT)
 
     # -- warping derivatives --------------------------------------------------
 
-    def P_b(self, i):
-        """P(b_i)."""
-        if self.P_loc is None:
-            return 0.0
-        if self.P_loc == "base":
-            return float(self.Pc @ self.db_base[i])
-        if self.P_loc == i:
-            return float(self.Pc @ self.db_fiber[i])
-        return 0.0
+    @functools.cached_property
+    def b2(self):
+        """b2[i] = b_i squared through libm pow, with the bits of Python's
+        b ** 2."""
+        return np.float_power(self.b, 2.0)
 
+    @functools.cached_property
+    def grad_inner_B(self):
+        """grad_inner_B[p, i, j] = g_B(grad_B b_i, grad_B b_j); the base
+        metric is diagonal, so each entry has the bits of a vector dot."""
+        return self._d_base @ self.gBinv @ self._d_base.transpose(0, 2, 1)
+
+    def P_b(self, i):
+        """P(b_i) at each point."""
+        if self.P_loc == "base" or self.P_loc == i:
+            return self._P_b(i)
+        return self.zeros
+
+    @_once
+    def _P_b(self, i):
+        return _dot(self.Pc, self.db_base[i] if self.P_loc == "base" else self.db_fiber[i])
+
+    @_once
     def grad_B(self, i):
         """Components of grad_B b_i on the base block."""
-        return self.gBinv @ self.db_base[i]
+        return _mv(self.gBinv, self.db_base[i])
 
+    @_once
     def grad_F(self, i):
         """Components of grad_{F_i} b_i (gradient of b_i w.r.t. g_{F_i})."""
-        return self.gFinv[i] @ self.db_fiber[i]
+        return _mv(self.gFinv[i], self.db_fiber[i])
 
+    @_once
     def lap_B(self, i):
-        return float(np.einsum("ab,ab->", self.gBinv, self.H_bb[i]))
+        return np.einsum("ab,pab->p", self.gBinv, self.H_bb[i])
 
-    def grad_inner_B(self, i, j):
-        """g_B(grad_B b_i, grad_B b_j)."""
-        return float(self.db_base[i] @ self.gBinv @ self.db_base[j])
-
+    @_once
     def _d2_ln_fb(self, i):
-        """Mixed partials d_beta d_a ln b_i, shape (l_i, n)."""
-        b = self.b[i]
-        return self.H_bf[i].T / b - _outer(self.db_fiber[i], self.db_base[i]) / b**2
+        """Mixed partials d_beta d_a ln b_i, shape (N, l_i, n)."""
+        return (np.swapaxes(self.H_bf[i], 1, 2) / self.b[i][:, None, None]
+                - _outer(self.db_fiber[i], self.db_base[i]) / self.b2[i][:, None, None])
 
     # twisted-only data built on k = ln b_i restricted to fiber i
 
+    @_once
     def k_fiber(self, i):
         """Fiber partials of ln b_i."""
-        return self.db_fiber[i] / self.b[i]
+        return self.db_fiber[i] / self.b[i][:, None]
 
+    @_once
     def hessF_k(self, i):
         """Fiber-metric Hessian of ln b_i (base point held fixed)."""
-        b = self.b[i]
-        d2k = self.H_ff[i] / b - _outer(self.db_fiber[i], self.db_fiber[i]) / b**2
-        return d2k - np.einsum("cab,c->ab", self.GF[i], self.k_fiber(i))
+        d2k = (self.H_ff[i] / self.b[i][:, None, None]
+               - _outer(self.db_fiber[i], self.db_fiber[i]) / self.b2[i][:, None, None])
+        return d2k - np.einsum("pcab,pc->pab", self.GF[i], self.k_fiber(i))
 
+    @_once
     def lapF_k(self, i):
-        return float(np.einsum("ab,ab->", self.gFinv[i], self.hessF_k(i)))
+        return np.einsum("pab,pab->p", self.gFinv[i], self.hessF_k(i))
 
+    @_once
     def gradF_k(self, i):
         """g_F-gradient components of ln b_i."""
-        return self.gFinv[i] @ self.k_fiber(i)
+        return _mv(self.gFinv[i], self.k_fiber(i))
 
+    @_once
     def gradF_k_norm2(self, i):
         dk = self.k_fiber(i)
-        return float(dk @ self.gFinv[i] @ dk)
-
-    def fiber_twisted(self, i):
-        return bool(np.any(self.db_fiber[i]))
+        return _quad(dk, self.gFinv[i], dk)
 
     # -- torsion field helpers --------------------------------------------------
 
     def pi(self, V: BlockVector):
-        """pi(V) = g(V, P), one value per vector of a stack."""
+        """pi(V) = g(V, P), out[p, v] for the stacked vectors V."""
         if V.block != self.P_loc:
-            return np.zeros(V.components.shape[:-1])
-        return self.g_inner_block(V.block, V.components, self.Pc)
+            return np.zeros((len(self.p), len(V.components)))
+        if V.block == "base":
+            return _mv(V.components @ self.gB, self.Pc)
+        return self.b2[V.block][:, None] * _mv(V.components @ self.gF[V.block], self.Pc)
 
     def pi_P(self):
         if self.P_loc is None:
-            return 0.0
-        return float(self.g_inner_block(self.P_loc, self.Pc, self.Pc))
+            return self.zeros
+        g = self.gB if self.P_loc == "base" else self.gF[self.P_loc]
+        gPP = _quad(self.Pc, g, self.Pc)
+        return gPP if self.P_loc == "base" else self.b2[self.P_loc] * gPP
 
     def div_B_P(self):
         if self.P_loc != "base":
-            return 0.0
-        return float(np.trace(self.dPc))
+            return self.zeros
+        return np.trace(self.dPc, axis1=1, axis2=2)
 
+    @_once
     def div_F_P(self):
         """Divergence of P on (F_r, g_{F_r})."""
         if self.P_loc is None or self.P_loc == "base":
-            return 0.0
+            return self.zeros
         r = self.P_loc
-        return float(np.trace(self.dPc) + np.einsum("aab,b->", self.GF[r], self.Pc))
+        return (np.trace(self.dPc, axis1=1, axis2=2)
+                + np.einsum("paab,pb->p", self.GF[r], self.Pc))
 
     def nablaF_V_P(self, Vf):
-        """Fiber components of nabla^{F_r}_V P for V, P on fiber r."""
+        """Fiber components of nabla^{F_r}_V P at each point for one vector
+        V, with V and P on fiber r."""
         r = self.P_loc
-        return self.dPc.T @ Vf + np.einsum("cab,a,b->c", self.GF[r], Vf, self.Pc)
+        return (np.swapaxes(self.dPc, 1, 2) @ Vf
+                + np.einsum("pcab,a,pb->pc", self.GF[r], Vf, self.Pc))
 
     def _fiber_nabla_P(self, Vf):
         """Fiber-r components of the Levi-Civita derivative nabla_V P for V, P
         on fiber r; its base components are -b_r g_F(V, P) grad_B b_r."""
         r = self.P_loc
-        b = self.b[r]
-        V_ln = float(Vf @ self.db_fiber[r]) / b
-        gVP = float(Vf @ self.gF[r] @ self.Pc)
-        return (V_ln * self.Pc + (self.P_b(r) / b) * Vf + self.nablaF_V_P(Vf)
+        b = self.b[r][:, None]
+        V_ln = _dot(Vf, self.db_fiber[r])[:, None] / b
+        gVP = _quad(Vf, self.gF[r], self.Pc)[:, None]
+        return (V_ln * self.Pc + (self.P_b(r)[:, None] / b) * Vf + self.nablaF_V_P(Vf)
                 - (gVP / b) * self.grad_F(r))
 
+    @_once
     def nabla_P(self):
         """Levi-Civita nabla P within P's block: column a holds the block
-        components of nabla_{d_a} P for the block's coordinate vector d_a."""
+        components of nabla_{d_a} P for the block's coordinate vector d_a,
+        shape (N, d, d)."""
         if self.P_loc == "base":
-            return self.dPc.T  # flat base
-        return np.array([self._fiber_nabla_P(e) for e in np.eye(self.dims[self.P_loc])]).T
+            return np.swapaxes(self.dPc, 1, 2)  # flat base
+        return np.stack([self._fiber_nabla_P(e) for e in np.eye(self.dims[self.P_loc])],
+                        axis=-1)
 
     def g_W_nabla_V_P(self, W: BlockVector, V: BlockVector):
         """g(W, nabla_V P) for W, V on P's block, or on one fiber without P
-        (where nabla_V P = 0); (k, d) stacks give one value per pair."""
+        (where nabla_V P = 0); out[p, w, v] over the stacked vectors."""
         if V.block != self.P_loc:
-            return np.zeros(W.components.shape[:-1] + V.components.shape[:-1])
-        return self.g_inner_block(V.block, W.components, V.components @ self.nabla_P().T)
+            return np.zeros((len(self.p), len(W.components), len(V.components)))
+        return self.g_inner_block(V.block, W.components,
+                                  V.components @ np.swapaxes(self.nabla_P(), 1, 2))
 
     def dpi(self, A: BlockVector, B: BlockVector):
         """Exterior derivative dpi(A, B) = A(pi(B)) - B(pi(A)) - pi([A, B]);
-        (k, d) stacks give one value per pair."""
+        out[p, a, b] over the stacked vectors."""
         a, bv = A.components, B.components
         r = self.P_loc
         if r == "base" and A.block == B.block == "base":
             dpiB = self.dPc @ self.gB  # dpiB[a, b] = d_a(g_bc P^c) = d_a P^c g_cb
-            return a @ (dpiB - dpiB.T) @ bv.T
+            return a @ (dpiB - np.swapaxes(dpiB, 1, 2)) @ bv.T
         if r is not None and r != "base":
+            ln_b = self.b[r][:, None]
             if A.block == "base" and B.block == r:
-                return 2.0 * _outer(a @ self.db_base[r] / self.b[r], self.pi(B))
+                return 2.0 * _outer(_mv(a, self.db_base[r]) / ln_b, self.pi(B))
             if A.block == r and B.block == "base":
-                return -2.0 * _outer(self.pi(A), bv @ self.db_base[r] / self.b[r])
+                return -2.0 * _outer(self.pi(A), _mv(bv, self.db_base[r]) / ln_b)
             if A.block == B.block == r:
                 gf = self.gF[r]
-                gfP = gf @ self.Pc
+                gfP = _mv(gf, self.Pc)
                 # d_beta pi_gamma = 2 b (d_beta b) (g_F P)_gamma + b^2 d_beta(g_F P)_gamma
-                dgfP = (np.einsum("bgc,c->bg", self.dgF[r], self.Pc)
-                        + np.einsum("bc,cg->bg", self.dPc, gf))
-                dpi_ff = 2.0 * self.b[r] * _outer(self.db_fiber[r], gfP) + self.b[r] ** 2 * dgfP
-                return a @ (dpi_ff - dpi_ff.T) @ bv.T
-        return np.zeros(a.shape[:-1] + bv.shape[:-1])
+                dgfP = (np.einsum("pbgc,pc->pbg", self.dgF[r], self.Pc)
+                        + np.einsum("pbc,pcg->pbg", self.dPc, gf))
+                dpi_ff = ((2.0 * self.b[r])[:, None, None] * _outer(self.db_fiber[r], gfP)
+                          + self.b2[r][:, None, None] * dgfP)
+                return a @ (dpi_ff - np.swapaxes(dpi_ff, 1, 2)) @ bv.T
+        return np.zeros((len(self.p), len(a), len(bv)))
 
 
 def _cache_jets(spec, P, points):
@@ -303,6 +381,8 @@ def _cache_jets(spec, P, points):
     warpings, every fiber metric entry and P's components at its rows, from
     one eval_jet walk."""
     pts = spec.point_stack(points)
+    if not len(pts):
+        raise WarpcurvError("point stack has no points")
     spec.check_point(pts)
     entries = [e for i, f in enumerate(spec.fibers)
                for row in f.geometry.metric_exprs(spec.fiber_coord_names(i)) for e in row]
@@ -315,12 +395,6 @@ def _cache_jets(spec, P, points):
 
 # ---------------------------------------------------------------------------
 # Argument stacks
-
-
-def coordinate_stack(spec, block):
-    """The coordinate vectors of `block` as one (d, d) stack."""
-    sl = spec.block_slice(block)
-    return BlockVector(block, np.eye(sl.stop - sl.start))
 
 
 def _check_kind(kind):
@@ -410,7 +484,8 @@ class _SweepPlan(NamedTuple):
 @functools.lru_cache(maxsize=64)
 def _sweep_plan(n, dims, r, sym):
     """The sweep plan of base dimension n, fiber dimensions dims and P's
-    block r on the dispatched view, for the symmetrized kind if sym."""
+    block r on the dispatched view, for the symmetrized kind if sym.  Its
+    slices index values with a leading point axis."""
     blocks = ["base", *range(len(dims))]
     bounds = np.cumsum([0, n, *dims])
     sl = {b: slice(int(bounds[k]), int(bounds[k + 1])) for k, b in enumerate(blocks)}
@@ -421,7 +496,7 @@ def _sweep_plan(n, dims, r, sym):
     triples = [t for t in itertools.product(blocks, repeat=3) if not _distinct_fibers(*t)]
 
     def where(t):
-        return (_ALL, *(sl[b] for b in t))
+        return (_ALL, _ALL, *(sl[b] for b in t))
 
     dpi_zero = None
     if sym:
@@ -438,7 +513,7 @@ def _sweep_plan(n, dims, r, sym):
         dpi_zero=dpi_zero,
         nabla_pairs=[(i, j) for (i, bx), (j, by) in itertools.product(enumerate(blocks), repeat=2)
                      if not _zero_nabla(bx, by, r, sym)],
-        ricci=[(frames[bx], frames[by], (sl[bx], sl[by]))
+        ricci=[(frames[bx], frames[by], (_ALL, sl[bx], sl[by]))
                for bx, by in itertools.product(blocks, repeat=2) if not _zero_ricci(bx, by)],
     )
 
@@ -454,24 +529,24 @@ def _plan(c, kind):
 # Covariant derivative clauses
 #
 # Each clause takes (k, d) stacks and returns the ambient components of its
-# value for every combination of their vectors, one axis per argument:
-# out[l, x, y] for nabla_X Y.
+# value at each point for every combination of their vectors, one axis per
+# argument: out[p, l, x, y] for nabla_X Y.
 
 
 def structured_covariant_derivative(c, kind, frames):
-    """Covariant derivative at the cache's point over per-block stacks:
+    """Covariant derivative over per-block stacks at the cache's points:
     `frames` holds one (k, d) `BlockVector` stack per block, base first,
-    and out[l, A, B] is the ambient component l of nabla_{V_A} V_B for the
-    stacked vectors V, one block clause call per block pair that the
-    layout's sweep plan does not know to be zero."""
+    and out[p, l, A, B] is the ambient component l of nabla_{V_A} V_B at
+    point p for the stacked vectors V, one block clause call per block pair
+    that the layout's sweep plan does not know to be zero."""
     _check_kind(kind)
     _check_blocks(c.spec, frames)
     rows = np.cumsum([0] + [len(F.components) for F in frames])
-    out = np.zeros((c.nbar, rows[-1], rows[-1]))
+    out = np.zeros((len(c.p), c.nbar, rows[-1], rows[-1]))
     for i, j in _plan(c, kind).nabla_pairs:
-        out[:, rows[i]:rows[i + 1], rows[j]:rows[j + 1]] = _covariant_block(
+        out[:, :, rows[i]:rows[i + 1], rows[j]:rows[j + 1]] = _covariant_block(
             c, kind, frames[i], frames[j])
-    return out
+    return c.as_given(out)
 
 
 def _covariant_block(c, kind, X, Y):
@@ -479,27 +554,29 @@ def _covariant_block(c, kind, X, Y):
     Levi-Civita clause plus pi(Y) X, and pi(X) Y for the symmetrized kind."""
     out = _levi_civita_derivative(c, X, Y)
     if kind in (ConnectionKind.SEMI_SYMMETRIC_NON_METRIC, ConnectionKind.SYMMETRIZED_AFFINE):
-        out[c.spec.block_slice(X.block)] += np.einsum("y,xl->lxy", c.pi(Y), X.components)
+        out[:, c.spec.block_slice(X.block)] += np.einsum("py,xl->plxy", c.pi(Y), X.components)
     if kind == ConnectionKind.SYMMETRIZED_AFFINE:
-        out[c.spec.block_slice(Y.block)] += np.einsum("x,yl->lxy", c.pi(X), Y.components)
+        out[:, c.spec.block_slice(Y.block)] += np.einsum("px,yl->plxy", c.pi(X), Y.components)
     return out
 
 
 def _levi_civita_derivative(c, X, Y):
     """Levi-Civita nabla_X Y for constant-component X, Y."""
     x, y = X.components, Y.components
-    out = np.zeros((c.nbar, len(x), len(y)))
+    out = np.zeros((len(c.p), c.nbar, len(x), len(y)))
     if X.block == "base" and Y.block == "base":
         return out  # flat base
 
     if X.block == "base":
         i = Y.block
-        out[c.spec.block_slice(i)] = np.einsum("x,yl->lxy", x @ c.db_base[i] / c.b[i], y)
+        out[:, c.spec.block_slice(i)] = np.einsum(
+            "px,yl->plxy", _mv(x, c.db_base[i]) / c.b[i][:, None], y)
         return out
 
     if Y.block == "base":
         i = X.block
-        out[c.spec.block_slice(i)] = np.einsum("y,xl->lxy", y @ c.db_base[i] / c.b[i], x)
+        out[:, c.spec.block_slice(i)] = np.einsum(
+            "py,xl->plxy", _mv(y, c.db_base[i]) / c.b[i][:, None], x)
         return out
 
     i, j = X.block, Y.block
@@ -507,20 +584,20 @@ def _levi_civita_derivative(c, X, Y):
         return out
 
     # same fiber: twisted-product formula
-    b = c.b[i]
+    b = c.b[i][:, None]
     gUW = x @ c.gF[i] @ y.T
-    out[c.spec.block_slice(i)] = (
-        np.einsum("x,yl->lxy", x @ c.db_fiber[i] / b, y)
-        + np.einsum("y,xl->lxy", y @ c.db_fiber[i] / b, x)
-        + np.einsum("cab,xa,yb->cxy", c.GF[i], x, y)
-        - _outer(c.grad_F(i), gUW / b)
+    out[:, c.spec.block_slice(i)] = (
+        np.einsum("px,yl->plxy", _mv(x, c.db_fiber[i]) / b, y)
+        + np.einsum("py,xl->plxy", _mv(y, c.db_fiber[i]) / b, x)
+        + np.einsum("pcab,xa,yb->pcxy", c.GF[i], x, y)
+        - _outer(c.grad_F(i), gUW / b[:, :, None])
     )
-    out[: c.n] = -_outer(c.grad_B(i), b * gUW)
+    out[:, : c.n] = -_outer(c.grad_B(i), b[:, :, None] * gUW)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Curvature clauses: out[l, x, y, z] for R(X, Y)Z
+# Curvature clauses: out[p, l, x, y, z] for R(X, Y)Z
 
 
 def _curvature_block(c, kind, X, Y, Z):
@@ -538,7 +615,7 @@ def _dpi_term(c, out, dpi, Z):
     """Add [X(pi(Y)) - Y(pi(X)) - pi([X,Y])] Z = dpi(X, Y) Z, the
     symmetrized kind's term, to the block `out` of R(X, Y)Z, given
     dpi = dpi(X, Y)."""
-    out[c.spec.block_slice(Z.block)] += np.einsum("xy,zl->lxyz", dpi, Z.components)
+    out[:, c.spec.block_slice(Z.block)] += np.einsum("pxy,zl->plxyz", dpi, Z.components)
 
 
 def _distinct_fibers(bX, bY, bZ):
@@ -559,43 +636,43 @@ def _mirrored(bX, bY, bZ):
 
 
 def structured_curvature(c, kind):
-    """Whole curvature tensor out[l, a, b, d] = R(e_a, e_b)e_d at the
-    cache's point, shape (n_bar,) * 4, from the layout's sweep plan: one
-    block clause call per block triple over the coordinate vectors of each
-    block, except the triples the plan knows to be zero, which stay zero.
-    Each mirrored triple runs no clause: its slice is its mirror's clause
-    value with the X and Y axes swapped and the sign flipped, taken before
-    the dpi term of the symmetrized kind, so it holds the bits of its own
-    clause.  The dpi term runs where dpi(X, Y) can be non-zero; elsewhere
-    the rows of Z's block get the +0.0 that the zero term adds."""
+    """Whole curvature tensor out[p, l, a, b, d] = R(e_a, e_b)e_d at each of
+    the cache's points, from the layout's sweep plan: one block clause call
+    per block triple over the coordinate vectors of each block, except the
+    triples the plan knows to be zero, which stay zero.  Each mirrored
+    triple runs no clause: its slice is its mirror's clause value with the
+    X and Y axes swapped and the sign flipped, taken before the dpi term of
+    the symmetrized kind, so it holds the bits of its own clause.  The dpi
+    term runs where dpi(X, Y) can be non-zero; elsewhere the rows of Z's
+    block get the +0.0 that the zero term adds."""
     _check_kind(kind)
     c, clause, sym = _dispatch(c, kind, _curv_p_base, _curv_p_fiber)
     plan = _sweep_plan(c.n, c.dims, c.P_loc, sym)
-    out = np.zeros((c.nbar,) * 4)
+    out = np.zeros((len(c.p),) + (c.nbar,) * 4)
     for X, Y, Z, where in plan.clauses:
         out[where] = clause(c, X, Y, Z)
     # a mirror is never mirrored, so no entry read here is written here
-    np.negative(out.swapaxes(1, 2), out=out, where=plan.mirrored)
+    np.negative(out.swapaxes(2, 3), out=out, where=plan.mirrored)
     if sym:
         np.add(out, 0.0, out=out, where=plan.dpi_zero)
         for X, Y, targets in plan.dpi:
             dpi = c.dpi(X, Y)
             for Z, where in targets:
                 _dpi_term(c, out[where], dpi, Z)
-    return out
+    return c.as_given(out)
 
 
 def _antisym(clause, c, X, Y, Z):
     """R(X, Y)Z = -R(Y, X)Z."""
-    return -np.swapaxes(clause(c, Y, X, Z), 1, 2)
+    return -np.swapaxes(clause(c, Y, X, Z), 2, 3)
 
 
 def _p_block_terms(c, X, Y, Z):
     """P terms of R(X, Y)Z for X, Y, Z on P's block:
     [g(Z, nabla_X P) - pi(Z) pi(X)] Y - [g(Z, nabla_Y P) - pi(Z) pi(Y)] X."""
     piX, piY, piZ = c.pi(X), c.pi(Y), c.pi(Z)
-    return (np.einsum("zx,yl->lxyz", c.g_W_nabla_V_P(Z, X) - _outer(piZ, piX), Y.components)
-            - np.einsum("zy,xl->lxyz", c.g_W_nabla_V_P(Z, Y) - _outer(piZ, piY), X.components))
+    return (np.einsum("pzx,yl->plxyz", c.g_W_nabla_V_P(Z, X) - _outer(piZ, piX), Y.components)
+            - np.einsum("pzy,xl->plxyz", c.g_W_nabla_V_P(Z, Y) - _outer(piZ, piY), X.components))
 
 
 def _curv_p_base(c, X, Y, Z):
@@ -605,19 +682,19 @@ def _curv_p_base(c, X, Y, Z):
     if _mirrored(bX, bY, bZ):
         return _antisym(_curv_p_base, c, X, Y, Z)
     x, y, z = X.components, Y.components, Z.components
-    out = np.zeros((c.nbar, len(x), len(y), len(z)))
+    out = np.zeros((len(c.p), c.nbar, len(x), len(y), len(z)))
 
     if bX == "base" and bY == "base" and bZ == "base":
         # flat base: only the pi terms of P on the base curve it
         if c.P_loc == "base":
-            out[: c.n] = _p_block_terms(c, X, Y, Z)
+            out[:, : c.n] = _p_block_terms(c, X, Y, Z)
         return out
 
     if bX != "base" and bY == "base" and bZ == "base":
         i = bX
-        coef = (y @ c.H_bb[i] @ z.T / c.b[i] + c.g_W_nabla_V_P(Z, Y).T
-                - _outer(c.pi(Y), c.pi(Z)))
-        out[c.spec.block_slice(i)] = -np.einsum("yz,xl->lxyz", coef, x)
+        coef = (y @ c.H_bb[i] @ z.T / c.b[i][:, None, None]
+                + np.swapaxes(c.g_W_nabla_V_P(Z, Y), 1, 2) - _outer(c.pi(Y), c.pi(Z)))
+        out[:, c.spec.block_slice(i)] = -np.einsum("pyz,xl->plxyz", coef, x)
         return out
 
     if bX == "base" and bY == "base" and bZ != "base":
@@ -627,8 +704,8 @@ def _curv_p_base(c, X, Y, Z):
         i, j = bX, bY
         if i == j:
             d2 = c._d2_ln_fb(i)
-            out[c.spec.block_slice(i)] = (np.einsum("xz,yl->lxyz", x @ d2 @ z.T, y)
-                                          - np.einsum("yz,xl->lxyz", y @ d2 @ z.T, x))
+            out[:, c.spec.block_slice(i)] = (np.einsum("pxz,yl->plxyz", x @ d2 @ z.T, y)
+                                             - np.einsum("pyz,xl->plxyz", y @ d2 @ z.T, x))
         return out
 
     if bX == "base" and bY != "base" and bZ != "base":
@@ -636,14 +713,14 @@ def _curv_p_base(c, X, Y, Z):
         if i != j:
             return out
         # R(X, V)W with V, W on the same fiber: X(W(ln b_i)) V - g(W, V) bracket
-        b = c.b[i]
+        b = c.b[i][:, None, None]
         sl = c.spec.block_slice(i)
         d2 = c._d2_ln_fb(i)
-        out[sl] = np.einsum("zx,yl->lxyz", z @ d2 @ x.T, y)
-        bracket = np.zeros((c.nbar, len(x)))
-        bracket[: c.n] = c.gBinv @ c.H_bb[i] @ x.T / b + (c.P_b(i) / b) * x.T
-        bracket[sl] = c.gFinv[i] @ d2 @ x.T / b**2
-        out -= np.einsum("lx,zy->lxyz", bracket, c.g_inner_block(i, z, y))
+        out[:, sl] = np.einsum("pzx,yl->plxyz", z @ d2 @ x.T, y)
+        bracket = np.zeros((len(c.p), c.nbar, len(x)))
+        bracket[:, : c.n] = c.gBinv @ c.H_bb[i] @ x.T / b + (c.P_b(i)[:, None, None] / b) * x.T
+        bracket[:, sl] = c.gFinv[i] @ d2 @ x.T / c.b2[i][:, None, None]
+        out -= np.einsum("plx,pzy->plxyz", bracket, c.g_inner_block(i, z, y))
         return out
 
     i, j, k = bX, bY, bZ  # all fibers
@@ -651,9 +728,9 @@ def _curv_p_base(c, X, Y, Z):
         return _curv_same_fiber(c, X, Y, Z)
     if j == k and i != j:
         # R(U, V)W with V, W in one fiber, U in another
-        coef = c.grad_inner_B(j, i) / (c.b[i] * c.b[j]) + c.P_b(j) / c.b[j]
-        out[c.spec.block_slice(i)] = -coef * np.einsum("yz,xl->lxyz",
-                                                       c.g_inner_block(j, y, z), x)
+        coef = c.grad_inner_B[:, j, i] / (c.b[i] * c.b[j]) + c.P_b(j) / c.b[j]
+        out[:, c.spec.block_slice(i)] = -coef[:, None, None, None, None] * np.einsum(
+            "pyz,xl->plxyz", c.g_inner_block(j, y, z), x)
         return out
     return out  # i == j != k, or all distinct
 
@@ -670,27 +747,29 @@ def _curv_same_fiber(c, X, Y, Z):
     sl = c.spec.block_slice(i)
     gUW = c.g_inner_block(i, x, z)
     gVW = c.g_inner_block(i, y, z)
-    coef = c.grad_inner_B(i, i) / b**2 + c.P_b(i) / b
+    coef = c.grad_inner_B[:, i, i] / c.b2[i] + c.P_b(i) / b
     d2 = c._d2_ln_fb(i)
-    S_U = np.zeros((c.nbar, len(x)))
-    S_V = np.zeros((c.nbar, len(y)))
-    S_U[: c.n] = c.gBinv @ (x @ d2).T
-    S_V[: c.n] = c.gBinv @ (y @ d2).T
-    if c.fiber_twisted(i):
+    S_U = np.zeros((len(c.p), c.nbar, len(x)))
+    S_V = np.zeros((len(c.p), c.nbar, len(y)))
+    S_U[:, : c.n] = c.gBinv @ np.swapaxes(x @ d2, 1, 2)
+    S_V[:, : c.n] = c.gBinv @ np.swapaxes(y @ d2, 1, 2)
+    if c.twisted[i]:
         # fiber-direction second derivatives of ln b_i, absent for warpings
-        b2 = b**2
+        b2 = c.b2[i]
         dk = c.k_fiber(i)
         Hk = c.hessF_k(i)
-        coef += c.gradF_k_norm2(i) / b2
-        A_UW = coef * gUW + x @ Hk @ z.T - _outer(x @ dk, z @ dk)
-        A_VW = coef * gVW + y @ Hk @ z.T - _outer(y @ dk, z @ dk)
-        S_U[sl] = (c.gFinv[i] @ Hk @ x.T - _outer(c.gradF_k(i), x @ dk)) / b2
-        S_V[sl] = (c.gFinv[i] @ Hk @ y.T - _outer(c.gradF_k(i), y @ dk)) / b2
+        coef = (coef + c.gradF_k_norm2(i) / b2)[:, None, None]
+        A_UW = coef * gUW + x @ Hk @ z.T - _outer(_mv(x, dk), _mv(z, dk))
+        A_VW = coef * gVW + y @ Hk @ z.T - _outer(_mv(y, dk), _mv(z, dk))
+        b2 = b2[:, None, None]
+        S_U[:, sl] = (c.gFinv[i] @ Hk @ x.T - _outer(c.gradF_k(i), _mv(x, dk))) / b2
+        S_V[:, sl] = (c.gFinv[i] @ Hk @ y.T - _outer(c.gradF_k(i), _mv(y, dk))) / b2
     else:
+        coef = coef[:, None, None]
         A_UW, A_VW = coef * gUW, coef * gVW
-    out = np.einsum("xz,ly->lxyz", gUW, S_V) - np.einsum("yz,lx->lxyz", gVW, S_U)
-    out[sl] += (np.einsum("abcd,xb,yc,zd->axyz", c.RF[i], x, y, z)
-                + np.einsum("xz,yl->lxyz", A_UW, y) - np.einsum("yz,xl->lxyz", A_VW, x))
+    out = np.einsum("pxz,ply->plxyz", gUW, S_V) - np.einsum("pyz,plx->plxyz", gVW, S_U)
+    out[:, sl] += (np.einsum("pabcd,xb,yc,zd->paxyz", c.RF[i], x, y, z)
+                   + np.einsum("pxz,yl->plxyz", A_UW, y) - np.einsum("pyz,xl->plxyz", A_VW, x))
     return out
 
 
@@ -706,40 +785,40 @@ def _curv_p_fiber(c, X, Y, Z):
     x, y, z = X.components, Y.components, Z.components
 
     def ln_b(v):
-        """v(ln b_r) for base vectors v."""
-        return v @ c.db_base[r] / c.b[r]
+        """v(ln b_r) at each point for base vectors v."""
+        return _mv(v, c.db_base[r]) / c.b[r][:, None]
 
     if bX == "base" and bY == "base":
         if bZ == r:
             piZ = c.pi(Z)
-            out[: c.n] += (np.einsum("z,x,yl->lxyz", piZ, ln_b(x), y)
-                           - np.einsum("z,y,xl->lxyz", piZ, ln_b(y), x))
+            out[:, : c.n] += (np.einsum("pz,px,yl->plxyz", piZ, ln_b(x), y)
+                              - np.einsum("pz,py,xl->plxyz", piZ, ln_b(y), x))
     elif bY == "base":  # R(V, X)Y
         if bX == r:
-            out[: c.n] -= np.einsum("x,z,yl->lxyz", c.pi(X), ln_b(z), y)
+            out[:, : c.n] -= np.einsum("px,pz,yl->plxyz", c.pi(X), ln_b(z), y)
     elif bZ == "base":  # R(U, V)X
         if bX == r:
-            out[c.spec.block_slice(bY)] -= np.einsum("x,z,yl->lxyz", c.pi(X), ln_b(z), y)
+            out[:, c.spec.block_slice(bY)] -= np.einsum("px,pz,yl->plxyz", c.pi(X), ln_b(z), y)
         if bY == r:
-            out[c.spec.block_slice(bX)] += np.einsum("y,z,xl->lxyz", c.pi(Y), ln_b(z), x)
+            out[:, c.spec.block_slice(bX)] += np.einsum("py,pz,xl->plxyz", c.pi(Y), ln_b(z), x)
     elif bX == "base":  # R(X, V)W
-        out[c.spec.block_slice(bY)] += np.einsum("x,z,yl->lxyz", ln_b(x), c.pi(Z), y)
+        out[:, c.spec.block_slice(bY)] += np.einsum("px,pz,yl->plxyz", ln_b(x), c.pi(Z), y)
         if bY == bZ:
-            out[: c.n] += np.einsum("zy,xl->lxyz",
-                                    _outer(c.pi(Z), c.pi(Y)) - c.g_W_nabla_V_P(Z, Y), x)
+            out[:, : c.n] += np.einsum("pzy,xl->plxyz",
+                                       _outer(c.pi(Z), c.pi(Y)) - c.g_W_nabla_V_P(Z, Y), x)
     elif bX == bY == bZ:  # R(U, V)W on one fiber
         if bX == r:
-            out[c.spec.block_slice(r)] += _p_block_terms(c, X, Y, Z)
+            out[:, c.spec.block_slice(r)] += _p_block_terms(c, X, Y, Z)
     elif bY == bZ:  # R(U, V)W: V, W in fiber j, U in fiber i
         piZ = c.pi(Z)
-        out[c.spec.block_slice(bX)] += np.einsum(
-            "zy,xl->lxyz", _outer(piZ, c.pi(Y)) - c.g_W_nabla_V_P(Z, Y), x)
-        out[c.spec.block_slice(bY)] -= np.einsum("z,x,yl->lxyz", piZ, c.pi(X), y)
+        out[:, c.spec.block_slice(bX)] += np.einsum(
+            "pzy,xl->plxyz", _outer(piZ, c.pi(Y)) - c.g_W_nabla_V_P(Z, Y), x)
+        out[:, c.spec.block_slice(bY)] -= np.einsum("pz,px,yl->plxyz", piZ, c.pi(X), y)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Ricci clauses: out[x, y] for Ric(X, Y)
+# Ricci clauses: out[p, x, y] for Ric(X, Y)
 
 
 def _ricci_block(c, kind, X, Y):
@@ -755,28 +834,28 @@ def _ricci_p_base(c, X, Y):
     x, y = X.components, Y.components
     if bX == "base" and bY == "base":
         # g(Y, nabla_X P) - pi(X) pi(Y): zero unless P is on the base
-        p_term = c.g_W_nabla_V_P(Y, X).T - _outer(c.pi(X), c.pi(Y))
+        p_term = np.swapaxes(c.g_W_nabla_V_P(Y, X), 1, 2) - _outer(c.pi(X), c.pi(Y))
         total = (c.n - 1) * p_term
         for i in range(c.m):
-            total = total + c.dims[i] * (x @ c.H_bb[i] @ y.T / c.b[i] + p_term)
+            total = total + c.dims[i] * (x @ c.H_bb[i] @ y.T / c.b[i][:, None, None] + p_term)
         return total
     if bX == "base":  # Ric(X, V) = (l_i - 1) V(X(ln b_i))
-        return (c.dims[bY] - 1) * (x @ c._d2_ln_fb(bY).T @ y.T)
+        return (c.dims[bY] - 1) * (x @ np.swapaxes(c._d2_ln_fb(bY), 1, 2) @ y.T)
     if bY == "base":
         return (c.dims[bX] - 1) * (x @ c._d2_ln_fb(bX) @ y.T)
     i, j = bX, bY
     if i != j:
-        return np.zeros((len(x), len(y)))
+        return np.zeros((len(c.p), len(x), len(y)))
     bracket = c.lap_B(i) / c.b[i]
-    bracket += (c.dims[i] - 1) * c.grad_inner_B(i, i) / c.b[i] ** 2
+    bracket = bracket + (c.dims[i] - 1) * c.grad_inner_B[:, i, i] / c.b2[i]
     for j2 in range(c.m):
         if j2 != i:
-            bracket += c.dims[j2] * c.grad_inner_B(i, j2) / (c.b[i] * c.b[j2])
+            bracket = bracket + c.dims[j2] * c.grad_inner_B[:, i, j2] / (c.b[i] * c.b[j2])
     if c.P_loc == "base":
         # weight (nbar - 1) on P(b_i)/b_i: forced by the frame trace of the
         # curvature clauses and confirmed against the generic oracle
-        bracket += (c.nbar - 1) * c.P_b(i) / c.b[i]
-    return (x @ c.RicF[i] @ y.T + bracket * c.g_inner_block(i, x, y)
+        bracket = bracket + (c.nbar - 1) * c.P_b(i) / c.b[i]
+    return (x @ c.RicF[i] @ y.T + bracket[:, None, None] * c.g_inner_block(i, x, y)
             + _ricci_twist_extra(c, i, x, y))
 
 
@@ -786,36 +865,38 @@ def _ricci_p_fiber(c, X, Y):
     nbar = c.nbar
     bX, bY = X.block, Y.block
     val = _ricci_p_base(c.without_p(), X, Y)
+    ln_b = c.b[r][:, None]
     if bX != "base" and bY == "base":  # Ric(V, X)
-        val += (1 - nbar) * _outer(c.pi(X), Y.components @ c.db_base[r] / c.b[r])
+        val += (1 - nbar) * _outer(c.pi(X), _mv(Y.components, c.db_base[r]) / ln_b)
     elif bX == "base" and bY != "base":  # Ric(X, V)
-        val += (nbar - 1) * _outer(X.components @ c.db_base[r] / c.b[r], c.pi(Y))
+        val += (nbar - 1) * _outer(_mv(X.components, c.db_base[r]) / ln_b, c.pi(Y))
     elif bX == bY != "base":
-        val += (nbar - 1) * (c.g_W_nabla_V_P(Y, X).T - _outer(c.pi(X), c.pi(Y)))
+        val += (nbar - 1) * (np.swapaxes(c.g_W_nabla_V_P(Y, X), 1, 2) - _outer(c.pi(X), c.pi(Y)))
     return val
 
 
 def _ricci_twist_extra(c, i, x, y):
     """Fiber-Hessian contribution to Ric(V, W), zero for plain warpings."""
-    if not c.fiber_twisted(i):
+    if not c.twisted[i]:
         return 0.0
     l = c.dims[i]
-    b2 = c.b[i] ** 2
+    b2 = c.b2[i]
     dk = c.k_fiber(i)
     val = (l - 2) * (x @ c.hessF_k(i) @ y.T)
-    val += (2 - l) * _outer(x @ dk, y @ dk)
-    val += c.g_inner_block(i, x, y) * (c.lapF_k(i) / b2 + (l - 2) * c.gradF_k_norm2(i) / b2)
-    return val
+    val = val + (2 - l) * _outer(_mv(x, dk), _mv(y, dk))
+    return val + c.g_inner_block(i, x, y) * (
+        c.lapF_k(i) / b2 + (l - 2) * c.gradF_k_norm2(i) / b2)[:, None, None]
 
 
 def structured_ricci_matrix(c, kind):
-    """Full Ricci matrix at the cache's point, one block clause call per
-    block pair that the layout's sweep plan does not know to be zero."""
+    """Full Ricci matrix out[p, a, b] at each of the cache's points, one
+    block clause call per block pair that the layout's sweep plan does not
+    know to be zero."""
     _check_kind(kind)
-    out = np.zeros((c.nbar, c.nbar))
+    out = np.zeros((len(c.p), c.nbar, c.nbar))
     for X, Y, where in _plan(c, kind).ricci:
         out[where] = _ricci_block(c, kind, X, Y)
-    return out
+    return c.as_given(out)
 
 
 # ---------------------------------------------------------------------------
@@ -823,8 +904,8 @@ def structured_ricci_matrix(c, kind):
 
 
 def structured_scalar(c, kind):
-    """Scalar curvature at the cache's point from the closed-form trace
-    expressions.
+    """Scalar curvature at each of the cache's points from the closed-form
+    trace expressions.
 
     P on the base uses the div_B P - pi(P) form; P on fiber r uses the
     (1 - nbar) pi(P) + (nbar - 1) sum_j eps_j g(nabla_{E_j} P, E_j) form,
@@ -836,32 +917,29 @@ def structured_scalar(c, kind):
     if kind == ConnectionKind.LEVI_CIVITA:
         c = c.without_p()
 
-    total = 0.0
+    total = c.zeros
     for i in range(c.m):
-        total += 2.0 * c.dims[i] * c.lap_B(i) / c.b[i]
-        total += c.spec.fibers[i].scalar_curvature / c.b[i] ** 2
-        total += c.dims[i] * (c.dims[i] - 1) * c.grad_inner_B(i, i) / c.b[i] ** 2
+        b, b2, l = c.b[i], c.b2[i], c.dims[i]
+        total = total + 2.0 * l * c.lap_B(i) / b
+        total = total + c.spec.fibers[i].scalar_curvature / b2
+        total = total + l * (l - 1) * c.grad_inner_B[:, i, i] / b2
         for j in range(c.m):
             if j != i:
-                total += c.dims[i] * c.dims[j] * c.grad_inner_B(i, j) / (c.b[i] * c.b[j])
-        if c.fiber_twisted(i):
-            l = c.dims[i]
-            b2 = c.b[i] ** 2
-            total += 2.0 * (l - 1) * c.lapF_k(i) / b2
-            total += (l - 1) * (l - 2) * c.gradF_k_norm2(i) / b2
+                total = total + l * c.dims[j] * c.grad_inner_B[:, i, j] / (b * c.b[j])
+        if c.twisted[i]:
+            total = total + 2.0 * (l - 1) * c.lapF_k(i) / b2
+            total = total + (l - 1) * (l - 2) * c.gradF_k_norm2(i) / b2
 
-    if c.P_loc is None:
-        return total
     if c.P_loc == "base":
         div_term = c.div_B_P() - c.pi_P()
-        total += (c.n - 1) * div_term  # flat-base scalar of the modified base connection
+        total = total + (c.n - 1) * div_term  # flat-base scalar of the modified base connection
         for i in range(c.m):
-            total += (c.n - 1) * c.dims[i] * c.P_b(i) / c.b[i]
+            total = total + (c.n - 1) * c.dims[i] * c.P_b(i) / c.b[i]
             for j in range(c.m):
-                total += c.dims[i] * c.dims[j] * c.P_b(j) / c.b[j]
-            total += c.dims[i] * div_term
-        return total
-    r = c.P_loc
-    total += (1 - c.nbar) * c.pi_P()
-    total += (c.nbar - 1) * (c.dims[r] * c.P_b(r) / c.b[r] + c.div_F_P())
-    return total
+                total = total + c.dims[i] * c.dims[j] * c.P_b(j) / c.b[j]
+            total = total + c.dims[i] * div_term
+    elif c.P_loc is not None:
+        r = c.P_loc
+        total = total + (1 - c.nbar) * c.pi_P()
+        total = total + (c.nbar - 1) * (c.dims[r] * c.P_b(r) / c.b[r] + c.div_F_P())
+    return c.as_given(total)

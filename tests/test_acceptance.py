@@ -14,6 +14,7 @@ import numpy as np
 
 from connection_reference import mixed_ricci_flat_check
 from conftest import (
+    coordinate_stack,
     grw_scalar_threshold,
     kasner_scalar_threshold,
     make_zoo,
@@ -44,7 +45,6 @@ from warpcurv.geometry import (
 )
 from warpcurv.structured import (
     StructuredGeometryCache,
-    coordinate_stack,
     structured_ricci_matrix,
     structured_scalar,
 )
@@ -206,7 +206,7 @@ def test_acceptance_6_torsion_free_ricci_identities():
             for U in frames:
                 for V in frames:
                     corrected[spec.block_slice(U.block), spec.block_slice(V.block)] += \
-                        cache.dpi(U, V)
+                        cache.dpi(U, V)[0]
             worst_fiber = max(worst_fiber, float(np.max(np.abs(corrected - oracle))))
     verdict(6, "torsion-free Ricci identities",
             worst_base < 1e-9 and worst_fiber < 1e-10,

@@ -179,20 +179,21 @@ def _per_point_torsion_rows(spec, P, lam, grid):
             br, dbr, ddbr = b[r, :, j]
             cross = (dims @ ratio[:, j]) - dims[r] * ratio[r, j]
             bracket = br * ddbr + (lr - 1) * dbr**2 + br * dbr * cross + lam * br**2
-            gF = c.gF[r]
-            ricF = c.RicF[r]
+            gF = c.gF[r][0]
+            ricF = c.RicF[r][0]
             for a in range(lr):
                 ea = np.zeros(lr)
                 ea[a] = 1.0
                 for bb in range(a, lr):
                     eb = np.zeros(lr)
                     eb[bb] = 1.0
-                    V = BlockVector(r, ea)
-                    W = BlockVector(r, eb)
+                    V = BlockVector(r, ea[None])
+                    W = BlockVector(r, eb[None])
                     lhs = float(ea @ ricF @ eb) - float(ea @ gF @ eb) * bracket
                     rhs = (nbar - 1) * (
-                        c.pi(V) * c.pi(W)
-                        - 0.5 * (c.g_W_nabla_V_P(W, V) + c.g_W_nabla_V_P(V, W))
+                        float(c.pi(V)[0, 0]) * float(c.pi(W)[0, 0])
+                        - 0.5 * (float(c.g_W_nabla_V_P(W, V)[0, 0, 0])
+                                 + float(c.g_W_nabla_V_P(V, W)[0, 0, 0]))
                     )
                     worst.append(lhs - rhs)
     return np.array(worst)
@@ -205,8 +206,8 @@ def _per_point_fiber_p_scalar(spec, P, grid):
     r = P.location
     for j, t in enumerate(grid):
         c = StructuredGeometryCache(spec, P, spec.make_point([t]))
-        trace = c.dims[r] * c.P_b(r) / c.b[r] + c.div_F_P()
-        total[j] += (1 - spec.n_bar) * c.pi_P() + (spec.n_bar - 1) * trace
+        trace = c.dims[r] * c.P_b(r)[0] / c.b[r][0] + c.div_F_P()[0]
+        total[j] += (1 - spec.n_bar) * c.pi_P()[0] + (spec.n_bar - 1) * trace
     return total
 
 
@@ -251,14 +252,15 @@ def test_grid_wide_fiber_checks_keep_the_per_point_bits(name, monkeypatch):
 
 
 def test_fiber_checks_build_one_cache_per_fiber_sample(monkeypatch):
+    # each check holds its fiber samples as the rows of one cache, from one
+    # jet walk over their points
     built = []
 
     class CountingCache(StructuredGeometryCache):
-        def __init__(self, spec, P, p, *jets):
-            built.append(p)
-            super().__init__(spec, P, p, *jets)
+        def __init__(self, spec, P, points):
+            built.append(len(spec.point_stack(points)))
+            super().__init__(spec, P, points)
 
-    # the caches of one loop come from one jet walk over their points
     walks = []
 
     def walk(exprs_, names, pts):
@@ -270,15 +272,15 @@ def test_fiber_checks_build_one_cache_per_fiber_sample(monkeypatch):
     spec, P = _torsion_fiber_case(*TORSION_FIBER_CASES["sphere"])
     grid = chebyshev_grid(0.1, 0.9, 9)
     pseudo_einstein_residuals(spec, P, 0.7, grid)
-    assert len(built) == 3 and walks == [3]
+    assert built == [3] and walks == [3]
     built.clear()
     walks.clear()
     multiwarped_scalar_formula(spec, P, grid)
-    assert len(built) == 1 and walks == [1]
+    assert built == [1] and walks == [1]
     built.clear()
     walks.clear()
     _constancy(spec, P, grid)
-    assert len(built) == 1 + 5 and walks == [1, 5]
+    assert built == [1, 5] and walks == [1, 5]
 
 
 @pytest.mark.parametrize("grid,error,match", [

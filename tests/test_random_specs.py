@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import make_zoo
+from conftest import coordinate_stack, make_zoo
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jet_reference import eval_value, reference_jet
@@ -36,9 +36,10 @@ from warpcurv import structured, verify
 from warpcurv.structured import (
     BlockVector,
     StructuredGeometryCache,
-    coordinate_stack,
     structured_covariant_derivative,
     structured_curvature,
+    structured_ricci_matrix,
+    structured_scalar,
 )
 from warpcurv.verify import oracle_comparison
 
@@ -185,19 +186,20 @@ def test_an_error_only_the_third_coordinate_vector_reaches_fails_its_rows(monkey
             assert np.max(np.abs(sv - riemann[np.ix_(*index)])) / scale <= BOUND, row
 
 
-def assert_tensor_is_its_block_clauses(spec, P, p):
+def assert_tensor_is_its_block_clauses(spec, P, points):
     """Under every connection kind, each block triple's slice of the whole
-    tensor holds the bits of its clause on the coordinate stacks, the
-    skipped distinct-fiber triples and the per-pair dpi term included."""
+    tensor over a stack of points holds the bits of its clause on the
+    coordinate stacks over the same points, the skipped distinct-fiber
+    triples and the per-pair dpi term included."""
     blocks = ["base", *range(spec.m)]
     frames = {b: coordinate_stack(spec, b) for b in blocks}
-    cache = StructuredGeometryCache(spec, P, p)
+    cache = StructuredGeometryCache(spec, P, points)
     for kind in ConnectionKind:
         R = structured_curvature(cache, kind)
         for bx, by, bz in itertools.product(blocks, repeat=3):
             want = structured._curvature_block(cache, kind, frames[bx], frames[by],
                                                frames[bz])
-            got = R[:, spec.block_slice(bx), spec.block_slice(by), spec.block_slice(bz)]
+            got = R[:, :, spec.block_slice(bx), spec.block_slice(by), spec.block_slice(bz)]
             assert _bytes(got) == _bytes(want), (kind, bx, by, bz)
 
 
@@ -208,15 +210,17 @@ def assert_tensor_is_its_block_clauses(spec, P, p):
 def test_whole_curvature_tensor_is_its_block_clauses_on_random_specs(recipe):
     base, geometries, twisted, p_location, _, coefs = recipe
     spec, P = build_case(base, geometries, twisted, p_location, coefs)
-    for p in spec.sample_points(2, t_range=(-0.4, 1.1)):
-        assert_tensor_is_its_block_clauses(spec, P, p)
+    points = np.array(spec.sample_points(2, t_range=(-0.4, 1.1)))
+    for stack in (points, points[:1], points[1:]):
+        assert_tensor_is_its_block_clauses(spec, P, stack)
 
 
 @pytest.mark.parametrize("case", make_zoo(), ids=[name for name, _, _ in make_zoo()])
 def test_whole_curvature_tensor_is_its_block_clauses_on_the_zoo(case):
     _, spec, P = case
-    for p in spec.sample_points(2):
-        assert_tensor_is_its_block_clauses(spec, P, p)
+    points = np.array(spec.sample_points(2))
+    for stack in (points, points[:1], points[1:]):
+        assert_tensor_is_its_block_clauses(spec, P, stack)
 
 
 @pytest.mark.parametrize("p_location", [None, "base", 1])
@@ -279,30 +283,31 @@ def stated_zero_triple(bx, by, bz, r):
     return False
 
 
-def assert_nabla_is_its_block_clauses(spec, P, p):
+def assert_nabla_is_its_block_clauses(spec, P, points):
     """Under every connection kind, each block pair's slice of the covariant
-    derivative over oracle_comparison's frames, the mixed vectors included,
-    holds the bits of its clause on those stacks, and its |S - O| against
-    the oracle contracted with the frame matrix holds the bits of |S - O|
-    against the oracle's block contracted with the pair's stacks."""
+    derivative over a stack of points and oracle_comparison's frames, the
+    mixed vectors included, holds the bits of its clause on those stacks,
+    and its |S - O| against the oracle contracted with the frame matrix
+    holds the bits of |S - O| against the oracle's block contracted with
+    the pair's stacks."""
     blocks = ["base", *range(spec.m)]
-    frames, rows, matrix = verify._cov_frames(spec, blocks)
-    cache = StructuredGeometryCache(spec, P, p)
+    frames, rows, matrix = verify._cov_frames(spec.n, spec.fiber_dims)
+    cache = StructuredGeometryCache(spec, P, points)
     span = {F.block: slice(r, r + len(F.components)) for F, r in zip(frames, rows)}
     for F in frames:
         d = F.components.shape[1]
         assert len(F.components) == d + (d >= 2), F.block  # e0 + 0.37 e1 last
     for kind in ConnectionKind:
         nabla = structured_covariant_derivative(cache, kind, frames)
-        gamma = connection_curvature(kind, spec, P, p).coefficients
-        dev = np.abs(nabla - np.einsum("kij,xi,yj->kxy", gamma, matrix, matrix))
+        gamma = connection_curvature(kind, spec, P, points).coefficients
+        dev = np.abs(nabla - np.einsum("pkij,xi,yj->pkxy", gamma, matrix, matrix))
         for X, Y in itertools.product(frames, repeat=2):
             want = structured._covariant_block(cache, kind, X, Y)
-            got = nabla[:, span[X.block], span[Y.block]]
+            got = nabla[:, :, span[X.block], span[Y.block]]
             assert _bytes(got) == _bytes(want), (kind, X.block, Y.block)
-            block = gamma[:, spec.block_slice(X.block), spec.block_slice(Y.block)]
-            ov = np.einsum("kij,xi,yj->kxy", block, X.components, Y.components)
-            assert _bytes(dev[:, span[X.block], span[Y.block]]) == _bytes(np.abs(want - ov)), \
+            block = gamma[:, :, spec.block_slice(X.block), spec.block_slice(Y.block)]
+            ov = np.einsum("pkij,xi,yj->pkxy", block, X.components, Y.components)
+            assert _bytes(dev[:, :, span[X.block], span[Y.block]]) == _bytes(np.abs(want - ov)), \
                 (kind, X.block, Y.block)
 
 
@@ -313,15 +318,57 @@ def assert_nabla_is_its_block_clauses(spec, P, p):
 def test_covariant_derivative_is_its_block_clauses_on_random_specs(recipe):
     base, geometries, twisted, p_location, _, coefs = recipe
     spec, P = build_case(base, geometries, twisted, p_location, coefs)
-    for p in spec.sample_points(2, t_range=(-0.4, 1.1)):
-        assert_nabla_is_its_block_clauses(spec, P, p)
+    points = np.array(spec.sample_points(2, t_range=(-0.4, 1.1)))
+    for stack in (points, points[:1], points[1:]):
+        assert_nabla_is_its_block_clauses(spec, P, stack)
 
 
 @pytest.mark.parametrize("case", make_zoo(), ids=[name for name, _, _ in make_zoo()])
 def test_covariant_derivative_is_its_block_clauses_on_the_zoo(case):
     _, spec, P = case
-    for p in spec.sample_points(2):
-        assert_nabla_is_its_block_clauses(spec, P, p)
+    points = np.array(spec.sample_points(2))
+    for stack in (points, points[:1], points[1:]):
+        assert_nabla_is_its_block_clauses(spec, P, stack)
+
+
+def _operations(cache, kind, frames):
+    """The four structured operations on one cache, by name."""
+    return {"nabla": structured_covariant_derivative(cache, kind, frames),
+            "curvature": structured_curvature(cache, kind),
+            "ricci": structured_ricci_matrix(cache, kind),
+            "scalar": structured_scalar(cache, kind)}
+
+
+def assert_rows_are_one_point_calls(spec, P, points):
+    """Under every kind, each row of the four operations on a stack of 1,
+    2, 3 or 5 points holds the bits, signed zeros included, of the same
+    operation on a cache made at that row's point alone, which has no
+    point axis."""
+    frames = verify._cov_frames(spec.n, spec.fiber_dims)[0]
+    for kind in ConnectionKind:
+        alone = [_operations(StructuredGeometryCache(spec, P, p), kind, frames) for p in points]
+        for size in (1, 2, 3, 5):
+            stacked = _operations(StructuredGeometryCache(spec, P, points[:size]), kind, frames)
+            for name, value in stacked.items():
+                assert len(value) == size, (kind, name)
+                for k in range(size):
+                    assert _bytes(value[k]) == _bytes(alone[k][name]), (kind, name, size, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(recipe=recipes())
+@example(recipe=P_ON_3D_FIBER)
+@example(recipe=P_ON_LAST_OF_THREE)
+def test_stacked_rows_keep_the_bits_of_one_point_calls_on_random_specs(recipe):
+    base, geometries, twisted, p_location, _, coefs = recipe
+    spec, P = build_case(base, geometries, twisted, p_location, coefs)
+    assert_rows_are_one_point_calls(spec, P, np.array(spec.sample_points(5, t_range=(-0.4, 1.1))))
+
+
+@pytest.mark.parametrize("case", make_zoo(), ids=[name for name, _, _ in make_zoo()])
+def test_stacked_rows_keep_the_bits_of_one_point_calls_on_the_zoo(case):
+    _, spec, P = case
+    assert_rows_are_one_point_calls(spec, P, np.array(spec.sample_points(5)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -351,7 +398,7 @@ def assert_skipped_classes_are_zero(spec, P, p):
     pair; and the Ricci clause on each skipped pair."""
     blocks = ["base", *range(spec.m)]
     frames = {b: coordinate_stack(spec, b) for b in blocks}
-    cov = dict(zip(blocks, verify._cov_frames(spec, blocks)[0]))
+    cov = dict(zip(blocks, verify._cov_frames(spec.n, spec.fiber_dims)[0]))
     cache = StructuredGeometryCache(spec, P, p)
     zero = {}
 
@@ -468,19 +515,32 @@ def reference_cache(spec, P, p):
     return ref
 
 
-def assert_same_cache_arrays(cache, want):
-    """Each of the cache's CACHE_FIELDS holds the bits of want[field]."""
+def cache_row(cache, k):
+    """Each of the cache's CACHE_FIELDS at point k of its stack."""
+    row = {}
     for field in CACHE_FIELDS:
         got = getattr(cache, field)
         if field in ("Pc", "dPc"):
-            assert (got is None) == (want[field] is None), field
-            assert got is None or _bytes(got) == _bytes(want[field]), field
+            row[field] = None if got is None else got[k]
         else:
-            assert [_bytes(a) for a in got] == [_bytes(a) for a in want[field]], field
+            row[field] = [a[k] for a in got]
+    return row
+
+
+def assert_same_cache_arrays(got, want):
+    """Each of the CACHE_FIELDS of `got` holds the bits of want[field]."""
+    for field in CACHE_FIELDS:
+        if field in ("Pc", "dPc"):
+            assert (got[field] is None) == (want[field] is None), field
+            assert got[field] is None or _bytes(got[field]) == _bytes(want[field]), field
+        else:
+            assert [_bytes(a) for a in got[field]] == [_bytes(a) for a in want[field]], field
 
 
 def assert_cache_matches_reference(spec, P, p):
-    assert_same_cache_arrays(StructuredGeometryCache(spec, P, p), reference_cache(spec, P, p))
+    cache = StructuredGeometryCache(spec, P, p)
+    assert len(cache.p) == 1
+    assert_same_cache_arrays(cache_row(cache, 0), reference_cache(spec, P, p))
 
 
 @settings(max_examples=40, deadline=None)
@@ -505,14 +565,15 @@ def test_cache_arrays_match_the_reference_jets_on_the_zoo(case):
 
 
 def assert_batched_caches_match_one_point_caches(spec, P, points):
-    """Every cache array of `at_points`, made from one jet walk over the
-    stack, holds the bits of the cache made at its point alone."""
-    caches = StructuredGeometryCache.at_points(spec, P, points)
-    assert len(caches) == len(points)
-    for cache, p in zip(caches, points):
+    """Every row of every array of a cache made over a stack of points,
+    from one jet walk, holds the bits of the cache made at its point
+    alone."""
+    cache = StructuredGeometryCache(spec, P, points)
+    assert len(cache.p) == len(points)
+    for k, p in enumerate(points):
         alone = StructuredGeometryCache(spec, P, p)
-        assert _bytes(cache.p) == _bytes(alone.p)
-        assert_same_cache_arrays(cache, vars(alone))
+        assert _bytes(cache.p[k]) == _bytes(alone.p[0]) == _bytes(p)
+        assert_same_cache_arrays(cache_row(cache, k), cache_row(alone, 0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -552,8 +613,8 @@ def test_a_batched_cache_raises_the_one_point_error_of_the_first_failing_point(
     StructuredGeometryCache(spec, P, points[0])  # 1e308 at t = 0.1 is finite
     want = _raised(lambda: StructuredGeometryCache(spec, P, points[1]))
     assert want[0].__name__ == error and "0.5" in want[1]
-    assert _raised(lambda: StructuredGeometryCache.at_points(spec, P, points)) == want
-    assert _raised(lambda: StructuredGeometryCache.at_points(spec, P, points[1:])) == want
+    assert _raised(lambda: StructuredGeometryCache(spec, P, points)) == want
+    assert _raised(lambda: StructuredGeometryCache(spec, P, points[1:])) == want
 
 
 def test_a_batched_cache_raises_the_chart_error_of_the_first_point_outside():
@@ -562,4 +623,4 @@ def test_a_batched_cache_raises_the_chart_error_of_the_first_point_outside():
                              [np.array([[1.0, 0.3], [0.01, 0.3], [3.1, 0.3]])])
     want = _raised(lambda: StructuredGeometryCache(spec, None, points[1]))
     assert want[0].__name__ == "OutOfChart" and "0.01" in want[1]
-    assert _raised(lambda: StructuredGeometryCache.at_points(spec, None, points)) == want
+    assert _raised(lambda: StructuredGeometryCache(spec, None, points)) == want

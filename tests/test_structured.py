@@ -1,15 +1,17 @@
 """Component formulas against the coordinate oracle, clause by clause."""
 
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from connection_reference import mixed_ricci_flat_check
+from conftest import coordinate_stack
 
 from warpcurv import exprs, structured
 from warpcurv.connections import ConnectionKind, connection_curvature
-from warpcurv.errors import CaseMismatch
+from warpcurv.errors import CaseMismatch, WarpcurvError
 from warpcurv.exprs import Const, parse_expr
 from warpcurv.geometry import (
     Circle,
@@ -25,7 +27,6 @@ from warpcurv.geometry import (
 from warpcurv.structured import (
     BlockVector,
     StructuredGeometryCache,
-    coordinate_stack,
     structured_covariant_derivative,
     structured_curvature,
     structured_ricci_matrix,
@@ -160,7 +161,7 @@ def test_case_dispatch_is_total(spec_zoo):
                     d = spec.fiber_dims[b] if b != "base" else spec.n
                     vecs[b] = BlockVector(b, np.ones(d))
                 out = curvature_block(cache, kind, vecs[bx], vecs[by], vecs[bz])
-                assert out.shape == (spec.n_bar, 1, 1, 1), name
+                assert out.shape == (1, spec.n_bar, 1, 1, 1), name
             assert structured_curvature(cache, kind).shape == \
                 (spec.n_bar,) * 4, name
 
@@ -365,31 +366,32 @@ def test_non_finite_deviation_fails_its_row(monkeypatch, spec_zoo):
     from warpcurv import verify
 
     spec, P = next((s, P) for name, s, P in spec_zoo if name == "grw-sphere")
-    calls = []
 
-    def nan_after_first(original, poison=lambda out: out * np.nan):
+    def nan_at_second_point(original, poison):
         def wrapped(*args, **kwargs):
-            calls.append(original)
-            out = original(*args, **kwargs)
-            return poison(out) if calls.count(original) > 1 else out
+            out = original(*args, **kwargs).copy()
+            poison(out[1:2])
+            return out
         return wrapped
 
+    def nan_everywhere(row):
+        row[...] = np.nan
+
     def nan_in_f0_base_f0(riemann):
-        riemann[0, 1, 0, 2] = np.nan  # the d_t component of R(d_1, d_t)d_2
-        return riemann
+        riemann[0, 0, 1, 0, 2] = np.nan  # the d_t component of R(d_1, d_t)d_2
 
     def nan_in_base_f0(nabla):
         # rows: d_t, then the sphere's d_1, d_2 and d_1 + 0.37 d_2; this is
         # the d_2 component of nabla_{d_t}(d_1 + 0.37 d_2)
-        nabla[2, 0, 3] = np.nan
-        return nabla
+        nabla[0, 2, 0, 3] = np.nan
 
     for fn in ("structured_ricci_matrix", "structured_scalar"):
-        monkeypatch.setattr(verify, fn, nan_after_first(getattr(verify, fn)))
+        monkeypatch.setattr(verify, fn, nan_at_second_point(getattr(verify, fn), nan_everywhere))
     monkeypatch.setattr(verify, "structured_curvature",
-                        nan_after_first(verify.structured_curvature, nan_in_f0_base_f0))
+                        nan_at_second_point(verify.structured_curvature, nan_in_f0_base_f0))
     monkeypatch.setattr(verify, "structured_covariant_derivative",
-                        nan_after_first(verify.structured_covariant_derivative, nan_in_base_f0))
+                        nan_at_second_point(verify.structured_covariant_derivative,
+                                            nan_in_base_f0))
     reports = {r.clause: r for r in oracle_comparison(spec, P, SSNM,
                                                       spec.sample_points(2))}
     for clause in ("ricci-matrix", "scalar", "curv[f0,base,f0]", "cov[base,f0]"):
@@ -402,7 +404,7 @@ def test_non_finite_deviation_fails_its_row(monkeypatch, spec_zoo):
                and key not in ("curv[f0,base,f0]", "cov[base,f0]"))
 
 
-def test_oracle_comparison_builds_one_cache_per_point(monkeypatch, spec_zoo):
+def test_oracle_comparison_builds_one_cache_per_call(monkeypatch, spec_zoo):
     builds = []
     original = StructuredGeometryCache.__init__
 
@@ -412,11 +414,11 @@ def test_oracle_comparison_builds_one_cache_per_point(monkeypatch, spec_zoo):
 
     monkeypatch.setattr(StructuredGeometryCache, "__init__", counting_init)
     spec, P = next((s, P) for name, s, P in spec_zoo if name == "p-on-circle")
-    points = spec.sample_points(2)
-    for kind in (LC, SSNM, SYM):
-        builds.clear()
-        oracle_comparison(spec, P, kind, points)
-        assert len(builds) == len(points), kind
+    for count in (1, 2, 5):
+        for kind in (LC, SSNM, SYM):
+            builds.clear()
+            oracle_comparison(spec, P, kind, spec.sample_points(count))
+            assert len(builds) == 1, (count, kind)
 
 
 def test_oracle_comparison_makes_one_cache_jet_walk_per_call(monkeypatch, spec_zoo):
@@ -448,39 +450,71 @@ def test_oracle_comparison_makes_one_cache_jet_walk_per_call(monkeypatch, spec_z
             assert walks == [3], (name, kind)
 
 
-def test_oracle_comparison_makes_one_curvature_call_per_point(monkeypatch, spec_zoo):
+@pytest.mark.parametrize("name", ["structured_curvature", "structured_covariant_derivative"])
+def test_oracle_comparison_makes_one_call_per_stack(monkeypatch, spec_zoo, name):
     from warpcurv import verify
 
     calls = []
-    original = verify.structured_curvature
+    original = getattr(verify, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "structured_curvature", counting)
+    monkeypatch.setattr(verify, name, counting)
     spec, P = next((s, P) for name, s, P in spec_zoo if name == "p-on-hyperbolic")
     points = spec.sample_points(3)
     for kind in (LC, SSNM, SYM):
         calls.clear()
         oracle_comparison(spec, P, kind, points)
-        assert len(calls) == len(points), kind
+        assert len(calls) == 1, kind
 
 
-def test_oracle_comparison_makes_one_covariant_call_per_point(monkeypatch, spec_zoo):
-    from warpcurv import verify
+def test_clause_calls_do_not_grow_with_the_points(monkeypatch, spec_zoo):
+    # over three points oracle_comparison runs the clause calls of one
+    # point, which are the sweep plan's: one per planned curvature triple,
+    # nabla pair and Ricci pair, each over the whole stack
+    counts, depth = {}, []
 
-    calls = []
-    original = verify.structured_covariant_derivative
+    def counting(name, original):
+        def wrapped(*args):
+            if not depth:
+                counts[name] = counts.get(name, 0) + 1
+            depth.append(name)
+            try:
+                return original(*args)
+            finally:
+                depth.pop()
+        return wrapped
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    for name in ("_curv_p_base", "_curv_p_fiber", "_covariant_block", "_ricci_block"):
+        monkeypatch.setattr(structured, name, counting(name, getattr(structured, name)))
+    for name, spec, P in spec_zoo:
+        for kind in (LC, SSNM, SYM):
+            runs = []
+            for count in (1, 3):
+                counts.clear()
+                oracle_comparison(spec, P, kind, spec.sample_points(count))
+                runs.append(dict(counts))
+            plan = structured._plan(StructuredGeometryCache(spec, P, spec.sample_points(1)[0]),
+                                    kind)
+            curvature = runs[0].get("_curv_p_base", 0) + runs[0].get("_curv_p_fiber", 0)
+            assert runs[0] == runs[1], (name, kind)
+            assert curvature == len(plan.clauses), (name, kind)
+            assert runs[0]["_covariant_block"] == len(plan.nabla_pairs), (name, kind)
+            assert runs[0]["_ricci_block"] == len(plan.ricci), (name, kind)
 
-    monkeypatch.setattr(verify, "structured_covariant_derivative", counting)
-    spec, P = next((s, P) for name, s, P in spec_zoo if name == "p-on-hyperbolic")
-    points = spec.sample_points(3)
+
+def test_an_empty_point_stack_is_a_typed_error():
+    from warpcurv.cli import build_spec, build_torsion_field, parse_scenario
+
+    text = (Path(__file__).parent / "scenarios" / "oracle-sphere.txt").read_text()
+    cfg = parse_scenario(text)
+    spec = build_spec(cfg)
+    P = build_torsion_field(cfg, spec)
+    empty = np.zeros((0, spec.n_bar))
     for kind in (LC, SSNM, SYM):
-        calls.clear()
-        oracle_comparison(spec, P, kind, points)
-        assert len(calls) == len(points), kind
+        with pytest.raises(WarpcurvError, match="no points"):
+            oracle_comparison(spec, P, kind, empty)
+    with pytest.raises(WarpcurvError, match="no points"):
+        StructuredGeometryCache(spec, P, empty)
