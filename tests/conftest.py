@@ -18,13 +18,6 @@ from warpcurv.geometry import (
     TorsionVectorFieldSpec,
     p_dt,
 )
-from warpcurv.structured import BlockVector
-
-
-def coordinate_stack(spec, block):
-    """The coordinate vectors of `block` as one (d, d) stack."""
-    sl = spec.block_slice(block)
-    return BlockVector(block, np.eye(sl.stop - sl.start))
 
 
 def make_zoo():

@@ -14,7 +14,6 @@ import numpy as np
 
 from connection_reference import mixed_ricci_flat_check
 from conftest import (
-    coordinate_stack,
     grw_scalar_threshold,
     kasner_scalar_threshold,
     make_zoo,
@@ -202,11 +201,10 @@ def test_acceptance_6_torsion_free_ricci_identities():
             oracle = connection_curvature(SYM, spec, P, p).ricci
             cache = StructuredGeometryCache(spec, P, p)
             corrected = structured_ricci_matrix(cache, SSNM).copy()
-            frames = [coordinate_stack(spec, b) for b in ["base"] + list(range(spec.m))]
-            for U in frames:
-                for V in frames:
-                    corrected[spec.block_slice(U.block), spec.block_slice(V.block)] += \
-                        cache.dpi(U, V)[0]
+            blocks = ["base", *range(spec.m)]
+            for U in blocks:
+                for V in blocks:
+                    corrected[spec.block_slice(U), spec.block_slice(V)] += cache.dpi(U, V)[0]
             worst_fiber = max(worst_fiber, float(np.max(np.abs(corrected - oracle))))
     verdict(6, "torsion-free Ricci identities",
             worst_base < 1e-9 and worst_fiber < 1e-10,

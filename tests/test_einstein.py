@@ -37,7 +37,7 @@ from warpcurv.geometry import (
     TorsionVectorFieldSpec,
     p_dt,
 )
-from warpcurv.structured import BlockVector, StructuredGeometryCache
+from warpcurv.structured import StructuredGeometryCache
 
 SSNM = ConnectionKind.SEMI_SYMMETRIC_NON_METRIC
 
@@ -106,6 +106,17 @@ def test_residuals_iff_oracle_einstein(spec_zoo):
             cur = connection_curvature(SSNM, spec, p_dt(), spec.make_point([t]))
             worst = max(worst, float(np.max(np.abs(cur.ricci - lam * cur.metric))))
         assert passed == (worst < 1e-6)
+
+
+@pytest.mark.parametrize("a,b,n", [(-0.7, 2.3, 9), (0.1, 0.9, 7), (-3.0, -1.0, 4)])
+def test_chebyshev_grid_maps_the_nodes_onto_its_interval(a, b, n):
+    grid = chebyshev_grid(a, b, n)
+    k = np.arange(n)
+    want = np.sort(a + (b - a) * (1 + np.cos((2 * k + 1) * np.pi / (2 * n))) / 2)
+    assert np.allclose(grid, want, rtol=0, atol=1e-14)
+    assert np.all(np.diff(grid) > 0)
+    assert np.all((a < grid) & (grid < b))
+    assert np.allclose(grid + grid[::-1], a + b, rtol=0, atol=1e-14)
 
 
 def test_pseudo_einstein_passing_case():
@@ -181,19 +192,18 @@ def _per_point_torsion_rows(spec, P, lam, grid):
             bracket = br * ddbr + (lr - 1) * dbr**2 + br * dbr * cross + lam * br**2
             gF = c.gF[r][0]
             ricF = c.RicF[r][0]
+            pi = c.pi(r)[0]
+            gnP = c.g_W_nabla_V_P(r)[0]  # gnP[w, v] = g(e_w, nabla_{e_v} P)
             for a in range(lr):
                 ea = np.zeros(lr)
                 ea[a] = 1.0
                 for bb in range(a, lr):
                     eb = np.zeros(lr)
                     eb[bb] = 1.0
-                    V = BlockVector(r, ea[None])
-                    W = BlockVector(r, eb[None])
                     lhs = float(ea @ ricF @ eb) - float(ea @ gF @ eb) * bracket
                     rhs = (nbar - 1) * (
-                        float(c.pi(V)[0, 0]) * float(c.pi(W)[0, 0])
-                        - 0.5 * (float(c.g_W_nabla_V_P(W, V)[0, 0, 0])
-                                 + float(c.g_W_nabla_V_P(V, W)[0, 0, 0]))
+                        float(pi[a]) * float(pi[bb])
+                        - 0.5 * (float(gnP[bb, a]) + float(gnP[a, bb]))
                     )
                     worst.append(lhs - rhs)
     return np.array(worst)

@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import coordinate_stack, make_zoo
+from conftest import make_zoo
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jet_reference import eval_value, reference_jet
@@ -32,9 +32,8 @@ from warpcurv.geometry import (
     Sphere,
     TorsionVectorFieldSpec,
 )
-from warpcurv import structured, verify
+from warpcurv import structured
 from warpcurv.structured import (
-    BlockVector,
     StructuredGeometryCache,
     structured_covariant_derivative,
     structured_curvature,
@@ -176,29 +175,26 @@ def test_an_error_only_the_third_coordinate_vector_reaches_fails_its_rows(monkey
         riemann = connection_curvature(kind, spec, P, p).riemann
         cache = StructuredGeometryCache(spec, P, p)
         for row in rows:
-            stacks, index = [], [np.arange(spec.n_bar)]
-            for label in row[len("curv["):-1].split(","):
-                sl = spec.block_slice(blocks[label])
-                d = min(2, sl.stop - sl.start)
-                stacks.append(BlockVector(blocks[label], np.eye(sl.stop - sl.start)[:d]))
-                index.append(sl.start + np.arange(d))
-            sv = structured._curvature_block(cache, kind, *stacks)
+            triple = [blocks[label] for label in row[len("curv["):-1].split(",")]
+            index = [np.arange(spec.n_bar)]
+            for b in triple:
+                sl = spec.block_slice(b)
+                index.append(sl.start + np.arange(min(2, sl.stop - sl.start)))
+            sv = structured._curvature_block(cache, kind, *triple)[:, :, :2, :2, :2]
             assert np.max(np.abs(sv - riemann[np.ix_(*index)])) / scale <= BOUND, row
 
 
 def assert_tensor_is_its_block_clauses(spec, P, points):
     """Under every connection kind, each block triple's slice of the whole
-    tensor over a stack of points holds the bits of its clause on the
-    coordinate stacks over the same points, the skipped distinct-fiber
-    triples and the per-pair dpi term included."""
+    tensor over a stack of points holds the bits of its block clause over
+    the same points, the skipped distinct-fiber triples and the per-pair
+    dpi term included."""
     blocks = ["base", *range(spec.m)]
-    frames = {b: coordinate_stack(spec, b) for b in blocks}
     cache = StructuredGeometryCache(spec, P, points)
     for kind in ConnectionKind:
         R = structured_curvature(cache, kind)
         for bx, by, bz in itertools.product(blocks, repeat=3):
-            want = structured._curvature_block(cache, kind, frames[bx], frames[by],
-                                               frames[bz])
+            want = structured._curvature_block(cache, kind, bx, by, bz)
             got = R[:, :, spec.block_slice(bx), spec.block_slice(by), spec.block_slice(bz)]
             assert _bytes(got) == _bytes(want), (kind, bx, by, bz)
 
@@ -233,19 +229,18 @@ def test_mirrored_patterns_are_the_ones_their_clauses_swap(monkeypatch, p_locati
 
     def recording(original, log):
         def wrapped(*args):
-            log.append(tuple(v.block for v in args[-3:]))
+            log.append(tuple(args[-3:]))
             return original(*args)
         return wrapped
 
     monkeypatch.setattr(structured, "_antisym", recording(structured._antisym, routed))
     blocks = ["base", *range(spec.m)]
-    frames = {b: coordinate_stack(spec, b) for b in blocks}
     p = spec.sample_points(1)[0]
     cache = StructuredGeometryCache(spec, P, p)
     for kind in ConnectionKind:
         for triple in itertools.product(blocks, repeat=3):
             routed.clear()
-            structured._curvature_block(cache, kind, *(frames[b] for b in triple))
+            structured._curvature_block(cache, kind, *triple)
             assert routed == ([triple] if structured._mirrored(*triple) else []), (kind, triple)
 
     # the whole tensor runs the clauses of its layout's sweep plan, and those
@@ -256,7 +251,7 @@ def test_mirrored_patterns_are_the_ones_their_clauses_swap(monkeypatch, p_locati
     for kind in ConnectionKind:
         r = None if kind == ConnectionKind.LEVI_CIVITA else p_location
         plan = structured._plan(cache, kind)
-        planned = {tuple(v.block for v in run[:3]) for run in plan.clauses}
+        planned = {tuple(run[:3]) for run in plan.clauses}
         assert len(planned) == len(plan.clauses), kind
         stated = {t for t in itertools.product(blocks, repeat=3)
                   if not structured._mirrored(*t) and not structured._distinct_fibers(*t)
@@ -283,32 +278,34 @@ def stated_zero_triple(bx, by, bz, r):
     return False
 
 
+def mixed_vector(d):
+    """e0 + 0.37 e1 on a block of dimension d >= 2, e0 on a line."""
+    v = np.eye(d)[0]
+    v[1:2] = 0.37
+    return v
+
+
 def assert_nabla_is_its_block_clauses(spec, P, points):
-    """Under every connection kind, each block pair's slice of the covariant
-    derivative over a stack of points and oracle_comparison's frames, the
-    mixed vectors included, holds the bits of its clause on those stacks,
-    and its |S - O| against the oracle contracted with the frame matrix
-    holds the bits of |S - O| against the oracle's block contracted with
-    the pair's stacks."""
+    """Under every connection kind, each block pair's slice of the whole
+    covariant derivative over a stack of points holds the bits of its
+    clause, and the slice contracted with the block's mixed vector on both
+    slots agrees with the oracle's Gamma contracted the same way, to BOUND
+    relative to the oracle's largest |Gamma| (at least 1)."""
     blocks = ["base", *range(spec.m)]
-    frames, rows, matrix = verify._cov_frames(spec.n, spec.fiber_dims)
     cache = StructuredGeometryCache(spec, P, points)
-    span = {F.block: slice(r, r + len(F.components)) for F, r in zip(frames, rows)}
-    for F in frames:
-        d = F.components.shape[1]
-        assert len(F.components) == d + (d >= 2), F.block  # e0 + 0.37 e1 last
     for kind in ConnectionKind:
-        nabla = structured_covariant_derivative(cache, kind, frames)
+        nabla = structured_covariant_derivative(cache, kind)
         gamma = connection_curvature(kind, spec, P, points).coefficients
-        dev = np.abs(nabla - np.einsum("pkij,xi,yj->pkxy", gamma, matrix, matrix))
-        for X, Y in itertools.product(frames, repeat=2):
-            want = structured._covariant_block(cache, kind, X, Y)
-            got = nabla[:, :, span[X.block], span[Y.block]]
-            assert _bytes(got) == _bytes(want), (kind, X.block, Y.block)
-            block = gamma[:, :, spec.block_slice(X.block), spec.block_slice(Y.block)]
-            ov = np.einsum("pkij,xi,yj->pkxy", block, X.components, Y.components)
-            assert _bytes(dev[:, :, span[X.block], span[Y.block]]) == _bytes(np.abs(want - ov)), \
-                (kind, X.block, Y.block)
+        scale = max(1.0, float(np.max(np.abs(gamma))))
+        for X, Y in itertools.product(blocks, repeat=2):
+            sx, sy = spec.block_slice(X), spec.block_slice(Y)
+            got = nabla[:, :, sx, sy]
+            assert _bytes(got) == _bytes(structured._covariant_block(cache, kind, X, Y)), \
+                (kind, X, Y)
+            u, v = mixed_vector(sx.stop - sx.start), mixed_vector(sy.stop - sy.start)
+            sv = np.einsum("pkxy,x,y->pk", got, u, v)
+            ov = np.einsum("pkxy,x,y->pk", gamma[:, :, sx, sy], u, v)
+            assert np.max(np.abs(sv - ov)) / scale <= BOUND, (kind, X, Y)
 
 
 @settings(max_examples=30, deadline=None)
@@ -331,9 +328,9 @@ def test_covariant_derivative_is_its_block_clauses_on_the_zoo(case):
         assert_nabla_is_its_block_clauses(spec, P, stack)
 
 
-def _operations(cache, kind, frames):
+def _operations(cache, kind):
     """The four structured operations on one cache, by name."""
-    return {"nabla": structured_covariant_derivative(cache, kind, frames),
+    return {"nabla": structured_covariant_derivative(cache, kind),
             "curvature": structured_curvature(cache, kind),
             "ricci": structured_ricci_matrix(cache, kind),
             "scalar": structured_scalar(cache, kind)}
@@ -344,11 +341,10 @@ def assert_rows_are_one_point_calls(spec, P, points):
     2, 3 or 5 points holds the bits, signed zeros included, of the same
     operation on a cache made at that row's point alone, which has no
     point axis."""
-    frames = verify._cov_frames(spec.n, spec.fiber_dims)[0]
     for kind in ConnectionKind:
-        alone = [_operations(StructuredGeometryCache(spec, P, p), kind, frames) for p in points]
+        alone = [_operations(StructuredGeometryCache(spec, P, p), kind) for p in points]
         for size in (1, 2, 3, 5):
-            stacked = _operations(StructuredGeometryCache(spec, P, points[:size]), kind, frames)
+            stacked = _operations(StructuredGeometryCache(spec, P, points[:size]), kind)
             for name, value in stacked.items():
                 assert len(value) == size, (kind, name)
                 for k in range(size):
@@ -385,8 +381,7 @@ def test_three_distinct_fibers_give_exact_zeros(recipe):
         for kind in ConnectionKind:
             for triple in itertools.permutations(range(spec.m), 3):
                 assert structured._distinct_fibers(*triple)
-                out = structured._curvature_block(
-                    cache, kind, *(coordinate_stack(spec, i) for i in triple))
+                out = structured._curvature_block(cache, kind, *triple)
                 assert not np.any(out), (kind, triple, recipe)
 
 
@@ -394,11 +389,9 @@ def assert_skipped_classes_are_zero(spec, P, p):
     """Under every kind, each block pattern that the sweep plan skips gives
     +0.0 in every entry, byte for byte: the curvature clause of each
     skipped triple, and its block with the dpi term where dpi is not live;
-    dpi off its live pairs; nabla over verify's frames on each skipped
-    pair; and the Ricci clause on each skipped pair."""
+    dpi off its live pairs; nabla on each skipped pair; and the Ricci
+    clause on each skipped pair."""
     blocks = ["base", *range(spec.m)]
-    frames = {b: coordinate_stack(spec, b) for b in blocks}
-    cov = dict(zip(blocks, verify._cov_frames(spec.n, spec.fiber_dims)[0]))
     cache = StructuredGeometryCache(spec, P, p)
     zero = {}
 
@@ -409,26 +402,23 @@ def assert_skipped_classes_are_zero(spec, P, p):
         plan = structured._plan(cache, kind)
         view, clause, sym = structured._dispatch(cache, kind, structured._curv_p_base,
                                                  structured._curv_p_fiber)
-        planned = {tuple(v.block for v in run[:3]) for run in plan.clauses}
+        planned = {tuple(run[:3]) for run in plan.clauses}
         live = {(X, Y) for X, Y in itertools.product(blocks, repeat=2)
                 if structured._dpi_pair(X, Y, view.P_loc)}
-        assert {(X.block, Y.block) for X, Y, _ in plan.dpi} == (live if sym else set())
+        assert {(X, Y) for X, Y, _ in plan.dpi} == (live if sym else set())
         for t in itertools.product(blocks, repeat=3):
             if t in planned or structured._mirrored(*t):
                 continue
-            args = [frames[b] for b in t]
-            assert_zero(clause(view, *args), (kind, "clause", t))
+            assert_zero(clause(view, *t), (kind, "clause", t))
             if not sym or t[:2] not in live:
-                assert_zero(structured._curvature_block(cache, kind, *args), (kind, "block", t))
+                assert_zero(structured._curvature_block(cache, kind, *t), (kind, "block", t))
         for X, Y in itertools.product(blocks, repeat=2):
             if (X, Y) not in live:
-                assert_zero(view.dpi(frames[X], frames[Y]), (kind, "dpi", X, Y))
-            if (blocks.index(X), blocks.index(Y)) not in plan.nabla_pairs:
-                assert_zero(structured._covariant_block(cache, kind, cov[X], cov[Y]),
-                            (kind, "nabla", X, Y))
-            if not any((U.block, V.block) == (X, Y) for U, V, _ in plan.ricci):
-                assert_zero(structured._ricci_block(cache, kind, frames[X], frames[Y]),
-                            (kind, "ricci", X, Y))
+                assert_zero(view.dpi(X, Y), (kind, "dpi", X, Y))
+            if (X, Y) not in {(U, V) for U, V, _ in plan.nabla}:
+                assert_zero(structured._covariant_block(cache, kind, X, Y), (kind, "nabla", X, Y))
+            if (X, Y) not in {(U, V) for U, V, _ in plan.ricci}:
+                assert_zero(structured._ricci_block(cache, kind, X, Y), (kind, "ricci", X, Y))
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,7 +7,6 @@ from unittest import mock
 import numpy as np
 import pytest
 from connection_reference import mixed_ricci_flat_check
-from conftest import coordinate_stack
 
 from warpcurv import exprs, structured
 from warpcurv.connections import ConnectionKind, connection_curvature
@@ -25,7 +24,6 @@ from warpcurv.geometry import (
     p_dt,
 )
 from warpcurv.structured import (
-    BlockVector,
     StructuredGeometryCache,
     structured_covariant_derivative,
     structured_curvature,
@@ -39,24 +37,12 @@ SSNM = ConnectionKind.SEMI_SYMMETRIC_NON_METRIC
 SYM = ConnectionKind.SYMMETRIZED_AFFINE
 
 
-def base_vec(*components):
-    return BlockVector("base", np.array(components, dtype=float))
-
-
-def fiber_vec(i, *components):
-    return BlockVector(i, np.array(components, dtype=float))
-
-
-def coordinate_frames(spec):
-    """One coordinate stack per block, base first: row A of the covariant
-    derivative tensor is the A-th coordinate vector of the chart."""
-    return [coordinate_stack(spec, b) for b in ["base", *range(spec.m)]]
-
-
-def curvature_block(cache, kind, *vecs):
-    """R(X, Y)Z from the block clause, each single vector as a (1, d) stack."""
-    return structured._curvature_block(
-        cache, kind, *(BlockVector(v.block, v.components[None]) for v in vecs))
+def curvature_at(cache, kind, *vecs):
+    """R(X, Y)Z at the cache's points for (block, components) vectors X, Y,
+    Z: their block clause contracted with the components."""
+    blocks = [b for b, _ in vecs]
+    out = structured._curvature_block(cache, kind, *blocks)
+    return np.einsum("plxyz,x,y,z->pl", out, *(np.asarray(v, dtype=float) for _, v in vecs))
 
 
 def test_one_cache_build_is_one_jet_walk(spec_zoo):
@@ -71,11 +57,10 @@ def test_covariant_derivative_base_fiber_rule(grw_exp_spec):
     # nabla_U X = [X(b)/b + pi(X)] U: vanishes for the exponential warping
     # X = d_t (row 0), U = the fiber's first coordinate vector (row 1)
     cache = StructuredGeometryCache(grw_exp_spec, p_dt(), grw_exp_spec.make_point([0.4]))
-    frames = coordinate_frames(grw_exp_spec)
-    out = structured_covariant_derivative(cache, SSNM, frames)[:, 1, 0]
+    out = structured_covariant_derivative(cache, SSNM)[:, 1, 0]
     assert np.max(np.abs(out)) < 1e-12
     # and the symmetrized variant adds pi(X) once more on the other slot
-    out_sym = structured_covariant_derivative(cache, SYM, frames)[:, 0, 1]
+    out_sym = structured_covariant_derivative(cache, SYM)[:, 0, 1]
     expect = np.zeros(3)
     expect[1] = 1.0 - 1.0  # X(b)/b + pi(X)
     assert np.allclose(out_sym[1:], expect[1:])
@@ -92,26 +77,26 @@ def test_cross_fiber_rule_with_fiber_torsion():
     cache = StructuredGeometryCache(spec, P, p)
     # nabla_U W = g(W, P) U across distinct fibers: U = the circle's
     # coordinate vector (row 1), W = the torus's first one (row 2)
-    out = structured_covariant_derivative(cache, SSNM, coordinate_frames(spec))[:, 1, 2]
-    gWP = cache.g_inner_block(1, np.array([1.0, 0.0]), cache.Pc)
+    out = structured_covariant_derivative(cache, SSNM)[:, 1, 2]
+    gWP = cache.pi(1)[0, 0]  # g(W, P)
     assert out[1] == pytest.approx(gWP)
     assert np.max(np.abs(out[[0, 2, 3]])) < 1e-14
 
 
 def test_curvature_clause_zero_cases(grw_exp_spec):
     p = grw_exp_spec.make_point([0.3])
-    X, Y = base_vec(1.0), base_vec(1.0)
-    V = fiber_vec(0, 1.0, 0.3)
-    out = curvature_block(StructuredGeometryCache(grw_exp_spec, p_dt(), p), SSNM, X, Y, V)
+    X = Y = ("base", [1.0])
+    V = (0, [1.0, 0.3])
+    out = curvature_at(StructuredGeometryCache(grw_exp_spec, p_dt(), p), SSNM, X, Y, V)
     assert np.max(np.abs(out)) < 1e-14  # R(X, Y)V = 0 for P on the base
 
 
 def test_curvature_fiber_base_base(grw_exp_spec):
     # R(V, X)X = -[b''/b + g(X, nabla_X P) - pi(X)^2] V = 0 for b = e^t
     p = grw_exp_spec.make_point([0.5])
-    V = fiber_vec(0, 1.0, 0.0)
-    X = base_vec(1.0)
-    out = curvature_block(StructuredGeometryCache(grw_exp_spec, p_dt(), p), SSNM, V, X, X)
+    V = (0, [1.0, 0.0])
+    X = ("base", [1.0])
+    out = curvature_at(StructuredGeometryCache(grw_exp_spec, p_dt(), p), SSNM, V, X, X)
     assert np.max(np.abs(out)) < 1e-12
 
 
@@ -156,29 +141,11 @@ def test_case_dispatch_is_total(spec_zoo):
         for kind in (LC, SSNM, SYM):
             cache = StructuredGeometryCache(spec, P, p)
             for bx, by, bz in itertools.product(blocks, repeat=3):
-                vecs = {}
-                for b in (bx, by, bz):
-                    d = spec.fiber_dims[b] if b != "base" else spec.n
-                    vecs[b] = BlockVector(b, np.ones(d))
-                out = curvature_block(cache, kind, vecs[bx], vecs[by], vecs[bz])
-                assert out.shape == (1, spec.n_bar, 1, 1, 1), name
+                vecs = [(b, np.ones(spec.fiber_dims[b] if b != "base" else spec.n))
+                        for b in (bx, by, bz)]
+                assert curvature_at(cache, kind, *vecs).shape == (1, spec.n_bar), name
             assert structured_curvature(cache, kind).shape == \
                 (spec.n_bar,) * 4, name
-
-
-def test_case_mismatch_rejected(grw_exp_spec):
-    cache = StructuredGeometryCache(grw_exp_spec, p_dt(), grw_exp_spec.make_point([0.1]))
-    base, fiber = coordinate_frames(grw_exp_spec)
-    with pytest.raises(CaseMismatch):
-        structured_covariant_derivative(
-            cache, SSNM, [BlockVector("base", np.ones((1, 2))), fiber])
-    with pytest.raises(CaseMismatch):
-        structured_covariant_derivative(cache, SSNM, [base, BlockVector(3, np.ones((1, 2)))])
-    # one stack per block, base first: no block left out or out of order,
-    # and no single vector in place of a stack
-    for frames in ([fiber], [fiber, base], [base_vec(1.0), fiber]):
-        with pytest.raises(CaseMismatch):
-            structured_covariant_derivative(cache, SSNM, frames)
 
 
 @pytest.mark.parametrize("kind", ["bogus", "semi-symmetric", None])
@@ -186,9 +153,8 @@ def test_unknown_connection_kind_rejected_by_every_clause(grw_exp_spec, kind):
     # a kind that is no ConnectionKind, even its value string, must not fall
     # through to one connection's formula
     cache = StructuredGeometryCache(grw_exp_spec, p_dt(), grw_exp_spec.make_point([0.1]))
-    frames = coordinate_frames(grw_exp_spec)
     clauses = [
-        lambda: structured_covariant_derivative(cache, kind, frames),
+        lambda: structured_covariant_derivative(cache, kind),
         lambda: structured_curvature(cache, kind),
         lambda: structured_ricci_matrix(cache, kind),
         lambda: structured_scalar(cache, kind),
@@ -231,13 +197,11 @@ def test_mixed_ricci_antisymmetric_part_p_fiber():
     P = TorsionVectorFieldSpec(0, [Const(0.7)])
     p = spec.make_point([0.35])
     cache = StructuredGeometryCache(spec, P, p)
-    X = base_vec(1.0)
-    V = fiber_vec(0, 1.0)
     # X = d_t (index 0), V = the circle's coordinate vector (index 1)
     ric = structured_ricci_matrix(cache, SSNM)
     forward, backward = ric[0, 1], ric[1, 0]
-    expected = 2.0 * (spec.n_bar - 1) * (X.components @ cache.db_base[0] / cache.b[0]) \
-        * cache.pi(V)
+    expected = 2.0 * (spec.n_bar - 1) * float(cache.db_base[0][0, 0] / cache.b[0][0]) \
+        * float(cache.pi(0)[0, 0])
     assert forward - backward == pytest.approx(expected, abs=1e-10)
 
 
@@ -264,11 +228,11 @@ def test_torsion_free_ricci_correction_p_fiber():
         b = connection_curvature(SYM, spec, P, p)
         diff = b.ricci - a.ricci
         cache = StructuredGeometryCache(spec, P, p)
-        frames = [coordinate_stack(spec, b) for b in ["base"] + list(range(spec.m))]
-        for U in frames:
-            for V in frames:
+        blocks = ["base", *range(spec.m)]
+        for U in blocks:
+            for V in blocks:
                 want = cache.dpi(U, V)
-                got = diff[spec.block_slice(U.block), spec.block_slice(V.block)]
+                got = diff[spec.block_slice(U), spec.block_slice(V)]
                 assert np.max(np.abs(got - want)) <= 1e-11
 
 
@@ -381,9 +345,7 @@ def test_non_finite_deviation_fails_its_row(monkeypatch, spec_zoo):
         riemann[0, 0, 1, 0, 2] = np.nan  # the d_t component of R(d_1, d_t)d_2
 
     def nan_in_base_f0(nabla):
-        # rows: d_t, then the sphere's d_1, d_2 and d_1 + 0.37 d_2; this is
-        # the d_2 component of nabla_{d_t}(d_1 + 0.37 d_2)
-        nabla[0, 2, 0, 3] = np.nan
+        nabla[0, 2, 0, 2] = np.nan  # the d_2 component of nabla_{d_t}d_2
 
     for fn in ("structured_ricci_matrix", "structured_scalar"):
         monkeypatch.setattr(verify, fn, nan_at_second_point(getattr(verify, fn), nan_everywhere))
@@ -501,7 +463,7 @@ def test_clause_calls_do_not_grow_with_the_points(monkeypatch, spec_zoo):
             curvature = runs[0].get("_curv_p_base", 0) + runs[0].get("_curv_p_fiber", 0)
             assert runs[0] == runs[1], (name, kind)
             assert curvature == len(plan.clauses), (name, kind)
-            assert runs[0]["_covariant_block"] == len(plan.nabla_pairs), (name, kind)
+            assert runs[0]["_covariant_block"] == len(plan.nabla), (name, kind)
             assert runs[0]["_ricci_block"] == len(plan.ricci), (name, kind)
 
 
@@ -518,3 +480,13 @@ def test_an_empty_point_stack_is_a_typed_error():
             oracle_comparison(spec, P, kind, empty)
     with pytest.raises(WarpcurvError, match="no points"):
         StructuredGeometryCache(spec, P, empty)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 3)])
+def test_a_stack_of_the_wrong_width_is_a_typed_error(shape):
+    # at n_bar 2, a (2, 3) stack is not three 2-d points
+    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(Circle())], [parse_expr("exp(t)")])
+    points = np.full(shape, 0.5)
+    for kind in (LC, SSNM, SYM):
+        with pytest.raises(WarpcurvError, match="point must have length 2"):
+            oracle_comparison(spec, p_dt(), kind, points)
