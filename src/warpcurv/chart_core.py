@@ -8,13 +8,13 @@ full curvature tensor follows at the point itself.  This is the
 independent oracle that the component formulas elsewhere in the package
 are tested against.
 
-The oracle works on a stack of points, an (N, n_bar) array: the jet walk
-runs once over the whole stack (`exprs.eval_stack`) and every tensor
-carries a leading point axis, so a grid costs one call.  The point axis is
-only a list of points; each row's result has the bits a call at that point
-alone gives.  A single point is a one-row stack whose result has no point
-axis.  The test suite holds the exact partials against central differences
-and the curvature against its closed-form relation to the Levi-Civita one.
+The oracle takes its points as a stack, an (N, n_bar) array, and nothing
+else: one point is a one-row stack.  The jet walk runs once over the whole
+stack (`exprs.eval_stack`) and every tensor carries a leading point axis,
+so a grid costs one call.  The point axis is only a list of points; each
+row's result has the bits a one-row stack of that point gives.  The test
+suite holds the exact partials against central differences and the
+curvature against its closed-form relation to the Levi-Civita one.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NumericalInstability, SingularMetric
 from .exprs import Const, GridJet, Pow, Prod, eval_stack
-from .geometry import ProductManifoldSpec, as_given
+from .geometry import ProductManifoldSpec
 
 
 def metric_exprs(spec: ProductManifoldSpec):
@@ -57,19 +57,19 @@ def _metric_entries(spec, pts, order):
 
 
 def assemble_metric(spec: ProductManifoldSpec, p) -> np.ndarray:
-    """Metric matrix at p, or one per row of an (N, n_bar) stack; validates
-    chart membership and warping positivity."""
+    """Metric matrix g[p, i, j] at each row of an (N, n_bar) stack p;
+    validates chart membership and warping positivity."""
     pts = spec.point_stack(p)
     g = np.zeros((len(pts), spec.n_bar, spec.n_bar))
     for (i, j), val in _metric_entries(spec, pts, order=0):
         g[:, i, j] = val.val if isinstance(val, GridJet) else val
-    return as_given(p, g)
+    return g
 
 
 def metric_derivatives(spec: ProductManifoldSpec, p):
-    """Metric at p with its exact first and second partials, from one
-    order-2 jet walk over the entries: g[i, j], dg[k, i, j] = d_k g_ij and
-    d2g[k, l, i, j] = d_k d_l g_ij; a leading point axis for a stack."""
+    """Metric at each row of an (N, n_bar) stack p with its exact first and
+    second partials, from one order-2 jet walk over the entries: g[p, i, j],
+    dg[p, k, i, j] = d_k g_ij and d2g[p, k, l, i, j] = d_k d_l g_ij."""
     pts = spec.point_stack(p)
     N, n = len(pts), spec.n_bar
     g = np.zeros((N, n, n))
@@ -82,13 +82,13 @@ def metric_derivatives(spec: ProductManifoldSpec, p):
         g[:, i, j] = val.val
         dg[:, :, i, j] = val.grad
         d2g[:, :, :, i, j] = val.hess
-    return as_given(p, g), as_given(p, dg), as_given(p, d2g)
+    return g, dg, d2g
 
 
 def inverse_metric(g, points):
-    """Inverse of a metric, or of each metric of a stack, at the rows of the
-    (N, n_bar) `points`.  A singular or non-finite inverse raises
-    SingularMetric for the first such metric, naming its point."""
+    """Inverse of each metric of a stack g, at the rows of the (N, n_bar)
+    `points`.  A singular or non-finite inverse raises SingularMetric for
+    the first such metric, naming its point."""
     try:
         ginv = np.linalg.inv(g)
         if np.isfinite(ginv).all():
@@ -96,7 +96,7 @@ def inverse_metric(g, points):
     except np.linalg.LinAlgError:
         pass
     # the first metric that fails, as one metric at a time finds it
-    for k, gk in enumerate(np.reshape(g, (-1,) + np.shape(g)[-2:])):
+    for k, gk in enumerate(g):
         try:
             if np.isfinite(np.linalg.inv(gk)).all():
                 continue
@@ -107,9 +107,9 @@ def inverse_metric(g, points):
 
 
 def levi_civita_coefficients(spec: ProductManifoldSpec, p):
-    """Christoffel symbols G[k, i, j] = G^k_ij of the Levi-Civita connection
-    and their exact partials dG[m, k, i, j] = d_m G^k_ij; a leading point
-    axis for a stack."""
+    """Christoffel symbols G[p, k, i, j] = G^k_ij of the Levi-Civita
+    connection and their exact partials dG[p, m, k, i, j] = d_m G^k_ij at
+    each row of an (N, n_bar) stack p."""
     pts = spec.point_stack(p)
     g, dg, d2g = metric_derivatives(spec, pts)
     ginv = inverse_metric(g, pts)
@@ -123,39 +123,37 @@ def levi_civita_coefficients(spec: ProductManifoldSpec, p):
     ginv = ginv[:, None]
     dginv = -(ginv @ dg @ ginv)
     dG = 0.5 * (dginv @ T.reshape(N, 1, n, n * n) + ginv @ dT.reshape(N, n, n, n * n))
-    return as_given(p, G), as_given(p, dG.reshape(N, n, n, n, n))
+    return G, dG.reshape(N, n, n, n, n)
 
 
 @dataclass
 class CurvatureAtPoint:
-    """Full curvature data of one connection at one chart point, or at each
-    point of a stack (a leading point axis on every field).
+    """Full curvature data of one connection at each point of a stack, a
+    leading point axis on every field.
 
-    riemann[l, i, j, k] are the components of R(d_i, d_j)d_k along d_l;
-    ricci[i, k] = riemann[j, i, j, k] summed over j (orthonormal-frame trace
-    with signature signs); scalar is the signed trace of ricci;
-    coefficients[k, i, j] = G^k_ij are the connection's coefficients.
+    riemann[p, l, i, j, k] are the components of R(d_i, d_j)d_k along d_l;
+    ricci[p, i, k] = riemann[p, j, i, j, k] summed over j (orthonormal-frame
+    trace with signature signs); scalar[p] is the signed trace of ricci;
+    coefficients[p, k, i, j] = G^k_ij are the connection's coefficients.
     """
 
     riemann: np.ndarray
     ricci: np.ndarray
-    scalar: float
+    scalar: np.ndarray
     metric: np.ndarray
     coefficients: np.ndarray
 
 
 def curvature_from_coefficients(spec, coeff_field, p) -> CurvatureAtPoint:
-    """Curvature of a coefficient field at p, or at each row of a stack.
+    """Curvature of a coefficient field at each row of an (N, n_bar) stack p.
 
-    `coeff_field(p)` returns the coefficients G[k, i, j] = G^k_ij at p and
-    their partials dG[m, k, i, j] = d_m G^k_ij, with p's point axis.  A
+    `coeff_field(pts)` returns the coefficients G[p, k, i, j] = G^k_ij at
+    the stack's rows and their partials dG[p, m, k, i, j] = d_m G^k_ij.  A
     non-finite coefficient, partial or curvature component raises
     NumericalInstability, naming the first point where it occurs.
     """
     pts = spec.point_stack(p)
-    N, n = len(pts), spec.n_bar
-    G, dG = coeff_field(p)
-    G, dG = np.reshape(G, (N, n, n, n)), np.reshape(dG, (N, n, n, n, n))
+    G, dG = coeff_field(pts)
     # R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik;
     # an overflow is reported by the finiteness check, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -174,6 +172,4 @@ def curvature_from_coefficients(spec, coeff_field, p) -> CurvatureAtPoint:
     ginv = inverse_metric(g, pts)
     ricci = np.einsum("zjijk->zik", R)
     scalar = np.einsum("zik,zik->z", ginv, ricci)
-    return CurvatureAtPoint(riemann=as_given(p, R), ricci=as_given(p, ricci),
-                            scalar=float(scalar[0]) if np.ndim(p) == 1 else scalar,
-                            metric=as_given(p, g), coefficients=as_given(p, G))
+    return CurvatureAtPoint(riemann=R, ricci=ricci, scalar=scalar, metric=g, coefficients=G)

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .chart_core import assemble_metric, curvature_from_coefficients, levi_civita_coefficients
-from .geometry import ambient_components, as_given
+from .geometry import ambient_components
 
 
 class ConnectionKind(Enum):
@@ -28,20 +28,17 @@ class ConnectionKind(Enum):
 
 
 def pi_and_dpi(spec, P, p, g, G):
-    """pi_j and its exact partials dpi[i, j] = d_i pi_j at p, from the metric
-    g at p and its Levi-Civita coefficients G; a leading point axis on all
-    four for a stack.
+    """pi[p, j] = pi_j and its exact partials dpi[p, i, j] = d_i pi_j at each
+    row of an (N, n_bar) stack p, from the metrics g at the rows and their
+    Levi-Civita coefficients G.
 
     That connection is metric, so d_i pi_j = g_jm (nabla_i P)^m + G^l_ij pi_l.
     """
-    pts = spec.point_stack(p)
-    N, n = len(pts), spec.n_bar
-    g, G = np.reshape(g, (N, n, n)), np.reshape(G, (N, n, n, n))
-    Pvec, dP = ambient_components(spec, P, pts)  # dP[i, m] = d_i P^m
+    Pvec, dP = ambient_components(spec, P, p)  # dP[p, i, m] = d_i P^m
     pi = (g @ Pvec[:, :, None])[:, :, 0]
     nablaP = dP + np.einsum("zmin,zn->zim", G, Pvec)  # (nabla_{d_i} P)^m
     dpi = np.einsum("zjm,zim->zij", g, nablaP) + np.einsum("zlij,zl->zij", G, pi)
-    return as_given(p, pi), as_given(p, dpi)
+    return pi, dpi
 
 
 def _with_pi(kind, G, pi):
@@ -59,9 +56,9 @@ def _with_pi(kind, G, pi):
 
 
 def modified_coefficients(kind, spec, P, p):
-    """Coefficients G[k, i, j] = G^k_ij of the requested connection at p and
-    their exact partials dG[m, k, i, j] = d_m G^k_ij; a leading point axis
-    for a stack."""
+    """Coefficients G[p, k, i, j] = G^k_ij of the requested connection and
+    their exact partials dG[p, m, k, i, j] = d_m G^k_ij at each row of an
+    (N, n_bar) stack p."""
     G, dG = levi_civita_coefficients(spec, p)
     if kind == ConnectionKind.LEVI_CIVITA:
         return G, dG
@@ -70,8 +67,8 @@ def modified_coefficients(kind, spec, P, p):
 
 
 def connection_curvature(kind, spec, P, p):
-    """Curvature of the requested connection from its exact coefficients, at
-    a point or at every row of an (N, n_bar) stack in one pass."""
+    """Curvature of the requested connection from its exact coefficients at
+    every row of an (N, n_bar) stack p, in one pass."""
     return curvature_from_coefficients(
         spec, lambda q: modified_coefficients(kind, spec, P, q), p
     )

@@ -6,10 +6,10 @@ as explicit trees (node kinds: constant, variable, sum, product, power with
 a real exponent, exp, sin, cos, sqrt, reciprocal) and evaluated on
 `GridJet` numbers, which carry the value together with the exact gradient
 and Hessian with respect to a chosen coordinate list at every point of a
-stack (`eval_stack`).  One point is a one-row stack (`eval_jet`), a t-grid
-a one-column one (`eval_grid`).  A node computes on a `float` itself and
-hands every other number to its method, so plain floats and any jet type
-with the same methods walk the same trees.
+stack (`eval_stack`).  Points come only as a stack: one point is a one-row
+stack (`eval_jet`), a t-grid a one-column one (`eval_grid`).  A node
+computes on a `float` itself and hands every other number to its method,
+so plain floats and any jet type with the same methods walk the same trees.
 """
 
 from __future__ import annotations
@@ -454,15 +454,14 @@ def eval_stack(exprs, names, pts, order=2):
 
 def eval_jet(exprs, names, points):
     """Values (N, k), gradients (N, k, n) and Hessians (N, k, n, n) of k
-    expressions at each row of an (N, n) stack of points, from one
-    eval_stack walk; a single point of length n gives (k,), (k, n) and
-    (k, n, n), as a one-row stack does.  A constant gets zero derivative
-    rows.  A value that is not finite raises ExprError naming the first
-    point that has one, with the text a walk of that point alone raises."""
+    expressions at each row of an (N, n) stack of points, one point being
+    a one-row stack, from one eval_stack walk.  A constant gets zero
+    derivative rows.  Any other shape of points raises ExprError, and so
+    does a value that is not finite, naming the first point that has one."""
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = pts.reshape(-1, len(names))
-    count, k, n = len(pts), len(exprs), len(names)
+    if pts.ndim != 2 or pts.shape[1] != len(names):
+        raise ExprError(f"expected an (N, {len(names)}) point stack, got shape {pts.shape}")
+    (count, n), k = pts.shape, len(exprs)
     val, grad, hess = np.zeros((count, k)), np.zeros((count, k, n)), np.zeros((count, k, n, n))
     for i, jet in enumerate(eval_stack(exprs, names, pts)):
         if isinstance(jet, GridJet):
@@ -470,10 +469,8 @@ def eval_jet(exprs, names, points):
         else:
             val[:, i] = jet
     if not np.isfinite(val).all():
-        at = points if single else pts[int(np.argmax(~np.isfinite(val).all(axis=1)))]
+        at = pts[int(np.argmax(~np.isfinite(val).all(axis=1)))].tolist()
         raise ExprError(f"expression not finite at {dict(zip(names, at))!r}")
-    if single:
-        return val[0], grad[0], hess[0]
     return val, grad, hess
 
 

@@ -772,9 +772,9 @@ def ode_cross_check(family: SolutionFamily, overrides=None, interval=(0.0, 1.0),
     p = family.merged(overrides)
     expr = family._profile_builder(p)
     t0, t1 = interval
-    val, grad, _ = eval_jet([expr], ("t",), [t0])
+    val, grad, _ = eval_jet([expr], ("t",), [[t0]])
     rhs = family._ode_rhs(p)
-    ts, us = rk4_integrate(rhs, t0, val[0], grad[0, 0], t1, n_steps)
+    ts, us = rk4_integrate(rhs, t0, val[0, 0], grad[0, 0, 0], t1, n_steps)
     exact = eval_grid(expr, ts, order=0)[0]
     dev = float(np.max(np.abs(us - exact)))
     if dev > hard_limit:
@@ -801,7 +801,6 @@ def solve_numeric_profile(family: SolutionFamily, overrides=None,
 @dataclass
 class ScanReport:
     case_id: str
-    grid_shape: tuple
     min_max_residual: float
     threshold: float
     passed: bool
@@ -899,7 +898,7 @@ def scan_grw_einstein_oscillatory(l=2, lam=5.0, lam_fiber=1.0, c_range=(-2.0, 2.
         return [lam_fiber + (1 - l) * df**2 + (lam / l - 1 - lam) * f**2 + l * df * f]
 
     best = _lattice_min_max(axis, axis, t_points, rows_for, _off_origin)
-    return ScanReport("grw-einstein-oscillatory", (n_c, n_c), best, threshold,
+    return ScanReport("grw-einstein-oscillatory", best, threshold,
                       best >= threshold, f"l={l}, lam={lam}, lam_fiber={lam_fiber}")
 
 
@@ -928,7 +927,7 @@ def scan_kasner2_einstein_oscillatory(lam=5.0, lam2=1.0, p1=1.0, c_range=(-2.0, 
         return _kasner_system_values(p, dims, lam, (0.0, lam2), psi, dpsi, ddpsi)
 
     best = _lattice_min_max(axis, axis, t_points, rows_for, _off_origin)
-    return ScanReport("kasner2-einstein-oscillatory", (n_c, n_c), best, threshold,
+    return ScanReport("kasner2-einstein-oscillatory", best, threshold,
                       best >= threshold, f"lam={lam}, lam2={lam2}, p=({p1}, 0)")
 
 
@@ -964,5 +963,5 @@ def scan_kasner3_einstein_linear(p=(1.0, 2.0, 3.0), lam=5.0, c_range=(0.1, 2.0),
         return np.min(c1 + c2 * ts, axis=-1, keepdims=True) > 1e-6
 
     best = _lattice_min_max(c1_axis, c2_axis, t_points, rows_for, positive)
-    return ScanReport("kasner3-einstein-linear", (n_c, n_c), best, threshold,
+    return ScanReport("kasner3-einstein-linear", best, threshold,
                       best >= threshold, f"p={tuple(p)}, lam={lam}")

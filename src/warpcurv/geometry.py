@@ -355,18 +355,16 @@ class ProductManifoldSpec:
     # -- points --------------------------------------------------------------
 
     def make_point(self, base_coords, fiber_coords=None):
-        """Assemble a full coordinate vector from per-block pieces.
-
-        Pieces with leading axes broadcast: base coordinates of shape (N, n),
-        or a fiber's (N, d) stack, give an (N, n_bar) stack of points.  A
-        fiber block not given takes the fiber's first sample point.
-        """
-        parts = [np.atleast_1d(np.asarray(base_coords, dtype=float))]
+        """An (N, n_bar) stack of points from per-block pieces, each one row
+        or an (N, d) stack of rows, the rows broadcasting: base coordinates
+        [0.5] give one point.  A fiber block not given takes the fiber's
+        first sample point."""
+        parts = [np.atleast_2d(np.asarray(base_coords, dtype=float))]
         for i, f in enumerate(self.fibers):
             if fiber_coords is not None and fiber_coords[i] is not None:
-                parts.append(np.asarray(fiber_coords[i], dtype=float))
+                parts.append(np.atleast_2d(np.asarray(fiber_coords[i], dtype=float)))
             else:
-                parts.append(f.geometry.sample_coords(1)[0])
+                parts.append(f.geometry.sample_coords(1))
         if [q.shape[-1] for q in parts] != [self.n, *self.fiber_dims]:
             raise WarpcurvError("point has wrong dimension")
         p = np.empty(np.broadcast_shapes(*(q.shape[:-1] for q in parts)) + (self.n_bar,))
@@ -375,15 +373,16 @@ class ProductManifoldSpec:
         return p
 
     def point_stack(self, p):
-        """p as an (N, n_bar) stack of points; a single point is one row."""
+        """p as an (N, n_bar) float array; any other shape, a single point
+        included, raises WarpcurvError naming the expected shape."""
         pts = np.asarray(p, dtype=float)
-        if pts.ndim not in (1, 2) or pts.shape[-1] != self.n_bar:
-            raise WarpcurvError(f"point must have length {self.n_bar}")
-        return pts.reshape(-1, self.n_bar)
+        if pts.ndim != 2 or pts.shape[1] != self.n_bar:
+            raise WarpcurvError(f"expected an (N, {self.n_bar}) point stack, got shape {pts.shape}")
+        return pts
 
     def check_point(self, p):
-        """Chart membership and finite positive warpings at a point, or at
-        every row of an (N, n_bar) stack, by one array test per condition.
+        """Chart membership and finite positive warpings at every row of an
+        (N, n_bar) stack of points, by one array test per condition.
 
         The first failing point raises what a check of that point alone
         raises: the base chart, then each fiber chart, then each warping.
@@ -411,17 +410,17 @@ class ProductManifoldSpec:
             if k < len(charts):
                 raise charts[k][1](j)
             i = k - len(charts)
-            raise NonPositiveWarping(f"warping {i} = {float(b[i, j])} at point {list(pts[j])}")
+            raise NonPositiveWarping(f"warping {i} = {float(b[i, j])} at point {pts[j].tolist()}")
         self._passed_points = frozenset(row.tobytes() for row in pts)
 
     def sample_points(self, k, t_range=(0.1, 0.9)):
-        """Deterministic in-chart sample points for tests and reports."""
+        """k deterministic in-chart sample points, a checked (k, n_bar) stack."""
         base = np.empty((k, self.n))
         base[:, 0] = np.linspace(t_range[0], t_range[1], k)
         base[:, 1:] = 0.2 + 0.15 * np.arange(self.n - 1)
         pts = self.make_point(base, [f.geometry.sample_coords(k) for f in self.fibers])
         self.check_point(pts)
-        return list(pts)
+        return pts
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +467,8 @@ def p_dt():
 
 
 def ambient_components(spec, P, p):
-    """Full-length component vector of P at a point, or (N, n_bar) at each
-    row of a stack, and its partials dP[..., i, m] = d_i P^m."""
+    """Full-length components vals[p, m] of P at each row of an (N, n_bar)
+    stack of points, and their partials dP[p, i, m] = d_i P^m."""
     pts = spec.point_stack(p)
     nbar = spec.n_bar
     vals = np.zeros((len(pts), nbar))
@@ -483,10 +482,4 @@ def ambient_components(spec, P, p):
                 partials[:, :, start + k] = jet.grad
             else:
                 vals[:, start + k] = jet
-    return as_given(p, vals), as_given(p, partials)
-
-
-def as_given(p, a):
-    """`a`, computed over the stack of p, without its point axis when p is a
-    single point."""
-    return a[0] if np.ndim(p) == 1 else a
+    return vals, partials

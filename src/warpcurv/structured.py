@@ -18,14 +18,15 @@ v(...) X along an argument X is a write of v onto the (l, x) diagonal of
 X's block of rows (`_diag`), not a product with X's components, so it does
 no arithmetic beyond v: a non-finite v stays on that diagonal, where a
 product with the other coordinate vectors would smear NaN (0 * inf) across
-the block.  Each operation is one call per stack of points and takes the
-stack's cache, which carries the spec and P; its value has a leading point
-axis, and a cache made at a single point gives it without one, as
-`geometry.as_given` does.  Row k of a value holds the bits of the same call
-on a cache made at point k alone.  The covariant derivative, the curvature
-tensor, the Ricci matrix and the scalar are whole, one clause call per
-block pair or triple.  The curvature fills each mirrored triple, one whose
-clause is R(X, Y)Z = -R(Y, X)Z of another, from that triple's slice.
+the block.  Each operation is one call per stack of points, an (N, n_bar)
+array and the only point shape, and takes the stack's cache, which carries
+the spec and P; its value has a leading point axis, of length 1 for a
+one-row stack.  Row k of a value holds the bits of the same call on the
+cache of the one-row stack of point k.  The covariant derivative, the
+curvature tensor, the Ricci matrix and the scalar are whole, one clause
+call per block pair or triple.  The curvature fills each mirrored triple,
+one whose clause is R(X, Y)Z = -R(Y, X)Z of another, from that triple's
+slice.
 
 Which clauses a whole-tensor operation runs is a sweep plan, made once per
 block layout, P block and kind (`_sweep_plan`): it leaves out the block
@@ -129,14 +130,13 @@ class StructuredGeometryCache:
     """
 
     def __init__(self, spec: ProductManifoldSpec, P, points):
-        """The cache at a point or at every row of an (N, n_bar) stack; the
+        """The cache at every row of an (N, n_bar) stack of points; the
         first failing point raises what a cache made there alone raises,
         and a stack without rows raises WarpcurvError."""
         pts, val, grad, hess = _cache_jets(spec, P, points)
         N = len(pts)
         self.spec = spec
         self.p = pts
-        self.single = np.ndim(points) == 1
         self.P = P
         self.n = spec.n
         self.m = spec.m
@@ -189,11 +189,6 @@ class StructuredGeometryCache:
             self.dPc = grad[:, row:, spec.block_slice(P.location)].transpose(0, 2, 1)
         self._p_free = None
         self._memo = {}
-
-    def as_given(self, a):
-        """`a`, computed over the stack, without its point axis when the
-        cache was made at a single point."""
-        return a[0] if self.single else a
 
     def without_p(self):
         """This stack's data with the torsion field cleared, made at most once.
@@ -545,7 +540,7 @@ def structured_covariant_derivative(c, kind):
     out = np.zeros((len(c.p),) + (c.nbar,) * 3)
     for bx, by, where in _plan(c, kind).nabla:
         out[where] = _covariant_block(c, kind, bx, by)
-    return c.as_given(out)
+    return out
 
 
 def _covariant_block(c, kind, bx, by):
@@ -651,7 +646,7 @@ def structured_curvature(c, kind):
             dpi = c.dpi(bx, by)
             for bz, where in targets:
                 _dpi_term(c, out[where], dpi, bz)
-    return c.as_given(out)
+    return out
 
 
 def _antisym(clause, c, bx, by, bz):
@@ -867,7 +862,7 @@ def structured_ricci_matrix(c, kind):
     out = np.zeros((len(c.p), c.nbar, c.nbar))
     for bx, by, where in _plan(c, kind).ricci:
         out[where] = _ricci_block(c, kind, bx, by)
-    return c.as_given(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -913,4 +908,4 @@ def structured_scalar(c, kind):
         r = c.P_loc
         total = total + (1 - c.nbar) * c.pi_P()
         total = total + (c.nbar - 1) * (c.dims[r] * c.P_b(r) / c.b[r] + c.div_F_P())
-    return c.as_given(total)
+    return total

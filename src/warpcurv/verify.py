@@ -4,15 +4,15 @@ generic coordinate oracle.
 For a given spec, torsion field and connection kind this enumerates every
 argument block pattern the spec supports (covariant derivative pairs,
 curvature triples, Ricci pairs, scalar) and compares the closed-form
-values with the coordinate computation at a set of sample points.  Both
-sides take the stack of points in one call each: one oracle call, and one
-structured cache from one jet walk.  The covariant derivative, the
-curvature, the Ricci matrix and the scalar are then one whole-tensor call
-per stack each, running the clauses of the layout's sweep plan once for all
-the points, and there is one |S - O| per tensor against the oracle's
-tensor of the same layout, whose block maxima are the rows.  A pattern the
-plan skips is zero on the structured side and still compared with the
-oracle.
+values with the coordinate computation at a set of sample points, an
+(N, n_bar) stack, the only point shape.  Both sides take the stack in one
+call each: one oracle call, and one structured cache from one jet walk.
+The covariant derivative, the curvature, the Ricci matrix and the scalar
+are then one whole-tensor call per stack each, running the clauses of the
+layout's sweep plan once for all the points, and there is one |S - O| per
+tensor against the oracle's tensor of the same layout, whose block maxima
+are the rows.  A pattern the plan skips is zero on the structured side and
+still compared with the oracle.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE):
     """Compare every structured clause against the coordinate oracle.
 
     Returns one ClauseReport per block pattern, plus Ricci-matrix and
-    scalar reports, with deviations maximized over the supplied points, a
-    point or an (N, n_bar) stack.  The structured covariant derivative and
-    curvature are one whole-tensor call each over all the points, and each
+    scalar reports, with deviations maximized over the supplied (N, n_bar)
+    stack of points.  The structured covariant derivative and curvature
+    are one whole-tensor call each over all the points, and each
     block pair's or triple's row is the largest |S - O| over the points and
     its block of the oracle's coefficients `coefficients[:, :, sX, sY]` or
     Riemann tensor `riemann[:, :, sX, sY, sZ]`.

@@ -5,8 +5,9 @@ path: the Levi-Civita curvature plus the closed-form correction of the
 torsion-bearing connection.  `finite_difference_field` differentiates a
 coefficient field by Richardson-extrapolated central differences, the
 cross-check for the oracle's exact partials.  The torsion, non-metricity
-and pi tensors at a point, and the mixed base-fiber Ricci block, are
-read from the oracle's coefficients and curvature.
+and pi tensors, and the mixed base-fiber Ricci block, are read from the
+oracle's coefficients and curvature.  Every function takes an (N, n_bar)
+stack of points and returns a leading point axis, as the oracle does.
 """
 
 import numpy as np
@@ -34,31 +35,32 @@ RELATION_CHECK_TOL = 1e-4
 
 
 def pi_covector(spec, P, p):
-    """Covariant components pi_j = g_jm P^m at p."""
+    """Covariant components pi[p, j] = g_jm P^m at the rows of p."""
     g = assemble_metric(spec, p)
     Pvec, _ = ambient_components(spec, P, p)
-    return g @ Pvec
+    return np.einsum("zjm,zm->zj", g, Pvec)
 
 
 def torsion_tensor(kind, spec, P, p):
     """T^k_ij = G^k_ij - G^k_ji; vanishes except for the semi-symmetric case."""
     G, _ = modified_coefficients(kind, spec, P, p)
-    return G - np.transpose(G, (0, 2, 1))
+    return G - np.swapaxes(G, 2, 3)
 
 
 def nonmetricity(kind, spec, P, p):
-    """Components NM[i, j, k] = (nabla_{d_i} g)(d_j, d_k)."""
+    """Components NM[p, i, j, k] = (nabla_{d_i} g)(d_j, d_k)."""
     g, dg, _ = metric_derivatives(spec, p)
     G, _ = modified_coefficients(kind, spec, P, p)
     return (
         dg
-        - np.einsum("mij,mk->ijk", G, g)
-        - np.einsum("mik,jm->ijk", G, g)
+        - np.einsum("zmij,zmk->zijk", G, g)
+        - np.einsum("zmik,zjm->zijk", G, g)
     )
 
 
 def finite_difference_field(coeff_field):
-    """The field q -> (G, dG) of a field q -> G, by central differences.
+    """The field q -> (G, dG) of a field q -> G over a stack of points, by
+    central differences, dG[p, i] = d_i G[p].
 
     Each partial takes step FD_STEP and one Richardson extrapolation;
     disagreement between the two stencils beyond FD_INSTABILITY_TOL
@@ -67,8 +69,8 @@ def finite_difference_field(coeff_field):
 
     def field(p):
         G = coeff_field(p)
-        n = p.shape[0]
-        dG = np.zeros((n,) + G.shape)
+        n = p.shape[1]
+        dG = np.zeros((len(G), n) + G.shape[1:])
         scale = max(1.0, float(np.max(np.abs(G))))
         for i in range(n):
             e = np.zeros(n)
@@ -79,7 +81,7 @@ def finite_difference_field(coeff_field):
                 raise NumericalInstability(
                     f"coefficient-field derivative unstable along coordinate {i}"
                 )
-            dG[i] = (4.0 * d_h2 - d_h) / 3.0
+            dG[:, i] = (4.0 * d_h2 - d_h) / 3.0
         return G, dG
 
     return field
@@ -102,23 +104,23 @@ def curvature_via_relation(kind, spec, P, p):
     G = base.coefficients
     eye = np.eye(spec.n_bar)
     pi, dpi = pi_and_dpi(spec, P, p, g, G)
-    # A[i, k] = g(d_k, nabla_{d_i} P) = d_i pi_k - G^l_ik pi_l
-    A = dpi - np.einsum("lik,l->ik", G, pi)
+    # A[p, i, k] = g(d_k, nabla_{d_i} P) = d_i pi_k - G^l_ik pi_l
+    A = dpi - np.einsum("zlik,zl->zik", G, pi)
 
     R = (
         base.riemann
-        + np.einsum("ik,lj->lijk", A, eye)
-        - np.einsum("jk,li->lijk", A, eye)
-        + np.einsum("k,j,li->lijk", pi, pi, eye)
-        - np.einsum("k,i,lj->lijk", pi, pi, eye)
+        + np.einsum("zik,lj->zlijk", A, eye)
+        - np.einsum("zjk,li->zlijk", A, eye)
+        + np.einsum("zk,zj,li->zlijk", pi, pi, eye)
+        - np.einsum("zk,zi,lj->zlijk", pi, pi, eye)
     )
     if kind == ConnectionKind.SYMMETRIZED_AFFINE:
-        dpi_anti = dpi - dpi.T
-        R = R + np.einsum("ij,lk->lijk", dpi_anti, eye)
+        dpi_anti = dpi - np.swapaxes(dpi, 1, 2)
+        R = R + np.einsum("zij,lk->zlijk", dpi_anti, eye)
 
     ginv = inverse_metric(g, spec.point_stack(p))
-    ricci = np.einsum("jijk->ik", R)
-    scalar = float(np.einsum("ik,ik->", ginv, ricci))
+    ricci = np.einsum("zjijk->zik", R)
+    scalar = np.einsum("zik,zik->z", ginv, ricci)
     return CurvatureAtPoint(riemann=R, ricci=ricci, scalar=scalar, metric=g,
                             coefficients=_with_pi(kind, G, pi))
 
@@ -144,7 +146,7 @@ def relation_check(kind, spec, P, p):
 def mixed_ricci_flat_check(spec, P, kind, points, tolerance=1e-8):
     """Whether the base-fiber Ricci blocks vanish over the points to
     `tolerance`, and their largest |entry|, from one oracle call."""
-    ricci = connection_curvature(kind, spec, P, np.reshape(points, (-1, spec.n_bar))).ricci
+    ricci = connection_curvature(kind, spec, P, points).ricci
     base = spec.block_slice("base")
     worst = 0.0
     for i in range(spec.m):

@@ -189,7 +189,7 @@ def test_acceptance_6_torsion_free_ricci_identities():
     assert len(base_cases) == 5
     worst_base = 0.0
     for name, spec, P in base_cases:
-        cache = StructuredGeometryCache(spec, P, spec.sample_points(1)[0])
+        cache = StructuredGeometryCache(spec, P, spec.sample_points(1))
         a = structured_ricci_matrix(cache, SSNM)
         b = structured_ricci_matrix(cache, SYM)
         worst_base = max(worst_base, float(np.max(np.abs(a - b))))
@@ -197,14 +197,14 @@ def test_acceptance_6_torsion_free_ricci_identities():
     fiber_cases = [z for z in zoo if z[2] is not None and z[2].location != "base"]
     worst_fiber = 0.0
     for name, spec, P in fiber_cases:
-        for p in spec.sample_points(2):
+        for p in spec.sample_points(2)[:, None]:
             oracle = connection_curvature(SYM, spec, P, p).ricci
             cache = StructuredGeometryCache(spec, P, p)
             corrected = structured_ricci_matrix(cache, SSNM).copy()
             blocks = ["base", *range(spec.m)]
             for U in blocks:
                 for V in blocks:
-                    corrected[spec.block_slice(U), spec.block_slice(V)] += cache.dpi(U, V)[0]
+                    corrected[:, spec.block_slice(U), spec.block_slice(V)] += cache.dpi(U, V)
             worst_fiber = max(worst_fiber, float(np.max(np.abs(corrected - oracle))))
     verdict(6, "torsion-free Ricci identities",
             worst_base < 1e-9 and worst_fiber < 1e-10,
@@ -229,7 +229,7 @@ def test_acceptance_7_mixed_ricci_flat_predicate():
     twisted = ProductManifoldSpec(
         IntervalBase(), [FiberSpec(FlatTorus(2))],
         [parse_expr("exp(t*(1 + 0.5*x^2))")], twisted=True)
-    pts = [twisted.make_point([0.3], [[0.8, 0.4]])]
+    pts = twisted.make_point([0.3], [[0.8, 0.4]])
     flat, worst = mixed_ricci_flat_check(twisted, p_dt(), SSNM, pts)
     ok = ok and not flat
     verdict(7, "mixed-Ricci-flat predicate", ok,
@@ -253,8 +253,8 @@ def test_acceptance_8_scalar_formula_consistency():
         ok = ok and np.allclose(closed, expected, atol=1e-14)
         for t in grid:
             p = spec.make_point([t])
-            trace_form = structured_scalar(StructuredGeometryCache(spec, p_dt(), p), SSNM)
-            oracle = connection_curvature(SSNM, spec, p_dt(), p).scalar
+            (trace_form,) = structured_scalar(StructuredGeometryCache(spec, p_dt(), p), SSNM)
+            (oracle,) = connection_curvature(SSNM, spec, p_dt(), p).scalar
             worst = max(worst, abs(trace_form - expected), abs(oracle - expected))
     verdict(8, "scalar formula consistency", ok and worst < 1e-12,
             f"max deviation from fiber scalar + dimension: {worst:.2e}")

@@ -130,8 +130,9 @@ def test_pseudo_einstein_passing_case():
     # and the oracle agrees: symmetrized Ricci equals lambda g
     for t in (0.2, 0.7):
         cur = connection_curvature(SSNM, spec, P, spec.make_point([t]))
-        sym = 0.5 * (cur.ricci + cur.ricci.T)
-        assert np.max(np.abs(sym + 2.0 * cur.metric)) < 1e-12
+        (ric,), (g,) = cur.ricci, cur.metric
+        sym = 0.5 * (ric + ric.T)
+        assert np.max(np.abs(sym + 2.0 * g)) < 1e-12
 
 
 def test_pseudo_einstein_residual_matches_oracle():
@@ -149,9 +150,10 @@ def test_pseudo_einstein_residual_matches_oracle():
     for fc in spec.fibers[1].geometry.sample_coords(3):
         p = spec.make_point([0.4], [None, fc])
         cur = connection_curvature(SSNM, spec, P, p)
-        sym = 0.5 * (cur.ricci + cur.ricci.T)
+        (ric,), (g,) = cur.ricci, cur.metric
+        sym = 0.5 * (ric + ric.T)
         sl = spec.block_slice(1)
-        worst = max(worst, float(np.max(np.abs(sym[sl, sl] - lam * cur.metric[sl, sl]))))
+        worst = max(worst, float(np.max(np.abs(sym[sl, sl] - lam * g[sl, sl]))))
     assert formula.max_abs_residual == pytest.approx(worst, rel=1e-12)
 
 
@@ -235,8 +237,9 @@ def test_torsion_fiber_row_matches_oracle_on_curved_fibers(name):
         for fc in spec.fibers[r].geometry.sample_coords(3):
             p = spec.make_point([t], [fc if k == r else None for k in range(spec.m)])
             cur = connection_curvature(SSNM, spec, P, p)
-            sym = 0.5 * (cur.ricci + cur.ricci.T)
-            worst = max(worst, float(np.max(np.abs(sym[sl, sl] - lam * cur.metric[sl, sl]))))
+            (ric,), (g,) = cur.ricci, cur.metric
+            sym = 0.5 * (ric + ric.T)
+            worst = max(worst, float(np.max(np.abs(sym[sl, sl] - lam * g[sl, sl]))))
     assert worst > 1e-3  # not pseudo-Einstein: the comparison has something to see
     assert formula.max_abs_residual == pytest.approx(worst, rel=1e-12)
 
@@ -358,8 +361,9 @@ def test_pseudo_einstein_invariant_under_torus_shift():
         pb = spec.make_point([0.5], [None, [fc[0] + dz, fc[1] + dw]])
         ca = connection_curvature(SSNM, spec, P, pa)
         cb = connection_curvature(SSNM, spec, shifted, pb)
-        da = 0.5 * (ca.ricci + ca.ricci.T) - lam * ca.metric
-        db = 0.5 * (cb.ricci + cb.ricci.T) - lam * cb.metric
+        (ra,), (rb,) = ca.ricci, cb.ricci
+        da = 0.5 * (ra + ra.T) - lam * ca.metric[0]
+        db = 0.5 * (rb + rb.T) - lam * cb.metric[0]
         assert np.max(np.abs(da - db)) < 1e-12
 
 

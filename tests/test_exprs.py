@@ -55,7 +55,7 @@ def test_jet_first_and_second_derivatives():
     e = exp(Var("t") * 0.5) * sin(Var("x")) + sqrt(Var("x") + 2)
     names = ("t", "x")
     pt = [0.3, 0.8]
-    _, (jet_grad,), (jet_hess,) = eval_jet([e], names, pt)
+    _, ((jet_grad,),), ((jet_hess,),) = eval_jet([e], names, [pt])
     grad = fd_grad(e, names, pt)
     assert np.allclose(jet_grad, grad, rtol=1e-6)
     for i in range(2):
@@ -71,7 +71,7 @@ def test_jet_first_and_second_derivatives():
 def test_jet_matches_finite_differences(t, x, a):
     e = exp(Const(a) * Var("t")) * (Var("x") ** 1.5) + cos(Var("t")) * Recip(Var("x"))
     names = ("t", "x")
-    _, (jet_grad,), _ = eval_jet([e], names, [t, x])
+    _, ((jet_grad,),), _ = eval_jet([e], names, [[t, x]])
     grad = fd_grad(e, names, [t, x])
     scale = max(1.0, float(np.max(np.abs(grad))))
     assert np.max(np.abs(jet_grad - grad)) / scale < 1e-6
@@ -101,13 +101,21 @@ def test_out_of_range_values_are_domain_errors(text, t):
     with pytest.raises(ExprError):
         eval_value(e, ("t",), [t])
     with pytest.raises(ExprError):
-        eval_jet([e], ("t",), [t])
+        eval_jet([e], ("t",), [[t]])
+
+
+def test_a_non_finite_value_names_its_point_in_plain_floats():
+    # exp(t) * exp(t) overflows in the product, not in a rule that checks;
+    # the first row with a non-finite value is named, as Python floats
+    with pytest.raises(ExprError) as err:
+        eval_jet([parse_expr("exp(t)*exp(t)")], ("t",), [[1.0], [400.0]])
+    assert str(err.value) == "expression not finite at {'t': 400.0}"
 
 
 def test_power_rule_at_a_zero_base():
     # r (r - 1) b^(r - 2) is 2 at b = 0 for r = 2, and 0 for r = 1 and 3
     for text, hess in [("t^2", 2.0), ("t^3", 0.0), ("t^1", 0.0), ("(1+t^2)^0.5", 1.0)]:
-        _, _, (jet_hess,) = eval_jet([parse_expr(text)], ("t",), [0.0])
+        _, _, ((jet_hess,),) = eval_jet([parse_expr(text)], ("t",), [[0.0]])
         assert jet_hess.tolist() == [[hess]], text
         assert eval_grid(parse_expr(text), [0.0])[2].tolist() == [hess], text
 

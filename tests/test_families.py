@@ -569,7 +569,6 @@ def test_values_only_walk_is_row_zero_of_the_grid(case, fractions, end):
 def test_scan_grw_einstein():
     rep = scan_grw_einstein_oscillatory(l=2, lam=5.0, lam_fiber=1.0, n_c=41)
     assert rep.passed and rep.min_max_residual >= 0.01
-    assert rep.grid_shape == (41, 41)
 
 
 def test_scan_kasner2_einstein():

@@ -87,9 +87,10 @@ def test_sample_points_stay_in_chart():
         [FiberSpec(Sphere(1.0)), FiberSpec(HyperbolicPlane())],
         [Const(1.0), Const(2.0)],
     )
-    for p in spec.sample_points(6):
-        spec.check_point(p)
-        assert p.shape == (spec.n_bar,)
+    pts = spec.sample_points(6)
+    assert pts.shape == (6, spec.n_bar)
+    for p in pts:
+        spec.check_point(p[None])
 
 
 def test_block_layout_of_every_zoo_spec(spec_zoo):

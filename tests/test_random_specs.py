@@ -95,10 +95,9 @@ def recipes(draw, min_fibers=1):
 def oracle_scale(spec, P, kind, points):
     """The oracle's largest |Gamma|, |R|, |Ric| or |scalar| (at least 1)."""
     scale = 1.0
-    for p in points:
-        cur = connection_curvature(kind, spec, P, p)
-        for a in (cur.coefficients, cur.riemann, cur.ricci, cur.scalar):
-            scale = max(scale, float(np.max(np.abs(a))))
+    cur = connection_curvature(kind, spec, P, points)
+    for a in (cur.coefficients, cur.riemann, cur.ricci, cur.scalar):
+        scale = max(scale, float(np.max(np.abs(a))))
     return scale
 
 
@@ -147,8 +146,7 @@ def test_planted_trace_error_fails_the_scalar_row(monkeypatch):
     # warpings are twisted, so P(b_r) != 0 and both parts carry weight
     base, geometries, twisted, r, kind, coefs = P_ON_LAST_OF_THREE
     spec, P = build_case(base, geometries, twisted, r, coefs)
-    for p in spec.sample_points(2):
-        assert StructuredGeometryCache(spec, P, p).P_b(r) != 0.0
+    assert np.all(StructuredGeometryCache(spec, P, spec.sample_points(2)).P_b(r) != 0.0)
     for name in ("P_b", "div_F_P"):
         original = getattr(StructuredGeometryCache, name)
         monkeypatch.setattr(StructuredGeometryCache, name,
@@ -171,17 +169,16 @@ def test_an_error_only_the_third_coordinate_vector_reaches_fails_its_rows(monkey
     points = spec.sample_points(2)
     scale = oracle_scale(spec, P, kind, points)
     blocks = {"base": "base", **{f"f{i}": i for i in range(spec.m)}}
-    for p in points:
-        riemann = connection_curvature(kind, spec, P, p).riemann
-        cache = StructuredGeometryCache(spec, P, p)
-        for row in rows:
-            triple = [blocks[label] for label in row[len("curv["):-1].split(",")]
-            index = [np.arange(spec.n_bar)]
-            for b in triple:
-                sl = spec.block_slice(b)
-                index.append(sl.start + np.arange(min(2, sl.stop - sl.start)))
-            sv = structured._curvature_block(cache, kind, *triple)[:, :, :2, :2, :2]
-            assert np.max(np.abs(sv - riemann[np.ix_(*index)])) / scale <= BOUND, row
+    riemann = connection_curvature(kind, spec, P, points).riemann
+    cache = StructuredGeometryCache(spec, P, points)
+    for row in rows:
+        triple = [blocks[label] for label in row[len("curv["):-1].split(",")]
+        index = [np.arange(len(points)), np.arange(spec.n_bar)]
+        for b in triple:
+            sl = spec.block_slice(b)
+            index.append(sl.start + np.arange(min(2, sl.stop - sl.start)))
+        sv = structured._curvature_block(cache, kind, *triple)[:, :, :2, :2, :2]
+        assert np.max(np.abs(sv - riemann[np.ix_(*index)])) / scale <= BOUND, row
 
 
 def assert_tensor_is_its_block_clauses(spec, P, points):
@@ -235,8 +232,7 @@ def test_mirrored_patterns_are_the_ones_their_clauses_swap(monkeypatch, p_locati
 
     monkeypatch.setattr(structured, "_antisym", recording(structured._antisym, routed))
     blocks = ["base", *range(spec.m)]
-    p = spec.sample_points(1)[0]
-    cache = StructuredGeometryCache(spec, P, p)
+    cache = StructuredGeometryCache(spec, P, spec.sample_points(1))
     for kind in ConnectionKind:
         for triple in itertools.product(blocks, repeat=3):
             routed.clear()
@@ -339,16 +335,15 @@ def _operations(cache, kind):
 def assert_rows_are_one_point_calls(spec, P, points):
     """Under every kind, each row of the four operations on a stack of 1,
     2, 3 or 5 points holds the bits, signed zeros included, of the same
-    operation on a cache made at that row's point alone, which has no
-    point axis."""
+    operation on a cache made at the one-row stack of that row's point."""
     for kind in ConnectionKind:
-        alone = [_operations(StructuredGeometryCache(spec, P, p), kind) for p in points]
+        alone = [_operations(StructuredGeometryCache(spec, P, p), kind) for p in points[:, None]]
         for size in (1, 2, 3, 5):
             stacked = _operations(StructuredGeometryCache(spec, P, points[:size]), kind)
             for name, value in stacked.items():
                 assert len(value) == size, (kind, name)
                 for k in range(size):
-                    assert _bytes(value[k]) == _bytes(alone[k][name]), (kind, name, size, k)
+                    assert _bytes(value[k]) == _bytes(alone[k][name][0]), (kind, name, size, k)
 
 
 @settings(max_examples=25, deadline=None)
@@ -376,7 +371,7 @@ def test_three_distinct_fibers_give_exact_zeros(recipe):
     # included, gives exact zeros there
     base, geometries, twisted, p_location, _, coefs = recipe
     spec, P = build_case(base, geometries, twisted, p_location, coefs)
-    for p in spec.sample_points(2, t_range=(-0.4, 1.1)):
+    for p in spec.sample_points(2, t_range=(-0.4, 1.1))[:, None]:
         cache = StructuredGeometryCache(spec, P, p)
         for kind in ConnectionKind:
             for triple in itertools.permutations(range(spec.m), 3):
@@ -430,14 +425,14 @@ def assert_skipped_classes_are_zero(spec, P, p):
 def test_the_classes_a_sweep_plan_skips_give_exact_zeros_on_random_specs(recipe):
     base, geometries, twisted, p_location, _, coefs = recipe
     spec, P = build_case(base, geometries, twisted, p_location, coefs)
-    for p in spec.sample_points(2, t_range=(-0.4, 1.1)):
+    for p in spec.sample_points(2, t_range=(-0.4, 1.1))[:, None]:
         assert_skipped_classes_are_zero(spec, P, p)
 
 
 @pytest.mark.parametrize("case", make_zoo(), ids=[name for name, _, _ in make_zoo()])
 def test_the_classes_a_sweep_plan_skips_give_exact_zeros_on_the_zoo(case):
     _, spec, P = case
-    for p in spec.sample_points(2):
+    for p in spec.sample_points(2)[:, None]:
         assert_skipped_classes_are_zero(spec, P, p)
 
 
@@ -446,18 +441,16 @@ def test_the_classes_a_sweep_plan_skips_give_exact_zeros_on_the_zoo(case):
 @example(recipe=P_ON_3D_FIBER, count=17)
 def test_a_stack_of_points_matches_one_row_stacks(recipe, count):
     # the oracle at N points at once is bit-identical to each point as a
-    # one-row stack, and to the point itself without a point axis
+    # one-row stack
     base, geometries, twisted, p_location, kind, coefs = recipe
     spec, P = build_case(base, geometries, twisted, p_location, coefs)
     points = np.array(spec.sample_points(count, t_range=(-0.4, 1.1)))
     stack = connection_curvature(kind, spec, P, points)
-    for j, p in enumerate(points):
+    for j in range(count):
         row = connection_curvature(kind, spec, P, points[j:j + 1])
-        single = connection_curvature(kind, spec, P, p)
         for field in ("riemann", "ricci", "scalar", "coefficients"):
             want = getattr(row, field)
             assert np.array_equal(getattr(stack, field)[j], want[0]), (field, j, recipe)
-            assert np.array_equal(getattr(single, field), want[0]), (field, j, recipe)
 
 
 CACHE_FIELDS = ("b", "db_base", "db_fiber", "H_bb", "H_bf", "H_ff", "gF", "dgF", "RF", "RicF",
@@ -528,7 +521,7 @@ def assert_same_cache_arrays(got, want):
 
 
 def assert_cache_matches_reference(spec, P, p):
-    cache = StructuredGeometryCache(spec, P, p)
+    cache = StructuredGeometryCache(spec, P, p[None])
     assert len(cache.p) == 1
     assert_same_cache_arrays(cache_row(cache, 0), reference_cache(spec, P, p))
 
@@ -556,12 +549,12 @@ def test_cache_arrays_match_the_reference_jets_on_the_zoo(case):
 
 def assert_batched_caches_match_one_point_caches(spec, P, points):
     """Every row of every array of a cache made over a stack of points,
-    from one jet walk, holds the bits of the cache made at its point
-    alone."""
+    from one jet walk, holds the bits of the cache made at the one-row
+    stack of its point."""
     cache = StructuredGeometryCache(spec, P, points)
     assert len(cache.p) == len(points)
     for k, p in enumerate(points):
-        alone = StructuredGeometryCache(spec, P, p)
+        alone = StructuredGeometryCache(spec, P, p[None])
         assert _bytes(cache.p[k]) == _bytes(alone.p[0]) == _bytes(p)
         assert_same_cache_arrays(cache_row(cache, k), cache_row(alone, 0))
 
@@ -600,8 +593,8 @@ def test_a_batched_cache_raises_the_one_point_error_of_the_first_failing_point(
     spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))], [parse_expr(warping)])
     points = spec.make_point(np.array([[0.1], [0.5], [0.9]]))
     P = TorsionVectorFieldSpec("base", [parse_expr(component)])
-    StructuredGeometryCache(spec, P, points[0])  # 1e308 at t = 0.1 is finite
-    want = _raised(lambda: StructuredGeometryCache(spec, P, points[1]))
+    StructuredGeometryCache(spec, P, points[:1])  # 1e308 at t = 0.1 is finite
+    want = _raised(lambda: StructuredGeometryCache(spec, P, points[1:2]))
     assert want[0].__name__ == error and "0.5" in want[1]
     assert _raised(lambda: StructuredGeometryCache(spec, P, points)) == want
     assert _raised(lambda: StructuredGeometryCache(spec, P, points[1:])) == want
@@ -611,6 +604,6 @@ def test_a_batched_cache_raises_the_chart_error_of_the_first_point_outside():
     spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(Sphere(1.0))], [parse_expr("2 + t")])
     points = spec.make_point(np.array([[0.2], [0.4], [0.6]]),
                              [np.array([[1.0, 0.3], [0.01, 0.3], [3.1, 0.3]])])
-    want = _raised(lambda: StructuredGeometryCache(spec, None, points[1]))
+    want = _raised(lambda: StructuredGeometryCache(spec, None, points[1:2]))
     assert want[0].__name__ == "OutOfChart" and "0.01" in want[1]
     assert _raised(lambda: StructuredGeometryCache(spec, None, points)) == want

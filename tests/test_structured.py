@@ -1,6 +1,8 @@
 """Component formulas against the coordinate oracle, clause by clause."""
 
+import functools
 import math
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -9,7 +11,18 @@ import pytest
 from connection_reference import mixed_ricci_flat_check
 
 from warpcurv import exprs, structured
-from warpcurv.connections import ConnectionKind, connection_curvature
+from warpcurv.chart_core import (
+    assemble_metric,
+    curvature_from_coefficients,
+    levi_civita_coefficients,
+    metric_derivatives,
+)
+from warpcurv.connections import (
+    ConnectionKind,
+    connection_curvature,
+    modified_coefficients,
+    pi_and_dpi,
+)
 from warpcurv.errors import CaseMismatch, WarpcurvError
 from warpcurv.exprs import Const, parse_expr
 from warpcurv.geometry import (
@@ -21,6 +34,7 @@ from warpcurv.geometry import (
     ProductManifoldSpec,
     Sphere,
     TorsionVectorFieldSpec,
+    ambient_components,
     p_dt,
 )
 from warpcurv.structured import (
@@ -49,7 +63,7 @@ def test_one_cache_build_is_one_jet_walk(spec_zoo):
     # the warpings, the fiber metric entries and P come from one eval_jet call
     for name, spec, P in spec_zoo:
         with mock.patch.object(structured, "eval_jet", wraps=exprs.eval_jet) as walk:
-            StructuredGeometryCache(spec, P, spec.sample_points(1)[0])
+            StructuredGeometryCache(spec, P, spec.sample_points(1))
         assert walk.call_count == 1, name
 
 
@@ -57,10 +71,10 @@ def test_covariant_derivative_base_fiber_rule(grw_exp_spec):
     # nabla_U X = [X(b)/b + pi(X)] U: vanishes for the exponential warping
     # X = d_t (row 0), U = the fiber's first coordinate vector (row 1)
     cache = StructuredGeometryCache(grw_exp_spec, p_dt(), grw_exp_spec.make_point([0.4]))
-    out = structured_covariant_derivative(cache, SSNM)[:, 1, 0]
+    out = structured_covariant_derivative(cache, SSNM)[0, :, 1, 0]
     assert np.max(np.abs(out)) < 1e-12
     # and the symmetrized variant adds pi(X) once more on the other slot
-    out_sym = structured_covariant_derivative(cache, SYM)[:, 0, 1]
+    out_sym = structured_covariant_derivative(cache, SYM)[0, :, 0, 1]
     expect = np.zeros(3)
     expect[1] = 1.0 - 1.0  # X(b)/b + pi(X)
     assert np.allclose(out_sym[1:], expect[1:])
@@ -77,7 +91,7 @@ def test_cross_fiber_rule_with_fiber_torsion():
     cache = StructuredGeometryCache(spec, P, p)
     # nabla_U W = g(W, P) U across distinct fibers: U = the circle's
     # coordinate vector (row 1), W = the torus's first one (row 2)
-    out = structured_covariant_derivative(cache, SSNM)[:, 1, 2]
+    out = structured_covariant_derivative(cache, SSNM)[0, :, 1, 2]
     gWP = cache.pi(1)[0, 0]  # g(W, P)
     assert out[1] == pytest.approx(gWP)
     assert np.max(np.abs(out[[0, 2, 3]])) < 1e-14
@@ -111,8 +125,8 @@ def test_curvature_base_pattern_with_fiber_torsion():
     p = spec.make_point([0.4])
     cur = connection_curvature(SSNM, spec, P, p)
     # X = Y = d_t (index 0), V = the circle's coordinate vector (index 1)
-    sv = structured_curvature(StructuredGeometryCache(spec, P, p), SSNM)[:, 0, 0, 1]
-    ov = cur.riemann[:, 0, 0, 1]
+    sv = structured_curvature(StructuredGeometryCache(spec, P, p), SSNM)[0, :, 0, 0, 1]
+    ov = cur.riemann[0, :, 0, 0, 1]
     assert np.max(np.abs(sv - ov)) < 1e-8
 
 
@@ -124,8 +138,7 @@ def test_riemann_index_read_equals_unit_contraction(kind, spec_zoo):
     import itertools
 
     for name, spec, P in spec_zoo:
-        p = spec.sample_points(1)[0]
-        R = connection_curvature(kind, spec, P, p).riemann
+        (R,) = connection_curvature(kind, spec, P, spec.sample_points(1)).riemann
         e = np.eye(spec.n_bar)
         for i, j, k in itertools.product(range(spec.n_bar), repeat=3):
             ov = np.einsum("lijk,i,j,k->l", R, e[i], e[j], e[k])
@@ -136,7 +149,7 @@ def test_case_dispatch_is_total(spec_zoo):
     import itertools
 
     for name, spec, P in spec_zoo[:4]:
-        p = spec.sample_points(1)[0]
+        p = spec.sample_points(1)
         blocks = ["base"] + list(range(spec.m))
         for kind in (LC, SSNM, SYM):
             cache = StructuredGeometryCache(spec, P, p)
@@ -145,7 +158,7 @@ def test_case_dispatch_is_total(spec_zoo):
                         for b in (bx, by, bz)]
                 assert curvature_at(cache, kind, *vecs).shape == (1, spec.n_bar), name
             assert structured_curvature(cache, kind).shape == \
-                (spec.n_bar,) * 4, name
+                (1,) + (spec.n_bar,) * 4, name
 
 
 @pytest.mark.parametrize("kind", ["bogus", "semi-symmetric", None])
@@ -179,8 +192,8 @@ def test_mixed_ricci_symmetry_p_base(spec_zoo):
     for name, spec, P in spec_zoo:
         if P is not None and P.location != "base":
             continue
-        p = spec.sample_points(1)[0]
-        ric = structured_ricci_matrix(StructuredGeometryCache(spec, P, p), SSNM)
+        cache = StructuredGeometryCache(spec, P, spec.sample_points(1))
+        (ric,) = structured_ricci_matrix(cache, SSNM)
         base = spec.block_slice("base")
         for i in range(spec.m):
             sl = spec.block_slice(i)
@@ -198,7 +211,7 @@ def test_mixed_ricci_antisymmetric_part_p_fiber():
     p = spec.make_point([0.35])
     cache = StructuredGeometryCache(spec, P, p)
     # X = d_t (index 0), V = the circle's coordinate vector (index 1)
-    ric = structured_ricci_matrix(cache, SSNM)
+    (ric,) = structured_ricci_matrix(cache, SSNM)
     forward, backward = ric[0, 1], ric[1, 0]
     expected = 2.0 * (spec.n_bar - 1) * float(cache.db_base[0][0, 0] / cache.b[0][0]) \
         * float(cache.pi(0)[0, 0])
@@ -209,7 +222,7 @@ def test_torsion_free_ricci_matches_semi_symmetric_for_base_p(spec_zoo):
     for name, spec, P in spec_zoo:
         if P is not None and P.location != "base":
             continue
-        cache = StructuredGeometryCache(spec, P, spec.sample_points(1)[0])
+        cache = StructuredGeometryCache(spec, P, spec.sample_points(1))
         a = structured_ricci_matrix(cache, SSNM)
         b = structured_ricci_matrix(cache, SYM)
         assert np.max(np.abs(a - b)) < 1e-9, name
@@ -223,7 +236,7 @@ def test_torsion_free_ricci_correction_p_fiber():
         [parse_expr("2 + 0.3*sin(t)"), parse_expr("exp(0.3*t)")],
     )
     P = TorsionVectorFieldSpec(0, [Const(1.0), Const(0.5)])
-    for p in spec.sample_points(2):
+    for p in spec.sample_points(2)[:, None]:
         a = connection_curvature(SSNM, spec, P, p)
         b = connection_curvature(SYM, spec, P, p)
         diff = b.ricci - a.ricci
@@ -232,7 +245,7 @@ def test_torsion_free_ricci_correction_p_fiber():
         for U in blocks:
             for V in blocks:
                 want = cache.dpi(U, V)
-                got = diff[spec.block_slice(U), spec.block_slice(V)]
+                got = diff[:, spec.block_slice(U), spec.block_slice(V)]
                 assert np.max(np.abs(got - want)) <= 1e-11
 
 
@@ -249,7 +262,7 @@ def test_scalar_formula_values():
 
 def test_scalar_no_field_reduces_to_levi_civita(spec_zoo):
     for name, spec, P in spec_zoo[:5]:
-        p = spec.sample_points(1)[0]
+        p = spec.sample_points(1)
         lc = connection_curvature(LC, spec, None, p).scalar
         cache = StructuredGeometryCache(spec, None, p)
         assert structured_scalar(cache, SSNM) == pytest.approx(lc, abs=1e-12), name
@@ -294,7 +307,7 @@ def test_mixed_ricci_flat_predicates():
         [parse_expr("exp(t)*(1 + 0.5*x^2)")],
         twisted=True,
     )
-    pts = [separable.make_point([0.3], [[0.8, 0.4]])]
+    pts = separable.make_point([0.3], [[0.8, 0.4]])
     flat1, _ = mixed_ricci_flat_check(separable, p_dt(), SSNM, pts)
     # a product-form twist is re-expressible as a warped product: mixed-flat
     assert flat1 and separable.twisted
@@ -305,7 +318,7 @@ def test_mixed_ricci_flat_predicates():
         [parse_expr("exp(t*(1 + 0.5*x^2))")],
         twisted=True,
     )
-    pts = [knotted.make_point([0.3], [[0.8, 0.4]])]
+    pts = knotted.make_point([0.3], [[0.8, 0.4]])
     flat2, _ = mixed_ricci_flat_check(knotted, p_dt(), SSNM, pts)
     assert not flat2 and knotted.twisted
 
@@ -315,12 +328,12 @@ def test_levi_civita_clauses_ignore_p_exactly(spec_zoo):
     for name, spec, P in spec_zoo:
         if P is None:
             continue
-        p = spec.sample_points(2)[1]
+        p = spec.sample_points(2)[1:]
         with_p = StructuredGeometryCache(spec, P, p)
         free = StructuredGeometryCache(spec, None, p)
         for whole in (structured_ricci_matrix, structured_curvature):
             assert np.array_equal(whole(with_p, LC), whole(free, LC)), (name, whole.__name__)
-        assert structured_scalar(with_p, LC) == structured_scalar(free, LC), name
+        assert np.array_equal(structured_scalar(with_p, LC), structured_scalar(free, LC)), name
         # the P data itself stays on the P-bearing cache
         assert with_p.P_loc == P.location and with_p.without_p().P_loc is None
 
@@ -458,8 +471,7 @@ def test_clause_calls_do_not_grow_with_the_points(monkeypatch, spec_zoo):
                 counts.clear()
                 oracle_comparison(spec, P, kind, spec.sample_points(count))
                 runs.append(dict(counts))
-            plan = structured._plan(StructuredGeometryCache(spec, P, spec.sample_points(1)[0]),
-                                    kind)
+            plan = structured._plan(StructuredGeometryCache(spec, P, spec.sample_points(1)), kind)
             curvature = runs[0].get("_curv_p_base", 0) + runs[0].get("_curv_p_fiber", 0)
             assert runs[0] == runs[1], (name, kind)
             assert curvature == len(plan.clauses), (name, kind)
@@ -482,11 +494,57 @@ def test_an_empty_point_stack_is_a_typed_error():
         StructuredGeometryCache(spec, P, empty)
 
 
-@pytest.mark.parametrize("shape", [(2, 3), (1, 3)])
+@pytest.mark.parametrize("shape", [(2, 3), (1, 3), (2,), (1, 1, 2)])
 def test_a_stack_of_the_wrong_width_is_a_typed_error(shape):
-    # at n_bar 2, a (2, 3) stack is not three 2-d points
+    # at n_bar 2, a (2, 3) stack is not three 2-d points, and neither a
+    # single point nor a stack of stacks is a stack of points
     spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(Circle())], [parse_expr("exp(t)")])
     points = np.full(shape, 0.5)
+    expected = rf"^expected an \(N, 2\) point stack, got shape {re.escape(str(shape))}$"
+    calls = [lambda: StructuredGeometryCache(spec, p_dt(), points),
+             lambda: spec.check_point(points),
+             lambda: exprs.eval_jet(spec.warpings, spec.coord_names, points)]
     for kind in (LC, SSNM, SYM):
-        with pytest.raises(WarpcurvError, match="point must have length 2"):
-            oracle_comparison(spec, p_dt(), kind, points)
+        calls.append(lambda kind=kind: oracle_comparison(spec, p_dt(), kind, points))
+        calls.append(lambda kind=kind: connection_curvature(kind, spec, p_dt(), points))
+    for call in calls:
+        with pytest.raises(WarpcurvError, match=expected):
+            call()
+
+
+def test_every_point_function_keeps_the_point_axis_of_a_one_row_stack(spec_zoo):
+    # one point is a one-row stack, and every array a point function
+    # returns for it has a leading point axis of length 1
+    for name, spec, P in spec_zoo:
+        p = spec.sample_points(1)
+        g = assemble_metric(spec, p)
+        G, dG = levi_civita_coefficients(spec, p)
+        cache = StructuredGeometryCache(spec, P, p)
+        fields = [cache.p, cache.zeros, cache.Pc, cache.dPc, *cache.b, *cache.b2]
+        for group in (cache.db_base, cache.db_fiber, cache.H_bb, cache.H_bf, cache.H_ff,
+                      cache.gF, cache.dgF, cache.GF, cache.RF, cache.RicF, cache.gFinv):
+            fields.extend(group)
+        returned = {
+            "make_point": [spec.make_point(p[0, :spec.n])],
+            "ambient_components": ambient_components(spec, P, p),
+            "assemble_metric": [g],
+            "metric_derivatives": metric_derivatives(spec, p),
+            "levi_civita_coefficients": [G, dG],
+            "pi_and_dpi": pi_and_dpi(spec, P, p, g, G),
+            "eval_jet": exprs.eval_jet(spec.warpings, spec.coord_names, p),
+            "StructuredGeometryCache": [f for f in fields if f is not None],
+        }
+        for kind in (LC, SSNM, SYM):
+            field = functools.partial(modified_coefficients, kind, spec, P)
+            for call, cur in (("connection_curvature", connection_curvature(kind, spec, P, p)),
+                              ("curvature_from_coefficients",
+                               curvature_from_coefficients(spec, field, p))):
+                returned[f"{call} {kind}"] = [cur.riemann, cur.ricci, cur.scalar, cur.metric,
+                                              cur.coefficients]
+            returned[f"modified_coefficients {kind}"] = field(p)
+            returned[f"structured {kind}"] = [
+                op(cache, kind) for op in (structured_covariant_derivative, structured_curvature,
+                                           structured_ricci_matrix, structured_scalar)]
+        for call, arrays in returned.items():
+            for a in arrays:
+                assert isinstance(a, np.ndarray) and a.shape[:1] == (1,), (name, call)
