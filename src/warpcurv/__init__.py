@@ -15,7 +15,6 @@ from .connections import ConnectionKind
 from .errors import WarpcurvError
 from .geometry import (
     Circle,
-    FiberSpec,
     FlatBase,
     FlatTorus,
     HyperbolicPlane,
@@ -31,7 +30,6 @@ __all__ = [
     "ConnectionKind",
     "WarpcurvError",
     "Circle",
-    "FiberSpec",
     "FlatBase",
     "FlatTorus",
     "HyperbolicPlane",

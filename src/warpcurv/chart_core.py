@@ -38,7 +38,7 @@ def metric_exprs(spec: ProductManifoldSpec):
     entries = [(a, a, Const(float(s))) for a, s in enumerate(spec.base.signs)]
     for i, fiber in enumerate(spec.fibers):
         start = spec.block_slice(i).start
-        gf = fiber.geometry.metric_exprs(spec.fiber_coord_names(i))
+        gf = fiber.metric_exprs(spec.fiber_coord_names(i))
         b2 = Pow(spec.warpings[i], 2.0)
         for a, b in itertools.product(range(fiber.dim), repeat=2):
             if not (isinstance(gf[a][b], Const) and gf[a][b].value == 0.0):

@@ -52,12 +52,11 @@ from .families import (
     scan_kasner3_einstein_linear,
 )
 from .geometry import (
-    FiberSpec,
+    FIBER_GEOMETRIES,
     FlatBase,
     IntervalBase,
     ProductManifoldSpec,
     TorsionVectorFieldSpec,
-    make_geometry,
 )
 from .verify import DEFAULT_TOLERANCE, oracle_comparison
 
@@ -66,7 +65,6 @@ logger = logging.getLogger("warpcurv")
 TASKS = ("oracle-verify", "einstein-check", "scalar-check",
          "family-generate", "family-verify", "nonexistence-scan")
 FORMATS = ("text", "csv", "json")
-FIBER_GEOMETRIES = ("flat_torus", "circle", "sphere", "hyperbolic")
 
 FAMILY_GENERATORS = {
     "grw-einstein": grw_einstein_family,
@@ -140,9 +138,11 @@ _positive = _value(float, "finite and positive", lambda x: math.isfinite(x) and 
 _count = _value(int, "at least 1 and an integer", lambda n: n >= 1)
 _finite_list = _value(_tuple_of(_finite), "comma-separated finite numbers")
 
-# Parsers of the family.* and scan.* values by name; names not listed take
-# one finite number.
+# Parsers of the fiber.*, family.* and scan.* values by name; names not
+# listed take one finite number.
 _PARAMETER_TYPES = {
+    "dim": _count,
+    "radius": _positive,
     "l": _count,
     "n_c": _count,
     "t_points": _count,
@@ -185,8 +185,7 @@ KEYS = {
     "twisted": (_value(lambda text: _FLAGS[text.lower()], "true/false, yes/no or 1/0"),
                 _GEOMETRIC),
     "fiber.geometry": (_one_of(FIBER_GEOMETRIES), _GEOMETRIC),
-    "fiber.dim": (_count, _GEOMETRIC),
-    "fiber.radius": (_positive, _GEOMETRIC),
+    **_parameter_keys("fiber", FIBER_GEOMETRIES, _GEOMETRIC),
     "fiber.warping": (str, _GEOMETRIC),
     "p.location": (_value(_p_location, "none, base or fiber:<i>"), _GEOMETRIC),
     "p.components": (str, _GEOMETRIC),
@@ -204,8 +203,10 @@ KEYS = {
     **_parameter_keys("scan", SCANS, _SCAN),
 }
 
-# Fiber keys that one geometry alone reads.
-_FIBER_ONLY = {"fiber.dim": "flat_torus", "fiber.radius": "sphere"}
+# Each fiber.* key of a constructor argument, and the geometries that take it.
+_FIBER_ONLY = {f"fiber.{name}": [kind for kind, make in FIBER_GEOMETRIES.items()
+                                 if name in _parameters(make)]
+               for fiber in FIBER_GEOMETRIES.values() for name in _parameters(fiber)}
 # ScenarioConfig fields not named after their key.
 _FIELDS = {"lambda": "lam", "format": "out_format"}
 
@@ -292,9 +293,9 @@ def _set(cfg, key, text, label=None):
             cfg.fibers.append({})
         elif not cfg.fibers:
             raise ConfigParseError(f"{key} before any fiber.geometry line")
-        elif key in _FIBER_ONLY and cfg.fibers[-1]["geometry"] != _FIBER_ONLY[key]:
-            raise ConfigParseError(f"{key!r} is read only by {_FIBER_ONLY[key]} fibers, "
-                                   f"not {cfg.fibers[-1]['geometry']}")
+        elif key in _FIBER_ONLY and cfg.fibers[-1]["geometry"] not in _FIBER_ONLY[key]:
+            raise ConfigParseError(f"{key!r} is read only by {' and '.join(_FIBER_ONLY[key])} "
+                                   f"fibers, not {cfg.fibers[-1]['geometry']}")
         cfg.fibers[-1][name] = value
     elif group in ("family", "scan"):
         getattr(cfg, group)[name] = value
@@ -355,8 +356,8 @@ def _arguments(group, table, values):
 def build_spec(cfg: ScenarioConfig) -> ProductManifoldSpec:
     if not cfg.fibers:
         raise ConfigParseError("scenario declares no fibers")
-    fibers = [FiberSpec(make_geometry(fb["geometry"], dim=fb.get("dim", 2),
-                                      radius=fb.get("radius", 1.0)))
+    fibers = [FIBER_GEOMETRIES[fb["geometry"]](
+                  **{name: v for name, v in fb.items() if name not in ("geometry", "warping")})
               for fb in cfg.fibers]
     warpings = [parse_expr(fb.get("warping", "1")) for fb in cfg.fibers]
     return ProductManifoldSpec(cfg.base, fibers, warpings, twisted=cfg.twisted)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .connections import ConnectionKind, connection_curvature
-from .errors import DimensionTooSmall, FiberNotEinstein, UnsupportedP, WarpcurvError
+from .errors import DimensionTooSmall, UnsupportedP, WarpcurvError
 from .exprs import eval_grid
 from .geometry import IntervalBase, ProductManifoldSpec, TorsionVectorFieldSpec
 from .structured import StructuredGeometryCache
@@ -97,11 +97,6 @@ def _on_fiber(spec, r, coords):
     return [coords if k == r else None for k in range(spec.m)]
 
 
-def _squares(x):
-    """x**2 per element through libm pow, which rounds unlike x*x on ~0.1 % of x."""
-    return np.array([v ** 2 for v in x.tolist()])
-
-
 def grw_einstein_residuals(spec, lam, grid, tolerance=CLOSED_FORM_TOL):
     """Residuals of the Einstein conditions for P = d/dt.
 
@@ -114,9 +109,6 @@ def grw_einstein_residuals(spec, lam, grid, tolerance=CLOSED_FORM_TOL):
     l_i-weighted form.  Passing here is equivalent (to tolerance) to the
     generic-oracle Einstein property Ric = lambda g.
     """
-    for i, f in enumerate(spec.fibers):
-        if not f.is_einstein:
-            raise FiberNotEinstein(f"fiber {i} is not declared Einstein")
     b = warping_samples(spec, grid)
     dims = np.array(spec.fiber_dims, dtype=float)
     nbar = spec.n_bar
@@ -160,8 +152,6 @@ def pseudo_einstein_residuals(spec, P: TorsionVectorFieldSpec, lam, grid,
     for i, f in enumerate(spec.fibers):
         if i == r:
             continue
-        if not f.is_einstein:
-            raise FiberNotEinstein(f"fiber {i} is not declared Einstein")
         bi, dbi, ddbi = b[i]
         cross = (dims @ ratio) - dims[i] * ratio[i]
         res = (
@@ -177,15 +167,16 @@ def pseudo_einstein_residuals(spec, P: TorsionVectorFieldSpec, lam, grid,
     # (e_a, e_b) at three points of F_r, from one cache over the three, each
     # entry a (point, t) array.  Entries keep the per-point bits: dot
     # products are (1, l) @ (l, 1) products at each point (a matrix product
-    # sums in another order), squares go through `_squares`.
-    samples = spec.fibers[r].geometry.sample_coords(3)
+    # sums in another order), squares go through np.float_power (libm's pow),
+    # as the cache's b2 does.
+    samples = spec.fibers[r].sample_coords(3)
     on_r = spec.make_point([grid[0]], _on_fiber(spec, r, samples))
     _grid_points(spec, grid, _on_fiber(spec, r, samples[0]), then=on_r)
     lr = spec.fiber_dims[r]
     br, dbr, ddbr = b[r]
-    br2 = _squares(br)
+    br2 = np.float_power(br, 2.0)
     cross = np.array([dims @ ratio[:, j] for j in range(len(grid))]) - dims[r] * ratio[r]
-    bracket = br * ddbr + (lr - 1) * _squares(dbr) + br * dbr * cross + lam * br2
+    bracket = br * ddbr + (lr - 1) * np.float_power(dbr, 2.0) + br * dbr * cross + lam * br2
     c = StructuredGeometryCache(spec, P, on_r)
     gF, ricF = c.gF[r], c.RicF[r]
     # pi(e_a) = b_r^2 gP[a] and g(e_w, nabla_{e_v} P) = b_r^2 gnP[w][v]
@@ -255,7 +246,7 @@ def _fiber_p_scalar(spec, P, br, pts):
     gPP = (c.Pc[:, None, :] @ c.gF[r] @ c.Pc[:, :, None])[:, 0]
     divP = c.div_F_P()[:, None]
     invariants = np.hstack([gPP, divP])
-    return (1 - nbar) * (_squares(br) * gPP) + (nbar - 1) * divP, invariants
+    return (1 - nbar) * (np.float_power(br, 2.0) * gPP) + (nbar - 1) * divP, invariants
 
 
 class ClosedFormScalar(NamedTuple):
@@ -329,7 +320,7 @@ def constant_scalar_separation_check(spec, P, grid, closed):
     p_const = None
     if P is not None and P.location != "base":
         r = P.location
-        samples = spec.fibers[r].geometry.sample_coords(5)
+        samples = spec.fibers[r].sample_coords(5)
         on_r = spec.make_point([grid[0]], _on_fiber(spec, r, samples))
         _grid_points(spec, grid, then=on_r)
         terms, invariants = _fiber_p_scalar(spec, P, closed.b[r, 0], on_r)

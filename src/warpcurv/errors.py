@@ -46,10 +46,6 @@ class CaseMismatch(WarpcurvError):
     """Argument block tags match no component-formula clause."""
 
 
-class FiberNotEinstein(WarpcurvError):
-    """A residual check requires a fiber declared Einstein."""
-
-
 class DimensionTooSmall(WarpcurvError):
     """Total dimension too small for the requested check."""
 

@@ -427,7 +427,9 @@ class _Stack(dict):
 def jet_env(names, pts, order):
     """eval_stack's environment over an (N, len(names)) stack of points:
     each name's GridJet, with du = e_i and ddu = 0 (order 2) or values only
-    (order 0)."""
+    (order 0).  Any other shape of points raises ExprError."""
+    if pts.ndim != 2 or pts.shape[1] != len(names):
+        raise ExprError(f"expected an (N, {len(names)}) point stack, got shape {pts.shape}")
     count, n = pts.shape
     du, ddu = np.zeros((n, count, 1, n)), np.zeros((count, n, n))
     for i in range(n):
@@ -438,7 +440,8 @@ def jet_env(names, pts, order):
 
 
 def eval_stack(exprs, names, pts, order=2):
-    """Each expression over the rows of an (N, len(names)) stack of points.
+    """Each expression over the rows of an (N, len(names)) stack of points;
+    any other shape of points raises ExprError.
 
     One walk per tree with GridJet numbers seeded on one slot per name
     (order 2), or carrying values only (order 0); a constant tree gives its
@@ -459,11 +462,10 @@ def eval_jet(exprs, names, points):
     derivative rows.  Any other shape of points raises ExprError, and so
     does a value that is not finite, naming the first point that has one."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != len(names):
-        raise ExprError(f"expected an (N, {len(names)}) point stack, got shape {pts.shape}")
+    jets = eval_stack(exprs, names, pts)
     (count, n), k = pts.shape, len(exprs)
     val, grad, hess = np.zeros((count, k)), np.zeros((count, k, n)), np.zeros((count, k, n, n))
-    for i, jet in enumerate(eval_stack(exprs, names, pts)):
+    for i, jet in enumerate(jets):
         if isinstance(jet, GridJet):
             val[:, i], grad[:, i], hess[:, i] = jet.val, jet.grad, jet.hess
         else:
@@ -479,7 +481,7 @@ def eval_grid(expr, ts, order=2):
 
     The stack of eval_stack with n = 1, shape (3, len(ts)): column j holds
     the value, first and second derivative at ts[j], with the bits of
-    eval_jet([expr], ("t",), [ts[j]]), and an ExprError names the grid value.
+    eval_jet([expr], ("t",), [[ts[j]]]), and an ExprError names the grid value.
     With order 0 the walk carries values only and gives the row u alone,
     shape (1, len(ts)); an unbound variable or a value that is not finite
     raises the same ExprError as at order 2.

@@ -1,9 +1,14 @@
 """Charts, fiber geometries and product-manifold specifications.
 
 A product spec is a base chart (Lorentzian interval or a flat diagonal
-chart), an ordered list of fibers, and one positive warping expression per
-fiber.  Coordinates are kept in block order: base coordinates first, then
-each fiber block in declaration order.
+chart), an ordered list of fiber geometries, and one positive warping
+expression per fiber.  Coordinates are kept in block order: base
+coordinates first, then each fiber block in declaration order.
+
+Each fiber is a `FiberGeometry`: an Einstein manifold whose metric, chart,
+curvature, Einstein constant and scalar curvature (dim times the Einstein
+constant) its geometry fixes.  `FIBER_GEOMETRIES` names the built-in ones;
+a scenario's fiber block calls the named constructor with its other keys.
 
 Curvature conventions used throughout the package (fixed once here):
 
@@ -28,6 +33,8 @@ from .exprs import Const, GridJet, Pow, Prod, Recip, ScalarExpr, Sin, Var, eval_
 
 _BASE_COORD_NAMES = ("t", "u", "v")
 _FIBER_COORD_PAIRS = (("x", "y"), ("z", "w"), ("p", "q"), ("r", "s"))
+# the open t-interval of the interval base
+_INTERVAL = (-10.0, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +44,6 @@ _FIBER_COORD_PAIRS = (("x", "y"), ("z", "w"), ("p", "q"), ("r", "s"))
 @dataclass(frozen=True)
 class IntervalBase:
     """Open interval with the metric -dt^2."""
-
-    domain: tuple = (-10.0, 10.0)
 
     @property
     def dim(self):
@@ -54,8 +59,8 @@ class IntervalBase:
 
     def chart_faults(self, coords):
         t = coords[:, 0]
-        bad = ~((self.domain[0] < t) & (t < self.domain[1]))
-        return bad, lambda j: OutOfChart(f"t={t[j]} outside interval {self.domain}")
+        bad = ~((_INTERVAL[0] < t) & (t < _INTERVAL[1]))
+        return bad, lambda j: OutOfChart(f"t={t[j]} outside interval {_INTERVAL}")
 
 
 @dataclass(frozen=True)
@@ -87,9 +92,9 @@ class FlatBase:
 
 
 class FiberGeometry:
-    """Built-in homogeneous fiber with analytic curvature data."""
+    """Built-in homogeneous fiber with analytic curvature data; an Einstein
+    manifold, so scalar_curvature is dim * einstein_constant."""
 
-    kind = "abstract"
     dim = 0
 
     # curvature of the *unscaled* fiber metric g_F, engine conventions
@@ -125,8 +130,6 @@ class FiberGeometry:
 
 
 class FlatTorus(FiberGeometry):
-    kind = "flat_torus"
-
     def __init__(self, dim=2):
         if dim < 1:
             raise WarpcurvError("torus dimension must be >= 1")
@@ -140,8 +143,6 @@ class FlatTorus(FiberGeometry):
 
 
 class Circle(FlatTorus):
-    kind = "circle"
-
     def __init__(self):
         super().__init__(dim=1)
 
@@ -171,7 +172,6 @@ class _ConstantCurvatureSurface(FiberGeometry):
 class Sphere(_ConstantCurvatureSurface):
     """Round two-sphere of radius r on the polar chart away from the poles."""
 
-    kind = "sphere"
     polar_margin = 0.2
 
     def __init__(self, radius=1.0):
@@ -206,7 +206,6 @@ class Sphere(_ConstantCurvatureSurface):
 class HyperbolicPlane(_ConstantCurvatureSurface):
     """Upper half-plane model, metric (dx^2 + dy^2)/y^2, K = -1."""
 
-    kind = "hyperbolic"
     sectional = -1.0
 
     def metric_exprs(self, names):
@@ -231,62 +230,21 @@ class HyperbolicPlane(_ConstantCurvatureSurface):
         return np.stack([x, y], axis=1)
 
 
-def make_geometry(kind, dim=2, radius=1.0):
-    if kind == "flat_torus":
-        return FlatTorus(dim)
-    if kind == "circle":
-        return Circle()
-    if kind == "sphere":
-        return Sphere(radius)
-    if kind == "hyperbolic":
-        return HyperbolicPlane()
-    raise WarpcurvError(f"unknown fiber geometry {kind!r}")
+# The built-in fibers by the name that the scenario key fiber.geometry takes.
+FIBER_GEOMETRIES = {
+    "flat_torus": FlatTorus,
+    "circle": Circle,
+    "sphere": Sphere,
+    "hyperbolic": HyperbolicPlane,
+}
 
 
 # ---------------------------------------------------------------------------
-# Fiber and product specifications
-
-
-@dataclass
-class FiberSpec:
-    """One fiber factor: geometry plus its declared Einstein data.
-
-    Constants default to the geometry's analytic values; passing
-    `declared_einstein=False` marks the fiber as carrying no Einstein
-    constant (for exercising the precondition failures of the residual
-    checks).
-    """
-
-    geometry: FiberGeometry
-    einstein_constant: float | None = None
-    scalar_curvature: float | None = None
-    declared_einstein: bool = True
-
-    def __post_init__(self):
-        if not self.declared_einstein:
-            self.einstein_constant = None
-        elif self.einstein_constant is None:
-            self.einstein_constant = self.geometry.einstein_constant
-        if self.scalar_curvature is None:
-            self.scalar_curvature = self.geometry.scalar_curvature
-        if self.einstein_constant is not None:
-            expected = self.dim * self.einstein_constant
-            if abs(self.scalar_curvature - expected) > 1e-12:
-                raise WarpcurvError(
-                    "fiber scalar curvature must equal dim * einstein constant"
-                )
-
-    @property
-    def dim(self):
-        return self.geometry.dim
-
-    @property
-    def is_einstein(self):
-        return self.declared_einstein and self.einstein_constant is not None
+# Product specification
 
 
 class ProductManifoldSpec:
-    """Base chart x fibers with one warping expression per fiber."""
+    """Base chart x fiber geometries with one warping expression per fiber."""
 
     def __init__(self, base, fibers, warpings, twisted=False):
         if len(fibers) != len(warpings):
@@ -364,7 +322,7 @@ class ProductManifoldSpec:
             if fiber_coords is not None and fiber_coords[i] is not None:
                 parts.append(np.atleast_2d(np.asarray(fiber_coords[i], dtype=float)))
             else:
-                parts.append(f.geometry.sample_coords(1))
+                parts.append(f.sample_coords(1))
         if [q.shape[-1] for q in parts] != [self.n, *self.fiber_dims]:
             raise WarpcurvError("point has wrong dimension")
         p = np.empty(np.broadcast_shapes(*(q.shape[:-1] for q in parts)) + (self.n_bar,))
@@ -396,7 +354,7 @@ class ProductManifoldSpec:
         if all(row.tobytes() in self._passed_points for row in pts):
             return
         charts = [self.base.chart_faults(pts[:, self._base_slice])]
-        charts += [f.geometry.chart_faults(pts[:, sl])
+        charts += [f.chart_faults(pts[:, sl])
                    for f, sl in zip(self.fibers, self._fiber_slices)]
         bad = np.array([rows for rows, _ in charts])
         inside = int(np.argmax(bad.any(axis=0))) if bad.any() else len(pts)
@@ -418,7 +376,7 @@ class ProductManifoldSpec:
         base = np.empty((k, self.n))
         base[:, 0] = np.linspace(t_range[0], t_range[1], k)
         base[:, 1:] = 0.2 + 0.15 * np.arange(self.n - 1)
-        pts = self.make_point(base, [f.geometry.sample_coords(k) for f in self.fibers])
+        pts = self.make_point(base, [f.sample_coords(k) for f in self.fibers])
         self.check_point(pts)
         return pts
 

@@ -166,7 +166,7 @@ class StructuredGeometryCache:
         self.gF, self.dgF, self.GF, self.RF, self.RicF = [], [], [], [], []
         row = m
         for f, sl in zip(spec.fibers, fibers):
-            geo, l = f.geometry, f.dim
+            l = f.dim
             rows = slice(row, row + l * l)
             row += l * l
             g = val[:, rows].reshape(N, l, l)
@@ -174,9 +174,9 @@ class StructuredGeometryCache:
             # dgF[i][p, c, a, b] = d_c g_ab in the fiber's own coordinates
             self.dgF.append(grad[:, rows, sl].transpose(0, 2, 1).reshape(N, l, l, l))
             # sin and cos of the sphere chart stay libm's, one point at a time
-            self.GF.append(np.array([geo.christoffels(q) for q in pts[:, sl]]))
-            self.RF.append(geo.curvature(g))
-            self.RicF.append(geo.ricci(g))
+            self.GF.append(np.array([f.christoffels(q) for q in pts[:, sl]]))
+            self.RF.append(f.curvature(g))
+            self.RicF.append(f.ricci(g))
         self.gFinv = [np.linalg.inv(g) for g in self.gF]
 
         # torsion field data within its hosting block
@@ -400,7 +400,7 @@ def _cache_jets(spec, P, points):
         raise WarpcurvError("point stack has no points")
     spec.check_point(pts)
     entries = [e for i, f in enumerate(spec.fibers)
-               for row in f.geometry.metric_exprs(spec.fiber_coord_names(i)) for e in row]
+               for row in f.metric_exprs(spec.fiber_coord_names(i)) for e in row]
     comps = []
     if P is not None:
         P.validate(spec)

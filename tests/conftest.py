@@ -8,7 +8,6 @@ from warpcurv import einstein
 from warpcurv.exprs import Const, parse_expr
 from warpcurv.geometry import (
     Circle,
-    FiberSpec,
     FlatBase,
     FlatTorus,
     HyperbolicPlane,
@@ -27,19 +26,19 @@ def make_zoo():
     zoo = []
     zoo.append((
         "grw-exp-torus",
-        ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
+        ProductManifoldSpec(IntervalBase(), [FlatTorus(2)],
                             [parse_expr("exp(t)")]),
         p_dt(),
     ))
     zoo.append((
         "grw-sphere",
-        ProductManifoldSpec(IntervalBase(), [FiberSpec(Sphere(1.0))],
+        ProductManifoldSpec(IntervalBase(), [Sphere(1.0)],
                             [parse_expr("2 + 0.5*sin(t)")]),
         p_dt(),
     ))
     zoo.append((
         "grw-hyperbolic-const",
-        ProductManifoldSpec(IntervalBase(), [FiberSpec(HyperbolicPlane())],
+        ProductManifoldSpec(IntervalBase(), [HyperbolicPlane()],
                             [Const(2 ** -0.5)]),
         p_dt(),
     ))
@@ -47,7 +46,7 @@ def make_zoo():
         "two-fiber-scaled-p",
         ProductManifoldSpec(
             IntervalBase(),
-            [FiberSpec(Circle()), FiberSpec(FlatTorus(2))],
+            [Circle(), FlatTorus(2)],
             [parse_expr("exp(t)"), parse_expr("2 + 0.4*cos(t)")],
         ),
         TorsionVectorFieldSpec("base", [parse_expr("0.8 + 0.3*t")]),
@@ -56,7 +55,7 @@ def make_zoo():
         "rotation-field-on-torus",
         ProductManifoldSpec(
             IntervalBase(),
-            [FiberSpec(Circle()), FiberSpec(FlatTorus(2))],
+            [Circle(), FlatTorus(2)],
             [Const(1.0), Const(1.0)],
         ),
         TorsionVectorFieldSpec(1, [parse_expr("0-w"), parse_expr("z")]),
@@ -65,7 +64,7 @@ def make_zoo():
         "p-on-circle",
         ProductManifoldSpec(
             IntervalBase(),
-            [FiberSpec(Circle()), FiberSpec(FlatTorus(2))],
+            [Circle(), FlatTorus(2)],
             [parse_expr("1.5 + 0.5*cos(t)"), parse_expr("exp(0.5*t)")],
         ),
         TorsionVectorFieldSpec(0, [Const(0.7)]),
@@ -74,7 +73,7 @@ def make_zoo():
         "p-on-hyperbolic",
         ProductManifoldSpec(
             IntervalBase(),
-            [FiberSpec(HyperbolicPlane()), FiberSpec(Circle())],
+            [HyperbolicPlane(), Circle()],
             [parse_expr("2 + 0.3*sin(t)"), parse_expr("exp(0.3*t)")],
         ),
         TorsionVectorFieldSpec(0, [Const(1.0), Const(0.5)]),
@@ -83,7 +82,7 @@ def make_zoo():
         "flat2-base",
         ProductManifoldSpec(
             FlatBase((-1.0, 1.0)),
-            [FiberSpec(FlatTorus(2))],
+            [FlatTorus(2)],
             [parse_expr("exp(0.3*t + 0.4*u)")],
         ),
         TorsionVectorFieldSpec("base", [Const(0.5), Const(0.25)]),
@@ -92,7 +91,7 @@ def make_zoo():
         "flat3-base-sphere",
         ProductManifoldSpec(
             FlatBase((-1.0, 1.0, 1.0)),
-            [FiberSpec(Sphere(2.0))],
+            [Sphere(2.0)],
             [parse_expr("1 + 0.1*t^2 + 0.05*u + 0.08*v")],
         ),
         TorsionVectorFieldSpec("base", [Const(0.4), Const(0.2), Const(0.1)]),
@@ -101,7 +100,7 @@ def make_zoo():
         "twisted-torus",
         ProductManifoldSpec(
             IntervalBase(),
-            [FiberSpec(FlatTorus(2))],
+            [FlatTorus(2)],
             [parse_expr("exp(0.2*t*(1 + 0.3*x^2 + 0.1*x*y))")],
             twisted=True,
         ),
@@ -111,7 +110,7 @@ def make_zoo():
         "twisted-torus-fiber-field",
         ProductManifoldSpec(
             IntervalBase(),
-            [FiberSpec(FlatTorus(2))],
+            [FlatTorus(2)],
             [parse_expr("exp(0.2*t)*(1 + 0.1*x^2)")],
             twisted=True,
         ),
@@ -121,14 +120,14 @@ def make_zoo():
         "kasner-three-circles",
         ProductManifoldSpec(
             IntervalBase(),
-            [FiberSpec(Circle()), FiberSpec(Circle()), FiberSpec(Circle())],
+            [Circle(), Circle(), Circle()],
             [parse_expr("exp(t)"), parse_expr("exp(2*t)"), parse_expr("exp(0-3*t)")],
         ),
         p_dt(),
     ))
     zoo.append((
         "no-torsion-field",
-        ProductManifoldSpec(IntervalBase(), [FiberSpec(Sphere(1.0))],
+        ProductManifoldSpec(IntervalBase(), [Sphere(1.0)],
                             [parse_expr("2 + 0.5*sin(t)")]),
         None,
     ))
@@ -159,7 +158,7 @@ def rng():
 
 @pytest.fixture
 def grw_exp_spec():
-    return ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
+    return ProductManifoldSpec(IntervalBase(), [FlatTorus(2)],
                                [parse_expr("exp(t)")])
 
 

@@ -34,7 +34,6 @@ from warpcurv.families import (
     scan_kasner2_einstein_oscillatory,
 )
 from warpcurv.geometry import (
-    FiberSpec,
     FlatTorus,
     HyperbolicPlane,
     IntervalBase,
@@ -116,7 +115,7 @@ def test_acceptance_2_einstein_families_end_to_end():
     start = time.perf_counter()
     grid = chebyshev_grid(0.05, 0.95, 17)
 
-    exp_spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
+    exp_spec = ProductManifoldSpec(IntervalBase(), [FlatTorus(2)],
                                    [parse_expr("exp(t)")])
     worst_flat = 0.0
     for t in grid:
@@ -125,7 +124,7 @@ def test_acceptance_2_einstein_families_end_to_end():
 
     # constant warping sqrt(lam_fiber / l) with the unit-constant fiber;
     # in the package trace convention that fiber is the hyperbolic plane
-    const_spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(HyperbolicPlane())],
+    const_spec = ProductManifoldSpec(IntervalBase(), [HyperbolicPlane()],
                                      [Const(2.0 ** -0.5)])
     worst_const = 0.0
     for t in grid:
@@ -216,9 +215,9 @@ def test_acceptance_7_mixed_ricci_flat_predicate():
     ok = True
     details = []
     for fibers, warp in [
-        ([FiberSpec(FlatTorus(2))], "exp(t)"),
-        ([FiberSpec(Sphere(1.0)), FiberSpec(FlatTorus(2))], "2 + 0.4*cos(t)"),
-        ([FiberSpec(HyperbolicPlane())], "1.5 + 0.3*sin(t)"),
+        ([FlatTorus(2)], "exp(t)"),
+        ([Sphere(1.0), FlatTorus(2)], "2 + 0.4*cos(t)"),
+        ([HyperbolicPlane()], "1.5 + 0.3*sin(t)"),
     ]:
         warps = [parse_expr(warp)] * len(fibers)
         spec = ProductManifoldSpec(IntervalBase(), fibers, warps)
@@ -227,7 +226,7 @@ def test_acceptance_7_mixed_ricci_flat_predicate():
         details.append(f"{worst:.1e}")
 
     twisted = ProductManifoldSpec(
-        IntervalBase(), [FiberSpec(FlatTorus(2))],
+        IntervalBase(), [FlatTorus(2)],
         [parse_expr("exp(t*(1 + 0.5*x^2))")], twisted=True)
     pts = twisted.make_point([0.3], [[0.8, 0.4]])
     flat, worst = mixed_ricci_flat_check(twisted, p_dt(), SSNM, pts)
@@ -243,9 +242,9 @@ def test_acceptance_8_scalar_formula_consistency():
     worst = 0.0
     ok = True
     for fiber, expected in [
-        (FiberSpec(FlatTorus(2)), 0.0 + 2),
-        (FiberSpec(Sphere(1.0)), -2.0 + 2),
-        (FiberSpec(HyperbolicPlane()), 2.0 + 2),
+        (FlatTorus(2), 0.0 + 2),
+        (Sphere(1.0), -2.0 + 2),
+        (HyperbolicPlane(), 2.0 + 2),
     ]:
         spec = ProductManifoldSpec(IntervalBase(), [fiber], [Const(1.0)])
         grid = np.array([0.2, 0.5, 0.8])

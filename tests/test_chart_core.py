@@ -17,7 +17,6 @@ from warpcurv.errors import NonPositiveWarping, OutOfChart, SingularMetric
 from warpcurv.exprs import Const, parse_expr
 from warpcurv.geometry import (
     Circle,
-    FiberSpec,
     FlatBase,
     FlatTorus,
     IntervalBase,
@@ -38,7 +37,7 @@ def test_metric_exponential_warping(grw_exp_spec):
 def test_metric_two_fiber_powers():
     spec = ProductManifoldSpec(
         IntervalBase(),
-        [FiberSpec(Circle()), FiberSpec(FlatTorus(2))],
+        [Circle(), FlatTorus(2)],
         [parse_expr("exp(t)"), parse_expr("exp(2*t)")],
     )
     g = assemble_metric(spec, spec.make_point([1.0]))
@@ -46,14 +45,14 @@ def test_metric_two_fiber_powers():
 
 
 def test_nonpositive_warping_raises():
-    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
+    spec = ProductManifoldSpec(IntervalBase(), [FlatTorus(2)],
                                [parse_expr("t")])
     with pytest.raises(NonPositiveWarping):
         assemble_metric(spec, spec.make_point([-1.0]))
 
 
 def test_sphere_pole_out_of_chart():
-    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(Sphere(1.0))], [Const(1.0)])
+    spec = ProductManifoldSpec(IntervalBase(), [Sphere(1.0)], [Const(1.0)])
     with pytest.raises(OutOfChart):
         assemble_metric(spec, spec.make_point([0.0], [[0.05, 1.0]]))
 
@@ -78,14 +77,14 @@ def test_metric_derivatives_match_finite_differences(spec_zoo):
 
 
 def test_metric_derivative_values():
-    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
+    spec = ProductManifoldSpec(IntervalBase(), [FlatTorus(2)],
                                [parse_expr("exp(t)")])
     p = spec.make_point([0.0])
     _, (dg,), (d2g,) = metric_derivatives(spec, p)
     assert dg[0, 1, 1] == pytest.approx(2.0)  # d_t e^{2t} at t = 0
     assert d2g[0, 0, 1, 1] == pytest.approx(4.0)  # d_t^2 e^{2t} at t = 0
 
-    quad = ProductManifoldSpec(IntervalBase(), [FiberSpec(Circle())],
+    quad = ProductManifoldSpec(IntervalBase(), [Circle()],
                                [parse_expr("t^2+1")])
     _, (dg,), (d2g,) = metric_derivatives(quad, quad.make_point([1.0]))
     assert dg[0, 1, 1] == pytest.approx(8.0)  # 2 (t^2+1)(2t) at t = 1
@@ -93,7 +92,7 @@ def test_metric_derivative_values():
 
 
 def test_flat_chart_all_zero():
-    spec = ProductManifoldSpec(FlatBase((1.0, 1.0)), [FiberSpec(FlatTorus(2))],
+    spec = ProductManifoldSpec(FlatBase((1.0, 1.0)), [FlatTorus(2)],
                                [Const(1.0)])
     p = spec.make_point([0.1, 0.2])
     assert all(np.allclose(d, 0.0) for d in metric_derivatives(spec, p)[1:])
@@ -113,7 +112,7 @@ def test_christoffel_exponential_values(grw_exp_spec):
 
 
 def test_sphere_christoffel_against_geometry():
-    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(Sphere(1.0))], [Const(1.0)])
+    spec = ProductManifoldSpec(IntervalBase(), [Sphere(1.0)], [Const(1.0)])
     th = 1.1
     p = spec.make_point([0.0], [[th, 0.5]])
     (G,), _ = levi_civita_coefficients(spec, p)
@@ -122,7 +121,7 @@ def test_sphere_christoffel_against_geometry():
 
 
 def test_unit_sphere_block_curvature():
-    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(Sphere(1.0))], [Const(1.0)])
+    spec = ProductManifoldSpec(IntervalBase(), [Sphere(1.0)], [Const(1.0)])
     p = spec.make_point([0.0], [[math.pi / 2, 0.5]])
     cur = connection_curvature(LC, spec, None, p)
     # product of a line with a unit sphere: engine-convention scalar is -2
@@ -145,10 +144,10 @@ def test_levi_civita_symmetries(spec_zoo):
 def test_scalar_invariant_under_fiber_permutation():
     w1, w2 = parse_expr("exp(t)"), parse_expr("2 + 0.4*cos(t)")
     spec_a = ProductManifoldSpec(IntervalBase(),
-                                 [FiberSpec(Circle()), FiberSpec(FlatTorus(2))],
+                                 [Circle(), FlatTorus(2)],
                                  [w1, w2])
     spec_b = ProductManifoldSpec(IntervalBase(),
-                                 [FiberSpec(FlatTorus(2)), FiberSpec(Circle())],
+                                 [FlatTorus(2), Circle()],
                                  [w2, w1])
     for t in (0.2, 0.6):
         sa = connection_curvature(LC, spec_a, None, spec_a.make_point([t])).scalar
@@ -166,7 +165,7 @@ def test_singular_metric_raises():
 def test_unstable_coefficient_field_detected():
     from warpcurv.errors import NumericalInstability
 
-    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
+    spec = ProductManifoldSpec(IntervalBase(), [FlatTorus(2)],
                                [Const(1.0)])
 
     def jittery(q):
@@ -180,7 +179,7 @@ def test_unstable_coefficient_field_detected():
 def test_non_finite_curvature_detected():
     from warpcurv.errors import NumericalInstability
 
-    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
+    spec = ProductManifoldSpec(IntervalBase(), [FlatTorus(2)],
                                [Const(1.0)])
 
     def overflowing(q):  # finite coefficients whose products overflow
@@ -214,7 +213,7 @@ def _curvature(spec, p):
 
 
 def test_a_stack_raises_the_typed_error_of_its_bad_point():
-    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
+    spec = ProductManifoldSpec(IntervalBase(), [FlatTorus(2)],
                                [parse_expr("exp(-400*t)")])
     good = [[0.1, 0.3, 0.4], [0.5, 0.3, 0.4]]
 
@@ -232,7 +231,7 @@ def test_a_stack_raises_the_typed_error_of_its_bad_point():
 def test_a_stack_names_its_first_non_finite_point():
     from warpcurv.errors import NumericalInstability
 
-    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
+    spec = ProductManifoldSpec(IntervalBase(), [FlatTorus(2)],
                                [Const(1.0)])
 
     def field(q):  # finite coefficients except at t = 0.7
@@ -250,7 +249,7 @@ def test_a_stack_names_its_first_non_finite_point():
 
 
 def test_check_point_raises_for_the_first_failing_point_in_check_order():
-    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(Sphere(1.0))],
+    spec = ProductManifoldSpec(IntervalBase(), [Sphere(1.0)],
                                [parse_expr("0.6 - t")])
     # row 1 has a non-positive warping, row 2 is off the interval and near a
     # pole: the first failing point wins, and at it the chart comes first

@@ -18,7 +18,6 @@ from warpcurv.chart_core import assemble_metric, levi_civita_coefficients
 from warpcurv.connections import ConnectionKind, connection_curvature, modified_coefficients
 from warpcurv.exprs import Const, parse_expr
 from warpcurv.geometry import (
-    FiberSpec,
     FlatTorus,
     IntervalBase,
     ProductManifoldSpec,
@@ -77,7 +76,7 @@ def test_torsion_semi_symmetric_form(spec_zoo):
 @settings(max_examples=20, deadline=None)
 @given(c=st.floats(min_value=-3.0, max_value=3.0))
 def test_torsion_linear_in_p(c):
-    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
+    spec = ProductManifoldSpec(IntervalBase(), [FlatTorus(2)],
                                [parse_expr("exp(t)")])
     p = spec.make_point([0.3])
     base = torsion_tensor(SSNM, spec, p_dt(), p)
@@ -144,7 +143,7 @@ def test_exponential_family_ricci_flat(grw_exp_spec):
 def test_constant_family_einstein():
     from warpcurv.geometry import HyperbolicPlane
 
-    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(HyperbolicPlane())],
+    spec = ProductManifoldSpec(IntervalBase(), [HyperbolicPlane()],
                                [Const(2 ** -0.5)])
     for t in (0.0, 0.7):
         p = spec.make_point([t])
@@ -155,7 +154,7 @@ def test_constant_family_einstein():
 def test_mixed_block_p_rejected():
     from warpcurv.errors import UnsupportedP
 
-    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
+    spec = ProductManifoldSpec(IntervalBase(), [FlatTorus(2)],
                                [parse_expr("exp(t)")])
     bad = TorsionVectorFieldSpec("base", [parse_expr("x")])  # fiber coordinate
     with pytest.raises(UnsupportedP):

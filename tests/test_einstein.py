@@ -19,7 +19,6 @@ from warpcurv.einstein import (
 )
 from warpcurv.errors import (
     DimensionTooSmall,
-    FiberNotEinstein,
     NonPositiveWarping,
     OutOfChart,
     UnsupportedP,
@@ -28,7 +27,6 @@ from warpcurv.errors import (
 from warpcurv.exprs import Const, eval_jet, parse_expr
 from warpcurv.geometry import (
     Circle,
-    FiberSpec,
     FlatTorus,
     HyperbolicPlane,
     IntervalBase,
@@ -64,12 +62,12 @@ def test_exponential_family_passes(grw_exp_spec):
 
 
 def test_constant_family_passes():
-    spec = spec_of([Const(2 ** -0.5)], [FiberSpec(HyperbolicPlane())])
+    spec = spec_of([Const(2 ** -0.5)], [HyperbolicPlane()])
     assert grw_einstein_residuals(spec, 2.0, chebyshev_grid()).passed
 
 
 def test_quadratic_warping_fails():
-    spec = spec_of([parse_expr("t^2+1")], [FiberSpec(FlatTorus(2))])
+    spec = spec_of([parse_expr("t^2+1")], [FlatTorus(2)])
     result = grw_einstein_residuals(spec, 0.0, chebyshev_grid())
     assert not result.passed
     trace = next(r for r in result.reports if r.equation == "einstein-trace")
@@ -77,26 +75,16 @@ def test_quadratic_warping_fails():
     assert trace.max_abs_residual > 0.5
 
 
-def test_fiber_not_einstein_rejected():
-    broken = ProductManifoldSpec(
-        IntervalBase(),
-        [FiberSpec(FlatTorus(2), declared_einstein=False)],
-        [parse_expr("exp(t)")],
-    )
-    with pytest.raises(FiberNotEinstein):
-        grw_einstein_residuals(broken, 0.0, chebyshev_grid())
-
-
 def test_residuals_iff_oracle_einstein(spec_zoo):
     """Passing residuals must coincide with the generic Einstein property."""
     cases = [
-        (spec_of([parse_expr("1.3*exp(t)")], [FiberSpec(FlatTorus(2))]), 0.0),
-        (spec_of([Const(2 ** -0.5)], [FiberSpec(HyperbolicPlane())]), 2.0),
+        (spec_of([parse_expr("1.3*exp(t)")], [FlatTorus(2)]), 0.0),
+        (spec_of([Const(2 ** -0.5)], [HyperbolicPlane()]), 2.0),
         (spec_of([parse_expr("exp(t)"), parse_expr("exp(t)")],
-                 [FiberSpec(Circle()), FiberSpec(FlatTorus(2))]), 0.0),
-        (spec_of([parse_expr("2 + 0.5*sin(t)")], [FiberSpec(Sphere(1.0))]), 0.0),
+                 [Circle(), FlatTorus(2)]), 0.0),
+        (spec_of([parse_expr("2 + 0.5*sin(t)")], [Sphere(1.0)]), 0.0),
         (spec_of([parse_expr("exp(t)"), parse_expr("exp(2*t)")],
-                 [FiberSpec(Circle()), FiberSpec(FlatTorus(2))]), 0.0),
+                 [Circle(), FlatTorus(2)]), 0.0),
     ]
     grid = chebyshev_grid(0.1, 0.9, 7)
     for spec, lam in cases:
@@ -123,7 +111,7 @@ def test_pseudo_einstein_passing_case():
     # circle fiber carrying P = c d/theta with c^2 = 2 a^2 / 3 for b_2 = e^{at}
     c = math.sqrt(2.0 / 3.0)
     spec = spec_of([Const(1.0), parse_expr("exp(t)")],
-                   [FiberSpec(Circle()), FiberSpec(FlatTorus(2))])
+                   [Circle(), FlatTorus(2)])
     P = TorsionVectorFieldSpec(0, [Const(c)])
     result = pseudo_einstein_residuals(spec, P, -2.0, chebyshev_grid())
     assert result.passed, [(r.equation, r.max_abs_residual) for r in result.reports]
@@ -139,7 +127,7 @@ def test_pseudo_einstein_residual_matches_oracle():
     # rotation field on a static torus: not pseudo-Einstein, but the
     # torsion-fiber residual must equal the symmetrized-Ricci deviation
     spec = spec_of([Const(1.0), Const(1.0)],
-                   [FiberSpec(Circle()), FiberSpec(FlatTorus(2))])
+                   [Circle(), FlatTorus(2)])
     P = TorsionVectorFieldSpec(1, [parse_expr("0-w"), parse_expr("z")])
     lam = 0.0
     grid = np.array([0.4])
@@ -147,7 +135,7 @@ def test_pseudo_einstein_residual_matches_oracle():
     formula = next(r for r in result.reports if r.equation == "pseudo-torsion-fiber-1")
 
     worst = 0.0
-    for fc in spec.fibers[1].geometry.sample_coords(3):
+    for fc in spec.fibers[1].sample_coords(3):
         p = spec.make_point([0.4], [None, fc])
         cur = connection_curvature(SSNM, spec, P, p)
         (ric,), (g,) = cur.ricci, cur.metric
@@ -160,8 +148,8 @@ def test_pseudo_einstein_residual_matches_oracle():
 def _torsion_fiber_case(geometry, other, r):
     """P with non-constant components on fiber r, next to one other fiber;
     both warpings vary with t, so every term of the torsion-fiber row is live."""
-    fibers = [FiberSpec(other), FiberSpec(other)]
-    fibers[r] = FiberSpec(geometry)
+    fibers = [other, other]
+    fibers[r] = geometry
     spec = spec_of([parse_expr("exp(0.4*t + 0.1)"), parse_expr("1.5 + 0.3*sin(t)")], fibers)
     names = spec.fiber_coord_names(r)
     comps = [parse_expr(f"0.3 + 0.2*{names[0]}*{names[-1]}")]
@@ -186,7 +174,7 @@ def _per_point_torsion_rows(spec, P, lam, grid):
     lr = spec.fiber_dims[r]
     worst = []
     for j, t in enumerate(grid):
-        for fc in spec.fibers[r].geometry.sample_coords(3):
+        for fc in spec.fibers[r].sample_coords(3):
             p = spec.make_point([t], [fc if k == r else None for k in range(spec.m)])
             c = StructuredGeometryCache(spec, P, p)
             br, dbr, ddbr = b[r, :, j]
@@ -234,7 +222,7 @@ def test_torsion_fiber_row_matches_oracle_on_curved_fibers(name):
     sl = spec.block_slice(r)
     worst = 0.0
     for t in grid:
-        for fc in spec.fibers[r].geometry.sample_coords(3):
+        for fc in spec.fibers[r].sample_coords(3):
             p = spec.make_point([t], [fc if k == r else None for k in range(spec.m)])
             cur = connection_curvature(SSNM, spec, P, p)
             (ric,), (g,) = cur.ricci, cur.metric
@@ -304,7 +292,7 @@ def test_fiber_checks_build_one_cache_per_fiber_sample(monkeypatch):
 def test_fiber_checks_raise_at_the_first_bad_grid_point(grid, error, match):
     # checked over the whole grid at once, in the order of a walk along t
     spec = spec_of([parse_expr("t - 0.25"), Const(1.0)],
-                   [FiberSpec(FlatTorus(2)), FiberSpec(Sphere(1.0))])
+                   [FlatTorus(2), Sphere(1.0)])
     P = TorsionVectorFieldSpec(1, [Const(0.5), Const(0.2)])
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(error, match=match):
@@ -324,7 +312,7 @@ def test_fiber_checks_reject_an_empty_grid():
 
 def test_grid_checks_reject_an_empty_grid():
     # the t^2+1 torus fails on the default grid; no grid at all must not pass
-    spec = spec_of([parse_expr("t^2+1")], [FiberSpec(FlatTorus(2))])
+    spec = spec_of([parse_expr("t^2+1")], [FlatTorus(2)])
     assert not grw_einstein_residuals(spec, 5.0, chebyshev_grid()).passed
     with pytest.raises(WarpcurvError, match="no points"):
         grw_einstein_residuals(spec, 5.0, np.array([]))
@@ -340,7 +328,7 @@ def test_pseudo_einstein_requires_fiber_p(grw_exp_spec):
 
 
 def test_pseudo_einstein_dimension_guard():
-    spec = spec_of([Const(1.0)], [FiberSpec(Circle())])
+    spec = spec_of([Const(1.0)], [Circle()])
     P = TorsionVectorFieldSpec(0, [Const(1.0)])
     with pytest.raises(DimensionTooSmall):
         pseudo_einstein_residuals(spec, P, 0.0, chebyshev_grid())
@@ -350,7 +338,7 @@ def test_pseudo_einstein_invariant_under_torus_shift():
     # pushing the field forward by a torus translation and moving the sample
     # point along leaves the symmetrized-Ricci deviation unchanged
     spec = spec_of([Const(1.0), Const(1.0)],
-                   [FiberSpec(Circle()), FiberSpec(FlatTorus(2))])
+                   [Circle(), FlatTorus(2)])
     P = TorsionVectorFieldSpec(1, [parse_expr("0-w"), parse_expr("z")])
     dz, dw = 0.4, 0.25
     shifted = TorsionVectorFieldSpec(
@@ -370,14 +358,14 @@ def test_pseudo_einstein_invariant_under_torus_shift():
 def test_scalar_formula_matches_oracle(spec_zoo):
     grid = chebyshev_grid(0.15, 0.85, 5)
     cases = [
-        (spec_of([Const(1.0)], [FiberSpec(FlatTorus(2))]), p_dt()),
-        (spec_of([parse_expr("exp(t)")], [FiberSpec(FlatTorus(2))]), p_dt()),
+        (spec_of([Const(1.0)], [FlatTorus(2)]), p_dt()),
+        (spec_of([parse_expr("exp(t)")], [FlatTorus(2)]), p_dt()),
         (spec_of([parse_expr("2+0.5*sin(t)"), parse_expr("exp(0.4*t)")],
-                 [FiberSpec(Sphere(1.0)), FiberSpec(FlatTorus(2))]), p_dt()),
+                 [Sphere(1.0), FlatTorus(2)]), p_dt()),
         (spec_of([parse_expr("1.5+0.5*cos(t)"), parse_expr("exp(0.5*t)")],
-                 [FiberSpec(Circle()), FiberSpec(FlatTorus(2))]),
+                 [Circle(), FlatTorus(2)]),
          TorsionVectorFieldSpec(0, [Const(0.7)])),
-        (spec_of([parse_expr("exp(t)")], [FiberSpec(FlatTorus(2))]), None),
+        (spec_of([parse_expr("exp(t)")], [FlatTorus(2)]), None),
     ]
     for spec, P in cases:
         rep, closed = multiwarped_scalar(spec, P, grid)
@@ -388,7 +376,7 @@ def test_scalar_formula_matches_oracle(spec_zoo):
 def _four_torus_spec():
     warpings = ["exp(t)", "2 + 0.5*sin(t)", "1 + t^2", "2 + cos(t)"]
     return spec_of([parse_expr(w) for w in warpings],
-                   [FiberSpec(FlatTorus(2)) for _ in warpings])
+                   [FlatTorus(2) for _ in warpings])
 
 
 def test_scalar_check_walks_a_large_grid_in_blocks(monkeypatch):
@@ -427,7 +415,7 @@ def test_scalar_check_walks_a_large_grid_in_blocks(monkeypatch):
 
 
 def test_scalar_static_value():
-    spec = spec_of([Const(1.0)], [FiberSpec(FlatTorus(2))])
+    spec = spec_of([Const(1.0)], [FlatTorus(2)])
     grid = np.array([0.2, 0.5, 0.8])
     vals = multiwarped_scalar_formula(spec, p_dt(), grid) + 0.0
     assert np.allclose(vals, 2.0)
@@ -449,7 +437,7 @@ def test_constancy_check_reports(grw_exp_spec):
     rep = _constancy(grw_exp_spec, p_dt(), chebyshev_grid())
     assert rep.scalar_constant and rep.grid_adequate
 
-    bad = spec_of([parse_expr("t^2+1")], [FiberSpec(FlatTorus(2))])
+    bad = spec_of([parse_expr("t^2+1")], [FlatTorus(2)])
     rep = _constancy(bad, p_dt(), chebyshev_grid())
     assert not rep.scalar_constant
     assert "not constant" in rep.message
@@ -461,7 +449,7 @@ def test_constancy_check_reports(grw_exp_spec):
 
 def test_constancy_p_invariants():
     spec = spec_of([Const(1.0), Const(1.0)],
-                   [FiberSpec(Circle()), FiberSpec(FlatTorus(2))])
+                   [Circle(), FlatTorus(2)])
     const_P = TorsionVectorFieldSpec(1, [Const(0.4), Const(0.1)])
     rep = _constancy(spec, const_P, chebyshev_grid())
     assert rep.p_invariants_constant is True and rep.scalar_constant
@@ -474,13 +462,13 @@ def test_constancy_p_invariants():
 def test_constancy_spread_runs_over_the_fiber_samples():
     # P = cos(x) d_x on a sphere fiber: the scalar at each t varies with the
     # polar angle, though the t-grid alone at one fiber point sees no change
-    spec = spec_of([Const(1.3)], [FiberSpec(Sphere(1.0))])
+    spec = spec_of([Const(1.3)], [Sphere(1.0)])
     P = TorsionVectorFieldSpec(0, [parse_expr("cos(x)"), Const(0.0)])
     grid = chebyshev_grid(0.05, 0.95, 5)
     assert np.ptp(multiwarped_scalar_formula(spec, P, grid)) == 0.0
     rep = _constancy(spec, P, grid)
     assert not rep.scalar_constant and rep.p_invariants_constant is False
-    samples = spec.fibers[0].geometry.sample_coords(5)
+    samples = spec.fibers[0].sample_coords(5)
     pts = spec.make_point(np.repeat(grid, 5)[:, None], [np.tile(samples, (len(grid), 1))])
     oracle = connection_curvature(SSNM, spec, P, pts).scalar
     assert rep.scalar_spread > 0.3

@@ -16,6 +16,7 @@ from warpcurv.exprs import (
     cos,
     eval_grid,
     eval_jet,
+    eval_stack,
     exp,
     parse_expr,
     sin,
@@ -110,6 +111,17 @@ def test_a_non_finite_value_names_its_point_in_plain_floats():
     with pytest.raises(ExprError) as err:
         eval_jet([parse_expr("exp(t)*exp(t)")], ("t",), [[1.0], [400.0]])
     assert str(err.value) == "expression not finite at {'t': 400.0}"
+
+
+@pytest.mark.parametrize("points, shape", [([0.5], "(1,)"), ([[0.5]], "(1, 1)"),
+                                           ([[0.5, 1.0, 3.0]], "(1, 3)")])
+@pytest.mark.parametrize("walk", [eval_stack, eval_jet])
+def test_a_point_stack_of_the_wrong_shape_is_an_expr_error(walk, points, shape):
+    # a bare point, a stack too narrow for the names and one too wide (whose
+    # third column would be dropped) are each the same typed error
+    with pytest.raises(ExprError) as err:
+        walk([parse_expr("t*u")], ("t", "u"), points)
+    assert str(err.value) == f"expected an (N, 2) point stack, got shape {shape}"
 
 
 def test_power_rule_at_a_zero_base():

@@ -23,7 +23,6 @@ from warpcurv.connections import ConnectionKind, connection_curvature
 from warpcurv.exprs import parse_expr
 from warpcurv.geometry import (
     Circle,
-    FiberSpec,
     FlatBase,
     FlatTorus,
     HyperbolicPlane,
@@ -65,7 +64,7 @@ def build_case(base, geometries, twisted, p_location, coefs):
         return f"{scale * next(coef):.3f}"
 
     base = BASES[base]()
-    fibers = [FiberSpec(GEOMETRIES[g]()) for g in geometries]
+    fibers = [GEOMETRIES[g]() for g in geometries]
     probe = ProductManifoldSpec(base, fibers, [1.0] * len(fibers))
     warpings = []
     for i in range(len(fibers)):
@@ -478,16 +477,16 @@ def reference_cache(spec, P, p):
         ref["H_bf"].append(jet.hess[base, sl])
         ref["H_ff"].append(jet.hess[sl, sl])
     for i, f in enumerate(spec.fibers):
-        fnames, fc, geo = spec.fiber_coord_names(i), p[spec.block_slice(i)], f.geometry
-        entries = geo.metric_exprs(fnames)
+        fnames, fc = spec.fiber_coord_names(i), p[spec.block_slice(i)]
+        entries = f.metric_exprs(fnames)
         jets = [[reference_jet(e, fnames, fc) for e in row] for row in entries]
         g = np.array([[j.val for j in row] for row in jets])
         # the float walk of the metric gives the same bits
         assert _bytes(g) == _bytes([[eval_value(e, fnames, fc) for e in row] for row in entries])
         ref["gF"].append(g)
         ref["dgF"].append(np.array([[j.grad for j in row] for row in jets]).transpose(2, 0, 1))
-        ref["RF"].append(geo.curvature(g))
-        ref["RicF"].append(geo.ricci(g))
+        ref["RF"].append(f.curvature(g))
+        ref["RicF"].append(f.ricci(g))
     if P is None:
         ref["Pc"] = ref["dPc"] = None
     else:
@@ -590,7 +589,7 @@ def _raised(make):
 ])
 def test_a_batched_cache_raises_the_one_point_error_of_the_first_failing_point(
         warping, component, error):
-    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))], [parse_expr(warping)])
+    spec = ProductManifoldSpec(IntervalBase(), [FlatTorus(2)], [parse_expr(warping)])
     points = spec.make_point(np.array([[0.1], [0.5], [0.9]]))
     P = TorsionVectorFieldSpec("base", [parse_expr(component)])
     StructuredGeometryCache(spec, P, points[:1])  # 1e308 at t = 0.1 is finite
@@ -601,7 +600,7 @@ def test_a_batched_cache_raises_the_one_point_error_of_the_first_failing_point(
 
 
 def test_a_batched_cache_raises_the_chart_error_of_the_first_point_outside():
-    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(Sphere(1.0))], [parse_expr("2 + t")])
+    spec = ProductManifoldSpec(IntervalBase(), [Sphere(1.0)], [parse_expr("2 + t")])
     points = spec.make_point(np.array([[0.2], [0.4], [0.6]]),
                              [np.array([[1.0, 0.3], [0.01, 0.3], [3.1, 0.3]])])
     want = _raised(lambda: StructuredGeometryCache(spec, None, points[1:2]))

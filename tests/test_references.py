@@ -1,12 +1,13 @@
-"""Every public function and method of the package has a caller.
+"""Every public class, function and method of the package has a caller.
 
-A public top-level function, or a public method of a top-level class, under
-src/warpcurv/ must be referenced in src/ or perfbench/ somewhere outside its
-own definition: as a name, an attribute, a string that is a dotted span name
-such as "families.rk4_integrate_first_order", or a string listed in
-`__all__`.  A bare string that merely looks like a name (an op tag, a
-dictionary key) is not a reference.  Imports, comments and prose do not
-count, and neither do tests: code that only tests call belongs in tests/.
+A public top-level class or function, or a public method of a top-level
+class, under src/warpcurv/ must be referenced in src/ or perfbench/
+somewhere outside its own definition: as a name, an attribute, a string
+that is a dotted span name such as "families.rk4_integrate_first_order",
+or a string listed in `__all__`.  A bare string that merely looks like a
+name (an op tag, a dictionary key) is not a reference.  Imports, comments
+and prose do not count, and neither do tests: code that only tests call
+belongs in tests/.
 """
 
 import ast
@@ -29,6 +30,8 @@ def _public_defs():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else [node]
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield node.name, path, node.lineno, node.end_lineno
             for d in members:
                 if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                         and not d.name.startswith("_"):

@@ -27,7 +27,6 @@ from warpcurv.errors import CaseMismatch, WarpcurvError
 from warpcurv.exprs import Const, parse_expr
 from warpcurv.geometry import (
     Circle,
-    FiberSpec,
     FlatTorus,
     HyperbolicPlane,
     IntervalBase,
@@ -83,7 +82,7 @@ def test_covariant_derivative_base_fiber_rule(grw_exp_spec):
 def test_cross_fiber_rule_with_fiber_torsion():
     spec = ProductManifoldSpec(
         IntervalBase(),
-        [FiberSpec(Circle()), FiberSpec(FlatTorus(2))],
+        [Circle(), FlatTorus(2)],
         [Const(1.0), Const(1.0)],
     )
     P = TorsionVectorFieldSpec(1, [Const(0.3), Const(0.5)])
@@ -118,7 +117,7 @@ def test_curvature_base_pattern_with_fiber_torsion():
     # R(X, Y)V = pi(V)[X(b_r)/b_r Y - Y(b_r)/b_r X] checked against the oracle
     spec = ProductManifoldSpec(
         IntervalBase(),
-        [FiberSpec(Circle()), FiberSpec(FlatTorus(2))],
+        [Circle(), FlatTorus(2)],
         [parse_expr("1.5 + 0.5*cos(t)"), parse_expr("exp(0.5*t)")],
     )
     P = TorsionVectorFieldSpec(0, [Const(0.7)])
@@ -204,7 +203,7 @@ def test_mixed_ricci_antisymmetric_part_p_fiber():
     # the antisymmetric part of the mixed block is 2 (nbar-1) X(b_r)/b_r pi(V)
     spec = ProductManifoldSpec(
         IntervalBase(),
-        [FiberSpec(Circle()), FiberSpec(FlatTorus(2))],
+        [Circle(), FlatTorus(2)],
         [parse_expr("1.5 + 0.5*cos(t)"), parse_expr("exp(0.5*t)")],
     )
     P = TorsionVectorFieldSpec(0, [Const(0.7)])
@@ -232,7 +231,7 @@ def test_torsion_free_ricci_correction_p_fiber():
     # for P on a fiber the two Ricci tensors differ by the exact two-form dpi
     spec = ProductManifoldSpec(
         IntervalBase(),
-        [FiberSpec(HyperbolicPlane()), FiberSpec(Circle())],
+        [HyperbolicPlane(), Circle()],
         [parse_expr("2 + 0.3*sin(t)"), parse_expr("exp(0.3*t)")],
     )
     P = TorsionVectorFieldSpec(0, [Const(1.0), Const(0.5)])
@@ -251,7 +250,7 @@ def test_torsion_free_ricci_correction_p_fiber():
 
 def test_scalar_formula_values():
     # static torus: scalar = fiber scalar + total fiber dimension
-    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(FlatTorus(2))],
+    spec = ProductManifoldSpec(IntervalBase(), [FlatTorus(2)],
                                [Const(1.0)])
     p = spec.make_point([0.3])
     cache = StructuredGeometryCache(spec, p_dt(), p)
@@ -273,9 +272,9 @@ def test_fiber_rescaling_leaves_outputs_unchanged():
     # so every structured output must agree
     c = 2.0
     base = IntervalBase()
-    spec_a = ProductManifoldSpec(base, [FiberSpec(Sphere(1.0))],
+    spec_a = ProductManifoldSpec(base, [Sphere(1.0)],
                                  [parse_expr("2 + 0.5*sin(t)")])
-    spec_b = ProductManifoldSpec(base, [FiberSpec(Sphere(c))],
+    spec_b = ProductManifoldSpec(base, [Sphere(c)],
                                  [parse_expr(f"(2 + 0.5*sin(t))/{c}")])
     for t in (0.2, 0.8):
         pa = spec_a.make_point([t], [[1.1, 0.6]])
@@ -291,7 +290,7 @@ def test_fiber_rescaling_leaves_outputs_unchanged():
 def test_mixed_ricci_flat_predicates():
     untwisted = ProductManifoldSpec(
         IntervalBase(),
-        [FiberSpec(FlatTorus(2)), FiberSpec(Sphere(1.0))],
+        [FlatTorus(2), Sphere(1.0)],
         [parse_expr("exp(t)"), parse_expr("2 + 0.4*cos(t)")],
     )
     pts = untwisted.sample_points(3)
@@ -303,7 +302,7 @@ def test_mixed_ricci_flat_predicates():
 
     separable = ProductManifoldSpec(
         IntervalBase(),
-        [FiberSpec(FlatTorus(2))],
+        [FlatTorus(2)],
         [parse_expr("exp(t)*(1 + 0.5*x^2)")],
         twisted=True,
     )
@@ -314,7 +313,7 @@ def test_mixed_ricci_flat_predicates():
 
     knotted = ProductManifoldSpec(
         IntervalBase(),
-        [FiberSpec(FlatTorus(2))],
+        [FlatTorus(2)],
         [parse_expr("exp(t*(1 + 0.5*x^2))")],
         twisted=True,
     )
@@ -498,7 +497,7 @@ def test_an_empty_point_stack_is_a_typed_error():
 def test_a_stack_of_the_wrong_width_is_a_typed_error(shape):
     # at n_bar 2, a (2, 3) stack is not three 2-d points, and neither a
     # single point nor a stack of stacks is a stack of points
-    spec = ProductManifoldSpec(IntervalBase(), [FiberSpec(Circle())], [parse_expr("exp(t)")])
+    spec = ProductManifoldSpec(IntervalBase(), [Circle()], [parse_expr("exp(t)")])
     points = np.full(shape, 0.5)
     expected = rf"^expected an \(N, 2\) point stack, got shape {re.escape(str(shape))}$"
     calls = [lambda: StructuredGeometryCache(spec, p_dt(), points),
