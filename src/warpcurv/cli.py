@@ -164,7 +164,12 @@ _SCAN = ("nonexistence-scan",)
 
 @functools.cache
 def _parameters(fn):
-    """The arguments of `fn` by the name of their key."""
+    """The arguments of `fn` by the name of their key.  A class that keeps
+    object's constructor takes none; inspect.signature would read that from
+    object's text signature, compiling the tokenizer's patterns on every
+    start."""
+    if isinstance(fn, type) and fn.__init__ is object.__init__:
+        return {}
     return {_NAME_OF.get(a, a): p for a, p in inspect.signature(fn).parameters.items()}
 
 

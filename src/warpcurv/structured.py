@@ -9,37 +9,50 @@ pattern; nothing here touches finite differences, so agreement with the
 warpings, every fiber metric entry and the components of P with their
 exact partials, each with a leading point axis, read back by slicing.
 
-Clause arguments are block ids, "base" or a fiber index.  Every formula
-is multilinear in its arguments and the same for every fiber index, so the
-coordinate vectors of each block determine every value: a clause returns
-the block of its tensor over the coordinate vectors of its argument blocks,
-out[p, l, x, y, z] for R(X, Y)Z, and reads the cache arrays whole.  A term
-v(...) X along an argument X is a write of v onto the (l, x) diagonal of
-X's block of rows (`_diag`), not a product with X's components, so it does
-no arithmetic beyond v: a non-finite v stays on that diagonal, where a
-product with the other coordinate vectors would smear NaN (0 * inf) across
-the block.  Each operation is one call per stack of points, an (N, n_bar)
-array and the only point shape, and takes the stack's cache, which carries
-the spec and P; its value has a leading point axis, of length 1 for a
-one-row stack.  Row k of a value holds the bits of the same call on the
-cache of the one-row stack of point k.  The covariant derivative, the
-curvature tensor, the Ricci matrix and the scalar are whole, one clause
-call per block pair or triple.  The curvature fills each mirrored triple,
-one whose clause is R(X, Y)Z = -R(Y, X)Z of another, from that triple's
-slice.
+The formulas are the same for every fiber index; only b_i, the fiber's
+dimension and its own metric and curvature change.  So the fibers are
+grouped by dimension and by whether their warping is twisted (`groups`),
+and a clause runs for the block patterns of one class at once: each
+argument is "base", one fiber index, or a member tuple, one fiber of one
+group per member of the call.  Every formula is multilinear in its
+arguments, so the coordinate vectors of each block determine every value:
+a clause returns the block of its tensor over the coordinate vectors of
+its argument blocks, out[k, p, l, x, y, z] for R(X, Y)Z at member k and
+point p, its rows l those of the base and then of each distinct fiber
+argument (`_row_blocks`); a call of one member has no member axis, and its
+value holds every row, as a block of the tensor does.  A term v(...) X
+along an argument X is a write of v onto the (l, x) diagonal of X's rows
+(`_diag`), not a product with X's components, so it does no arithmetic
+beyond v: a non-finite v stays on that diagonal, where a product with the
+other coordinate vectors would smear NaN (0 * inf) across the block.  A
+term of P on fiber r that only the patterns through r carry is added on
+r's members only.
 
-Which clauses a whole-tensor operation runs is a sweep plan, made once per
-block layout, P block and kind (`_sweep_plan`): it leaves out the block
-patterns whose clauses give exact zeros, each class stated with the clause
-formulas it is read from, and the symmetrized kind's dpi term where dpi
-vanishes.
+Each operation is one call per stack of points, an (N, n_bar) array and
+the only point shape, and takes the stack's cache, which carries the spec
+and P; its value has a leading point axis, of length 1 for a one-row
+stack.  Row k of a value holds the bits of the same call on the cache of
+the one-row stack of point k, and each member's slice holds the bits of
+the same clause called on that member alone.  The covariant derivative,
+the curvature tensor and the Ricci matrix are whole, one clause call per
+class and group of fibers (per ordered pair of groups for the classes on
+two fibers), each call's value written into the tensor by assignment, at
+its blocks' slices or its entries' flat indices.  The curvature fills
+each mirrored triple, one whose clause is R(X, Y)Z = -R(Y, X)Z of another,
+from that triple's slice.
 
-Every product over a point axis is written in a form whose rows keep the
-bits of the one-point product: matrix products with a stacked operand,
-vector dots as (1, d) @ (d, 1) products, einsums with a leading point index
-and squares through libm pow (`np.float_power`), as Python's `b ** 2` is.
-A multi-term sum adds its terms in the order the formula states them, the
-diagonal writes included.
+Which calls a whole-tensor operation makes is a sweep plan, made once per
+block layout, twisted flags, P block and kind (`_sweep_plan`): it leaves
+out the block patterns whose clauses give exact zeros, each class stated
+with the clause formulas it is read from, and the symmetrized kind's dpi
+term where dpi vanishes.
+
+Every product over a point or member axis is written in a form whose rows
+keep the bits of the one-point product: matrix products with a stacked
+operand, vector dots as (1, d) @ (d, 1) products, einsums over leading
+axes and squares through libm pow (`np.float_power`), as Python's b ** 2
+is.  A multi-term sum adds its terms in the order the formula states them,
+the diagonal writes included.
 """
 
 from __future__ import annotations
@@ -60,12 +73,12 @@ _ALL = slice(None)
 
 
 def _outer(u, v):
-    """Outer product at each point: out[p, i, j...] = u[p, i] v[p, j...]."""
-    return u[(...,) + (None,) * (v.ndim - 1)] * v[:, None]
+    """Outer product of the last axes at each point: out[..., i, j] = u[..., i] v[..., j]."""
+    return u[..., :, None] * v[..., None, :]
 
 
 def _mv(A, v):
-    """A v at each point for the (N, d) rows v, A a (k, d) matrix or one per point."""
+    """A v at each point for the (..., d) rows v, A a (k, d) matrix or one per point."""
     return (A @ v[..., :, None])[..., 0]
 
 
@@ -79,41 +92,149 @@ def _quad(u, A, v):
     return (u[..., None, :] @ A @ v[..., :, None])[..., 0, 0]
 
 
-def _diag(a, axis):
-    """The writeable view of a[:, l, ...], the rows l of one block then the
-    argument axes, on its entries with l equal to the index on argument axis
-    `axis` (2, 3 or 4), that axis kept: adding v[p, x, ...] there adds the
-    term v X for X the argument on that axis, whose block the rows are."""
-    args = "xyz"[:a.ndim - 2]
-    return np.einsum(f"p{args[axis - 2]}{args}->p{args}", a)
+def _diag(a, axes):
+    """The writeable view of `a` on its entries with the row index equal to
+    one argument's index: `axes` names a's trailing axes, the rows then the
+    arguments, with the row axis named as that argument ("yxyz": rows l = y
+    of R(X, Y)Z), and the view keeps the argument axes.  Adding v[..., x,
+    ...] there adds the term v X for X that argument, whose rows they are."""
+    return np.einsum(f"...{axes}->...{axes[1:]}", a)
 
 
 def _add_wedge(out, K):
     """Add K(X, Z) Y - K(Y, Z) X to `out`, a curvature block over the rows of
-    X's and Y's block, from K[p, x, z]: K[p, x, z] on l = y, then minus
-    K[p, y, z] on l = x, in the formula's order."""
-    _diag(out, 3)[...] += K[:, :, None]
-    _diag(out, 2)[...] -= K[:, None]
+    X's and Y's block, from K[..., x, z]: K(X, Z) on l = y, then minus
+    K(Y, Z) on l = x, in the formula's order."""
+    _diag(out, "yxyz")[...] += K[..., :, None, :]
+    _diag(out, "xxyz")[...] -= K[..., None, :, :]
     return out
 
 
+def _at(block, r):
+    """The positions of fiber r on the member axis of a clause value over a
+    member tuple `block`; for a block of one fiber, [every point] if it is
+    r, as a value without a member axis has none, and else []."""
+    if isinstance(block, tuple):
+        return [k for k, i in enumerate(block) if i == r]
+    return [_ALL] if block == r else []
+
+
+@functools.lru_cache(maxsize=256)
+def _other_than(members, j):
+    """A mask of the members other than fiber j, over the member axis of a
+    (K, N) array."""
+    return (np.array(members) != j)[:, None]
+
+
+def _holds(block, r):
+    """Whether fiber r is the block, "base", a fiber or a member tuple, or
+    one of its members."""
+    return r in block if isinstance(block, tuple) else block == r
+
+
+def _row_blocks(blocks):
+    """The blocks whose rows a clause value over argument blocks `blocks`
+    holds, in order: the base, then each distinct fiber argument."""
+    return ["base", *dict.fromkeys(b for b in blocks if b != "base")]
+
+
+@functools.lru_cache(maxsize=128)
+def _fiber_groups(dims, twisted):
+    """The fibers grouped by dimension and twisted flag, each group a tuple
+    of fiber indices, the groups in the order of their first fiber."""
+    groups = {}
+    for i, key in enumerate(zip(dims, twisted)):
+        groups.setdefault(key, []).append(i)
+    return tuple(map(tuple, groups.values()))
+
+
+@functools.lru_cache(maxsize=128)
+def _places(groups):
+    """Each fiber's group and its position there."""
+    return {i: (group, k) for group in groups for k, i in enumerate(group)}
+
+
 def _once(method):
-    """A cache method computed once per cache and argument tuple; an array
-    value is read-only, as every caller shares it."""
+    """A cache method of P computed once per cache, P block and argument
+    tuple; an array value is read-only, as every caller shares it."""
     name = method.__name__
 
     @functools.wraps(method)
     def once(self, *args):
-        key = name, args
+        key = name, self.P_loc, args
         try:
             return self._memo[key]
         except KeyError:
             val = self._memo[key] = method(self, *args)
-            if isinstance(val, np.ndarray):
-                val.flags.writeable = False
+            val.flags.writeable = False
             return val
 
     return once
+
+
+def _per_fiber(method):
+    """A quantity of each fiber that P does not enter, computed once per
+    cache (the P-free view shares it) and read at a fiber index, an
+    (N, ...) array, or at a member tuple, the members' rows on a leading
+    axis, (K, N, ...).  `method` computes it over a whole group of fibers
+    (`StructuredGeometryCache.groups`), or a fiber alone in its group; any
+    other read takes its rows of the whole group's value."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def read(self, fibers):
+        key = name, fibers
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        group, rows = self._locate(fibers)
+        if rows is None:
+            val = method(self, fibers)
+            val.flags.writeable = False
+        else:
+            val = read(self, group)[rows]
+        self._memo[key] = val
+        return val
+
+    return read
+
+
+class _PerFiber(dict):
+    """One quantity of every fiber: at a fiber index its (N, ...) array, and
+    at a tuple of fiber indices their arrays stacked on a leading member
+    axis, (K, N, ...), read-only, made on the first read and kept."""
+
+    def __missing__(self, fibers):
+        val = self[fibers] = np.array([self[i] for i in fibers])
+        val.flags.writeable = False
+        return val
+
+
+@functools.lru_cache(maxsize=1024)
+def _layout(n, dims, blocks):
+    """The slice of each block's rows in a clause value over argument
+    blocks `blocks`, its member axis if a block is a member tuple, and its
+    shape after the point axis: the rows, then each block's coordinate
+    vectors.  With a member tuple the rows are those of `_row_blocks`, in
+    that order; without one they are every row of the tensor."""
+    size = {b: n if b == "base" else dims[_first(b)] for b in ("base", *blocks)}
+    members = next(((len(b),) for b in blocks if isinstance(b, tuple)), ())
+    if members:
+        rows, start = {}, 0
+        for b in _row_blocks(blocks):
+            rows[b] = slice(start, start + size[b])
+            start += size[b]
+    else:
+        first = dict(zip(["base", *range(len(dims))], np.cumsum([0, n, *dims]).tolist()))
+        rows = {b: slice(first[b], first[b] + size[b]) for b in _row_blocks(blocks)}
+        start = n + sum(dims)
+    return rows, members, (start, *(size[b] for b in blocks))
+
+
+def _first(block):
+    """A fiber block's (first) fiber."""
+    return block[0] if isinstance(block, tuple) else block
 
 
 class StructuredGeometryCache:
@@ -124,9 +245,12 @@ class StructuredGeometryCache:
     curvature, and the torsion-field data (components, partials, pi), each
     with a leading axis over the points.  Every value and partial is a row
     of one eval_jet walk over the stack, and row k holds the bits of a cache
-    made at point k alone.  The quantities the clauses derive from them
-    (warping gradients, d_beta d_a ln b_i, nabla P, ...) are computed once
-    per cache.
+    made at point k alone.  Each fiber quantity is a `_PerFiber`, read at a
+    fiber index or at a member tuple of fibers, and `groups` holds the
+    fibers grouped by dimension and twisted flag.  The quantities the
+    clauses derive from them (warping gradients, d_beta d_a ln b_i, nabla
+    P, ...) are computed once per cache, a group of two or more fibers at
+    once.
     """
 
     def __init__(self, spec: ProductManifoldSpec, P, points):
@@ -152,32 +276,38 @@ class StructuredGeometryCache:
         base = spec.block_slice("base")
         fibers = [spec.block_slice(i) for i in range(m)]
 
-        self.b = val[:, :m].T
-        self.db_base = [grad[:, i, base] for i in range(m)]
-        self.db_fiber = [grad[:, i, sl] for i, sl in enumerate(fibers)]
+        self._b = val[:, :m].T
+        self.b = _PerFiber(enumerate(self._b))
         self._d_base = grad[:, :m, base]
+        self.db_base = _PerFiber(enumerate(self._d_base.swapaxes(0, 1)))
+        self.db_fiber = _PerFiber(enumerate([grad[:, i, sl] for i, sl in enumerate(fibers)]))
         # whether b_i has a non-zero fiber gradient at some point of the
         # stack; a warping of the base alone has none anywhere
-        self.twisted = [bool(np.any(d)) for d in self.db_fiber]
-        self.H_bb = [hess[:, i, base, base] for i in range(m)]
-        self.H_bf = [hess[:, i, base, sl] for i, sl in enumerate(fibers)]
-        self.H_ff = [hess[:, i, sl, sl] for i, sl in enumerate(fibers)]
+        self.twisted = [bool(np.any(d)) for d in self.db_fiber.values()]
+        self.groups = _fiber_groups(self.dims, tuple(self.twisted))
+        self._place = _places(self.groups)
+        self.H_bb = _PerFiber(enumerate(hess[:, :m, base, base].swapaxes(0, 1)))
+        self.H_bf = _PerFiber(enumerate([hess[:, i, base, sl] for i, sl in enumerate(fibers)]))
+        self.H_ff = _PerFiber(enumerate([hess[:, i, sl, sl] for i, sl in enumerate(fibers)]))
 
-        self.gF, self.dgF, self.GF, self.RF, self.RicF = [], [], [], [], []
+        gF, dgF, GF, RF, RicF = [], [], [], [], []
         row = m
         for f, sl in zip(spec.fibers, fibers):
             l = f.dim
             rows = slice(row, row + l * l)
             row += l * l
             g = val[:, rows].reshape(N, l, l)
-            self.gF.append(g)
+            gF.append(g)
             # dgF[i][p, c, a, b] = d_c g_ab in the fiber's own coordinates
-            self.dgF.append(grad[:, rows, sl].transpose(0, 2, 1).reshape(N, l, l, l))
+            dgF.append(grad[:, rows, sl].transpose(0, 2, 1).reshape(N, l, l, l))
             # sin and cos of the sphere chart stay libm's, one point at a time
-            self.GF.append(np.array([f.christoffels(q) for q in pts[:, sl]]))
-            self.RF.append(f.curvature(g))
-            self.RicF.append(f.ricci(g))
-        self.gFinv = [np.linalg.inv(g) for g in self.gF]
+            GF.append(np.array([f.christoffels(q) for q in pts[:, sl]]))
+            RF.append(f.curvature(g))
+            RicF.append(f.ricci(g))
+        self.gF, self.GF = _PerFiber(enumerate(gF)), _PerFiber(enumerate(GF))
+        self.dgF = dgF
+        self.RF, self.RicF = _PerFiber(enumerate(RF)), _PerFiber(enumerate(RicF))
+        self.gFinv = _PerFiber(enumerate([np.linalg.inv(g) for g in gF]))
 
         # torsion field data within its hosting block
         if P is None:
@@ -194,27 +324,62 @@ class StructuredGeometryCache:
         """This stack's data with the torsion field cleared, made at most once.
 
         Equal to `StructuredGeometryCache(spec, None, points)`: nothing but
-        the P fields depends on P, so the view shares every other array.
+        the P fields depends on P, so the view shares every other array, and
+        the quantities derived from them.
         """
         if self.P_loc is None:
             return self
         if self._p_free is None:
             view = copy.copy(self)
             view.P = view.P_loc = view.Pc = view.dPc = None
-            view._memo = {}
             self._p_free = view
         return self._p_free
 
     # -- basic block helpers -------------------------------------------------
 
-    def dim(self, block):
-        """The dimension of the block."""
-        return self.n if block == "base" else self.dims[block]
+    def _locate(self, fibers):
+        """The group of a fiber index or of a member tuple of one group, and
+        their rows in the group's value: None for the whole group or a
+        fiber alone in its group, whose values are computed as they are."""
+        if not isinstance(fibers, tuple):
+            group, k = self._place[fibers]
+            return group, (None if len(group) == 1 else k)
+        group = self._place[fibers[0]][0]
+        return group, (None if fibers == group else [self._place[i][1] for i in fibers])
 
-    @_once
+    def dim(self, block):
+        """The dimension of the block, "base", a fiber or a member tuple."""
+        if block == "base":
+            return self.n
+        return self.dims[block[0] if type(block) is tuple else block]
+
+    def block(self, *blocks):
+        """The slice of each block's rows in a clause value over argument
+        blocks `blocks` (`_row_blocks`), its leading axes (the member axis
+        if a block is a member tuple, then the point axis) and its shape
+        after them: the rows, then each block's coordinate vectors."""
+        rows, members, shape = _layout(self.n, self.dims, blocks)
+        return rows, members + (len(self.p),), shape
+
+    def _at_p(self, fibers, shape, value):
+        """A quantity of P's fiber over the fibers, a fiber index or a member
+        tuple (a leading member axis): value() on P's fiber, zeros of shape
+        (N,) + shape elsewhere, and, for fibers without P's, the zeros of
+        one fiber, which broadcast over the members."""
+        ks = _at(fibers, self.P_loc)
+        if not ks:
+            return np.zeros((len(self.p),) + shape)
+        if not isinstance(fibers, tuple):
+            return value()
+        out = np.zeros((len(fibers), len(self.p)) + shape)
+        for k in ks:
+            out[k] = value()
+        return out
+
+    @_per_fiber
     def g_inner_block(self, i):
-        """g(e_a, e_b) over fiber i's coordinate vectors, out[p, a, b]."""
-        return self.b2[i][:, None, None] * self.gF[i]
+        """g(e_a, e_b) over fiber i's coordinate vectors, out[..., a, b]."""
+        return self.b2[i][..., None, None] * self.gF[i]
 
     def _lower(self, block, A):
         """g(e_a, A_b) over the block's coordinate vectors e_a at each point,
@@ -229,7 +394,7 @@ class StructuredGeometryCache:
     def b2(self):
         """b2[i] = b_i squared through libm pow, with the bits of Python's
         b ** 2."""
-        return np.float_power(self.b, 2.0)
+        return _PerFiber(enumerate(np.float_power(self._b, 2.0)))
 
     @functools.cached_property
     def grad_inner_B(self):
@@ -237,77 +402,108 @@ class StructuredGeometryCache:
         metric is diagonal, so each entry has the bits of a vector dot."""
         return self._d_base @ self.gBinv @ self._d_base.transpose(0, 2, 1)
 
+    def grad_inner(self, i, j):
+        """g_B(grad_B b_i, grad_B b_j) at each point for fibers i and j,
+        fiber indices or member tuples of one length (a leading member
+        axis)."""
+        if type(i) is not tuple and type(j) is not tuple:
+            return self.grad_inner_B[:, i, j]
+        key = "grad_inner", i, j
+        try:
+            return self._memo[key]
+        except KeyError:
+            i, j = (list(f) if type(f) is tuple else f for f in (i, j))
+            val = self._memo[key] = self.grad_inner_B.transpose(1, 2, 0)[i, j]
+            return val
+
     def P_b(self, i):
-        """P(b_i) at each point."""
-        if self.P_loc == "base" or self.P_loc == i:
-            return self._P_b(i)
-        return self.zeros
+        """P(b_i) at each point; zeros of one fiber off P's block."""
+        if self.P_loc == "base":
+            return self._P_b_base(i)
+        if not _holds(i, self.P_loc):
+            return self.zeros
+        return self._P_b_fiber(i)
 
     @_once
-    def _P_b(self, i):
-        return _dot(self.Pc, self.db_base[i] if self.P_loc == "base" else self.db_fiber[i])
+    def _P_b_base(self, i):
+        return _dot(self.Pc, self.db_base[i])
 
     @_once
+    def _P_b_fiber(self, i):
+        r = self.P_loc
+        return self._at_p(i, (), lambda: _dot(self.Pc, self.db_fiber[r]) if i == r
+                          else self._P_b_fiber(r))
+
+    @_per_fiber
     def d_ln_b(self, i):
-        """Base partials of ln b_i, out[p, a] = d_a b_i / b_i."""
-        return self.db_base[i] / self.b[i][:, None]
+        """Base partials of ln b_i, out[..., a] = d_a b_i / b_i."""
+        return self.db_base[i] / self.b[i][..., None]
 
-    @_once
+    @_per_fiber
     def grad_B(self, i):
         """Components of grad_B b_i on the base block."""
         return _mv(self.gBinv, self.db_base[i])
 
-    @_once
+    @_per_fiber
     def grad_F(self, i):
         """Components of grad_{F_i} b_i (gradient of b_i w.r.t. g_{F_i})."""
         return _mv(self.gFinv[i], self.db_fiber[i])
 
-    @_once
+    @_per_fiber
     def lap_B(self, i):
-        return np.einsum("ab,pab->p", self.gBinv, self.H_bb[i])
+        return np.einsum("ab,...ab->...", self.gBinv, self.H_bb[i])
 
-    @_once
+    @_per_fiber
     def _d2_ln_fb(self, i):
-        """Mixed partials d_beta d_a ln b_i, shape (N, l_i, n)."""
-        return (np.swapaxes(self.H_bf[i], 1, 2) / self.b[i][:, None, None]
-                - _outer(self.db_fiber[i], self.db_base[i]) / self.b2[i][:, None, None])
+        """Mixed partials d_beta d_a ln b_i, shape (..., l_i, n)."""
+        return (np.swapaxes(self.H_bf[i], -1, -2) / self.b[i][..., None, None]
+                - _outer(self.db_fiber[i], self.db_base[i]) / self.b2[i][..., None, None])
 
     # twisted-only data built on k = ln b_i restricted to fiber i
 
-    @_once
+    @_per_fiber
     def k_fiber(self, i):
         """Fiber partials of ln b_i."""
-        return self.db_fiber[i] / self.b[i][:, None]
+        return self.db_fiber[i] / self.b[i][..., None]
 
-    @_once
+    @_per_fiber
     def hessF_k(self, i):
         """Fiber-metric Hessian of ln b_i (base point held fixed)."""
-        d2k = (self.H_ff[i] / self.b[i][:, None, None]
-               - _outer(self.db_fiber[i], self.db_fiber[i]) / self.b2[i][:, None, None])
-        return d2k - np.einsum("pcab,pc->pab", self.GF[i], self.k_fiber(i))
+        d2k = (self.H_ff[i] / self.b[i][..., None, None]
+               - _outer(self.db_fiber[i], self.db_fiber[i]) / self.b2[i][..., None, None])
+        return d2k - np.einsum("...cab,...c->...ab", self.GF[i], self.k_fiber(i))
 
-    @_once
+    @_per_fiber
     def lapF_k(self, i):
-        return np.einsum("pab,pab->p", self.gFinv[i], self.hessF_k(i))
+        return np.einsum("...ab,...ab->...", self.gFinv[i], self.hessF_k(i))
 
-    @_once
+    @_per_fiber
     def gradF_k(self, i):
         """g_F-gradient components of ln b_i."""
         return _mv(self.gFinv[i], self.k_fiber(i))
 
-    @_once
+    @_per_fiber
     def gradF_k_norm2(self, i):
         dk = self.k_fiber(i)
         return _quad(dk, self.gFinv[i], dk)
 
     # -- torsion field helpers --------------------------------------------------
 
-    @_once
     def pi(self, block):
-        """pi(e_v) = g(e_v, P) over the block's coordinate vectors, out[p, v]."""
-        if block != self.P_loc:
-            return np.zeros((len(self.p), self.dim(block)))
-        return self._lower(block, self.Pc[..., None])[..., 0]
+        """pi(e_v) = g(e_v, P) over the block's coordinate vectors, out[..., v]."""
+        return self._pi_base() if block == "base" else self._pi_fiber(block)
+
+    @_once
+    def _pi_base(self):
+        if self.P_loc != "base":
+            return np.zeros((len(self.p), self.n))
+        return self._lower("base", self.Pc[..., None])[..., 0]
+
+    @_once
+    def _pi_fiber(self, i):
+        r = self.P_loc
+        return self._at_p(i, (self.dim(i),), lambda: self._lower(r, self.Pc[..., None])[..., 0]
+                          if i == r else self._pi_fiber(r))
 
     def pi_P(self):
         if self.P_loc is None:
@@ -359,16 +555,33 @@ class StructuredGeometryCache:
 
     def g_W_nabla_V_P(self, block):
         """g(e_w, nabla_{e_v} P) over the block's coordinate vectors,
-        out[p, w, v]: zero off P's block, where nabla_V P = 0 for V on a fiber
-        without P."""
-        if block != self.P_loc:
-            d = self.dim(block)
-            return np.zeros((len(self.p), d, d))
-        return self._lower(block, self.nabla_P())
+        out[..., w, v]: zero off P's block, where nabla_V P = 0 for V on a
+        fiber without P."""
+        if block == "base":
+            if self.P_loc != "base":
+                return np.zeros((len(self.p), self.n, self.n))
+            return self._lower("base", self.nabla_P())
+        return self._g_nabla_P_fiber(block)
 
+    @_once
+    def _g_nabla_P_fiber(self, i):
+        r = self.P_loc
+        return self._at_p(i, (self.dim(i),) * 2, lambda: self._lower(r, self.nabla_P()) if i == r
+                          else self._g_nabla_P_fiber(r))
+
+    @_once
     def dpi(self, bx, by):
         """Exterior derivative dpi(A, B) = A(pi(B)) - B(pi(A)) - pi([A, B])
-        over the coordinate vectors of blocks bx and by, out[p, a, b]."""
+        over the coordinate vectors of blocks bx and by, out[..., a, b]; for
+        member tuples, each member's at its pair of blocks."""
+        if isinstance(bx, tuple) or isinstance(by, tuple):
+            pairs = zip(*(b if isinstance(b, tuple) else itertools.repeat(b) for b in (bx, by)))
+            _, lead, (_, *shape) = self.block(bx, by)
+            out = np.zeros(lead + tuple(shape))
+            for k, (x, y) in enumerate(pairs):
+                if _dpi_pair(x, y, self.P_loc):
+                    out[k] = self.dpi(x, y)
+            return out
         r = self.P_loc
         if r == "base" and bx == by == "base":
             dpiB = self.dPc @ self.gB  # dpiB[a, b] = d_a(g_bc P^c) = d_a P^c g_cb
@@ -472,23 +685,60 @@ def _zero_ricci(bx, by):
     return "base" not in (bx, by) and bx != by
 
 
+def _calls(patterns, groups, sl, rows):
+    """The block patterns grouped into clause calls, one per class: the
+    patterns whose fibers repeat in the same places and lie in the same
+    groups, in the order of each class's first pattern.  Each call is its
+    arguments and where its value goes in the whole tensor.  An argument is
+    the block of every member in its place, or else the member tuple of
+    their fibers.  A call without a member tuple has one member; its value
+    holds every row (if `rows`), as a block of the tensor does, and goes to
+    the slices of its blocks.  The value of a call with one has a member
+    axis and only the rows of `_row_blocks`, and goes to flat indices into
+    one point's tensor: over the members, then the rows, then the argument
+    blocks' coordinate vectors."""
+    group_of = {i: g for g, group in enumerate(groups) for i in group}
+    classes = {}
+    for t in patterns:
+        key = tuple(b if b == "base" else (t.index(b), group_of[b]) for b in t)
+        classes.setdefault(key, []).append(t)
+    size = max(s.stop for s in sl.values())
+    calls = []
+    for members in classes.values():
+        args = tuple(place[0] if len(set(place)) == 1 else place for place in zip(*members))
+        if len(members) == 1:
+            calls.append((*args, (_ALL,) * (1 + rows) + tuple(sl[b] for b in args)))
+            continue
+        index = []
+        for t in members:
+            axes = [np.r_[tuple(sl[b] for b in _row_blocks(t))]] if rows else []
+            axes += [np.arange(sl[b].start, sl[b].stop) for b in t]
+            flat = 0
+            for ax in np.ix_(*axes):
+                flat = flat * size + ax
+            index.append(flat)
+        calls.append((*args, np.array(index)))
+    return calls
+
+
 class _SweepPlan(NamedTuple):
     """What the whole-tensor sweep of one layout runs, made once."""
 
-    clauses: list  # (bx, by, bz, slice of out) of each triple whose clause runs
+    clauses: list  # (bx, by, bz, where) of each curvature clause call (`_calls`)
     mirrored: np.ndarray  # (n_bar,) * 3 mask of the entries (a, b, d) of mirrored triples
-    dpi: list  # (bx, by, [(bz, slice)...]) of each pair whose dpi term runs (symmetrized kind)
+    dpi: list  # (bx, by, [rows and block of each bz]) of each pair whose dpi term runs
     dpi_zero: np.ndarray | None  # the entries l = d of the other triples
-    nabla: list  # (bx, by, slice) of each block pair whose nabla can be non-zero
-    ricci: list  # (bx, by, slice) of each block pair whose Ricci value can be non-zero
+    nabla: list  # (bx, by, where) of each call over pairs whose nabla can be non-zero
+    ricci: list  # (bx, by, where) of each call over pairs whose Ricci value can be non-zero
 
 
-@functools.lru_cache(maxsize=64)
-def _sweep_plan(n, dims, r, sym):
-    """The sweep plan of base dimension n, fiber dimensions dims and P's
-    block r on the dispatched view, for the symmetrized kind if sym.  Its
-    slices index values with a leading point axis."""
+@functools.lru_cache(maxsize=128)
+def _sweep_plan(n, dims, twisted, r, sym):
+    """The sweep plan of base dimension n, fiber dimensions dims and twisted
+    flags and P's block r on the dispatched view, for the symmetrized kind
+    if sym.  Its dpi slices index values with a leading point axis."""
     blocks = ["base", *range(len(dims))]
+    groups = _fiber_groups(dims, twisted)
     bounds = np.cumsum([0, n, *dims])
     sl = {b: slice(int(bounds[k]), int(bounds[k + 1])) for k, b in enumerate(blocks)}
     block_of = np.repeat(np.arange(len(blocks)), np.diff(bounds))
@@ -497,23 +747,21 @@ def _sweep_plan(n, dims, r, sym):
     triples = [t for t in itertools.product(blocks, repeat=3) if not _distinct_fibers(*t)]
     pairs = list(itertools.product(blocks, repeat=2))
 
-    def where(*t):
-        return (_ALL, _ALL, *(sl[b] for b in t))
-
     dpi_zero = None
     if sym:
         live = np.array([[_dpi_pair(bx, by, r) for by in blocks] for bx in blocks])
         diag = np.eye(len(block_of), dtype=bool)
         dpi_zero = diag[:, None, None, :] & ~live[np.ix_(block_of, block_of)][None, :, :, None]
     return _SweepPlan(
-        clauses=[(*t, where(*t)) for t in triples
-                 if not _mirrored(*t) and not _zero_triple(*t, r)],
+        clauses=_calls([t for t in triples if not _mirrored(*t) and not _zero_triple(*t, r)],
+                       groups, sl, True),
         mirrored=mirrored[np.ix_(block_of, block_of, block_of)],
-        dpi=[(bx, by, [(t[2], where(*t)) for t in triples if t[:2] == (bx, by)])
+        dpi=[(bx, by, [(_ALL, sl[t[2]], sl[bx], sl[by], sl[t[2]])
+                       for t in triples if t[:2] == (bx, by)])
              for bx, by in pairs if sym and _dpi_pair(bx, by, r)],
         dpi_zero=dpi_zero,
-        nabla=[(bx, by, where(bx, by)) for bx, by in pairs if not _zero_nabla(bx, by, r, sym)],
-        ricci=[(bx, by, (_ALL, sl[bx], sl[by])) for bx, by in pairs if not _zero_ricci(bx, by)],
+        nabla=_calls([t for t in pairs if not _zero_nabla(*t, r, sym)], groups, sl, True),
+        ricci=_calls([t for t in pairs if not _zero_ricci(*t)], groups, sl, False),
     )
 
 
@@ -521,7 +769,7 @@ def _plan(c, kind):
     """The sweep plan of the cache's layout for `kind`, keyed as
     `_dispatch` views the cache."""
     view, _, sym = _dispatch(c, kind, None, None)
-    return _sweep_plan(c.n, c.dims, view.P_loc, sym)
+    return _sweep_plan(c.n, c.dims, tuple(c.twisted), view.P_loc, sym)
 
 
 # ---------------------------------------------------------------------------
@@ -529,80 +777,76 @@ def _plan(c, kind):
 #
 # Each clause takes the blocks bx, by of X and Y and returns the ambient
 # components of nabla_X Y at each point over their coordinate vectors,
-# out[p, l, x, y].
+# out[..., l, x, y] over the rows of `StructuredGeometryCache.block`.
 
 
 def structured_covariant_derivative(c, kind):
     """Whole covariant derivative out[p, l, a, b], the component l of
-    nabla_{e_a} e_b at each of the cache's points, one block clause call per
-    block pair that the layout's sweep plan does not know to be zero."""
+    nabla_{e_a} e_b at each of the cache's points, one clause call per
+    class and group of the block pairs that the layout's sweep plan does
+    not know to be zero."""
     _check_kind(kind)
     out = np.zeros((len(c.p),) + (c.nbar,) * 3)
+    flat = out.reshape(len(out), -1)
     for bx, by, where in _plan(c, kind).nabla:
-        out[where] = _covariant_block(c, kind, bx, by)
+        val = _covariant_block(c, kind, bx, by)
+        if type(where) is tuple:
+            out[where] = val
+        else:  # flat indices, with the value's member axis first
+            flat[:, where] = val.swapaxes(0, 1)
     return out
 
 
 def _covariant_block(c, kind, bx, by):
     """nabla_X Y over blocks bx, by: the Levi-Civita clause plus pi(Y) X,
     and pi(X) Y for the symmetrized kind."""
-    out = _levi_civita_derivative(c, bx, by)
+    rows, lead, shape = c.block(bx, by)
+    out = np.zeros(lead + shape)
+    _levi_civita_derivative(c, bx, by, out, rows)
     if kind in (ConnectionKind.SEMI_SYMMETRIC_NON_METRIC, ConnectionKind.SYMMETRIZED_AFFINE):
-        _diag(out[:, c.spec.block_slice(bx)], 2)[...] += c.pi(by)[:, None]
+        _diag(out[..., rows[bx], :, :], "xxy")[...] += c.pi(by)[..., None, :]
     if kind == ConnectionKind.SYMMETRIZED_AFFINE:
-        _diag(out[:, c.spec.block_slice(by)], 3)[...] += c.pi(bx)[:, :, None]
+        _diag(out[..., rows[by], :, :], "yxy")[...] += c.pi(bx)[..., :, None]
     return out
 
 
-def _levi_civita_derivative(c, bx, by):
-    """Levi-Civita nabla_X Y over blocks bx, by."""
-    out = np.zeros((len(c.p), c.nbar, c.dim(bx), c.dim(by)))
+def _levi_civita_derivative(c, bx, by, out, rows):
+    """Write Levi-Civita nabla_X Y over blocks bx, by into `out`, zero, whose
+    rows are at `rows`."""
     if bx == "base" and by == "base":
-        return out  # flat base
+        return  # flat base
 
     if bx == "base":  # nabla_X V = X(ln b_i) V
-        _diag(out[:, c.spec.block_slice(by)], 3)[...] = c.d_ln_b(by)[:, :, None]
-        return out
+        _diag(out[..., rows[by], :, :], "yxy")[...] = c.d_ln_b(by)[..., :, None]
+        return
 
     if by == "base":  # nabla_V X = X(ln b_i) V
-        _diag(out[:, c.spec.block_slice(bx)], 2)[...] = c.d_ln_b(bx)[:, None]
-        return out
+        _diag(out[..., rows[bx], :, :], "xxy")[...] = c.d_ln_b(bx)[..., None, :]
+        return
 
     i = bx
     if by != i:
-        return out
+        return
 
     # same fiber: twisted-product formula
-    b = c.b[i][:, None, None]
-    blk = out[:, c.spec.block_slice(i)]
-    _diag(blk, 3)[...] = c.k_fiber(i)[:, :, None]
-    _diag(blk, 2)[...] += c.k_fiber(i)[:, None]
+    b = c.b[i][..., None, None]
+    blk = out[..., rows[i], :, :]
+    _diag(blk, "yxy")[...] = c.k_fiber(i)[..., :, None]
+    _diag(blk, "xxy")[...] += c.k_fiber(i)[..., None, :]
     blk += c.GF[i]
-    blk -= _outer(c.grad_F(i), c.gF[i] / b)
-    out[:, : c.n] = -_outer(c.grad_B(i), b * c.gF[i])
-    return out
+    blk -= c.grad_F(i)[..., :, None, None] * (c.gF[i] / b)[..., None, :, :]
+    out[..., : c.n, :, :] = -(c.grad_B(i)[..., :, None, None] * (b * c.gF[i])[..., None, :, :])
 
 
 # ---------------------------------------------------------------------------
-# Curvature clauses: out[p, l, x, y, z] for R(X, Y)Z
+# Curvature clauses: out[..., l, x, y, z] for R(X, Y)Z
 
 
-def _curvature_block(c, kind, bx, by, bz):
-    """R(X, Y)Z over blocks bx, by, bz: the clause of their block pattern,
-    the per-pattern form of `structured_curvature`.  The symmetrized kind
-    adds `_dpi_term`."""
-    c, clause, sym = _dispatch(c, kind, _curv_p_base, _curv_p_fiber)
-    out = clause(c, bx, by, bz)
-    if sym:
-        _dpi_term(c, out, c.dpi(bx, by), bz)
-    return out
-
-
-def _dpi_term(c, out, dpi, bz):
+def _dpi_term(out, dpi):
     """Add [X(pi(Y)) - Y(pi(X)) - pi([X,Y])] Z = dpi(X, Y) Z, the
-    symmetrized kind's term, to the block `out` of R(X, Y)Z, given
-    dpi = dpi(X, Y)."""
-    _diag(out[:, c.spec.block_slice(bz)], 4)[...] += dpi[..., None]
+    symmetrized kind's term, to `out`, the rows of Z's block in a block of
+    R(X, Y)Z, given dpi = dpi(X, Y)."""
+    _diag(out, "zxyz")[...] += dpi[..., None]
 
 
 def _distinct_fibers(bX, bY, bZ):
@@ -624,34 +868,41 @@ def _mirrored(bX, bY, bZ):
 
 def structured_curvature(c, kind):
     """Whole curvature tensor out[p, l, a, b, d] = R(e_a, e_b)e_d at each of
-    the cache's points, from the layout's sweep plan: one block clause call
-    per block triple, except the triples the plan knows to be zero, which
-    stay zero.  Each mirrored triple runs no clause: its slice is its
-    mirror's clause value with the X and Y axes swapped and the sign
-    flipped, taken before the dpi term of the symmetrized kind, so it holds
-    the bits of its own clause.  The dpi term runs where dpi(X, Y) can be
-    non-zero; elsewhere the entries l = d get the +0.0 that the zero term
-    adds."""
+    the cache's points, from the layout's sweep plan: one clause call per
+    class and group of the block triples, except the triples the plan knows
+    to be zero, which stay zero.  Each mirrored triple runs no clause: its
+    slice is its mirror's clause value with the X and Y axes swapped and
+    the sign flipped, taken before the dpi term of the symmetrized kind, so
+    it holds the bits of its own clause.  The dpi term runs where dpi(X, Y)
+    can be non-zero; elsewhere the entries l = d get the +0.0 that the zero
+    term adds."""
     _check_kind(kind)
     c, clause, sym = _dispatch(c, kind, _curv_p_base, _curv_p_fiber)
-    plan = _sweep_plan(c.n, c.dims, c.P_loc, sym)
+    plan = _sweep_plan(c.n, c.dims, tuple(c.twisted), c.P_loc, sym)
     out = np.zeros((len(c.p),) + (c.nbar,) * 4)
+    flat = out.reshape(len(out), -1)
     for bx, by, bz, where in plan.clauses:
-        out[where] = clause(c, bx, by, bz)
+        val = clause(c, bx, by, bz)
+        if type(where) is tuple:
+            out[where] = val
+        else:  # flat indices, with the value's member axis first
+            flat[:, where] = val.swapaxes(0, 1)
     # a mirror is never mirrored, so no entry read here is written here
     np.negative(out.swapaxes(2, 3), out=out, where=plan.mirrored)
     if sym:
         np.add(out, 0.0, out=out, where=plan.dpi_zero)
         for bx, by, targets in plan.dpi:
             dpi = c.dpi(bx, by)
-            for bz, where in targets:
-                _dpi_term(c, out[where], dpi, bz)
+            for where in targets:
+                _dpi_term(out[where], dpi)
     return out
 
 
 def _antisym(clause, c, bx, by, bz):
-    """R(X, Y)Z = -R(Y, X)Z."""
-    return -np.swapaxes(clause(c, by, bx, bz), 2, 3)
+    """R(X, Y)Z = -R(Y, X)Z for one block triple, a call of one member
+    (sweeps fill mirrored triples from the tensor and call no clause on
+    them)."""
+    return -np.swapaxes(clause(c, by, bx, bz), -3, -2)
 
 
 def _p_block_terms(c):
@@ -669,20 +920,21 @@ def _curv_p_base(c, bx, by, bz):
     they are the Levi-Civita clauses, which `_curv_p_fiber` builds on."""
     if _mirrored(bx, by, bz):
         return _antisym(_curv_p_base, c, bx, by, bz)
-    out = np.zeros((len(c.p), c.nbar, c.dim(bx), c.dim(by), c.dim(bz)))
+    rows, lead, shape = c.block(bx, by, bz)
+    out = np.zeros(lead + shape)
 
     if bx == "base" and by == "base" and bz == "base":
         # flat base: only the pi terms of P on the base curve it
         if c.P_loc == "base":
-            out[:, : c.n] = _p_block_terms(c)
+            out[..., : c.n, :, :, :] = _p_block_terms(c)
         return out
 
     if bx != "base" and by == "base" and bz == "base":
         i = bx
         pi = c.pi("base")
-        coef = (c.H_bb[i] / c.b[i][:, None, None]
-                + np.swapaxes(c.g_W_nabla_V_P("base"), 1, 2) - _outer(pi, pi))
-        _diag(out[:, c.spec.block_slice(i)], 2)[...] = -coef[:, None]
+        coef = (c.H_bb[i] / c.b[i][..., None, None]
+                + np.swapaxes(c.g_W_nabla_V_P("base"), -1, -2) - _outer(pi, pi))
+        _diag(out[..., rows[i], :, :, :], "xxyz")[...] = -coef[..., None, :, :]
         return out
 
     if bx == "base" and by == "base" and bz != "base":
@@ -690,7 +942,7 @@ def _curv_p_base(c, bx, by, bz):
 
     if bx != "base" and by != "base" and bz == "base":
         if bx == by:
-            _add_wedge(out[:, c.spec.block_slice(bx)], c._d2_ln_fb(bx))
+            _add_wedge(out[..., rows[bx], :, :, :], c._d2_ln_fb(bx))
         return out
 
     if bx == "base" and by != "base" and bz != "base":
@@ -698,15 +950,14 @@ def _curv_p_base(c, bx, by, bz):
         if bz != i:
             return out
         # R(X, V)W with V, W on the same fiber: X(W(ln b_i)) V - g(W, V) bracket
-        b = c.b[i][:, None, None]
-        sl = c.spec.block_slice(i)
+        b = c.b[i][..., None, None]
         d2 = c._d2_ln_fb(i)
-        _diag(out[:, sl], 3)[...] = np.swapaxes(d2, 1, 2)[:, :, None]
-        bracket = np.zeros((len(c.p), c.nbar, c.n))
-        bracket[:, : c.n] = c.gBinv @ c.H_bb[i] / b
-        _diag(bracket[:, : c.n], 2)[...] += c.P_b(i)[:, None] / c.b[i][:, None]
-        bracket[:, sl] = c.gFinv[i] @ d2 / c.b2[i][:, None, None]
-        out -= np.einsum("plx,pzy->plxyz", bracket, c.g_inner_block(i))
+        _diag(out[..., rows[i], :, :, :], "yxyz")[...] = np.swapaxes(d2, -1, -2)[..., :, None, :]
+        bracket = np.zeros(lead + (shape[0], c.n))
+        bracket[..., : c.n, :] = c.gBinv @ c.H_bb[i] / b
+        _diag(bracket[..., : c.n, :], "xx")[...] += c.P_b(i)[..., None] / c.b[i][..., None]
+        bracket[..., rows[i], :] = c.gFinv[i] @ d2 / c.b2[i][..., None, None]
+        out -= np.einsum("...lx,...zy->...lxyz", bracket, c.g_inner_block(i))
         return out
 
     i, j, k = bx, by, bz  # all fibers
@@ -714,9 +965,9 @@ def _curv_p_base(c, bx, by, bz):
         return _curv_same_fiber(c, i)
     if j == k and i != j:
         # R(U, V)W with V, W in one fiber, U in another
-        coef = c.grad_inner_B[:, j, i] / (c.b[i] * c.b[j]) + c.P_b(j) / c.b[j]
-        _diag(out[:, c.spec.block_slice(i)], 2)[...] = (
-            -coef[:, None, None, None] * c.g_inner_block(j)[:, None])
+        coef = c.grad_inner(j, i) / (c.b[i] * c.b[j]) + c.P_b(j) / c.b[j]
+        _diag(out[..., rows[i], :, :, :], "xxyz")[...] = (
+            -coef[..., None, None, None] * c.g_inner_block(j)[..., None, :, :])
         return out
     return out  # i == j != k, or all distinct
 
@@ -728,66 +979,68 @@ def _curv_same_fiber(c, i):
     where S_V is grad_B V(ln b_i) plus, on a twisted fiber, a fiber part.
     """
     b = c.b[i]
-    sl = c.spec.block_slice(i)
+    rows, lead, (R, _) = c.block(i)
     g = c.g_inner_block(i)
-    coef = c.grad_inner_B[:, i, i] / c.b2[i] + c.P_b(i) / b
-    S = np.zeros((len(c.p), c.nbar, c.dims[i]))
-    S[:, : c.n] = c.gBinv @ np.swapaxes(c._d2_ln_fb(i), 1, 2)
-    if c.twisted[i]:
+    coef = c.grad_inner(i, i) / c.b2[i] + c.P_b(i) / b
+    S = np.zeros(lead + (R, c.dim(i)))
+    S[..., : c.n, :] = c.gBinv @ np.swapaxes(c._d2_ln_fb(i), -1, -2)
+    if c.twisted[_first(i)]:
         # fiber-direction second derivatives of ln b_i, absent for warpings
         b2 = c.b2[i]
         dk = c.k_fiber(i)
         Hk = c.hessF_k(i)
-        coef = (coef + c.gradF_k_norm2(i) / b2)[:, None, None]
+        coef = (coef + c.gradF_k_norm2(i) / b2)[..., None, None]
         A = coef * g + Hk - _outer(dk, dk)
-        S[:, sl] = (c.gFinv[i] @ Hk - _outer(c.gradF_k(i), dk)) / b2[:, None, None]
+        S[..., rows[i], :] = (c.gFinv[i] @ Hk - _outer(c.gradF_k(i), dk)) / b2[..., None, None]
     else:
-        A = coef[:, None, None] * g
-    out = np.einsum("pxz,ply->plxyz", g, S) - np.einsum("pyz,plx->plxyz", g, S)
-    out[:, sl] += _add_wedge(c.RF[i].copy(), A)
+        A = coef[..., None, None] * g
+    out = np.einsum("...xz,...ly->...lxyz", g, S) - np.einsum("...yz,...lx->...lxyz", g, S)
+    out[..., rows[i], :, :, :] += _add_wedge(c.RF[i].copy(), A)
     return out
 
 
 def _curv_p_fiber(c, bx, by, bz):
     """Clauses for P on fiber r, semi-symmetric connection: the P-free clause
-    of the pattern plus its P terms."""
+    of the pattern plus its P terms, a term of the patterns through r on
+    r's members only."""
     r = c.P_loc
     if _mirrored(bx, by, bz):
         return _antisym(_curv_p_fiber, c, bx, by, bz)
 
     out = _curv_p_base(c.without_p(), bx, by, bz)
+    rows, _, _ = c.block(bx, by, bz)
     ln_b = c.d_ln_b(r)  # X(ln b_r) over the base coordinate vectors
 
     if bx == "base" and by == "base":
-        if bz == r:
+        for k in _at(bz, r):
             zeros = np.zeros((len(c.p), c.n, c.n, c.n, c.dims[r]))
-            out[:, : c.n] += _add_wedge(zeros, _outer(ln_b, c.pi(r)))
+            out[k, ..., : c.n, :, :, :] += _add_wedge(zeros, _outer(ln_b, c.pi(r)))
     elif by == "base":  # R(V, X)Y
-        if bx == r:
-            _diag(out[:, : c.n], 3)[...] -= _outer(c.pi(r), ln_b)[:, :, None]
+        for k in _at(bx, r):
+            _diag(out[k, ..., : c.n, :, :, :], "yxyz")[...] -= _outer(c.pi(r), ln_b)[:, :, None]
     elif bz == "base":  # R(U, V)X
-        if bx == r:
-            _diag(out[:, c.spec.block_slice(by)], 3)[...] -= _outer(c.pi(r), ln_b)[:, :, None]
-        if by == r:
-            _diag(out[:, c.spec.block_slice(bx)], 2)[...] += _outer(c.pi(r), ln_b)[:, None]
+        for k in _at(bx, r):
+            _diag(out[k, ..., rows[by], :, :, :], "yxyz")[...] -= _outer(c.pi(r), ln_b)[:, :, None]
+        for k in _at(by, r):
+            _diag(out[k, ..., rows[bx], :, :, :], "xxyz")[...] += _outer(c.pi(r), ln_b)[:, None]
     elif bx == "base":  # R(X, V)W
-        _diag(out[:, c.spec.block_slice(by)], 3)[...] += _outer(ln_b, c.pi(bz))[:, :, None]
+        _diag(out[..., rows[by], :, :, :], "yxyz")[...] += _outer(ln_b, c.pi(bz))[..., :, None, :]
         if by == bz:
             K = _outer(c.pi(bz), c.pi(by)) - c.g_W_nabla_V_P(by)
-            _diag(out[:, : c.n], 2)[...] += np.swapaxes(K, 1, 2)[:, None]
+            _diag(out[..., : c.n, :, :, :], "xxyz")[...] += np.swapaxes(K, -1, -2)[..., None, :, :]
     elif bx == by == bz:  # R(U, V)W on one fiber
-        if bx == r:
-            out[:, c.spec.block_slice(r)] += _p_block_terms(c)
+        for k in _at(bx, r):
+            out[k, ..., rows[bx], :, :, :] += _p_block_terms(c)
     elif by == bz:  # R(U, V)W: V, W in fiber j, U in fiber i
         piZ = c.pi(bz)
         K = _outer(piZ, c.pi(by)) - c.g_W_nabla_V_P(by)
-        _diag(out[:, c.spec.block_slice(bx)], 2)[...] += np.swapaxes(K, 1, 2)[:, None]
-        _diag(out[:, c.spec.block_slice(by)], 3)[...] -= _outer(c.pi(bx), piZ)[:, :, None]
+        _diag(out[..., rows[bx], :, :, :], "xxyz")[...] += np.swapaxes(K, -1, -2)[..., None, :, :]
+        _diag(out[..., rows[by], :, :, :], "yxyz")[...] -= _outer(c.pi(bx), piZ)[..., :, None, :]
     return out
 
 
 # ---------------------------------------------------------------------------
-# Ricci clauses: out[p, x, y] for Ric(X, Y)
+# Ricci clauses: out[..., x, y] for Ric(X, Y)
 
 
 def _ricci_block(c, kind, bx, by):
@@ -807,22 +1060,28 @@ def _ricci_p_base(c, bx, by):
             total = total + c.dims[i] * (c.H_bb[i] / c.b[i][:, None, None] + p_term)
         return total
     if bx == "base":  # Ric(X, V) = (l_i - 1) V(X(ln b_i))
-        return (c.dims[by] - 1) * np.swapaxes(c._d2_ln_fb(by), 1, 2)
+        return (c.dim(by) - 1) * np.swapaxes(c._d2_ln_fb(by), -1, -2)
     if by == "base":
-        return (c.dims[bx] - 1) * c._d2_ln_fb(bx)
+        return (c.dim(bx) - 1) * c._d2_ln_fb(bx)
     i = bx
     if by != i:
-        return np.zeros((len(c.p), c.dims[i], c.dims[by]))
+        _, lead, (_, *shape) = c.block(i, by)
+        return np.zeros(lead + tuple(shape))
     bracket = c.lap_B(i) / c.b[i]
-    bracket = bracket + (c.dims[i] - 1) * c.grad_inner_B[:, i, i] / c.b2[i]
-    for j2 in range(c.m):
-        if j2 != i:
-            bracket = bracket + c.dims[j2] * c.grad_inner_B[:, i, j2] / (c.b[i] * c.b[j2])
+    bracket = bracket + (c.dim(i) - 1) * c.grad_inner(i, i) / c.b2[i]
+    for j in range(c.m):
+        if i == j:
+            continue
+        term = c.dims[j] * c.grad_inner(i, j) / (c.b[i] * c.b[j])
+        if _holds(i, j):  # a member tuple with j: not on j's own row
+            np.add(bracket, term, out=bracket, where=_other_than(i, j))
+        else:
+            bracket = bracket + term
     if c.P_loc == "base":
         # weight (nbar - 1) on P(b_i)/b_i: forced by the frame trace of the
         # curvature clauses and confirmed against the generic oracle
         bracket = bracket + (c.nbar - 1) * c.P_b(i) / c.b[i]
-    return (c.RicF[i] + bracket[:, None, None] * c.g_inner_block(i)
+    return (c.RicF[i] + bracket[..., None, None] * c.g_inner_block(i)
             + _ricci_twist_extra(c, i))
 
 
@@ -837,31 +1096,36 @@ def _ricci_p_fiber(c, bx, by):
         val += (nbar - 1) * _outer(c.d_ln_b(r), c.pi(by))
     elif bx == by != "base":
         pi = c.pi(bx)
-        val += (nbar - 1) * (np.swapaxes(c.g_W_nabla_V_P(bx), 1, 2) - _outer(pi, pi))
+        val += (nbar - 1) * (np.swapaxes(c.g_W_nabla_V_P(bx), -1, -2) - _outer(pi, pi))
     return val
 
 
 def _ricci_twist_extra(c, i):
     """Fiber-Hessian contribution to Ric(V, W), zero for plain warpings."""
-    if not c.twisted[i]:
+    if not c.twisted[_first(i)]:
         return 0.0
-    l = c.dims[i]
+    l = c.dim(i)
     b2 = c.b2[i]
     dk = c.k_fiber(i)
     val = (l - 2) * c.hessF_k(i)
     val = val + (2 - l) * _outer(dk, dk)
     return val + c.g_inner_block(i) * (
-        c.lapF_k(i) / b2 + (l - 2) * c.gradF_k_norm2(i) / b2)[:, None, None]
+        c.lapF_k(i) / b2 + (l - 2) * c.gradF_k_norm2(i) / b2)[..., None, None]
 
 
 def structured_ricci_matrix(c, kind):
     """Full Ricci matrix out[p, a, b] at each of the cache's points, one
-    block clause call per block pair that the layout's sweep plan does not
-    know to be zero."""
+    clause call per class and group of the block pairs that the layout's
+    sweep plan does not know to be zero."""
     _check_kind(kind)
     out = np.zeros((len(c.p), c.nbar, c.nbar))
+    flat = out.reshape(len(out), -1)
     for bx, by, where in _plan(c, kind).ricci:
-        out[where] = _ricci_block(c, kind, bx, by)
+        val = _ricci_block(c, kind, bx, by)
+        if type(where) is tuple:
+            out[where] = val
+        else:  # flat indices, with the value's member axis first
+            flat[:, where] = val.swapaxes(0, 1)
     return out
 
 

@@ -9,10 +9,11 @@ values with the coordinate computation at a set of sample points, an
 call each: one oracle call, and one structured cache from one jet walk.
 The covariant derivative, the curvature, the Ricci matrix and the scalar
 are then one whole-tensor call per stack each, running the clauses of the
-layout's sweep plan once for all the points, and there is one |S - O| per
-tensor against the oracle's tensor of the same layout, whose block maxima
-are the rows.  A pattern the plan skips is zero on the structured side and
-still compared with the oracle.
+layout's sweep plan once for all the points, one call per pattern class
+and group of fibers, and there is one |S - O| per tensor against the
+oracle's tensor of the same layout, whose block maxima are the rows.  A
+pattern the plan skips is zero on the structured side and still compared
+with the oracle.
 """
 
 from __future__ import annotations

@@ -597,3 +597,37 @@ def test_constancy_row_reports_the_tolerance_its_check_used(monkeypatch):
     monkeypatch.setattr(einstein, "CONSTANCY_TOL", 2.0 * row.grid_max_residual)
     row = constancy_row()
     assert row.tolerance == einstein.CONSTANCY_TOL and row.verdict == "pass"
+
+
+def test_parameter_keys_and_their_errors_are_pinned(monkeypatch, tmp_path, capsysbinary):
+    # the keys derived from the constructors' and builders' arguments, the
+    # fiber-only table and its error text; a geometry that keeps object's
+    # constructor takes no key and is read without inspect.signature
+    from warpcurv import cli
+    from warpcurv.geometry import HyperbolicPlane
+
+    assert sorted(cli.KEYS) == [
+        "base", "connection", "family.dims", "family.kind", "family.l", "family.lam",
+        "family.lam_fiber", "family.lam_fibers", "family.p", "family.s_fiber",
+        "family.s_fibers", "family.scalar", "family.type", "fiber.dim", "fiber.geometry",
+        "fiber.radius", "fiber.warping", "format", "grid.end", "grid.points", "grid.start",
+        "lambda", "p.components", "p.location", "scan.c_range", "scan.case", "scan.l",
+        "scan.lam", "scan.lam2", "scan.lam_fiber", "scan.n_c", "scan.p", "scan.p1",
+        "scan.t_points", "scan.threshold", "seed", "task", "tolerance", "twisted"]
+    assert cli._FIBER_ONLY == {"fiber.dim": ["flat_torus"], "fiber.radius": ["sphere"]}
+    assert HyperbolicPlane.__init__ is object.__init__
+
+    def no_signature(fn, *args, **kwargs):
+        raise AssertionError(f"inspect.signature({fn!r})")
+
+    cli._parameters.cache_clear()
+    monkeypatch.setattr(cli.inspect, "signature", no_signature)
+    assert cli._parameters(HyperbolicPlane) == {}
+    cli._parameters.cache_clear()
+    path = tmp_path / "hyperbolic-radius.txt"
+    path.write_text((SCENARIOS / "oracle-sphere.txt").read_text().replace(
+        "fiber.geometry = sphere", "fiber.geometry = hyperbolic"))
+    assert main(["verify", str(path)]) == 2
+    assert capsysbinary.readouterr().err == (
+        b"error: 'fiber.radius' is read only by sphere fibers, not hyperbolic"
+        b" (line 5: 'fiber.radius = 1.0')\n")

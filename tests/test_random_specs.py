@@ -1,7 +1,9 @@
 """Structured clauses against the coordinate oracle on randomly drawn specs.
 
-A recipe fixes the base, one to three fibers, twisting, where P lives, the
-connection kind and the coefficients of the warpings and of P.  Warpings
+A recipe fixes the base, one to four fibers, twisting, where P lives, the
+connection kind and the coefficients of the warpings and of P.  Four
+fibers reach the groups the clauses run over: two to four fibers of one
+dimension, twisted groups, and P on a fiber of a group.  Warpings
 are (1.5 + 0.4 sin(a t + c)) exp(linear), positive everywhere; P has
 affine-plus-quadratic components in its block's coordinates.
 
@@ -14,6 +16,7 @@ import itertools
 
 import numpy as np
 import pytest
+from clause_reference import curvature_block, members
 from conftest import make_zoo
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -45,7 +48,7 @@ GEOMETRIES = {"circle": Circle, "T2": lambda: FlatTorus(2), "T3": lambda: FlatTo
               "sphere": Sphere, "hyperbolic": HyperbolicPlane}
 BASES = {"interval": IntervalBase, "flat2": lambda: FlatBase((-1.0, 1.0)),
          "flat3": lambda: FlatBase((-1.0, 1.0, 1.0))}
-N_COEFS = 36  # enough for three 3-d twisted warpings over a 3-d base and P on a 3-d block
+N_COEFS = 41  # enough for four 3-d twisted warpings over a 3-d base and P on a 3-d block
 # Every row's deviation, over the oracle's largest |Gamma|, |R|, |Ric| or
 # |scalar| (at least 1): 800 seeded draws measured at most 2.4e-15.
 BOUND = 1e-13
@@ -55,6 +58,12 @@ COEFS = tuple(np.linspace(-0.9, 0.8, N_COEFS).round(3))
 P_ON_3D_FIBER = ("interval", ("circle", "T3"), False, 1, SSNM, COEFS)
 P_ON_LAST_OF_THREE = ("flat2", ("sphere", "hyperbolic", "T2"), True, 2,
                       ConnectionKind.SYMMETRIZED_AFFINE, COEFS[::-1])
+# one group of four 2-d fibers, P on its third; a twisted group of two 2-d
+# fibers between a circle and a 3-torus, P on the second of the group
+P_IN_A_GROUP_OF_FOUR = ("interval", ("sphere", "hyperbolic", "T2", "sphere"), False, 2, SSNM,
+                        COEFS)
+P_IN_A_TWISTED_GROUP = ("interval", ("circle", "hyperbolic", "sphere", "T3"), True, 2,
+                        ConnectionKind.SYMMETRIZED_AFFINE, COEFS[::-1])
 
 
 def build_case(base, geometries, twisted, p_location, coefs):
@@ -84,7 +93,7 @@ def build_case(base, geometries, twisted, p_location, coefs):
 @st.composite
 def recipes(draw, min_fibers=1):
     geometries = tuple(draw(st.lists(st.sampled_from(sorted(GEOMETRIES)),
-                                     min_size=min_fibers, max_size=3)))
+                                     min_size=min_fibers, max_size=4)))
     return (draw(st.sampled_from(sorted(BASES))), geometries, draw(st.booleans()),
             draw(st.sampled_from([None, "base", *range(len(geometries))])),
             draw(st.sampled_from(list(ConnectionKind))),
@@ -112,6 +121,8 @@ def scaled_deviations(spec, P, kind):
 @given(recipe=recipes())
 @example(recipe=P_ON_3D_FIBER)
 @example(recipe=P_ON_LAST_OF_THREE)
+@example(recipe=P_IN_A_GROUP_OF_FOUR)
+@example(recipe=P_IN_A_TWISTED_GROUP)
 def test_structured_matches_oracle_on_random_specs(recipe):
     base, geometries, twisted, p_location, kind, coefs = recipe
     spec, P = build_case(base, geometries, twisted, p_location, coefs)
@@ -176,29 +187,38 @@ def test_an_error_only_the_third_coordinate_vector_reaches_fails_its_rows(monkey
         for b in triple:
             sl = spec.block_slice(b)
             index.append(sl.start + np.arange(min(2, sl.stop - sl.start)))
-        sv = structured._curvature_block(cache, kind, *triple)[:, :, :2, :2, :2]
+        sv = curvature_block(cache, kind, *triple)[:, :, :2, :2, :2]
         assert np.max(np.abs(sv - riemann[np.ix_(*index)])) / scale <= BOUND, row
 
 
 def assert_tensor_is_its_block_clauses(spec, P, points):
     """Under every connection kind, each block triple's slice of the whole
-    tensor over a stack of points holds the bits of its block clause over
-    the same points, the skipped distinct-fiber triples and the per-pair
-    dpi term included."""
+    curvature tensor over a stack of points, filled by one clause call per
+    class and group of fibers, holds the bits of its clause called on that
+    triple's fibers alone over the same points, the skipped distinct-fiber
+    triples and the per-pair dpi term included; and so does each block
+    pair's slice of the Ricci matrix."""
     blocks = ["base", *range(spec.m)]
     cache = StructuredGeometryCache(spec, P, points)
     for kind in ConnectionKind:
         R = structured_curvature(cache, kind)
         for bx, by, bz in itertools.product(blocks, repeat=3):
-            want = structured._curvature_block(cache, kind, bx, by, bz)
+            want = curvature_block(cache, kind, bx, by, bz)
             got = R[:, :, spec.block_slice(bx), spec.block_slice(by), spec.block_slice(bz)]
             assert _bytes(got) == _bytes(want), (kind, bx, by, bz)
+        ric = structured_ricci_matrix(cache, kind)
+        for bx, by in itertools.product(blocks, repeat=2):
+            got = ric[:, spec.block_slice(bx), spec.block_slice(by)]
+            want = structured._ricci_block(cache, kind, bx, by)
+            assert _bytes(got) == _bytes(want), (kind, bx, by)
 
 
 @settings(max_examples=30, deadline=None)
 @given(recipe=recipes())
 @example(recipe=P_ON_3D_FIBER)
 @example(recipe=P_ON_LAST_OF_THREE)
+@example(recipe=P_IN_A_GROUP_OF_FOUR)
+@example(recipe=P_IN_A_TWISTED_GROUP)
 def test_whole_curvature_tensor_is_its_block_clauses_on_random_specs(recipe):
     base, geometries, twisted, p_location, _, coefs = recipe
     spec, P = build_case(base, geometries, twisted, p_location, coefs)
@@ -235,27 +255,28 @@ def test_mirrored_patterns_are_the_ones_their_clauses_swap(monkeypatch, p_locati
     for kind in ConnectionKind:
         for triple in itertools.product(blocks, repeat=3):
             routed.clear()
-            structured._curvature_block(cache, kind, *triple)
+            curvature_block(cache, kind, *triple)
             assert routed == ([triple] if structured._mirrored(*triple) else []), (kind, triple)
 
-    # the whole tensor runs the clauses of its layout's sweep plan, and those
-    # are the non-mirrored triples not on three distinct fibers, less
-    # exactly the zero classes stated here from the clause formulas
+    # the whole tensor runs the clauses of its layout's sweep plan, and its
+    # calls' members are the non-mirrored triples not on three distinct
+    # fibers, each once, less exactly the zero classes stated here from the
+    # clause formulas
     for name in ("_curv_p_base", "_curv_p_fiber"):
         monkeypatch.setattr(structured, name, recording(getattr(structured, name), clauses))
     for kind in ConnectionKind:
         r = None if kind == ConnectionKind.LEVI_CIVITA else p_location
         plan = structured._plan(cache, kind)
-        planned = {tuple(run[:3]) for run in plan.clauses}
-        assert len(planned) == len(plan.clauses), kind
+        planned = [t for run in plan.clauses for t in members(*run[:3])]
+        assert len(set(planned)) == len(planned), kind
         stated = {t for t in itertools.product(blocks, repeat=3)
                   if not structured._mirrored(*t) and not structured._distinct_fibers(*t)
                   and not stated_zero_triple(*t, r)}
-        assert planned == stated, kind
+        assert set(planned) == stated, kind
         routed.clear()
         clauses.clear()
         structured_curvature(cache, kind)
-        assert routed == [] and set(clauses) == planned, kind
+        assert routed == [] and set(clauses) == {tuple(run[:3]) for run in plan.clauses}, kind
 
 
 def stated_zero_triple(bx, by, bz, r):
@@ -307,6 +328,8 @@ def assert_nabla_is_its_block_clauses(spec, P, points):
 @given(recipe=recipes())
 @example(recipe=P_ON_3D_FIBER)
 @example(recipe=P_ON_LAST_OF_THREE)
+@example(recipe=P_IN_A_GROUP_OF_FOUR)
+@example(recipe=P_IN_A_TWISTED_GROUP)
 def test_covariant_derivative_is_its_block_clauses_on_random_specs(recipe):
     base, geometries, twisted, p_location, _, coefs = recipe
     spec, P = build_case(base, geometries, twisted, p_location, coefs)
@@ -349,6 +372,8 @@ def assert_rows_are_one_point_calls(spec, P, points):
 @given(recipe=recipes())
 @example(recipe=P_ON_3D_FIBER)
 @example(recipe=P_ON_LAST_OF_THREE)
+@example(recipe=P_IN_A_GROUP_OF_FOUR)
+@example(recipe=P_IN_A_TWISTED_GROUP)
 def test_stacked_rows_keep_the_bits_of_one_point_calls_on_random_specs(recipe):
     base, geometries, twisted, p_location, _, coefs = recipe
     spec, P = build_case(base, geometries, twisted, p_location, coefs)
@@ -375,7 +400,7 @@ def test_three_distinct_fibers_give_exact_zeros(recipe):
         for kind in ConnectionKind:
             for triple in itertools.permutations(range(spec.m), 3):
                 assert structured._distinct_fibers(*triple)
-                out = structured._curvature_block(cache, kind, *triple)
+                out = curvature_block(cache, kind, *triple)
                 assert not np.any(out), (kind, triple, recipe)
 
 
@@ -396,7 +421,7 @@ def assert_skipped_classes_are_zero(spec, P, p):
         plan = structured._plan(cache, kind)
         view, clause, sym = structured._dispatch(cache, kind, structured._curv_p_base,
                                                  structured._curv_p_fiber)
-        planned = {tuple(run[:3]) for run in plan.clauses}
+        planned = {t for run in plan.clauses for t in members(*run[:3])}
         live = {(X, Y) for X, Y in itertools.product(blocks, repeat=2)
                 if structured._dpi_pair(X, Y, view.P_loc)}
         assert {(X, Y) for X, Y, _ in plan.dpi} == (live if sym else set())
@@ -405,13 +430,13 @@ def assert_skipped_classes_are_zero(spec, P, p):
                 continue
             assert_zero(clause(view, *t), (kind, "clause", t))
             if not sym or t[:2] not in live:
-                assert_zero(structured._curvature_block(cache, kind, *t), (kind, "block", t))
+                assert_zero(curvature_block(cache, kind, *t), (kind, "block", t))
         for X, Y in itertools.product(blocks, repeat=2):
             if (X, Y) not in live:
                 assert_zero(view.dpi(X, Y), (kind, "dpi", X, Y))
-            if (X, Y) not in {(U, V) for U, V, _ in plan.nabla}:
+            if (X, Y) not in {t for U, V, _ in plan.nabla for t in members(U, V)}:
                 assert_zero(structured._covariant_block(cache, kind, X, Y), (kind, "nabla", X, Y))
-            if (X, Y) not in {(U, V) for U, V, _ in plan.ricci}:
+            if (X, Y) not in {t for U, V, _ in plan.ricci for t in members(U, V)}:
                 assert_zero(structured._ricci_block(cache, kind, X, Y), (kind, "ricci", X, Y))
 
 
@@ -505,7 +530,7 @@ def cache_row(cache, k):
         if field in ("Pc", "dPc"):
             row[field] = None if got is None else got[k]
         else:
-            row[field] = [a[k] for a in got]
+            row[field] = [got[i][k] for i in range(cache.m)]
     return row
 
 
@@ -606,3 +631,4 @@ def test_a_batched_cache_raises_the_chart_error_of_the_first_point_outside():
     want = _raised(lambda: StructuredGeometryCache(spec, None, points[1:2]))
     assert want[0].__name__ == "OutOfChart" and "0.01" in want[1]
     assert _raised(lambda: StructuredGeometryCache(spec, None, points)) == want
+

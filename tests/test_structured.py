@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from clause_reference import curvature_block
 from connection_reference import mixed_ricci_flat_check
 
 from warpcurv import exprs, structured
@@ -54,7 +55,7 @@ def curvature_at(cache, kind, *vecs):
     """R(X, Y)Z at the cache's points for (block, components) vectors X, Y,
     Z: their block clause contracted with the components."""
     blocks = [b for b, _ in vecs]
-    out = structured._curvature_block(cache, kind, *blocks)
+    out = curvature_block(cache, kind, *blocks)
     return np.einsum("plxyz,x,y,z->pl", out, *(np.asarray(v, dtype=float) for _, v in vecs))
 
 
@@ -444,10 +445,18 @@ def test_oracle_comparison_makes_one_call_per_stack(monkeypatch, spec_zoo, name)
         assert len(calls) == 1, kind
 
 
+def _spheres(m):
+    """An interval base and m unit spheres, each warped by its own b(t)."""
+    return ProductManifoldSpec(IntervalBase(), [Sphere(1.0) for _ in range(m)],
+                               [parse_expr(f"{2 + 0.1 * i} + 0.5*sin(t + {0.3 * i})")
+                                for i in range(m)])
+
+
 def test_clause_calls_do_not_grow_with_the_points(monkeypatch, spec_zoo):
     # over three points oracle_comparison runs the clause calls of one
-    # point, which are the sweep plan's: one per planned curvature triple,
-    # nabla pair and Ricci pair, each over the whole stack
+    # point, which are the sweep plan's: one per class and group of fibers
+    # of the planned curvature triples, nabla pairs and Ricci pairs, each
+    # over the whole stack; two spheres and four make as many calls
     counts, depth = {}, []
 
     def counting(name, original):
@@ -476,6 +485,42 @@ def test_clause_calls_do_not_grow_with_the_points(monkeypatch, spec_zoo):
             assert curvature == len(plan.clauses), (name, kind)
             assert runs[0]["_covariant_block"] == len(plan.nabla), (name, kind)
             assert runs[0]["_ricci_block"] == len(plan.ricci), (name, kind)
+
+    for kind in (LC, SSNM, SYM):
+        per_layout = []
+        for spec in (_spheres(2), _spheres(4)):
+            counts.clear()
+            oracle_comparison(spec, None, kind, spec.sample_points(1))
+            per_layout.append(dict(counts))
+        assert per_layout[0] == per_layout[1], kind
+        # R over (f, base, base), (f, f, base), (base, f, f), (f, f, f) and
+        # (f_j, f_i, f_i); nabla over (base, f), (f, base) and (f, f); Ricci
+        # over (base, base), (base, f), (f, base) and (f, f)
+        assert per_layout[1] == {"_curv_p_base": 5, "_covariant_block": 3, "_ricci_block": 4}, kind
+
+
+def test_three_oracle_sweep_rounds_fit_the_plan_caches():
+    # planning stays out of every scenario's cost: three rounds of the
+    # benchmark's oracle-sweep make each layout's plans and groups once and
+    # evict none
+    import sys
+
+    from warpcurv import cli
+
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root))
+    from perfbench.scenarios import generate_round
+
+    caches = (structured._sweep_plan, structured._layout, structured._fiber_groups,
+              structured._places)
+    for cache in caches:
+        cache.cache_clear()
+    for rnd in range(3):
+        for sc in generate_round("oracle-sweep", 11, rnd, root):
+            cli.run_scenario(cli.parse_scenario(sc.text))
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses == info.currsize <= info.maxsize, (cache.__name__, info)
 
 
 def test_an_empty_point_stack_is_a_typed_error():
@@ -519,10 +564,11 @@ def test_every_point_function_keeps_the_point_axis_of_a_one_row_stack(spec_zoo):
         g = assemble_metric(spec, p)
         G, dG = levi_civita_coefficients(spec, p)
         cache = StructuredGeometryCache(spec, P, p)
-        fields = [cache.p, cache.zeros, cache.Pc, cache.dPc, *cache.b, *cache.b2]
-        for group in (cache.db_base, cache.db_fiber, cache.H_bb, cache.H_bf, cache.H_ff,
-                      cache.gF, cache.dgF, cache.GF, cache.RF, cache.RicF, cache.gFinv):
-            fields.extend(group)
+        fields = [cache.p, cache.zeros, cache.Pc, cache.dPc]
+        for per_fiber in (cache.b, cache.b2, cache.db_base, cache.db_fiber, cache.H_bb,
+                          cache.H_bf, cache.H_ff, cache.gF, cache.dgF, cache.GF, cache.RF,
+                          cache.RicF, cache.gFinv):
+            fields.extend(per_fiber[i] for i in range(spec.m))
         returned = {
             "make_point": [spec.make_point(p[0, :spec.n])],
             "ambient_components": ambient_components(spec, P, p),
