@@ -10,17 +10,16 @@ warpings, every fiber metric entry and the components of P with their
 exact partials, each with a leading point axis, read back by slicing.
 
 The formulas are the same for every fiber index; only b_i, the fiber's
-dimension and its own metric and curvature change.  So the fibers are
-grouped by dimension and by whether their warping is twisted (`groups`),
-and a clause runs for the block patterns of one class at once: each
-argument is "base", one fiber index, or a member tuple, one fiber of one
-group per member of the call.  Every formula is multilinear in its
-arguments, so the coordinate vectors of each block determine every value:
-a clause returns the block of its tensor over the coordinate vectors of
-its argument blocks, out[k, p, l, x, y, z] for R(X, Y)Z at member k and
-point p, its rows l those of the base and then of each distinct fiber
-argument (`_row_blocks`); a call of one member has no member axis, and its
-value holds every row, as a block of the tensor does.  A term v(...) X
+dimension and its own metric and curvature change.  So a group of three
+or more fibers of one dimension and twisted flag (`_fiber_groups`) shares
+its clause calls: a clause argument is "base", a fiber index, or a member
+tuple, one fiber of one group per member of the call.  Every formula is
+multilinear in its arguments, so the coordinate vectors of each block
+determine every value: a clause returns the block of its tensor over the
+coordinate vectors of its argument blocks, out[k, p, l, x, y, z] for R(X,
+Y)Z at member k and point p, without the member axis for a call of one
+member.  Its rows l are those of the base and of each distinct fiber
+argument (`_row_blocks`), the only rows a clause writes.  A term v(...) X
 along an argument X is a write of v onto the (l, x) diagonal of X's rows
 (`_diag`), not a product with X's components, so it does no arithmetic
 beyond v: a non-finite v stays on that diagonal, where a product with the
@@ -36,16 +35,16 @@ the one-row stack of point k, and each member's slice holds the bits of
 the same clause called on that member alone.  The covariant derivative,
 the curvature tensor and the Ricci matrix are whole, one clause call per
 class and group of fibers (per ordered pair of groups for the classes on
-two fibers), each call's value written into the tensor by assignment, at
-its blocks' slices or its entries' flat indices.  The curvature fills
-each mirrored triple, one whose clause is R(X, Y)Z = -R(Y, X)Z of another,
-from that triple's slice.
+two fibers), each call's value put at the flat indices of its entries.
+The curvature fills each mirrored triple, one whose clause is R(X, Y)Z =
+-R(Y, X)Z of another, from that triple's slice.
 
-Which calls a whole-tensor operation makes is a sweep plan, made once per
-block layout, twisted flags, P block and kind (`_sweep_plan`): it leaves
-out the block patterns whose clauses give exact zeros, each class stated
-with the clause formulas it is read from, and the symmetrized kind's dpi
-term where dpi vanishes.
+Which calls a whole-tensor operation makes, and where their values go, is
+a sweep plan, made once per block layout, twisted flags, P block, kind
+and number of points (`_sweep_plan`): it leaves out the block patterns
+whose clauses give exact zeros, each class stated with the clause
+formulas it is read from, and the symmetrized kind's dpi term where dpi
+vanishes.
 
 Every product over a point or member axis is written in a form whose rows
 keep the bits of the one-point product: matrix products with a stacked
@@ -119,85 +118,74 @@ def _at(block, r):
     return [_ALL] if block == r else []
 
 
-@functools.lru_cache(maxsize=256)
-def _other_than(members, j):
-    """A mask of the members other than fiber j, over the member axis of a
-    (K, N) array."""
-    return (np.array(members) != j)[:, None]
-
-
 def _holds(block, r):
     """Whether fiber r is the block, "base", a fiber or a member tuple, or
     one of its members."""
     return r in block if isinstance(block, tuple) else block == r
 
 
+def _first(block):
+    """A fiber block's (first) fiber."""
+    return block[0] if isinstance(block, tuple) else block
+
+
 def _row_blocks(blocks):
     """The blocks whose rows a clause value over argument blocks `blocks`
-    holds, in order: the base, then each distinct fiber argument."""
-    return ["base", *dict.fromkeys(b for b in blocks if b != "base")]
+    holds, in order: the base, then each distinct fiber argument in the
+    order of its first place, the last argument (Z of R(X, Y)Z) counted
+    first, so that a pattern and its mirror, X and Y swapped, hold their
+    rows alike."""
+    return ["base", *dict.fromkeys(b for b in (blocks[-1], *blocks[:-1]) if b != "base")]
+
+
+# The fewest fibers of one dimension and twisted flag that share clause
+# calls.  A pair does not pay for its stacked copies and for the gathers of
+# its reordered member tuples: against each fiber alone, grouping the pair
+# (H, S) of the twisted (T3, C, H, S) layouts measured +2 to +9 % (cache
+# build and the four operations, in process), and the pair of a two-fiber
+# layout -3 to +1 %; groups of three and four fibers measured -9 to -23 %.
+_MIN_GROUP = 3
 
 
 @functools.lru_cache(maxsize=128)
 def _fiber_groups(dims, twisted):
-    """The fibers grouped by dimension and twisted flag, each group a tuple
-    of fiber indices, the groups in the order of their first fiber."""
-    groups = {}
+    """The fibers that share clause calls, each group a tuple of fiber
+    indices in the order of its first fiber: the fibers of one dimension
+    and twisted flag, if there are at least _MIN_GROUP of them, and else
+    each fiber alone."""
+    fibers = {}
     for i, key in enumerate(zip(dims, twisted)):
-        groups.setdefault(key, []).append(i)
-    return tuple(map(tuple, groups.values()))
+        fibers.setdefault(key, []).append(i)
+    groups = []
+    for same in fibers.values():
+        groups += [tuple(same)] if len(same) >= _MIN_GROUP else [(i,) for i in same]
+    return tuple(sorted(groups))
 
 
-@functools.lru_cache(maxsize=128)
-def _places(groups):
-    """Each fiber's group and its position there."""
-    return {i: (group, k) for group in groups for k, i in enumerate(group)}
-
-
-def _once(method):
-    """A cache method of P computed once per cache, P block and argument
-    tuple; an array value is read-only, as every caller shares it."""
+def _once(method, shared=False):
+    """A cache method computed once per cache, P block and argument tuple;
+    for a `shared` method, which P does not enter, once per cache, its
+    P-free view sharing it.  An array value is read-only, as every caller
+    shares it."""
     name = method.__name__
 
     @functools.wraps(method)
     def once(self, *args):
-        key = name, self.P_loc, args
-        try:
-            return self._memo[key]
-        except KeyError:
+        key = (name, args) if shared else (name, self.P_loc, args)
+        val = self._memo.get(key)
+        if val is None:  # no KeyError: each first read of a new cache misses
             val = self._memo[key] = method(self, *args)
             val.flags.writeable = False
-            return val
+        return val
 
     return once
 
 
 def _per_fiber(method):
-    """A quantity of each fiber that P does not enter, computed once per
-    cache (the P-free view shares it) and read at a fiber index, an
-    (N, ...) array, or at a member tuple, the members' rows on a leading
-    axis, (K, N, ...).  `method` computes it over a whole group of fibers
-    (`StructuredGeometryCache.groups`), or a fiber alone in its group; any
-    other read takes its rows of the whole group's value."""
-    name = method.__name__
-
-    @functools.wraps(method)
-    def read(self, fibers):
-        key = name, fibers
-        try:
-            return self._memo[key]
-        except KeyError:
-            pass
-        group, rows = self._locate(fibers)
-        if rows is None:
-            val = method(self, fibers)
-            val.flags.writeable = False
-        else:
-            val = read(self, group)[rows]
-        self._memo[key] = val
-        return val
-
-    return read
+    """A quantity of each fiber that P does not enter, read at a fiber
+    index, an (N, ...) array, or at a member tuple, the members' rows on a
+    leading axis, (K, N, ...), computed once per cache and fibers."""
+    return _once(method, shared=True)
 
 
 class _PerFiber(dict):
@@ -211,30 +199,43 @@ class _PerFiber(dict):
         return val
 
 
+# the per-fiber quantities of the cache, which `_stacked` reads at member tuples
+_PER_FIBER = ("b", "b2", "db_base", "db_fiber", "H_bb", "H_bf", "H_ff", "gF", "GF", "RF",
+              "RicF", "gFinv")
+
+
+def _stacked(c):
+    """The cache as the clause calls over member tuples read it, made at
+    most once: a view sharing its arrays and derived quantities, each
+    per-fiber quantity a `_PerFiber`, and so is its P-free view; the cache
+    itself when every fiber is alone in its group.  False in
+    `_stacked_view` names the cache itself, kept without a reference
+    cycle."""
+    if c._stacked_view is None:
+        if all(len(group) == 1 for group in _fiber_groups(c.dims, tuple(c.twisted))):
+            c._stacked_view = False
+        else:
+            view = copy.copy(c)
+            for name in _PER_FIBER:
+                setattr(view, name, _PerFiber(enumerate(getattr(c, name))))
+            view._p_free, view._stacked_view = None, False
+            c._stacked_view = view
+    return c._stacked_view or c
+
+
 @functools.lru_cache(maxsize=1024)
 def _layout(n, dims, blocks):
     """The slice of each block's rows in a clause value over argument
-    blocks `blocks`, its member axis if a block is a member tuple, and its
-    shape after the point axis: the rows, then each block's coordinate
-    vectors.  With a member tuple the rows are those of `_row_blocks`, in
-    that order; without one they are every row of the tensor."""
+    blocks `blocks`, in the order of `_row_blocks`, its member axis if a
+    block is a member tuple, and its shape after the member and point
+    axes: the rows, then each block's coordinate vectors."""
     size = {b: n if b == "base" else dims[_first(b)] for b in ("base", *blocks)}
+    rows, start = {}, 0
+    for b in _row_blocks(blocks):
+        rows[b] = slice(start, start + size[b])
+        start += size[b]
     members = next(((len(b),) for b in blocks if isinstance(b, tuple)), ())
-    if members:
-        rows, start = {}, 0
-        for b in _row_blocks(blocks):
-            rows[b] = slice(start, start + size[b])
-            start += size[b]
-    else:
-        first = dict(zip(["base", *range(len(dims))], np.cumsum([0, n, *dims]).tolist()))
-        rows = {b: slice(first[b], first[b] + size[b]) for b in _row_blocks(blocks)}
-        start = n + sum(dims)
     return rows, members, (start, *(size[b] for b in blocks))
-
-
-def _first(block):
-    """A fiber block's (first) fiber."""
-    return block[0] if isinstance(block, tuple) else block
 
 
 class StructuredGeometryCache:
@@ -245,12 +246,9 @@ class StructuredGeometryCache:
     curvature, and the torsion-field data (components, partials, pi), each
     with a leading axis over the points.  Every value and partial is a row
     of one eval_jet walk over the stack, and row k holds the bits of a cache
-    made at point k alone.  Each fiber quantity is a `_PerFiber`, read at a
-    fiber index or at a member tuple of fibers, and `groups` holds the
-    fibers grouped by dimension and twisted flag.  The quantities the
-    clauses derive from them (warping gradients, d_beta d_a ln b_i, nabla
-    P, ...) are computed once per cache, a group of two or more fibers at
-    once.
+    made at point k alone.  The quantities the clauses derive from them
+    (warping gradients, d_beta d_a ln b_i, nabla P, ...) are computed once
+    per cache, and the P-free view shares those P does not enter.
     """
 
     def __init__(self, spec: ProductManifoldSpec, P, points):
@@ -276,38 +274,32 @@ class StructuredGeometryCache:
         base = spec.block_slice("base")
         fibers = [spec.block_slice(i) for i in range(m)]
 
-        self._b = val[:, :m].T
-        self.b = _PerFiber(enumerate(self._b))
+        self.b = val[:, :m].T
+        self.db_base = [grad[:, i, base] for i in range(m)]
+        self.db_fiber = [grad[:, i, sl] for i, sl in enumerate(fibers)]
         self._d_base = grad[:, :m, base]
-        self.db_base = _PerFiber(enumerate(self._d_base.swapaxes(0, 1)))
-        self.db_fiber = _PerFiber(enumerate([grad[:, i, sl] for i, sl in enumerate(fibers)]))
         # whether b_i has a non-zero fiber gradient at some point of the
         # stack; a warping of the base alone has none anywhere
-        self.twisted = [bool(np.any(d)) for d in self.db_fiber.values()]
-        self.groups = _fiber_groups(self.dims, tuple(self.twisted))
-        self._place = _places(self.groups)
-        self.H_bb = _PerFiber(enumerate(hess[:, :m, base, base].swapaxes(0, 1)))
-        self.H_bf = _PerFiber(enumerate([hess[:, i, base, sl] for i, sl in enumerate(fibers)]))
-        self.H_ff = _PerFiber(enumerate([hess[:, i, sl, sl] for i, sl in enumerate(fibers)]))
+        self.twisted = [bool(np.any(d)) for d in self.db_fiber]
+        self.H_bb = [hess[:, i, base, base] for i in range(m)]
+        self.H_bf = [hess[:, i, base, sl] for i, sl in enumerate(fibers)]
+        self.H_ff = [hess[:, i, sl, sl] for i, sl in enumerate(fibers)]
 
-        gF, dgF, GF, RF, RicF = [], [], [], [], []
+        self.gF, self.dgF, self.GF, self.RF, self.RicF = [], [], [], [], []
         row = m
         for f, sl in zip(spec.fibers, fibers):
             l = f.dim
             rows = slice(row, row + l * l)
             row += l * l
             g = val[:, rows].reshape(N, l, l)
-            gF.append(g)
+            self.gF.append(g)
             # dgF[i][p, c, a, b] = d_c g_ab in the fiber's own coordinates
-            dgF.append(grad[:, rows, sl].transpose(0, 2, 1).reshape(N, l, l, l))
+            self.dgF.append(grad[:, rows, sl].transpose(0, 2, 1).reshape(N, l, l, l))
             # sin and cos of the sphere chart stay libm's, one point at a time
-            GF.append(np.array([f.christoffels(q) for q in pts[:, sl]]))
-            RF.append(f.curvature(g))
-            RicF.append(f.ricci(g))
-        self.gF, self.GF = _PerFiber(enumerate(gF)), _PerFiber(enumerate(GF))
-        self.dgF = dgF
-        self.RF, self.RicF = _PerFiber(enumerate(RF)), _PerFiber(enumerate(RicF))
-        self.gFinv = _PerFiber(enumerate([np.linalg.inv(g) for g in gF]))
+            self.GF.append(np.array([f.christoffels(q) for q in pts[:, sl]]))
+            self.RF.append(f.curvature(g))
+            self.RicF.append(f.ricci(g))
+        self.gFinv = [np.linalg.inv(g) for g in self.gF]
 
         # torsion field data within its hosting block
         if P is None:
@@ -317,7 +309,7 @@ class StructuredGeometryCache:
             self.Pc = val[:, row:]
             # dPc[p, a, c] = d_a P^c
             self.dPc = grad[:, row:, spec.block_slice(P.location)].transpose(0, 2, 1)
-        self._p_free = None
+        self._p_free = self._stacked_view = None
         self._memo = {}
 
     def without_p(self):
@@ -332,26 +324,16 @@ class StructuredGeometryCache:
         if self._p_free is None:
             view = copy.copy(self)
             view.P = view.P_loc = view.Pc = view.dPc = None
+            # a view of a stacked view is stacked; the cache's is made apart
+            view._stacked_view = False if self._stacked_view is False else None
             self._p_free = view
         return self._p_free
 
     # -- basic block helpers -------------------------------------------------
 
-    def _locate(self, fibers):
-        """The group of a fiber index or of a member tuple of one group, and
-        their rows in the group's value: None for the whole group or a
-        fiber alone in its group, whose values are computed as they are."""
-        if not isinstance(fibers, tuple):
-            group, k = self._place[fibers]
-            return group, (None if len(group) == 1 else k)
-        group = self._place[fibers[0]][0]
-        return group, (None if fibers == group else [self._place[i][1] for i in fibers])
-
     def dim(self, block):
         """The dimension of the block, "base", a fiber or a member tuple."""
-        if block == "base":
-            return self.n
-        return self.dims[block[0] if type(block) is tuple else block]
+        return self.n if block == "base" else self.dims[_first(block)]
 
     def block(self, *blocks):
         """The slice of each block's rows in a clause value over argument
@@ -360,21 +342,6 @@ class StructuredGeometryCache:
         after them: the rows, then each block's coordinate vectors."""
         rows, members, shape = _layout(self.n, self.dims, blocks)
         return rows, members + (len(self.p),), shape
-
-    def _at_p(self, fibers, shape, value):
-        """A quantity of P's fiber over the fibers, a fiber index or a member
-        tuple (a leading member axis): value() on P's fiber, zeros of shape
-        (N,) + shape elsewhere, and, for fibers without P's, the zeros of
-        one fiber, which broadcast over the members."""
-        ks = _at(fibers, self.P_loc)
-        if not ks:
-            return np.zeros((len(self.p),) + shape)
-        if not isinstance(fibers, tuple):
-            return value()
-        out = np.zeros((len(fibers), len(self.p)) + shape)
-        for k in ks:
-            out[k] = value()
-        return out
 
     @_per_fiber
     def g_inner_block(self, i):
@@ -394,7 +361,7 @@ class StructuredGeometryCache:
     def b2(self):
         """b2[i] = b_i squared through libm pow, with the bits of Python's
         b ** 2."""
-        return _PerFiber(enumerate(np.float_power(self._b, 2.0)))
+        return np.float_power(self.b, 2.0)
 
     @functools.cached_property
     def grad_inner_B(self):
@@ -408,31 +375,20 @@ class StructuredGeometryCache:
         axis)."""
         if type(i) is not tuple and type(j) is not tuple:
             return self.grad_inner_B[:, i, j]
-        key = "grad_inner", i, j
-        try:
-            return self._memo[key]
-        except KeyError:
-            i, j = (list(f) if type(f) is tuple else f for f in (i, j))
-            val = self._memo[key] = self.grad_inner_B.transpose(1, 2, 0)[i, j]
-            return val
+        i, j = (list(f) if type(f) is tuple else f for f in (i, j))
+        return self.grad_inner_B.transpose(1, 2, 0)[i, j]
 
     def P_b(self, i):
         """P(b_i) at each point; zeros of one fiber off P's block."""
-        if self.P_loc == "base":
-            return self._P_b_base(i)
-        if not _holds(i, self.P_loc):
-            return self.zeros
-        return self._P_b_fiber(i)
+        if self.P_loc == "base" or _holds(i, self.P_loc):
+            return self._P_b(i)
+        return self.zeros
 
     @_once
-    def _P_b_base(self, i):
-        return _dot(self.Pc, self.db_base[i])
-
-    @_once
-    def _P_b_fiber(self, i):
-        r = self.P_loc
-        return self._at_p(i, (), lambda: _dot(self.Pc, self.db_fiber[r]) if i == r
-                          else self._P_b_fiber(r))
+    def _P_b(self, i):
+        if self.P_loc != "base" and type(i) is tuple:  # each member's
+            return np.array([self.P_b(j) for j in i])
+        return _dot(self.Pc, self.db_base[i] if self.P_loc == "base" else self.db_fiber[i])
 
     @_per_fiber
     def d_ln_b(self, i):
@@ -489,21 +445,17 @@ class StructuredGeometryCache:
 
     # -- torsion field helpers --------------------------------------------------
 
+    @_once
     def pi(self, block):
-        """pi(e_v) = g(e_v, P) over the block's coordinate vectors, out[..., v]."""
-        return self._pi_base() if block == "base" else self._pi_fiber(block)
-
-    @_once
-    def _pi_base(self):
-        if self.P_loc != "base":
-            return np.zeros((len(self.p), self.n))
-        return self._lower("base", self.Pc[..., None])[..., 0]
-
-    @_once
-    def _pi_fiber(self, i):
-        r = self.P_loc
-        return self._at_p(i, (self.dim(i),), lambda: self._lower(r, self.Pc[..., None])[..., 0]
-                          if i == r else self._pi_fiber(r))
+        """pi(e_v) = g(e_v, P) over the block's coordinate vectors, out[..., v];
+        over a member tuple each member's, or, without P's fiber, the zeros
+        of one member, which broadcast over the members."""
+        if type(block) is tuple:
+            return np.array([self.pi(i) for i in block]) if _holds(block, self.P_loc) \
+                else self.pi(block[0])
+        if block != self.P_loc:
+            return np.zeros((len(self.p), self.dim(block)))
+        return self._lower(block, self.Pc[..., None])[..., 0]
 
     def pi_P(self):
         if self.P_loc is None:
@@ -553,35 +505,32 @@ class StructuredGeometryCache:
         return np.stack([self._fiber_nabla_P(e) for e in np.eye(self.dims[self.P_loc])],
                         axis=-1)
 
+    @_once
     def g_W_nabla_V_P(self, block):
         """g(e_w, nabla_{e_v} P) over the block's coordinate vectors,
         out[..., w, v]: zero off P's block, where nabla_V P = 0 for V on a
-        fiber without P."""
-        if block == "base":
-            if self.P_loc != "base":
-                return np.zeros((len(self.p), self.n, self.n))
-            return self._lower("base", self.nabla_P())
-        return self._g_nabla_P_fiber(block)
-
-    @_once
-    def _g_nabla_P_fiber(self, i):
-        r = self.P_loc
-        return self._at_p(i, (self.dim(i),) * 2, lambda: self._lower(r, self.nabla_P()) if i == r
-                          else self._g_nabla_P_fiber(r))
+        fiber without P; over a member tuple each member's, or the zeros of
+        one member as for pi."""
+        if type(block) is tuple:
+            return np.array([self.g_W_nabla_V_P(i) for i in block]) if _holds(block, self.P_loc) \
+                else self.g_W_nabla_V_P(block[0])
+        if block != self.P_loc:
+            d = self.dim(block)
+            return np.zeros((len(self.p), d, d))
+        return self._lower(block, self.nabla_P())
 
     @_once
     def dpi(self, bx, by):
         """Exterior derivative dpi(A, B) = A(pi(B)) - B(pi(A)) - pi([A, B])
         over the coordinate vectors of blocks bx and by, out[..., a, b]; for
-        member tuples, each member's at its pair of blocks."""
+        member tuples, each member's at its pair of blocks, or the zeros of
+        the first pair, which broadcast over the members, if P's block is in
+        neither."""
         if isinstance(bx, tuple) or isinstance(by, tuple):
+            if not (_holds(bx, self.P_loc) or _holds(by, self.P_loc)):
+                return self.dpi(_first(bx), _first(by))
             pairs = zip(*(b if isinstance(b, tuple) else itertools.repeat(b) for b in (bx, by)))
-            _, lead, (_, *shape) = self.block(bx, by)
-            out = np.zeros(lead + tuple(shape))
-            for k, (x, y) in enumerate(pairs):
-                if _dpi_pair(x, y, self.P_loc):
-                    out[k] = self.dpi(x, y)
-            return out
+            return np.array([self.dpi(x, y) for x, y in pairs])
         r = self.P_loc
         if r == "base" and bx == by == "base":
             dpiB = self.dPc @ self.gB  # dpiB[a, b] = d_a(g_bc P^c) = d_a P^c g_cb
@@ -685,18 +634,15 @@ def _zero_ricci(bx, by):
     return "base" not in (bx, by) and bx != by
 
 
-def _calls(patterns, groups, sl, rows):
+def _calls(patterns, groups, sl, rows, points):
     """The block patterns grouped into clause calls, one per class: the
     patterns whose fibers repeat in the same places and lie in the same
     groups, in the order of each class's first pattern.  Each call is its
-    arguments and where its value goes in the whole tensor.  An argument is
-    the block of every member in its place, or else the member tuple of
-    their fibers.  A call without a member tuple has one member; its value
-    holds every row (if `rows`), as a block of the tensor does, and goes to
-    the slices of its blocks.  The value of a call with one has a member
-    axis and only the rows of `_row_blocks`, and goes to flat indices into
-    one point's tensor: over the members, then the rows, then the argument
-    blocks' coordinate vectors."""
+    arguments, in each place the block of every member or else the member
+    tuple of their fibers, and where its value goes: the flat indices of
+    its entries in a tensor over `points` points, in the order of the
+    value's, over the members, the points, the rows of `_row_blocks` (if
+    `rows`) and then the argument blocks' coordinate vectors."""
     group_of = {i: g for g, group in enumerate(groups) for i in group}
     classes = {}
     for t in patterns:
@@ -706,9 +652,6 @@ def _calls(patterns, groups, sl, rows):
     calls = []
     for members in classes.values():
         args = tuple(place[0] if len(set(place)) == 1 else place for place in zip(*members))
-        if len(members) == 1:
-            calls.append((*args, (_ALL,) * (1 + rows) + tuple(sl[b] for b in args)))
-            continue
         index = []
         for t in members:
             axes = [np.r_[tuple(sl[b] for b in _row_blocks(t))]] if rows else []
@@ -716,8 +659,9 @@ def _calls(patterns, groups, sl, rows):
             flat = 0
             for ax in np.ix_(*axes):
                 flat = flat * size + ax
-            index.append(flat)
-        calls.append((*args, np.array(index)))
+            index.append(flat.ravel())
+        point = size ** len(axes) * np.arange(points)[:, None]
+        calls.append((*args, np.array(index)[:, None] + point))
     return calls
 
 
@@ -733,10 +677,11 @@ class _SweepPlan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=128)
-def _sweep_plan(n, dims, twisted, r, sym):
+def _sweep_plan(n, dims, twisted, r, sym, points):
     """The sweep plan of base dimension n, fiber dimensions dims and twisted
     flags and P's block r on the dispatched view, for the symmetrized kind
-    if sym.  Its dpi slices index values with a leading point axis."""
+    if sym, over a stack of `points` points.  Its dpi slices index values
+    with a leading point axis."""
     blocks = ["base", *range(len(dims))]
     groups = _fiber_groups(dims, twisted)
     bounds = np.cumsum([0, n, *dims])
@@ -754,14 +699,14 @@ def _sweep_plan(n, dims, twisted, r, sym):
         dpi_zero = diag[:, None, None, :] & ~live[np.ix_(block_of, block_of)][None, :, :, None]
     return _SweepPlan(
         clauses=_calls([t for t in triples if not _mirrored(*t) and not _zero_triple(*t, r)],
-                       groups, sl, True),
+                       groups, sl, True, points),
         mirrored=mirrored[np.ix_(block_of, block_of, block_of)],
         dpi=[(bx, by, [(_ALL, sl[t[2]], sl[bx], sl[by], sl[t[2]])
                        for t in triples if t[:2] == (bx, by)])
              for bx, by in pairs if sym and _dpi_pair(bx, by, r)],
         dpi_zero=dpi_zero,
-        nabla=_calls([t for t in pairs if not _zero_nabla(*t, r, sym)], groups, sl, True),
-        ricci=_calls([t for t in pairs if not _zero_ricci(*t)], groups, sl, False),
+        nabla=_calls([t for t in pairs if not _zero_nabla(*t, r, sym)], groups, sl, True, points),
+        ricci=_calls([t for t in pairs if not _zero_ricci(*t)], groups, sl, False, points),
     )
 
 
@@ -769,7 +714,7 @@ def _plan(c, kind):
     """The sweep plan of the cache's layout for `kind`, keyed as
     `_dispatch` views the cache."""
     view, _, sym = _dispatch(c, kind, None, None)
-    return _sweep_plan(c.n, c.dims, tuple(c.twisted), view.P_loc, sym)
+    return _sweep_plan(c.n, c.dims, tuple(c.twisted), view.P_loc, sym, len(c.p))
 
 
 # ---------------------------------------------------------------------------
@@ -787,13 +732,9 @@ def structured_covariant_derivative(c, kind):
     not know to be zero."""
     _check_kind(kind)
     out = np.zeros((len(c.p),) + (c.nbar,) * 3)
-    flat = out.reshape(len(out), -1)
+    c = _stacked(c)
     for bx, by, where in _plan(c, kind).nabla:
-        val = _covariant_block(c, kind, bx, by)
-        if type(where) is tuple:
-            out[where] = val
-        else:  # flat indices, with the value's member axis first
-            flat[:, where] = val.swapaxes(0, 1)
+        out.put(where, _covariant_block(c, kind, bx, by))
     return out
 
 
@@ -878,15 +819,11 @@ def structured_curvature(c, kind):
     term adds."""
     _check_kind(kind)
     c, clause, sym = _dispatch(c, kind, _curv_p_base, _curv_p_fiber)
-    plan = _sweep_plan(c.n, c.dims, tuple(c.twisted), c.P_loc, sym)
+    c = _stacked(c)
+    plan = _sweep_plan(c.n, c.dims, tuple(c.twisted), c.P_loc, sym, len(c.p))
     out = np.zeros((len(c.p),) + (c.nbar,) * 4)
-    flat = out.reshape(len(out), -1)
     for bx, by, bz, where in plan.clauses:
-        val = clause(c, bx, by, bz)
-        if type(where) is tuple:
-            out[where] = val
-        else:  # flat indices, with the value's member axis first
-            flat[:, where] = val.swapaxes(0, 1)
+        out.put(where, clause(c, bx, by, bz))
     # a mirror is never mirrored, so no entry read here is written here
     np.negative(out.swapaxes(2, 3), out=out, where=plan.mirrored)
     if sym:
@@ -1074,7 +1011,7 @@ def _ricci_p_base(c, bx, by):
             continue
         term = c.dims[j] * c.grad_inner(i, j) / (c.b[i] * c.b[j])
         if _holds(i, j):  # a member tuple with j: not on j's own row
-            np.add(bracket, term, out=bracket, where=_other_than(i, j))
+            np.add(bracket, term, out=bracket, where=(np.array(i) != j)[:, None])
         else:
             bracket = bracket + term
     if c.P_loc == "base":
@@ -1119,13 +1056,9 @@ def structured_ricci_matrix(c, kind):
     sweep plan does not know to be zero."""
     _check_kind(kind)
     out = np.zeros((len(c.p), c.nbar, c.nbar))
-    flat = out.reshape(len(out), -1)
+    c = _stacked(c)
     for bx, by, where in _plan(c, kind).ricci:
-        val = _ricci_block(c, kind, bx, by)
-        if type(where) is tuple:
-            out[where] = val
-        else:  # flat indices, with the value's member axis first
-            flat[:, where] = val.swapaxes(0, 1)
+        out.put(where, _ricci_block(c, kind, bx, by))
     return out
 
 

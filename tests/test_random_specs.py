@@ -2,10 +2,11 @@
 
 A recipe fixes the base, one to four fibers, twisting, where P lives, the
 connection kind and the coefficients of the warpings and of P.  Four
-fibers reach the groups the clauses run over: two to four fibers of one
-dimension, twisted groups, and P on a fiber of a group.  Warpings
-are (1.5 + 0.4 sin(a t + c)) exp(linear), positive everywhere; P has
-affine-plus-quadratic components in its block's coordinates.
+fibers reach the groups the clauses run over (three or four fibers of one
+dimension and twisted flag, twisted or not, P on one of them or not) and
+the pairs that run fiber by fiber.  Warpings are (1.5 + 0.4 sin(a t + c))
+exp(linear), positive everywhere; P has affine-plus-quadratic components
+in its block's coordinates.
 
 The same recipes, and every zoo spec with P, pin the structured caches: each
 array equals, byte for byte, what the scalar reference jet gives for each
@@ -16,7 +17,7 @@ import itertools
 
 import numpy as np
 import pytest
-from clause_reference import curvature_block, members
+from clause_reference import curvature_block, every_row, members, nabla_block
 from conftest import make_zoo
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -58,11 +59,11 @@ COEFS = tuple(np.linspace(-0.9, 0.8, N_COEFS).round(3))
 P_ON_3D_FIBER = ("interval", ("circle", "T3"), False, 1, SSNM, COEFS)
 P_ON_LAST_OF_THREE = ("flat2", ("sphere", "hyperbolic", "T2"), True, 2,
                       ConnectionKind.SYMMETRIZED_AFFINE, COEFS[::-1])
-# one group of four 2-d fibers, P on its third; a twisted group of two 2-d
-# fibers between a circle and a 3-torus, P on the second of the group
+# one group of four 2-d fibers, P on its third; a twisted group of three
+# 2-d fibers after a circle, P on the second of the group
 P_IN_A_GROUP_OF_FOUR = ("interval", ("sphere", "hyperbolic", "T2", "sphere"), False, 2, SSNM,
                         COEFS)
-P_IN_A_TWISTED_GROUP = ("interval", ("circle", "hyperbolic", "sphere", "T3"), True, 2,
+P_IN_A_TWISTED_GROUP = ("flat2", ("circle", "hyperbolic", "sphere", "T2"), True, 2,
                         ConnectionKind.SYMMETRIZED_AFFINE, COEFS[::-1])
 
 
@@ -253,10 +254,18 @@ def test_mirrored_patterns_are_the_ones_their_clauses_swap(monkeypatch, p_locati
     blocks = ["base", *range(spec.m)]
     cache = StructuredGeometryCache(spec, P, spec.sample_points(1))
     for kind in ConnectionKind:
+        view, clause, _ = structured._dispatch(cache, kind, structured._curv_p_base,
+                                               structured._curv_p_fiber)
         for triple in itertools.product(blocks, repeat=3):
             routed.clear()
-            curvature_block(cache, kind, *triple)
+            value = clause(view, *triple)
             assert routed == ([triple] if structured._mirrored(*triple) else []), (kind, triple)
+            if routed:
+                # laid out as the pattern's rows, which are its mirror's
+                bx, by, bz = triple
+                mirror = every_row(view, clause(view, by, bx, bz), by, bx, bz)
+                assert np.array_equal(every_row(view, value, *triple),
+                                      -np.swapaxes(mirror, 2, 3)), (kind, triple)
 
     # the whole tensor runs the clauses of its layout's sweep plan, and its
     # calls' members are the non-mirrored triples not on three distinct
@@ -316,8 +325,7 @@ def assert_nabla_is_its_block_clauses(spec, P, points):
         for X, Y in itertools.product(blocks, repeat=2):
             sx, sy = spec.block_slice(X), spec.block_slice(Y)
             got = nabla[:, :, sx, sy]
-            assert _bytes(got) == _bytes(structured._covariant_block(cache, kind, X, Y)), \
-                (kind, X, Y)
+            assert _bytes(got) == _bytes(nabla_block(cache, kind, X, Y)), (kind, X, Y)
             u, v = mixed_vector(sx.stop - sx.start), mixed_vector(sy.stop - sy.start)
             sv = np.einsum("pkxy,x,y->pk", got, u, v)
             ov = np.einsum("pkxy,x,y->pk", gamma[:, :, sx, sy], u, v)
@@ -384,6 +392,30 @@ def test_stacked_rows_keep_the_bits_of_one_point_calls_on_random_specs(recipe):
 def test_stacked_rows_keep_the_bits_of_one_point_calls_on_the_zoo(case):
     _, spec, P = case
     assert_rows_are_one_point_calls(spec, P, np.array(spec.sample_points(5)))
+
+
+def test_the_values_clause_calls_share_are_read_only():
+    # the memo and the member-tuple stacks are shared by every later clause
+    # call on the cache; reads at reordered member tuples included, none of
+    # them can be written in place
+    base, geometries, twisted, r, _, coefs = P_IN_A_GROUP_OF_FOUR
+    spec, P = build_case(base, geometries, twisted, r, coefs)
+    cache = StructuredGeometryCache(spec, P, spec.sample_points(2))
+    for kind in ConnectionKind:
+        for op in (structured_covariant_derivative, structured_curvature,
+                   structured_ricci_matrix):
+            op(cache, kind)
+    stacked = structured._stacked(cache)
+    assert stacked is not cache
+    reordered = (3, r, 0)
+    reads = [stacked.gF[reordered], stacked.g_inner_block(reordered), stacked.d_ln_b(reordered),
+             stacked.pi(reordered), stacked.P_b(reordered), stacked.dpi("base", reordered),
+             stacked.without_p().hessF_k(reordered)]
+    stacks = [a for name in structured._PER_FIBER
+              for fibers, a in getattr(stacked, name).items() if isinstance(fibers, tuple)]
+    assert stacks and cache._memo
+    for a in [*reads, *stacks, *cache._memo.values()]:
+        assert not a.flags.writeable
 
 
 @settings(max_examples=30, deadline=None)
@@ -530,7 +562,7 @@ def cache_row(cache, k):
         if field in ("Pc", "dPc"):
             row[field] = None if got is None else got[k]
         else:
-            row[field] = [got[i][k] for i in range(cache.m)]
+            row[field] = [a[k] for a in got]
     return row
 
 

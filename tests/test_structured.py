@@ -456,7 +456,8 @@ def test_clause_calls_do_not_grow_with_the_points(monkeypatch, spec_zoo):
     # over three points oracle_comparison runs the clause calls of one
     # point, which are the sweep plan's: one per class and group of fibers
     # of the planned curvature triples, nabla pairs and Ricci pairs, each
-    # over the whole stack; two spheres and four make as many calls
+    # over the whole stack; three spheres, a group, and four make as many
+    # calls
     counts, depth = {}, []
 
     def counting(name, original):
@@ -488,7 +489,7 @@ def test_clause_calls_do_not_grow_with_the_points(monkeypatch, spec_zoo):
 
     for kind in (LC, SSNM, SYM):
         per_layout = []
-        for spec in (_spheres(2), _spheres(4)):
+        for spec in (_spheres(3), _spheres(4)):
             counts.clear()
             oracle_comparison(spec, None, kind, spec.sample_points(1))
             per_layout.append(dict(counts))
@@ -499,20 +500,17 @@ def test_clause_calls_do_not_grow_with_the_points(monkeypatch, spec_zoo):
         assert per_layout[1] == {"_curv_p_base": 5, "_covariant_block": 3, "_ricci_block": 4}, kind
 
 
-def test_three_oracle_sweep_rounds_fit_the_plan_caches():
+def test_three_oracle_sweep_rounds_fit_the_plan_caches(monkeypatch):
     # planning stays out of every scenario's cost: three rounds of the
-    # benchmark's oracle-sweep make each layout's plans and groups once and
-    # evict none
-    import sys
-
+    # benchmark's oracle-sweep make each layout's plans, value layouts and
+    # groups once and evict none
     from warpcurv import cli
 
     root = Path(__file__).resolve().parents[1]
-    sys.path.insert(0, str(root))
+    monkeypatch.syspath_prepend(str(root))
     from perfbench.scenarios import generate_round
 
-    caches = (structured._sweep_plan, structured._layout, structured._fiber_groups,
-              structured._places)
+    caches = (structured._sweep_plan, structured._layout, structured._fiber_groups)
     for cache in caches:
         cache.cache_clear()
     for rnd in range(3):
@@ -564,11 +562,10 @@ def test_every_point_function_keeps_the_point_axis_of_a_one_row_stack(spec_zoo):
         g = assemble_metric(spec, p)
         G, dG = levi_civita_coefficients(spec, p)
         cache = StructuredGeometryCache(spec, P, p)
-        fields = [cache.p, cache.zeros, cache.Pc, cache.dPc]
-        for per_fiber in (cache.b, cache.b2, cache.db_base, cache.db_fiber, cache.H_bb,
-                          cache.H_bf, cache.H_ff, cache.gF, cache.dgF, cache.GF, cache.RF,
-                          cache.RicF, cache.gFinv):
-            fields.extend(per_fiber[i] for i in range(spec.m))
+        fields = [cache.p, cache.zeros, cache.Pc, cache.dPc, *cache.b, *cache.b2]
+        for group in (cache.db_base, cache.db_fiber, cache.H_bb, cache.H_bf, cache.H_ff,
+                      cache.gF, cache.dgF, cache.GF, cache.RF, cache.RicF, cache.gFinv):
+            fields.extend(group)
         returned = {
             "make_point": [spec.make_point(p[0, :spec.n])],
             "ambient_components": ambient_components(spec, P, p),
