@@ -63,8 +63,15 @@ class GridJet:
     because numpy's exp and power round differently from math's and **.
     Each maps the raw math.exp, math.sin, math.cos or pow first, and the
     checking wrapper (_exp, _sin, _cos, _pow), which gives the same values,
-    only if that raises, so that the ExprError names its point.  Constants
-    are lifted as scalars.
+    only if that raises, so that the ExprError names its point.
+
+    A float operand stays a scalar: `jet * c` is (u c, c du, c ddu) and
+    `jet + c` is (u + c, du, ddu), sharing du and ddu, where the rule for two
+    jets would run on c lifted to a jet with zero derivatives.  Values are
+    the same; a derivative entry differs from the lifted rule's only in the
+    sign of a zero, or where the lifted rule multiplied an overflowed u by 0
+    and gave nan.  For a square, pow(b, 1.0) == b and pow(b, 0.0) == 1.0
+    exactly, so the derivative factors 2 b and 2 need no pow map.
 
     The parts are held in shapes that broadcast against each other without
     copies: u (N, 1, 1), du (N, 1, n) and ddu (N, n, n), with du and ddu
@@ -89,28 +96,25 @@ class GridJet:
     def hess(self):
         return self.ddu
 
-    def _lift(self, other):
-        if isinstance(other, GridJet):
-            return other
-        return GridJet(self.at, other, 0.0, 0.0)
-
     def __add__(self, other):
+        if not isinstance(other, GridJet):
+            return GridJet(self.at, self.u + other, self.du, self.ddu)
         if self.du is None:
-            return GridJet(self.at, self.u + getattr(other, "u", other), None, None)
-        o = self._lift(other)
-        return GridJet(self.at, self.u + o.u, self.du + o.du, self.ddu + o.ddu)
+            return GridJet(self.at, self.u + other.u, None, None)
+        return GridJet(self.at, self.u + other.u, self.du + other.du, self.ddu + other.ddu)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if self.du is None:
             return GridJet(self.at, self.u * getattr(other, "u", other), None, None)
-        o = self._lift(other)
-        u, v = self.u, o.u
+        if not isinstance(other, GridJet):
+            return GridJet(self.at, self.u * other, other * self.du, other * self.ddu)
+        u, v = self.u, other.u
         # u dv + v du and u Hv + v Hu + c + c^T with c = du dv^T, per point
-        c = self.du.transpose(0, 2, 1) * o.du
-        return GridJet(self.at, u * v, u * o.du + v * self.du,
-                       u * o.ddu + v * self.ddu + c + c.transpose(0, 2, 1))
+        c = self.du.transpose(0, 2, 1) * other.du
+        return GridJet(self.at, u * v, u * other.du + v * self.du,
+                       u * other.ddu + v * self.ddu + c + c.transpose(0, 2, 1))
 
     __rmul__ = __mul__
 
@@ -160,6 +164,8 @@ class GridJet:
         f = self._map(partial(pow, exp=r), lambda b: _pow(b, r))
         if self.du is None:
             return GridJet(self.at, f, None, None)
+        if r == 2.0:
+            return self._chain(f, 2.0 * self.u, 2.0)
         fp = r * self._map(partial(pow, exp=r - 1.0), lambda b: _pow(b, r - 1.0))
         # b^(r - 2) at b = 0 (r = 1 only: other r reject a zero base above)
         # raises in pow, and the checked form gives the 0 there
@@ -511,14 +517,32 @@ def eval_grid(expr, ts, order=2):
 
 _FUNCS = {"exp": exp, "sin": sin, "cos": cos, "sqrt": sqrt}
 
+# Parentheses, function calls and unary signs may nest this deep.  The
+# parser recurses at most seven Python frames per level, and a walk of the
+# tree it builds one frame per node level, at most five per level of
+# nesting since a chain of + - or * / is one node.  So every tree it gives
+# parses in about 460 frames at most, and walks and lists its variables in
+# about 320, inside Python's default recursion limit of 1000.
+_MAX_NESTING = 64
+
 
 class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message):
         raise ExprParseError(message, self.text, self.pos)
+
+    def nested(self, parse):
+        """parse() one level deeper; past _MAX_NESTING levels an error."""
+        if self.depth == _MAX_NESTING:
+            self.error(f"nesting deeper than {_MAX_NESTING} levels")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -532,30 +556,32 @@ class _Parser:
         return e
 
     def expr(self):
-        node = self.term()
+        # a + b - c is Sum(a, b, -c): the walk's left-to-right sums of the
+        # nested Sum(Sum(a, b), -c), without a node level per operator
+        terms = [self.term()]
         while True:
             c = self.peek()
             if c == "+":
                 self.pos += 1
-                node = node + self.term()
+                terms.append(self.term())
             elif c == "-":
                 self.pos += 1
-                node = node - self.term()
+                terms.append(-self.term())
             else:
-                return node
+                return terms[0] if len(terms) == 1 else Sum(*terms)
 
     def term(self):
-        node = self.power()
+        factors = [self.power()]
         while True:
             c = self.peek()
             if c == "*" and not self.text.startswith("**", self.pos):
                 self.pos += 1
-                node = node * self.power()
+                factors.append(self.power())
             elif c == "/":
                 self.pos += 1
-                node = node / self.power()
+                factors.append(Recip(self.power()))
             else:
-                return node
+                return factors[0] if len(factors) == 1 else Prod(*factors)
 
     def power(self):
         base = self.unary()
@@ -579,17 +605,17 @@ class _Parser:
         c = self.peek()
         if c == "-":
             self.pos += 1
-            return -self.unary()
+            return -self.nested(self.unary)
         if c == "+":
             self.pos += 1
-            return self.unary()
+            return self.nested(self.unary)
         return self.atom()
 
     def atom(self):
         c = self.peek()
         if c == "(":
             self.pos += 1
-            node = self.expr()
+            node = self.nested(self.expr)
             if self.peek() != ")":
                 self.error("expected ')'")
             self.pos += 1
@@ -630,10 +656,10 @@ class _Parser:
 
     def call(self, name):
         self.pos += 1  # consume '('
-        args = [self.expr()]
+        args = [self.nested(self.expr)]
         while self.peek() == ",":
             self.pos += 1
-            args.append(self.expr())
+            args.append(self.nested(self.expr))
         if self.peek() != ")":
             self.error("expected ')'")
         self.pos += 1

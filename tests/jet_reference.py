@@ -6,7 +6,10 @@ expression on plain floats (`eval_value`).
 forward-mode rules one point at a time, in the operation order that
 `GridJet` repeats per row.  Expression nodes branch on `float` and call a
 number's methods otherwise, so a `Jet` walks the package's trees as they
-are.
+are.  A float operand stays a scalar, as in `GridJet`: `jet * c` scales the
+value, gradient and Hessian by c, and `jet + c` shifts the value and keeps
+the derivatives.  These give the numbers of the jet-by-jet rules on
+`Jet.constant(c, n)` except for the sign of a zero derivative entry.
 """
 
 import math
@@ -38,22 +41,19 @@ class Jet:
     def constant(value, n):
         return Jet(value, np.zeros(n), np.zeros((n, n)))
 
-    def _lift(self, other):
-        if isinstance(other, Jet):
-            return other
-        return Jet.constant(other, self.grad.shape[0])
-
     def __add__(self, other):
-        o = self._lift(other)
-        return Jet(self.val + o.val, self.grad + o.grad, self.hess + o.hess)
+        if not isinstance(other, Jet):
+            return Jet(self.val + other, self.grad, self.hess)
+        return Jet(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        o = self._lift(other)
-        cross = np.outer(self.grad, o.grad)
-        h = self.val * o.hess + o.val * self.hess + cross + cross.T
-        return Jet(self.val * o.val, self.val * o.grad + o.val * self.grad, h)
+        if not isinstance(other, Jet):
+            return Jet(self.val * other, other * self.grad, other * self.hess)
+        cross = np.outer(self.grad, other.grad)
+        h = self.val * other.hess + other.val * self.hess + cross + cross.T
+        return Jet(self.val * other.val, self.val * other.grad + other.val * self.grad, h)
 
     __rmul__ = __mul__
 

@@ -18,6 +18,7 @@ from warpcurv.cli import (
     run_scenario,
 )
 from warpcurv.errors import ConfigParseError, UnsupportedFormat
+from warpcurv.exprs import _MAX_NESTING
 
 SCENARIOS = Path(__file__).parent / "scenarios"
 
@@ -172,6 +173,19 @@ def test_cli_config_error_exit_code(tmp_path, capsysbinary):
     code = main(["verify", str(tmp_path / "missing.txt")])
     capsysbinary.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("warping", ["-" * 3000 + "t", "(" * 3000 + "t" + ")" * 3000])
+def test_deeply_nested_warping_is_a_config_error(warping, tmp_path, capsysbinary):
+    # past the parser's nesting bound the scenario is rejected with one line,
+    # not a RecursionError traceback under the "check failed" exit code
+    path = tmp_path / "deep.txt"
+    path.write_text((SCENARIOS / "einstein-exponential.txt").read_text()
+                    .replace("fiber.warping = exp(t)\n", f"fiber.warping = {warping}\n"))
+    assert main(["verify", str(path)]) == 2
+    captured = capsysbinary.readouterr()
+    assert not captured.out and captured.err.count(b"\n") == 1
+    assert captured.err.startswith(f"error: nesting deeper than {_MAX_NESTING} levels".encode())
 
 
 @pytest.mark.parametrize("scenario", ["oracle-sphere.txt", "einstein-quadratic-fail.txt"])
