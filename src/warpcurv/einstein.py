@@ -4,7 +4,9 @@ multiply warped products over a Lorentzian interval.
 All checks are residual functionals sampled on a t-grid: the caller
 supplies the candidate Einstein constant (or target scalar curvature) and
 gets back per-condition residual reports.  Closed-form family *generation*
-lives in `families`; here we only verify.
+lives in `families`; here we only verify.  The closed forms take warping
+samples (`einstein_rows`, `scalar_samples`, `with_dt_terms`), so the
+families evaluate these same formulas at their own warpings.
 """
 
 from __future__ import annotations
@@ -97,37 +99,47 @@ def _on_fiber(spec, r, coords):
     return [coords if k == r else None for k in range(spec.m)]
 
 
-def grw_einstein_residuals(spec, lam, grid, tolerance=CLOSED_FORM_TOL):
-    """Residuals of the Einstein conditions for P = d/dt.
+def einstein_rows(b, dims, lam, fiber_constants):
+    """The trace row and the fiber rows, each (T,), of the Einstein
+    conditions for P = d/dt at warping samples `b`, shape (m, 3, T), of
+    fibers of dimensions `dims` and Einstein constants `fiber_constants`.
 
     Condition A: sum_i l_i (1 - b_i''/b_i) = lambda.
     Condition B (per fiber): lambda_i - b_i b_i'' - (l_i - 1) b_i'^2
         - b_i b_i' sum_{j != i} l_j b_j'/b_j + (nbar - 1) b_i b_i' = lambda b_i^2.
 
-    The last coefficient is (nbar - 1), which the frame trace of the
-    curvature formulas forces; for a single fiber it coincides with the
-    l_i-weighted form.  Passing here is equivalent (to tolerance) to the
-    generic-oracle Einstein property Ric = lambda g.
+    The last coefficient is (nbar - 1) = sum_i l_i, which the frame trace
+    of the curvature formulas forces; for a single fiber it coincides with
+    the l_i-weighted form.
     """
-    b = warping_samples(spec, grid)
-    dims = np.array(spec.fiber_dims, dtype=float)
-    nbar = spec.n_bar
-
-    result = EinsteinCheckResult()
-    cond_a = dims @ (1.0 - b[:, 2] / b[:, 0]) - lam
-    result.add(ResidualReport.from_values("einstein-trace", cond_a, tolerance))
+    nbar1 = float(sum(dims))
+    dims = np.asarray(dims, dtype=float)
+    trace = dims @ (1.0 - b[:, 2] / b[:, 0]) - lam
     ratio = b[:, 1] / b[:, 0]
-    for i, f in enumerate(spec.fibers):
+    fibers = []
+    for i, lam_i in enumerate(fiber_constants):
         bi, dbi, ddbi = b[i]
         cross = (dims @ ratio) - dims[i] * ratio[i]
-        res = (
-            f.einstein_constant
+        fibers.append(
+            lam_i
             - bi * ddbi
             - (dims[i] - 1) * dbi**2
             - bi * dbi * cross
-            + (nbar - 1) * bi * dbi
+            + nbar1 * bi * dbi
             - lam * bi**2
         )
+    return trace, fibers
+
+
+def grw_einstein_residuals(spec, lam, grid, tolerance=CLOSED_FORM_TOL):
+    """Residuals of the Einstein conditions for P = d/dt (`einstein_rows`)
+    over the grid.  Passing here is equivalent (to tolerance) to the
+    generic-oracle Einstein property Ric = lambda g."""
+    trace, fibers = einstein_rows(warping_samples(spec, grid), spec.fiber_dims, lam,
+                                  [f.einstein_constant for f in spec.fibers])
+    result = EinsteinCheckResult()
+    result.add(ResidualReport.from_values("einstein-trace", trace, tolerance))
+    for i, res in enumerate(fibers):
         result.add(ResidualReport.from_values(f"einstein-fiber-{i}", res, tolerance))
     return result
 
@@ -201,35 +213,29 @@ def _row_dot(u, v):
     return (u[:, None, :] @ v[:, :, None])[:, 0]
 
 
-def _closed_form_scalar(spec, P, grid):
-    """The warping samples over the grid, and the closed-form scalar there
-    for P = d/dt or absent, or without its P terms for P on a fiber."""
-    b = warping_samples(spec, grid)
-    dims = np.array(spec.fiber_dims, dtype=float)
-    svals = np.array([f.scalar_curvature for f in spec.fibers])
+def scalar_samples(b, dims, svals):
+    """The closed-form scalar curvature without P terms over warping samples
+    `b`, shape (m, 3, T), of fibers of dimensions `dims` and scalar
+    curvatures `svals` over an interval base."""
+    dims = np.asarray(dims, dtype=float)
     ratio = b[:, 1] / b[:, 0]
-
     total = -2.0 * dims @ (b[:, 2] / b[:, 0])
-    total = total + svals @ (1.0 / b[:, 0] ** 2)
+    total = total + np.asarray(svals, dtype=float) @ (1.0 / b[:, 0] ** 2)
     total = total - (dims * (dims - 1)) @ ratio**2
-    cross = np.zeros(len(grid))
-    for i in range(spec.m):
-        for j in range(spec.m):
+    cross = np.zeros(b.shape[-1])
+    for i in range(len(dims)):
+        for j in range(len(dims)):
             if i != j:
                 cross += dims[i] * dims[j] * ratio[i] * ratio[j]
-    total = total - cross
+    return total - cross
 
-    if P is None or P.location != "base":
-        return b, total
-    if len(P.components) != 1:
-        raise UnsupportedP("interval base expects a single P component")
-    h, dh, _ = eval_grid(P.components[0], grid)
-    if np.any(np.abs(h - 1.0) > 1e-12) or np.any(np.abs(dh) > 1e-12):
-        raise UnsupportedP("closed-form scalar expression assumes P = d/dt")
-    # P = d/dt contributes sum_i l_i + sum_{i,j} l_i l_j b_j'/b_j
-    total = total + np.sum(dims)
-    total = total + np.sum(dims) * (dims @ ratio)
-    return b, total
+
+def with_dt_terms(total, b, dims):
+    """`total` plus the terms of P = d/dt over the same warping samples:
+    sum_i l_i + sum_{i,j} l_i l_j b_j'/b_j."""
+    nbar1 = float(sum(dims))
+    dims = np.asarray(dims, dtype=float)
+    return total + nbar1 + nbar1 * (dims @ (b[:, 1] / b[:, 0]))
 
 
 def _fiber_p_scalar(spec, P, br, pts):
@@ -260,8 +266,16 @@ class ClosedFormScalar(NamedTuple):
 
 
 def _closed_form(spec, P, grid):
-    """The ClosedFormScalar over the grid."""
-    b, total = _closed_form_scalar(spec, P, grid)
+    """The ClosedFormScalar over the grid, for P = d/dt, absent or on a fiber."""
+    b = warping_samples(spec, grid)
+    total = scalar_samples(b, spec.fiber_dims, [f.scalar_curvature for f in spec.fibers])
+    if P is not None and P.location == "base":
+        if len(P.components) != 1:
+            raise UnsupportedP("interval base expects a single P component")
+        h, dh, _ = eval_grid(P.components[0], grid)
+        if np.any(np.abs(h - 1.0) > 1e-12) or np.any(np.abs(dh) > 1e-12):
+            raise UnsupportedP("closed-form scalar expression assumes P = d/dt")
+        total = with_dt_terms(total, b, spec.fiber_dims)
     if P is None or P.location == "base":
         return ClosedFormScalar(total, b, total)
     terms, _ = _fiber_p_scalar(spec, P, b[P.location, 0], _grid_points(spec, grid)[:1])

@@ -13,11 +13,21 @@ class ExprError(WarpcurvError):
     """Malformed expression tree or evaluation outside its domain."""
 
 
+# Longest expression text a parse error quotes whole; of a longer one it
+# quotes this many characters around the position.
+_EXCERPT = 60
+
+
 class ExprParseError(ExprError):
     """Expression string could not be parsed; carries position info."""
 
     def __init__(self, message, text, pos):
-        super().__init__(f"{message} at position {pos}: {text!r}")
+        quoted = repr(text)
+        if len(text) > _EXCERPT:
+            lo = min(max(0, pos - _EXCERPT // 2), len(text) - _EXCERPT)
+            hi = lo + _EXCERPT
+            quoted = f"{text[lo:hi]!r} (characters {lo} to {hi} of {len(text)})"
+        super().__init__(f"{message} at position {pos}: {quoted}")
         self.text = text
         self.pos = pos
 

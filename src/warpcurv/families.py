@@ -6,7 +6,10 @@ constants, or an empty list when no closed form exists.  A family knows
 * its governed profile: the function its linear ODE controls (the warping
   itself or an auxiliary power of it),
 * a residual system: exact expressions that vanish identically on the
-  family, evaluated over a t-grid,
+  family, evaluated over a t-grid.  The Robertson-Walker and Kasner scalar
+  rows are `einstein`'s closed forms for P = d/dt at the family's
+  warpings, each a power of the profile; the Kasner Einstein rows are the
+  paper's Kasner system (`_kasner_system_values`),
 * how to rebuild the actual warping expressions for end-to-end checks.
 
 Families without a closed form (`numeric_only`) carry the governing ODE
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .einstein import ResidualReport
+from .einstein import ResidualReport, einstein_rows, scalar_samples, with_dt_terms
 from .errors import (
     ExprError,
     InvalidDimension,
@@ -84,6 +87,23 @@ def profile_derivatives(expr, ts):
     return eval_grid(expr, ts)
 
 
+def _power_samples(u, e):
+    """The rows (b, b', b'') of b = u^e from the profile samples u, the
+    rows (u, u', u''), by the chain rule."""
+    u, du, ddu = u
+    below = u ** (e - 1)
+    return u**e, e * below * du, e * (e - 1) * u ** (e - 2) * du**2 + e * below * ddu
+
+
+def _scalar_identity(u, powers, dims, svals, scalar):
+    """The closed-form scalar curvature for P = d/dt minus the target
+    scalar, at the warpings u^{e_i}, one power e_i in `powers` per fiber of
+    dimension dims[i] and scalar curvature svals[i], from the profile
+    samples u (3, T)."""
+    b = np.array([_power_samples(u, e) for e in powers])
+    return with_dt_terms(scalar_samples(b, dims, svals), b, dims) - scalar
+
+
 # check_positive's grid on [0, 1], built once: sample_params checks every
 # draw on it
 _POSITIVITY_GRID = np.linspace(0.0, 1.0, 33)
@@ -137,8 +157,9 @@ class SolutionFamily:
         return self._residuals(self._profile_builder(p), p, _nonempty_grid(ts))
 
     def max_residual(self, ts, overrides=None):
-        res = self.residuals(ts, overrides)
-        return max(float(np.max(np.abs(v))) for v in res.values())
+        """The largest |value| of the residual rows, NaN if a row has one."""
+        worst = [float(np.max(np.abs(v))) for v in self.residuals(ts, overrides).values()]
+        return math.nan if any(map(math.isnan, worst)) else max(worst)
 
     def sample_params(self, rng):
         """Admissible random parameter draw keeping the profile positive."""
@@ -166,14 +187,11 @@ class SolutionFamily:
 # Robertson-Walker Einstein families
 
 
-def _grw_einstein_residual_fn(l, lam, lam_fiber):
-    def residuals(expr, p, ts):
-        f, df, ddf = profile_derivatives(expr, ts)
-        trace = l * (1.0 - ddf / f) - lam
-        fiber = lam_fiber + (1 - l) * df**2 + (lam / l - 1 - lam) * f**2 + l * df * f
-        return {"einstein-trace": trace, "einstein-fiber": fiber}
-
-    return residuals
+def _grw_einstein_residuals(expr, p, ts):
+    """The Einstein conditions at the warping f, the profile itself."""
+    trace, (fiber,) = einstein_rows(profile_derivatives(expr, ts)[None], (p["l"],),
+                                    p["lam"], (p["lam_fiber"],))
+    return {"einstein-trace": trace, "einstein-fiber": fiber}
 
 
 def grw_einstein_family(l, lam, lam_fiber):
@@ -194,7 +212,7 @@ def grw_einstein_family(l, lam, lam_fiber):
             free_params=("c1",),
             param_ranges={"c1": (0.2, 2.0)},
             _profile_builder=lambda p: Const(p["c1"]) * _exp_t(1.0),
-            _residuals=_grw_einstein_residual_fn(l, 0.0, 0.0),
+            _residuals=_grw_einstein_residuals,
             _ode_rhs=lambda p: (lambda t, u, v: u),
         ))
     if _close(lam, float(l)) and lam_fiber > _EQ_TOL:
@@ -206,7 +224,7 @@ def grw_einstein_family(l, lam, lam_fiber):
             free_params=(),
             param_ranges={},
             _profile_builder=lambda p: Const(p["c"]),
-            _residuals=_grw_einstein_residual_fn(l, float(l), lam_fiber),
+            _residuals=_grw_einstein_residuals,
             _ode_rhs=lambda p: (lambda t, u, v: 0.0 * u),
         ))
     return out
@@ -223,30 +241,16 @@ def grw_scalar_discriminant(l, scalar):
     return l**2 / 4.0 + (l + 1.0) * (l - scalar) / l
 
 
-def _grw_scalar_identity(l, scalar, s_fiber, v, dv, ddv):
-    """Residual of the closed-form scalar curvature at warping f = sqrt(v)."""
-    f = np.sqrt(v)
-    df = dv / (2.0 * f)
-    ddf = ddv / (2.0 * f) - dv**2 / (4.0 * v * f)
-    return (
-        s_fiber / v
-        - 2.0 * l * ddf / f
-        - l * (l - 1) * (df / f) ** 2
-        + l
-        + l**2 * df / f
-        - scalar
-    )
-
-
 def _v_family(fid, case, params, builder, scalar, s_fiber,
               ranges=None):
     # v'' = 1.5 v' - a v + b
     a, b = scalar / 3.0 - 1.0, s_fiber / 3.0
 
     def residuals(expr, p, ts):
-        v, dv, ddv = profile_derivatives(expr, ts)
+        v, dv, ddv = samples = profile_derivatives(expr, ts)
         ode = ddv - 1.5 * dv + a * v - b
-        scal = _grw_scalar_identity(3, scalar, s_fiber, v, dv, ddv)
+        # the warping is f = v^{1/2}
+        scal = _scalar_identity(samples, (0.5,), (3,), (s_fiber,), scalar)
         return {"profile-ode": ode, "scalar-identity": scal}
 
     if ranges is None:
@@ -271,12 +275,10 @@ def _w_family(fid, case, params, builder, l, scalar):
     half, coef = l / 2.0, ((l + 1.0) / 4.0) * ((scalar - l) / l)
 
     def residuals(expr, p, ts):
-        w, dw, ddw = profile_derivatives(expr, ts)
+        w, dw, ddw = samples = profile_derivatives(expr, ts)
         ode = ddw - half * dw + coef * w
-        v = w**expo
-        dv = expo * w ** (expo - 1) * dw
-        ddv = expo * (expo - 1) * w ** (expo - 2) * dw**2 + expo * w ** (expo - 1) * ddw
-        scal = _grw_scalar_identity(l, scalar, 0.0, v, dv, ddv)
+        # the warping is f = w^{expo/2}
+        scal = _scalar_identity(samples, (expo / 2.0,), (l,), (0.0,), scalar)
         return {"profile-ode": ode, "scalar-identity": scal}
 
     return SolutionFamily(
@@ -363,26 +365,6 @@ def kasner_invariants(p, dims):
     return float(dims @ p), float(dims @ p**2)
 
 
-@dataclass
-class KasnerSpec:
-    """Single-profile power-law warpings phi^{p_i} over an interval base."""
-
-    exponents: tuple
-    dims: tuple
-    phi: ScalarExpr
-
-    def __post_init__(self):
-        zeta, eta = kasner_invariants(self.exponents, self.dims)
-        if eta < -1e-12:
-            raise WarpcurvError("eta must be nonnegative")
-        if abs(eta) <= 1e-12 and any(abs(x) > 1e-12 for x in self.exponents):
-            raise WarpcurvError("eta vanishes only for all-zero exponents")
-        if zeta**2 > eta * sum(self.dims) + 1e-9:
-            raise WarpcurvError("zeta^2 exceeds the Cauchy-Schwarz bound eta * sum(dims)")
-        self.zeta = zeta
-        self.eta = eta
-
-
 def _real_power(base, e):
     """base ** e over an array, taken as |base| ** e: numpy's power runs
     4-20 times slower on negative bases.  Where base > 0 the bits are those
@@ -421,21 +403,6 @@ def _nonempty_grid(grid):
     return ts
 
 
-def kasner_scalar_identity(kspec: KasnerSpec, scalar, s_fibers, grid):
-    """Residual of the closed-form scalar curvature for a Kasner profile."""
-    ts = _nonempty_grid(grid)
-    phi, dphi, ddphi = profile_derivatives(kspec.phi, ts)
-    zeta, eta = kspec.zeta, kspec.eta
-    nbar1 = float(sum(kspec.dims))  # total dimension minus one
-    total = np.zeros(len(ts))
-    for pi, si in zip(kspec.exponents, s_fibers):
-        total += si * phi ** (-2.0 * pi)
-    total += -2.0 * zeta * ddphi / phi
-    total += -(eta + zeta**2 - 2.0 * zeta) * (dphi / phi) ** 2
-    total += nbar1 * zeta * dphi / phi + nbar1
-    return total - scalar
-
-
 def _check_type(kind, dims):
     if kind == "II":
         if tuple(dims) != (1, 2):
@@ -459,8 +426,8 @@ def _kasner_einstein_residual_fn(exponents, dims, lam, lam_fibers):
 
 def _kasner_scalar_residual_fn(exponents, dims, scalar, s_fibers):
     def residuals(expr, p, ts):
-        kspec = KasnerSpec(tuple(exponents), tuple(dims), expr)
-        return {"scalar-identity": kasner_scalar_identity(kspec, scalar, s_fibers, ts)}
+        phi = profile_derivatives(expr, ts)
+        return {"scalar-identity": _scalar_identity(phi, exponents, dims, s_fibers, scalar)}
 
     return residuals
 
@@ -556,10 +523,11 @@ def _psi_family(fid, case, params, psi_builder, exponents, dims, scalar,
         return psi + Const(shift) if abs(shift) > 0.0 else psi
 
     def residuals(expr, p, ts):
-        psi, dpsi, ddpsi = profile_derivatives(expr, ts)
+        psi, dpsi, ddpsi = samples = profile_derivatives(expr, ts)
         ode = ddpsi - 1.5 * dpsi + coeff0 * psi + inhom
-        kspec = KasnerSpec(tuple(exponents), tuple(dims), expr ** mu)
-        scal = kasner_scalar_identity(kspec, scalar, s_fibers, ts)
+        # the warpings are phi^{p_i} = psi^{mu p_i}, each one power of psi
+        scal = _scalar_identity(samples, [mu * pi for pi in exponents], dims, s_fibers,
+                                scalar)
         return {"profile-ode": ode, "scalar-identity": scal}
 
     lift = max(0.0, -shift)

@@ -186,6 +186,8 @@ def test_deeply_nested_warping_is_a_config_error(warping, tmp_path, capsysbinary
     captured = capsysbinary.readouterr()
     assert not captured.out and captured.err.count(b"\n") == 1
     assert captured.err.startswith(f"error: nesting deeper than {_MAX_NESTING} levels".encode())
+    # the message quotes an excerpt around the position, not the whole text
+    assert len(captured.err) < 200
 
 
 @pytest.mark.parametrize("scenario", ["oracle-sphere.txt", "einstein-quadratic-fail.txt"])
@@ -487,6 +489,36 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     shape, worst = capsys.readouterr().out.splitlines()
     assert shape == "(1, 3, 3)" and float(worst) < 1e-12
+
+
+def test_readme_kasner_note_family_passes_where_einstein_check_fails(tmp_path,
+                                                                     capsysbinary):
+    # The README's Kasner note: kasner3-einstein-null-trace (p = (1, 1, -2),
+    # phi = exp(sqrt(1/2) t) at c0 = 1) solves the paper's Kasner system, so
+    # `warpcurv family` passes; its product, three circles warped by
+    # phi^{p_i}, is not Einstein for P = d/dt, so einstein-check fails on
+    # every fiber row while the trace row holds.
+    code, out = run_main(capsysbinary, "family", "kasner-einstein", "--params",
+                         "type=III;p=1,1,-2;dims=1,1,1;lam=0;lam_fibers=0,0,0",
+                         "--seed", "3", "--format", "csv")
+    assert code == 0
+    assert b"kasner3-einstein-null-trace[residuals]," in out
+    rate = 0.7071067811865476  # the family's rate sqrt(3 / eta), eta = 6
+    fibers = "".join(f"fiber.geometry = circle\nfiber.warping = exp({p * rate!r}*t)\n"
+                     for p in (1.0, 1.0, -2.0))
+    assert "exp(-1.4142135623730951*t)" in fibers
+    path = tmp_path / "kasner3-product.txt"
+    path.write_text("task = einstein-check\nbase = interval\n" + fibers
+                    + "p.location = base\np.components = 1\nlambda = 0\nformat = csv\n")
+    code, out = run_main(capsysbinary, "verify", str(path))
+    assert code == 1
+    rows = {row.split(",")[0]: (float(row.split(",")[1]), row.split(",")[3])
+            for row in out.decode().splitlines()[1:]}
+    assert rows["einstein-trace"][1] == "pass"
+    for name, value in [("einstein-fiber-0", 8.108), ("einstein-fiber-1", 8.108),
+                        ("einstein-fiber-2", 3.663)]:
+        assert rows[name][0] == pytest.approx(value, abs=5e-4)
+        assert rows[name][1] == "fail"
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.txt")))

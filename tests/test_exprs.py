@@ -380,6 +380,35 @@ def test_a_tree_at_the_nesting_bound_walks_and_one_past_it_is_a_parse_error():
             parse_expr(deeper)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("exp(t", "expected ')' at position 5: 'exp(t'"),
+    ("2 * $t", "unexpected character at position 4: '2 * $t'"),
+    ("q" * 56 + "(t)", "unknown function '" + "q" * 56 + "' at position 59: '"
+     + "q" * 56 + "(t)'"),
+    ("t" * 59 + "+", "unexpected character at position 60: '" + "t" * 59 + "+'"),
+])
+def test_parse_error_quotes_a_short_text_whole(text, message):
+    # up to the excerpt length, 60 characters, the message quotes the whole
+    # text as its repr, as it did before long texts were cut to an excerpt
+    assert len(text) <= 60
+    with pytest.raises(ExprParseError) as info:
+        parse_expr(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text,pos,excerpt", [
+    ("(" * 3000 + "t" + ")" * 3000, 65, "(" * 60 + "' (characters 35 to 95 of 6001)"),
+    ("t" * 70 + "+", 71, "t" * 59 + "+' (characters 11 to 71 of 71)"),
+    ("$" + "t" * 100, 0, "$" + "t" * 59 + "' (characters 0 to 60 of 101)"),
+])
+def test_parse_error_quotes_an_excerpt_of_a_long_text(text, pos, excerpt):
+    with pytest.raises(ExprParseError) as info:
+        parse_expr(text)
+    assert info.value.text == text and info.value.pos == pos
+    assert str(info.value).endswith(f"at position {pos}: '" + excerpt)
+    assert len(str(info.value)) < 200
+
+
 def test_a_long_chain_of_one_operator_is_one_node():
     # a + b - c is Sum(a, b, -c), so 3000 terms walk without a RecursionError
     # and give the bits of the left-to-right sums

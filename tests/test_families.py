@@ -24,14 +24,12 @@ from warpcurv.errors import (
     WarpcurvError,
 )
 from warpcurv.families import (
-    KasnerSpec,
     grw_einstein_family,
     grw_scalar_discriminant,
     grw_scalar_family,
     kasner_einstein_families,
     kasner_invariants,
     kasner_scalar_discriminant,
-    kasner_scalar_identity,
     kasner_scalar_families,
     ode_cross_check,
     rk4_integrate,
@@ -41,7 +39,17 @@ from warpcurv.families import (
     scan_kasner3_einstein_linear,
     solve_numeric_profile,
 )
-from warpcurv.exprs import Pow, Recip, Sqrt, eval_grid, parse_expr
+from warpcurv.connections import ConnectionKind, connection_curvature
+from warpcurv.exprs import Pow, Recip, Sqrt, eval_grid
+from warpcurv.geometry import (
+    Circle,
+    FlatTorus,
+    HyperbolicPlane,
+    IntervalBase,
+    ProductManifoldSpec,
+    Sphere,
+    p_dt,
+)
 
 TS = np.linspace(0.0, 1.0, 33)
 SCANS = (scan_grw_einstein_oscillatory, scan_kasner2_einstein_oscillatory,
@@ -173,13 +181,27 @@ def test_kasner_invariants_permutation_invariant(pairs):
     assert eta == pytest.approx(1.0 + 0.5 + 4.0)
 
 
-def test_kasner_spec_invariants():
-    k = KasnerSpec((1.0, -0.5), (1, 2), parse_expr("exp(t)"))
-    assert k.zeta == pytest.approx(0.0)
-    assert k.eta == pytest.approx(1.5)
-    assert k.zeta**2 <= k.eta * sum(k.dims) + 1e-12
-    with pytest.raises(WarpcurvError):
-        KasnerSpec((1.0, 0.5), (0, 0), parse_expr("exp(t)"))  # eta = 0, p != 0
+def test_kasner_invariant_edges_reach_the_scalar_identity():
+    # eta >= 0, eta = 0 only for zero exponents and zeta^2 <= eta sum(dims)
+    # hold for every exponent vector, and the scalar identity checks none of
+    # them.  The warpings psi^{mu p_i} are one power of psi each, so no
+    # psi^mu overflows (mu = 1e7 for the first two cases).
+    for kind, p, dims in [
+        # eta = 1e-14 with an exponent of 1e-7: an absolute 1e-12 bound on
+        # eta called this "eta vanishes only for all-zero exponents"
+        ("III", (1e-7, 0.0, 0.0), (1, 1, 1)),
+        ("II", (1e-7, 0.0), (1, 2)),
+        # equal exponents: zeta^2 rounds 3e-8 above eta * sum(dims), which an
+        # absolute 1e-9 slack called a broken Cauchy-Schwarz bound
+        ("II", (4489.064004630403,) * 2, (1, 2)),
+    ]:
+        zeta, eta = kasner_invariants(p, dims)
+        assert eta > 0.0 and zeta**2 <= eta * sum(dims) * (1.0 + 1e-12)
+        (fam,) = kasner_scalar_families(kind, p, dims, 2.0, (0.0,) * len(dims))
+        rows = fam.residuals(TS)
+        assert sorted(rows) == ["profile-ode", "scalar-identity"]
+        assert all(np.all(np.isfinite(row)) for row in rows.values())
+        assert fam.max_residual(TS) < 1e-13
 
 
 def _kasner_eq_rows(family, overrides, ts=TS):
@@ -257,10 +279,22 @@ def test_kasner_einstein_residuals_reject_an_empty_grid():
         fam.residuals(np.array([]))
 
 
-def test_kasner_scalar_identity_rejects_an_empty_grid():
-    kspec = KasnerSpec((1.0, 2.0), (1, 1), parse_expr("exp(t)"))
+def test_max_residual_keeps_a_nan_row():
+    # at the default c1 = 1 the profile v of this family is negative (shift
+    # -9), so the warping v^{1/2} and the scalar-identity row are NaN while
+    # the profile-ode row is not; a NaN row must not read as a small maximum
+    (fam,) = grw_scalar_family(3, 2.0, 9.0)
+    with np.errstate(invalid="ignore"):
+        rows = fam.residuals(TS)
+        assert np.isnan(rows["scalar-identity"]).all()
+        assert np.max(np.abs(rows["profile-ode"])) < 1e-10
+        assert math.isnan(fam.max_residual(TS))
+
+
+def test_kasner_scalar_residuals_reject_an_empty_grid():
+    (fam,) = kasner_scalar_families("II", (1.0, 2.0), (1, 2), 0.0, (0.0, 0.0))
     with pytest.raises(WarpcurvError, match="no points"):
-        kasner_scalar_identity(kspec, 0.0, (0.0, 0.0), np.array([]))
+        fam.residuals([])
 
 
 def test_kasner_einstein_families(rng):
@@ -888,3 +922,86 @@ def test_trace_free_reference_families(kind, p, scalar, expected):
     dims = (1, 2) if kind == "II" else (1, 1, 1)
     fams = kasner_scalar_families(kind, p, dims, scalar, (0.0,) * len(dims))
     assert [(f.family_id, f.case, f.params) for f in fams] == expected
+
+
+# -- scalar families against the products they describe ---------------------
+
+
+def _grw_l3(fam):
+    return (0.5,)  # the warping is f = v^{1/2}
+
+
+def _grw_power(fam):
+    return (fam.params["exponent"] / 2.0,)  # f = w^{e/2}
+
+
+def _kasner(p):
+    # warpings phi^{p_i}, and psi^{mu p_i} for the families of psi, phi = psi^mu
+    return lambda fam: tuple(fam.params.get("mu", 1.0) * x for x in p)
+
+
+_K3 = kasner_invariants((1.0, 2.0, 3.0), (1, 1, 1))
+_K2 = kasner_invariants((1.0, 1.0), (1, 2))
+_CIRCLES = [Circle(), Circle(), Circle()]
+
+SCALAR_PRODUCTS = [
+    # GRW over one fiber of dimension l with zero scalar curvature
+    *[(f"grw l=3 s={s}", lambda s=s: grw_scalar_family(3, s, 0.0), [FlatTorus(3)], _grw_l3)
+      for s in (3.0, 2.0, 75.0 / 16.0, 6.0)],
+    *[(f"grw l={l} s={s}", lambda l=l, s=s: grw_scalar_family(l, s, 0.0),
+       [FlatTorus(l) if l > 1 else Circle()], _grw_power)
+      for l in (1, 2, 4) for s in (grw_scalar_threshold(l) + d for d in (-1.0, 0.0, 1.0))],
+    # type III: three circles
+    ("kasner3 static", lambda: kasner_scalar_families("III", (0.0,) * 3, (1, 1, 1), 3.0,
+                                                      (0.0,) * 3),
+     _CIRCLES, _kasner((0.0,) * 3)),
+    ("kasner3 exponential", lambda: kasner_scalar_families("III", (1.0, 1.0, -2.0), (1, 1, 1),
+                                                           0.0, (0.0,) * 3),
+     _CIRCLES, _kasner((1.0, 1.0, -2.0))),
+    *[(f"kasner3 s={s}", lambda s=s: kasner_scalar_families("III", (1.0, 2.0, 3.0), (1, 1, 1),
+                                                            s, (0.0,) * 3),
+       _CIRCLES, _kasner((1.0, 2.0, 3.0)))
+      for s in (kasner_scalar_threshold(*_K3) + d for d in (-1.0, 0.0, 1.0))],
+    # type II: a circle and a surface, flat or of scalar curvature s2
+    ("kasner2 static", lambda: kasner_scalar_families("II", (0.0, 0.0), (1, 2), 3.0, (0.0, 0.0)),
+     [Circle(), FlatTorus(2)], _kasner((0.0, 0.0))),
+    ("kasner2 static sphere", lambda: kasner_scalar_families("II", (0.0, 0.0), (1, 2), 1.0,
+                                                             (0.0, -2.0)),
+     [Circle(), Sphere(1.0)], _kasner((0.0, 0.0))),
+    ("kasner2 exponential", lambda: kasner_scalar_families("II", (1.0, -0.5), (1, 2), 1.5,
+                                                           (0.0, 0.0)),
+     [Circle(), FlatTorus(2)], _kasner((1.0, -0.5))),
+    *[(f"kasner2 s={s}", lambda s=s: kasner_scalar_families("II", (1.0, 1.0), (1, 2), s,
+                                                            (0.0, 0.0)),
+       [Circle(), FlatTorus(2)], _kasner((1.0, 1.0)))
+      for s in (kasner_scalar_threshold(*_K2) + d for d in (-1.0, 0.0, 1.0))],
+    # s2 = 2 on the hyperbolic plane: the merged (p_2 = 0) and offset
+    # (constant fiber term) families
+    *[(f"kasner2 merged s={s}", lambda s=s: kasner_scalar_families("II", (1.0, 0.0), (1, 2), s,
+                                                                   (0.0, 2.0)),
+       [Circle(), HyperbolicPlane()], _kasner((1.0, 0.0)))
+      for s in (5.125, 6.125, 7.125)],
+    *[(f"kasner2 offset s={s}", lambda s=s: kasner_scalar_families("II", (1.0, 1.0), (1, 2), s,
+                                                                   (0.0, 2.0)),
+       [Circle(), HyperbolicPlane()], _kasner((1.0, 1.0)))
+      for s in (3.6875, 4.6875, 5.6875)],
+]
+
+
+@pytest.mark.parametrize("name,generate,fibers,powers", SCALAR_PRODUCTS,
+                         ids=[case[0] for case in SCALAR_PRODUCTS])
+def test_scalar_family_identity_is_the_oracle_scalar_of_its_product(name, generate, fibers,
+                                                                    powers, rng):
+    # the product the family describes: an interval base, the fibers, the
+    # warpings u^{e_i} of the profile u and P = d/dt; its semi-symmetric
+    # oracle scalar is the family's scalar-identity row plus its target
+    (fam,) = generate()
+    assert not fam.numeric_only
+    params = fam.sample_params(rng)
+    profile = fam.profile(params)
+    spec = ProductManifoldSpec(IntervalBase(), fibers, [profile ** e for e in powers(fam)])
+    ts = np.linspace(0.1, 0.9, 5)
+    oracle = connection_curvature(ConnectionKind.SEMI_SYMMETRIC_NON_METRIC, spec, p_dt(),
+                                  spec.make_point(ts[:, None])).scalar
+    identity = fam.residuals(ts, params)["scalar-identity"] + fam.params["scalar"]
+    assert np.max(np.abs(identity - oracle)) <= 1e-12

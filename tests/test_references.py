@@ -1,13 +1,14 @@
-"""Every public class, function and method of the package has a caller.
+"""Every class, function and method of the package has a caller.
 
-A public top-level class or function, or a public method of a top-level
-class, under src/warpcurv/ must be referenced in src/ or perfbench/
-somewhere outside its own definition: as a name, an attribute, a string
-that is a dotted span name such as "families.rk4_integrate_first_order",
-or a string listed in `__all__`.  A bare string that merely looks like a
-name (an op tag, a dictionary key) is not a reference.  Imports, comments
-and prose do not count, and neither do tests: code that only tests call
-belongs in tests/.
+A top-level class or function, or a method of a top-level class other than
+a dunder such as `__init__`, under src/warpcurv/ must be referenced in src/
+or perfbench/ somewhere outside its own definition: as a name, an
+attribute, a string that is a dotted span name such as
+"families.rk4_integrate_first_order", or a string listed in `__all__`.  A
+bare string that merely looks like a name (an op tag, a dictionary key) is
+not a reference.  Imports, comments and prose do not count, and neither do
+tests: code that only tests call belongs in tests/, and a private helper
+that nothing calls is dead.
 """
 
 import ast
@@ -25,16 +26,20 @@ EXCEPTIONS = {
 }
 
 
-def _public_defs():
+def _defs(private):
+    """The public top-level classes and functions and the public methods of
+    top-level classes, or else the private ones, dunders left out."""
+    def chosen(name):
+        return name.startswith("_") == private and not name.startswith("__")
+
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else [node]
-            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if isinstance(node, ast.ClassDef) and chosen(node.name):
                 yield node.name, path, node.lineno, node.end_lineno
             for d in members:
-                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                        and not d.name.startswith("_"):
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) and chosen(d.name):
                     yield d.name, path, d.lineno, d.end_lineno
 
 
@@ -66,17 +71,23 @@ def _references():
     return refs
 
 
-def _uncalled():
+def _uncalled(private=False):
     refs = _references()
     return {
         name: f"{path.relative_to(ROOT)}:{lo} {name}"
-        for name, path, lo, hi in _public_defs()
+        for name, path, lo, hi in _defs(private)
         if all(p == path and lo <= line <= hi for p, line in refs.get(name, []))
     }
 
 
 def test_every_public_function_is_referenced():
     unreferenced = [where for name, where in _uncalled().items() if name not in EXCEPTIONS]
+    assert not unreferenced, "no caller in src/ or perfbench/: " + ", ".join(unreferenced)
+
+
+def test_every_private_function_is_referenced():
+    # no exceptions: a private helper without a caller is deleted
+    unreferenced = list(_uncalled(private=True).values())
     assert not unreferenced, "no caller in src/ or perfbench/: " + ", ".join(unreferenced)
 
 
