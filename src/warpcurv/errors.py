@@ -13,21 +13,26 @@ class ExprError(WarpcurvError):
     """Malformed expression tree or evaluation outside its domain."""
 
 
-# Longest expression text a parse error quotes whole; of a longer one it
-# quotes this many characters around the position.
+# Longest text a parse error quotes whole; of a longer one it quotes this
+# many characters around the position.
 _EXCERPT = 60
+
+
+def excerpt(text, pos=0, width=_EXCERPT):
+    """repr(text), or for a text longer than _EXCERPT characters the repr of
+    `width` characters around pos with their span."""
+    if len(text) <= _EXCERPT:
+        return repr(text)
+    lo = min(max(0, pos - width // 2), len(text) - width)
+    hi = lo + width
+    return f"{text[lo:hi]!r} (characters {lo} to {hi} of {len(text)})"
 
 
 class ExprParseError(ExprError):
     """Expression string could not be parsed; carries position info."""
 
     def __init__(self, message, text, pos):
-        quoted = repr(text)
-        if len(text) > _EXCERPT:
-            lo = min(max(0, pos - _EXCERPT // 2), len(text) - _EXCERPT)
-            hi = lo + _EXCERPT
-            quoted = f"{text[lo:hi]!r} (characters {lo} to {hi} of {len(text)})"
-        super().__init__(f"{message} at position {pos}: {quoted}")
+        super().__init__(f"{message} at position {pos}: {excerpt(text, pos)}")
         self.text = text
         self.pos = pos
 

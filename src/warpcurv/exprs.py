@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ExprError, ExprParseError
+from .errors import ExprError, ExprParseError, excerpt
 
 
 def _exp(u):
@@ -669,8 +669,11 @@ class _Parser:
             return args[0] ** self._require_const(args[1])
         fn = _FUNCS.get(name)
         if fn is None:
-            self.error(f"unknown function {name!r}")
+            # a long name is cut shorter than the text: the text's excerpt
+            # at the position already shows the name's end
+            self.error(f"unknown function {excerpt(name, width=20)}")
         if len(args) != 1:
+            # name is one of _FUNCS here, so it is short enough to print whole
             self.error(f"{name} takes one argument")
         return fn(args[0])
 

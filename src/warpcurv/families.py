@@ -12,8 +12,10 @@ constants, or an empty list when no closed form exists.  A family knows
   paper's Kasner system (`_kasner_system_values`),
 * how to rebuild the actual warping expressions for end-to-end checks.
 
-Families without a closed form (`numeric_only`) carry the governing ODE
-right-hand side instead and are handled by the integrator.
+A closed-form family states its profile's linear constant-coefficient ODE
+u'' = alpha u + beta u' + gamma as the data `ode_coeffs`.  Families without
+a closed form (`numeric_only`) carry the governing ODE right-hand side as a
+callable instead and are handled by the integrator.
 
 Nonexistence in the contradiction branches is evidenced by lattice scans:
 the residual system stays bounded away from zero over the whole lattice.
@@ -99,7 +101,11 @@ def _scalar_identity(u, powers, dims, svals, scalar):
     """The closed-form scalar curvature for P = d/dt minus the target
     scalar, at the warpings u^{e_i}, one power e_i in `powers` per fiber of
     dimension dims[i] and scalar curvature svals[i], from the profile
-    samples u (3, T)."""
+    samples u (3, T).  A fractional power of a profile sample <= 0 is
+    NonPositiveWarping."""
+    fractional = [e for e in powers if not float(e).is_integer()]
+    if fractional and u[0].min() <= 0.0:
+        raise NonPositiveWarping(f"power {fractional[0]} of a profile that is not positive")
     b = np.array([_power_samples(u, e) for e in powers])
     return with_dt_terms(scalar_samples(b, dims, svals), b, dims) - scalar
 
@@ -123,9 +129,11 @@ class SolutionFamily:
     param_ranges: dict
     numeric_only: bool = False
     ode_order: int = 2
+    # (alpha, beta, gamma) of the profile ODE u'' = alpha u + beta u' + gamma
+    ode_coeffs: tuple = None
     _profile_builder: object = None
     _residuals: object = None
-    _ode_rhs: object = None
+    _ode_rhs: object = None  # numeric-only: params -> rhs(t, u, u') or rhs(t, u)
 
     def merged(self, overrides=None):
         p = dict(self.params)
@@ -154,7 +162,10 @@ class SolutionFamily:
         if self.numeric_only:
             raise WarpcurvError(f"{self.family_id} is integrator-backed only")
         p = self.merged(overrides)
-        return self._residuals(self._profile_builder(p), p, _nonempty_grid(ts))
+        try:
+            return self._residuals(self._profile_builder(p), p, _nonempty_grid(ts))
+        except NonPositiveWarping as exc:
+            raise NonPositiveWarping(f"{self.family_id}: {exc}") from None
 
     def max_residual(self, ts, overrides=None):
         """The largest |value| of the residual rows, NaN if a row has one."""
@@ -213,7 +224,7 @@ def grw_einstein_family(l, lam, lam_fiber):
             param_ranges={"c1": (0.2, 2.0)},
             _profile_builder=lambda p: Const(p["c1"]) * _exp_t(1.0),
             _residuals=_grw_einstein_residuals,
-            _ode_rhs=lambda p: (lambda t, u, v: u),
+            ode_coeffs=(1.0, 0.0, 0.0),
         ))
     if _close(lam, float(l)) and lam_fiber > _EQ_TOL:
         c = math.sqrt(lam_fiber / l)
@@ -225,7 +236,7 @@ def grw_einstein_family(l, lam, lam_fiber):
             param_ranges={},
             _profile_builder=lambda p: Const(p["c"]),
             _residuals=_grw_einstein_residuals,
-            _ode_rhs=lambda p: (lambda t, u, v: 0.0 * u),
+            ode_coeffs=(0.0, 0.0, 0.0),
         ))
     return out
 
@@ -265,7 +276,7 @@ def _v_family(fid, case, params, builder, scalar, s_fiber,
         param_ranges=ranges,
         _profile_builder=builder,
         _residuals=residuals,
-        _ode_rhs=lambda p: (lambda t, u, w: 1.5 * w - a * u + b),
+        ode_coeffs=(-a, 1.5, b),
     )
 
 
@@ -289,7 +300,7 @@ def _w_family(fid, case, params, builder, l, scalar):
         param_ranges={"c1": (0.4, 1.5), "c2": (0.05, 0.8)},
         _profile_builder=builder,
         _residuals=residuals,
-        _ode_rhs=lambda p: (lambda t, u, w: half * w - coef * u),
+        ode_coeffs=(-coef, half, 0.0),
     )
 
 
@@ -447,7 +458,7 @@ def _phi_exp_family(fid, case, rate_sq, params, residual_builder):
         param_ranges={"c0": (0.3, 1.8)},
         _profile_builder=builder,
         _residuals=residual_builder,
-        _ode_rhs=lambda p: _scaled_rhs(rate_sq),
+        ode_coeffs=(rate_sq, 0.0, 0.0),
     )
 
 
@@ -489,7 +500,7 @@ def kasner_einstein_families(kind, p, dims, lam, lam_fibers):
                 param_ranges={"c1": (0.3, 1.8)},
                 _profile_builder=lambda q: Const(q["c1"]) * _exp_t(q["rate"]),
                 _residuals=_kasner_einstein_residual_fn(p, dims, -6.0, lam_fibers),
-                _ode_rhs=lambda q: _scaled_rhs(q["rate"] ** 2),
+                ode_coeffs=(rate**2, 0.0, 0.0),
             ))
         return out
     if any(abs(x) > _EQ_TOL for x in lam_fibers):
@@ -539,7 +550,7 @@ def _psi_family(fid, case, params, psi_builder, exponents, dims, scalar,
         param_ranges={"c1": (0.5 + 1.15 * lift, 1.6 + 1.3 * lift), "c2": (0.05, 0.7)},
         _profile_builder=psi_full,
         _residuals=residuals,
-        _ode_rhs=lambda p: (lambda t, u, v: 1.5 * v - coeff0 * u - inhom),
+        ode_coeffs=(-coeff0, 1.5, -inhom),
     )
 
 
@@ -552,7 +563,7 @@ def _constant_phi_family(fid, p, dims, scalar, s_fibers):
         param_ranges={"c0": (0.3, 2.0)},
         _profile_builder=lambda q: Const(q["c0"]),
         _residuals=_kasner_scalar_residual_fn(p, dims, scalar, s_fibers),
-        _ode_rhs=lambda q: (lambda t, u, v: 0.0 * u),
+        ode_coeffs=(0.0, 0.0, 0.0),
     )
 
 
@@ -683,14 +694,25 @@ def _kasner2_second_order_numeric(p, dims, scalar, s2, zeta, eta, mu_expo):
 # Runge-Kutta machinery
 
 
-def _scaled_rhs(c):
-    """The right-hand side c u of u'' = c u."""
-    return lambda t, u, v: c * u
-
-
 def rk4_integrate(rhs, t0, u0, v0, t1, n_steps):
-    """Classical fourth-order integration of u'' = rhs(t, u, u')."""
+    """Classical fourth-order integration of u'' = rhs(t, u, u').
+
+    `rhs` is a callable, or the coefficients (alpha, beta, gamma) of the
+    linear equation u'' = alpha u + beta u' + gamma.  For y = (u, u') that
+    equation is y' = A y + c with A = [[0, 1], [alpha, beta]] and
+    c = (0, gamma), and one RK4 step is exactly the affine map y <- y + N y + d
+    with N = sum_{k=1..4} (hA)^k / k! and d = h sum_{k=0..3} (hA)^k / (k+1)! c,
+    so the coefficients are stepped through that map in place of four
+    right-hand-side calls per step.  The map is applied in increment form,
+    y + (N y + d): the rounding of N is relative to the small increment,
+    where the rounding of I + N would put the same error of order ulp(1)
+    into every step.
+    """
     h = (t1 - t0) / n_steps
+    # t0 + k h per element: the bits of the stepped t of the callable loop
+    ts = t0 + np.arange(n_steps + 1) * h
+    if not callable(rhs):
+        return ts, _rk4_affine(rhs, h, float(u0), float(v0), n_steps)
     h2, h6 = h / 2, h / 6
     t, u, v = t0, float(u0), float(v0)
     us = [u]
@@ -706,8 +728,30 @@ def rk4_integrate(rhs, t0, u0, v0, t1, n_steps):
         v += h6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         t = t0 + (k + 1) * h
         us.append(u)
-    # t0 + k h per element: the bits of the stepped t above
-    return t0 + np.arange(n_steps + 1) * h, np.array(us)
+    return ts, np.array(us)
+
+
+def _rk4_affine(coeffs, h, u, v, n_steps):
+    """u at every step of RK4 on u'' = alpha u + beta u' + gamma, as the
+    exact affine map of one step (see rk4_integrate), from u(t0), u'(t0)."""
+    alpha, beta, gamma = coeffs
+    # in plain floats, so that no BLAS kernel picks the rounding
+    a10, a11 = h * alpha, h * beta  # hA = [[0, h], [a10, a11]]
+    t00, t01, t10, t11 = 1.0, 0.0, 0.0, 1.0  # (hA)^k / k!
+    n00 = n01 = n10 = n11 = 0.0  # N
+    s01, s11 = 0.0, 1.0  # column 1 of sum_{k=0..3} (hA)^k / (k+1)!
+    for k in range(1, 5):
+        t00, t01, t10, t11 = (t01 * a10 / k, (t00 * h + t01 * a11) / k,
+                              t11 * a10 / k, (t10 * h + t11 * a11) / k)
+        n00, n01, n10, n11 = n00 + t00, n01 + t01, n10 + t10, n11 + t11
+        if k < 4:
+            s01, s11 = s01 + t01 / (k + 1), s11 + t11 / (k + 1)
+    d0, d1 = h * gamma * s01, h * gamma * s11
+    us = [u]
+    for _ in range(n_steps):
+        u, v = u + (n00 * u + n01 * v + d0), v + (n10 * u + n11 * v + d1)
+        us.append(u)
+    return np.array(us)
 
 
 def rk4_integrate_first_order(rhs, t0, u0, t1, n_steps):
@@ -741,8 +785,7 @@ def ode_cross_check(family: SolutionFamily, overrides=None, interval=(0.0, 1.0),
     expr = family._profile_builder(p)
     t0, t1 = interval
     val, grad, _ = eval_jet([expr], ("t",), [[t0]])
-    rhs = family._ode_rhs(p)
-    ts, us = rk4_integrate(rhs, t0, val[0, 0], grad[0, 0, 0], t1, n_steps)
+    ts, us = rk4_integrate(family.ode_coeffs, t0, val[0, 0], grad[0, 0, 0], t1, n_steps)
     exact = eval_grid(expr, ts, order=0)[0]
     dev = float(np.max(np.abs(us - exact)))
     if dev > hard_limit:

@@ -190,6 +190,18 @@ def test_deeply_nested_warping_is_a_config_error(warping, tmp_path, capsysbinary
     assert len(captured.err) < 200
 
 
+def test_long_unknown_function_name_is_a_short_config_error(tmp_path, capsysbinary):
+    # the message quotes excerpts of the name and of the text, not all of it
+    path = tmp_path / "long-name.txt"
+    path.write_text((SCENARIOS / "einstein-exponential.txt").read_text()
+                    .replace("fiber.warping = exp(t)\n", f"fiber.warping = {'q' * 3000}(t)\n"))
+    assert main(["verify", str(path)]) == 2
+    captured = capsysbinary.readouterr()
+    assert not captured.out and captured.err.count(b"\n") == 1
+    assert captured.err.startswith(b"error: unknown function 'qqqq")
+    assert len(captured.err) < 200
+
+
 @pytest.mark.parametrize("scenario", ["oracle-sphere.txt", "einstein-quadratic-fail.txt"])
 @pytest.mark.parametrize("points", [0, -3])
 def test_grid_without_points_is_a_config_error(scenario, points, tmp_path, capsysbinary):

@@ -386,6 +386,9 @@ def test_a_tree_at_the_nesting_bound_walks_and_one_past_it_is_a_parse_error():
     ("q" * 56 + "(t)", "unknown function '" + "q" * 56 + "' at position 59: '"
      + "q" * 56 + "(t)'"),
     ("t" * 59 + "+", "unexpected character at position 60: '" + "t" * 59 + "+'"),
+    ("sin(t, t)", "sin takes one argument at position 9: 'sin(t, t)'"),
+    ("q" * 57 + "(t)", "unknown function '" + "q" * 57 + "' at position 60: '"
+     + "q" * 57 + "(t)'"),
 ])
 def test_parse_error_quotes_a_short_text_whole(text, message):
     # up to the excerpt length, 60 characters, the message quotes the whole
@@ -406,6 +409,18 @@ def test_parse_error_quotes_an_excerpt_of_a_long_text(text, pos, excerpt):
         parse_expr(text)
     assert info.value.text == text and info.value.pos == pos
     assert str(info.value).endswith(f"at position {pos}: '" + excerpt)
+    assert len(str(info.value)) < 200
+
+
+def test_parse_error_quotes_an_excerpt_of_a_long_function_name():
+    # the unknown name is cut to 20 characters: the excerpt of the text at
+    # the position already shows where it ends
+    text = "q" * 3000 + "(t)"
+    with pytest.raises(ExprParseError) as info:
+        parse_expr(text)
+    assert str(info.value) == (
+        "unknown function '" + "q" * 20 + "' (characters 0 to 20 of 3000) at position 3003: '"
+        + "q" * 57 + "(t)' (characters 2943 to 3003 of 3003)")
     assert len(str(info.value)) < 200
 
 

@@ -32,6 +32,7 @@ from warpcurv.families import (
     kasner_scalar_discriminant,
     kasner_scalar_families,
     ode_cross_check,
+    profile_derivatives,
     rk4_integrate,
     rk4_integrate_first_order,
     scan_grw_einstein_oscillatory,
@@ -280,15 +281,32 @@ def test_kasner_einstein_residuals_reject_an_empty_grid():
 
 
 def test_max_residual_keeps_a_nan_row():
-    # at the default c1 = 1 the profile v of this family is negative (shift
-    # -9), so the warping v^{1/2} and the scalar-identity row are NaN while
-    # the profile-ode row is not; a NaN row must not read as a small maximum
-    (fam,) = grw_scalar_family(3, 2.0, 9.0)
+    # at c0 = -1 the profile phi of this family is negative, so the fiber
+    # rows of the Kasner system, which hold phi^{-2 p_i} at p = (1.2, -0.6),
+    # are NaN while the trace row is not; a NaN row must not read as a small
+    # maximum
+    (fam,) = kasner_einstein_families("II", (1.2, -0.6), (1, 2), 0.0, (0.0, 0.0))
     with np.errstate(invalid="ignore"):
-        rows = fam.residuals(TS)
-        assert np.isnan(rows["scalar-identity"]).all()
-        assert np.max(np.abs(rows["profile-ode"])) < 1e-10
-        assert math.isnan(fam.max_residual(TS))
+        rows = fam.residuals(TS, {"c0": -1.0})
+        assert np.isnan(rows["kasner-eq-1"]).all() and np.isnan(rows["kasner-eq-2"]).all()
+        assert np.max(np.abs(rows["kasner-eq-0"])) < 1e-10
+        assert math.isnan(fam.max_residual(TS, {"c0": -1.0}))
+
+
+def test_residuals_refuse_a_fractional_power_of_a_nonpositive_profile():
+    # at the default c1 = 1 the profile v of this family is negative (shift
+    # -9): its warping v^{1/2} is NonPositiveWarping, as check_positive says,
+    # not a RuntimeWarning and NaN rows
+    (fam,) = grw_scalar_family(3, 2.0, 9.0)
+    with pytest.raises(NonPositiveWarping, match="not positive"):
+        fam.check_positive()
+    for grid in (TS, TS[16:17]):
+        with pytest.raises(NonPositiveWarping, match=f"^{fam.family_id}: power 0.5 "):
+            fam.max_residual(grid)
+    # the same for the Kasner warpings psi^{mu p_i}, here at psi = 0
+    (fam,) = kasner_scalar_families("III", (1.0, 2.0, 3.0), (1, 1, 1), 4.62, (0.0, 0.0, 0.0))
+    with pytest.raises(NonPositiveWarping, match=f"^{fam.family_id}: power 0.24 "):
+        fam.residuals(TS, {"c1": 0.0, "c2": 0.0})
 
 
 def test_kasner_scalar_residuals_reject_an_empty_grid():
@@ -422,9 +440,31 @@ def test_rk4_convergence():
     assert np.max(np.abs(us - np.sin(ts))) < 1e-12
 
 
+def test_rk4_convergence_of_the_coefficient_form():
+    # the same equation as coefficients (alpha, beta, gamma) = (-1, 0, 0)
+    ts, us = rk4_integrate((-1.0, 0.0, 0.0), 0.0, 0.0, 1.0, 1.0, 1000)
+    assert np.max(np.abs(us - np.sin(ts))) < 1e-12
+
+
+@pytest.mark.parametrize("alpha,beta,gamma", [
+    (-1.0, 0.0, 0.0), (1.0 / 3.0, 1.5, 0.5), (2.0, 0.0, 0.0), (-2.0, 0.3, -1.7),
+    (-0.75, 2.5, 0.0), (0.0, 0.0, 0.0), (9.0, 0.0, 0.0),
+])
+def test_rk4_coefficients_step_as_their_callable(alpha, beta, gamma):
+    # one RK4 step of a linear equation is an affine map of (u, u'), so the
+    # coefficient form and the callable take the same steps up to rounding
+    ts, us = rk4_integrate((alpha, beta, gamma), 0.2, 1.3, -0.4, 1.5, 1000)
+    ts_ref, us_ref = rk4_integrate(lambda t, u, v: alpha * u + beta * v + gamma,
+                                   0.2, 1.3, -0.4, 1.5, 1000)
+    assert ts.tobytes() == ts_ref.tobytes() and us.shape == (1001,)
+    assert np.max(np.abs(us - us_ref)) <= 1e-12
+
+
 # Recorded from the step loop that stored t and u into numpy arrays at every
 # step: (ts[k], us[k]) at steps 0, 1, 500 and 1000, and sha256 digests of
-# us.tobytes() and ts.tobytes().  The integrators must keep every bit.
+# us.tobytes() and ts.tobytes().  The integrators must keep every bit.  The
+# coefficient case was recorded from the affine map in increment form when
+# it replaced the callables of the closed-form families.
 def _forced_rhs(order):
     fam = kasner_scalar_families("II", (1.0, 0.25 if order == 2 else -0.5), (1, 2),
                                  2.0, (0.0, 1.5))[0]
@@ -450,7 +490,13 @@ _UNIT_TS = "be069d7d0c6719743ada6aed42916e2798ddc937afaa56bd63d766dcca764331"
      [(0.0, 1.0), (0.001, 1.0012920785715498), (0.5, 2.0648683998222648),
       (1.0, 5.644194429210094)],
      "0c43d1a1b8dbb64dcc0745d26aafaba3b60035e4241d0f16d4b0ecd4e62b47c0", _UNIT_TS),
-], ids=["linear", "kasner2-scalar-forced", "kasner2-scalar-forced-gradient"])
+    # the coefficient form of a v-family, a = -1/3 and b = 0.5: v'' = v/3 + 1.5 v' + 0.5
+    (lambda: rk4_integrate((1.0 / 3.0, 1.5, 0.5), 0.0, 1.0, 0.2, 1.0, 1000),
+     [(0.0, 1.0), (0.001, 1.0002005669612373), (0.5, 1.2879076235359874),
+      (1.0, 2.2458056017716075)],
+     "a02a2f6fc0763c6b3609ebfdda1499b933c09c6516d092b2ea8575fa4f8aab91", _UNIT_TS),
+], ids=["linear", "kasner2-scalar-forced", "kasner2-scalar-forced-gradient",
+        "coefficients"])
 def test_rk4_keeps_its_recorded_bits(integrate, steps, us_sha, ts_sha):
     ts, us = integrate()
     assert [(ts[k], us[k]) for k in (0, 1, 500, 1000)] == steps
@@ -595,6 +641,34 @@ def test_values_only_walk_is_row_zero_of_the_grid(case, fractions, end):
         assert not [n for n in _subtrees(expr) if isinstance(n, (Pow, Sqrt, Recip))]
         for ts in (np.linspace(0.0, end, 33), np.arange(1001) * (end / 1000)):
             assert _row_zero(expr, ts, 0) == _row_zero(expr, ts, 2), fam.family_id
+
+
+_GOLDEN_KINDS = [  # the families of the two family goldens under tests/scenarios
+    ("grw-einstein", {"l": 2, "lam": 0.0, "lam_fiber": 0.0}),
+    ("kasner-scalar", {"kind": "III", "p": (1.0, 2.0, 3.0), "dims": (1, 1, 1),
+                       "scalar": 4.62, "s_fibers": (0.0, 0.0, 0.0)}),
+]
+
+
+@pytest.mark.parametrize("kind,kwargs", _PERFBENCH_KINDS + _GOLDEN_KINDS + [
+    # a constant fiber term: the psi family whose gamma is not 0
+    ("kasner-scalar", {"kind": "II", "p": (1.0, 1.0), "dims": (1, 2), "scalar": 3.6875,
+                       "s_fibers": (0.0, 1.0)}),
+    # all exponents zero: the static family, phi constant
+    ("kasner-scalar", {"kind": "III", "p": (0.0, 0.0, 0.0), "dims": (1, 1, 1), "scalar": 3.0,
+                       "s_fibers": (0.0, 0.0, 0.0)}),
+])
+def test_ode_coeffs_are_the_equation_of_the_closed_form(kind, kwargs, rng):
+    # the RK4 cross-check steps (alpha, beta, gamma), so a wrong triple would
+    # show there only past its 1e-6 tolerance; the closed form's own
+    # derivatives pin it far below that
+    fams = [fam for fam in FAMILY_GENERATORS[kind](**kwargs) if not fam.numeric_only]
+    assert fams
+    for fam in fams:
+        alpha, beta, gamma = fam.ode_coeffs
+        for params in draws(fam, rng):
+            u, du, ddu = profile_derivatives(fam.profile(params), TS)
+            assert np.max(np.abs(ddu - (alpha * u + beta * du + gamma))) <= 1e-12, fam.family_id
 
 
 # -- nonexistence scans --------------------------------------------------------

@@ -16,7 +16,7 @@ sys.path.insert(0, str(ROOT))
 from perfbench import layers, tracing  # noqa: E402
 from perfbench.scenarios import generate_round  # noqa: E402
 from perfbench.worker import Runner  # noqa: E402
-from warpcurv import cli, errors, exprs  # noqa: E402
+from warpcurv import cli, errors, exprs, families  # noqa: E402
 
 
 @pytest.mark.parametrize("workload", ["oracle-sweep", "grid-residuals", "families-scan"])
@@ -60,6 +60,16 @@ def test_family_checks_walk_profile_grids_for_values_only(monkeypatch):
         return eval_stack(trees, names, pts, order)
 
     monkeypatch.setattr(exprs, "eval_stack", recording)
+    # every closed-form family steps its ODE as coefficients, the exact RK4
+    # affine map, and not a right-hand-side callable
+    stepped = []
+    rk4_integrate = families.rk4_integrate
+
+    def recording_rk4(rhs, *args):
+        stepped.append((sys._getframe(1).f_code.co_name, rhs))
+        return rk4_integrate(rhs, *args)
+
+    monkeypatch.setattr(families, "rk4_integrate", recording_rk4)
     kinds = set()
     for sc in generate_round("families-scan", 11, 0, ROOT):
         cfg = cli.parse_scenario(sc.text)
@@ -74,3 +84,7 @@ def test_family_checks_walk_profile_grids_for_values_only(monkeypatch):
     assert sorted({(order, n) for order, n, _ in cross}) == [(0, 1001), (2, 1)]
     assert all("eval_jet" in callers for order, _, callers in cross if order)
     assert residuals and all(order == 2 for order, _, _ in residuals)
+    coeffs = [rhs for caller, rhs in stepped if caller == "ode_cross_check"]
+    assert coeffs and len(coeffs) == len(cross) // 2
+    assert all(type(rhs) is tuple and len(rhs) == 3
+               and all(type(c) is float for c in rhs) for rhs in coeffs)
