@@ -99,7 +99,7 @@ def _on_fiber(spec, r, coords):
     return [coords if k == r else None for k in range(spec.m)]
 
 
-def einstein_rows(b, dims, lam, fiber_constants):
+def einstein_rows(b, dims, lam, fiber_constants, dt_terms=True):
     """The trace row and the fiber rows, each (T,), of the Einstein
     conditions for P = d/dt at warping samples `b`, shape (m, 3, T), of
     fibers of dimensions `dims` and Einstein constants `fiber_constants`.
@@ -110,24 +110,23 @@ def einstein_rows(b, dims, lam, fiber_constants):
 
     The last coefficient is (nbar - 1) = sum_i l_i, which the frame trace
     of the curvature formulas forces; for a single fiber it coincides with
-    the l_i-weighted form.
+    the l_i-weighted form.  Without `dt_terms` the rows leave out the terms
+    of P = d/dt, sum_i l_i in A and (nbar - 1) b_i b_i' in B: the rows of
+    the symmetrized Ricci tensor for P on a fiber off that fiber.
     """
     nbar1 = float(sum(dims))
     dims = np.asarray(dims, dtype=float)
-    trace = dims @ (1.0 - b[:, 2] / b[:, 0]) - lam
+    quotient = b[:, 2] / b[:, 0]
+    trace = (dims @ (1.0 - quotient) if dt_terms else -(dims @ quotient)) - lam
     ratio = b[:, 1] / b[:, 0]
     fibers = []
     for i, lam_i in enumerate(fiber_constants):
         bi, dbi, ddbi = b[i]
         cross = (dims @ ratio) - dims[i] * ratio[i]
-        fibers.append(
-            lam_i
-            - bi * ddbi
-            - (dims[i] - 1) * dbi**2
-            - bi * dbi * cross
-            + nbar1 * bi * dbi
-            - lam * bi**2
-        )
+        row = lam_i - bi * ddbi - (dims[i] - 1) * dbi**2 - bi * dbi * cross
+        if dt_terms:
+            row = row + nbar1 * bi * dbi
+        fibers.append(row - lam * bi**2)
     return trace, fibers
 
 
@@ -158,22 +157,12 @@ def pseudo_einstein_residuals(spec, P: TorsionVectorFieldSpec, lam, grid,
     ratio = b[:, 1] / b[:, 0]
 
     result = EinsteinCheckResult()
-    cond_a = -(dims @ (b[:, 2] / b[:, 0])) - lam
-    result.add(ResidualReport.from_values("pseudo-trace", cond_a, tolerance))
-
-    for i, f in enumerate(spec.fibers):
-        if i == r:
-            continue
-        bi, dbi, ddbi = b[i]
-        cross = (dims @ ratio) - dims[i] * ratio[i]
-        res = (
-            f.einstein_constant
-            - bi * ddbi
-            - (dims[i] - 1) * dbi**2
-            - bi * dbi * cross
-            - lam * bi**2
-        )
-        result.add(ResidualReport.from_values(f"pseudo-fiber-{i}", res, tolerance))
+    trace, fibers = einstein_rows(b, spec.fiber_dims, lam,
+                                  [f.einstein_constant for f in spec.fibers], dt_terms=False)
+    result.add(ResidualReport.from_values("pseudo-trace", trace, tolerance))
+    for i, res in enumerate(fibers):
+        if i != r:
+            result.add(ResidualReport.from_values(f"pseudo-fiber-{i}", res, tolerance))
 
     # Fiber r carries the torsion field: the tensor identity on frame pairs
     # (e_a, e_b) at three points of F_r, from one cache over the three, each

@@ -1,21 +1,25 @@
 """Closed-form warping-function families and their verification machinery.
 
 Each generator returns the complete list of families matching the supplied
-constants, or an empty list when no closed form exists.  A family knows
+constants, or an empty list when no closed form exists.  A closed-form
+family is its data:
 
-* its governed profile: the function its linear ODE controls (the warping
-  itself or an auxiliary power of it),
-* a residual system: exact expressions that vanish identically on the
-  family, evaluated over a t-grid.  The Robertson-Walker and Kasner scalar
-  rows are `einstein`'s closed forms for P = d/dt at the family's
-  warpings, each a power of the profile; the Kasner Einstein rows are the
-  paper's Kasner system (`_kasner_system_values`),
-* how to rebuild the actual warping expressions for end-to-end checks.
+* its profile u, a closed form solving the linear constant-coefficient ODE
+  u'' = alpha u + beta u' + gamma whose coefficients are `ode_coeffs`;
+* the product it describes: warping i is u^{powers[i]} over a fiber of
+  dimension dims[i] with Einstein constant or scalar curvature
+  fiber_constants[i], and `target` is the Einstein constant or the total
+  scalar curvature;
+* which system its residual rows evaluate, `equations`: `einstein`'s
+  closed-form Einstein conditions for P = d/dt at the warpings ("einstein"),
+  the paper's Kasner system at the profile phi (`_kasner_system_values`,
+  "kasner"), or `einstein`'s closed-form scalar curvature for P = d/dt at
+  the warpings ("scalar").  The families of an auxiliary profile (v, w and
+  psi, `auxiliary`) also check the profile's ODE in a `profile-ode` row.
 
-A closed-form family states its profile's linear constant-coefficient ODE
-u'' = alpha u + beta u' + gamma as the data `ode_coeffs`.  Families without
-a closed form (`numeric_only`) carry the governing ODE right-hand side as a
-callable instead and are handled by the integrator.
+`SolutionFamily.residuals` builds every row from that data.  Families
+without a closed form (`numeric_only`) carry the governing ODE right-hand
+side as a callable instead and are handled by the integrator.
 
 Nonexistence in the contradiction branches is evidenced by lattice scans:
 the residual system stays bounded away from zero over the whole lattice.
@@ -91,22 +95,28 @@ def profile_derivatives(expr, ts):
 
 def _power_samples(u, e):
     """The rows (b, b', b'') of b = u^e from the profile samples u, the
-    rows (u, u', u''), by the chain rule."""
+    rows (u, u', u''), by the chain rule; a power of 1 is u itself."""
+    if e == 1:
+        return u
     u, du, ddu = u
     below = u ** (e - 1)
     return u**e, e * below * du, e * (e - 1) * u ** (e - 2) * du**2 + e * below * ddu
 
 
-def _scalar_identity(u, powers, dims, svals, scalar):
-    """The closed-form scalar curvature for P = d/dt minus the target
-    scalar, at the warpings u^{e_i}, one power e_i in `powers` per fiber of
-    dimension dims[i] and scalar curvature svals[i], from the profile
-    samples u (3, T).  A fractional power of a profile sample <= 0 is
-    NonPositiveWarping."""
+def _warpings(u, powers):
+    """The warping samples (m, 3, T) of the warpings u^{e_i}, one power e_i
+    in `powers` per fiber, from the profile samples u (3, T).  A fractional
+    power of a profile sample <= 0 is NonPositiveWarping."""
     fractional = [e for e in powers if not float(e).is_integer()]
     if fractional and u[0].min() <= 0.0:
         raise NonPositiveWarping(f"power {fractional[0]} of a profile that is not positive")
-    b = np.array([_power_samples(u, e) for e in powers])
+    return np.array([_power_samples(u, e) for e in powers])
+
+
+def _scalar_identity(b, dims, svals, scalar):
+    """The closed-form scalar curvature for P = d/dt minus the target
+    scalar at warping samples b of fibers of dimensions dims and scalar
+    curvatures svals."""
     return with_dt_terms(scalar_samples(b, dims, svals), b, dims) - scalar
 
 
@@ -123,7 +133,6 @@ class SolutionFamily:
     """One classified closed-form (or integrator-backed) solution family."""
 
     family_id: str
-    case: str
     params: dict
     free_params: tuple
     param_ranges: dict
@@ -131,8 +140,18 @@ class SolutionFamily:
     ode_order: int = 2
     # (alpha, beta, gamma) of the profile ODE u'' = alpha u + beta u' + gamma
     ode_coeffs: tuple = None
+    # the product: warping i is profile ** powers[i] over a fiber of dimension
+    # dims[i] and Einstein constant or scalar curvature fiber_constants[i]
+    powers: tuple = ()
+    dims: tuple = ()
+    fiber_constants: tuple = ()
+    # the Einstein constant or the total scalar curvature of the product
+    target: float = 0.0
+    # the rows: "einstein", "kasner" or "scalar" (see the module docstring)
+    equations: str = "scalar"
+    # the profile is an auxiliary one (v, w, psi): a profile-ode row checks it
+    auxiliary: bool = False
     _profile_builder: object = None
-    _residuals: object = None
     _ode_rhs: object = None  # numeric-only: params -> rhs(t, u, u') or rhs(t, u)
 
     def merged(self, overrides=None):
@@ -161,11 +180,26 @@ class SolutionFamily:
         """Residual arrays of the governing system, keyed by equation name."""
         if self.numeric_only:
             raise WarpcurvError(f"{self.family_id} is integrator-backed only")
-        p = self.merged(overrides)
+        expr = self.profile(overrides)
+        u = profile_derivatives(expr, _nonempty_grid(ts))
+        if self.equations == "kasner":
+            rows = _kasner_system_values(self.powers, self.dims, self.target,
+                                         self.fiber_constants, *u)
+            return {f"kasner-eq-{k}": row for k, row in enumerate(rows)}
         try:
-            return self._residuals(self._profile_builder(p), p, _nonempty_grid(ts))
+            b = _warpings(u, self.powers)
         except NonPositiveWarping as exc:
             raise NonPositiveWarping(f"{self.family_id}: {exc}") from None
+        if self.equations == "einstein":
+            trace, (fiber,) = einstein_rows(b, self.dims, self.target, self.fiber_constants)
+            return {"einstein-trace": trace, "einstein-fiber": fiber}
+        out = {}
+        if self.auxiliary:
+            alpha, beta, gamma = self.ode_coeffs
+            out["profile-ode"] = u[2] - beta * u[1] + (-alpha) * u[0] - gamma
+        out["scalar-identity"] = _scalar_identity(b, self.dims, self.fiber_constants,
+                                                  self.target)
+        return out
 
     def max_residual(self, ts, overrides=None):
         """The largest |value| of the residual rows, NaN if a row has one."""
@@ -198,19 +232,13 @@ class SolutionFamily:
 # Robertson-Walker Einstein families
 
 
-def _grw_einstein_residuals(expr, p, ts):
-    """The Einstein conditions at the warping f, the profile itself."""
-    trace, (fiber,) = einstein_rows(profile_derivatives(expr, ts)[None], (p["l"],),
-                                    p["lam"], (p["lam_fiber"],))
-    return {"einstein-trace": trace, "einstein-fiber": fiber}
-
-
 def grw_einstein_family(l, lam, lam_fiber):
     """Closed-form warpings making interval x fiber Einstein at constant lam.
 
     Exactly two families exist: the exponential warping with both constants
     zero, and the constant warping sqrt(lam_fiber / l) when lam equals the
-    fiber dimension and the fiber constant is positive.
+    fiber dimension and the fiber constant is positive.  The warping is the
+    profile itself.
     """
     if l < 2:
         raise InvalidDimension("fiber dimension must exceed 1")
@@ -218,27 +246,55 @@ def grw_einstein_family(l, lam, lam_fiber):
     if _close(lam, 0.0) and _close(lam_fiber, 0.0):
         out.append(SolutionFamily(
             family_id="grw-einstein-exponential",
-            case="exponential",
             params={"c1": 1.0, "l": l, "lam": 0.0, "lam_fiber": 0.0},
             free_params=("c1",),
             param_ranges={"c1": (0.2, 2.0)},
             _profile_builder=lambda p: Const(p["c1"]) * _exp_t(1.0),
-            _residuals=_grw_einstein_residuals,
             ode_coeffs=(1.0, 0.0, 0.0),
+            powers=(1.0,), dims=(l,), fiber_constants=(0.0,), target=0.0,
+            equations="einstein",
         ))
     if _close(lam, float(l)) and lam_fiber > _EQ_TOL:
         c = math.sqrt(lam_fiber / l)
         out.append(SolutionFamily(
             family_id="grw-einstein-constant",
-            case="constant",
             params={"l": l, "lam": float(l), "lam_fiber": lam_fiber, "c": c},
             free_params=(),
             param_ranges={},
             _profile_builder=lambda p: Const(p["c"]),
-            _residuals=_grw_einstein_residuals,
             ode_coeffs=(0.0, 0.0, 0.0),
+            powers=(1.0,), dims=(l,), fiber_constants=(lam_fiber,), target=float(l),
+            equations="einstein",
         ))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Families of an auxiliary profile
+
+
+def _lifted_ranges(shift, c1_high, c2_range):
+    """Draw ranges keeping c1 + shift positive despite a possibly large
+    negative constant part shift of the profile."""
+    lift = max(0.0, -shift)
+    return {"c1": (0.5 + 1.15 * lift, c1_high + 1.3 * lift), "c2": c2_range}
+
+
+def _auxiliary_family(fid, params, builder, ode_coeffs, powers, dims, fiber_constants,
+                      scalar, ranges):
+    """A constant-scalar family of an auxiliary profile u (v, w or psi),
+    free in c1 and c2: warping i is u^{powers[i]}, and u solves the ODE of
+    `ode_coeffs`, which its profile-ode row checks."""
+    return SolutionFamily(
+        family_id=fid,
+        params=params,
+        free_params=("c1", "c2"),
+        param_ranges=ranges,
+        _profile_builder=builder,
+        ode_coeffs=ode_coeffs,
+        powers=tuple(powers), dims=tuple(dims), fiber_constants=tuple(fiber_constants),
+        target=scalar, auxiliary=True,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,104 +308,58 @@ def grw_scalar_discriminant(l, scalar):
     return l**2 / 4.0 + (l + 1.0) * (l - scalar) / l
 
 
-def _v_family(fid, case, params, builder, scalar, s_fiber,
-              ranges=None):
-    # v'' = 1.5 v' - a v + b
-    a, b = scalar / 3.0 - 1.0, s_fiber / 3.0
-
-    def residuals(expr, p, ts):
-        v, dv, ddv = samples = profile_derivatives(expr, ts)
-        ode = ddv - 1.5 * dv + a * v - b
-        # the warping is f = v^{1/2}
-        scal = _scalar_identity(samples, (0.5,), (3,), (s_fiber,), scalar)
-        return {"profile-ode": ode, "scalar-identity": scal}
-
-    if ranges is None:
-        # keep v positive despite a possibly large negative constant part
-        lift = max(0.0, -params.get("shift", 0.0))
-        ranges = {"c1": (0.5 + 1.15 * lift, 1.8 + 1.3 * lift), "c2": (0.1, 1.0)}
-    return SolutionFamily(
-        family_id=fid,
-        case=case,
-        params=params,
-        free_params=("c1", "c2"),
-        param_ranges=ranges,
-        _profile_builder=builder,
-        _residuals=residuals,
-        ode_coeffs=(-a, 1.5, b),
-    )
-
-
-def _w_family(fid, case, params, builder, l, scalar):
-    expo = 4.0 / (l + 1.0)
-    # w'' = half w' - coef w
-    half, coef = l / 2.0, ((l + 1.0) / 4.0) * ((scalar - l) / l)
-
-    def residuals(expr, p, ts):
-        w, dw, ddw = samples = profile_derivatives(expr, ts)
-        ode = ddw - half * dw + coef * w
-        # the warping is f = w^{expo/2}
-        scal = _scalar_identity(samples, (expo / 2.0,), (l,), (0.0,), scalar)
-        return {"profile-ode": ode, "scalar-identity": scal}
-
-    return SolutionFamily(
-        family_id=fid,
-        case=case,
-        params={**params, "exponent": expo},
-        free_params=("c1", "c2"),
-        param_ranges={"c1": (0.4, 1.5), "c2": (0.05, 0.8)},
-        _profile_builder=builder,
-        _residuals=residuals,
-        ode_coeffs=(-coef, half, 0.0),
-    )
-
-
 def grw_scalar_family(l, scalar, s_fiber):
     """Warping families giving constant total scalar curvature.
 
-    A three-dimensional fiber admits closed forms for any fiber scalar;
-    other dimensions only for vanishing fiber scalar, otherwise the
-    governing equation is nonlinear and the family is integrator-backed.
+    A three-dimensional fiber admits closed forms for any fiber scalar, in
+    v = f^2; other dimensions only for vanishing fiber scalar, in
+    w = f^{(l + 1)/2}, otherwise the governing equation is nonlinear and the
+    family is integrator-backed.
     """
     if l < 1:
         raise InvalidDimension("fiber dimension must be at least 1")
-    if l == 3 and _close(scalar, 3.0):
-        return [_v_family(
-            "grw-scalar-l3-degenerate", "degenerate-trace",
-            {"c1": 1.0, "c2": 0.3, "scalar": 3.0, "s_fiber": s_fiber, "l": 3},
-            lambda p: (Const(p["c1"]) + Const(-2.0 * p["s_fiber"] / 9.0) * _T
-                       + Const(p["c2"]) * _exp_t(1.5)),
-            3.0, s_fiber,
-            ranges={"c1": (0.6, 2.0), "c2": (0.05, 0.8)},
-        )]
     if l == 3:
-        case, roots, homogeneous = _characteristic_roots(
-            grw_scalar_discriminant(3, scalar), 0.75)
-        return [_v_family(
-            f"grw-scalar-l3-{case}", case,
-            {"c1": 1.0, "c2": 0.5 if case == "distinct-roots" else 0.4,
-             "scalar": scalar, "s_fiber": s_fiber, "l": 3,
-             "shift": s_fiber / (scalar - 3.0), **roots},
-            lambda p: homogeneous(p) + Const(p["shift"]),
-            scalar, s_fiber,
-            ranges=({"c1": (0.8, 1.8), "c2": (0.05, 0.5)}
-                    if case == "complex-roots" else None),
-        )]
+        if _close(scalar, 3.0):
+            scalar = 3.0
+            params = {"c1": 1.0, "c2": 0.3, "scalar": 3.0, "s_fiber": s_fiber, "l": 3}
+            fid, ranges = "grw-scalar-l3-degenerate", {"c1": (0.6, 2.0), "c2": (0.05, 0.8)}
+
+            def builder(p):
+                return (Const(p["c1"]) + Const(-2.0 * p["s_fiber"] / 9.0) * _T
+                        + Const(p["c2"]) * _exp_t(1.5))
+        else:
+            case, roots, homogeneous = _characteristic_roots(
+                grw_scalar_discriminant(3, scalar), 0.75)
+            shift = s_fiber / (scalar - 3.0)
+            params = {"c1": 1.0, "c2": 0.5 if case == "distinct-roots" else 0.4,
+                      "scalar": scalar, "s_fiber": s_fiber, "l": 3, "shift": shift, **roots}
+            fid = f"grw-scalar-l3-{case}"
+            ranges = ({"c1": (0.8, 1.8), "c2": (0.05, 0.5)} if case == "complex-roots"
+                      else _lifted_ranges(shift, 1.8, (0.1, 1.0)))
+
+            def builder(p):
+                return homogeneous(p) + Const(p["shift"])
+        # v'' = 1.5 v' - (scalar/3 - 1) v + s_fiber/3, and f = v^{1/2}
+        return [_auxiliary_family(fid, params, builder,
+                                  (-(scalar / 3.0 - 1.0), 1.5, s_fiber / 3.0),
+                                  (0.5,), (3,), (s_fiber,), scalar, ranges)]
+    expo = 4.0 / (l + 1.0)
     if abs(s_fiber) <= _EQ_TOL:
         case, roots, homogeneous = _characteristic_roots(
             grw_scalar_discriminant(l, scalar), l / 4.0)
         c2 = {"distinct-roots": 0.5, "double-root": 0.4, "complex-roots": 0.3}[case]
-        return [_w_family(
-            f"grw-scalar-power-{case}", case,
-            {"c1": 1.0, "c2": c2, **roots, "scalar": scalar, "s_fiber": 0.0, "l": l},
-            homogeneous, l, scalar,
+        # w'' = (l/2) w' - ((l + 1)/4) ((scalar - l)/l) w, and f = w^{expo/2}
+        return [_auxiliary_family(
+            f"grw-scalar-power-{case}",
+            {"c1": 1.0, "c2": c2, **roots, "scalar": scalar, "s_fiber": 0.0, "l": l,
+             "exponent": expo},
+            homogeneous, (-(((l + 1.0) / 4.0) * ((scalar - l) / l)), l / 2.0, 0.0),
+            (expo / 2.0,), (l,), (0.0,), scalar, {"c1": (0.4, 1.5), "c2": (0.05, 0.8)},
         )]
 
     # fiber scalar present and l != 3: nonlinear equation, integrator only
-    expo = 4.0 / (l + 1.0)
     return [SolutionFamily(
         family_id="grw-scalar-power-forced",
-        case="forced-nonlinear",
         params={"scalar": scalar, "s_fiber": s_fiber, "l": l, "exponent": expo,
                 "w0": 1.0, "dw0": 0.2},
         free_params=("w0", "dw0"),
@@ -425,26 +435,9 @@ def _check_type(kind, dims):
         raise UnsupportedType(f"unsupported Kasner type {kind!r}")
 
 
-def _kasner_einstein_residual_fn(exponents, dims, lam, lam_fibers):
-    def residuals(expr, p, ts):
-        phi, dphi, ddphi = profile_derivatives(expr, ts)
-        rows = _kasner_system_values(exponents, dims, lam, lam_fibers,
-                                     phi, dphi, ddphi)
-        return {f"kasner-eq-{k}": row for k, row in enumerate(rows)}
-
-    return residuals
-
-
-def _kasner_scalar_residual_fn(exponents, dims, scalar, s_fibers):
-    def residuals(expr, p, ts):
-        phi = profile_derivatives(expr, ts)
-        return {"scalar-identity": _scalar_identity(phi, exponents, dims, s_fibers, scalar)}
-
-    return residuals
-
-
-def _phi_exp_family(fid, case, rate_sq, params, residual_builder):
-    """Family phi = c0 exp(sign sqrt(rate_sq) t)."""
+def _phi_exp_family(fid, rate_sq, params, **product):
+    """Family phi = c0 exp(sign sqrt(rate_sq) t) of the product data
+    `product`: its powers, dims, fiber_constants, target and equations."""
     rate = math.sqrt(rate_sq)
 
     def builder(p):
@@ -452,13 +445,12 @@ def _phi_exp_family(fid, case, rate_sq, params, residual_builder):
 
     return SolutionFamily(
         family_id=fid,
-        case=case,
         params={**params, "c0": 1.0, "sign": 1.0, "rate": rate},
         free_params=("c0", "sign"),
         param_ranges={"c0": (0.3, 1.8)},
         _profile_builder=builder,
-        _residuals=residual_builder,
         ode_coeffs=(rate_sq, 0.0, 0.0),
+        **product,
     )
 
 
@@ -468,12 +460,14 @@ def kasner_einstein_families(kind, p, dims, lam, lam_fibers):
     Type II (fiber dimensions 1 and 2): either the trace-free exponent case
     with both constants zero, or a vanishing second exponent with constants
     (-6, -9).  Type III (three one-dimensional fibers, not all exponents
-    equal): only the trace-free case at zero Einstein constant.
+    equal): only the trace-free case at zero Einstein constant.  The
+    warpings are phi^{p_i} of the profile phi.
     """
     _check_type(kind, dims)
     zeta, eta = kasner_invariants(p, dims)
     if len(lam_fibers) != len(dims):
         raise LengthMismatch("need one fiber Einstein constant per fiber")
+    product = {"powers": tuple(p), "dims": tuple(dims), "equations": "kasner"}
     out = []
     if kind == "II":
         p1, p2 = p
@@ -482,25 +476,24 @@ def kasner_einstein_families(kind, p, dims, lam, lam_fibers):
         lam2 = lam_fibers[1]
         if _close(zeta, 0.0) and eta > _EQ_TOL and _close(lam, 0.0) and _close(lam2, 0.0):
             out.append(_phi_exp_family(
-                "kasner2-einstein-null-trace", "trace-free-exponents", 3.0 / eta,
+                "kasner2-einstein-null-trace", 3.0 / eta,
                 {"p": tuple(p), "dims": tuple(dims), "lam": 0.0,
                  "lam_fibers": tuple(lam_fibers), "zeta": zeta, "eta": eta},
-                _kasner_einstein_residual_fn(p, dims, 0.0, lam_fibers),
+                fiber_constants=tuple(lam_fibers), target=0.0, **product,
             ))
         if (abs(p2) <= _EQ_TOL and abs(p1) > _EQ_TOL
                 and _close(lam, -6.0) and _close(lam2, -9.0)):
             rate = 3.0 / zeta
             out.append(SolutionFamily(
                 family_id="kasner2-einstein-exponential",
-                case="degenerate-second-exponent",
                 params={"c1": 1.0, "p": tuple(p), "dims": tuple(dims), "lam": -6.0,
                         "lam_fibers": tuple(lam_fibers), "zeta": zeta, "eta": eta,
                         "rate": rate},
                 free_params=("c1",),
                 param_ranges={"c1": (0.3, 1.8)},
                 _profile_builder=lambda q: Const(q["c1"]) * _exp_t(q["rate"]),
-                _residuals=_kasner_einstein_residual_fn(p, dims, -6.0, lam_fibers),
                 ode_coeffs=(rate**2, 0.0, 0.0),
+                fiber_constants=tuple(lam_fibers), target=-6.0, **product,
             ))
         return out
     if any(abs(x) > _EQ_TOL for x in lam_fibers):
@@ -509,62 +502,16 @@ def kasner_einstein_families(kind, p, dims, lam, lam_fibers):
                    for i in range(3) for j in range(i + 1, 3))
     if distinct and _close(lam, 0.0) and _close(zeta, 0.0) and eta > _EQ_TOL:
         out.append(_phi_exp_family(
-            "kasner3-einstein-null-trace", "trace-free-exponents", 3.0 / eta,
+            "kasner3-einstein-null-trace", 3.0 / eta,
             {"p": tuple(p), "dims": tuple(dims), "lam": 0.0,
              "lam_fibers": (0.0, 0.0, 0.0), "zeta": zeta, "eta": eta},
-            _kasner_einstein_residual_fn(p, dims, 0.0, (0.0, 0.0, 0.0)),
+            fiber_constants=(0.0, 0.0, 0.0), target=0.0, **product,
         ))
     return out
 
 
 def kasner_scalar_discriminant(zeta, eta, scalar):
     return 9.0 / 4.0 - (scalar - 3.0) * (eta + zeta**2) / zeta**2
-
-
-def _psi_family(fid, case, params, psi_builder, exponents, dims, scalar,
-                s_fibers, coeff0, inhom=0.0):
-    """Auxiliary-profile family: psi'' - (3/2) psi' + coeff0 psi + inhom = 0,
-    with warping profile phi = psi^{2 zeta / (eta + zeta^2)}."""
-    zeta, eta = kasner_invariants(exponents, dims)
-    mu = 2.0 * zeta / (eta + zeta**2)
-    shift = -inhom / coeff0 if abs(inhom) > 0.0 else 0.0
-
-    def psi_full(p):
-        psi = psi_builder(p)
-        return psi + Const(shift) if abs(shift) > 0.0 else psi
-
-    def residuals(expr, p, ts):
-        psi, dpsi, ddpsi = samples = profile_derivatives(expr, ts)
-        ode = ddpsi - 1.5 * dpsi + coeff0 * psi + inhom
-        # the warpings are phi^{p_i} = psi^{mu p_i}, each one power of psi
-        scal = _scalar_identity(samples, [mu * pi for pi in exponents], dims, s_fibers,
-                                scalar)
-        return {"profile-ode": ode, "scalar-identity": scal}
-
-    lift = max(0.0, -shift)
-    return SolutionFamily(
-        family_id=fid,
-        case=case,
-        params={**params, "mu": mu, "shift": shift},
-        free_params=("c1", "c2"),
-        param_ranges={"c1": (0.5 + 1.15 * lift, 1.6 + 1.3 * lift), "c2": (0.05, 0.7)},
-        _profile_builder=psi_full,
-        _residuals=residuals,
-        ode_coeffs=(-coeff0, 1.5, -inhom),
-    )
-
-
-def _constant_phi_family(fid, p, dims, scalar, s_fibers):
-    return SolutionFamily(
-        family_id=fid,
-        case="constant",
-        params={"c0": 1.0, "p": tuple(p), "dims": tuple(dims), "scalar": scalar},
-        free_params=("c0",),
-        param_ranges={"c0": (0.3, 2.0)},
-        _profile_builder=lambda q: Const(q["c0"]),
-        _residuals=_kasner_scalar_residual_fn(p, dims, scalar, s_fibers),
-        ode_coeffs=(0.0, 0.0, 0.0),
-    )
 
 
 def kasner_scalar_families(kind, p, dims, scalar, s_fibers):
@@ -574,33 +521,58 @@ def kasner_scalar_families(kind, p, dims, scalar, s_fibers):
     discriminant; type II linearizes only when the surface fiber's scalar
     vanishes, the second exponent vanishes, or the exponent combination
     degenerates to a constant forcing term, and otherwise falls back to the
-    integrator.
+    integrator.  The warpings are phi^{p_i}: of the profile phi in the
+    trace-free case, and psi^{mu p_i} of the auxiliary profile psi, with
+    phi = psi^mu, otherwise.
     """
     _check_type(kind, dims)
     zeta, eta = kasner_invariants(p, dims)
     if len(s_fibers) != len(dims):
         raise LengthMismatch("need one fiber scalar per fiber")
+    product = {"powers": tuple(p), "dims": tuple(dims),
+               "fiber_constants": tuple(s_fibers), "target": scalar}
+
+    def static_family(fid):
+        return SolutionFamily(
+            family_id=fid,
+            params={"c0": 1.0, "p": tuple(p), "dims": tuple(dims), "scalar": scalar},
+            free_params=("c0",),
+            param_ranges={"c0": (0.3, 2.0)},
+            _profile_builder=lambda q: Const(q["c0"]),
+            ode_coeffs=(0.0, 0.0, 0.0),
+            **product,
+        )
 
     def trace_free_family(fid_prefix):
         # zeta = 0 and no fiber term: phi is constant at scalar 3, exponential below
         if _close(scalar, 3.0):
-            return [_constant_phi_family(f"{fid_prefix}-static", p, dims, scalar,
-                                         s_fibers)]
+            return [static_family(f"{fid_prefix}-static")]
         if eta > _EQ_TOL and scalar < 3.0:
             return [_phi_exp_family(
-                f"{fid_prefix}-exponential", "exponential", (3.0 - scalar) / eta,
+                f"{fid_prefix}-exponential", (3.0 - scalar) / eta,
                 {"p": tuple(p), "dims": tuple(dims), "scalar": scalar,
                  "zeta": zeta, "eta": eta},
-                _kasner_scalar_residual_fn(p, dims, scalar, s_fibers),
+                **product,
             )]
         return []
 
-    def psi_family(fid_prefix, coeff, disc, inhom=0.0):
+    def psi_family(fid_prefix, coeff0, disc, inhom=0.0):
+        # psi'' - (3/2) psi' + coeff0 psi + inhom = 0
         case, roots, homogeneous = _characteristic_roots(disc, 0.75)
         c2 = {"distinct-roots": 0.4, "double-root": 0.3, "complex-roots": 0.25}[case]
-        return [_psi_family(f"{fid_prefix}-{case}", case,
-                            {"c1": 1.0, "c2": c2, **roots, "scalar": scalar},
-                            homogeneous, p, dims, scalar, s_fibers, coeff, inhom)]
+        mu = 2.0 * zeta / (eta + zeta**2)
+        shift = -inhom / coeff0 if abs(inhom) > 0.0 else 0.0
+
+        def builder(q):
+            psi = homogeneous(q)
+            return psi + Const(shift) if abs(shift) > 0.0 else psi
+
+        return [_auxiliary_family(
+            f"{fid_prefix}-{case}",
+            {"c1": 1.0, "c2": c2, **roots, "scalar": scalar, "mu": mu, "shift": shift},
+            builder, (-coeff0, 1.5, -inhom), [mu * pi for pi in p], dims, s_fibers, scalar,
+            _lifted_ranges(shift, 1.6, (0.05, 0.7)),
+        )]
 
     if kind == "III":
         if any(abs(s) > _EQ_TOL for s in s_fibers):
@@ -618,8 +590,7 @@ def kasner_scalar_families(kind, p, dims, scalar, s_fibers):
     if abs(zeta) <= _EQ_TOL:
         if abs(eta) <= _EQ_TOL:
             if _close(scalar, s2 + 3.0):
-                return [_constant_phi_family("kasner2-scalar-static", p, dims,
-                                             scalar, s_fibers)]
+                return [static_family("kasner2-scalar-static")]
             return []
         if abs(s2) <= _EQ_TOL:
             return trace_free_family("kasner2-scalar")
@@ -657,7 +628,6 @@ def _kasner2_first_order_numeric(p, dims, scalar, s2, eta):
 
     return SolutionFamily(
         family_id="kasner2-scalar-forced-gradient",
-        case="forced-first-order",
         params={"p": tuple(p), "dims": tuple(dims), "scalar": scalar, "s2": s2,
                 "eta": eta, "phi0": 1.0, "sign": 1.0},
         free_params=("phi0", "sign"),
@@ -679,7 +649,6 @@ def _kasner2_second_order_numeric(p, dims, scalar, s2, zeta, eta, mu_expo):
 
     return SolutionFamily(
         family_id="kasner2-scalar-forced",
-        case="forced-nonlinear",
         params={"p": tuple(p), "dims": tuple(dims), "scalar": scalar, "s2": s2,
                 "zeta": zeta, "eta": eta, "mu_expo": mu_expo,
                 "psi0": 1.0, "dpsi0": 0.2},

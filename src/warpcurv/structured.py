@@ -835,13 +835,6 @@ def structured_curvature(c, kind):
     return out
 
 
-def _antisym(clause, c, bx, by, bz):
-    """R(X, Y)Z = -R(Y, X)Z for one block triple, a call of one member
-    (sweeps fill mirrored triples from the tensor and call no clause on
-    them)."""
-    return -np.swapaxes(clause(c, by, bx, bz), -3, -2)
-
-
 def _p_block_terms(c):
     """P terms of R(X, Y)Z for X, Y, Z on P's block:
     [g(Z, nabla_X P) - pi(Z) pi(X)] Y - [g(Z, nabla_Y P) - pi(Z) pi(Y)] X."""
@@ -854,9 +847,8 @@ def _p_block_terms(c):
 
 def _curv_p_base(c, bx, by, bz):
     """Clauses for P on the base, semi-symmetric connection; on the P-free view
-    they are the Levi-Civita clauses, which `_curv_p_fiber` builds on."""
-    if _mirrored(bx, by, bz):
-        return _antisym(_curv_p_base, c, bx, by, bz)
+    they are the Levi-Civita clauses, which `_curv_p_fiber` builds on.  The
+    triple is not mirrored: a sweep fills mirrored triples from the tensor."""
     rows, lead, shape = c.block(bx, by, bz)
     out = np.zeros(lead + shape)
 
@@ -939,11 +931,9 @@ def _curv_same_fiber(c, i):
 def _curv_p_fiber(c, bx, by, bz):
     """Clauses for P on fiber r, semi-symmetric connection: the P-free clause
     of the pattern plus its P terms, a term of the patterns through r on
-    r's members only."""
+    r's members only.  The triple is not mirrored: a sweep fills mirrored
+    triples from the tensor."""
     r = c.P_loc
-    if _mirrored(bx, by, bz):
-        return _antisym(_curv_p_fiber, c, bx, by, bz)
-
     out = _curv_p_base(c.without_p(), bx, by, bz)
     rows, _, _ = c.block(bx, by, bz)
     ln_b = c.d_ln_b(r)  # X(ln b_r) over the base coordinate vectors

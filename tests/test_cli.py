@@ -533,6 +533,21 @@ def test_readme_kasner_note_family_passes_where_einstein_check_fails(tmp_path,
         assert rows[name][1] == "fail"
 
 
+def test_kasner_einstein_family_generate_passes_at_small_exponents(tmp_path, capsysbinary):
+    # kasner2-einstein-null-trace at p = (0.1, -0.05) solves the paper's
+    # Kasner system to 7.1e-15.  Its profile phi = c0 exp(sqrt(3 / eta) t),
+    # eta = 0.015, grows to about 1e6 on [0, 1], so rounding alone would put
+    # a profile-ode row near 3e-8, past the 1e-10 tolerance: phi is no
+    # auxiliary profile, and its family has no such row
+    path = tmp_path / "kasner2-einstein.txt"
+    path.write_text("task = family-generate\nfamily.kind = kasner-einstein\n"
+                    "family.type = II\nfamily.p = 0.1,-0.05\nfamily.dims = 1,2\n"
+                    "family.lam = 0\nfamily.lam_fibers = 0,0\nformat = csv\n")
+    code, out = run_main(capsysbinary, "verify", str(path))
+    assert code == 0
+    assert b"kasner2-einstein-null-trace[residuals]," in out
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.txt")))
 def test_scenario_determinism(name, capsysbinary):
     path = str(SCENARIOS / name)

@@ -967,7 +967,8 @@ _PSI = {"c1": (0.5, 1.6), "c2": (0.05, 0.7)}
 def test_root_case_reference_families(generate, family_id, case, params, ranges,
                                       value):
     (fam,) = generate()
-    assert (fam.family_id, fam.case) == (family_id, case)
+    # the root case of the characteristic polynomial names the family
+    assert fam.family_id == family_id and family_id.endswith(f"-{case}")
     assert fam.params == params
     assert list(fam.params) == list(params)  # key order as well
     assert fam.param_ranges == ranges
@@ -976,18 +977,18 @@ def test_root_case_reference_families(generate, family_id, case, params, ranges,
 
 @pytest.mark.parametrize("kind,p,scalar,expected", [
     ("II", (1.0, -0.5), 3.0,
-     [("kasner2-scalar-static", "constant",
+     [("kasner2-scalar-static",
        {"c0": 1.0, "p": (1.0, -0.5), "dims": (1, 2), "scalar": 3.0})]),
     ("II", (1.0, -0.5), 1.5,
-     [("kasner2-scalar-exponential", "exponential",
+     [("kasner2-scalar-exponential",
        {"p": (1.0, -0.5), "dims": (1, 2), "scalar": 1.5, "zeta": 0.0, "eta": 1.5,
         "c0": 1.0, "sign": 1.0, "rate": 1.0})]),
     ("II", (1.0, -0.5), 4.0, []),
     ("III", (1.0, 1.0, -2.0), 3.0,
-     [("kasner3-scalar-static", "constant",
+     [("kasner3-scalar-static",
        {"c0": 1.0, "p": (1.0, 1.0, -2.0), "dims": (1, 1, 1), "scalar": 3.0})]),
     ("III", (1.0, 1.0, -2.0), 0.0,
-     [("kasner3-scalar-exponential", "exponential",
+     [("kasner3-scalar-exponential",
        {"p": (1.0, 1.0, -2.0), "dims": (1, 1, 1), "scalar": 0.0, "zeta": 0.0,
         "eta": 6.0, "c0": 1.0, "sign": 1.0, "rate": 0.7071067811865476})]),
     ("III", (1.0, 1.0, -2.0), 4.0, []),
@@ -995,23 +996,10 @@ def test_root_case_reference_families(generate, family_id, case, params, ranges,
 def test_trace_free_reference_families(kind, p, scalar, expected):
     dims = (1, 2) if kind == "II" else (1, 1, 1)
     fams = kasner_scalar_families(kind, p, dims, scalar, (0.0,) * len(dims))
-    assert [(f.family_id, f.case, f.params) for f in fams] == expected
+    assert [(f.family_id, f.params) for f in fams] == expected
 
 
 # -- scalar families against the products they describe ---------------------
-
-
-def _grw_l3(fam):
-    return (0.5,)  # the warping is f = v^{1/2}
-
-
-def _grw_power(fam):
-    return (fam.params["exponent"] / 2.0,)  # f = w^{e/2}
-
-
-def _kasner(p):
-    # warpings phi^{p_i}, and psi^{mu p_i} for the families of psi, phi = psi^mu
-    return lambda fam: tuple(fam.params.get("mu", 1.0) * x for x in p)
 
 
 _K3 = kasner_invariants((1.0, 2.0, 3.0), (1, 1, 1))
@@ -1020,62 +1008,103 @@ _CIRCLES = [Circle(), Circle(), Circle()]
 
 SCALAR_PRODUCTS = [
     # GRW over one fiber of dimension l with zero scalar curvature
-    *[(f"grw l=3 s={s}", lambda s=s: grw_scalar_family(3, s, 0.0), [FlatTorus(3)], _grw_l3)
+    *[(f"grw l=3 s={s}", lambda s=s: grw_scalar_family(3, s, 0.0), [FlatTorus(3)])
       for s in (3.0, 2.0, 75.0 / 16.0, 6.0)],
     *[(f"grw l={l} s={s}", lambda l=l, s=s: grw_scalar_family(l, s, 0.0),
-       [FlatTorus(l) if l > 1 else Circle()], _grw_power)
+       [FlatTorus(l) if l > 1 else Circle()])
       for l in (1, 2, 4) for s in (grw_scalar_threshold(l) + d for d in (-1.0, 0.0, 1.0))],
     # type III: three circles
     ("kasner3 static", lambda: kasner_scalar_families("III", (0.0,) * 3, (1, 1, 1), 3.0,
                                                       (0.0,) * 3),
-     _CIRCLES, _kasner((0.0,) * 3)),
+     _CIRCLES),
     ("kasner3 exponential", lambda: kasner_scalar_families("III", (1.0, 1.0, -2.0), (1, 1, 1),
                                                            0.0, (0.0,) * 3),
-     _CIRCLES, _kasner((1.0, 1.0, -2.0))),
+     _CIRCLES),
     *[(f"kasner3 s={s}", lambda s=s: kasner_scalar_families("III", (1.0, 2.0, 3.0), (1, 1, 1),
                                                             s, (0.0,) * 3),
-       _CIRCLES, _kasner((1.0, 2.0, 3.0)))
+       _CIRCLES)
       for s in (kasner_scalar_threshold(*_K3) + d for d in (-1.0, 0.0, 1.0))],
     # type II: a circle and a surface, flat or of scalar curvature s2
     ("kasner2 static", lambda: kasner_scalar_families("II", (0.0, 0.0), (1, 2), 3.0, (0.0, 0.0)),
-     [Circle(), FlatTorus(2)], _kasner((0.0, 0.0))),
+     [Circle(), FlatTorus(2)]),
     ("kasner2 static sphere", lambda: kasner_scalar_families("II", (0.0, 0.0), (1, 2), 1.0,
                                                              (0.0, -2.0)),
-     [Circle(), Sphere(1.0)], _kasner((0.0, 0.0))),
+     [Circle(), Sphere(1.0)]),
     ("kasner2 exponential", lambda: kasner_scalar_families("II", (1.0, -0.5), (1, 2), 1.5,
                                                            (0.0, 0.0)),
-     [Circle(), FlatTorus(2)], _kasner((1.0, -0.5))),
+     [Circle(), FlatTorus(2)]),
     *[(f"kasner2 s={s}", lambda s=s: kasner_scalar_families("II", (1.0, 1.0), (1, 2), s,
                                                             (0.0, 0.0)),
-       [Circle(), FlatTorus(2)], _kasner((1.0, 1.0)))
+       [Circle(), FlatTorus(2)])
       for s in (kasner_scalar_threshold(*_K2) + d for d in (-1.0, 0.0, 1.0))],
     # s2 = 2 on the hyperbolic plane: the merged (p_2 = 0) and offset
     # (constant fiber term) families
     *[(f"kasner2 merged s={s}", lambda s=s: kasner_scalar_families("II", (1.0, 0.0), (1, 2), s,
                                                                    (0.0, 2.0)),
-       [Circle(), HyperbolicPlane()], _kasner((1.0, 0.0)))
+       [Circle(), HyperbolicPlane()])
       for s in (5.125, 6.125, 7.125)],
     *[(f"kasner2 offset s={s}", lambda s=s: kasner_scalar_families("II", (1.0, 1.0), (1, 2), s,
                                                                    (0.0, 2.0)),
-       [Circle(), HyperbolicPlane()], _kasner((1.0, 1.0)))
+       [Circle(), HyperbolicPlane()])
       for s in (3.6875, 4.6875, 5.6875)],
 ]
 
 
-@pytest.mark.parametrize("name,generate,fibers,powers", SCALAR_PRODUCTS,
+@pytest.mark.parametrize("name,generate,fibers", SCALAR_PRODUCTS,
                          ids=[case[0] for case in SCALAR_PRODUCTS])
 def test_scalar_family_identity_is_the_oracle_scalar_of_its_product(name, generate, fibers,
-                                                                    powers, rng):
+                                                                    rng):
     # the product the family describes: an interval base, the fibers, the
-    # warpings u^{e_i} of the profile u and P = d/dt; its semi-symmetric
-    # oracle scalar is the family's scalar-identity row plus its target
+    # warpings u^{e_i} of the profile u, e_i in fam.powers, and P = d/dt;
+    # its semi-symmetric oracle scalar is the family's scalar-identity row
+    # plus its target
     (fam,) = generate()
     assert not fam.numeric_only
     params = fam.sample_params(rng)
     profile = fam.profile(params)
-    spec = ProductManifoldSpec(IntervalBase(), fibers, [profile ** e for e in powers(fam)])
+    spec = ProductManifoldSpec(IntervalBase(), fibers, [profile ** e for e in fam.powers])
     ts = np.linspace(0.1, 0.9, 5)
     oracle = connection_curvature(ConnectionKind.SEMI_SYMMETRIC_NON_METRIC, spec, p_dt(),
                                   spec.make_point(ts[:, None])).scalar
     identity = fam.residuals(ts, params)["scalar-identity"] + fam.params["scalar"]
     assert np.max(np.abs(identity - oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("generate,fibers", [
+    (lambda: grw_einstein_family(2, 0.0, 0.0), [FlatTorus(2)]),
+    (lambda: grw_einstein_family(3, 0.0, 0.0), [FlatTorus(3)]),
+    # lam_fiber = 1 is the hyperbolic plane: Ric = -K (l - 1) g with K = -1
+    (lambda: grw_einstein_family(2, 2.0, 1.0), [HyperbolicPlane()]),
+], ids=["exponential l=2", "exponential l=3", "constant l=2"])
+def test_einstein_family_product_is_einstein_for_the_oracle(generate, fibers, rng):
+    # the product the family describes, with warpings u^{e_i} of the profile
+    # u, e_i in fam.powers, and P = d/dt, has semi-symmetric Ric = lam g
+    (fam,) = generate()
+    profile = fam.profile(fam.sample_params(rng))
+    spec = ProductManifoldSpec(IntervalBase(), fibers, [profile ** e for e in fam.powers])
+    ts = np.linspace(0.1, 0.9, 5)
+    cur = connection_curvature(ConnectionKind.SEMI_SYMMETRIC_NON_METRIC, spec, p_dt(),
+                               spec.make_point(ts[:, None]))
+    assert np.max(np.abs(cur.ricci - fam.params["lam"] * cur.metric)) <= 1e-12
+
+
+def _with_kinds(test):
+    for case in _PERFBENCH_KINDS + _GOLDEN_KINDS:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(_family_cases())
+@_with_kinds
+def test_closed_form_families_state_one_power_dimension_and_constant_per_fiber(case):
+    kind, kwargs = case
+    try:
+        fams = FAMILY_GENERATORS[kind](**kwargs)
+    except WarpcurvError:
+        return
+    for fam in fams:
+        if not fam.numeric_only:
+            assert len(fam.powers) == len(fam.dims) == len(fam.fiber_constants) > 0, \
+                fam.family_id
+

@@ -17,7 +17,7 @@ import itertools
 
 import numpy as np
 import pytest
-from clause_reference import curvature_block, every_row, members, nabla_block
+from clause_reference import curvature_block, members, nabla_block
 from conftest import make_zoo
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -238,11 +238,15 @@ def test_whole_curvature_tensor_is_its_block_clauses_on_the_zoo(case):
 
 @pytest.mark.parametrize("p_location", [None, "base", 1])
 def test_mirrored_patterns_are_the_ones_their_clauses_swap(monkeypatch, p_location):
-    # _mirrored names exactly the patterns whose clause is the swapped
-    # pattern's through _antisym, and the whole tensor runs no clause on them
+    # the clauses take no mirrored triple: the whole tensor runs the clauses
+    # of its layout's sweep plan, and its calls' members are the
+    # non-mirrored triples not on three distinct fibers, each once, less
+    # exactly the zero classes stated here from the clause formulas
     base, geometries, twisted, _, _, coefs = P_ON_LAST_OF_THREE
     spec, P = build_case(base, geometries, twisted, p_location, coefs)
-    routed, clauses = [], []
+    blocks = ["base", *range(spec.m)]
+    cache = StructuredGeometryCache(spec, P, spec.sample_points(1))
+    clauses = []
 
     def recording(original, log):
         def wrapped(*args):
@@ -250,27 +254,6 @@ def test_mirrored_patterns_are_the_ones_their_clauses_swap(monkeypatch, p_locati
             return original(*args)
         return wrapped
 
-    monkeypatch.setattr(structured, "_antisym", recording(structured._antisym, routed))
-    blocks = ["base", *range(spec.m)]
-    cache = StructuredGeometryCache(spec, P, spec.sample_points(1))
-    for kind in ConnectionKind:
-        view, clause, _ = structured._dispatch(cache, kind, structured._curv_p_base,
-                                               structured._curv_p_fiber)
-        for triple in itertools.product(blocks, repeat=3):
-            routed.clear()
-            value = clause(view, *triple)
-            assert routed == ([triple] if structured._mirrored(*triple) else []), (kind, triple)
-            if routed:
-                # laid out as the pattern's rows, which are its mirror's
-                bx, by, bz = triple
-                mirror = every_row(view, clause(view, by, bx, bz), by, bx, bz)
-                assert np.array_equal(every_row(view, value, *triple),
-                                      -np.swapaxes(mirror, 2, 3)), (kind, triple)
-
-    # the whole tensor runs the clauses of its layout's sweep plan, and its
-    # calls' members are the non-mirrored triples not on three distinct
-    # fibers, each once, less exactly the zero classes stated here from the
-    # clause formulas
     for name in ("_curv_p_base", "_curv_p_fiber"):
         monkeypatch.setattr(structured, name, recording(getattr(structured, name), clauses))
     for kind in ConnectionKind:
@@ -282,10 +265,9 @@ def test_mirrored_patterns_are_the_ones_their_clauses_swap(monkeypatch, p_locati
                   if not structured._mirrored(*t) and not structured._distinct_fibers(*t)
                   and not stated_zero_triple(*t, r)}
         assert set(planned) == stated, kind
-        routed.clear()
         clauses.clear()
         structured_curvature(cache, kind)
-        assert routed == [] and set(clauses) == {tuple(run[:3]) for run in plan.clauses}, kind
+        assert set(clauses) == {tuple(run[:3]) for run in plan.clauses}, kind
 
 
 def stated_zero_triple(bx, by, bz, r):
