@@ -3,7 +3,7 @@ multiply warped products over a Lorentzian interval.
 
 All checks are residual functionals sampled on a t-grid: the caller
 supplies the candidate Einstein constant (or target scalar curvature) and
-gets back per-condition residual reports.  Closed-form family *generation*
+gets back one CheckRow per condition.  Closed-form family *generation*
 lives in `families`; here we only verify.  The closed forms take warping
 samples (`einstein_rows`, `scalar_samples`, `with_dt_terms`), so the
 families evaluate these same formulas at their own warpings.
@@ -11,7 +11,7 @@ families evaluate these same formulas at their own warpings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +21,7 @@ from .errors import DimensionTooSmall, UnsupportedP, WarpcurvError
 from .exprs import eval_grid
 from .geometry import IntervalBase, ProductManifoldSpec, TorsionVectorFieldSpec
 from .structured import StructuredGeometryCache
+from .verify import CheckRow
 
 DEFAULT_GRID_POINTS = 17
 CLOSED_FORM_TOL = 1e-8
@@ -40,27 +41,11 @@ def chebyshev_grid(a=0.0, b=1.0, n=DEFAULT_GRID_POINTS):
     return np.sort(0.5 * (a + b) + 0.5 * (b - a) * nodes)
 
 
-@dataclass
-class ResidualReport:
-    equation: str
-    max_abs_residual: float
-    tolerance: float
-    passed: bool
-
-    @staticmethod
-    def from_values(equation, values, tolerance):
-        worst = float(np.max(np.abs(np.asarray(values)))) if len(values) else 0.0
-        return ResidualReport(equation, worst, tolerance, worst < tolerance)
-
-
-@dataclass
-class EinsteinCheckResult:
-    reports: list = field(default_factory=list)
-    passed: bool = True
-
-    def add(self, report):
-        self.reports.append(report)
-        self.passed = self.passed and report.passed
+def _residual_row(check, values, tolerance):
+    """The row of a check whose residual is the largest |value|; no values
+    give 0."""
+    worst = float(np.max(np.abs(np.asarray(values)))) if len(values) else 0.0
+    return CheckRow.of(check, worst, tolerance)
 
 
 def _require_interval_warped(spec: ProductManifoldSpec):
@@ -75,7 +60,9 @@ def warping_samples(spec, grid):
 
     Untwisted warpings on an interval base depend on t alone.  A grid with
     no points is an error: every check samples through here, and a check
-    over no points would pass vacuously.
+    over no points would pass vacuously.  A warping that is not positive
+    at some grid value raises the error of `check_point` at the first such
+    point.
     """
     _require_interval_warped(spec)
     if not len(grid):
@@ -83,6 +70,8 @@ def warping_samples(spec, grid):
     out = np.zeros((spec.m, 3, len(grid)))
     for i, w in enumerate(spec.warpings):
         out[i] = eval_grid(w, grid)
+    if not out[:, 0].min() > 0.0:  # a NaN minimum fails too
+        _grid_points(spec, grid)
     return out
 
 
@@ -136,11 +125,9 @@ def grw_einstein_residuals(spec, lam, grid, tolerance=CLOSED_FORM_TOL):
     generic-oracle Einstein property Ric = lambda g."""
     trace, fibers = einstein_rows(warping_samples(spec, grid), spec.fiber_dims, lam,
                                   [f.einstein_constant for f in spec.fibers])
-    result = EinsteinCheckResult()
-    result.add(ResidualReport.from_values("einstein-trace", trace, tolerance))
-    for i, res in enumerate(fibers):
-        result.add(ResidualReport.from_values(f"einstein-fiber-{i}", res, tolerance))
-    return result
+    return [_residual_row("einstein-trace", trace, tolerance),
+            *(_residual_row(f"einstein-fiber-{i}", res, tolerance)
+              for i, res in enumerate(fibers))]
 
 
 def pseudo_einstein_residuals(spec, P: TorsionVectorFieldSpec, lam, grid,
@@ -156,13 +143,11 @@ def pseudo_einstein_residuals(spec, P: TorsionVectorFieldSpec, lam, grid,
     nbar = spec.n_bar
     ratio = b[:, 1] / b[:, 0]
 
-    result = EinsteinCheckResult()
     trace, fibers = einstein_rows(b, spec.fiber_dims, lam,
                                   [f.einstein_constant for f in spec.fibers], dt_terms=False)
-    result.add(ResidualReport.from_values("pseudo-trace", trace, tolerance))
-    for i, res in enumerate(fibers):
-        if i != r:
-            result.add(ResidualReport.from_values(f"pseudo-fiber-{i}", res, tolerance))
+    rows = [_residual_row("pseudo-trace", trace, tolerance),
+            *(_residual_row(f"pseudo-fiber-{i}", res, tolerance)
+              for i, res in enumerate(fibers) if i != r)]
 
     # Fiber r carries the torsion field: the tensor identity on frame pairs
     # (e_a, e_b) at three points of F_r, from one cache over the three, each
@@ -191,9 +176,8 @@ def pseudo_einstein_residuals(spec, P: TorsionVectorFieldSpec, lam, grid,
             rhs = (nbar - 1) * (br2 * gP[a] * (br2 * gP[bb])
                                 - 0.5 * (br2 * gnP[bb][a] + br2 * gnP[a][bb]))
             worst.append(lhs - rhs)
-    result.add(ResidualReport.from_values(f"pseudo-torsion-fiber-{r}",
-                                          np.concatenate(worst), tolerance))
-    return result
+    rows.append(_residual_row(f"pseudo-torsion-fiber-{r}", np.concatenate(worst), tolerance))
+    return rows
 
 
 def _row_dot(u, v):
@@ -277,7 +261,7 @@ def multiwarped_scalar(spec, P, grid, tolerance=ORACLE_TOL):
 
     The oracle walks the grid in blocks of at most `_ORACLE_BLOCK_ELEMENTS`
     points times n_bar**4, so memory stays bounded on large grids.  Returns
-    the report and the closed form over the grid, a ClosedFormScalar, which
+    the row and the closed form over the grid, a ClosedFormScalar, which
     `constant_scalar_separation_check` takes instead of computing it again.
     """
     closed = _closed_form(spec, P, grid)
@@ -289,8 +273,7 @@ def multiwarped_scalar(spec, P, grid, tolerance=ORACLE_TOL):
         for i in range(0, len(pts), step)
     ])
     devs = closed.values - oracle
-    return (ResidualReport.from_values("scalar-closed-form-vs-oracle", devs, tolerance),
-            closed)
+    return _residual_row("scalar-closed-form-vs-oracle", devs, tolerance), closed
 
 
 @dataclass

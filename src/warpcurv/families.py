@@ -27,12 +27,13 @@ the residual system stays bounded away from zero over the whole lattice.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .einstein import ResidualReport, einstein_rows, scalar_samples, with_dt_terms
+from .einstein import einstein_rows, scalar_samples, with_dt_terms
 from .errors import (
     ExprError,
     InvalidDimension,
@@ -44,6 +45,9 @@ from .errors import (
     WarpcurvError,
 )
 from .exprs import Const, Cos, Exp, Prod, ScalarExpr, Sin, Var, eval_grid, eval_jet
+from .verify import CheckRow
+
+logger = logging.getLogger("warpcurv")
 
 _T = Var("t")
 _EQ_TOL = 1e-9
@@ -745,8 +749,8 @@ def ode_cross_check(family: SolutionFamily, overrides=None, interval=(0.0, 1.0),
     """Integrate the family's governing equation from its own initial data.
 
     The closed form supplies the initial value and slope; the integration
-    must track it over the interval.  Deviations beyond `hard_limit` raise
-    StepTooCoarse.
+    must track it over the interval: the row `<family_id>[rk4]` holds the
+    largest deviation.  Deviations beyond `hard_limit` raise StepTooCoarse.
     """
     if family.numeric_only:
         raise WarpcurvError(f"{family.family_id} has no closed form to compare against")
@@ -759,7 +763,7 @@ def ode_cross_check(family: SolutionFamily, overrides=None, interval=(0.0, 1.0),
     dev = float(np.max(np.abs(us - exact)))
     if dev > hard_limit:
         raise StepTooCoarse(f"{family.family_id}: integration deviates by {dev:.3e}")
-    return ResidualReport("rk4-cross-check", dev, tolerance, dev < tolerance)
+    return CheckRow.of(f"{family.family_id}[rk4]", dev, tolerance)
 
 
 def solve_numeric_profile(family: SolutionFamily, overrides=None,
@@ -776,15 +780,6 @@ def solve_numeric_profile(family: SolutionFamily, overrides=None,
 
 # ---------------------------------------------------------------------------
 # Nonexistence scans
-
-
-@dataclass
-class ScanReport:
-    case_id: str
-    min_max_residual: float
-    threshold: float
-    passed: bool
-    detail: str = ""
 
 
 # Cells x t values in one block of a lattice scan: the default 41 x 41 box
@@ -844,6 +839,14 @@ def _lattice_min_max(c1_axis, c2_axis, t_points, rows_for, admissible):
     return best
 
 
+def _scan_row(case, best, threshold, detail):
+    """The row of a scan, which passes when the smallest worst-case residual
+    `best` stays at or above `threshold`; `detail` names the branch's
+    constants in an INFO line."""
+    logger.info("scan detail: %s", detail)
+    return CheckRow(case, best, threshold, "pass" if best >= threshold else "fail")
+
+
 def _scan_ts(n_c, t_points):
     """The scans' t-grid on [0, 1], once both lattice counts are checked."""
     if n_c < 0:
@@ -878,8 +881,8 @@ def scan_grw_einstein_oscillatory(l=2, lam=5.0, lam_fiber=1.0, c_range=(-2.0, 2.
         return [lam_fiber + (1 - l) * df**2 + (lam / l - 1 - lam) * f**2 + l * df * f]
 
     best = _lattice_min_max(axis, axis, t_points, rows_for, _off_origin)
-    return ScanReport("grw-einstein-oscillatory", best, threshold,
-                      best >= threshold, f"l={l}, lam={lam}, lam_fiber={lam_fiber}")
+    return _scan_row("grw-einstein-oscillatory", best, threshold,
+                     f"l={l}, lam={lam}, lam_fiber={lam_fiber}")
 
 
 def scan_kasner2_einstein_oscillatory(lam=5.0, lam2=1.0, p1=1.0, c_range=(-2.0, 2.0),
@@ -892,6 +895,11 @@ def scan_kasner2_einstein_oscillatory(lam=5.0, lam2=1.0, p1=1.0, c_range=(-2.0, 
     """
     if lam <= 3.0:
         raise WarpcurvError("scan applies to the oscillatory branch lam > 3")
+    # the trace zeta is p1, and the rate below divides by its square
+    if abs(p1) <= _EQ_TOL:
+        raise WarpcurvError("scan applies to the nonzero-trace branch")
+    if not math.isfinite(p1 * p1):
+        raise WarpcurvError(f"scan needs a trace p1 whose square is finite, got {p1!r}")
     p = (p1, 0.0)
     dims = (1, 2)
     zeta, eta = kasner_invariants(p, dims)
@@ -907,8 +915,8 @@ def scan_kasner2_einstein_oscillatory(lam=5.0, lam2=1.0, p1=1.0, c_range=(-2.0, 
         return _kasner_system_values(p, dims, lam, (0.0, lam2), psi, dpsi, ddpsi)
 
     best = _lattice_min_max(axis, axis, t_points, rows_for, _off_origin)
-    return ScanReport("kasner2-einstein-oscillatory", best, threshold,
-                      best >= threshold, f"lam={lam}, lam2={lam2}, p=({p1}, 0)")
+    return _scan_row("kasner2-einstein-oscillatory", best, threshold,
+                     f"lam={lam}, lam2={lam2}, p=({p1}, 0)")
 
 
 def scan_kasner3_einstein_linear(p=(1.0, 2.0, 3.0), lam=5.0, c_range=(0.1, 2.0),
@@ -943,5 +951,4 @@ def scan_kasner3_einstein_linear(p=(1.0, 2.0, 3.0), lam=5.0, c_range=(0.1, 2.0),
         return np.min(c1 + c2 * ts, axis=-1, keepdims=True) > 1e-6
 
     best = _lattice_min_max(c1_axis, c2_axis, t_points, rows_for, positive)
-    return ScanReport("kasner3-einstein-linear", best, threshold,
-                      best >= threshold, f"p={tuple(p)}, lam={lam}")
+    return _scan_row("kasner3-einstein-linear", best, threshold, f"p={tuple(p)}, lam={lam}")

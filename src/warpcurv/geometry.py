@@ -178,7 +178,13 @@ class Sphere(_ConstantCurvatureSurface):
         if radius <= 0:
             raise WarpcurvError("sphere radius must be positive")
         self.radius = float(radius)
-        self.sectional = 1.0 / radius**2
+        try:
+            k = 1.0 / radius**2
+        except (ZeroDivisionError, OverflowError):  # r^2 underflows to 0 or overflows
+            k = math.nan
+        if not math.isfinite(k):  # a subnormal r^2 gives inf
+            raise WarpcurvError(f"sphere radius {radius!r} has no finite nonzero curvature")
+        self.sectional = k
 
     def metric_exprs(self, names):
         th = Var(names[0])

@@ -37,11 +37,25 @@ DEFAULT_TOLERANCE = 1e-6
 
 
 @dataclass
-class ClauseReport:
-    clause: str
-    max_deviation: float
+class CheckRow:
+    """One row of a report: a check, its largest residual over the grid or
+    points, the tolerance it is judged against and its verdict.  The field
+    names are the report's csv and json keys."""
+
+    check: str
+    grid_max_residual: float
     tolerance: float
-    passed: bool
+    verdict: str  # "pass" | "fail"
+
+    @classmethod
+    def of(cls, check, worst, tolerance):
+        """The row of a check that passes at worst < tolerance, so that a
+        NaN residual fails."""
+        return cls(check, worst, tolerance, "pass" if worst < tolerance else "fail")
+
+    @property
+    def passed(self):
+        return self.verdict == "pass"
 
 
 def _block_max(dev, starts):
@@ -73,8 +87,8 @@ def _report_rows(m):
 def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE):
     """Compare every structured clause against the coordinate oracle.
 
-    Returns one ClauseReport per block pattern, plus Ricci-matrix and
-    scalar reports, with deviations maximized over the supplied (N, n_bar)
+    Returns one CheckRow per block pattern, plus Ricci-matrix and scalar
+    rows, with deviations maximized over the supplied (N, n_bar)
     stack of points.  The structured covariant derivative and curvature
     are one whole-tensor call each over all the points, and each
     block pair's or triple's row is the largest |S - O| over the points and
@@ -97,4 +111,4 @@ def oracle_comparison(spec, P, kind, points, tolerance=DEFAULT_TOLERANCE):
     devs = {key: float(worst[w][index]) for key, w, index in _report_rows(spec.m)}
     devs["ricci-matrix"] = float(worst_ric)
     devs["scalar"] = float(worst_scal)
-    return [ClauseReport(key, dev, tolerance, dev < tolerance) for key, dev in devs.items()]
+    return [CheckRow.of(key, dev, tolerance) for key, dev in devs.items()]

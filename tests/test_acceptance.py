@@ -100,10 +100,10 @@ def test_acceptance_1_oracle_equivalence():
         points = spec.sample_points(5)
         for kind in ConnectionKind:
             for rep in oracle_comparison(spec, P, kind, points, tolerance=1e-10):
-                if rep.max_deviation > worst:
-                    worst = rep.max_deviation
-                    worst_where = f"{name}/{kind.value}/{rep.clause}"
-                assert rep.passed, (name, kind, rep.clause, rep.max_deviation)
+                if rep.grid_max_residual > worst:
+                    worst = rep.grid_max_residual
+                    worst_where = f"{name}/{kind.value}/{rep.check}"
+                assert rep.passed, (name, kind, rep.check, rep.grid_max_residual)
     elapsed = time.perf_counter() - start
     verdict(1, "oracle equivalence over the spec zoo",
             worst < 1e-10 and elapsed < 30.0,
@@ -163,9 +163,9 @@ def test_acceptance_4_integrator_cross_check(rng):
     for fam in all_closed_form_families():
         params = fam.sample_params(rng)
         rep = ode_cross_check(fam, params, n_steps=1000)
-        if rep.max_abs_residual > worst:
-            worst, worst_fam = rep.max_abs_residual, fam.family_id
-        assert rep.passed, (fam.family_id, rep.max_abs_residual)
+        if rep.grid_max_residual > worst:
+            worst, worst_fam = rep.grid_max_residual, fam.family_id
+        assert rep.passed, (fam.family_id, rep.grid_max_residual)
     verdict(4, "integrator cross-check", worst < 1e-6,
             f"worst deviation {worst:.2e} ({worst_fam})")
 
@@ -176,8 +176,8 @@ def test_acceptance_5_nonexistence_scans():
     rep_b = scan_kasner2_einstein_oscillatory(lam=5.0, lam2=1.0, n_c=41)
     verdict(5, "nonexistence scans",
             rep_a.passed and rep_b.passed,
-            f"min residuals {rep_a.min_max_residual:.3f} / "
-            f"{rep_b.min_max_residual:.3f} over 41x41 lattices")
+            f"min residuals {rep_a.grid_max_residual:.3f} / "
+            f"{rep_b.grid_max_residual:.3f} over 41x41 lattices")
 
 
 def test_acceptance_6_torsion_free_ricci_identities():

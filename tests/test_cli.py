@@ -1,6 +1,8 @@
 """Scenario parsing, report emission, determinism, exit codes."""
 
 import json
+import logging
+import math
 import re
 import warnings
 from pathlib import Path
@@ -287,7 +289,7 @@ def test_scan_list_and_count_values_are_typed(tmp_path, capsysbinary):
     expected = scan_kasner3_einstein_linear(p=(1.0, 2.0, 4.0), c_range=(0.2, 1.5),
                                             n_c=9, t_points=5)
     assert report.checks == [CheckRow("kasner3-einstein-linear",
-                                      expected.min_max_residual, 0.01, "pass")]
+                                      expected.grid_max_residual, 0.01, "pass")]
     # a lattice of nonpositive profiles has no admissible cell
     path = tmp_path / "empty.txt"
     path.write_text(text + "scan.c_range = -2,-1\n")
@@ -651,6 +653,89 @@ def test_non_positive_warping_inside_the_scalar_check_grid(tmp_path, capsysbinar
     captured = capsysbinary.readouterr()
     line = "error: warping 0 = -0.06255874978421883 at point [0.6625587497842188, 0.25, 0.35]\n"
     assert line.encode() in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("task", ["einstein-check", "scalar-check"])
+@pytest.mark.parametrize("warping,line", [
+    # negative before the node at 0.5, where it is 0: the first bad point
+    ("t - 0.5", "warping 0 = -0.44316348885549356 at point [0.05683651114450644, 0.25, 0.35]"),
+    # positive at every node but the one at 0.5
+    ("(t - 0.5)^2", "warping 0 = 0.0 at point [0.5, 0.25, 0.35]"),
+])
+def test_warping_that_touches_0_on_a_closed_form_grid(task, warping, line, tmp_path,
+                                                      capsysbinary):
+    # the closed forms divide by the warping: its samples are checked first,
+    # so no nan row and no RuntimeWarning comes before the error
+    text = (SCENARIOS / "einstein-exponential.txt").read_text()
+    text = text.replace("fiber.warping = exp(t)\n", f"fiber.warping = {warping}\n")
+    if task == "scalar-check":
+        text = text.replace("task = einstein-check", "task = scalar-check")
+        text = text.replace("lambda = 0\n", "")
+    path = tmp_path / "touching.txt"
+    path.write_text(text + "grid.points = 9\n")
+    assert main(["verify", str(path)]) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.err == f"error: {line}\n".encode() and not captured.out
+
+
+@pytest.mark.parametrize("p1,message", [
+    ("0", "scan applies to the nonzero-trace branch"),
+    ("1e300", "scan needs a trace p1 whose square is finite, got 1e+300"),
+])
+def test_kasner2_scan_rejects_a_zero_or_overflowing_trace(p1, message, tmp_path,
+                                                          capsysbinary):
+    # the oscillation rate divides by the square of the trace, which is p1
+    path = tmp_path / "kasner2.txt"
+    path.write_text("task = nonexistence-scan\nscan.case = kasner2-einstein-oscillatory\n"
+                    f"scan.p1 = {p1}\n")
+    assert main(["verify", str(path)]) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.err == f"error: {message}\n".encode() and not captured.out
+
+
+@pytest.mark.parametrize("radius", ["1e-160", "1e-200", "1e-300", "1e300"])
+def test_sphere_radius_without_a_finite_curvature_is_a_domain_error(radius, tmp_path,
+                                                                    capsysbinary):
+    # r^2 is subnormal, underflows to 0 or overflows: 1/r^2 is not finite and nonzero
+    path = tmp_path / "sphere.txt"
+    path.write_text((SCENARIOS / "oracle-sphere.txt").read_text().replace(
+        "fiber.radius = 1.0", f"fiber.radius = {radius}"))
+    assert main(["verify", str(path)]) == 2
+    captured = capsysbinary.readouterr()
+    message = f"error: sphere radius {float(radius)!r} has no finite nonzero curvature\n"
+    assert captured.err == message.encode() and not captured.out
+
+
+@pytest.mark.parametrize("draw", [0, 1, 2])
+def test_a_nan_residual_on_any_draw_fails_the_family_row(draw, monkeypatch):
+    # max(0.0, nan) is 0.0: a NaN on one of the three draws must not vanish
+    from warpcurv.families import SolutionFamily
+
+    max_residual = SolutionFamily.max_residual
+    calls = []
+
+    def nan_on_one_draw(self, ts, overrides=None):
+        value = max_residual(self, ts, overrides)
+        calls.append(value)
+        return math.nan if len(calls) == draw + 1 else value
+
+    monkeypatch.setattr(SolutionFamily, "max_residual", nan_on_one_draw)
+    report = run_scenario(parse_scenario((SCENARIOS / "family-grw-einstein.txt").read_text()))
+    row = next(c for c in report.checks if c.check.endswith("[residuals]"))
+    assert len(calls) == 3 and max(calls) < row.tolerance
+    assert math.isnan(row.grid_max_residual) and row.verdict == "fail"
+    assert not report.all_passed
+
+
+def test_info_lines_of_a_scan_and_a_scalar_check(caplog):
+    with caplog.at_level(logging.INFO, logger="warpcurv"):
+        for name in ("scan-grw-oscillatory.txt", "scalar-static.txt"):
+            run_scenario(parse_scenario((SCENARIOS / name).read_text()))
+    assert caplog.record_tuples == [
+        ("warpcurv", logging.INFO, "scan detail: l=2, lam=5.0, lam_fiber=1.0"),
+        ("warpcurv", logging.INFO,
+         "scalar constancy: scalar curvature constant; all factor scalars constant"),
+    ]
 
 
 def test_constancy_row_reports_the_tolerance_its_check_used(monkeypatch):

@@ -512,13 +512,13 @@ def test_ode_cross_check_families(rng):
     fams += kasner_einstein_families("II", (1.0, 0.0), (1, 2), -6.0, (0.0, -9.0))
     for fam in fams:
         rep = ode_cross_check(fam, fam.sample_params(rng))
-        assert rep.passed, (fam.family_id, rep.max_abs_residual)
+        assert rep.passed, (fam.family_id, rep.grid_max_residual)
 
 
 def test_ode_cross_check_constant_family():
     fam = grw_einstein_family(2, 2.0, 1.0)[0]
     rep = ode_cross_check(fam)
-    assert rep.max_abs_residual < 1e-12
+    assert rep.grid_max_residual < 1e-12
 
 
 def test_ode_cross_check_step_guard():
@@ -676,17 +676,17 @@ def test_ode_coeffs_are_the_equation_of_the_closed_form(kind, kwargs, rng):
 
 def test_scan_grw_einstein():
     rep = scan_grw_einstein_oscillatory(l=2, lam=5.0, lam_fiber=1.0, n_c=41)
-    assert rep.passed and rep.min_max_residual >= 0.01
+    assert rep.passed and rep.grid_max_residual >= 0.01
 
 
 def test_scan_kasner2_einstein():
     rep = scan_kasner2_einstein_oscillatory(lam=5.0, lam2=1.0, n_c=41)
-    assert rep.passed and rep.min_max_residual >= 0.01
+    assert rep.passed and rep.grid_max_residual >= 0.01
 
 
 def test_scan_kasner3_einstein():
     rep = scan_kasner3_einstein_linear(p=(1.0, 2.0, 3.0), lam=5.0, n_c=41)
-    assert rep.passed and rep.min_max_residual >= 0.01
+    assert rep.passed and rep.grid_max_residual >= 0.01
 
 
 def test_scan_guards():
@@ -759,7 +759,7 @@ def _scan_outcome(scan, kwargs):
             rep = scan(**kwargs)
     except WarpcurvError as exc:
         return str(exc)
-    return rep.min_max_residual, rep.passed
+    return rep.grid_max_residual, rep.passed
 
 
 @st.composite
@@ -824,16 +824,16 @@ def test_scan_without_a_finite_cell_raises(scan, kwargs):
 def test_scan_keeps_the_1e6_rule_beside_a_finite_cell():
     # one finite cell is enough: the others count as 1e6 as before
     rep = scan_grw_einstein_oscillatory(c_range=(-1e200, 1.0), n_c=2)
-    assert rep.min_max_residual < 1e6 and rep.passed
+    assert rep.grid_max_residual < 1e6 and rep.passed
 
 
 def test_block_kernel_takes_one_c1_per_block_past_its_budget():
     # a c2 row of 250 cells at 33 t values exceeds the module's budget
     kwargs = {"l": 3.0, "lam": 5.8874, "lam_fiber": 1.9402, "n_c": 250, "t_points": 33}
     assert 250 * 33 > families._SCAN_BLOCK_ELEMENTS
-    got = scan_grw_einstein_oscillatory(**kwargs).min_max_residual
+    got = scan_grw_einstein_oscillatory(**kwargs).grid_max_residual
     with mock.patch.object(families, "_lattice_min_max", _per_row_min_max):
-        assert got == scan_grw_einstein_oscillatory(**kwargs).min_max_residual
+        assert got == scan_grw_einstein_oscillatory(**kwargs).grid_max_residual
 
 
 # -- reference values ----------------------------------------------------------
@@ -869,7 +869,7 @@ def test_block_kernel_takes_one_c1_per_block_past_its_budget():
     (scan_kasner2_einstein_oscillatory, {"p1": 0.5}, 4.106359695089482),
 ])
 def test_scan_reference_values(scan, kwargs, expected):
-    assert scan(**kwargs).min_max_residual == expected
+    assert scan(**kwargs).grid_max_residual == expected
 
 
 _V = {"c1": (0.5, 1.8), "c2": (0.1, 1.0)}

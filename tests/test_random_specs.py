@@ -114,7 +114,7 @@ def scaled_deviations(spec, P, kind):
     """Each oracle_comparison row's deviation over the oracle's scale."""
     points = spec.sample_points(2)
     scale = oracle_scale(spec, P, kind, points)
-    return {r.clause: r.max_deviation / scale
+    return {r.check: r.grid_max_residual / scale
             for r in oracle_comparison(spec, P, kind, points)}
 
 
