@@ -382,12 +382,18 @@ def grw_scalar_family(l, scalar, s_fiber):
 
 
 def kasner_invariants(p, dims):
-    """Aggregates (zeta, eta) = (sum l_i p_i, sum l_i p_i^2)."""
+    """Aggregates (zeta, eta) = (sum l_i p_i, sum l_i p_i^2); an aggregate
+    that is not finite is an error."""
     if len(p) != len(dims):
         raise LengthMismatch("exponent and dimension lists differ in length")
     p = np.asarray(p, dtype=float)
     dims = np.asarray(dims, dtype=float)
-    return float(dims @ p), float(dims @ p**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        zeta, eta = float(dims @ p), float(dims @ p**2)
+    if not (math.isfinite(zeta) and math.isfinite(eta)):
+        raise WarpcurvError(f"Kasner invariants of exponents {tuple(p.tolist())} are not "
+                            f"finite: zeta = {zeta}, eta = {eta}")
+    return zeta, eta
 
 
 def _real_power(base, e):
@@ -782,55 +788,94 @@ def solve_numeric_profile(family: SolutionFamily, overrides=None,
 # Nonexistence scans
 
 
-# Cells x t values in one block of a lattice scan: the default 41 x 41 box
-# at 33 t values takes seven blocks of up to six c1 values, and each array
-# of a block stays under 64 KiB.  Larger blocks ran no faster and raised the
-# peak memory of a run.
+# Cells x t values in one chunk of a lattice scan: at 33 t values a chunk
+# holds at most 248 cells, and each array of a chunk stays under 64 KiB.
+# Larger chunks ran no faster and raised the peak memory of a run.
 _SCAN_BLOCK_ELEMENTS = 1 << 13
+# t values of a scan's coarse pass: that many evenly spaced grid indices, the
+# ends included, or every index of a shorter grid.  Four keep the coarse pass
+# of the default 41 x 41 box in one chunk; on 90 drawn scans, 3 to 6 pruned
+# the same cells, and 5 and 6 ran slower.
+_COARSE_T = 4
+# cells in the first full chunk of a scan; each next chunk holds twice as many
+_FIRST = 8
+
+
+def _coarse_t(t_points):
+    """The t indices of the coarse pass over a grid of t_points values (a
+    set, not np.unique, which imports numpy.ma: 1.1 MB of peak memory)."""
+    return np.array(sorted({round(k * (t_points - 1) / (_COARSE_T - 1))
+                            for k in range(_COARSE_T)}))
+
+
+def _cell_worst(rows, n):
+    """Per cell, the last axis of each row: the largest g(value) over the
+    rows and their t values, where g(x) is |x| for a finite x and 1e6
+    otherwise, and whether every value was finite."""
+    big = 1e6
+    worst = np.zeros(n)
+    fin = np.ones(n, dtype=bool)
+    for r in rows:
+        m = np.max(np.abs(r), axis=0)
+        bad = ~np.isfinite(m)
+        if bad.any():
+            # the 1e6 rule, applied only where a value is not finite
+            fin &= ~bad
+            rb = r[:, bad]
+            m[bad] = np.max(np.where(np.isfinite(rb), np.abs(rb), big), axis=0)
+        worst = np.maximum(worst, m)
+    return worst, fin
 
 
 def _lattice_min_max(c1_axis, c2_axis, t_points, rows_for, admissible):
     """Smallest worst-case residual over the admissible (c1, c2) lattice cells.
 
-    The lattice is walked in blocks of consecutive c1 values, as many as
-    keep a block's cells times `t_points` within `_SCAN_BLOCK_ELEMENTS`
-    (at least one).  A block passes c1 as the (B, 1, 1) array of its values
-    and c2 as the (1, len(c2_axis), 1) array of the whole axis:
-    `rows_for(c1, c2)` gives the residual rows of all its cells at once,
-    each of shape (B, len(c2_axis), t_points) with t last, and
-    `admissible(c1, c2)` the (B, len(c2_axis), 1) mask of the cells that
-    count.  A cell's residual is its largest |row| value; non-finite values
-    count as 1e6.  A lattice on which no admissible cell has a finite
-    residual shows nothing, and raises NumericalInstability.
+    The cells are passed flat, c1 major: `rows_for(c1, c2, sel)` gives the
+    residual rows of the cells whose coordinates are the 1-d arrays c1 and
+    c2 at the t-grid indices `sel` (an index array or a slice), each row of
+    shape (t values, cells) with t leading, and `admissible(c1, c2)` the
+    mask of the cells that count.  A cell's residual is the largest g(value)
+    of its rows over the whole t-grid, with g(x) = |x| for a finite x and
+    1e6 otherwise.  A lattice on which no admissible cell has only finite
+    values shows nothing, and raises NumericalInstability.
+
+    The minimum is exact, a branch and bound over cells.  The largest g over
+    the t indices `_coarse_t(t_points)` bounds a cell's residual from below.
+    Cells are evaluated in full in order of rising bound, in chunks of
+    `_FIRST` cells and then twice as many each time, at most
+    `_SCAN_BLOCK_ELEMENTS` values, until the next bound reaches the best
+    residual found: no cell left can be smaller.  Only a best residual of
+    1e6 or more leaves open whether some admissible cell is finite; the
+    cells left whose coarse values are finite are then walked until one is.
     """
-    big = 1e6
-    best = np.inf
-    finite = False  # some admissible cell has only finite values
-    c2 = c2_axis[None, :, None]
-    step = max(1, _SCAN_BLOCK_ELEMENTS // max(1, len(c2_axis) * t_points))
-    for start in range(0, len(c1_axis), step):
-        c1 = c1_axis[start:start + step, None, None]
-        keep = admissible(c1, c2)
-        if not keep.any():
-            continue
+    c1 = np.repeat(c1_axis, len(c2_axis))
+    c2 = np.tile(c2_axis, len(c1_axis))
+    full = max(1, _SCAN_BLOCK_ELEMENTS // t_points)  # cells per full chunk
+
+    def values(cells, sel):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            rows = rows_for(c1, c2)
-        worst = np.zeros(keep.shape)
-        fin = keep.copy()
-        for r in rows:
-            m = np.max(np.abs(r), axis=-1, keepdims=True)
-            bad = ~np.isfinite(m)
-            if bad.any():
-                # the 1e6 rule, applied only where a value is not finite
-                fin &= ~bad
-                rb = r[bad[..., 0]]
-                m[bad] = np.max(np.where(np.isfinite(rb), np.abs(rb), big), axis=-1)
-            worst = np.maximum(worst, m)
-        best = min(best, float(np.min(worst[keep])))
-        finite = finite or bool(fin.any())
+            return _cell_worst(rows_for(c1[cells], c2[cells], sel), cells.size)
+
+    cells = np.flatnonzero(admissible(c1, c2))
     lattice = f"{len(c1_axis)} x {len(c2_axis)} lattice"
-    if best == np.inf:
+    if not cells.size:
         raise WarpcurvError(f"no admissible cell on the {lattice}")
+    sel = _coarse_t(t_points)
+    step = max(1, _SCAN_BLOCK_ELEMENTS // sel.size)
+    lb, coarse_fin = map(np.concatenate, zip(*(
+        values(cells[s:s + step], sel) for s in range(0, cells.size, step))))
+    rank = np.argsort(lb, kind="stable")
+    cells, lb, coarse_fin = cells[rank], lb[rank], coarse_fin[rank]
+    best, finite, done, size = np.inf, False, 0, min(_FIRST, full)
+    while (end := min(done + size, int(np.searchsorted(lb, best)))) > done:
+        worst, fin = values(cells[done:end], slice(None))
+        best = min(best, float(worst.min()))
+        finite = finite or bool(fin.any())
+        done, size = end, min(2 * size, full)
+    if not finite:
+        rest = cells[done:][coarse_fin[done:]]
+        finite = any(values(rest[s:s + full], slice(None))[1].any()
+                     for s in range(0, rest.size, full))
     if not finite:
         raise NumericalInstability(
             f"no admissible cell of the {lattice} (c1 from {c1_axis[0]:g} to "
@@ -875,9 +920,10 @@ def scan_grw_einstein_oscillatory(l=2, lam=5.0, lam_fiber=1.0, c_range=(-2.0, 2.
     cos_t, sin_t = np.cos(b * ts), np.sin(b * ts)
     axis = np.linspace(c_range[0], c_range[1], n_c)
 
-    def rows_for(c1, c2):
-        f = c1 * cos_t + c2 * sin_t
-        df = b * (-c1 * sin_t + c2 * cos_t)
+    def rows_for(c1, c2, sel):
+        cos_s, sin_s = cos_t[sel, None], sin_t[sel, None]
+        f = c1 * cos_s + c2 * sin_s
+        df = b * (-c1 * sin_s + c2 * cos_s)
         return [lam_fiber + (1 - l) * df**2 + (lam / l - 1 - lam) * f**2 + l * df * f]
 
     best = _lattice_min_max(axis, axis, t_points, rows_for, _off_origin)
@@ -908,9 +954,10 @@ def scan_kasner2_einstein_oscillatory(lam=5.0, lam2=1.0, p1=1.0, c_range=(-2.0, 
     cos_t, sin_t = np.cos(a * ts), np.sin(a * ts)
     axis = np.linspace(c_range[0], c_range[1], n_c)
 
-    def rows_for(c1, c2):
-        psi = c1 * cos_t + c2 * sin_t
-        dpsi = a * (-c1 * sin_t + c2 * cos_t)
+    def rows_for(c1, c2, sel):
+        cos_s, sin_s = cos_t[sel, None], sin_t[sel, None]
+        psi = c1 * cos_s + c2 * sin_s
+        dpsi = a * (-c1 * sin_s + c2 * cos_s)
         ddpsi = -a * a * psi
         return _kasner_system_values(p, dims, lam, (0.0, lam2), psi, dpsi, ddpsi)
 
@@ -935,8 +982,8 @@ def scan_kasner3_einstein_linear(p=(1.0, 2.0, 3.0), lam=5.0, c_range=(0.1, 2.0),
     c1_axis = np.linspace(c_range[0], c_range[1], n_c)
     c2_axis = np.linspace(-0.9 * c_range[0], c_range[1], n_c)
 
-    def rows_for(c1, c2):
-        base = c1 + c2 * ts
+    def rows_for(c1, c2, sel):
+        base = c1 + c2 * ts[sel, None]
         ratio = (c2 / zeta) / base  # phi'/phi
         ratio_sq = ratio**2
         ddphi_over = -(c2**2 / zeta) / base**2 + ratio_sq  # phi''/phi
@@ -948,7 +995,8 @@ def scan_kasner3_einstein_linear(p=(1.0, 2.0, 3.0), lam=5.0, c_range=(0.1, 2.0),
         return rows
 
     def positive(c1, c2):
-        return np.min(c1 + c2 * ts, axis=-1, keepdims=True) > 1e-6
+        # c1 + c2 t, rounded too, is monotone in t: its smallest value is at an end
+        return np.minimum(c1 + c2 * ts[0], c1 + c2 * ts[-1]) > 1e-6
 
     best = _lattice_min_max(c1_axis, c2_axis, t_points, rows_for, positive)
     return _scan_row("kasner3-einstein-linear", best, threshold, f"p={tuple(p)}, lam={lam}")

@@ -693,6 +693,32 @@ def test_kasner2_scan_rejects_a_zero_or_overflowing_trace(p1, message, tmp_path,
     assert captured.err == f"error: {message}\n".encode() and not captured.out
 
 
+_KASNER_II = "family.type = II\nfamily.p = 1e200,0\nfamily.dims = 1,2\n"
+
+
+@pytest.mark.parametrize("text,exponents", [
+    ("task = family-generate\nfamily.kind = kasner-einstein\n" + _KASNER_II
+     + "family.lam = 0\nfamily.lam_fibers = 0,0\n", "(1e+200, 0.0)"),
+    ("task = family-generate\nfamily.kind = kasner-scalar\n" + _KASNER_II
+     + "family.scalar = 2\nfamily.s_fibers = 0,0\n", "(1e+200, 0.0)"),
+    ("task = nonexistence-scan\nscan.case = kasner3-einstein-linear\nscan.p = 1e200,1,1\n",
+     "(1e+200, 1.0, 1.0)"),
+])
+def test_kasner_invariants_that_overflow_are_a_domain_error(text, exponents, tmp_path,
+                                                             capsysbinary):
+    # eta = sum l_i p_i^2 overflows: the family check passed vacuously, the
+    # scalar family ended in an OverflowError and the scan in exit 3
+    path = tmp_path / "kasner.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(path)]) == 2
+    captured = capsysbinary.readouterr()
+    message = (f"error: Kasner invariants of exponents {exponents} are not finite: "
+               "zeta = 1e+200, eta = inf\n")
+    assert captured.err == message.encode() and not captured.out
+
+
 @pytest.mark.parametrize("radius", ["1e-160", "1e-200", "1e-300", "1e300"])
 def test_sphere_radius_without_a_finite_curvature_is_a_domain_error(radius, tmp_path,
                                                                     capsysbinary):

@@ -720,26 +720,28 @@ def test_scan_rejects_bad_lattice_counts(scan, kwargs, match):
 
 
 def _per_row_min_max(c1_axis, c2_axis, t_points, rows_for, admissible):
-    """The lattice kernel as it walked one c1 at a time, with c2 the column
-    c2_axis[:, None] and the 1e6 rule applied to every value: the reference
-    the block walk must reproduce bit for bit.  A lattice without an
-    admissible cell whose values are all finite raises, as the kernel does."""
+    """The lattice kernel as it walked one c1 at a time, every cell of the
+    row at every t index, with the 1e6 rule applied to every value: the
+    reference the pruned walk must reproduce bit for bit.  A lattice without
+    an admissible cell whose values are all finite raises, as the kernel
+    does."""
     big = 1e6
     best = np.inf
     finite = False
-    c2 = c2_axis[:, None]
+    every_t = np.arange(t_points)
     for c1 in c1_axis:
-        keep = admissible(c1, c2)
+        c1 = np.full(len(c2_axis), c1)
+        keep = admissible(c1, c2_axis)
         if not keep.any():
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
-            rows = rows_for(c1, c2)
-        worst = np.zeros(c2.shape)
+            rows = rows_for(c1, c2_axis, every_t)
+        worst = np.zeros(len(c2_axis))
         fin = keep.copy()
         for r in rows:
-            fin &= np.isfinite(r).all(axis=1, keepdims=True)
+            fin &= np.isfinite(r).all(axis=0)
             r = np.where(np.isfinite(r), np.abs(r), big)
-            worst = np.maximum(worst, np.max(r, axis=1, keepdims=True))
+            worst = np.maximum(worst, np.max(r, axis=0))
         best = min(best, float(np.min(worst[keep])))
         finite = finite or bool(fin.any())
     lattice = f"{len(c1_axis)} x {len(c2_axis)} lattice"
@@ -790,7 +792,7 @@ def _scan_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(_scan_cases())
 @example((scan_grw_einstein_oscillatory, {"n_c": 41, "t_points": 33},
-          families._SCAN_BLOCK_ELEMENTS))  # 41 c1 values in blocks of 6
+          families._SCAN_BLOCK_ELEMENTS))  # chunks of up to 248 of its 1681 cells
 @example((scan_kasner2_einstein_oscillatory,
           {"lam": 4.4102, "lam2": 0.5391, "p1": 0.6237, "n_c": 29, "t_points": 17}, 1))
 @example((scan_grw_einstein_oscillatory, {"c_range": (-1e155, 2e155), "n_c": 7}, 97))
@@ -828,12 +830,109 @@ def test_scan_keeps_the_1e6_rule_beside_a_finite_cell():
 
 
 def test_block_kernel_takes_one_c1_per_block_past_its_budget():
-    # a c2 row of 250 cells at 33 t values exceeds the module's budget
+    # a c2 row of 250 cells at 33 t values exceeds the module's budget, so a
+    # full chunk holds less than one c1 row
     kwargs = {"l": 3.0, "lam": 5.8874, "lam_fiber": 1.9402, "n_c": 250, "t_points": 33}
     assert 250 * 33 > families._SCAN_BLOCK_ELEMENTS
     got = scan_grw_einstein_oscillatory(**kwargs).grid_max_residual
     with mock.patch.object(families, "_lattice_min_max", _per_row_min_max):
         assert got == scan_grw_einstein_oscillatory(**kwargs).grid_max_residual
+
+
+def _table_kernel(n1, n2, table, keep):
+    """The kernel's arguments for a synthetic lattice of n1 x n2 cells whose
+    rows are table[r] of shape (t values, cells) and whose admissible cells
+    are keep: the cell coordinates are the integers c1 and c2 of cell
+    c1 * n2 + c2."""
+
+    def cell(c1, c2):
+        return (c1 * n2 + c2).astype(int)
+
+    def rows_for(c1, c2, sel):
+        return list(table[:, sel][:, :, cell(c1, c2)])
+
+    return (np.arange(n1, dtype=float), np.arange(n2, dtype=float), table.shape[1],
+            rows_for, lambda c1, c2: keep[cell(c1, c2)])
+
+
+def _kernel_outcome(kernel, args):
+    try:
+        return kernel(*args)
+    except WarpcurvError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _synthetic_lattices(draw):
+    """A synthetic lattice, its table and a chunk budget.  Values come from
+    a few magnitudes, so that bounds tie with residuals, and NaN, inf and
+    values above 1e6 sit at t indices outside the coarse pass, where only
+    a full evaluation sees them."""
+    n1, n2 = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    t_points, n_rows = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = np.array([0.0, 0.25, -0.5, 1.0, -2.0, 3.0, 2.5e6])
+    table = levels[rng.integers(0, 5, (n_rows, t_points, n1 * n2))]
+    table += rng.uniform(-1.0, 1.0, table.shape) * draw(st.sampled_from([0.0, 1.0]))
+    hidden = np.setdiff1d(np.arange(t_points), families._coarse_t(t_points))
+    if hidden.size:
+        n_special = draw(st.integers(0, table.size))
+        where = rng.integers(0, table.shape, (n_special, 3))
+        where[:, 1] = hidden[where[:, 1] % hidden.size]
+        table[tuple(where.T)] = rng.choice([np.nan, np.inf, -np.inf, 2.5e6, -7e6], n_special)
+    keep = rng.random(n1 * n2) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    budget = draw(st.sampled_from([1, 33, 97, families._SCAN_BLOCK_ELEMENTS]))
+    return n1, n2, table, keep, budget
+
+
+def _two_cells(first, second):
+    """A 1 x 2 lattice of one row whose cells take the t values first and
+    second, each a list of 33; a budget of 33 puts one cell in a chunk."""
+    return 1, 2, np.array([first, second]).T[None], np.ones(2, dtype=bool), 33
+
+
+@settings(max_examples=150, deadline=None)
+@given(_synthetic_lattices())
+# the cell with the smallest coarse bound (0.1) is not the minimum: a t value
+# outside the coarse pass lifts it to 5, above the other cell's 1
+@example(_two_cells([0.1] * 16 + [5.0] + [0.1] * 16, [1.0] * 33))
+# the only finite cell (2e6) is pruned behind a NaN cell (1e6) whose coarse
+# values are small: the finiteness walk must find it
+@example(_two_cells([0.5] * 16 + [np.nan] + [0.5] * 16, [2e6] * 33))
+# fewer t values than the coarse pass takes
+@example((2, 2, np.array([[[1.0, 0.5, 2.0, 0.5]]]), np.array([1, 1, 1, 0], bool), 1))
+@example((2, 2, np.array([[[1.0, np.inf, 2.0, 0.5], [3.0, 0.25, np.nan, 0.5]]]),
+          np.ones(4, bool), 1))
+def test_pruned_kernel_matches_the_per_row_walk_on_synthetic_tables(case):
+    n1, n2, table, keep, budget = case
+    args = _table_kernel(n1, n2, table, keep)
+    with mock.patch.object(families, "_SCAN_BLOCK_ELEMENTS", budget):
+        got = _kernel_outcome(families._lattice_min_max, args)
+    assert got == _kernel_outcome(_per_row_min_max, args)
+
+
+@pytest.mark.parametrize("scan,expected", [
+    (scan_grw_einstein_oscillatory, 0.23247448713915883),
+    (scan_kasner2_einstein_oscillatory, 4.07106781186547),
+    (scan_kasner3_einstein_linear, 4.238835676079114),
+])
+def test_default_scans_evaluate_under_40_percent_of_the_box(scan, expected):
+    # the coarse bounds prune: t samples evaluated, summed over cells, stay
+    # under 40 % of the 41 x 41 x 33 box, which a full walk evaluates
+    kernel = families._lattice_min_max
+    samples = []
+
+    def counting(c1_axis, c2_axis, t_points, rows_for, admissible):
+        def counted(c1, c2, sel):
+            rows = rows_for(c1, c2, sel)
+            samples.append(np.broadcast(*rows).size)
+            return rows
+
+        return kernel(c1_axis, c2_axis, t_points, counted, admissible)
+
+    with mock.patch.object(families, "_lattice_min_max", counting):
+        assert scan().grid_max_residual == expected
+    assert sum(samples) < 0.4 * 41 * 41 * 33
 
 
 # -- reference values ----------------------------------------------------------

@@ -2,7 +2,9 @@
 
 The digest is the benchmark worker's `report_sha256`: the SHA-256 of the
 reports of round 0 at one seed, in order, each run and emitted by
-`perfbench.worker.Runner`.  A change that alters report bytes on purpose
+`perfbench.worker.Runner`.  The families-scan workload, whose eight scans
+a round run through the pruned lattice kernel, is also pinned at rounds 0
+and 1 of a second seed.  A change that alters report bytes on purpose
 updates the digest here and names the change in CHANGES.md.
 """
 
@@ -25,6 +27,12 @@ DIGESTS = {
     "grid-residuals": "d98804e087e9c76652867e777667e8d04505237f63b59f59fa9b26539bdf40dd",
     "families-scan": "c394148717d54cb653d26417ff3c1dea4a98ed562af287a98ac9020336cb7aaa",
 }
+# families-scan at seed 23, by round
+SCAN_SEED = 23
+SCAN_DIGESTS = {
+    0: "a765169d16d1d7014312042415febeb7328d0ebb6f46ae6a14b6517197518845",
+    1: "b03ffe0119045fd1d6978a67721fb28e9ca4bb2fa27fc7c6310bde3e79e10731",
+}
 
 
 @pytest.mark.parametrize("workload", sorted(DIGESTS))
@@ -35,3 +43,13 @@ def test_round_zero_reports_keep_their_bytes(workload):
         digest.update(runner.run(sc)[1])
     assert runner.failed == 0, runner.problems
     assert digest.hexdigest() == DIGESTS[workload]
+
+
+@pytest.mark.parametrize("rnd", sorted(SCAN_DIGESTS))
+def test_scan_rounds_keep_their_bytes_at_a_second_seed(rnd):
+    runner = Runner(cli, errors)
+    digest = hashlib.sha256()
+    for sc in generate_round("families-scan", SCAN_SEED, rnd, ROOT):
+        digest.update(runner.run(sc)[1])
+    assert runner.failed == 0, runner.problems
+    assert digest.hexdigest() == SCAN_DIGESTS[rnd]
