@@ -506,11 +506,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         tol = cfg.tolerance if cfg.tolerance is not None else ORACLE_TOL
         grid = chebyshev_grid(cfg.grid_start, cfg.grid_end, cfg.grid_points)
         row, closed = multiwarped_scalar(spec, P, grid, tol)
-        cons = constant_scalar_separation_check(spec, P, grid, closed=closed)
-        checks = [row, CheckRow("scalar-constancy", cons.scalar_spread, cons.tolerance,
-                                "pass" if cons.scalar_constant and cons.grid_adequate
-                                else "fail")]
-        logger.info("scalar constancy: %s", cons.message)
+        checks = [row, constant_scalar_separation_check(spec, P, grid, closed=closed)]
     elif cfg.task in _FAMILY:
         checks = _family_checks(cfg)
     elif cfg.task == "nonexistence-scan":

@@ -3,7 +3,10 @@ multiply warped products over a Lorentzian interval.
 
 All checks are residual functionals sampled on a t-grid: the caller
 supplies the candidate Einstein constant (or target scalar curvature) and
-gets back one CheckRow per condition.  Closed-form family *generation*
+gets back one CheckRow per condition, the constancy of the scalar
+curvature included.  Every check samples the warpings through
+`warping_samples`, which rejects a sample that is not positive or whose
+square or inverse square is not finite.  Closed-form family *generation*
 lives in `families`; here we only verify.  The closed forms take warping
 samples (`einstein_rows`, `scalar_samples`, `with_dt_terms`), so the
 families evaluate these same formulas at their own warpings.
@@ -11,7 +14,8 @@ families evaluate these same formulas at their own warpings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import logging
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +26,8 @@ from .exprs import eval_grid
 from .geometry import IntervalBase, ProductManifoldSpec, TorsionVectorFieldSpec
 from .structured import StructuredGeometryCache
 from .verify import CheckRow
+
+logger = logging.getLogger("warpcurv")
 
 DEFAULT_GRID_POINTS = 17
 CLOSED_FORM_TOL = 1e-8
@@ -62,7 +68,9 @@ def warping_samples(spec, grid):
     no points is an error: every check samples through here, and a check
     over no points would pass vacuously.  A warping that is not positive
     at some grid value raises the error of `check_point` at the first such
-    point.
+    point.  The closed forms take b_i^2 and 1/b_i^2: a sample at which
+    either is not finite (b_i = 1e200 or 1e-200) is an error too, naming
+    the warping, the sample and its t.
     """
     _require_interval_warped(spec)
     if not len(grid):
@@ -70,9 +78,24 @@ def warping_samples(spec, grid):
     out = np.zeros((spec.m, 3, len(grid)))
     for i, w in enumerate(spec.warpings):
         out[i] = eval_grid(w, grid)
-    if not out[:, 0].min() > 0.0:  # a NaN minimum fails too
+    b = out[:, 0]
+    low = b.min()
+    if not low > 0.0:  # a NaN minimum fails too
         _grid_points(spec, grid)
+    # every sample is positive now, so the largest one bounds b^2 and the
+    # smallest one 1/b^2; in Python floats, which do not warn
+    high, low = float(b.max()), float(low)
+    if high * high == math.inf:
+        _not_finite(b, grid, b.argmax(), "b^2")
+    if low * low == 0.0 or 1.0 / (low * low) == math.inf:
+        _not_finite(b, grid, b.argmin(), "1/b^2")
     return out
+
+
+def _not_finite(b, grid, index, what):
+    i, j = np.unravel_index(index, b.shape)
+    raise WarpcurvError(f"warping {i} = {float(b[i, j])!r} at t = {float(grid[j])!r}: "
+                        f"{what} is not finite")
 
 
 def _grid_points(spec, grid, fiber_coords=None, then=None):
@@ -276,29 +299,21 @@ def multiwarped_scalar(spec, P, grid, tolerance=ORACLE_TOL):
     return _residual_row("scalar-closed-form-vs-oracle", devs, tolerance), closed
 
 
-@dataclass
-class ScalarConstancyReport:
-    scalar_constant: bool
-    scalar_spread: float
-    tolerance: float
-    grid_adequate: bool
-    p_invariants_constant: object  # True/False or None when P not on a fiber
-    message: str
-
-
 def constant_scalar_separation_check(spec, P, grid, closed):
-    """Constancy of the closed-form scalar curvature.
+    """The `scalar-constancy` row: constancy of the closed-form scalar
+    curvature.
 
     Every built-in fiber has constant scalar curvature, so with P absent or
     on the base the scalar depends on t alone: its spread over the grid
     decides.  With P on fiber r it also depends on the point of F_r,
     through g(P, P) and div P: the spread is taken over the grid times five
-    sample points of F_r, from the warping samples and the P-free total,
-    and `p_invariants_constant` says whether those two invariants are
-    constant over the samples.  Both are judged against CONSTANCY_TOL, which
-    the report carries.  `closed` is the ClosedFormScalar of
-    `multiwarped_scalar` over the same grid.  A grid with no points is an
-    error, as in every other check.
+    sample points of F_r, from the warping samples and the P-free total.
+    The row holds the spread and CONSTANCY_TOL, and passes when the spread
+    is below it on a grid of at least two points.  The verdict's reason
+    goes to the INFO line `scalar constancy: ...`, which also says when the
+    scalar is constant but g(P, P) or div P varies over the samples.
+    `closed` is the ClosedFormScalar of `multiwarped_scalar` over the same
+    grid.  A grid with no points is an error, as in every other check.
     """
     grid = np.asarray(grid, dtype=float)
     if not len(grid):
@@ -322,15 +337,10 @@ def constant_scalar_separation_check(spec, P, grid, closed):
         msg = "grid too small to assess constancy"
     elif not constant:
         msg = f"scalar curvature not constant (spread {spread:.3e})"
+    elif p_const is False:
+        msg = "scalar constant but torsion-field invariants vary over the fiber"
     else:
         msg = "scalar curvature constant; all factor scalars constant"
-        if p_const is False:
-            msg = "scalar constant but torsion-field invariants vary over the fiber"
-    return ScalarConstancyReport(
-        scalar_constant=constant,
-        scalar_spread=spread,
-        tolerance=CONSTANCY_TOL,
-        grid_adequate=grid_adequate,
-        p_invariants_constant=p_const,
-        message=msg,
-    )
+    logger.info("scalar constancy: %s", msg)
+    return CheckRow("scalar-constancy", spread, CONSTANCY_TOL,
+                    "pass" if constant and grid_adequate else "fail")

@@ -395,28 +395,6 @@ class Recip(_Unary):
         return 1.0 / u
 
 
-def exp(e):
-    return Exp(_as_expr(e))
-
-
-def sin(e):
-    return Sin(_as_expr(e))
-
-
-def cos(e):
-    return Cos(_as_expr(e))
-
-
-def sqrt(e):
-    return Sqrt(_as_expr(e))
-
-
-def _as_expr(e):
-    if isinstance(e, ScalarExpr):
-        return e
-    return Const(e)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation helpers
 
@@ -515,7 +493,7 @@ def eval_grid(expr, ts, order=2):
 # ---------------------------------------------------------------------------
 # Infix parser for scenario files:  exp(t) + 2*t^2 - sin(0.5*t)
 
-_FUNCS = {"exp": exp, "sin": sin, "cos": cos, "sqrt": sqrt}
+_FUNCS = {"exp": Exp, "sin": Sin, "cos": Cos, "sqrt": Sqrt}
 
 # Parentheses, function calls and unary signs may nest this deep.  The
 # parser recurses at most seven Python frames per level, and a walk of the

@@ -18,8 +18,9 @@ family is its data:
   psi, `auxiliary`) also check the profile's ODE in a `profile-ode` row.
 
 `SolutionFamily.residuals` builds every row from that data.  Families
-without a closed form (`numeric_only`) carry the governing ODE right-hand
-side as a callable instead and are handled by the integrator.
+without a closed form (`numeric_only`) state their ODE as a first-order
+system y' = F(t, y) on y = (u, u') or (u,), with the parameters that hold
+y(0) named in `initial`, and `solve_numeric_profile` integrates it.
 
 Nonexistence in the contradiction branches is evidenced by lattice scans:
 the residual system stays bounded away from zero over the whole lattice.
@@ -141,7 +142,8 @@ class SolutionFamily:
     free_params: tuple
     param_ranges: dict
     numeric_only: bool = False
-    ode_order: int = 2
+    # numeric-only: the parameters holding y(0), ("w0", "dw0") or ("phi0",)
+    initial: tuple = ()
     # (alpha, beta, gamma) of the profile ODE u'' = alpha u + beta u' + gamma
     ode_coeffs: tuple = None
     # the product: warping i is profile ** powers[i] over a fiber of dimension
@@ -156,7 +158,7 @@ class SolutionFamily:
     # the profile is an auxiliary one (v, w, psi): a profile-ode row checks it
     auxiliary: bool = False
     _profile_builder: object = None
-    _ode_rhs: object = None  # numeric-only: params -> rhs(t, u, u') or rhs(t, u)
+    _ode_rhs: object = None  # numeric-only: params -> F(t, y), y = (u, u') or (u,)
 
     def merged(self, overrides=None):
         p = dict(self.params)
@@ -369,11 +371,12 @@ def grw_scalar_family(l, scalar, s_fiber):
         free_params=("w0", "dw0"),
         param_ranges={"w0": (0.6, 1.6), "dw0": (-0.3, 0.6)},
         numeric_only=True,
-        _ode_rhs=lambda p: (lambda t, u, v: (
-            (p["l"] / 2.0) * v
-            - ((p["l"] + 1.0) / 4.0) * ((p["scalar"] - p["l"]) / p["l"]) * u
-            + ((p["l"] + 1.0) / 4.0) * (p["s_fiber"] / p["l"]) * u ** (1.0 - p["exponent"])
-        )),
+        initial=("w0", "dw0"),
+        _ode_rhs=lambda p: (lambda t, y: (y[1], (
+            (p["l"] / 2.0) * y[1]
+            - ((p["l"] + 1.0) / 4.0) * ((p["scalar"] - p["l"]) / p["l"]) * y[0]
+            + ((p["l"] + 1.0) / 4.0) * (p["s_fiber"] / p["l"]) * y[0] ** (1.0 - p["exponent"])
+        ))),
     )]
 
 
@@ -628,11 +631,12 @@ def _kasner2_first_order_numeric(p, dims, scalar, s2, eta):
     def rhs(q):
         sign = q.get("sign", 1.0)
 
-        def f(t, u):
+        def f(t, y):
+            (u,) = y
             rad = (s2 * u ** (-2.0 * p[1]) + 3.0 - scalar) / eta
             if rad < 0:
                 raise NonPositiveWarping("gradient radicand went negative")
-            return sign * u * math.sqrt(rad)
+            return (sign * u * math.sqrt(rad),)
 
         return f
 
@@ -643,7 +647,7 @@ def _kasner2_first_order_numeric(p, dims, scalar, s2, eta):
         free_params=("phi0", "sign"),
         param_ranges={"phi0": (0.6, 1.5)},
         numeric_only=True,
-        ode_order=1,
+        initial=("phi0",),
         _ode_rhs=rhs,
     )
 
@@ -652,8 +656,9 @@ def _kasner2_second_order_numeric(p, dims, scalar, s2, zeta, eta, mu_expo):
     coef = (eta + zeta**2) / (4.0 * zeta**2)
 
     def rhs(q):
-        def f(t, u, v):
-            return 1.5 * v + coef * ((3.0 - scalar) * u + s2 * u ** mu_expo)
+        def f(t, y):
+            u, v = y
+            return v, 1.5 * v + coef * ((3.0 - scalar) * u + s2 * u ** mu_expo)
 
         return f
 
@@ -665,6 +670,7 @@ def _kasner2_second_order_numeric(p, dims, scalar, s2, zeta, eta, mu_expo):
         free_params=("psi0", "dpsi0"),
         param_ranges={"psi0": (0.6, 1.5), "dpsi0": (-0.2, 0.5)},
         numeric_only=True,
+        initial=("psi0", "dpsi0"),
         _ode_rhs=rhs,
     )
 
@@ -673,46 +679,21 @@ def _kasner2_second_order_numeric(p, dims, scalar, s2, zeta, eta, mu_expo):
 # Runge-Kutta machinery
 
 
-def rk4_integrate(rhs, t0, u0, v0, t1, n_steps):
-    """Classical fourth-order integration of u'' = rhs(t, u, u').
+def rk4_integrate(coeffs, t0, u0, v0, t1, n_steps):
+    """Classical fourth-order integration of the linear equation
+    u'' = alpha u + beta u' + gamma, coefficients (alpha, beta, gamma).
 
-    `rhs` is a callable, or the coefficients (alpha, beta, gamma) of the
-    linear equation u'' = alpha u + beta u' + gamma.  For y = (u, u') that
-    equation is y' = A y + c with A = [[0, 1], [alpha, beta]] and
-    c = (0, gamma), and one RK4 step is exactly the affine map y <- y + N y + d
-    with N = sum_{k=1..4} (hA)^k / k! and d = h sum_{k=0..3} (hA)^k / (k+1)! c,
-    so the coefficients are stepped through that map in place of four
-    right-hand-side calls per step.  The map is applied in increment form,
-    y + (N y + d): the rounding of N is relative to the small increment,
-    where the rounding of I + N would put the same error of order ulp(1)
-    into every step.
+    For y = (u, u') the equation is y' = A y + c with
+    A = [[0, 1], [alpha, beta]] and c = (0, gamma), and one RK4 step is
+    exactly the affine map y <- y + N y + d with N = sum_{k=1..4} (hA)^k / k!
+    and d = h sum_{k=0..3} (hA)^k / (k+1)! c, so the coefficients are stepped
+    through that map in place of four right-hand-side calls per step.  The
+    map is applied in increment form, y + (N y + d): the rounding of N is
+    relative to the small increment, where the rounding of I + N would put
+    the same error of order ulp(1) into every step.  Returns the t values
+    and u at every step.
     """
     h = (t1 - t0) / n_steps
-    # t0 + k h per element: the bits of the stepped t of the callable loop
-    ts = t0 + np.arange(n_steps + 1) * h
-    if not callable(rhs):
-        return ts, _rk4_affine(rhs, h, float(u0), float(v0), n_steps)
-    h2, h6 = h / 2, h / 6
-    t, u, v = t0, float(u0), float(v0)
-    us = [u]
-    for k in range(n_steps):
-        k1v = rhs(t, u, v)
-        k2u = v + h2 * k1v
-        k2v = rhs(t + h2, u + h2 * v, k2u)
-        k3u = v + h2 * k2v
-        k3v = rhs(t + h2, u + h2 * k2u, k3u)
-        k4u = v + h * k3v
-        k4v = rhs(t + h, u + h * k3u, k4u)
-        u += h6 * (v + 2 * k2u + 2 * k3u + k4u)
-        v += h6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        t = t0 + (k + 1) * h
-        us.append(u)
-    return ts, np.array(us)
-
-
-def _rk4_affine(coeffs, h, u, v, n_steps):
-    """u at every step of RK4 on u'' = alpha u + beta u' + gamma, as the
-    exact affine map of one step (see rk4_integrate), from u(t0), u'(t0)."""
     alpha, beta, gamma = coeffs
     # in plain floats, so that no BLAS kernel picks the rounding
     a10, a11 = h * alpha, h * beta  # hA = [[0, h], [a10, a11]]
@@ -726,28 +707,38 @@ def _rk4_affine(coeffs, h, u, v, n_steps):
         if k < 4:
             s01, s11 = s01 + t01 / (k + 1), s11 + t11 / (k + 1)
     d0, d1 = h * gamma * s01, h * gamma * s11
+    u, v = float(u0), float(v0)
     us = [u]
     for _ in range(n_steps):
         u, v = u + (n00 * u + n01 * v + d0), v + (n10 * u + n11 * v + d1)
         us.append(u)
-    return np.array(us)
+    # t0 + k h per element: the bits of rk4_integrate_first_order's t values
+    return t0 + np.arange(n_steps + 1) * h, np.array(us)
 
 
-def rk4_integrate_first_order(rhs, t0, u0, t1, n_steps):
-    """Classical fourth-order integration of u' = rhs(t, u)."""
+def rk4_integrate_first_order(rhs, t0, y0, t1, n_steps):
+    """Classical fourth-order integration of the system y' = rhs(t, y).
+
+    The state y is a tuple of floats and `rhs` returns a tuple of the same
+    length; a second-order equation u'' = f(t, u, u') is the system on
+    y = (u, u') whose rhs returns (u', f).  Returns the t values and the
+    states, shape (n_steps + 1, len(y0)).  The stages are taken
+    component-wise, y + h/2 k1 and so on, in plain floats.
+    """
     h = (t1 - t0) / n_steps
     h2, h6 = h / 2, h / 6
-    t, u = t0, float(u0)
-    us = [u]
+    t, y = t0, tuple(map(float, y0))
+    ys = [y]
     for k in range(n_steps):
-        k1 = rhs(t, u)
-        k2 = rhs(t + h2, u + h2 * k1)
-        k3 = rhs(t + h2, u + h2 * k2)
-        k4 = rhs(t + h, u + h * k3)
-        u += h6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = rhs(t, y)
+        k2 = rhs(t + h2, tuple(a + h2 * b for a, b in zip(y, k1)))
+        k3 = rhs(t + h2, tuple(a + h2 * b for a, b in zip(y, k2)))
+        k4 = rhs(t + h, tuple(a + h * b for a, b in zip(y, k3)))
+        y = tuple(a + h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
         t = t0 + (k + 1) * h
-        us.append(u)
-    return t0 + np.arange(n_steps + 1) * h, np.array(us)
+        ys.append(y)
+    return t0 + np.arange(n_steps + 1) * h, np.array(ys)
 
 
 def ode_cross_check(family: SolutionFamily, overrides=None, interval=(0.0, 1.0),
@@ -774,14 +765,13 @@ def ode_cross_check(family: SolutionFamily, overrides=None, interval=(0.0, 1.0),
 
 def solve_numeric_profile(family: SolutionFamily, overrides=None,
                           interval=(0.0, 1.0), n_steps=1000):
-    """Integrate a numeric-only family from its stored initial data."""
+    """Integrate a numeric-only family from the initial data its `initial`
+    parameters hold; returns the t values and the profile u at each."""
     p = family.merged(overrides)
-    rhs = family._ode_rhs(p)
-    u0 = p.get("w0", p.get("psi0", p.get("phi0", 1.0)))
-    if family.ode_order == 1:
-        return rk4_integrate_first_order(rhs, interval[0], u0, interval[1], n_steps)
-    v0 = p.get("dw0", p.get("dpsi0", 0.0))
-    return rk4_integrate(rhs, interval[0], u0, v0, interval[1], n_steps)
+    ts, ys = rk4_integrate_first_order(family._ode_rhs(p), interval[0],
+                                       [p[name] for name in family.initial],
+                                       interval[1], n_steps)
+    return ts, ys[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -719,6 +719,28 @@ def test_kasner_invariants_that_overflow_are_a_domain_error(text, exponents, tmp
     assert captured.err == message.encode() and not captured.out
 
 
+@pytest.mark.parametrize("text,message", [
+    # b^2 overflows: the Einstein fiber row read inf and the check exited 1
+    ("task = einstein-check\nbase = interval\nfiber.geometry = flat_torus\nfiber.dim = 2\n"
+     "fiber.warping = 1e200\nlambda = 1\n",
+     "warping 0 = 1e+200 at t = 0.05191962066723449: b^2 is not finite"),
+    # b^2 underflows to 0: the closed-form scalar divided by it, and the
+    # oracle exited 2 on a singular metric
+    ("task = scalar-check\nbase = interval\nfiber.geometry = sphere\n"
+     "fiber.warping = 1e-200\np.location = base\np.components = 1\n",
+     "warping 0 = 1e-200 at t = 0.05191962066723449: 1/b^2 is not finite"),
+], ids=["einstein-check-1e200", "scalar-check-1e-200"])
+def test_warping_whose_square_is_not_finite_is_a_domain_error(text, message, tmp_path,
+                                                              capsysbinary):
+    path = tmp_path / "extreme.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(path)]) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.err == f"error: {message}\n".encode() and not captured.out
+
+
 @pytest.mark.parametrize("radius", ["1e-160", "1e-200", "1e-300", "1e300"])
 def test_sphere_radius_without_a_finite_curvature_is_a_domain_error(radius, tmp_path,
                                                                     capsysbinary):
@@ -762,6 +784,21 @@ def test_info_lines_of_a_scan_and_a_scalar_check(caplog):
         ("warpcurv", logging.INFO,
          "scalar constancy: scalar curvature constant; all factor scalars constant"),
     ]
+
+
+def test_constant_scalar_with_invariants_that_vary_over_the_fiber(caplog):
+    # P = -1/(x+2) d_x on a flat torus: g(P, P) = div P = 1/(x+2)^2 varies
+    # with x, but the P terms (1 - nbar) g(P, P) + (nbar - 1) div P cancel
+    text = ("task = scalar-check\nbase = interval\nfiber.geometry = flat_torus\n"
+            "fiber.dim = 2\nfiber.warping = 1\np.location = fiber:0\n"
+            "p.components = 0-1/(x+2), 0\n")
+    with caplog.at_level(logging.INFO, logger="warpcurv"):
+        report = run_scenario(parse_scenario(text))
+    assert [(c.check, c.grid_max_residual, c.verdict) for c in report.checks] == [
+        ("scalar-closed-form-vs-oracle", 0.0, "pass"), ("scalar-constancy", 0.0, "pass")]
+    assert caplog.record_tuples == [(
+        "warpcurv", logging.INFO,
+        "scalar constancy: scalar constant but torsion-field invariants vary over the fiber")]
 
 
 def test_constancy_row_reports_the_tolerance_its_check_used(monkeypatch):

@@ -1,5 +1,6 @@
 """Einstein / pseudo-Einstein / constant-scalar residual checks."""
 
+import logging
 import math
 import tracemalloc
 
@@ -48,10 +49,17 @@ def _closed(spec, P, grid):
     return einstein._closed_form(spec, P, np.asarray(grid, dtype=float))
 
 
-def _constancy(spec, P, grid):
-    """The constancy check as `cli.run_scenario` calls it: with the closed
-    form of `multiwarped_scalar` over the same grid."""
-    return constant_scalar_separation_check(spec, P, grid, _closed(spec, P, grid))
+def _constancy(spec, P, grid, caplog):
+    """The constancy check as `cli.run_scenario` calls it, with the closed
+    form of `multiwarped_scalar` over the same grid: its row and the text of
+    the INFO line it writes."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="warpcurv"):
+        row = constant_scalar_separation_check(spec, P, grid, _closed(spec, P, grid))
+    ((name, level, line),) = caplog.record_tuples
+    assert (name, level, row.check) == ("warpcurv", logging.INFO, "scalar-constancy")
+    assert row.tolerance == einstein.CONSTANCY_TOL
+    return row, line.removeprefix("scalar constancy: ")
 
 
 def test_exponential_family_passes(grw_exp_spec):
@@ -251,7 +259,7 @@ def test_grid_wide_fiber_checks_keep_the_per_point_bits(name, monkeypatch):
                           _per_point_fiber_p_scalar(spec, P, grid))
 
 
-def test_fiber_checks_build_one_cache_per_fiber_sample(monkeypatch):
+def test_fiber_checks_build_one_cache_per_fiber_sample(monkeypatch, caplog):
     # each check holds its fiber samples as the rows of one cache, from one
     # jet walk over their points
     built = []
@@ -279,7 +287,7 @@ def test_fiber_checks_build_one_cache_per_fiber_sample(monkeypatch):
     assert built == [1] and walks == [1]
     built.clear()
     walks.clear()
-    _constancy(spec, P, grid)
+    _constancy(spec, P, grid, caplog)
     assert built == [1, 5] and walks == [1, 5]
 
 
@@ -431,43 +439,44 @@ def test_scalar_requires_unit_time_field(grw_exp_spec):
         multiwarped_scalar_formula(grw_exp_spec, crooked, np.array([0.3]))
 
 
-def test_constancy_check_reports(grw_exp_spec):
-    rep = _constancy(grw_exp_spec, p_dt(), chebyshev_grid())
-    assert rep.scalar_constant and rep.grid_adequate
+def test_constancy_check_reports(grw_exp_spec, caplog):
+    row, line = _constancy(grw_exp_spec, p_dt(), chebyshev_grid(), caplog)
+    assert row.passed and row.grid_max_residual < einstein.CONSTANCY_TOL
 
     bad = spec_of([parse_expr("t^2+1")], [FlatTorus(2)])
-    rep = _constancy(bad, p_dt(), chebyshev_grid())
-    assert not rep.scalar_constant
-    assert "not constant" in rep.message
+    row, line = _constancy(bad, p_dt(), chebyshev_grid(), caplog)
+    assert not row.passed and row.grid_max_residual >= einstein.CONSTANCY_TOL
+    assert "not constant" in line
 
-    tiny = _constancy(grw_exp_spec, p_dt(), [0.5])
-    assert not tiny.grid_adequate
-    assert "too small" in tiny.message
+    # a constant scalar on one grid point: the spread is 0, the grid too small
+    row, line = _constancy(grw_exp_spec, p_dt(), [0.5], caplog)
+    assert not row.passed and row.grid_max_residual < einstein.CONSTANCY_TOL
+    assert "too small" in line
 
 
-def test_constancy_p_invariants():
+def test_constancy_p_invariants(caplog):
     spec = spec_of([Const(1.0), Const(1.0)],
                    [Circle(), FlatTorus(2)])
     const_P = TorsionVectorFieldSpec(1, [Const(0.4), Const(0.1)])
-    rep = _constancy(spec, const_P, chebyshev_grid())
-    assert rep.p_invariants_constant is True and rep.scalar_constant
+    row, line = _constancy(spec, const_P, chebyshev_grid(), caplog)
+    assert row.passed and line == "scalar curvature constant; all factor scalars constant"
 
     rot_P = TorsionVectorFieldSpec(1, [parse_expr("0-w"), parse_expr("z")])
-    rep = _constancy(spec, rot_P, chebyshev_grid())
-    assert rep.p_invariants_constant is False and not rep.scalar_constant
+    row, line = _constancy(spec, rot_P, chebyshev_grid(), caplog)
+    assert not row.passed and "not constant" in line
 
 
-def test_constancy_spread_runs_over_the_fiber_samples():
+def test_constancy_spread_runs_over_the_fiber_samples(caplog):
     # P = cos(x) d_x on a sphere fiber: the scalar at each t varies with the
     # polar angle, though the t-grid alone at one fiber point sees no change
     spec = spec_of([Const(1.3)], [Sphere(1.0)])
     P = TorsionVectorFieldSpec(0, [parse_expr("cos(x)"), Const(0.0)])
     grid = chebyshev_grid(0.05, 0.95, 5)
     assert np.ptp(multiwarped_scalar_formula(spec, P, grid)) == 0.0
-    rep = _constancy(spec, P, grid)
-    assert not rep.scalar_constant and rep.p_invariants_constant is False
+    row, line = _constancy(spec, P, grid, caplog)
+    assert not row.passed and "not constant" in line
     samples = spec.fibers[0].sample_coords(5)
     pts = spec.make_point(np.repeat(grid, 5)[:, None], [np.tile(samples, (len(grid), 1))])
     oracle = connection_curvature(SSNM, spec, P, pts).scalar
-    assert rep.scalar_spread > 0.3
-    assert rep.scalar_spread == pytest.approx(np.ptp(oracle), rel=1e-12)
+    assert row.grid_max_residual > 0.3
+    assert row.grid_max_residual == pytest.approx(np.ptp(oracle), rel=1e-12)

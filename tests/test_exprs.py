@@ -13,18 +13,18 @@ from warpcurv.errors import ExprError, ExprParseError
 from warpcurv.exprs import (
     _MAX_NESTING,
     Const,
+    Cos,
+    Exp,
     GridJet,
     Recip,
     ScalarExpr,
+    Sin,
+    Sqrt,
     Var,
-    cos,
     eval_grid,
     eval_jet,
     eval_stack,
-    exp,
     parse_expr,
-    sin,
-    sqrt,
 )
 
 
@@ -51,13 +51,13 @@ def fd_hess_diag(expr, names, values, i, h=1e-4):
 
 
 def test_basic_evaluation():
-    e = exp(Var("t")) * 2 + Var("t") ** 2
+    e = Exp(Var("t")) * 2 + Var("t") ** 2
     assert eval_value(e, ("t",), [0.0]) == pytest.approx(2.0)
     assert eval_value(e, ("t",), [1.0]) == pytest.approx(2 * math.e + 1)
 
 
 def test_jet_first_and_second_derivatives():
-    e = exp(Var("t") * 0.5) * sin(Var("x")) + sqrt(Var("x") + 2)
+    e = Exp(Var("t") * 0.5) * Sin(Var("x")) + Sqrt(Var("x") + 2)
     names = ("t", "x")
     pt = [0.3, 0.8]
     _, ((jet_grad,),), ((jet_hess,),) = eval_jet([e], names, [pt])
@@ -74,7 +74,7 @@ def test_jet_first_and_second_derivatives():
     a=st.floats(min_value=-1.0, max_value=1.0),
 )
 def test_jet_matches_finite_differences(t, x, a):
-    e = exp(Const(a) * Var("t")) * (Var("x") ** 1.5) + cos(Var("t")) * Recip(Var("x"))
+    e = Exp(Const(a) * Var("t")) * (Var("x") ** 1.5) + Cos(Var("t")) * Recip(Var("x"))
     names = ("t", "x")
     _, ((jet_grad,),), _ = eval_jet([e], names, [[t, x]])
     grad = fd_grad(e, names, [t, x])
@@ -84,7 +84,7 @@ def test_jet_matches_finite_differences(t, x, a):
 
 def test_domain_errors():
     with pytest.raises(ExprError):
-        eval_value(sqrt(Var("t")), ("t",), [-1.0])
+        eval_value(Sqrt(Var("t")), ("t",), [-1.0])
     with pytest.raises(ExprError):
         eval_value(Recip(Var("t")), ("t",), [0.0])
     with pytest.raises(ExprError):
@@ -206,7 +206,7 @@ _EXPONENTS = (2, 0, 1, 3, 4, 0.5, 1.5, 2.5, -0.5, -1, -2)
 def _nodes(children):
     return st.one_of(
         st.tuples(st.sampled_from(_BINARY), children, children).map(lambda p: p[0](p[1], p[2])),
-        st.tuples(st.sampled_from((exp, sin, cos, sqrt)), children).map(lambda p: p[0](p[1])),
+        st.tuples(st.sampled_from((Exp, Sin, Cos, Sqrt)), children).map(lambda p: p[0](p[1])),
         st.tuples(children, st.sampled_from(_EXPONENTS)).map(lambda p: p[0] ** p[1]),
     )
 

@@ -417,9 +417,25 @@ def test_kasner2_scalar_families(rng):
     assert np.all(np.isfinite(us))
 
     fams = kasner_scalar_families("II", (1.0, -0.5), (1, 2), 2.0, (0.0, 1.5))
-    assert fams[0].numeric_only and fams[0].ode_order == 1
+    assert fams[0].numeric_only and fams[0].initial == ("phi0",)
     ts, us = solve_numeric_profile(fams[0])
     assert np.all(us > 0)
+
+
+@pytest.mark.parametrize("family,initial", [
+    (lambda: grw_scalar_family(2, 1.0, 2.0), ("w0", "dw0")),
+    (lambda: kasner_scalar_families("II", (1.0, 0.25), (1, 2), 2.0, (0.0, 1.5)),
+     ("psi0", "dpsi0")),
+    (lambda: kasner_scalar_families("II", (1.0, -0.5), (1, 2), 2.0, (0.0, 1.5)), ("phi0",)),
+], ids=["grw-scalar-power-forced", "kasner2-scalar-forced", "kasner2-scalar-forced-gradient"])
+def test_numeric_profiles_start_at_their_drawn_initial_data(family, initial, rng):
+    (fam,) = family()
+    for params in draws(fam, rng):
+        assert params[initial[0]] != fam.params[initial[0]]
+        ts, us = solve_numeric_profile(fam, params)
+        assert us[0] == params[initial[0]]
+        if len(initial) == 2:
+            assert abs((us[1] - us[0]) / (ts[1] - ts[0]) - params[initial[1]]) < 1e-2
 
 
 def test_kasner_static_scalar_value(rng):
@@ -436,8 +452,8 @@ def test_kasner_static_scalar_value(rng):
 
 def test_rk4_convergence():
     # u'' = -u with u(0) = 0, u'(0) = 1 has solution sin t
-    ts, us = rk4_integrate(lambda t, u, v: -u, 0.0, 0.0, 1.0, 1.0, 1000)
-    assert np.max(np.abs(us - np.sin(ts))) < 1e-12
+    ts, ys = rk4_integrate_first_order(lambda t, y: (y[1], -y[0]), 0.0, (0.0, 1.0), 1.0, 1000)
+    assert np.max(np.abs(ys[:, 0] - np.sin(ts))) < 1e-12
 
 
 def test_rk4_convergence_of_the_coefficient_form():
@@ -452,10 +468,10 @@ def test_rk4_convergence_of_the_coefficient_form():
 ])
 def test_rk4_coefficients_step_as_their_callable(alpha, beta, gamma):
     # one RK4 step of a linear equation is an affine map of (u, u'), so the
-    # coefficient form and the callable take the same steps up to rounding
+    # coefficient form and the state form take the same steps up to rounding
     ts, us = rk4_integrate((alpha, beta, gamma), 0.2, 1.3, -0.4, 1.5, 1000)
-    ts_ref, us_ref = rk4_integrate(lambda t, u, v: alpha * u + beta * v + gamma,
-                                   0.2, 1.3, -0.4, 1.5, 1000)
+    ts_ref, us_ref = _first_state(rk4_integrate_first_order(
+        lambda t, y: (y[1], alpha * y[0] + beta * y[1] + gamma), 0.2, (1.3, -0.4), 1.5, 1000))
     assert ts.tobytes() == ts_ref.tobytes() and us.shape == (1001,)
     assert np.max(np.abs(us - us_ref)) <= 1e-12
 
@@ -468,8 +484,14 @@ def test_rk4_coefficients_step_as_their_callable(alpha, beta, gamma):
 def _forced_rhs(order):
     fam = kasner_scalar_families("II", (1.0, 0.25 if order == 2 else -0.5), (1, 2),
                                  2.0, (0.0, 1.5))[0]
-    assert fam.ode_order == order
+    assert len(fam.initial) == order
     return fam._ode_rhs(fam.merged())
+
+
+def _first_state(integrated):
+    """The t values and the first state component u of an integration."""
+    ts, ys = integrated
+    return ts, ys[:, 0]
 
 
 _LINEAR_TS = "0e4827766f6303d6d64392343ff6cdeb164c10d96421fe889d4bb93f04239a69"
@@ -477,16 +499,18 @@ _UNIT_TS = "be069d7d0c6719743ada6aed42916e2798ddc937afaa56bd63d766dcca764331"
 
 
 @pytest.mark.parametrize("integrate,steps,us_sha,ts_sha", [
-    (lambda: rk4_integrate(lambda t, u, v: 0.3 * v - 2.0 * u + math.cos(t),
-                           0.3, 1.0, -0.5, 1.7, 1000),
+    (lambda: _first_state(rk4_integrate_first_order(
+        lambda t, y: (y[1], 0.3 * y[1] - 2.0 * y[0] + math.cos(t)), 0.3, (1.0, -0.5), 1.7, 1000)),
      [(0.3, 1.0), (0.3014, 0.9992988293882797), (1.0, 0.3922108903644037),
       (1.7, -0.486399766731151)],
      "d39d47868cd5c93acaa2358cdca36ce2e12b87672ecaaf34e79c4522a2f6e4ff", _LINEAR_TS),
-    (lambda: rk4_integrate(_forced_rhs(2), 0.0, 1.0, 0.2, 1.0, 1000),  # kasner2-scalar-forced
+    (lambda: _first_state(rk4_integrate_first_order(_forced_rhs(2), 0.0, (1.0, 0.2), 1.0, 1000)),
+     # kasner2-scalar-forced
      [(0.0, 1.0), (0.001, 1.0002006190824515), (0.5, 1.3083458625507327),
       (1.0, 2.3916980861369495)],
      "49c9f3b2e7fd2e42b9dd470303ff8656625f86da7c264a6d0527406620d6dc47", _UNIT_TS),
-    (lambda: rk4_integrate_first_order(_forced_rhs(1), 0.0, 1.0, 1.0, 1000),  # -gradient
+    (lambda: _first_state(rk4_integrate_first_order(_forced_rhs(1), 0.0, (1.0,), 1.0, 1000)),
+     # kasner2-scalar-forced-gradient
      [(0.0, 1.0), (0.001, 1.0012920785715498), (0.5, 2.0648683998222648),
       (1.0, 5.644194429210094)],
      "0c43d1a1b8dbb64dcc0745d26aafaba3b60035e4241d0f16d4b0ecd4e62b47c0", _UNIT_TS),
