@@ -10,11 +10,13 @@ are tested against.
 
 The oracle takes its points as a stack, an (N, n_bar) array, and nothing
 else: one point is a one-row stack.  The jet walk runs once over the whole
-stack (`exprs.eval_stack`) and every tensor carries a leading point axis,
-so a grid costs one call.  The point axis is only a list of points; each
-row's result has the bits a one-row stack of that point gives.  The test
-suite holds the exact partials against central differences and the
-curvature against its closed-form relation to the Levi-Civita one.
+stack (`exprs.eval_stack`), whose value, gradient and Hessian arrays fill
+g, dg and d2g with one index-array write each, and every tensor carries a
+leading point axis, so a grid costs one call.  The point axis is only a
+list of points; each row's result has the bits a one-row stack of that
+point gives.  The test suite holds the exact partials against central
+differences and the curvature against its closed-form relation to the
+Levi-Civita one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalInstability, SingularMetric
-from .exprs import Const, GridJet, Pow, Prod, eval_stack
+from .exprs import Const, Pow, Prod, eval_stack
 from .geometry import ProductManifoldSpec
 
 
@@ -47,22 +49,22 @@ def metric_exprs(spec: ProductManifoldSpec):
     return entries
 
 
-def _metric_entries(spec, pts, order):
-    """((i, j), value) for every metric entry that is not identically zero,
-    over a checked stack of points, from one eval_stack walk."""
+def _metric_walk(spec, pts, order):
+    """The index lists (i, j) of the metric entries that are not
+    identically zero, and eval_stack's (val, grad, hess) of those entries
+    over a checked stack of points."""
     spec.check_point(pts)
-    entries = metric_exprs(spec)
-    vals = eval_stack([e for _, _, e in entries], spec.coord_names, pts, order)
-    return zip([(i, j) for i, j, _ in entries], vals)
+    i, j, trees = zip(*metric_exprs(spec))
+    return (list(i), list(j)), eval_stack(trees, spec.coord_names, pts, order)
 
 
 def assemble_metric(spec: ProductManifoldSpec, p) -> np.ndarray:
     """Metric matrix g[p, i, j] at each row of an (N, n_bar) stack p;
     validates chart membership and warping positivity."""
     pts = spec.point_stack(p)
+    (i, j), (val, _, _) = _metric_walk(spec, pts, order=0)
     g = np.zeros((len(pts), spec.n_bar, spec.n_bar))
-    for (i, j), val in _metric_entries(spec, pts, order=0):
-        g[:, i, j] = val.val if isinstance(val, GridJet) else val
+    g[:, i, j] = val
     return g
 
 
@@ -71,17 +73,12 @@ def metric_derivatives(spec: ProductManifoldSpec, p):
     second partials, from one order-2 jet walk over the entries: g[p, i, j],
     dg[p, k, i, j] = d_k g_ij and d2g[p, k, l, i, j] = d_k d_l g_ij."""
     pts = spec.point_stack(p)
+    (i, j), (val, grad, hess) = _metric_walk(spec, pts, order=2)
     N, n = len(pts), spec.n_bar
-    g = np.zeros((N, n, n))
-    dg = np.zeros((N, n, n, n))
-    d2g = np.zeros((N, n, n, n, n))
-    for (i, j), val in _metric_entries(spec, pts, order=2):
-        if not isinstance(val, GridJet):
-            g[:, i, j] = val
-            continue
-        g[:, i, j] = val.val
-        dg[:, :, i, j] = val.grad
-        d2g[:, :, :, i, j] = val.hess
+    g, dg, d2g = np.zeros((N, n, n)), np.zeros((N, n, n, n)), np.zeros((N, n, n, n, n))
+    g[:, i, j] = val
+    dg[:, :, i, j] = grad.transpose(0, 2, 1)
+    d2g[:, :, :, i, j] = hess.transpose(0, 2, 3, 1)
     return g, dg, d2g
 
 

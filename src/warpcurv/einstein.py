@@ -75,9 +75,7 @@ def warping_samples(spec, grid):
     _require_interval_warped(spec)
     if not len(grid):
         raise WarpcurvError("grid has no points")
-    out = np.zeros((spec.m, 3, len(grid)))
-    for i, w in enumerate(spec.warpings):
-        out[i] = eval_grid(w, grid)
+    out = np.array([eval_grid(w, grid) for w in spec.warpings])
     b = out[:, 0]
     low = b.min()
     if not low > 0.0:  # a NaN minimum fails too
@@ -86,16 +84,17 @@ def warping_samples(spec, grid):
     # smallest one 1/b^2; in Python floats, which do not warn
     high, low = float(b.max()), float(low)
     if high * high == math.inf:
-        _not_finite(b, grid, b.argmax(), "b^2")
+        raise not_finite_error(b, grid, np.unravel_index(b.argmax(), b.shape), "b^2")
     if low * low == 0.0 or 1.0 / (low * low) == math.inf:
-        _not_finite(b, grid, b.argmin(), "1/b^2")
+        raise not_finite_error(b, grid, np.unravel_index(b.argmin(), b.shape), "1/b^2")
     return out
 
 
-def _not_finite(b, grid, index, what):
-    i, j = np.unravel_index(index, b.shape)
-    raise WarpcurvError(f"warping {i} = {float(b[i, j])!r} at t = {float(grid[j])!r}: "
-                        f"{what} is not finite")
+def not_finite_error(b, grid, at, what):
+    """The WarpcurvError for warping samples b (m, T) over the grid whose
+    `what` is not finite at b[at], naming the warping, the sample and its t."""
+    return WarpcurvError(f"warping {at[0]} = {float(b[at])!r} at t = {float(grid[at[1]])!r}: "
+                         f"{what} is not finite")
 
 
 def _grid_points(spec, grid, fiber_coords=None, then=None):

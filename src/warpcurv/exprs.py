@@ -6,10 +6,12 @@ as explicit trees (node kinds: constant, variable, sum, product, power with
 a real exponent, exp, sin, cos, sqrt, reciprocal) and evaluated on
 `GridJet` numbers, which carry the value together with the exact gradient
 and Hessian with respect to a chosen coordinate list at every point of a
-stack (`eval_stack`).  Points come only as a stack: one point is a one-row
-stack (`eval_jet`), a t-grid a one-column one (`eval_grid`).  A node
-computes on a `float` itself and hands every other number to its method,
-so plain floats and any jet type with the same methods walk the same trees.
+stack.  `eval_stack` hands a walk back as three arrays, values (N, k),
+gradients (N, k, n) and Hessians (N, k, n, n), so the jet type stays inside
+this module.  Points come only as a stack: one point is a one-row stack
+(`eval_jet`), a t-grid a one-column one (`eval_grid`).  A node computes on
+a `float` itself and hands every other number to its method, so plain
+floats and any jet type with the same methods walk the same trees.
 """
 
 from __future__ import annotations
@@ -51,19 +53,19 @@ def _cos(u):
 class GridJet:
     """Value, gradient and Hessian of a node at every point of a stack.
 
-    val (N,), grad (N, n) and hess (N, n, n), one row per point of an
-    (N, n) stack of coordinate values (vector-mode Taylor propagation;
-    Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  A
-    t-grid is the stack with n = 1, a single point the stack with N = 1; a
-    jet made with order 0 carries values only.  Each rule applies the
-    scalar second-order chain rule in a fixed operation order, so every row
-    has the bits that a scalar jet with the same rules gives at that point.
-    Only the correctly rounded operations (+, -, *, /, sqrt) run in numpy;
-    exp, sin, cos and powers run element by element on Python floats,
-    because numpy's exp and power round differently from math's and **.
-    Each maps the raw math.exp, math.sin, math.cos or pow first, and the
-    checking wrapper (_exp, _sin, _cos, _pow), which gives the same values,
-    only if that raises, so that the ExprError names its point.
+    One row per point of an (N, n) stack of coordinate values (vector-mode
+    Taylor propagation; Griewank & Walther, *Evaluating Derivatives*, 2nd
+    ed., ch. 13), which eval_stack copies out as arrays.  A t-grid is the
+    stack with n = 1, a single point the stack with N = 1; a jet made with
+    order 0 carries values only.  Each rule applies the scalar second-order
+    chain rule in a fixed operation order, so every row has the bits that a
+    scalar jet with the same rules gives at that point.  Only the correctly
+    rounded operations (+, -, *, /, sqrt) run in numpy; exp, sin, cos and
+    powers run element by element on Python floats, because numpy's exp and
+    power round differently from math's and **.  Each maps the raw math.exp,
+    math.sin, math.cos or pow first, and the checking wrapper (_exp, _sin,
+    _cos, _pow), which gives the same values, only if that raises, so that
+    the ExprError names its point.
 
     A float operand stays a scalar: `jet * c` is (u c, c du, c ddu) and
     `jet + c` is (u + c, du, ddu), sharing du and ddu, where the rule for two
@@ -83,18 +85,6 @@ class GridJet:
 
     def __init__(self, at, u, du, ddu):
         self.at, self.u, self.du, self.ddu = at, u, du, ddu
-
-    @property
-    def val(self):
-        return self.u[:, 0, 0]
-
-    @property
-    def grad(self):
-        return self.du[:, 0]
-
-    @property
-    def hess(self):
-        return self.ddu
 
     def __add__(self, other):
         if not isinstance(other, GridJet):
@@ -424,36 +414,42 @@ def jet_env(names, pts, order):
 
 
 def eval_stack(exprs, names, pts, order=2):
-    """Each expression over the rows of an (N, len(names)) stack of points;
-    any other shape of points raises ExprError.
+    """Values val (N, k), gradients grad (N, k, n) and Hessians hess
+    (N, k, n, n) of k expressions over the rows of an (N, n) stack of
+    points, n = len(names); at order 0 (val, None, None).  Any other shape
+    of points raises ExprError.
 
     One walk per tree with GridJet numbers seeded on one slot per name
-    (order 2), or carrying values only (order 0); a constant tree gives its
-    float.  Row j has the bits of the walk at pts[j] alone (for order 0 its
-    value, as a walk on plain floats gives it); where that walk would raise
-    ExprError this raises it too, naming the first point at which the
-    failing rule fails.  Overflow and invalid operations give inf and nan, as on floats.
+    (order 2), or carrying values only (order 0); a constant tree fills
+    its value on every row and zero derivative rows.  Row j has the bits
+    of the walk at pts[j] alone (for order 0 its value, as a walk on plain
+    floats gives it); where that walk would raise ExprError this raises it
+    too, naming the first point at which the failing rule fails.  Overflow
+    and invalid operations give inf and nan, as on floats.
     """
-    env = jet_env(names, np.asarray(pts, dtype=float), order)
+    pts = np.asarray(pts, dtype=float)
+    env = jet_env(names, pts, order)
+    (count, n), k = pts.shape, len(exprs)
+    val = np.zeros((count, k))
+    grad, hess = (np.zeros((count, k, n)), np.zeros((count, k, n, n))) if order else (None, None)
     with np.errstate(over="ignore", invalid="ignore"):
-        return [e.eval(env) for e in exprs]
+        for i, e in enumerate(exprs):
+            jet = e.eval(env)
+            if not isinstance(jet, GridJet):
+                val[:, i] = jet
+                continue
+            val[:, i] = jet.u[:, 0, 0]
+            if order:
+                grad[:, i], hess[:, i] = jet.du[:, 0], jet.ddu
+    return val, grad, hess
 
 
 def eval_jet(exprs, names, points):
-    """Values (N, k), gradients (N, k, n) and Hessians (N, k, n, n) of k
-    expressions at each row of an (N, n) stack of points, one point being
-    a one-row stack, from one eval_stack walk.  A constant gets zero
-    derivative rows.  Any other shape of points raises ExprError, and so
-    does a value that is not finite, naming the first point that has one."""
+    """eval_stack's (val, grad, hess) at order 2, one point being a one-row
+    stack.  Any other shape of points raises ExprError, and so does a value
+    that is not finite, naming the first point that has one."""
     pts = np.asarray(points, dtype=float)
-    jets = eval_stack(exprs, names, pts)
-    (count, n), k = pts.shape, len(exprs)
-    val, grad, hess = np.zeros((count, k)), np.zeros((count, k, n)), np.zeros((count, k, n, n))
-    for i, jet in enumerate(jets):
-        if isinstance(jet, GridJet):
-            val[:, i], grad[:, i], hess[:, i] = jet.val, jet.grad, jet.hess
-        else:
-            val[:, i] = jet
+    val, grad, hess = eval_stack(exprs, names, pts)
     if not np.isfinite(val).all():
         at = pts[int(np.argmax(~np.isfinite(val).all(axis=1)))].tolist()
         raise ExprError(f"expression not finite at {dict(zip(names, at))!r}")
@@ -463,27 +459,21 @@ def eval_jet(exprs, names, points):
 def eval_grid(expr, ts, order=2):
     """Rows u, u', u'' of an expression in the single variable t over a grid.
 
-    The stack of eval_stack with n = 1, shape (3, len(ts)): column j holds
-    the value, first and second derivative at ts[j], with the bits of
-    eval_jet([expr], ("t",), [[ts[j]]]), and an ExprError names the grid value.
-    With order 0 the walk carries values only and gives the row u alone,
-    shape (1, len(ts)); an unbound variable or a value that is not finite
-    raises the same ExprError as at order 2.
+    eval_stack's arrays for n = 1 as rows, shape (3, len(ts)): column j
+    holds the value, first and second derivative at ts[j], with the bits of
+    eval_jet([expr], ("t",), [[ts[j]]]), and an ExprError names the grid
+    value.  With order 0 the walk carries values only and gives the row u
+    alone, shape (1, len(ts)); an unbound variable or a value that is not
+    finite raises the same ExprError as at order 2.
     """
     ts = np.asarray(ts, dtype=float)
-    out = np.zeros((3 if order else 1, len(ts)))
     if not len(ts):
-        return out
+        return np.zeros((3 if order else 1, 0))
     unbound = sorted(expr.variables() - {"t"})
     if unbound:
         raise ExprError(f"unbound variable {unbound[0]!r} at t={float(ts[0])!r}")
-    jet, = eval_stack([expr], ("t",), ts[:, None], order)
-    if not isinstance(jet, GridJet):
-        out[0] = jet
-    elif order:
-        out[0], out[1], out[2] = jet.val, jet.grad[:, 0], jet.hess[:, 0, 0]
-    else:
-        out[0] = jet.val
+    val, grad, hess = eval_stack([expr], ("t",), ts[:, None], order)
+    out = np.concatenate((val.T, grad.reshape(1, -1), hess.reshape(1, -1))) if order else val.T
     bad = ~np.isfinite(out[0])
     if bad.any():
         raise ExprError(f"expression not finite at t={float(ts[np.argmax(bad)])!r}")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .einstein import einstein_rows, scalar_samples, with_dt_terms
+from .einstein import einstein_rows, not_finite_error, scalar_samples, with_dt_terms
 from .errors import (
     ExprError,
     InvalidDimension,
@@ -108,14 +108,21 @@ def _power_samples(u, e):
     return u**e, e * below * du, e * (e - 1) * u ** (e - 2) * du**2 + e * below * ddu
 
 
-def _warpings(u, powers):
+def _warpings(u, powers, ts):
     """The warping samples (m, 3, T) of the warpings u^{e_i}, one power e_i
-    in `powers` per fiber, from the profile samples u (3, T).  A fractional
-    power of a profile sample <= 0 is NonPositiveWarping."""
+    in `powers` per fiber, from the profile samples u (3, T) on the grid ts.
+    A fractional power of a profile sample <= 0 is NonPositiveWarping, and
+    a sample b, b' or b'' that is not finite is einstein's not_finite_error."""
     fractional = [e for e in powers if not float(e).is_integer()]
     if fractional and u[0].min() <= 0.0:
         raise NonPositiveWarping(f"power {fractional[0]} of a profile that is not positive")
-    return np.array([_power_samples(u, e) for e in powers])
+    # an overflow is reported by the finiteness check, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.array([_power_samples(u, e) for e in powers])
+    if not np.isfinite(b).all():
+        i, k, j = np.argwhere(~np.isfinite(b))[0]
+        raise not_finite_error(b[:, 0], ts, (i, j), "b" + "'" * k)
+    return b
 
 
 def _scalar_identity(b, dims, svals, scalar):
@@ -141,7 +148,6 @@ class SolutionFamily:
     params: dict
     free_params: tuple
     param_ranges: dict
-    numeric_only: bool = False
     # numeric-only: the parameters holding y(0), ("w0", "dw0") or ("phi0",)
     initial: tuple = ()
     # (alpha, beta, gamma) of the profile ODE u'' = alpha u + beta u' + gamma
@@ -159,6 +165,11 @@ class SolutionFamily:
     auxiliary: bool = False
     _profile_builder: object = None
     _ode_rhs: object = None  # numeric-only: params -> F(t, y), y = (u, u') or (u,)
+
+    @property
+    def numeric_only(self):
+        """No closed form: the family names its y(0) parameters in `initial`."""
+        return bool(self.initial)
 
     def merged(self, overrides=None):
         p = dict(self.params)
@@ -187,15 +198,16 @@ class SolutionFamily:
         if self.numeric_only:
             raise WarpcurvError(f"{self.family_id} is integrator-backed only")
         expr = self.profile(overrides)
-        u = profile_derivatives(expr, _nonempty_grid(ts))
+        ts = _nonempty_grid(ts)
+        u = profile_derivatives(expr, ts)
         if self.equations == "kasner":
             rows = _kasner_system_values(self.powers, self.dims, self.target,
                                          self.fiber_constants, *u)
             return {f"kasner-eq-{k}": row for k, row in enumerate(rows)}
         try:
-            b = _warpings(u, self.powers)
-        except NonPositiveWarping as exc:
-            raise NonPositiveWarping(f"{self.family_id}: {exc}") from None
+            b = _warpings(u, self.powers, ts)
+        except WarpcurvError as exc:
+            raise type(exc)(f"{self.family_id}: {exc}") from None
         if self.equations == "einstein":
             trace, (fiber,) = einstein_rows(b, self.dims, self.target, self.fiber_constants)
             return {"einstein-trace": trace, "einstein-fiber": fiber}
@@ -370,7 +382,6 @@ def grw_scalar_family(l, scalar, s_fiber):
                 "w0": 1.0, "dw0": 0.2},
         free_params=("w0", "dw0"),
         param_ranges={"w0": (0.6, 1.6), "dw0": (-0.3, 0.6)},
-        numeric_only=True,
         initial=("w0", "dw0"),
         _ode_rhs=lambda p: (lambda t, y: (y[1], (
             (p["l"] / 2.0) * y[1]
@@ -646,7 +657,6 @@ def _kasner2_first_order_numeric(p, dims, scalar, s2, eta):
                 "eta": eta, "phi0": 1.0, "sign": 1.0},
         free_params=("phi0", "sign"),
         param_ranges={"phi0": (0.6, 1.5)},
-        numeric_only=True,
         initial=("phi0",),
         _ode_rhs=rhs,
     )
@@ -669,7 +679,6 @@ def _kasner2_second_order_numeric(p, dims, scalar, s2, zeta, eta, mu_expo):
                 "psi0": 1.0, "dpsi0": 0.2},
         free_params=("psi0", "dpsi0"),
         param_ranges={"psi0": (0.6, 1.5), "dpsi0": (-0.2, 0.5)},
-        numeric_only=True,
         initial=("psi0", "dpsi0"),
         _ode_rhs=rhs,
     )

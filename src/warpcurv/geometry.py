@@ -29,12 +29,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonPositiveWarping, OutOfChart, UnsupportedP, WarpcurvError
-from .exprs import Const, GridJet, Pow, Prod, Recip, ScalarExpr, Sin, Var, eval_stack
+from .exprs import Const, Pow, Prod, Recip, ScalarExpr, Sin, Var, eval_stack
 
 _BASE_COORD_NAMES = ("t", "u", "v")
 _FIBER_COORD_PAIRS = (("x", "y"), ("z", "w"), ("p", "q"), ("r", "s"))
 # the open t-interval of the interval base
 _INTERVAL = (-10.0, 10.0)
+# the largest n_bar of a point computation; an n_bar^4 tensor is 8 MiB per point
+MAX_NBAR = 32
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +340,11 @@ class ProductManifoldSpec:
 
     def point_stack(self, p):
         """p as an (N, n_bar) float array; any other shape, a single point
-        included, raises WarpcurvError naming the expected shape."""
+        included, raises WarpcurvError naming the expected shape, and an
+        n_bar past MAX_NBAR raises one naming both before p is read."""
+        if self.n_bar > MAX_NBAR:
+            raise WarpcurvError(f"total dimension n_bar = {self.n_bar} exceeds the bound "
+                                f"{MAX_NBAR} of point computations")
         pts = np.asarray(p, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.n_bar:
             raise WarpcurvError(f"expected an (N, {self.n_bar}) point stack, got shape {pts.shape}")
@@ -365,8 +371,7 @@ class ProductManifoldSpec:
         bad = np.array([rows for rows, _ in charts])
         inside = int(np.argmax(bad.any(axis=0))) if bad.any() else len(pts)
         b = np.ones((self.m, len(pts)))
-        for i, w in enumerate(eval_stack(self.warpings, self.coord_names, pts[:inside], order=0)):
-            b[i, :inside] = w.val if isinstance(w, GridJet) else w
+        b[:, :inside] = eval_stack(self.warpings, self.coord_names, pts[:inside], order=0)[0].T
         bad = np.vstack([bad, ~((b > 0.0) & np.isfinite(b))])
         if bad.any():
             j = int(np.argmax(bad.any(axis=0)))
@@ -434,16 +439,12 @@ def ambient_components(spec, P, p):
     """Full-length components vals[p, m] of P at each row of an (N, n_bar)
     stack of points, and their partials dP[p, i, m] = d_i P^m."""
     pts = spec.point_stack(p)
-    nbar = spec.n_bar
-    vals = np.zeros((len(pts), nbar))
-    partials = np.zeros((len(pts), nbar, nbar))
+    vals = np.zeros((len(pts), spec.n_bar))
+    partials = np.zeros((len(pts), spec.n_bar, spec.n_bar))
     if P is not None:
         P.validate(spec)
-        start = spec.block_slice(P.location).start
-        for k, jet in enumerate(eval_stack(P.components, spec.coord_names, pts)):
-            if isinstance(jet, GridJet):
-                vals[:, start + k] = jet.val
-                partials[:, :, start + k] = jet.grad
-            else:
-                vals[:, start + k] = jet
+        block = spec.block_slice(P.location)
+        comps, grad, _ = eval_stack(P.components, spec.coord_names, pts)
+        vals[:, block] = comps
+        partials[:, :, block] = grad.transpose(0, 2, 1)
     return vals, partials

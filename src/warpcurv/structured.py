@@ -259,7 +259,6 @@ class StructuredGeometryCache:
         N = len(pts)
         self.spec = spec
         self.p = pts
-        self.P = P
         self.n = spec.n
         self.m = spec.m
         self.nbar = spec.n_bar
@@ -323,7 +322,7 @@ class StructuredGeometryCache:
             return self
         if self._p_free is None:
             view = copy.copy(self)
-            view.P = view.P_loc = view.Pc = view.dPc = None
+            view.P_loc = view.Pc = view.dPc = None
             # a view of a stacked view is stacked; the cache's is made apart
             view._stacked_view = False if self._stacked_view is False else None
             self._p_free = view

@@ -21,6 +21,7 @@ from warpcurv.cli import (
 )
 from warpcurv.errors import ConfigParseError, UnsupportedFormat
 from warpcurv.exprs import _MAX_NESTING
+from warpcurv.geometry import MAX_NBAR
 
 SCENARIOS = Path(__file__).parent / "scenarios"
 
@@ -739,6 +740,53 @@ def test_warping_whose_square_is_not_finite_is_a_domain_error(text, message, tmp
         assert main(["verify", str(path)]) == 2
     captured = capsysbinary.readouterr()
     assert captured.err == f"error: {message}\n".encode() and not captured.out
+
+
+_BIG_FIBER = ("base = interval\nfiber.geometry = flat_torus\nfiber.dim = 100000\n"
+              "fiber.warping = exp(0.5*t)\np.location = base\np.components = 1\n")
+
+
+def test_a_product_past_the_dimension_bound_is_a_domain_error(tmp_path, capsysbinary):
+    # n_bar = 100001: the oracle's jet seeds alone asked numpy for 373 GiB,
+    # and the run ended in a MemoryError traceback with exit 1
+    path = tmp_path / "big.txt"
+    path.write_text("task = oracle-verify\nconnection = semi-symmetric\n" + _BIG_FIBER)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(path)]) == 2
+    captured = capsysbinary.readouterr()
+    message = (f"error: total dimension n_bar = 100001 exceeds the bound {MAX_NBAR} "
+               "of point computations\n")
+    assert captured.err == message.encode() and not captured.out
+
+
+def test_a_check_that_builds_no_point_runs_past_the_dimension_bound(tmp_path, capsysbinary):
+    # einstein-check with P = d/dt evaluates warpings over t alone
+    path = tmp_path / "big.txt"
+    path.write_text("task = einstein-check\n" + _BIG_FIBER)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(path)]) == 1
+    captured = capsysbinary.readouterr()
+    assert b"einstein-fiber-0" in captured.out and not captured.err
+
+
+@pytest.mark.parametrize("task", ["family-verify", "family-generate"])
+@pytest.mark.parametrize("scalar", ["1", "2"])
+def test_a_family_warping_sample_that_is_not_finite_is_a_domain_error(task, scalar, tmp_path,
+                                                                     capsysbinary):
+    # s_fiber = 1e300 puts the profile's slope near 1e150, and its square in
+    # the chain rule of b'' overflowed: family-verify exited 3 on the
+    # integration, family-generate 1 on a nan row, both after RuntimeWarnings
+    path = tmp_path / "family.txt"
+    path.write_text(f"task = {task}\nfamily.kind = grw-scalar\nfamily.l = 3\n"
+                    f"family.scalar = {scalar}\nfamily.s_fiber = 1e300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(path)]) == 2
+    captured = capsysbinary.readouterr()
+    assert re.fullmatch(rb"error: grw-scalar-l3-distinct-roots: warping 0 = \S+ at t = 0\.0: "
+                        rb"b'' is not finite\n", captured.err) and not captured.out
 
 
 @pytest.mark.parametrize("radius", ["1e-160", "1e-200", "1e-300", "1e300"])

@@ -316,8 +316,7 @@ def _central(exprs, names, p, h):
     steps = [np.zeros(n)] + [s * h * e[i] for i in range(n) for s in (1, -1)]
     steps += [(si * e[i] + sj * e[j]) * k for i in range(n) for j in range(n)
               for si in (1, -1) for sj in (1, -1)]
-    walks = eval_stack(exprs, names, p + np.array(steps), order=0)
-    f = np.array([w.val if isinstance(w, GridJet) else np.full(len(steps), w) for w in walks])
+    f = eval_stack(exprs, names, p + np.array(steps), order=0)[0].T
     up, dn = f[:, 1:1 + 2 * n:2], f[:, 2:1 + 2 * n:2]
     grad = (up - dn) / (2 * h)
     corner = f[:, 1 + 2 * n:].reshape(len(exprs), n, n, 2, 2)
@@ -370,10 +369,10 @@ def test_a_tree_at_the_nesting_bound_walks_and_one_past_it_is_a_parse_error():
     tree = parse_expr(text)
     assert tree.variables() == {"t"}
     ts = np.array([[0.0], [0.5]])
-    (values,) = eval_stack([tree], ("t",), ts, order=0)
-    (jet,) = eval_stack([tree], ("t",), ts)
-    assert np.isfinite(jet.val).all() and np.isfinite(jet.hess).all()
-    assert np.array_equal(values.val, jet.val)
+    values, _, _ = eval_stack([tree], ("t",), ts, order=0)
+    val, _, hess = eval_stack([tree], ("t",), ts)
+    assert np.isfinite(val).all() and np.isfinite(hess).all()
+    assert np.array_equal(values, val)
     for deeper in ["(" + text + ")", "-(" + text + ")", text.replace(inner, "-" + inner),
                    text.replace(inner, "exp(-sin(pow(t, 2)))")]:
         with pytest.raises(ExprParseError, match=f"nesting deeper than {_MAX_NESTING} levels"):
@@ -427,8 +426,8 @@ def test_parse_error_quotes_an_excerpt_of_a_long_function_name():
 def test_a_long_chain_of_one_operator_is_one_node():
     # a + b - c is Sum(a, b, -c), so 3000 terms walk without a RecursionError
     # and give the bits of the left-to-right sums
-    (jet,) = eval_stack([parse_expr("+".join(["t"] * 3000))], ("t",), np.array([[0.1]]))
-    assert (jet.val[0], jet.grad[0, 0], jet.hess[0, 0, 0]) == (sum([0.1] * 3000), 3000.0, 0.0)
+    val, grad, hess = eval_stack([parse_expr("+".join(["t"] * 3000))], ("t",), np.array([[0.1]]))
+    assert (val[0, 0], grad[0, 0, 0], hess[0, 0, 0, 0]) == (sum([0.1] * 3000), 3000.0, 0.0)
     tree = parse_expr("2" + "*t/t" * 3000)
     assert tree.variables() == {"t"}
     assert eval_value(tree, ("t",), [0.5]) == 2.0

@@ -12,6 +12,7 @@ from warpcurv.errors import ConfigParseError, OutOfChart, WarpcurvError
 from warpcurv.exprs import Const, eval_jet, parse_expr
 from warpcurv.geometry import (
     FIBER_GEOMETRIES,
+    MAX_NBAR,
     Circle,
     FlatBase,
     FlatTorus,
@@ -33,6 +34,15 @@ def test_block_layout():
     assert spec.block_slice("base") == slice(0, 1)
     assert spec.block_slice(0) == slice(1, 2)
     assert spec.block_slice(1) == slice(2, 4)
+
+
+def test_point_stacks_stop_at_the_dimension_bound():
+    # the spec is built past the bound; its first point stack is refused
+    at, past = (ProductManifoldSpec(IntervalBase(), [FlatTorus(d)], [Const(1.0)])
+                for d in (MAX_NBAR - 1, MAX_NBAR))
+    assert at.point_stack(np.zeros((2, MAX_NBAR))).shape == (2, MAX_NBAR)
+    with pytest.raises(WarpcurvError, match=f"n_bar = {MAX_NBAR + 1} exceeds the bound {MAX_NBAR}"):
+        past.point_stack(np.zeros((2, MAX_NBAR + 1)))
 
 
 def test_untwisted_warping_cannot_use_fiber_coordinates():

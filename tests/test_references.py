@@ -9,6 +9,9 @@ bare string that merely looks like a name (an op tag, a dictionary key) is
 not a reference.  Imports, comments and prose do not count, and neither do
 tests: code that only tests call belongs in tests/, and a private helper
 that nothing calls is dead.
+
+The jet type of the expression walk, `exprs.GridJet`, is named in
+`exprs.py` alone: every other module reads the walk's arrays.
 """
 
 import ast
@@ -93,3 +96,14 @@ def test_every_private_function_is_referenced():
 
 def test_every_exception_is_still_needed():
     assert sorted(_uncalled().keys() & EXCEPTIONS.keys()) == sorted(EXCEPTIONS)
+
+
+def test_only_exprs_names_the_jet_type():
+    # eval_stack hands a walk back as arrays, so no other module imports,
+    # constructs or tests for a GridJet
+    named = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "exprs.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if "GridJet" in (getattr(node, "id", None), getattr(node, "attr", None),
+                              getattr(node, "name", None))]
+    assert not named, "GridJet named outside exprs.py: " + ", ".join(named)
